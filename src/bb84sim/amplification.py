@@ -81,9 +81,11 @@ def sample_hash(params: PrivacyParams, rng: random.Random) -> HashDescriptor:
         raise InvalidParamsError("output length must be >= 1")
     n_seed = params.input_bits + params.output_bits - 1
     word = rng.getrandbits(n_seed)
-    seed = np.array(
-        [(word >> i) & 1 for i in range(n_seed)], dtype=np.uint8
-    )
+    # bit i of the seed is bit i of the word (least significant first)
+    seed = np.unpackbits(
+        np.frombuffer(word.to_bytes((n_seed + 7) // 8, "little"), np.uint8),
+        bitorder="little",
+    )[:n_seed]
     return HashDescriptor(
         family=TOEPLITZ_BINARY,
         input_bits=params.input_bits,
@@ -95,9 +97,14 @@ def sample_hash(params: PrivacyParams, rng: random.Random) -> HashDescriptor:
 def compress(key: Sequence[int], descriptor: HashDescriptor) -> np.ndarray:
     """Apply the descriptor's map: K_i = sum_j T[i, j] W_j mod 2.
 
-    With T[i, j] = seed[i + n - 1 - j] every output bit is one coefficient
-    of the seed/key convolution, so the whole map is a single
-    ``np.convolve`` followed by a parity reduction.  Linear over XOR by
+    With T[i, j] = seed[i + n - 1 - j] every output bit is coefficient
+    n - 1 + i of the seed/key convolution.  That window lies inside the
+    first n + r - 1 coefficients, so a cyclic convolution of any length
+    L >= n + r - 1 leaves it free of wrap-around; it is computed by a real
+    FFT at the next power of two, O((n + r) log(n + r)).  The coefficients
+    are integer counts, which rounding recovers while the float error stays
+    small; should any of them land 0.25 or more from an integer, the map
+    falls back to the direct O(n r) ``np.convolve``.  Linear over XOR by
     construction.
     """
     bits = np.asarray(key, dtype=np.uint8)
@@ -106,10 +113,25 @@ def compress(key: Sequence[int], descriptor: HashDescriptor) -> np.ndarray:
         raise LengthMismatchError(
             f"key must have exactly {n} bits, got {len(bits)}"
         )
-    full = np.convolve(
-        descriptor.seed_bits.astype(np.int64), bits.astype(np.int64)
-    )
-    return (full[n - 1 : n - 1 + descriptor.output_bits] % 2).astype(np.uint8)
+    seed = descriptor.seed_bits
+    r = descriptor.output_bits
+    size = 1 << (len(seed) - 1).bit_length()
+    spectrum = np.fft.rfft(seed, size) * np.fft.rfft(bits, size)
+    window = np.fft.irfft(spectrum, size)[n - 1 : n - 1 + r]
+    counts = np.rint(window)
+    if np.max(np.abs(window - counts)) >= 0.25:
+        full = np.convolve(seed.astype(np.int64), bits.astype(np.int64))
+        return (full[n - 1 : n - 1 + r] % 2).astype(np.uint8)
+    return (counts % 2).astype(np.uint8)
+
+
+def hashed_guess_advantage(
+    key: Sequence[int], guess: Sequence[int], descriptor: HashDescriptor
+) -> float:
+    """Per-bit agreement of the hashed guess with the hashed key, minus 1/2."""
+    final_key = compress(key, descriptor)
+    eve_key = compress(guess, descriptor)
+    return float(np.mean(final_key == eve_key)) - 0.5
 
 
 def eve_residual_information(
@@ -152,9 +174,8 @@ def eve_residual_information(
                 f"reconciled key has {len(key)} bits, need {n}"
             )
         descriptor = sample_hash(params, rng)
-        final_key = compress(key[:n], descriptor)
-        eve_key = compress(guess[:n], descriptor)
-        agreement = float(np.mean(final_key == eve_key))
-        advantages.append(agreement - 0.5)
+        advantages.append(
+            hashed_guess_advantage(key[:n], guess[:n], descriptor)
+        )
     mean = sum(advantages) / len(advantages)
     return min(0.5, max(0.0, mean))

@@ -2,12 +2,14 @@
 
 Two subcommands: ``run`` executes an experiment and writes its report,
 ``detect-curve`` sweeps the parity-verification round count and reports
-detection rates.  Exit codes: 0 success, 2 invalid configuration,
-3 runtime failure.
+detection rates.  Exit codes: 0 success, 2 invalid configuration
+(including an ``--out`` whose directory is missing or not writable),
+3 runtime failure (including a failed report write).
 """
 
 import argparse
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -105,17 +107,47 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     )
 
 
+def _to_stdout(out: str | None) -> bool:
+    return out is None or out == "-"
+
+
+def _check_out(out: str | None) -> None:
+    """Reject an output path that cannot be written, before any work."""
+    if _to_stdout(out):
+        return
+    target = Path(out)
+    directory = target.parent
+    if not directory.is_dir():
+        raise InvalidConfigError(f"--out directory {directory} does not exist")
+    if not os.access(directory, os.W_OK | os.X_OK):
+        raise InvalidConfigError(
+            f"--out directory {directory} is not writable"
+        )
+    if target.is_dir():
+        raise InvalidConfigError(f"--out {out!r} is a directory")
+
+
 def _emit(text: str, out: str | None) -> None:
-    if out is None or out == "-":
+    """Write the report; a file target is written to a temporary sibling and
+    renamed over the target, so a failed write leaves no partial report."""
+    if _to_stdout(out):
         sys.stdout.write(text)
-    else:
-        Path(out).write_text(text)
+        return
+    target = Path(out)
+    temp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    try:
+        with open(temp, "w") as handle:
+            handle.write(text)
+        os.replace(temp, target)
+    finally:
+        temp.unlink(missing_ok=True)
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = _config_from_args(args)
+        _check_out(args.out)
         if args.command == "run":
             report = run_experiment(config)
             text = (
@@ -142,7 +174,11 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # runtime failure inside the simulation
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    _emit(text, args.out)
+    try:
+        _emit(text, args.out)
+    except OSError as exc:
+        print(f"error: cannot write report: {exc}", file=sys.stderr)
+        return 3
     return 0
 
 

@@ -8,6 +8,7 @@ configurations therefore produce byte-identical JSON reports.
 """
 
 import json
+import math
 import random
 from dataclasses import asdict, dataclass
 from typing import Sequence
@@ -20,7 +21,7 @@ from .adversary import (
     NoEve,
     ResendRule,
 )
-from .amplification import PrivacyParams, compress, sample_hash
+from .amplification import PrivacyParams, hashed_guess_advantage, sample_hash
 from .errors import InvalidConfigError, SessionError
 from .protocol import (
     SessionConfig,
@@ -78,6 +79,10 @@ class ExperimentConfig:
         if self.eve_kind not in EVE_KINDS:
             raise InvalidConfigError(
                 f"eve_kind must be one of {EVE_KINDS}, got {self.eve_kind!r}"
+            )
+        if not math.isfinite(self.ancilla_angle):
+            raise InvalidConfigError(
+                f"ancilla_angle must be finite, got {self.ancilla_angle!r}"
             )
         if self.resend_rule not in RESEND_RULES:
             raise InvalidConfigError(
@@ -263,13 +268,12 @@ def _session_row(
                 margin_bits=config.pa_margin_bits,
             )
             descriptor = sample_hash(params, rng)
-            final_key = compress(transcript.reconciled_key, descriptor)
-            final_length = len(final_key)
+            final_length = descriptor.output_bits
             guess = transcript.eve_reconciled_guess
             if guess is not None:
-                eve_key = compress(guess, descriptor)
-                agreement = float((final_key == eve_key).mean())
-                advantage = agreement - 0.5
+                advantage = hashed_guess_advantage(
+                    transcript.reconciled_key, guess, descriptor
+                )
         else:
             final_length = len(transcript.reconciled_key)
     return SessionRow(

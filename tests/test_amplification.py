@@ -13,6 +13,7 @@ from bb84sim.amplification import (
     PrivacyParams,
     compress,
     eve_residual_information,
+    hashed_guess_advantage,
     sample_hash,
 )
 from bb84sim.errors import (
@@ -31,6 +32,26 @@ from bb84sim.quantum import (
 
 def random_bits(n, rng):
     return [rng.getrandbits(1) for _ in range(n)]
+
+
+def explicit_toeplitz(seed, key, n, r):
+    """Row i of the matrix is seed[i : i + n] reversed; multiply mod 2."""
+    return np.array(
+        [
+            sum(int(seed[i + n - 1 - j]) * int(key[j]) for j in range(n)) % 2
+            for i in range(r)
+        ],
+        dtype=np.uint8,
+    )
+
+
+def direct_compress(key, descriptor):
+    """The O(n r) direct convolution the FFT path must reproduce."""
+    n, r = descriptor.input_bits, descriptor.output_bits
+    full = np.convolve(
+        descriptor.seed_bits.astype(np.int64), np.asarray(key, dtype=np.int64)
+    )
+    return (full[n - 1 : n - 1 + r] % 2).astype(np.uint8)
 
 
 def transcripts_for(eve, count, seed, n_pulses=200):
@@ -82,6 +103,28 @@ class TestSampleHash:
             not np.array_equal(compress(p, first), compress(p, second))
             for p in probes
         )
+
+    # seed lengths n + r - 1 of 2, 5, 8, 9, 64, 1000 and 59,999
+    @pytest.mark.parametrize(
+        "n, r",
+        [(2, 1), (4, 2), (5, 4), (6, 4), (40, 25), (600, 401),
+         (40_000, 20_000)],
+    )
+    def test_bits_match_shift_extraction_and_stream(self, n, r):
+        # oracle: the per-bit shift extraction on a cloned generator
+        n_seed = n + r - 1
+        params = PrivacyParams(input_bits=n, leak_bits=n - r - 1, margin_bits=1)
+        rng = random.Random(n_seed)
+        clone = random.Random()
+        clone.setstate(rng.getstate())
+        descriptor = sample_hash(params, rng)
+        word = clone.getrandbits(n_seed)
+        expected = np.array(
+            [(word >> i) & 1 for i in range(n_seed)], dtype=np.uint8
+        )
+        assert descriptor.seed_bits.dtype == np.uint8
+        assert np.array_equal(descriptor.seed_bits, expected)
+        assert rng.getstate() == clone.getstate()
 
     def test_wrong_seed_length_rejected(self):
         with pytest.raises(InvalidParamsError):
@@ -139,16 +182,73 @@ class TestCompress:
         rng = random.Random(9)
         descriptor = sample_hash(params, rng)
         key = np.array(random_bits(10, rng), dtype=np.uint8)
-        n, r = descriptor.input_bits, descriptor.output_bits
-        seed = descriptor.seed_bits
-        explicit = np.array(
-            [
-                sum(int(seed[i + n - 1 - j]) * int(key[j]) for j in range(n)) % 2
-                for i in range(r)
-            ],
-            dtype=np.uint8,
-        )
+        explicit = explicit_toeplitz(descriptor.seed_bits, key, 10, 4)
         assert np.array_equal(compress(key, descriptor), explicit)
+
+    # seed lengths n + r - 1 of 1, 2, odd, and 63/64/65 and 127/128/129
+    # around the FFT's power-of-two size
+    @pytest.mark.parametrize(
+        "n, r",
+        [(1, 1), (2, 1), (2, 2), (3, 2), (7, 4), (33, 31), (33, 32),
+         (33, 33), (100, 28), (100, 29), (100, 30), (129, 1)],
+    )
+    def test_matches_explicit_matrix_at_edge_sizes(self, n, r):
+        rng = random.Random(n * 1000 + r)
+        ones = np.ones(n + r - 1, dtype=np.uint8)
+        seeds = [ones] + [
+            np.array(random_bits(n + r - 1, rng), dtype=np.uint8)
+            for _ in range(3)
+        ]
+        keys = [np.ones(n, dtype=np.uint8)] + [
+            np.array(random_bits(n, rng), dtype=np.uint8) for _ in range(3)
+        ]
+        for seed, key in zip(seeds, keys):
+            descriptor = HashDescriptor("toeplitz-binary", n, r, seed)
+            assert np.array_equal(
+                compress(key, descriptor), explicit_toeplitz(seed, key, n, r)
+            )
+
+    def test_matches_direct_convolution_at_full_size(self):
+        params = PrivacyParams(input_bits=40_000, leak_bits=19_984,
+                               margin_bits=16)
+        rng = random.Random(11)
+        key = np.array(random_bits(40_000, rng), dtype=np.uint8)
+        for descriptor in (
+            sample_hash(params, rng),
+            HashDescriptor("toeplitz-binary", 40_000, 20_000,
+                           np.ones(59_999, dtype=np.uint8)),
+        ):
+            assert np.array_equal(
+                compress(key, descriptor), direct_compress(key, descriptor)
+            )
+
+    def test_inexact_fft_falls_back_to_direct_convolution(self, monkeypatch):
+        params = PrivacyParams(input_bits=300, leak_bits=40, margin_bits=8)
+        rng = random.Random(12)
+        descriptor = sample_hash(params, rng)
+        key = np.array(random_bits(300, rng), dtype=np.uint8)
+        convolve_calls = []
+        real_convolve = np.convolve
+
+        def counting_convolve(*args, **kwargs):
+            convolve_calls.append(1)
+            return real_convolve(*args, **kwargs)
+
+        monkeypatch.setattr(np, "convolve", counting_convolve)
+        expected = explicit_toeplitz(descriptor.seed_bits, key, 300, 252)
+        assert np.array_equal(compress(key, descriptor), expected)
+        assert convolve_calls == []
+
+        real_irfft = np.fft.irfft
+
+        def perturbed_irfft(*args, **kwargs):
+            out = real_irfft(*args, **kwargs)
+            out[len(out) // 3] += 0.3
+            return out
+
+        monkeypatch.setattr(np.fft, "irfft", perturbed_irfft)
+        assert np.array_equal(compress(key, descriptor), expected)
+        assert convolve_calls == [1]
 
     def test_two_universal_collision_rate(self):
         # oracle: direct collision counting; a 2-universal family collides
@@ -167,6 +267,31 @@ class TestCompress:
             )
         sigma = math.sqrt(2**-4 * (1 - 2**-4) / trials)
         assert abs(collisions / trials - 2**-4) < 4 * sigma
+
+
+class TestHashedGuessAdvantage:
+    def test_matches_two_hash_agreement(self):
+        # oracle: hash key and guess separately and compare bit by bit
+        rng = random.Random(14)
+        for n, t, s, flips in ((64, 16, 8, 5), (200, 50, 10, 60), (9, 2, 1, 9)):
+            params = PrivacyParams(input_bits=n, leak_bits=t, margin_bits=s)
+            descriptor = sample_hash(params, rng)
+            key = random_bits(n, rng)
+            guess = list(key)
+            for i in rng.sample(range(n), flips):
+                guess[i] ^= 1
+            agreement = float(
+                np.mean(compress(key, descriptor) == compress(guess, descriptor))
+            )
+            advantage = hashed_guess_advantage(key, guess, descriptor)
+            assert type(advantage) is float
+            assert advantage == agreement - 0.5
+
+    def test_length_mismatch_rejected(self):
+        params = PrivacyParams(input_bits=16, leak_bits=4, margin_bits=2)
+        descriptor = sample_hash(params, random.Random(15))
+        with pytest.raises(LengthMismatchError):
+            hashed_guess_advantage([0] * 16, [0] * 15, descriptor)
 
 
 class TestEveResidualInformation:

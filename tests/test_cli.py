@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from bb84sim import cli
 from bb84sim.cli import build_parser, main
 from bb84sim.harness import ExperimentReport
 
@@ -88,6 +89,67 @@ class TestRunCommand:
             ["run", "--eve", "indirect-oracle", "--ancilla-angle", "0"]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("angle", ["nan", "inf", "-inf"])
+    def test_non_finite_ancilla_angle_exits_2(self, capsys, angle):
+        code = main(
+            ["run", "--pulses", "20", "--sessions", "1",
+             "--eve", "indirect-physical", f"--ancilla-angle={angle}"]
+        )
+        assert code == 2
+        assert "ancilla_angle must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "detect-curve"])
+    def test_missing_out_directory_exits_2_before_the_run(
+        self, capsys, tmp_path, monkeypatch, command
+    ):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(cli, "run_experiment", must_not_run)
+        monkeypatch.setattr(cli, "detection_rate_curve", must_not_run)
+        out = tmp_path / "missing" / "r.json"
+        assert main([command, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "does not exist" in err
+        assert "Traceback" not in err
+
+    def test_out_under_a_file_exits_2(self, capsys, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert main(["run", "--out", str(blocker / "r.json")]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_out_naming_a_directory_exits_2(self, capsys, tmp_path):
+        assert main(["run", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_failed_write_exits_3_and_leaves_no_partial_file(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        out = tmp_path / "report.json"
+        out.write_text("previous report\n")
+
+        def failing_replace(src, dst):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli.os, "replace", failing_replace)
+        code = main(
+            ["run", "--pulses", "50", "--sessions", "1", "--out", str(out)]
+        )
+        assert code == 3
+        assert "No space left on device" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+        assert out.read_text() == "previous report\n"
+
+    def test_report_replaces_existing_file(self, tmp_path):
+        out = tmp_path / "report.json"
+        out.write_text("previous report\n")
+        argv = ["run", "--pulses", "50", "--sessions", "1", "--out", str(out)]
+        assert main(argv) == 0
+        ExperimentReport.from_json(out.read_text())
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
     def test_runtime_failure_exits_3(self, capsys):
         # parity verification cannot run on a key shorter than its rounds

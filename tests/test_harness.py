@@ -4,8 +4,10 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
 
+from bb84sim.amplification import PrivacyParams, compress, sample_hash
 from bb84sim.errors import InvalidConfigError, SessionError
 from bb84sim.harness import (
     AggregateStats,
@@ -26,6 +28,7 @@ from bb84sim.adversary import (
     InterceptResend,
     NoEve,
 )
+from bb84sim.protocol import SessionConfig, run_session
 
 
 class TestSeedDerivation:
@@ -67,6 +70,8 @@ class TestConfigValidation:
              "pa_margin_bits": 4},
             {"n_pulses": 1, "n_sessions": 1, "master_seed": -1},
             {"n_pulses": 1, "n_sessions": 1, "output_format": "xml"},
+            {"n_pulses": 1, "n_sessions": 1, "ancilla_angle": math.nan},
+            {"n_pulses": 1, "n_sessions": 1, "ancilla_angle": math.inf},
         ],
     )
     def test_rejects_invalid(self, kwargs):
@@ -152,6 +157,39 @@ class TestRunExperiment:
             assert row.final_key_length == row.sifted_length - 64 - 8
             assert row.eve_advantage is not None
             assert -0.5 <= row.eve_advantage <= 0.5
+
+    def test_privacy_advantage_matches_two_hash_reference(self):
+        # oracle: replay each session's stream, hash key and guess
+        # separately and average their agreement
+        config = ExperimentConfig(
+            n_pulses=800,
+            n_sessions=4,
+            eve_kind="intercept-resend",
+            attack_fraction=0.3,
+            pa_leak_bits=100,
+            pa_margin_bits=8,
+            master_seed=11,
+        )
+        report = run_experiment(config)
+        for index, row in enumerate(report.sessions):
+            rng = random.Random(derive_seed(config.master_seed, index))
+            transcript = run_session(
+                SessionConfig(n_pulses=config.n_pulses),
+                build_strategy(config),
+                rng,
+            )
+            key = transcript.reconciled_key
+            params = PrivacyParams(len(key), 100, 8)
+            descriptor = sample_hash(params, rng)
+            agreement = float(
+                np.mean(
+                    compress(key, descriptor)
+                    == compress(transcript.eve_reconciled_guess, descriptor)
+                )
+            )
+            assert row.final_key_length == params.output_bits
+            assert type(row.eve_advantage) is float
+            assert row.eve_advantage == agreement - 0.5
 
     def test_privacy_with_passive_channel_has_no_advantage_column(self):
         config = ExperimentConfig(
