@@ -1,7 +1,6 @@
 """BB84 key-distribution simulator with pluggable eavesdropper strategies."""
 
 from .adversary import (
-    EveRecord,
     EveStrategy,
     IndirectCopyOracle,
     IndirectCopyPhysical,
@@ -17,6 +16,7 @@ from .amplification import (
     sample_hash,
 )
 from .harness import (
+    RNG_CONTRACT,
     AggregateStats,
     ExperimentConfig,
     ExperimentReport,
@@ -29,10 +29,9 @@ from .harness import (
 )
 from .protocol import (
     ParityRound,
-    PulseRecord,
+    Pulses,
     SessionConfig,
     SessionTranscript,
-    SiftedKey,
     bit_error_rate,
     parity_verify,
     prepare_pulses,

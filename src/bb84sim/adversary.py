@@ -1,7 +1,14 @@
 """Eavesdropper strategies plugged into the quantum channel.
 
-Every strategy consumes each transmitted state and must hand a state back
-to the channel.  Four behaviors are provided:
+Every strategy is a channel table.  Row s gives, for the signal state
+``BQS[s]`` the sender transmitted, the probability of each outcome, where
+an outcome is the state the adversary forwards paired with her guess of
+the sender's bit.  The entries follow from the Born rule.  With
+``attack_fraction`` f < 1 each row mixes the attack with weight f and a
+blind pass with weight 1 - f: the pulse goes on untouched and the recorded
+guess is a fair coin, so guess strings stay complete.  One sampler,
+``EveStrategy.intercept``, draws from any table.  Four tables are
+provided:
 
 * ``NoEve``            passive channel, nothing recorded.
 * ``InterceptResend``  measure in a random basis, forward the collapsed
@@ -21,31 +28,32 @@ to the channel.  Four behaviors are provided:
                        induced disturbance is unavoidable.
 """
 
-import random
+from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import ClassVar
 
+import numpy as np
+
 from .quantum import (
+    _EIGEN_SNAP,
     BASES,
-    Basis,
+    BQS,
     QuantumState,
     ReferenceList,
     ancilla_basis,
+    born_probability,
     decode,
-    measure,
     squared_overlap,
 )
+from .stream import BLOCK
 
+# An outcome is (forwarded ray angle, guessed bit or None); a row maps
+# each outcome to its probability.
+Outcome = tuple[float, int | None]
+Row = dict[Outcome, float]
 
-@dataclass(frozen=True, slots=True)
-class EveRecord:
-    """What the eavesdropper did to one pulse: the state she forwarded and,
-    if she attacked, her guess for the encoded state/bit."""
-
-    resent_state: QuantumState
-    guessed_bit: int | None = None
-    guessed_state: QuantumState | None = None
+_TWO_POW_53 = 9007199254740992.0
 
 
 class ResendRule(str, Enum):
@@ -61,33 +69,75 @@ class ResendRule(str, Enum):
 
 
 class EveStrategy:
-    """Interface for channel adversaries.
+    """A channel adversary: a table P(forwarded state, guess | sent state).
 
-    Strategies are immutable configuration; all per-pulse randomness comes
-    from the ``rng`` passed to :meth:`intercept`, so a strategy instance
-    can serve any number of sessions.
+    Subclasses are immutable configuration and build their table once, in
+    ``__post_init__``.  Attributes set there:
+
+    * ``forwarded_angles[k]``: ray angle of the state outcome k forwards;
+    * ``guess_bits[k]``: the bit outcome k guesses, or ``None`` throughout
+      for a passive channel.
+
+    Table entries within ``_EIGEN_SNAP`` of 0 are set to 0, so an outcome
+    the Born rule rules out is never drawn.
     """
 
     kind: ClassVar[str]
     attack_fraction: float = 1.0
 
-    def intercept(
-        self, incoming: QuantumState, rng: random.Random
-    ) -> tuple[QuantumState, EveRecord]:
-        """Consume ``incoming`` and return (state to forward, record)."""
-        raise NotImplementedError
-
-    def _skips_pulse(self, rng: random.Random) -> bool:
-        return self.attack_fraction < 1.0 and rng.random() >= self.attack_fraction
-
-    def _blind_pass(
-        self, incoming: QuantumState, rng: random.Random
-    ) -> tuple[QuantumState, EveRecord]:
-        # Unattacked pulse: forward untouched; the recorded guess is a fair
-        # coin so guess strings stay complete at partial attack fractions.
-        return incoming, EveRecord(
-            resent_state=incoming, guessed_bit=rng.getrandbits(1)
+    def _set_table(self, rows: list[Row]) -> None:
+        outcomes = list(dict.fromkeys(key for row in rows for key in row))
+        probabilities = np.array(
+            [[row.get(key, 0.0) for key in outcomes] for row in rows]
         )
+        probabilities[probabilities <= _EIGEN_SNAP] = 0.0
+        guesses = [guess for _, guess in outcomes]
+        # Outcome k is drawn when edges[k - 1] <= u < edges[k].  Edges with
+        # no probability left above them are set to 1, which no uniform
+        # reaches, so rounding in the cumulative sum can never select an
+        # impossible outcome.
+        edges = np.cumsum(probabilities, axis=1)[:, :-1]
+        remaining = np.cumsum(probabilities[:, ::-1], axis=1)[:, ::-1]
+        edges[remaining[:, 1:] == 0.0] = 1.0
+        # Sampling compares the 53-bit integer u * 2**53 with the edges
+        # scaled and rounded up, which decides edge <= u exactly.  Row s is
+        # shifted by s * 2**53, so one sorted array holds every row and one
+        # searchsorted call serves a whole session.
+        row = np.arange(len(rows), dtype=np.int64)
+        keys = np.ceil(np.minimum(edges, 1.0) * _TWO_POW_53).astype(np.int64)
+        keys += row[:, None] << 53
+        for name, value in (
+            ("forwarded_angles", np.array([angle for angle, _ in outcomes])),
+            ("guess_bits", None if guesses[0] is None
+             else np.array(guesses, dtype=np.uint8)),
+            ("_edge_keys", keys.ravel()),
+            ("_row_keys", row << 53),
+            ("_row_starts", (row * edges.shape[1]).astype(np.uint8)),
+        ):
+            object.__setattr__(self, name, value)
+
+    def intercept(
+        self, codes: np.ndarray, u: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """Sample one outcome per pulse by inverse CDF over its table row.
+
+        ``codes[i]`` indexes ``BQS``: the state sent as pulse i.  ``u[i]`` is
+        the pulse's uniform, a multiple of 2**-53 in [0, 1) as
+        ``stream.uniforms`` draws it, and the outcome drawn is the first
+        whose cumulative probability exceeds it; a row with a single
+        possible outcome returns it for every u.  Returns the forwarded ray
+        angles and the guessed bits (``None`` for a passive channel).
+        """
+        outcome = np.empty(len(codes), np.uint8)
+        for start in range(0, len(codes), BLOCK):
+            part = slice(start, start + BLOCK)
+            sent = codes[part]
+            key = (u[part] * _TWO_POW_53).astype(np.int64)
+            key += self._row_keys[sent]
+            found = np.searchsorted(self._edge_keys, key, side="right")
+            outcome[part] = found - self._row_starts[sent]
+        guesses = None if self.guess_bits is None else self.guess_bits[outcome]
+        return self.forwarded_angles[outcome], guesses
 
 
 def _check_fraction(fraction: float) -> None:
@@ -95,17 +145,35 @@ def _check_fraction(fraction: float) -> None:
         raise ValueError(f"attack_fraction must be in [0, 1], got {fraction}")
 
 
-@dataclass(frozen=True, slots=True)
+def _mixed_rows(attack, fraction: float) -> list[Row]:
+    """Rows of a strategy that applies ``attack`` to a share ``fraction`` of
+    the pulses and passes the rest on blind.  ``attack(state)`` lists
+    (outcome, probability) pairs; an outcome may appear more than once."""
+    _check_fraction(fraction)
+    rows = []
+    for state in BQS:
+        row: Row = defaultdict(float)
+        if fraction > 0.0:
+            for outcome, p in attack(state):
+                row[outcome] += fraction * p
+        if fraction < 1.0:
+            for guess in (0, 1):
+                row[(state.angle, guess)] += (1.0 - fraction) / 2.0
+        rows.append(row)
+    return rows
+
+
+@dataclass(frozen=True)
 class NoEve(EveStrategy):
     """Passive channel: forward every state untouched, record no guesses."""
 
     kind: ClassVar[str] = "none"
 
-    def intercept(self, incoming, rng):
-        return incoming, EveRecord(resent_state=incoming)
+    def __post_init__(self):
+        self._set_table([{(state.angle, None): 1.0} for state in BQS])
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class InterceptResend(EveStrategy):
     """Measure each attacked pulse in a uniformly random basis and forward
     the post-measurement eigenstate as the fabricated replacement."""
@@ -114,55 +182,40 @@ class InterceptResend(EveStrategy):
     kind: ClassVar[str] = "intercept-resend"
 
     def __post_init__(self):
-        _check_fraction(self.attack_fraction)
+        def attack(state: QuantumState) -> list[tuple[Outcome, float]]:
+            return [
+                ((angle, bit), born_probability(state, angle) / len(BASES))
+                for basis in BASES
+                for bit, angle in enumerate(basis.angles)
+            ]
 
-    def intercept(self, incoming, rng):
-        if self._skips_pulse(rng):
-            return self._blind_pass(incoming, rng)
-        basis = BASES[rng.getrandbits(1)]
-        bit, collapsed = measure(incoming, basis, rng)
-        return collapsed, EveRecord(
-            resent_state=collapsed, guessed_bit=bit, guessed_state=collapsed
-        )
+        self._set_table(_mixed_rows(attack, self.attack_fraction))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class IndirectCopyOracle(EveStrategy):
     """Identify pulses by an exact squared-overlap read against the table's
     ancilla, then forward a fresh copy of the matched state.
 
     Granting the exact read makes the attack transparent: the forwarded
     state equals the transmitted one, so no disturbance is ever induced
-    and the guessed bits equal the sender's bits.  Pulses outside the
-    agreed alphabet raise ``NoMatchError``.
+    and the guessed bits equal the sender's bits.  The channel table is
+    built through ``ReferenceList.lookup``, so a reference list that misses
+    a signal state raises ``NoMatchError`` here.
     """
 
     reference_list: ReferenceList
     attack_fraction: float = 1.0
     kind: ClassVar[str] = "indirect-oracle"
 
-    _bit_by_state: dict[QuantumState, int] = field(
-        init=False, repr=False, compare=False
-    )
-
     def __post_init__(self):
-        _check_fraction(self.attack_fraction)
-        object.__setattr__(
-            self,
-            "_bit_by_state",
-            {e.state: decode(e.state)[0] for e in self.reference_list.entries},
-        )
+        table = self.reference_list
 
-    def intercept(self, incoming, rng):
-        if self._skips_pulse(rng):
-            return self._blind_pass(incoming, rng)
-        value = squared_overlap(self.reference_list.ancilla, incoming)
-        matched = self.reference_list.lookup(value)
-        return matched, EveRecord(
-            resent_state=matched,
-            guessed_bit=self._bit_by_state[matched],
-            guessed_state=matched,
-        )
+        def attack(state: QuantumState) -> list[tuple[Outcome, float]]:
+            matched = table.lookup(squared_overlap(table.ancilla, state))
+            return [((matched.angle, decode(matched)[0]), 1.0)]
+
+        self._set_table(_mixed_rows(attack, self.attack_fraction))
 
 
 @dataclass(frozen=True)
@@ -182,44 +235,38 @@ class IndirectCopyPhysical(EveStrategy):
     attack_fraction: float = 1.0
     kind: ClassVar[str] = "indirect-physical"
 
-    _probe_basis: Basis = field(init=False, repr=False, compare=False)
     _guess_states: tuple[QuantumState, QuantumState] = field(
         init=False, repr=False, compare=False
     )
-    _guess_bits: tuple[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _check_fraction(self.attack_fraction)
         entries = self.reference_list.entries
-        aligned = max(range(len(entries)), key=lambda i: entries[i].match_value)
+        aligned = max(
+            range(len(entries)), key=lambda i: entries[i].match_value
+        )
         orthogonal = max(
             range(len(entries)), key=lambda i: 1.0 - entries[i].match_value
         )
         guesses = (entries[aligned].state, entries[orthogonal].state)
-        object.__setattr__(
-            self, "_probe_basis", ancilla_basis(self.reference_list.ancilla.angle)
-        )
+        probe = ancilla_basis(self.reference_list.ancilla.angle)
         object.__setattr__(self, "_guess_states", guesses)
-        object.__setattr__(
-            self, "_guess_bits", tuple(decode(state)[0] for state in guesses)
-        )
+        if self.resend_rule is ResendRule.MAX_POSTERIOR:
+            resent = guesses
+        else:
+            resent = probe.states
+
+        def attack(state: QuantumState) -> list[tuple[Outcome, float]]:
+            return [
+                (
+                    (resent[outcome].angle, decode(guesses[outcome])[0]),
+                    born_probability(state, angle),
+                )
+                for outcome, angle in enumerate(probe.angles)
+            ]
+
+        self._set_table(_mixed_rows(attack, self.attack_fraction))
 
     def posterior_guess(self, outcome: int) -> QuantumState:
         """Signal state with maximal posterior probability for ``outcome``
         (0 projects onto the ancilla, 1 onto its orthogonal partner)."""
         return self._guess_states[outcome]
-
-    def intercept(self, incoming, rng):
-        if self._skips_pulse(rng):
-            return self._blind_pass(incoming, rng)
-        outcome, eigenstate = measure(incoming, self._probe_basis, rng)
-        guessed = self._guess_states[outcome]
-        if self.resend_rule is ResendRule.MAX_POSTERIOR:
-            resent = guessed
-        else:
-            resent = eigenstate
-        return resent, EveRecord(
-            resent_state=resent,
-            guessed_bit=self._guess_bits[outcome],
-            guessed_state=guessed,
-        )

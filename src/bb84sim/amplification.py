@@ -23,6 +23,7 @@ from .errors import (
     MissingEveBitsError,
 )
 from .protocol import SessionTranscript
+from .stream import random_bits
 
 TOEPLITZ_BINARY = "toeplitz-binary"
 
@@ -79,18 +80,11 @@ def sample_hash(params: PrivacyParams, rng: random.Random) -> HashDescriptor:
     """Draw a uniformly random descriptor; safe to publish."""
     if params.output_bits < 1:
         raise InvalidParamsError("output length must be >= 1")
-    n_seed = params.input_bits + params.output_bits - 1
-    word = rng.getrandbits(n_seed)
-    # bit i of the seed is bit i of the word (least significant first)
-    seed = np.unpackbits(
-        np.frombuffer(word.to_bytes((n_seed + 7) // 8, "little"), np.uint8),
-        bitorder="little",
-    )[:n_seed]
     return HashDescriptor(
         family=TOEPLITZ_BINARY,
         input_bits=params.input_bits,
         output_bits=params.output_bits,
-        seed_bits=seed,
+        seed_bits=random_bits(rng, params.input_bits + params.output_bits - 1),
     )
 
 

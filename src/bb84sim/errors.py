@@ -31,8 +31,11 @@ class InvalidConfigError(ValueError):
 
 
 class SessionError(RuntimeError):
-    """A session inside an experiment failed; carries the session index."""
+    """A session inside an experiment failed.  Carries the session index and
+    the seed of its generator: ``run_session`` with
+    ``random.Random(seed)`` and the same configuration fails again."""
 
-    def __init__(self, session_index: int, message: str):
-        super().__init__(f"session {session_index}: {message}")
+    def __init__(self, session_index: int, seed: int, message: str):
+        super().__init__(f"session {session_index} (seed {seed}): {message}")
         self.session_index = session_index
+        self.seed = seed

@@ -1,10 +1,32 @@
 """Experiment runner: many independent sessions, aggregated statistics,
 deterministic seeding, and machine-readable reports.
 
-Reproducibility contract: session i of an experiment uses a
-``random.Random`` (Mersenne Twister) seeded with ``derive_seed(master_seed,
-i)``, a SplitMix64 mix of the master seed and the session index.  Identical
-configurations therefore produce byte-identical JSON reports.
+Random-stream contract ``bb84sim-2`` (``RNG_CONTRACT``): session i of an
+experiment draws everything from one ``random.Random`` (Mersenne Twister)
+seeded with ``derive_seed(master_seed, i)``, a SplitMix64 mix of the
+master seed and the session index.  Bits come from one ``getrandbits(k)``
+call per batch, item j being bit j of the word; uniforms carry 53 bits
+each and equal successive ``random()`` calls (see ``stream``).  A session
+of n pulses draws, in this order:
+
+1. n bits, the sender's bits;
+2. n bits, the sender's bases;
+3. n bits, the receiver's bases;
+4. n uniforms for the adversary's channel table, whatever the strategy;
+5. n uniforms for detector loss, only when the efficiency is below 1;
+6. n uniforms for the receiver's measurements, lost pulses included;
+7. per parity round, one bit per live sifted position, all drawn again
+   while none of them is 1;
+8. with privacy amplification on an undetected session, the n + r - 1
+   bits of the Toeplitz seed.
+
+``detection_rate_curve`` runs steps 1-6, then, with ``force_differ``, one
+uniform u that flips receiver bit floor(u * L) of the L-bit sifted key,
+then step 7.  Draw counts depend only on the configuration and on the
+sizes of the live sets, never on drawn values, except for the redraw of an
+empty parity subset.  Identical configurations therefore produce
+byte-identical reports.  Every report names its contract, and
+``ExperimentReport.from_json`` refuses a report written under another.
 """
 
 import json
@@ -12,6 +34,8 @@ import math
 import random
 from dataclasses import asdict, dataclass
 from typing import Sequence
+
+import numpy as np
 
 from .adversary import (
     EveStrategy,
@@ -31,6 +55,7 @@ from .protocol import (
 )
 from .quantum import DEFAULT_ANCILLA_ANGLE, QuantumState, build_reference_list
 
+RNG_CONTRACT = "bb84sim-2"
 EVE_KINDS = ("none", "intercept-resend", "indirect-oracle", "indirect-physical")
 RESEND_RULES = tuple(rule.value for rule in ResendRule)
 OUTPUT_FORMATS = ("json", "csv")
@@ -68,14 +93,9 @@ class ExperimentConfig:
     output_format: str = "json"
 
     def __post_init__(self):
-        if self.n_pulses < 1:
-            raise InvalidConfigError("n_pulses must be >= 1")
+        self.session_config  # validates n_pulses, efficiency, parity_rounds
         if self.n_sessions < 1:
             raise InvalidConfigError("n_sessions must be >= 1")
-        if not 0.0 < self.efficiency <= 1.0:
-            raise InvalidConfigError("efficiency must be in (0, 1]")
-        if self.parity_rounds < 0:
-            raise InvalidConfigError("parity_rounds must be >= 0")
         if self.eve_kind not in EVE_KINDS:
             raise InvalidConfigError(
                 f"eve_kind must be one of {EVE_KINDS}, got {self.eve_kind!r}"
@@ -106,6 +126,14 @@ class ExperimentConfig:
             raise InvalidConfigError(
                 f"output_format must be one of {OUTPUT_FORMATS}"
             )
+
+    @property
+    def session_config(self) -> SessionConfig:
+        return SessionConfig(
+            n_pulses=self.n_pulses,
+            efficiency=self.efficiency,
+            parity_rounds=self.parity_rounds,
+        )
 
     @property
     def privacy_enabled(self) -> bool:
@@ -163,6 +191,7 @@ class ExperimentReport:
 
     def to_json(self) -> str:
         payload = {
+            "rng_contract": RNG_CONTRACT,
             "config": asdict(self.config),
             "sessions": [asdict(row) for row in self.sessions],
             "aggregates": asdict(self.aggregates),
@@ -185,12 +214,20 @@ class ExperimentReport:
             lines.append(",".join(_csv_cell(values[c]) for c in columns))
         for name, value in asdict(self.aggregates).items():
             lines.append(f"# {name}={_csv_cell(value)}")
+        lines.append(f"# rng_contract={RNG_CONTRACT}")
         return "\n".join(lines) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentReport":
-        """Parse a report and verify its aggregates against its rows."""
+        """Parse a report and verify its contract, and its aggregates
+        against its rows."""
         payload = json.loads(text)
+        contract = payload.get("rng_contract")
+        if contract != RNG_CONTRACT:
+            raise ValueError(
+                f"report has random-stream contract {contract!r}, "
+                f"expected {RNG_CONTRACT!r}"
+            )
         config = ExperimentConfig(**payload["config"])
         rows = [SessionRow(**row) for row in payload["sessions"]]
         aggregates = AggregateStats(**payload["aggregates"])
@@ -243,13 +280,11 @@ def compute_aggregates(
 def eve_sifted_accuracy(transcript: SessionTranscript) -> float | None:
     """Fraction of sifted positions where the adversary guessed the
     sender's bit; ``None`` without guesses or without sifted bits."""
-    if transcript.eve_bits is None or not transcript.sifted_alice.bits:
+    guesses = transcript.eve_bits
+    if guesses is None or len(guesses) == 0:
         return None
-    hits = sum(
-        guess == bit
-        for guess, bit in zip(transcript.eve_bits, transcript.sifted_alice.bits)
-    )
-    return hits / len(transcript.sifted_alice.bits)
+    hits = int(np.count_nonzero(guesses == transcript.sifted_alice))
+    return hits / len(guesses)
 
 
 def _session_row(
@@ -290,19 +325,16 @@ def _session_row(
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run ``n_sessions`` independent sessions and aggregate them."""
     strategy = build_strategy(config)
-    session_config = SessionConfig(
-        n_pulses=config.n_pulses,
-        efficiency=config.efficiency,
-        parity_rounds=config.parity_rounds,
-    )
+    session_config = config.session_config
     rows: list[SessionRow] = []
     for index in range(config.n_sessions):
-        rng = random.Random(derive_seed(config.master_seed, index))
+        seed = derive_seed(config.master_seed, index)
+        rng = random.Random(seed)
         try:
             transcript = run_session(session_config, strategy, rng)
             rows.append(_session_row(index, transcript, config, rng))
         except Exception as exc:
-            raise SessionError(index, str(exc)) from exc
+            raise SessionError(index, seed, str(exc)) from exc
     return ExperimentReport(
         config=config,
         sessions=rows,
@@ -321,7 +353,8 @@ def detection_rate_curve(
     verification; parity verification with k rounds is then applied to the
     sifted keys.  With ``force_differ`` one uniformly random sifted bit of
     the receiver is flipped first, isolating the parity math from attack
-    stochasticity.
+    stochasticity.  Session j of the sweep (k-major) uses the generator of
+    session index j.
     """
     strategy = build_strategy(config)
     session_config = SessionConfig(
@@ -334,20 +367,23 @@ def detection_rate_curve(
             raise InvalidConfigError("parity round counts must be >= 0")
         detections = 0
         for _ in range(config.n_sessions):
-            rng = random.Random(derive_seed(config.master_seed, counter))
+            seed = derive_seed(config.master_seed, counter)
+            rng = random.Random(seed)
             counter += 1
             try:
                 transcript = run_session(session_config, strategy, rng)
-                bob_bits = list(transcript.sifted_bob.bits)
+                bob_bits = transcript.sifted_bob
                 if force_differ:
-                    if not bob_bits:
+                    length = len(bob_bits)
+                    if not length:
                         raise ValueError("no sifted bits to flip")
-                    bob_bits[rng.randrange(len(bob_bits))] ^= 1
+                    bob_bits = bob_bits.copy()
+                    bob_bits[min(int(rng.random() * length), length - 1)] ^= 1
                 detected, _, _, _ = parity_verify(
-                    transcript.sifted_alice.bits, bob_bits, k, rng
+                    transcript.sifted_alice, bob_bits, k, rng
                 )
             except Exception as exc:
-                raise SessionError(counter - 1, str(exc)) from exc
+                raise SessionError(counter - 1, seed, str(exc)) from exc
             detections += detected
         curve.append((k, detections / config.n_sessions))
     return curve
@@ -357,6 +393,7 @@ def curve_to_json(
     config: ExperimentConfig, curve: Sequence[tuple[int, float]]
 ) -> str:
     payload = {
+        "rng_contract": RNG_CONTRACT,
         "config": asdict(config),
         "curve": [
             {"parity_rounds": k, "detection_rate": rate} for k, rate in curve
@@ -369,4 +406,5 @@ def curve_to_csv(curve: Sequence[tuple[int, float]]) -> str:
     lines = ["parity_rounds,detection_rate"]
     for k, rate in curve:
         lines.append(f"{k},{_csv_cell(float(rate))}")
+    lines.append(f"# rng_contract={RNG_CONTRACT}")
     return "\n".join(lines) + "\n"

@@ -6,15 +6,24 @@ detector loss, measurement, basis reconciliation and sifting, then the
 parity-verification rounds that certify the sifted keys agree.  Basis
 reconciliation happens over an implicit authenticated, error-free public
 channel; only its outcome is modeled.
+
+Each stage works on a whole session at once: pulse i of a session is
+entry i of a set of numpy columns, and every stage draws its randomness in
+bulk (see ``harness`` for the order of the draws).  A basis is stored as
+its index into ``BASES`` (0 rectilinear, 1 diagonal), and a signal state
+as its index into ``BQS``, ``2 * basis + bit``.
 """
 
 import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .adversary import EveRecord, EveStrategy
+import numpy as np
+
+from .adversary import EveStrategy
 from .errors import InvalidConfigError, KeyTooShortError
-from .quantum import BASES, Basis, QuantumState, encode, measure
+from .quantum import BASIS_ANGLES, measure
+from .stream import random_bits, uniforms
 
 
 @dataclass(frozen=True, slots=True)
@@ -34,139 +43,140 @@ class SessionConfig:
             raise InvalidConfigError("parity_rounds must be >= 0")
 
 
-@dataclass(slots=True)
-class PulseRecord:
-    """Everything that happened to one transmitted quantum bit."""
+@dataclass(frozen=True, eq=False)
+class Pulses:
+    """Everything that happened to the transmitted quantum bits of one
+    session, as columns: entry i of each array describes pulse i."""
 
-    index: int
-    alice_bit: int
-    alice_basis: Basis
-    sent_state: QuantumState
-    channel_state: QuantumState | None  # what the receiver actually got
-    bob_basis: Basis
-    bob_bit: int | None
-    lost: bool
-
-
-@dataclass(slots=True)
-class SiftedKey:
-    """Bits surviving sifting plus the pulse indices they came from."""
-
-    bits: list[int]
-    source_indices: list[int]
+    alice_bits: np.ndarray  # uint8
+    alice_bases: np.ndarray  # uint8 index into BASES
+    forwarded: np.ndarray  # float64 ray angle the adversary sent on
+    eve_guesses: np.ndarray | None  # uint8; None on a passive channel
+    lost: np.ndarray  # bool, the pulse never reached the detector
+    bob_bases: np.ndarray  # uint8 index into BASES
+    bob_bits: np.ndarray  # int8 measured bit, -1 where lost
 
     def __len__(self) -> int:
-        return len(self.bits)
+        return len(self.alice_bits)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, eq=False)
 class ParityRound:
     """One public parity comparison over a subset of sifted positions.
 
     Positions index into the sifted key.  The discarded position is the
     lowest-indexed member of the subset, removed from both keys to pay for
-    the publicly revealed parity bit.
+    the publicly revealed parity bit.  The subset is kept as a bitmask over
+    the key, packed eight positions to a byte.
     """
 
-    subset: frozenset[int]
+    members: np.ndarray
     alice_parity: int
     bob_parity: int
     discarded_position: int
 
+    @property
+    def subset(self) -> np.ndarray:
+        """The compared positions, ascending."""
+        return np.flatnonzero(np.unpackbits(self.members))
 
-@dataclass(slots=True)
+
+@dataclass(frozen=True, eq=False)
 class SessionTranscript:
     """Complete record of one session.
 
+    ``sifted`` holds the pulse indices that survived sifting, and
+    ``sifted_alice``/``sifted_bob`` the two keys read at them.
     ``reconciled_key`` holds the sender's post-parity key and is present
-    only when no round detected a mismatch.  ``eve_bits`` holds the
-    adversary's bit guesses aligned to the sifted positions, or ``None``
-    for a passive channel.
+    only when no round detected a mismatch.
     """
 
-    pulses: list[PulseRecord]
-    sifted_alice: SiftedKey
-    sifted_bob: SiftedKey
+    pulses: Pulses
+    sifted: np.ndarray
+    sifted_alice: np.ndarray
+    sifted_bob: np.ndarray
     parity_rounds: list[ParityRound]
     detected: bool
-    reconciled_key: list[int] | None
-    eve_bits: list[int] | None
+    reconciled_key: np.ndarray | None
 
     @property
     def qber(self) -> float:
         """Mismatch fraction of the sifted keys (0.0 when nothing sifted)."""
-        return bit_error_rate(self.sifted_alice.bits, self.sifted_bob.bits)
+        return bit_error_rate(self.sifted_alice, self.sifted_bob)
 
     @property
-    def eve_reconciled_guess(self) -> list[int] | None:
+    def eve_bits(self) -> np.ndarray | None:
+        """Adversary guesses aligned to the sifted positions, or ``None``
+        for a passive channel."""
+        guesses = self.pulses.eve_guesses
+        return None if guesses is None else guesses[self.sifted]
+
+    @property
+    def eve_reconciled_guess(self) -> np.ndarray | None:
         """Adversary guesses restricted to the positions that survived the
         parity rounds, aligned with ``reconciled_key``."""
-        if self.eve_bits is None:
+        guess = self.eve_bits
+        if guess is None:
             return None
-        dropped = {r.discarded_position for r in self.parity_rounds}
-        return [
-            bit for i, bit in enumerate(self.eve_bits) if i not in dropped
-        ]
+        dropped = [r.discarded_position for r in self.parity_rounds]
+        return np.delete(guess, dropped)
 
 
 def bit_error_rate(a: Sequence[int], b: Sequence[int]) -> float:
     if len(a) != len(b):
         raise ValueError("bit strings must have equal length")
-    if not a:
+    if len(a) == 0:
         return 0.0
-    return sum(x != y for x, y in zip(a, b)) / len(a)
+    return int(np.count_nonzero(np.not_equal(a, b))) / len(a)
 
 
 def prepare_pulses(
     n: int, rng: random.Random
-) -> list[tuple[int, Basis, QuantumState]]:
-    """Draw ``n`` independent uniform (bit, basis) pairs and encode each."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draw ``n`` independent uniform bits, then ``n`` uniform bases;
+    pulse i encodes bit i in basis i."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    pulses = []
-    getrandbits = rng.getrandbits
-    for _ in range(n):
-        bit = getrandbits(1)
-        basis = BASES[getrandbits(1)]
-        pulses.append((bit, basis, encode(bit, basis)))
-    return pulses
+    return random_bits(rng, n), random_bits(rng, n)
 
 
 def transmit(
-    state: QuantumState,
+    codes: np.ndarray,
     adversary: EveStrategy,
     efficiency: float,
     rng: random.Random,
-) -> tuple[QuantumState | None, EveRecord]:
-    """Pass one pulse through the adversary, then through detector loss.
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+    """Pass the pulses ``BQS[codes]`` through the adversary, then through
+    detector loss.
 
-    Returns the state arriving at the receiver (``None`` when the pulse is
-    lost) together with the adversary's record for the pulse.  The
-    adversary acts before loss, so her record exists even for lost pulses.
+    The adversary draws one uniform per pulse; loss draws one per pulse
+    when ``efficiency < 1``, and a pulse is lost when its uniform is at
+    least ``efficiency``.  Returns the
+    forwarded ray angles, the adversary's guesses (``None`` for a passive
+    channel) and the loss mask.  The adversary acts before loss, so her
+    guess exists even for lost pulses.
     """
-    outgoing, record = adversary.intercept(state, rng)
-    if efficiency < 1.0 and rng.random() >= efficiency:
-        return None, record
-    return outgoing, record
+    n = len(codes)
+    forwarded, guesses = adversary.intercept(codes, uniforms(rng, n))
+    if efficiency < 1.0:
+        lost = uniforms(rng, n) >= efficiency
+    else:
+        lost = np.zeros(n, dtype=bool)
+    return forwarded, guesses, lost
 
 
-def sift(pulses: Sequence[PulseRecord]) -> tuple[SiftedKey, SiftedKey]:
-    """Keep positions where the pulse arrived and the bases matched."""
-    alice_bits: list[int] = []
-    bob_bits: list[int] = []
-    indices: list[int] = []
-    for pulse in pulses:
-        if pulse.lost:
-            continue
-        if pulse.bob_bit is None:
-            raise ValueError(f"pulse {pulse.index} is unmeasured but not lost")
-        if pulse.alice_basis == pulse.bob_basis:
-            alice_bits.append(pulse.alice_bit)
-            bob_bits.append(pulse.bob_bit)
-            indices.append(pulse.index)
+def sift(pulses: Pulses) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Keep positions where the pulse arrived and the bases matched.
+
+    Returns the sender's sifted key, the receiver's, and the pulse indices
+    they came from.
+    """
+    matched = pulses.alice_bases == pulses.bob_bases
+    kept = np.flatnonzero(matched & ~pulses.lost)
     return (
-        SiftedKey(alice_bits, indices),
-        SiftedKey(bob_bits, list(indices)),
+        pulses.alice_bits[kept],
+        pulses.bob_bits[kept].view(np.uint8),
+        kept,
     )
 
 
@@ -175,53 +185,49 @@ def parity_verify(
     bob_bits: Sequence[int],
     rounds: int,
     rng: random.Random,
-) -> tuple[bool, list[int], list[int], list[ParityRound]]:
+) -> tuple[bool, np.ndarray, np.ndarray, list[ParityRound]]:
     """Run ``rounds`` public random-subset parity comparisons.
 
     Each round samples a uniform nonempty subset of the still-live
-    positions (fair coin per position, resampled if empty), compares the
-    two parities, and discards the lowest-indexed subset member from both
-    keys.  A differing key pair trips a round with probability 1/2, so
-    ``rounds`` independent rounds certify agreement except with
-    probability ~2**-rounds, at the cost of ``rounds`` bits.
+    positions (one fair coin per live position, in ascending order, all
+    drawn again if none comes up 1), compares the two parities, and
+    discards the lowest-indexed subset member from both keys.  A differing
+    key pair trips a round with probability 1/2, so ``rounds`` independent
+    rounds certify agreement except with probability ~2**-rounds, at the
+    cost of ``rounds`` bits.
 
     Returns (detected, reconciled_alice, reconciled_bob, round records).
     All rounds run even after a detection; the detected flag is the OR of
     the per-round mismatches.
     """
-    if len(alice_bits) != len(bob_bits):
+    alice = np.asarray(alice_bits, dtype=np.uint8)
+    bob = np.asarray(bob_bits, dtype=np.uint8)
+    if len(alice) != len(bob):
         raise ValueError("keys must have equal length")
-    length = len(alice_bits)
+    length = len(alice)
     if length <= rounds:
         raise KeyTooShortError(
             f"key of length {length} cannot support {rounds} parity rounds"
         )
-    getrandbits = rng.getrandbits
-    live = list(range(length))
+    alice_ones, bob_ones = alice.astype(bool), bob.astype(bool)
+    alive = np.ones(length, dtype=bool)
     detected = False
     records: list[ParityRound] = []
-    for _ in range(rounds):
-        subset = [pos for pos in live if getrandbits(1)]
-        while not subset:
-            subset = [pos for pos in live if getrandbits(1)]
-        alice_parity = 0
-        bob_parity = 0
-        for pos in subset:
-            alice_parity ^= alice_bits[pos]
-            bob_parity ^= bob_bits[pos]
-        if alice_parity != bob_parity:
-            detected = True
-        discarded = subset[0]  # live is ascending, so subset[0] is the min
-        live.remove(discarded)
+    for done in range(rounds):
+        members = np.zeros(length, dtype=bool)
+        while True:
+            members[alive] = random_bits(rng, length - done).view(bool)
+            first = int(members.argmax())
+            if members[first]:
+                break
+        alice_parity = int(np.count_nonzero(alice_ones & members)) & 1
+        bob_parity = int(np.count_nonzero(bob_ones & members)) & 1
+        detected |= alice_parity != bob_parity
+        alive[first] = False
         records.append(
-            ParityRound(frozenset(subset), alice_parity, bob_parity, discarded)
+            ParityRound(np.packbits(members), alice_parity, bob_parity, first)
         )
-    return (
-        detected,
-        [alice_bits[pos] for pos in live],
-        [bob_bits[pos] for pos in live],
-        records,
-    )
+    return detected, alice[alive], bob[alive], records
 
 
 def run_session(
@@ -229,59 +235,37 @@ def run_session(
 ) -> SessionTranscript:
     """Execute one full session and return its transcript.
 
-    Randomness is consumed in a fixed order (all source pulses first, then
-    per pulse: adversary, loss, receiver basis, receiver measurement, and
-    finally the parity rounds), so identical seeds yield bit-identical
-    transcripts.  With ``parity_rounds == 0`` verification is skipped and
-    the sifted key is taken as reconciled.
+    Randomness is consumed stage by stage, in the order documented in
+    ``harness``, so identical seeds yield identical transcripts.  With
+    ``parity_rounds == 0`` verification is skipped and the sifted key is
+    taken as reconciled.
     """
-    pulses: list[PulseRecord] = []
-    eve_records: list[EveRecord] = []
-    getrandbits = rng.getrandbits
-    efficiency = config.efficiency
-    for index, (alice_bit, alice_basis, sent) in enumerate(
-        prepare_pulses(config.n_pulses, rng)
-    ):
-        channel_state, record = transmit(sent, adversary, efficiency, rng)
-        bob_basis = BASES[getrandbits(1)]
-        if channel_state is None:
-            bob_bit = None
-            lost = True
-        else:
-            bob_bit, _ = measure(channel_state, bob_basis, rng)
-            lost = False
-        pulses.append(
-            PulseRecord(
-                index, alice_bit, alice_basis, sent,
-                channel_state, bob_basis, bob_bit, lost,
-            )
-        )
-        eve_records.append(record)
-
-    sifted_alice, sifted_bob = sift(pulses)
+    n = config.n_pulses
+    alice_bits, alice_bases = prepare_pulses(n, rng)
+    bob_bases = random_bits(rng, n)
+    forwarded, guesses, lost = transmit(
+        2 * alice_bases + alice_bits, adversary, config.efficiency, rng
+    )
+    bob_bits = measure(forwarded, BASIS_ANGLES[bob_bases], rng).view(np.int8)
+    bob_bits[lost] = -1
+    pulses = Pulses(
+        alice_bits, alice_bases, forwarded, guesses, lost, bob_bases, bob_bits
+    )
+    sifted_alice, sifted_bob, sifted = sift(pulses)
 
     if config.parity_rounds > 0:
-        detected, reconciled_alice, _, rounds = parity_verify(
-            sifted_alice.bits, sifted_bob.bits, config.parity_rounds, rng
+        detected, reconciled, _, rounds = parity_verify(
+            sifted_alice, sifted_bob, config.parity_rounds, rng
         )
     else:
-        detected = False
-        reconciled_alice = list(sifted_alice.bits)
-        rounds = []
-
-    if any(record.guessed_bit is not None for record in eve_records):
-        eve_bits = [
-            eve_records[i].guessed_bit for i in sifted_alice.source_indices
-        ]
-    else:
-        eve_bits = None
+        detected, reconciled, rounds = False, sifted_alice, []
 
     return SessionTranscript(
         pulses=pulses,
+        sifted=sifted,
         sifted_alice=sifted_alice,
         sifted_bob=sifted_bob,
         parity_rounds=rounds,
         detected=detected,
-        reconciled_key=None if detected else reconciled_alice,
-        eve_bits=eve_bits,
+        reconciled_key=None if detected else reconciled,
     )

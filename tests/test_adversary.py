@@ -9,6 +9,7 @@ for whatever state gets forwarded.
 import math
 import random
 
+import numpy as np
 import pytest
 
 from bb84sim.adversary import (
@@ -19,7 +20,7 @@ from bb84sim.adversary import (
     ResendRule,
 )
 from bb84sim.errors import DegenerateAncillaError, NoMatchError
-from bb84sim.protocol import SessionConfig, run_session
+from bb84sim.protocol import SessionConfig, run_session, transmit
 from bb84sim.quantum import (
     BQS,
     DEFAULT_ANCILLA_ANGLE,
@@ -28,6 +29,7 @@ from bb84sim.quantum import (
     decode,
     squared_overlap,
 )
+from bb84sim.stream import uniforms
 
 BQS_ANGLES = (0.0, math.pi / 2, math.pi / 4, 3 * math.pi / 4)
 
@@ -62,6 +64,50 @@ def enumerate_single_shot_qber(ancilla_angle: float, rule: str) -> float:
     return total / 4.0
 
 
+def single_shot_channel(ancilla_angle: float, rule: str):
+    """sent angle -> [(probability, forwarded angle)] of the single-shot
+    attack, written out like ``enumerate_single_shot_qber``."""
+    weights = {t: math.cos(t - ancilla_angle) ** 2 for t in BQS_ANGLES}
+    aligned = max(range(4), key=lambda i: weights[BQS_ANGLES[i]])
+    orthogonal = max(range(4), key=lambda i: 1.0 - weights[BQS_ANGLES[i]])
+
+    def channel(sent: float):
+        if rule == "max-posterior":
+            targets = (BQS_ANGLES[aligned], BQS_ANGLES[orthogonal])
+        else:
+            targets = (ancilla_angle, ancilla_angle + math.pi / 2)
+        p_aligned = weights[sent]
+        return [(p_aligned, targets[0]), (1.0 - p_aligned, targets[1])]
+
+    return channel
+
+
+def intercept_resend_channel(sent: float):
+    """Eve picks either basis with probability 1/2, collapses the pulse onto
+    one of its eigenstates by the Born rule, and forwards it."""
+    return [
+        (0.5 * math.cos(sent - eigen) ** 2, eigen)
+        for basis in ((0.0, math.pi / 2), (math.pi / 4, 3 * math.pi / 4))
+        for eigen in basis
+    ]
+
+
+def enumerate_basis_qber(channel) -> tuple[float, float]:
+    """Exact sifted error rate among pulses sent in the rectilinear and in
+    the diagonal basis: the two states of the basis are equally likely, and
+    the receiver, measuring in the sender's basis, errs with probability
+    1 - cos^2(forwarded - sent)."""
+    return tuple(
+        sum(
+            p * (1.0 - math.cos(forwarded - sent) ** 2)
+            for sent in pair
+            for p, forwarded in channel(sent)
+        )
+        / 2.0
+        for pair in (BQS_ANGLES[:2], BQS_ANGLES[2:])
+    )
+
+
 def enumerate_max_posterior_mapping(ancilla_angle: float):
     """Independent argmax over the squared overlaps and their complements."""
     weights = [math.cos(t - ancilla_angle) ** 2 for t in BQS_ANGLES]
@@ -70,16 +116,39 @@ def enumerate_max_posterior_mapping(ancilla_angle: float):
     return BQS_ANGLES[aligned], BQS_ANGLES[orthogonal]
 
 
+def sample(eve, codes, seed):
+    """Intercept the pulses BQS[codes] with fresh uniforms."""
+    codes = np.asarray(codes, dtype=np.uint8)
+    return eve.intercept(codes, uniforms(random.Random(seed), len(codes)))
+
+
+def random_codes(n, seed):
+    rng = random.Random(seed)
+    return np.array([rng.getrandbits(2) for _ in range(n)], dtype=np.uint8)
+
+
+def assert_basis_qber(transcript, expected):
+    """Sifted errors among pulses sent in each basis lie within 6 sigma of
+    Binomial(count, expected rate)."""
+    bases = transcript.pulses.alice_bases[transcript.sifted]
+    errors = transcript.sifted_alice != transcript.sifted_bob
+    for basis, rate in enumerate(expected):
+        in_basis = bases == basis
+        count = int(np.count_nonzero(in_basis))
+        wrong = int(np.count_nonzero(errors & in_basis))
+        assert abs(wrong - count * rate) <= 6 * math.sqrt(
+            count * rate * (1 - rate)
+        ), (basis, wrong / count, rate)
+
+
 class TestNoEve:
     def test_pass_through(self):
-        rng = random.Random(0)
         eve = NoEve()
-        for state in BQS:
-            outgoing, record = eve.intercept(state, rng)
-            assert outgoing == state
-            assert record.resent_state == state
-            assert record.guessed_bit is None
-            assert record.guessed_state is None
+        codes = np.arange(4, dtype=np.uint8)
+        for u in (0.0, 0.5, 1.0 - 2.0**-53):
+            forwarded, guesses = eve.intercept(codes, np.full(4, u))
+            assert forwarded.tolist() == list(BQS_ANGLES)
+            assert guesses is None
 
     def test_zero_qber_in_session(self):
         transcript = run_session(
@@ -91,40 +160,29 @@ class TestNoEve:
 
 class TestInterceptResend:
     def test_matching_basis_pulse_forwarded_intact(self):
-        # Force the basis coin until Eve picks rectilinear for |0>; when the
-        # bases agree the collapse is the identity.
-        eve = InterceptResend()
-        rng = random.Random(1)
-        seen = 0
-        for _ in range(200):
-            outgoing, record = eve.intercept(BQS[0], rng)
-            if outgoing == BQS[0]:
-                assert record.guessed_bit == 0
-                seen += 1
-        assert seen > 0
+        # When Eve's basis matches |0>, the collapse is the identity and
+        # the guess is right; the orthogonal state is never forwarded.
+        forwarded, guesses = sample(InterceptResend(), np.zeros(200), 1)
+        intact = forwarded == 0.0
+        assert intact.any()
+        assert np.all(guesses[intact] == 0)
+        assert not np.any(forwarded == math.pi / 2)
 
     def test_forwarded_states_stay_on_alphabet(self):
-        eve = InterceptResend()
-        rng = random.Random(2)
-        for _ in range(1000):
-            outgoing, _ = eve.intercept(BQS[rng.getrandbits(2)], rng)
-            assert outgoing in BQS
+        forwarded, _ = sample(InterceptResend(), random_codes(1000, 2), 3)
+        assert set(forwarded.tolist()) <= set(BQS_ANGLES)
 
     def test_wrong_basis_resend_is_a_fair_coin(self):
         # oracle: |0> measured diagonally lands on either diagonal with
         # probability cos^2(pi/4) = 1/2
-        eve = InterceptResend()
-        rng = random.Random(3)
-        counts = {0: 0, 1: 0}
-        trials = 0
-        for _ in range(100_000):
-            outgoing, _ = eve.intercept(BQS[0], rng)
-            bit, basis = decode(outgoing)
-            if basis.label == "diagonal":
-                counts[bit] += 1
-                trials += 1
+        forwarded, guesses = sample(InterceptResend(), np.zeros(100_000), 3)
+        diagonal = (forwarded == math.pi / 4) | (forwarded == 3 * math.pi / 4)
+        trials = int(np.count_nonzero(diagonal))
+        zeros = int(np.count_nonzero(forwarded == math.pi / 4))
         sigma = math.sqrt(0.25 / trials)
-        assert abs(counts[0] / trials - 0.5) < 4 * sigma
+        assert abs(zeros / trials - 0.5) < 4 * sigma
+        antidiagonal = forwarded[diagonal] == 3 * math.pi / 4
+        assert np.array_equal(guesses[diagonal], antidiagonal)
 
     def test_session_qber_near_one_quarter(self):
         transcript = run_session(
@@ -139,10 +197,7 @@ class TestInterceptResend:
         transcript = run_session(
             SessionConfig(n_pulses=100_000), InterceptResend(), random.Random(9)
         )
-        hits = sum(
-            g == b
-            for g, b in zip(transcript.eve_bits, transcript.sifted_alice.bits)
-        )
+        hits = np.count_nonzero(transcript.eve_bits == transcript.sifted_alice)
         assert hits / len(transcript.sifted_alice) == pytest.approx(
             expected, abs=0.01
         )
@@ -157,28 +212,43 @@ class TestInterceptResend:
             random.Random(10),
         )
         assert transcript.qber == pytest.approx(fraction * 0.25, abs=0.01)
-        hits = sum(
-            g == b
-            for g, b in zip(transcript.eve_bits, transcript.sifted_alice.bits)
-        )
+        hits = np.count_nonzero(transcript.eve_bits == transcript.sifted_alice)
         assert hits / len(transcript.sifted_alice) == pytest.approx(
             fraction * 0.75 + (1 - fraction) * 0.5, abs=0.01
         )
+
+    def test_basis_resolved_qber_matches_enumeration(self):
+        # oracle: a quarter of the sifted bits err in each basis
+        want = enumerate_basis_qber(intercept_resend_channel)
+        assert want == pytest.approx((0.25, 0.25), abs=1e-12)
+        transcript = run_session(
+            SessionConfig(n_pulses=100_000), InterceptResend(), random.Random(45)
+        )
+        assert_basis_qber(transcript, want)
 
     def test_bad_fraction_rejected(self):
         with pytest.raises(ValueError):
             InterceptResend(attack_fraction=1.5)
 
+    def test_impossible_outcomes_are_never_drawn(self):
+        # the orthogonal partner of the sent state has probability 0, also
+        # after rounding in the cumulative table, at both ends of [0, 1)
+        eve = InterceptResend(attack_fraction=0.7)
+        codes = np.arange(4, dtype=np.uint8)
+        orthogonal = [math.pi / 2, 0.0, 3 * math.pi / 4, math.pi / 4]
+        for u in (0.0, 1.0 - 2.0**-53):
+            forwarded, _ = eve.intercept(codes, np.full(4, u))
+            assert all(f != o for f, o in zip(forwarded, orthogonal))
+
 
 class TestIndirectCopyOracle:
     def test_transparent_on_every_signal_state(self):
         eve = IndirectCopyOracle(reference_list=make_table())
-        rng = random.Random(0)
-        for state in BQS:
-            outgoing, record = eve.intercept(state, rng)
-            assert outgoing == state
-            assert record.guessed_state == state
-            assert record.guessed_bit == decode(state)[0]
+        codes = np.arange(4, dtype=np.uint8)
+        for u in (0.0, 0.5, 1.0 - 2.0**-53):
+            forwarded, guesses = eve.intercept(codes, np.full(4, u))
+            assert forwarded.tolist() == list(BQS_ANGLES)
+            assert guesses.tolist() == [decode(state)[0] for state in BQS]
 
     def test_second_diagonal_match_value(self):
         # the smallest table entry identifies the second diagonal state
@@ -194,33 +264,45 @@ class TestIndirectCopyOracle:
             random.Random(21),
         )
         assert transcript.qber == 0.0
-        assert transcript.eve_bits == transcript.sifted_alice.bits
+        assert np.array_equal(transcript.eve_bits, transcript.sifted_alice)
 
     def test_off_alphabet_pulse_raises(self):
-        eve = IndirectCopyOracle(reference_list=make_table())
+        # the table is read through ReferenceList.lookup, so a list that
+        # misses a signal state cannot identify that pulse
+        partial = build_reference_list(
+            QuantumState(DEFAULT_ANCILLA_ANGLE), signal_states=BQS[:3]
+        )
         with pytest.raises(NoMatchError):
-            eve.intercept(QuantumState(math.pi / 8), random.Random(0))
+            IndirectCopyOracle(reference_list=partial)
 
     def test_works_for_non_default_ancilla(self):
         eve = IndirectCopyOracle(reference_list=make_table(0.41))
-        rng = random.Random(4)
-        for state in BQS:
-            outgoing, _ = eve.intercept(state, rng)
-            assert outgoing == state
+        forwarded, _ = sample(eve, random_codes(500, 4), 4)
+        assert forwarded.tolist() == [
+            BQS_ANGLES[code] for code in random_codes(500, 4)
+        ]
+
+    def test_partial_fraction_still_forwards_the_sent_state(self):
+        # blind passes forward the pulse untouched too, so even at u -> 1
+        # every pulse arrives as sent; only the guess becomes a coin
+        eve = IndirectCopyOracle(reference_list=make_table(), attack_fraction=0.3)
+        codes = np.arange(4, dtype=np.uint8)
+        for u in (0.0, 0.5, 1.0 - 2.0**-53):
+            forwarded, guesses = eve.intercept(codes, np.full(4, u))
+            assert forwarded.tolist() == list(BQS_ANGLES)
+            assert set(guesses.tolist()) <= {0, 1}
 
 
 class TestIndirectCopyPhysical:
     def test_outcome_frequency_follows_born_rule(self):
-        # oracle: |0> projects onto the pi/6 probe with cos^2(pi/6) = 3/4
+        # oracle: |0> projects onto the pi/6 probe with cos^2(pi/6) = 3/4,
+        # and max-posterior forwards the guess for that outcome
         eve = IndirectCopyPhysical(reference_list=make_table())
         trials = 100_000
         p = math.cos(DEFAULT_ANCILLA_ANGLE) ** 2
         sigma = math.sqrt(p * (1 - p) / trials)
-        rng = random.Random(6)
-        aligned = 0
-        for _ in range(trials):
-            _, record = eve.intercept(BQS[0], rng)
-            aligned += record.guessed_state == eve.posterior_guess(0)
+        forwarded, _ = sample(eve, np.zeros(trials), 6)
+        aligned = np.count_nonzero(forwarded == eve.posterior_guess(0).angle)
         assert abs(aligned / trials - p) < 4 * sigma
 
     def test_max_posterior_mapping_default_ancilla(self):
@@ -243,14 +325,12 @@ class TestIndirectCopyPhysical:
         eve = IndirectCopyPhysical(
             reference_list=make_table(), resend_rule=ResendRule.RESEND_ANCILLA
         )
-        rng = random.Random(12)
         probe_states = {
             QuantumState(DEFAULT_ANCILLA_ANGLE),
             QuantumState(DEFAULT_ANCILLA_ANGLE + math.pi / 2),
         }
-        for _ in range(500):
-            outgoing, _ = eve.intercept(BQS[rng.getrandbits(2)], rng)
-            assert outgoing in probe_states
+        forwarded, _ = sample(eve, random_codes(500, 12), 12)
+        assert {QuantumState(angle) for angle in forwarded} <= probe_states
 
     def test_enumerated_qber_default_ancilla(self):
         got = enumerate_single_shot_qber(DEFAULT_ANCILLA_ANGLE, "max-posterior")
@@ -270,6 +350,25 @@ class TestIndirectCopyPhysical:
             )
             assert transcript.qber == pytest.approx(expected, abs=0.01)
 
+    def test_basis_resolved_qber_matches_enumeration(self):
+        # oracle: exact per-basis rates, 1/2 rectilinear and (2 - sqrt 3)/4
+        # diagonal, whose mean is the headline 0.2835; 6-sigma binomial
+        # bounds over one 100k-pulse session
+        want = enumerate_basis_qber(
+            single_shot_channel(DEFAULT_ANCILLA_ANGLE, "max-posterior")
+        )
+        assert want == pytest.approx((0.5, (2 - math.sqrt(3)) / 4), abs=1e-12)
+        assert sum(want) / 2 == pytest.approx(
+            enumerate_single_shot_qber(DEFAULT_ANCILLA_ANGLE, "max-posterior"),
+            abs=1e-12,
+        )
+        transcript = run_session(
+            SessionConfig(n_pulses=100_000),
+            IndirectCopyPhysical(reference_list=make_table()),
+            random.Random(44),
+        )
+        assert_basis_qber(transcript, want)
+
     def test_never_transparent_for_any_valid_ancilla(self):
         # exact enumeration over an ancilla grid that avoids the degenerate
         # multiples of pi/8; no sampling noise involved
@@ -286,14 +385,14 @@ class TestIndirectCopyPhysical:
 class TestDeterminism:
     def test_intercept_reproducible_from_rng_state(self):
         table = make_table()
+        codes = random_codes(200, 123)
         for eve in (
             NoEve(),
             InterceptResend(),
             IndirectCopyOracle(reference_list=table),
             IndirectCopyPhysical(reference_list=table),
         ):
-            rng_a, rng_b = random.Random(77), random.Random(77)
-            picker = random.Random(123)
-            for _ in range(200):
-                state = BQS[picker.getrandbits(2)]
-                assert eve.intercept(state, rng_a) == eve.intercept(state, rng_b)
+            first = transmit(codes, eve, 0.9, random.Random(77))
+            second = transmit(codes, eve, 0.9, random.Random(77))
+            for a, b in zip(first, second):
+                assert (a is None and b is None) or np.array_equal(a, b)

@@ -339,10 +339,11 @@ class TestEveResidualInformation:
             eve_residual_information([], params, random.Random(4))
 
     def test_intercept_resend_regression_values(self):
-        # Frozen from a fixed-seed run.  After hashing, the intercept/resend
-        # guess disagrees with half the output bits in expectation, so these
-        # values are sampling residue at the 1/sqrt(sessions * r) scale, not
-        # recoverable information; they pin the computation exactly.
+        # Frozen from a fixed-seed run under stream contract bb84sim-2.
+        # After hashing, the intercept/resend guess disagrees with half the
+        # output bits in expectation, so these values are sampling residue
+        # at the 1/sqrt(sessions * r) scale, not recoverable information;
+        # they pin the computation exactly.
         transcripts = transcripts_for(InterceptResend(), 50, seed=7)
         observed = []
         for margin in (4, 8, 16):
@@ -352,6 +353,4 @@ class TestEveResidualInformation:
             observed.append(
                 eve_residual_information(transcripts, params, random.Random(99))
             )
-        assert observed == pytest.approx(
-            [0.012000000000000004, 0.00375, 0.0], abs=1e-15
-        )
+        assert observed == pytest.approx([0.0, 0.0, 0.0075], abs=1e-15)

@@ -1,12 +1,17 @@
 """Command-line interface tests (in-process, no subprocess needed)."""
 
 import json
+import random
+import re
 
 import pytest
 
 from bb84sim import cli
+from bb84sim.adversary import NoEve
 from bb84sim.cli import build_parser, main
-from bb84sim.harness import ExperimentReport
+from bb84sim.errors import KeyTooShortError
+from bb84sim.harness import ExperimentReport, derive_seed
+from bb84sim.protocol import SessionConfig, run_session
 
 
 class TestParser:
@@ -158,6 +163,25 @@ class TestRunCommand:
              "--parity-rounds", "32"]
         )
         assert code == 3
+
+    def test_short_key_failure_names_a_replayable_seed(self, capsys):
+        code = main(
+            ["run", "--pulses", "20", "--efficiency", "0.3",
+             "--parity-rounds", "8"]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        match = re.search(r"session (\d+) \(seed (\d+)\)", err)
+        assert match, err
+        index, seed = int(match.group(1)), int(match.group(2))
+        assert seed == derive_seed(1, index)
+        with pytest.raises(KeyTooShortError):
+            run_session(
+                SessionConfig(n_pulses=20, efficiency=0.3, parity_rounds=8),
+                NoEve(),
+                random.Random(seed),
+            )
 
     def test_reruns_byte_identical(self, capsys):
         argv = ["run", "--pulses", "300", "--sessions", "4",

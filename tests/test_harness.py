@@ -1,5 +1,6 @@
 """Tests for the experiment runner, reporting, and serialization."""
 
+import hashlib
 import json
 import math
 import random
@@ -8,8 +9,10 @@ import numpy as np
 import pytest
 
 from bb84sim.amplification import PrivacyParams, compress, sample_hash
-from bb84sim.errors import InvalidConfigError, SessionError
+from bb84sim import cli
+from bb84sim.errors import InvalidConfigError, KeyTooShortError, SessionError
 from bb84sim.harness import (
+    RNG_CONTRACT,
     AggregateStats,
     ExperimentConfig,
     ExperimentReport,
@@ -77,6 +80,24 @@ class TestConfigValidation:
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(InvalidConfigError):
             ExperimentConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"n_pulses": 0}, r"n_pulses must be >= 1"),
+            ({"efficiency": 0.0}, r"efficiency must be in \(0, 1\]"),
+            ({"parity_rounds": -1}, r"parity_rounds must be >= 0"),
+        ],
+    )
+    def test_session_fields_checked_by_session_config(self, kwargs, message):
+        with pytest.raises(InvalidConfigError, match=message):
+            ExperimentConfig(**{"n_pulses": 1, "n_sessions": 1, **kwargs})
+        with pytest.raises(InvalidConfigError, match=message):
+            SessionConfig(**{"n_pulses": 1, **kwargs})
+        config = ExperimentConfig(
+            n_pulses=5, n_sessions=1, efficiency=0.5, parity_rounds=2
+        )
+        assert config.session_config == SessionConfig(5, 0.5, 2)
 
     def test_build_strategy_covers_all_kinds(self):
         base = dict(n_pulses=10, n_sessions=1)
@@ -213,6 +234,32 @@ class TestRunExperiment:
             run_experiment(config)
         assert excinfo.value.session_index == 0
 
+    def test_session_error_names_a_replayable_seed(self):
+        config = ExperimentConfig(
+            n_pulses=20, n_sessions=3, efficiency=0.3, parity_rounds=8,
+            master_seed=17,
+        )
+        with pytest.raises(SessionError) as excinfo:
+            run_experiment(config)
+        error = excinfo.value
+        assert error.seed == derive_seed(17, error.session_index)
+        assert f"seed {error.seed}" in str(error)
+        assert isinstance(error.__cause__, KeyTooShortError)
+        with pytest.raises(KeyTooShortError, match=str(error.__cause__)):
+            run_session(
+                config.session_config,
+                build_strategy(config),
+                random.Random(error.seed),
+            )
+
+    def test_curve_session_error_names_its_seed(self):
+        config = ExperimentConfig(n_pulses=2, n_sessions=4, master_seed=3)
+        with pytest.raises(SessionError) as excinfo:
+            detection_rate_curve(config, [1, 5])
+        error = excinfo.value
+        assert error.seed == derive_seed(3, error.session_index)
+        assert f"seed {error.seed}" in str(error)
+
     def test_reruns_are_identical(self):
         config = ExperimentConfig(
             n_pulses=500, n_sessions=5, eve_kind="indirect-physical",
@@ -240,6 +287,22 @@ class TestReportSerialization:
         assert loaded.sessions == report.sessions
         assert loaded.aggregates == report.aggregates
         assert loaded.config == report.config
+
+    def test_reports_name_the_stream_contract(self):
+        report = self.make_report()
+        assert json.loads(report.to_json())["rng_contract"] == "bb84sim-2"
+        assert "rng_contract" not in json.loads(report.to_json())["config"]
+        assert report.to_csv().splitlines()[-1] == "# rng_contract=bb84sim-2"
+
+    @pytest.mark.parametrize("contract", [None, "bb84sim-1", 2])
+    def test_other_stream_contract_is_refused_on_load(self, contract):
+        payload = json.loads(self.make_report().to_json())
+        if contract is None:
+            del payload["rng_contract"]
+        else:
+            payload["rng_contract"] = contract
+        with pytest.raises(ValueError, match="contract"):
+            ExperimentReport.from_json(json.dumps(payload))
 
     def test_tampered_aggregate_is_caught_on_load(self):
         report = self.make_report()
@@ -312,9 +375,42 @@ class TestDetectionRateCurve:
         curve = detection_rate_curve(config, [1, 2], force_differ=True)
         payload = json.loads(curve_to_json(config, curve))
         assert [entry["parity_rounds"] for entry in payload["curve"]] == [1, 2]
+        assert payload["rng_contract"] == RNG_CONTRACT
         lines = curve_to_csv(curve).splitlines()
         assert lines[0] == "parity_rounds,detection_rate"
-        assert len(lines) == 3
+        assert lines[-1] == f"# rng_contract={RNG_CONTRACT}"
+        assert len(lines) == 4
+
+
+class TestGoldenReports:
+    """sha256 of small JSON reports, one per adversary, pinned so that a
+    change to the report format, or to the random stream that moves any
+    reported number, shows.  A change of the stream contract updates these
+    together with ``RNG_CONTRACT``."""
+
+    ARGV = ["run", "--pulses", "2000", "--sessions", "3", "--parity-rounds", "8"]
+
+    @pytest.mark.parametrize(
+        "extra, digest",
+        [
+            (["--eve", "none"],
+             "88f2a93b6def5e23498410607d9b0341a31737a0ac8d6467519380959d6cddfe"),
+            (["--eve", "intercept-resend"],
+             "dec5ba5f0394c814b62b61466f97a75013696d748056a84981b2c72342997daf"),
+            (["--eve", "indirect-oracle"],
+             "6a61b6b219350ed42707cf2b195d9ce38fa1f80b2d76d69df5e718bd9699f427"),
+            (["--eve", "indirect-physical"],
+             "c3ad39f106e7e05a5cfdd9c70a92b2a38200b97be3c8e57f172e7b3b6120f431"),
+            (["--eve", "indirect-oracle", "--pa-t", "200", "--pa-s", "16"],
+             "42367aa378c7bb70d0bf1cccc73ff12140997295742fbc26500c3336ec887f8f"),
+        ],
+        ids=["none", "intercept-resend", "indirect-oracle", "indirect-physical",
+             "indirect-oracle-pa"],
+    )
+    def test_report_digest(self, capsys, extra, digest):
+        assert cli.main(self.ARGV + extra) == 0
+        text = capsys.readouterr().out
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestEveSiftedAccuracy:

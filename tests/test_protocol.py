@@ -5,12 +5,14 @@ import math
 import random
 from functools import reduce
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from bb84sim.adversary import IndirectCopyOracle, InterceptResend, NoEve
 from bb84sim.errors import InvalidConfigError, KeyTooShortError
 from bb84sim.protocol import (
+    Pulses,
     SessionConfig,
     bit_error_rate,
     parity_verify,
@@ -20,6 +22,7 @@ from bb84sim.protocol import (
     transmit,
 )
 from bb84sim.quantum import (
+    BASES,
     BQS,
     DEFAULT_ANCILLA_ANGLE,
     QuantumState,
@@ -45,20 +48,66 @@ class TestSessionConfig:
             SessionConfig(n_pulses=10, parity_rounds=-1)
 
 
+def columns(transcript):
+    """Every array and scalar a transcript holds, for equality checks."""
+    p = transcript.pulses
+    rounds = [
+        (r.members.tobytes(), r.alice_parity, r.bob_parity, r.discarded_position)
+        for r in transcript.parity_rounds
+    ]
+    arrays = (
+        p.alice_bits, p.alice_bases, p.forwarded, p.eve_guesses, p.lost,
+        p.bob_bases, p.bob_bits, transcript.sifted, transcript.sifted_alice,
+        transcript.sifted_bob, transcript.reconciled_key,
+    )
+    return (
+        [None if a is None else (a.dtype.str, a.tobytes()) for a in arrays],
+        rounds,
+        transcript.detected,
+    )
+
+
+def reference_parity_verify(alice_bits, bob_bits, rounds, rng):
+    """Per-position loop over a list of live positions: coin j of a round is
+    bit j of rng.getrandbits(len(live)), redrawn while no coin is 1."""
+    live = list(range(len(alice_bits)))
+    detected = False
+    records = []
+    for _ in range(rounds):
+        subset = []
+        while not subset:
+            word = rng.getrandbits(len(live))
+            subset = [pos for j, pos in enumerate(live) if (word >> j) & 1]
+        alice_parity = reduce(lambda p, i: p ^ alice_bits[i], subset, 0)
+        bob_parity = reduce(lambda p, i: p ^ bob_bits[i], subset, 0)
+        detected |= alice_parity != bob_parity
+        live.remove(subset[0])
+        records.append((subset, alice_parity, bob_parity, subset[0]))
+    return (
+        detected,
+        [alice_bits[i] for i in live],
+        [bob_bits[i] for i in live],
+        records,
+    )
+
+
 class TestPreparePulses:
     def test_small_batch_stays_on_alphabet(self):
-        for bit, basis, state in prepare_pulses(4, random.Random(0)):
-            assert bit in (0, 1)
-            assert state in BQS
-            assert basis.state(bit) == state
+        bits, bases = prepare_pulses(4, random.Random(0))
+        assert len(bits) == len(bases) == 4
+        assert set(bits.tolist()) <= {0, 1}
+        assert set(bases.tolist()) <= {0, 1}
+        for bit, basis in zip(bits, bases):
+            assert BASES[basis].state(bit) in BQS
 
     def test_states_are_uniform(self):
         # oracle: each of the four states is a Binomial(n, 1/4) count
         n = 100_000
-        pulses = prepare_pulses(n, random.Random(17))
+        bits, bases = prepare_pulses(n, random.Random(17))
+        states = [BASES[b].state(x) for x, b in zip(bits, bases)]
         sigma = math.sqrt(0.25 * 0.75 / n)
         for target in BQS:
-            frequency = sum(state == target for _, _, state in pulses) / n
+            frequency = sum(state == target for state in states) / n
             assert abs(frequency - 0.25) < 4 * sigma
 
     def test_zero_pulses_rejected(self):
@@ -68,24 +117,27 @@ class TestPreparePulses:
 
 class TestTransmit:
     def test_identity_channel(self):
-        state, record = transmit(BQS[0], NoEve(), 1.0, random.Random(0))
-        assert state == BQS[0]
-        assert record.resent_state == BQS[0]
+        forwarded, guesses, lost = transmit(
+            np.zeros(1, dtype=np.uint8), NoEve(), 1.0, random.Random(0)
+        )
+        assert forwarded.tolist() == [BQS[0].angle]
+        assert guesses is None
+        assert lost.tolist() == [False]
 
     def test_loss_fraction_matches_efficiency(self):
         # oracle: losses are Binomial(n, 1 - efficiency)
         n = 100_000
-        rng = random.Random(23)
-        eve = NoEve()
-        lost = sum(
-            transmit(BQS[0], eve, 0.5, rng)[0] is None for _ in range(n)
+        _, _, lost = transmit(
+            np.zeros(n, dtype=np.uint8), NoEve(), 0.5, random.Random(23)
         )
         sigma = math.sqrt(0.25 / n)
-        assert abs(lost / n - 0.5) < 4 * sigma
+        assert abs(np.count_nonzero(lost) / n - 0.5) < 4 * sigma
 
     def test_oracle_adversary_is_invisible(self):
-        state, _ = transmit(BQS[0], oracle_eve(), 1.0, random.Random(0))
-        assert state == BQS[0]
+        forwarded, _, _ = transmit(
+            np.arange(4, dtype=np.uint8), oracle_eve(), 1.0, random.Random(0)
+        )
+        assert forwarded.tolist() == [state.angle for state in BQS]
 
 
 class TestSift:
@@ -93,11 +145,11 @@ class TestSift:
         transcript = run_session(
             SessionConfig(n_pulses=50_000), NoEve(), random.Random(3)
         )
-        assert transcript.sifted_alice.bits == transcript.sifted_bob.bits
-        assert (
-            transcript.sifted_alice.source_indices
-            == transcript.sifted_bob.source_indices
-        )
+        assert np.array_equal(transcript.sifted_alice, transcript.sifted_bob)
+        alice, bob, indices = sift(transcript.pulses)
+        assert np.array_equal(indices, transcript.sifted)
+        assert np.array_equal(alice, transcript.sifted_alice)
+        assert np.array_equal(bob, transcript.sifted_bob)
 
     def test_sifted_fraction_near_half(self):
         n = 100_000
@@ -113,14 +165,25 @@ class TestSift:
             NoEve(),
             random.Random(5),
         )
-        for index in transcript.sifted_alice.source_indices:
-            pulse = transcript.pulses[index]
-            assert not pulse.lost
-            assert pulse.alice_basis == pulse.bob_basis
+        pulses = transcript.pulses
+        want = [
+            i for i in range(len(pulses))
+            if not pulses.lost[i] and pulses.alice_bases[i] == pulses.bob_bases[i]
+        ]
+        assert transcript.sifted.tolist() == want
+        assert transcript.sifted_alice.tolist() == [
+            pulses.alice_bits[i] for i in want
+        ]
+        assert transcript.sifted_bob.tolist() == [pulses.bob_bits[i] for i in want]
 
     def test_empty_input_gives_empty_keys(self):
-        alice, bob = sift([])
-        assert alice.bits == [] and bob.bits == []
+        empty = np.zeros(0, dtype=np.uint8)
+        pulses = Pulses(
+            empty, empty, np.zeros(0), None, np.zeros(0, dtype=bool), empty,
+            empty.view(np.int8),
+        )
+        alice, bob, indices = sift(pulses)
+        assert len(alice) == len(bob) == len(indices) == 0
 
 
 class TestParityVerify:
@@ -130,7 +193,7 @@ class TestParityVerify:
         detected, alice, bob, rounds = parity_verify(bits, list(bits), 20, rng)
         assert detected is False
         assert len(alice) == len(bits) - 20
-        assert alice == bob
+        assert np.array_equal(alice, bob)
         assert len(rounds) == 20
 
     def test_single_difference_detected_half_the_time(self):
@@ -186,11 +249,12 @@ class TestParityVerify:
         assert len(alice) == len(bits) - rounds
         discarded = set()
         for record in records:
-            assert record.discarded_position in record.subset
-            assert record.discarded_position == min(record.subset)
-            assert record.subset.isdisjoint(discarded)
-            want_a = reduce(lambda p, i: p ^ bits[i], record.subset, 0)
-            want_b = reduce(lambda p, i: p ^ other[i], record.subset, 0)
+            subset = record.subset.tolist()
+            assert record.discarded_position in subset
+            assert record.discarded_position == min(subset)
+            assert discarded.isdisjoint(subset)
+            want_a = reduce(lambda p, i: p ^ bits[i], subset, 0)
+            want_b = reduce(lambda p, i: p ^ other[i], subset, 0)
             assert record.alice_parity == want_a
             assert record.bob_parity == want_b
             discarded.add(record.discarded_position)
@@ -198,8 +262,46 @@ class TestParityVerify:
             r.alice_parity != r.bob_parity for r in records
         )
         survivors = [i for i in range(len(bits)) if i not in discarded]
-        assert alice == [bits[i] for i in survivors]
-        assert bob == [other[i] for i in survivors]
+        assert alice.tolist() == [bits[i] for i in survivors]
+        assert bob.tolist() == [other[i] for i in survivors]
+
+    @given(
+        bits=st.lists(st.integers(0, 1), min_size=1, max_size=300),
+        flips=st.sets(st.integers(0, 299)),
+        rounds=st.integers(0, 12),
+        seed=st.integers(0, 2**32),
+    )
+    @settings(max_examples=150)
+    def test_matches_reference_loop_draw_for_draw(
+        self, bits, flips, rounds, seed
+    ):
+        # oracle: the per-position loop above, fed the same generator state
+        other = [b ^ 1 if i in flips else b for i, b in enumerate(bits)]
+        if len(bits) <= rounds:
+            return
+        got_rng, want_rng = random.Random(seed), random.Random(seed)
+        detected, alice, bob, records = parity_verify(
+            bits, other, rounds, got_rng
+        )
+        want = reference_parity_verify(bits, other, rounds, want_rng)
+        assert detected == want[0]
+        assert alice.tolist() == want[1] and bob.tolist() == want[2]
+        assert [
+            (r.subset.tolist(), r.alice_parity, r.bob_parity,
+             r.discarded_position)
+            for r in records
+        ] == want[3]
+        assert got_rng.getstate() == want_rng.getstate()
+
+    def test_empty_subset_is_drawn_again(self):
+        # a one-position key comes up empty with probability 1/2 per draw;
+        # oracle: the reference loop, which redraws the same way
+        for seed in range(20):
+            got_rng, want_rng = random.Random(seed), random.Random(seed)
+            _, _, _, records = parity_verify([1, 0], [1, 1], 1, got_rng)
+            want = reference_parity_verify([1, 0], [1, 1], 1, want_rng)
+            assert records[0].subset.tolist() == want[3][0][0]
+            assert got_rng.getstate() == want_rng.getstate()
 
 
 class TestRunSession:
@@ -227,7 +329,7 @@ class TestRunSession:
             SessionConfig(n_pulses=100_000), oracle_eve(), random.Random(8)
         )
         assert transcript.qber == 0.0
-        assert transcript.eve_bits == transcript.sifted_alice.bits
+        assert np.array_equal(transcript.eve_bits, transcript.sifted_alice)
 
     def test_detected_flag_matches_round_records(self):
         # intercept/resend with verification on: mismatches are near-certain
@@ -251,10 +353,10 @@ class TestRunSession:
         dropped = {r.discarded_position for r in transcript.parity_rounds}
         survivors = [
             bit
-            for i, bit in enumerate(transcript.sifted_alice.bits)
+            for i, bit in enumerate(transcript.sifted_alice.tolist())
             if i not in dropped
         ]
-        assert transcript.reconciled_key == survivors
+        assert transcript.reconciled_key.tolist() == survivors
 
     def test_eve_reconciled_guess_alignment(self):
         transcript = run_session(
@@ -263,7 +365,9 @@ class TestRunSession:
             random.Random(11),
         )
         assert transcript.detected is False
-        assert transcript.eve_reconciled_guess == transcript.reconciled_key
+        assert np.array_equal(
+            transcript.eve_reconciled_guess, transcript.reconciled_key
+        )
 
     def test_lost_pulses_have_no_measurement(self):
         transcript = run_session(
@@ -271,19 +375,62 @@ class TestRunSession:
             NoEve(),
             random.Random(12),
         )
-        for pulse in transcript.pulses:
-            if pulse.lost:
-                assert pulse.bob_bit is None
-                assert pulse.channel_state is None
-            else:
-                assert pulse.bob_bit in (0, 1)
+        pulses = transcript.pulses
+        assert np.all(pulses.bob_bits[pulses.lost] == -1)
+        assert set(pulses.bob_bits[~pulses.lost].tolist()) <= {0, 1}
+        assert pulses.lost.any() and not pulses.lost.all()
 
     def test_identical_seeds_give_identical_transcripts(self):
         config = SessionConfig(n_pulses=4_000, efficiency=0.9, parity_rounds=8)
         eve = InterceptResend()
         first = run_session(config, eve, random.Random(1234))
         second = run_session(config, eve, random.Random(1234))
-        assert first == second
+        assert columns(first) == columns(second)
+
+    def test_draws_follow_the_documented_order(self):
+        # oracle: the order of the stream contract, replayed with plain
+        # getrandbits and random() calls on a second generator
+        n, efficiency, rounds = 3_000, 0.9, 4
+        transcript = run_session(
+            SessionConfig(n_pulses=n, efficiency=efficiency, parity_rounds=rounds),
+            InterceptResend(),
+            random.Random(99),
+        )
+        rng = random.Random(99)
+
+        def bits():
+            word = rng.getrandbits(n)
+            return [(word >> i) & 1 for i in range(n)]
+
+        def floats():
+            return [rng.random() for _ in range(n)]
+
+        pulses = transcript.pulses
+        assert pulses.alice_bits.tolist() == bits()
+        assert pulses.alice_bases.tolist() == bits()
+        assert pulses.bob_bases.tolist() == bits()
+        floats()  # the adversary's uniforms
+        assert pulses.lost.tolist() == [u >= efficiency for u in floats()]
+        for i, u in enumerate(floats()):
+            if pulses.lost[i]:
+                continue
+            p0 = math.cos(pulses.forwarded[i] - BASES[pulses.bob_bases[i]].angle(0)) ** 2
+            p0 = 1.0 if p0 >= 1 - 1e-12 else 0.0 if p0 <= 1e-12 else p0
+            assert pulses.bob_bits[i] == (0 if u < p0 else 1)
+        want = reference_parity_verify(
+            transcript.sifted_alice.tolist(), transcript.sifted_bob.tolist(),
+            rounds, rng,
+        )
+        assert [r.discarded_position for r in transcript.parity_rounds] == [
+            record[3] for record in want[3]
+        ]
+        rng_after = random.Random(99)
+        run_session(
+            SessionConfig(n_pulses=n, efficiency=efficiency, parity_rounds=rounds),
+            InterceptResend(),
+            rng_after,
+        )
+        assert rng_after.getstate() == rng.getstate()
 
     def test_propagates_key_too_short(self):
         with pytest.raises(KeyTooShortError):

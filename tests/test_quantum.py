@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -146,28 +147,75 @@ class TestBasis:
             decode(QuantumState(math.pi / 8))
 
 
+def reference_measure(angles, basis_angle, rng):
+    """The scalar Born-rule loop: one rng.random() per state, bit 0 when it
+    falls below cos^2 of the angle to the bit-0 eigenstate, and
+    probabilities within 1e-12 of 0 or 1 taken as exact."""
+    bits = []
+    for angle in angles:
+        p0 = math.cos(angle - basis_angle) ** 2
+        if p0 >= 1.0 - 1e-12:
+            p0 = 1.0
+        elif p0 <= 1e-12:
+            p0 = 0.0
+        bits.append(0 if rng.random() < p0 else 1)
+    return bits
+
+
 class TestMeasure:
     def test_eigenstates_measure_deterministically(self):
         rng = random.Random(0)
         for basis in BASES:
             for bit in (0, 1):
-                for _ in range(100):
-                    out_bit, out_state = measure(basis.state(bit), basis, rng)
-                    assert out_bit == bit
-                    assert out_state == basis.state(bit)
+                bits = measure(np.full(100, basis.angle(bit)), basis.angle(0), rng)
+                assert bits.tolist() == [bit] * 100
+                collapsed = QuantumState(basis.angle(0) + bit * math.pi / 2)
+                assert collapsed == basis.state(bit)
 
     def test_identical_seeds_reproduce_outcomes(self):
-        state = QuantumState(math.pi / 4)
-        rng_a, rng_b = random.Random(7), random.Random(7)
-        out_a = [measure(state, RECTILINEAR, rng_a)[0] for _ in range(1000)]
-        out_b = [measure(state, RECTILINEAR, rng_b)[0] for _ in range(1000)]
-        assert out_a == out_b
+        angles = np.full(1000, math.pi / 4)
+        out_a = measure(angles, RECTILINEAR.angle(0), random.Random(7))
+        out_b = measure(angles, RECTILINEAR.angle(0), random.Random(7))
+        assert np.array_equal(out_a, out_b)
 
     def test_collapse_returns_basis_eigenstate(self):
+        # the collapsed state is an eigenstate of the basis, so measuring
+        # it again in that basis repeats the outcome
         rng = random.Random(3)
-        for _ in range(200):
-            _, post = measure(QuantumState(1.1), DIAGONAL, rng)
+        bits = measure(np.full(200, 1.1), DIAGONAL.angle(0), rng)
+        for bit in bits:
+            post = QuantumState(DIAGONAL.angle(0) + bit * math.pi / 2)
             assert post in DIAGONAL.states
+        collapsed = DIAGONAL.angle(0) + bits * (math.pi / 2)
+        assert np.array_equal(measure(collapsed, DIAGONAL.angle(0), rng), bits)
+
+    def test_matches_scalar_reference_draw_for_draw(self):
+        # oracle: the per-state loop above, fed the same generator state;
+        # the batch spans several blocks and mixes in basis eigenstates
+        picker = random.Random(5)
+        angles = [
+            picker.choice((0.0, math.pi / 2, math.pi / 4, picker.random() * 3))
+            for _ in range(20_000)
+        ]
+        for basis_angle in (0.0, math.pi / 4, DEFAULT_ANCILLA_ANGLE):
+            got = measure(np.array(angles), basis_angle, random.Random(6))
+            want = reference_measure(angles, basis_angle, random.Random(6))
+            assert got.tolist() == want
+
+    def test_per_state_bases(self):
+        # oracle: each state measured in its own basis equals measuring the
+        # two groups with the scalar loop, in pulse order
+        picker = random.Random(8)
+        angles = [picker.random() * math.pi for _ in range(500)]
+        bases = [picker.getrandbits(1) for _ in range(500)]
+        basis_angles = np.array([BASES[b].angle(0) for b in bases])
+        got = measure(np.array(angles), basis_angles, random.Random(9))
+        rng = random.Random(9)
+        want = [
+            reference_measure([a], BASES[b].angle(0), rng)[0]
+            for a, b in zip(angles, bases)
+        ]
+        assert got.tolist() == want
 
     def test_superposition_frequency_matches_born_rule(self):
         # oracle: cos(pi/4)**2 = 1/2, binomial 3 sigma over 1e5 draws
@@ -175,10 +223,8 @@ class TestMeasure:
         p = math.cos(math.pi / 4) ** 2
         sigma = math.sqrt(p * (1 - p) / trials)
         rng = random.Random(2024)
-        zeros = sum(
-            measure(QuantumState(math.pi / 4), RECTILINEAR, rng)[0] == 0
-            for _ in range(trials)
-        )
+        bits = measure(np.full(trials, math.pi / 4), RECTILINEAR.angle(0), rng)
+        zeros = int(np.count_nonzero(bits == 0))
         assert abs(zeros / trials - p) < 3 * sigma
 
     def test_tilted_state_frequency_matches_born_rule(self):
@@ -187,9 +233,8 @@ class TestMeasure:
         p = math.cos(math.pi / 6) ** 2
         sigma = math.sqrt(p * (1 - p) / trials)
         rng = random.Random(11)
-        zeros = sum(
-            measure(ANCILLA, RECTILINEAR, rng)[0] == 0 for _ in range(trials)
-        )
+        bits = measure(np.full(trials, ANCILLA.angle), RECTILINEAR.angle(0), rng)
+        zeros = int(np.count_nonzero(bits == 0))
         assert abs(zeros / trials - p) < 4 * sigma
 
 
