@@ -30,11 +30,13 @@ from .harness import (
 from .protocol import (
     ParityRound,
     Pulses,
+    SessionBatch,
     SessionConfig,
     SessionTranscript,
     bit_error_rate,
     parity_verify,
     prepare_pulses,
+    run_batch,
     run_session,
     sift,
     transmit,

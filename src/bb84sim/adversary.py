@@ -121,21 +121,25 @@ class EveStrategy:
     ) -> tuple[np.ndarray, np.ndarray | None]:
         """Sample one outcome per pulse by inverse CDF over its table row.
 
-        ``codes[i]`` indexes ``BQS``: the state sent as pulse i.  ``u[i]`` is
-        the pulse's uniform, a multiple of 2**-53 in [0, 1) as
+        ``codes`` indexes ``BQS``: the state sent as each pulse, in an array
+        of any shape, one row per session in a batch.  ``u`` holds each
+        pulse's uniform, a multiple of 2**-53 in [0, 1) as
         ``stream.uniforms`` draws it, and the outcome drawn is the first
         whose cumulative probability exceeds it; a row with a single
         possible outcome returns it for every u.  Returns the forwarded ray
-        angles and the guessed bits (``None`` for a passive channel).
+        angles and the guessed bits (``None`` for a passive channel), shaped
+        like ``codes``.
         """
-        outcome = np.empty(len(codes), np.uint8)
-        for start in range(0, len(codes), BLOCK):
+        flat_codes, flat_u = codes.ravel(), u.ravel()
+        outcome = np.empty(flat_codes.shape, np.uint8)
+        for start in range(0, len(flat_codes), BLOCK):
             part = slice(start, start + BLOCK)
-            sent = codes[part]
-            key = (u[part] * _TWO_POW_53).astype(np.int64)
+            sent = flat_codes[part]
+            key = (flat_u[part] * _TWO_POW_53).astype(np.int64)
             key += self._row_keys[sent]
             found = np.searchsorted(self._edge_keys, key, side="right")
             outcome[part] = found - self._row_starts[sent]
+        outcome = outcome.reshape(codes.shape)
         guesses = None if self.guess_bits is None else self.guess_bits[outcome]
         return self.forwarded_angles[outcome], guesses
 

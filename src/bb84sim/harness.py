@@ -27,6 +27,23 @@ sizes of the live sets, never on drawn values, except for the redraw of an
 empty parity subset.  Identical configurations therefore produce
 byte-identical reports.  Every report names its contract, and
 ``ExperimentReport.from_json`` refuses a report written under another.
+
+Sessions run in batches of consecutive indices, about ``stream.BLOCK``
+pulses at a time, and a batch reads this order unchanged.  Every draw
+consumes whole 32-bit outputs of its session's generator: a k-bit draw
+takes ceil(k / 32) of them, the high k mod 32 bits of the last when k is
+not a multiple of 32, and a uniform takes two.  So each session's outputs
+are a plain sequence that can be drawn in pieces of any size.  A batch
+draws the outputs of steps 1-6 (and the forced-difference uniform) with
+one ``getrandbits`` call per session, and those of all parity rounds with
+one more once the sifted lengths are known, then decodes every stage for
+the whole batch with numpy.  A session whose parity subset comes up empty
+draws that round's outputs again, after the ones already drawn, and its
+later rounds move along its sequence.  Step 8 draws from each session's
+generator as before, which stands where a lone session would leave it.
+A long session is a batch of one; when its outputs for steps 1-6 exceed
+``stream.Words``'s budget, each stage draws its own as it needs them, and
+no ``getrandbits`` call returns more than ``2 * stream.BLOCK`` outputs.
 """
 
 import json
@@ -46,14 +63,10 @@ from .adversary import (
     ResendRule,
 )
 from .amplification import PrivacyParams, hashed_guess_advantage, sample_hash
-from .errors import InvalidConfigError, SessionError
-from .protocol import (
-    SessionConfig,
-    SessionTranscript,
-    parity_verify,
-    run_session,
-)
+from .errors import InvalidConfigError, KeyTooShortError, SessionError
+from .protocol import SessionBatch, SessionConfig, SessionTranscript, run_batch
 from .quantum import DEFAULT_ANCILLA_ANGLE, QuantumState, build_reference_list
+from .stream import BLOCK
 
 RNG_CONTRACT = "bb84sim-2"
 EVE_KINDS = ("none", "intercept-resend", "indirect-oracle", "indirect-physical")
@@ -287,54 +300,110 @@ def eve_sifted_accuracy(transcript: SessionTranscript) -> float | None:
     return hits / len(guesses)
 
 
-def _session_row(
-    index: int,
-    transcript: SessionTranscript,
-    config: ExperimentConfig,
-    rng: random.Random,
-) -> SessionRow:
-    final_length = 0
-    advantage = None
-    if transcript.reconciled_key is not None:
-        if config.privacy_enabled:
-            params = PrivacyParams(
-                input_bits=len(transcript.reconciled_key),
-                leak_bits=config.pa_leak_bits,
-                margin_bits=config.pa_margin_bits,
-            )
-            descriptor = sample_hash(params, rng)
-            final_length = descriptor.output_bits
-            guess = transcript.eve_reconciled_guess
-            if guess is not None:
-                advantage = hashed_guess_advantage(
-                    transcript.reconciled_key, guess, descriptor
+def _session_rngs(
+    config: ExperimentConfig, indices: range
+) -> list[random.Random]:
+    return [random.Random(derive_seed(config.master_seed, i)) for i in indices]
+
+
+def _sweep(config: ExperimentConfig, first: int, count: int, work) -> list:
+    """``work(indices)`` over sessions ``first`` to ``first + count - 1``,
+    in batches of about ``stream.BLOCK`` pulses; returns the results in
+    order.  When a batch fails, its sessions run again one at a time, from
+    fresh generators, so the ``SessionError`` names the lowest failing
+    index, the one a sweep of single sessions would have stopped at."""
+    size = max(1, BLOCK // config.n_pulses)
+    results = []
+    for start in range(first, first + count, size):
+        batch = range(start, min(start + size, first + count))
+        try:
+            results.append(work(batch))
+        except Exception:
+            for index in batch:
+                try:
+                    work(range(index, index + 1))
+                except Exception as exc:
+                    seed = derive_seed(config.master_seed, index)
+                    raise SessionError(index, seed, str(exc)) from exc
+            raise
+    return results
+
+
+def _shares(batch: SessionBatch, hits: np.ndarray) -> list[float]:
+    """Per session, the share of its sifted entries at which ``hits``
+    holds, as Python floats; 0.0 for a session without sifted entries."""
+    sifted = batch.lengths > 0
+    counts = np.zeros(len(batch), dtype=np.int64)
+    if sifted.any():
+        # Sessions own consecutive entries, so those of the sessions with
+        # entries run from one's start to the next one's.
+        counts[sifted] = np.add.reduceat(
+            hits.view(np.uint8), batch.starts[sifted], dtype=np.int64
+        )
+    shares = np.zeros(len(batch))
+    np.divide(counts, batch.lengths, out=shares, where=sifted)
+    return shares.tolist()
+
+
+def _experiment_rows(
+    config: ExperimentConfig, strategy: EveStrategy, indices: range
+) -> list[SessionRow]:
+    rngs = _session_rngs(config, indices)
+    batch = run_batch(config.session_config, strategy, rngs)
+    lengths = batch.lengths
+    qbers = _shares(batch, batch.sifted_alice != batch.sifted_bob)
+    accuracies = [None] * len(batch)
+    guesses = batch.pulses.eve_guesses
+    if guesses is not None:
+        hits = np.take(guesses, batch.sifted) == batch.sifted_alice
+        shares = _shares(batch, hits)
+        accuracies = [
+            share if length else None
+            for share, length in zip(shares, lengths.tolist())
+        ]
+    rows = []
+    for s, index in enumerate(indices):
+        final_length = 0
+        advantage = None
+        if not batch.detected[s]:
+            final_length = int(lengths[s]) - config.parity_rounds
+            if config.privacy_enabled:
+                params = PrivacyParams(
+                    input_bits=final_length,
+                    leak_bits=config.pa_leak_bits,
+                    margin_bits=config.pa_margin_bits,
                 )
-        else:
-            final_length = len(transcript.reconciled_key)
-    return SessionRow(
-        index=index,
-        qber=transcript.qber,
-        sifted_length=len(transcript.sifted_alice),
-        detected=transcript.detected,
-        final_key_length=final_length,
-        eve_accuracy=eve_sifted_accuracy(transcript),
-        eve_advantage=advantage,
-    )
+                descriptor = sample_hash(params, rngs[s])
+                final_length = descriptor.output_bits
+                transcript = batch.transcript(s)
+                guess = transcript.eve_reconciled_guess
+                if guess is not None:
+                    advantage = hashed_guess_advantage(
+                        transcript.reconciled_key, guess, descriptor
+                    )
+        rows.append(SessionRow(
+            index=index,
+            qber=qbers[s],
+            sifted_length=int(lengths[s]),
+            detected=bool(batch.detected[s]),
+            final_key_length=final_length,
+            eve_accuracy=accuracies[s],
+            eve_advantage=advantage,
+        ))
+    return rows
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run ``n_sessions`` independent sessions and aggregate them."""
     strategy = build_strategy(config)
-    session_config = config.session_config
-    rows: list[SessionRow] = []
-    for index in range(config.n_sessions):
-        seed = derive_seed(config.master_seed, index)
-        rng = random.Random(seed)
-        try:
-            transcript = run_session(session_config, strategy, rng)
-            rows.append(_session_row(index, transcript, config, rng))
-        except Exception as exc:
-            raise SessionError(index, seed, str(exc)) from exc
+    rows = [
+        row
+        for batch in _sweep(
+            config, 0, config.n_sessions,
+            lambda indices: _experiment_rows(config, strategy, indices),
+        )
+        for row in batch
+    ]
     return ExperimentReport(
         config=config,
         sessions=rows,
@@ -349,43 +418,40 @@ def detection_rate_curve(
 ) -> list[tuple[int, float]]:
     """Detection rate of the parity stage as a function of its round count.
 
-    For each k, ``config.n_sessions`` sessions run without integrated
-    verification; parity verification with k rounds is then applied to the
-    sifted keys.  With ``force_differ`` one uniformly random sifted bit of
-    the receiver is flipped first, isolating the parity math from attack
-    stochasticity.  Session j of the sweep (k-major) uses the generator of
-    session index j.
+    For each k, ``config.n_sessions`` sessions run with parity
+    verification of k rounds in place of ``config.parity_rounds``; even
+    k = 0 needs a nonempty sifted key.  With ``force_differ`` one
+    uniformly random sifted bit of the receiver is flipped first,
+    isolating the parity math from attack stochasticity.  Session j of the
+    sweep (k-major) uses the generator of session index j.  Every k is
+    checked before any session runs.
     """
+    if any(k < 0 for k in k_values):
+        raise InvalidConfigError("parity round counts must be >= 0")
     strategy = build_strategy(config)
-    session_config = SessionConfig(
-        n_pulses=config.n_pulses, efficiency=config.efficiency, parity_rounds=0
-    )
+
+    def detections(k: int, indices: range) -> int:
+        session_config = SessionConfig(
+            n_pulses=config.n_pulses, efficiency=config.efficiency,
+            parity_rounds=k,
+        )
+        batch = run_batch(
+            session_config, strategy, _session_rngs(config, indices),
+            flip=force_differ,
+        )
+        if k == 0 and not batch.lengths.all():
+            raise KeyTooShortError(
+                f"key of length 0 cannot support {k} parity rounds"
+            )
+        return int(np.count_nonzero(batch.detected))
+
     curve: list[tuple[int, float]] = []
-    counter = 0
-    for k in k_values:
-        if k < 0:
-            raise InvalidConfigError("parity round counts must be >= 0")
-        detections = 0
-        for _ in range(config.n_sessions):
-            seed = derive_seed(config.master_seed, counter)
-            rng = random.Random(seed)
-            counter += 1
-            try:
-                transcript = run_session(session_config, strategy, rng)
-                bob_bits = transcript.sifted_bob
-                if force_differ:
-                    length = len(bob_bits)
-                    if not length:
-                        raise ValueError("no sifted bits to flip")
-                    bob_bits = bob_bits.copy()
-                    bob_bits[min(int(rng.random() * length), length - 1)] ^= 1
-                detected, _, _, _ = parity_verify(
-                    transcript.sifted_alice, bob_bits, k, rng
-                )
-            except Exception as exc:
-                raise SessionError(counter - 1, seed, str(exc)) from exc
-            detections += detected
-        curve.append((k, detections / config.n_sessions))
+    for sweep, k in enumerate(k_values):
+        counts = _sweep(
+            config, sweep * config.n_sessions, config.n_sessions,
+            lambda indices: detections(k, indices),
+        )
+        curve.append((k, sum(counts) / config.n_sessions))
     return curve
 
 

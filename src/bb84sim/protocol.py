@@ -7,11 +7,15 @@ parity-verification rounds that certify the sifted keys agree.  Basis
 reconciliation happens over an implicit authenticated, error-free public
 channel; only its outcome is modeled.
 
-Each stage works on a whole session at once: pulse i of a session is
-entry i of a set of numpy columns, and every stage draws its randomness in
-bulk (see ``harness`` for the order of the draws).  A basis is stored as
-its index into ``BASES`` (0 rectilinear, 1 diagonal), and a signal state
-as its index into ``BQS``, ``2 * basis + bit``.
+Sessions run in batches.  ``run_batch`` holds a batch of sessions as numpy
+columns with one row per session, pulse i of session s being entry [s, i],
+and every stage handles the whole batch at once, drawing its randomness in
+bulk from each session's own generator through ``stream.Words`` (see
+``harness`` for the order of the draws).  ``run_session`` is a batch of
+one.  Each stage also takes a single generator and one session's 1-D
+arrays.  A basis is stored as its index into ``BASES`` (0 rectilinear,
+1 diagonal), and a signal state as its index into ``BQS``,
+``2 * basis + bit``.
 """
 
 import random
@@ -23,7 +27,7 @@ import numpy as np
 from .adversary import EveStrategy
 from .errors import InvalidConfigError, KeyTooShortError
 from .quantum import BASIS_ANGLES, measure
-from .stream import random_bits, uniforms
+from .stream import Words, random_bits, uniforms
 
 
 @dataclass(frozen=True, slots=True)
@@ -45,8 +49,9 @@ class SessionConfig:
 
 @dataclass(frozen=True, eq=False)
 class Pulses:
-    """Everything that happened to the transmitted quantum bits of one
-    session, as columns: entry i of each array describes pulse i."""
+    """Everything that happened to the transmitted quantum bits, as
+    columns: entry i of each array describes pulse i of one session, and
+    in a batch entry [s, i] describes pulse i of session s."""
 
     alice_bits: np.ndarray  # uint8
     alice_bases: np.ndarray  # uint8 index into BASES
@@ -57,7 +62,17 @@ class Pulses:
     bob_bits: np.ndarray  # int8 measured bit, -1 where lost
 
     def __len__(self) -> int:
-        return len(self.alice_bits)
+        """The number of pulses, over every session of a batch."""
+        return self.alice_bits.size
+
+    def row(self, s: int) -> "Pulses":
+        """Session s of a batch."""
+        guesses = self.eve_guesses
+        return Pulses(
+            self.alice_bits[s], self.alice_bases[s], self.forwarded[s],
+            None if guesses is None else guesses[s], self.lost[s],
+            self.bob_bases[s], self.bob_bits[s],
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,7 +82,8 @@ class ParityRound:
     Positions index into the sifted key.  The discarded position is the
     lowest-indexed member of the subset, removed from both keys to pay for
     the publicly revealed parity bit.  The subset is kept as a bitmask over
-    the key, packed eight positions to a byte.
+    the key, packed eight positions to a byte.  In the records of a batch
+    each field holds one entry per session, and ``of`` picks one out.
     """
 
     members: np.ndarray
@@ -79,6 +95,16 @@ class ParityRound:
     def subset(self) -> np.ndarray:
         """The compared positions, ascending."""
         return np.flatnonzero(np.unpackbits(self.members))
+
+    def of(self, session: int, length: int) -> "ParityRound":
+        """The round of one session of a batch, whose key has ``length``
+        bits."""
+        return ParityRound(
+            self.members[session, : (length + 7) // 8],
+            int(self.alice_parity[session]),
+            int(self.bob_parity[session]),
+            int(self.discarded_position[session]),
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,6 +148,52 @@ class SessionTranscript:
         return np.delete(guess, dropped)
 
 
+@dataclass(frozen=True, eq=False)
+class SessionBatch:
+    """The transcripts of a batch of sessions, as columns.
+
+    ``pulses`` holds one row per session.  The sifted arrays lay the
+    sessions' sifted keys end to end: session s owns the ``lengths[s]``
+    entries from ``starts[s]`` on, and ``sifted`` indexes the flattened
+    pulse columns.  ``reconciled`` lays out the sender's post-parity keys
+    the same way, each ``len(parity_rounds)`` bits shorter than its sifted
+    key, and ``detected`` holds one flag per session.
+    """
+
+    pulses: Pulses
+    sifted: np.ndarray
+    lengths: np.ndarray
+    starts: np.ndarray
+    sifted_alice: np.ndarray
+    sifted_bob: np.ndarray
+    parity_rounds: list[ParityRound]
+    detected: np.ndarray
+    reconciled: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.lengths)
+
+    def transcript(self, s: int) -> SessionTranscript:
+        """The transcript of session s."""
+        start, length = int(self.starts[s]), int(self.lengths[s])
+        part = slice(start, start + length)
+        rounds = len(self.parity_rounds)
+        detected = bool(self.detected[s])
+        kept = slice(start - s * rounds, start - s * rounds + length - rounds)
+        sifted = self.sifted[part]
+        if s:
+            sifted = sifted - s * self.pulses.alice_bits.shape[-1]
+        return SessionTranscript(
+            pulses=self.pulses.row(s),
+            sifted=sifted,
+            sifted_alice=self.sifted_alice[part],
+            sifted_bob=self.sifted_bob[part],
+            parity_rounds=[r.of(s, length) for r in self.parity_rounds],
+            detected=detected,
+            reconciled_key=None if detected else self.reconciled[kept],
+        )
+
+
 def bit_error_rate(a: Sequence[int], b: Sequence[int]) -> float:
     if len(a) != len(b):
         raise ValueError("bit strings must have equal length")
@@ -131,10 +203,11 @@ def bit_error_rate(a: Sequence[int], b: Sequence[int]) -> float:
 
 
 def prepare_pulses(
-    n: int, rng: random.Random
+    n: int, rng: random.Random | Words
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw ``n`` independent uniform bits, then ``n`` uniform bases;
-    pulse i encodes bit i in basis i."""
+    pulse i encodes bit i in basis i.  One row per session for a
+    ``stream.Words`` batch."""
     if n < 1:
         raise ValueError("n must be >= 1")
     return random_bits(rng, n), random_bits(rng, n)
@@ -144,24 +217,25 @@ def transmit(
     codes: np.ndarray,
     adversary: EveStrategy,
     efficiency: float,
-    rng: random.Random,
+    rng: random.Random | Words,
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
     """Pass the pulses ``BQS[codes]`` through the adversary, then through
     detector loss.
 
-    The adversary draws one uniform per pulse; loss draws one per pulse
-    when ``efficiency < 1``, and a pulse is lost when its uniform is at
-    least ``efficiency``.  Returns the
-    forwarded ray angles, the adversary's guesses (``None`` for a passive
-    channel) and the loss mask.  The adversary acts before loss, so her
-    guess exists even for lost pulses.
+    ``codes`` is one session's pulses with a single generator, or one row
+    per session with a ``stream.Words`` batch.  The adversary draws one
+    uniform per pulse; loss draws one per pulse when ``efficiency < 1``,
+    and a pulse is lost when its uniform is at least ``efficiency``.
+    Returns the forwarded ray angles, the adversary's guesses (``None``
+    for a passive channel) and the loss mask.  The adversary acts before
+    loss, so her guess exists even for lost pulses.
     """
-    n = len(codes)
+    n = codes.shape[-1]
     forwarded, guesses = adversary.intercept(codes, uniforms(rng, n))
     if efficiency < 1.0:
         lost = uniforms(rng, n) >= efficiency
     else:
-        lost = np.zeros(n, dtype=bool)
+        lost = np.zeros(codes.shape, dtype=bool)
     return forwarded, guesses, lost
 
 
@@ -169,23 +243,74 @@ def sift(pulses: Pulses) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Keep positions where the pulse arrived and the bases matched.
 
     Returns the sender's sifted key, the receiver's, and the pulse indices
-    they came from.
+    they came from.  For a batch the indices run over the flattened
+    columns, session after session, and the keys are laid end to end in
+    the same order.
     """
     matched = pulses.alice_bases == pulses.bob_bases
     kept = np.flatnonzero(matched & ~pulses.lost)
     return (
-        pulses.alice_bits[kept],
-        pulses.bob_bits[kept].view(np.uint8),
+        np.take(pulses.alice_bits, kept),
+        np.take(pulses.bob_bits, kept).view(np.uint8),
         kept,
     )
+
+
+_ODD = np.array([bin(byte).count("1") & 1 for byte in range(256)], np.uint8)
+
+
+def _parity(packed: np.ndarray) -> np.ndarray:
+    """Parity of each row of a packed bit array."""
+    return _ODD[np.bitwise_xor.reduce(packed, axis=1)]
+
+
+def _rows_of(keys: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """Keys laid end to end, one row each, placed on the True cells of
+    ``cells``, zero elsewhere."""
+    if cells.all():
+        return keys.reshape(cells.shape)
+    rows = np.zeros(cells.shape, dtype=keys.dtype)
+    rows[cells] = keys
+    return rows
+
+
+def _by_round(
+    outputs: np.ndarray, offsets: np.ndarray, live: np.ndarray
+) -> np.ndarray:
+    """The outputs of each session's rounds, round j of session s in row
+    [s, j]: ceil(live[s, j] / 32) of them from column ``offsets[s, j]`` of
+    ``outputs``, the last shifted to give its high bits when live[s, j] is
+    not a multiple of 32."""
+    sizes = (live + 31) // 32
+    columns = np.arange(sizes.max(initial=0))
+    starts = offsets + np.arange(len(outputs))[:, None] * outputs.shape[1]
+    layout = np.take(outputs, starts[:, :, None] + columns, mode="clip")
+    last = np.arange(sizes.size) * len(columns) + sizes.ravel() - 1
+    layout.reshape(-1)[last] >>= ((-live) % 32).astype(np.uint32).ravel()
+    return layout
+
+
+def _append(
+    outputs: np.ndarray, filled: np.ndarray, fresh: np.ndarray,
+    counts: np.ndarray,
+) -> np.ndarray:
+    """``outputs`` with the first ``counts[s]`` columns of ``fresh[s]``
+    placed after the ``filled[s]`` columns of row s."""
+    width = max(outputs.shape[1], int((filled + counts).max()))
+    grown = np.zeros((len(outputs), width), outputs.dtype)
+    grown[:, : outputs.shape[1]] = outputs
+    for s in np.flatnonzero(counts):
+        grown[s, filled[s] : filled[s] + counts[s]] = fresh[s, : counts[s]]
+    return grown
 
 
 def parity_verify(
     alice_bits: Sequence[int],
     bob_bits: Sequence[int],
     rounds: int,
-    rng: random.Random,
-) -> tuple[bool, np.ndarray, np.ndarray, list[ParityRound]]:
+    rng: random.Random | Words,
+    lengths: np.ndarray | None = None,
+):
     """Run ``rounds`` public random-subset parity comparisons.
 
     Each round samples a uniform nonempty subset of the still-live
@@ -199,73 +324,159 @@ def parity_verify(
     Returns (detected, reconciled_alice, reconciled_bob, round records).
     All rounds run even after a detection; the detected flag is the OR of
     the per-round mismatches.
+
+    For a batch, ``rng`` is a ``stream.Words`` with one generator per
+    session, the keys lay the sessions' keys end to end, and ``lengths``
+    gives each key's length.  The rounds of all sessions run together:
+    round j takes each session's coins, and only a session whose subset
+    came up empty draws again.  The results then hold a flag per session,
+    the reconciled keys laid end to end, and records whose fields hold one
+    entry per session.
     """
     alice = np.asarray(alice_bits, dtype=np.uint8)
     bob = np.asarray(bob_bits, dtype=np.uint8)
     if len(alice) != len(bob):
         raise ValueError("keys must have equal length")
-    length = len(alice)
-    if length <= rounds:
+    single = lengths is None
+    if single:
+        words, lengths = Words([rng]), np.array([len(alice)])
+    else:
+        words = rng
+    short = lengths <= rounds
+    if short.any():
         raise KeyTooShortError(
-            f"key of length {length} cannot support {rounds} parity rounds"
+            f"key of length {lengths[short.argmax()]} cannot support "
+            f"{rounds} parity rounds"
         )
-    alice_ones, bob_ones = alice.astype(bool), bob.astype(bool)
-    alive = np.ones(length, dtype=bool)
-    detected = False
+    sessions = np.arange(len(lengths))
+    alive = np.arange(lengths.max()) < lengths[:, None]
+    alice_keys, bob_keys = _rows_of(alice, alive), _rows_of(bob, alive)
+    alice_packed = np.packbits(alice_keys != 0, axis=1)
+    bob_packed = np.packbits(bob_keys != 0, axis=1)
+    # Round j draws one coin per live position, L - j of them, in
+    # ceil((L - j) / 32) outputs.  All rounds' outputs are taken at once.
+    live = lengths[:, None] - np.arange(rounds)
+    sizes = (live + 31) // 32
+    offsets = np.cumsum(sizes, axis=1) - sizes
+    filled = sizes.sum(axis=1)
+    outputs = words.take(filled)
+    layout = _by_round(outputs, offsets, live)
+    widths = live.max(axis=0).tolist()
+    uneven = (live < live.max(axis=0)).any(axis=0).tolist()
+    cells, row_starts = alive.reshape(-1), sessions * alive.shape[1]
+    detected = np.zeros(len(lengths), dtype=bool)
     records: list[ParityRound] = []
-    for done in range(rounds):
-        members = np.zeros(length, dtype=bool)
+    for j in range(rounds):
         while True:
-            members[alive] = random_bits(rng, length - done).view(bool)
-            first = int(members.argmax())
-            if members[first]:
+            coins = np.unpackbits(layout[:, j].view(np.uint8), axis=1,
+                                  count=widths[j], bitorder="little")
+            if uneven[j]:
+                coins = coins[np.arange(widths[j]) < live[:, j, None]]
+            members = np.zeros(alive.shape, dtype=bool)
+            members[alive] = coins.view(bool).ravel()
+            first = members.argmax(axis=1)
+            drew = members.reshape(-1)[row_starts + first]
+            if drew.all():
                 break
-        alice_parity = int(np.count_nonzero(alice_ones & members)) & 1
-        bob_parity = int(np.count_nonzero(bob_ones & members)) & 1
+            # A session whose subset came up empty draws the round again
+            # from its next outputs, which moves its later rounds on.
+            extra = np.where(drew, 0, sizes[:, j])
+            offsets[:, j:] += extra[:, None]
+            outputs = _append(outputs, filled, words.take(extra), extra)
+            filled += extra
+            layout = _by_round(outputs, offsets, live)
+        packed = np.packbits(members, axis=1)
+        alice_parity = _parity(packed & alice_packed)
+        bob_parity = _parity(packed & bob_packed)
         detected |= alice_parity != bob_parity
-        alive[first] = False
-        records.append(
-            ParityRound(np.packbits(members), alice_parity, bob_parity, first)
+        cells[row_starts + first] = False
+        records.append(ParityRound(packed, alice_parity, bob_parity, first))
+    alice, bob = alice_keys[alive], bob_keys[alive]
+    if single:
+        length = int(lengths[0])
+        return (bool(detected[0]), alice, bob,
+                [r.of(0, length) for r in records])
+    return detected, alice, bob, records
+
+
+def run_batch(
+    config: SessionConfig,
+    adversary: EveStrategy,
+    rngs: Sequence[random.Random],
+    flip: bool = False,
+) -> SessionBatch:
+    """Execute one full session per generator in ``rngs``, as one batch.
+
+    Session s draws from ``rngs[s]``, stage by stage in the order
+    documented in ``harness``, exactly what ``run_session`` draws, so
+    ``batch.transcript(s)`` is the transcript ``run_session`` returns for
+    that generator, and each generator ends where ``run_session`` leaves
+    it.  The outputs of the stages up to verification are drawn ahead, one
+    ``getrandbits`` call per session when they fit ``stream.Words``'s
+    budget.  With ``parity_rounds == 0`` verification is skipped and the
+    sifted key is taken as reconciled.  With ``flip``, one uniform u per
+    session, drawn after the measurements, flips receiver sifted bit
+    floor(u * L) of the L-bit key before verification; a session without
+    sifted bits then raises ``ValueError``.  An error of any session
+    raises.
+    """
+    n = config.n_pulses
+    words = Words(rngs)
+    # Steps 1-6 of the draw order: three n-bit draws, then n uniforms for
+    # the adversary, for loss below full efficiency and for measurement,
+    # and with ``flip`` one more uniform.
+    uniform_stages = 3 if config.efficiency < 1.0 else 2
+    words.prefetch(3 * ((n + 31) // 32) + 2 * n * uniform_stages + 2 * flip)
+    alice_bits, alice_bases = prepare_pulses(n, words)
+    bob_bases = random_bits(words, n)
+    forwarded, guesses, lost = transmit(
+        2 * alice_bases + alice_bits, adversary, config.efficiency, words
+    )
+    bob_bits = measure(forwarded, BASIS_ANGLES[bob_bases], words).view(np.int8)
+    bob_bits[lost] = -1
+    pulses = Pulses(
+        alice_bits, alice_bases, forwarded, guesses, lost, bob_bases, bob_bits
+    )
+    sifted_alice, sifted_bob, sifted = sift(pulses)
+    # Session s owns the sifted indices in [s * n, (s + 1) * n).
+    bounds = np.searchsorted(sifted, np.arange(len(words) + 1) * n)
+    starts, lengths = bounds[:-1], np.diff(bounds)
+    if flip:
+        if not lengths.all():
+            raise ValueError("no sifted bits to flip")
+        u = uniforms(words, 1)[:, 0]
+        flipped = np.minimum((u * lengths).astype(np.int64), lengths - 1)
+        sifted_bob[starts + flipped] ^= 1
+
+    if config.parity_rounds > 0:
+        detected, reconciled, _, rounds = parity_verify(
+            sifted_alice, sifted_bob, config.parity_rounds, words, lengths
         )
-    return detected, alice[alive], bob[alive], records
+    else:
+        detected = np.zeros(len(words), dtype=bool)
+        reconciled, rounds = sifted_alice, []
+    return SessionBatch(
+        pulses=pulses,
+        sifted=sifted,
+        lengths=lengths,
+        starts=starts,
+        sifted_alice=sifted_alice,
+        sifted_bob=sifted_bob,
+        parity_rounds=rounds,
+        detected=detected,
+        reconciled=reconciled,
+    )
 
 
 def run_session(
     config: SessionConfig, adversary: EveStrategy, rng: random.Random
 ) -> SessionTranscript:
-    """Execute one full session and return its transcript.
+    """Execute one full session and return its transcript: ``run_batch``
+    on a batch of one.
 
     Randomness is consumed stage by stage, in the order documented in
     ``harness``, so identical seeds yield identical transcripts.  With
     ``parity_rounds == 0`` verification is skipped and the sifted key is
     taken as reconciled.
     """
-    n = config.n_pulses
-    alice_bits, alice_bases = prepare_pulses(n, rng)
-    bob_bases = random_bits(rng, n)
-    forwarded, guesses, lost = transmit(
-        2 * alice_bases + alice_bits, adversary, config.efficiency, rng
-    )
-    bob_bits = measure(forwarded, BASIS_ANGLES[bob_bases], rng).view(np.int8)
-    bob_bits[lost] = -1
-    pulses = Pulses(
-        alice_bits, alice_bases, forwarded, guesses, lost, bob_bases, bob_bits
-    )
-    sifted_alice, sifted_bob, sifted = sift(pulses)
-
-    if config.parity_rounds > 0:
-        detected, reconciled, _, rounds = parity_verify(
-            sifted_alice, sifted_bob, config.parity_rounds, rng
-        )
-    else:
-        detected, reconciled, rounds = False, sifted_alice, []
-
-    return SessionTranscript(
-        pulses=pulses,
-        sifted=sifted,
-        sifted_alice=sifted_alice,
-        sifted_bob=sifted_bob,
-        parity_rounds=rounds,
-        detected=detected,
-        reconciled_key=None if detected else reconciled,
-    )
+    return run_batch(config, adversary, [rng]).transcript(0)

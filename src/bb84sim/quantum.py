@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateAncillaError, NoMatchError
-from .stream import BLOCK, uniforms
+from .stream import BLOCK, Words, uniforms
 
 # Tolerance for identifying states/overlap values: far below the smallest
 # gap between table entries (~0.18 for the default ancilla), far above
@@ -145,32 +145,38 @@ def born_probability(state: QuantumState, outcome_angle: float) -> float:
 
 
 def measure(
-    angles: np.ndarray, basis_angles: np.ndarray | float, rng: random.Random
+    angles: np.ndarray,
+    basis_angles: np.ndarray | float,
+    rng: random.Random | Words,
 ) -> np.ndarray:
     """Projective measurement of a batch of states.
 
-    ``angles[i]`` is the ray angle of state i, measured in the basis whose
-    bit-0 eigenstate lies at ``basis_angles[i]`` (a scalar serves every
-    state).  One uniform u is drawn per state, and the outcome is bit 0
-    when u falls below the Born probability of bit 0.  Probabilities within
-    ``_EIGEN_SNAP`` of 0 or 1 count as exact, so eigenstates of the basis
-    measure deterministically.  Returns the outcome bits as uint8; state i
-    collapses onto the eigenstate at ``basis_angles[i] + bits[i] * pi/2``.
-    The states are taken ``BLOCK`` at a time, which bounds the temporaries
-    without changing the draws.
+    ``angles[..., i]`` is the ray angle of state i, measured in the basis
+    whose bit-0 eigenstate lies at ``basis_angles[..., i]`` (a scalar serves
+    every state).  One uniform u is drawn per state, and the outcome is bit
+    0 when u falls below the Born probability of bit 0.  Probabilities
+    within ``_EIGEN_SNAP`` of 0 or 1 count as exact, so eigenstates of the
+    basis measure deterministically.  ``rng`` is one generator for a 1-D
+    ``angles``, or a ``stream.Words`` batch with one row of ``angles`` per
+    generator.  Returns the outcome bits as uint8; state i collapses onto
+    the eigenstate at ``basis_angles[..., i] + bits[..., i] * pi/2``.  The
+    states are taken ``BLOCK`` at a time along the last axis, which bounds
+    the temporaries without changing the draws.
     """
     angles = np.asarray(angles, dtype=float)
     basis_angles = np.broadcast_to(basis_angles, angles.shape)
-    bits = np.empty(len(angles), dtype=np.uint8)
-    for start in range(0, len(angles), BLOCK):
-        block = slice(start, start + BLOCK)
+    bits = np.empty(angles.shape, dtype=np.uint8)
+    n = angles.shape[-1]
+    for start in range(0, n, BLOCK):
+        block = np.s_[..., start : start + BLOCK]
         p0 = np.subtract(angles[block], basis_angles[block])
         np.cos(p0, out=p0)
         p0 *= p0
         p0[p0 >= 1.0 - _EIGEN_SNAP] = 1.0
         p0[p0 <= _EIGEN_SNAP] = 0.0
         np.greater_equal(
-            uniforms(rng, len(p0)), p0, out=bits[block], casting="unsafe"
+            uniforms(rng, p0.shape[-1]), p0, out=bits[block],
+            casting="unsafe",
         )
     return bits
 

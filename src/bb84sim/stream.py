@@ -1,11 +1,18 @@
-"""Bulk draws from a session's ``random.Random``.
+"""Bulk draws from the ``random.Random`` generators of a batch of sessions.
 
-Every stage of a session takes its randomness through these two functions,
-one ``rng.getrandbits(k)`` call per batch unpacked by numpy, so the number
-of generator outputs a stage consumes depends only on how many values it
-asks for.  ``getrandbits(k)`` fills its result from consecutive 32-bit
-Mersenne Twister outputs, least significant first, which makes bit i of
-the word bit i of the stream.
+Every stage of a session takes its randomness through ``random_bits`` and
+``uniforms``.  Both read the 32-bit Mersenne Twister outputs of each
+session's generator in order, through ``Words``, and decode them with
+numpy, so the outputs a stage consumes depend only on how many values it
+asks for.  A k-bit draw consumes ceil(k / 32) outputs, as
+``rng.getrandbits(k)`` does: bit i of the draw is bit i of the
+concatenated outputs, least significant first, except that a draw with
+k mod 32 = m > 0 takes the *high* m bits of its last output.  A uniform
+consumes two outputs, built as ``random.Random.random`` builds one.
+
+Because every draw consumes whole outputs, a session's outputs can be
+drawn in pieces of any size without changing any value: one
+``getrandbits(32 * w)`` call yields the next w outputs.
 """
 
 import random
@@ -16,35 +23,122 @@ _TWO_POW_26 = 67108864.0
 _TWO_POW_MINUS_53 = 1.0 / 9007199254740992.0
 # Items a batched stage handles at a time, which bounds its temporaries.
 BLOCK = 1 << 13
+# Largest single ``getrandbits`` call, in 32-bit outputs, so no generator
+# hands over more than this as one Python int.
+_PIECE = 2 * BLOCK
+# Most outputs ``Words.prefetch`` draws ahead for a whole batch.
+_PREFETCH = 8 * BLOCK
 
 
-def _word_bytes(rng: random.Random, k: int) -> np.ndarray:
-    """The word ``rng.getrandbits(k)`` as little-endian bytes."""
-    word = rng.getrandbits(k)
-    return np.frombuffer(word.to_bytes((k + 7) // 8, "little"), np.uint8)
+def _outputs(rng: random.Random, count: int) -> bytes:
+    """The next ``count`` 32-bit outputs of ``rng``, little-endian."""
+    if count <= _PIECE:
+        return rng.getrandbits(32 * count).to_bytes(4 * count, "little")
+    return b"".join(
+        _outputs(rng, min(_PIECE, count - start))
+        for start in range(0, count, _PIECE)
+    )
 
 
-def random_bits(rng: random.Random, k: int) -> np.ndarray:
-    """``k`` fair bits as a uint8 array: bit i of ``rng.getrandbits(k)``."""
-    return np.unpackbits(_word_bytes(rng, k), count=k, bitorder="little")
+class Words:
+    """The 32-bit outputs of a batch of generators: row s reads those of
+    ``rngs[s]``, in order.
+
+    Outputs are drawn when ``take`` asks for them, or ahead of time by
+    ``prefetch``, one ``getrandbits`` call per generator.  Nothing is drawn
+    beyond what is asked for, so once every prefetched output has been
+    taken each generator stands where the same draws made on it one by one
+    would leave it.
+    """
+
+    def __init__(self, rngs):
+        self.rngs = list(rngs)
+        self._ahead = None  # outputs drawn ahead, one row per generator
+
+    def __len__(self) -> int:
+        return len(self.rngs)
+
+    def prefetch(self, count: int) -> None:
+        """Draw the next ``count`` outputs of every row now, when the
+        batch's total stays within a fixed budget; past it, ``take`` draws
+        them as they are needed.  The caller must go on to take them all,
+        the same number from every row."""
+        if count * len(self) <= _PREFETCH:
+            drawn = self._draw(count)
+            self._ahead = (drawn if self._ahead is None
+                           else np.concatenate([self._ahead, drawn], 1))
+
+    def take(self, counts) -> np.ndarray:
+        """The next ``counts[s]`` outputs of row s (a scalar serves every
+        row), as a uint32 array of shape (rows, max count) that must not be
+        written to; row s holds its outputs in its first ``counts[s]``
+        columns and zeros after them."""
+        ahead = self._ahead
+        if ahead is None:
+            return self._draw(counts)
+        if np.ndim(counts):
+            raise ValueError("prefetched outputs must be taken evenly")
+        words, rest = ahead[:, :counts], ahead[:, counts:]
+        self._ahead = rest if rest.shape[1] else None
+        if counts > ahead.shape[1]:
+            words = np.concatenate(
+                [words, self._draw(counts - ahead.shape[1])], 1)
+        return words
+
+    def _draw(self, counts) -> np.ndarray:
+        if np.ndim(counts) == 0:
+            data = b"".join([_outputs(rng, counts) for rng in self.rngs])
+            return np.frombuffer(data, "<u4").reshape(len(self), counts)
+        if counts.min() == counts.max():
+            return self._draw(int(counts[0]))
+        data = b"".join([_outputs(rng, count) for rng, count
+                         in zip(self.rngs, counts.tolist()) if count])
+        words = np.zeros((len(self), counts.max()), "<u4")
+        words[np.arange(words.shape[1]) < counts[:, None]] = np.frombuffer(
+            data, "<u4")
+        return words
 
 
-def uniforms(rng: random.Random, n: int) -> np.ndarray:
-    """``n`` floats in [0, 1) with 53 random bits each.
+def _rows(rng: random.Random | Words) -> tuple[Words, bool]:
+    """``rng`` as a batch, and whether it was a single generator."""
+    if isinstance(rng, Words):
+        return rng, False
+    return Words([rng]), True
+
+
+def random_bits(rng: random.Random | Words, k: int) -> np.ndarray:
+    """``k`` fair bits as uint8: bit i of ``rng.getrandbits(k)``.
+
+    ``rng`` is one generator, giving a 1-D array, or a ``Words`` batch,
+    giving one row per generator.
+    """
+    words, single = _rows(rng)
+    block = np.array(words.take((k + 31) // 32))
+    if k % 32:
+        # A partial last output gives its high bits.
+        block[:, -1] >>= 32 - k % 32
+    bits = np.unpackbits(block.view(np.uint8), axis=1, count=k,
+                         bitorder="little")
+    return bits[0] if single else bits
+
+
+def uniforms(rng: random.Random | Words, n: int) -> np.ndarray:
+    """``n`` floats in [0, 1) with 53 random bits each, per generator.
 
     Value i is built from 32-bit outputs 2i and 2i + 1 exactly as
-    ``random.Random.random`` builds one, so the array equals ``n``
-    successive ``rng.random()`` calls.  The words are drawn ``BLOCK``
-    values at a time; since ``getrandbits`` of a multiple of 32 bits
-    consumes whole outputs in order, the blocking does not change them.
+    ``random.Random.random`` builds one, so a generator's values equal
+    ``n`` successive ``rng.random()`` calls.  ``rng`` is one generator,
+    giving a 1-D array, or a ``Words`` batch, giving one row per
+    generator.  The outputs are taken ``BLOCK`` values at a time.
     """
-    out = np.empty(n)
+    words, single = _rows(rng)
+    out = np.empty((len(words), n))
     for start in range(0, n, BLOCK):
         count = min(BLOCK, n - start)
-        words = _word_bytes(rng, 64 * count).view("<u4")
-        chunk = out[start : start + count]
-        np.right_shift(words[0::2], 5, out=chunk, casting="unsafe")
+        block = words.take(2 * count)
+        chunk = out[:, start : start + count]
+        np.right_shift(block[:, 0::2], 5, out=chunk, casting="unsafe")
         chunk *= _TWO_POW_26
-        chunk += words[1::2] >> 6
+        chunk += block[:, 1::2] >> 6
         chunk *= _TWO_POW_MINUS_53
-    return out
+    return out[0] if single else out

@@ -213,3 +213,7 @@ class TestDetectCurveCommand:
     def test_bad_k_values_exit_2(self, capsys):
         assert main(["detect-curve", "--k-values", "a,b"]) == 2
         assert main(["detect-curve", "--k-values", ""]) == 2
+
+    def test_negative_k_value_exits_2(self, capsys):
+        assert main(["detect-curve", "--k-values", "1,-1"]) == 2
+        assert "parity round counts must be >= 0" in capsys.readouterr().err

@@ -9,13 +9,20 @@ import numpy as np
 import pytest
 
 from bb84sim.amplification import PrivacyParams, compress, sample_hash
-from bb84sim import cli
-from bb84sim.errors import InvalidConfigError, KeyTooShortError, SessionError
+from bb84sim import cli, harness
+from bb84sim.errors import (
+    InvalidConfigError,
+    InvalidParamsError,
+    KeyTooShortError,
+    SessionError,
+)
 from bb84sim.harness import (
+    EVE_KINDS,
     RNG_CONTRACT,
     AggregateStats,
     ExperimentConfig,
     ExperimentReport,
+    SessionRow,
     build_strategy,
     compute_aggregates,
     curve_to_csv,
@@ -31,7 +38,8 @@ from bb84sim.adversary import (
     InterceptResend,
     NoEve,
 )
-from bb84sim.protocol import SessionConfig, run_session
+from bb84sim.protocol import SessionConfig, run_batch, run_session
+from test_protocol import columns, reference_parity_verify
 
 
 class TestSeedDerivation:
@@ -252,6 +260,19 @@ class TestRunExperiment:
                 random.Random(error.seed),
             )
 
+    @staticmethod
+    def first_failing_curve_session(master_seed, k_values, n_sessions):
+        """oracle: the first session of a one-at-a-time sweep whose sifted
+        key cannot support its round count"""
+        sweep = [k for k in k_values for _ in range(n_sessions)]
+        for index, k in enumerate(sweep):
+            transcript = run_session(
+                SessionConfig(n_pulses=2), NoEve(),
+                random.Random(derive_seed(master_seed, index)),
+            )
+            if len(transcript.sifted_alice) <= k:
+                return index
+
     def test_curve_session_error_names_its_seed(self):
         config = ExperimentConfig(n_pulses=2, n_sessions=4, master_seed=3)
         with pytest.raises(SessionError) as excinfo:
@@ -259,6 +280,54 @@ class TestRunExperiment:
         error = excinfo.value
         assert error.seed == derive_seed(3, error.session_index)
         assert f"seed {error.seed}" in str(error)
+        assert error.session_index == self.first_failing_curve_session(
+            3, [1, 5], 4
+        )
+
+    def test_curve_error_names_the_lowest_failing_session(self):
+        # at master seed 4, sessions 1 and 3 of the first batch fail and
+        # session 0 does not
+        config = ExperimentConfig(n_pulses=2, n_sessions=4, master_seed=4)
+        with pytest.raises(SessionError) as excinfo:
+            detection_rate_curve(config, [1, 5])
+        error = excinfo.value
+        assert error.session_index == 1
+        assert error.session_index == self.first_failing_curve_session(
+            4, [1, 5], 4
+        )
+        assert error.seed == derive_seed(4, 1)
+
+    def test_batch_error_names_the_lowest_failing_session(self):
+        # in one batch, session 2 leaves too few bits for amplification and
+        # session 3 too few for the parity rounds; a one-at-a-time sweep
+        # stops at session 2
+        config = ExperimentConfig(
+            n_pulses=24, n_sessions=6, parity_rounds=4, pa_leak_bits=3,
+            pa_margin_bits=2, master_seed=42,
+        )
+        lengths = [
+            len(run_session(
+                SessionConfig(n_pulses=24), NoEve(),
+                random.Random(derive_seed(42, index)),
+            ).sifted_alice)
+            for index in range(6)
+        ]
+        assert [n <= 4 for n in lengths].index(True) == 3
+        assert [n - 4 <= 3 + 2 for n in lengths].index(True) == 2
+        with pytest.raises(SessionError) as excinfo:
+            run_experiment(config)
+        assert excinfo.value.session_index == 2
+        assert isinstance(excinfo.value.__cause__, InvalidParamsError)
+
+    def test_negative_k_rejected_before_any_session(self, monkeypatch):
+        entered = []
+        monkeypatch.setattr(
+            harness, "run_batch", lambda *args, **kwargs: entered.append(1)
+        )
+        config = ExperimentConfig(n_pulses=96, n_sessions=5)
+        with pytest.raises(InvalidConfigError):
+            detection_rate_curve(config, [1, -1])
+        assert entered == []
 
     def test_reruns_are_identical(self):
         config = ExperimentConfig(
@@ -411,6 +480,194 @@ class TestGoldenReports:
         assert cli.main(self.ARGV + extra) == 0
         text = capsys.readouterr().out
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    # digests of the sequential engine's curves, pinned before the batch
+    # engine replaced it: a moved digest is a defect in the batch engine
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (["--pulses", "96", "--sessions", "200", "--force-differ",
+              "--seed", "5"],
+             "4ab02003acd1f2d7b95f3016f2c87d1efcb0166f54ce96fbebd9b4976139626b"),
+            (["--eve", "intercept-resend", "--pulses", "100", "--sessions",
+              "50", "--efficiency", "0.8", "--k-values", "1,3,8", "--seed",
+              "2"],
+             "791b72c185896401b14a9d5870626efa0650d79f803e240e53e8960efe5c6db7"),
+        ],
+        ids=["forced-difference", "intercept-resend-lossy"],
+    )
+    def test_curve_digest(self, capsys, argv, digest):
+        assert cli.main(["detect-curve", *argv]) == 0
+        text = capsys.readouterr().out
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def session_row(config, index, transcript, rng):
+    """The report row of one session replayed on its own generator."""
+    final_length, advantage = 0, None
+    if not transcript.detected:
+        final_length = len(transcript.reconciled_key)
+        if config.privacy_enabled:
+            params = PrivacyParams(
+                final_length, config.pa_leak_bits, config.pa_margin_bits
+            )
+            descriptor = sample_hash(params, rng)
+            final_length = params.output_bits
+            guess = transcript.eve_reconciled_guess
+            if guess is not None:
+                advantage = float(np.mean(
+                    compress(transcript.reconciled_key, descriptor)
+                    == compress(guess, descriptor)
+                )) - 0.5
+    return SessionRow(
+        index=index,
+        qber=transcript.qber,
+        sifted_length=len(transcript.sifted_alice),
+        detected=transcript.detected,
+        final_key_length=final_length,
+        eve_accuracy=eve_sifted_accuracy(transcript),
+        eve_advantage=advantage,
+    )
+
+
+def draws_a_redraw(config, adversary, seed):
+    """Whether parity verification of the session drawn from ``seed`` meets
+    an empty subset, by the generator outputs its rounds consume."""
+    rng = random.Random(seed)
+    transcript = run_session(
+        SessionConfig(config.n_pulses, config.efficiency), adversary, rng
+    )
+    length = len(transcript.sifted_alice)
+    if length <= config.parity_rounds:
+        return False
+    plain = random.Random()
+    plain.setstate(rng.getstate())
+    for done in range(config.parity_rounds):
+        plain.getrandbits(32 * ((length - done + 31) // 32))
+    reference_parity_verify(
+        transcript.sifted_alice.tolist(), transcript.sifted_bob.tolist(),
+        config.parity_rounds, rng,
+    )
+    return rng.getstate() != plain.getstate()
+
+
+def replayed_curve(config, k_values, force_differ):
+    """oracle: the sweep as a loop over single sessions, flipping and
+    verifying each sifted key with plain generator calls; ``None`` when a
+    session has too few sifted bits"""
+    strategy = build_strategy(config)
+    curve, index = [], 0
+    for k in k_values:
+        detections = 0
+        for _ in range(config.n_sessions):
+            rng = random.Random(derive_seed(config.master_seed, index))
+            index += 1
+            transcript = run_session(
+                SessionConfig(config.n_pulses, config.efficiency),
+                strategy, rng,
+            )
+            alice = transcript.sifted_alice.tolist()
+            bob = transcript.sifted_bob.tolist()
+            if not alice or len(alice) <= k:
+                return None
+            if force_differ:
+                flip = min(int(rng.random() * len(bob)), len(bob) - 1)
+                bob[flip] ^= 1
+            detections += reference_parity_verify(alice, bob, k, rng)[0]
+        curve.append((k, detections / config.n_sessions))
+    return curve
+
+
+class TestBatchEngine:
+    """Batched sessions against the same sessions replayed one at a time,
+    each on its own generator."""
+
+    @pytest.mark.parametrize("n", [1, 31, 33, 96, 100, 8193])
+    @pytest.mark.parametrize("efficiency", [1.0, 0.7])
+    @pytest.mark.parametrize("eve", EVE_KINDS)
+    def test_rows_equal_per_session_replay(self, eve, efficiency, n):
+        config = ExperimentConfig(
+            n_pulses=n, n_sessions=3 if n > 1000 else 300,
+            efficiency=efficiency, parity_rounds=min(4, n // 16),
+            eve_kind=eve, master_seed=n,
+        )
+        strategy = build_strategy(config)
+        rows = run_experiment(config).sessions
+        for index, row in enumerate(rows):
+            rng = random.Random(derive_seed(config.master_seed, index))
+            transcript = run_session(config.session_config, strategy, rng)
+            assert row == session_row(config, index, transcript, rng)
+
+    @pytest.mark.parametrize("eve", ["intercept-resend", "indirect-oracle"])
+    def test_amplified_rows_equal_per_session_replay(self, eve):
+        config = ExperimentConfig(
+            n_pulses=700, n_sessions=30, efficiency=0.7, parity_rounds=3,
+            eve_kind=eve, pa_leak_bits=40, pa_margin_bits=8, master_seed=2,
+        )
+        strategy = build_strategy(config)
+        rows = run_experiment(config).sessions
+        for index, row in enumerate(rows):
+            rng = random.Random(derive_seed(config.master_seed, index))
+            transcript = run_session(config.session_config, strategy, rng)
+            assert row == session_row(config, index, transcript, rng)
+
+    @pytest.mark.parametrize("n", [1, 33, 96, 8193])
+    @pytest.mark.parametrize("eve", ["none", "intercept-resend"])
+    def test_curve_equals_per_session_replay(self, eve, n):
+        config = ExperimentConfig(
+            n_pulses=n, n_sessions=2 if n > 1000 else 200, efficiency=0.7,
+            eve_kind=eve, master_seed=n + 1,
+        )
+        for force_differ in (False, True):
+            want = replayed_curve(config, [0, 1, 3], force_differ)
+            if want is None:
+                with pytest.raises(SessionError):
+                    detection_rate_curve(config, [0, 1, 3], force_differ)
+            else:
+                assert detection_rate_curve(
+                    config, [0, 1, 3], force_differ) == want
+
+    def test_empty_subset_redraw_inside_a_batch(self):
+        # a session other than the first meets an empty parity subset and
+        # draws it again; every session of the batch must still match its
+        # own replay, the redrawn one the scalar reference loop
+        config = ExperimentConfig(
+            n_pulses=8, n_sessions=8, parity_rounds=3, master_seed=1
+        )
+        strategy = NoEve()
+        for master_seed in range(1, 500):
+            seeds = [derive_seed(master_seed, i) for i in range(8)]
+            redraws = [draws_a_redraw(config, strategy, s) for s in seeds]
+            lengths = [
+                len(run_session(SessionConfig(8), strategy,
+                                random.Random(s)).sifted_alice)
+                for s in seeds
+            ]
+            if any(redraws[1:]) and min(lengths) > config.parity_rounds:
+                break
+        else:
+            pytest.fail("no batch with a redraw found")
+        rngs = [random.Random(s) for s in seeds]
+        batch = run_batch(config.session_config, strategy, rngs)
+        for s, seed in enumerate(seeds):
+            rng = random.Random(seed)
+            want = run_session(config.session_config, strategy, rng)
+            assert columns(batch.transcript(s)) == columns(want)
+            assert rngs[s].getstate() == rng.getstate()
+        redrawn = redraws.index(True, 1)
+        rng = random.Random(seeds[redrawn])
+        plain = run_session(SessionConfig(8), strategy, rng)
+        reference = reference_parity_verify(
+            plain.sifted_alice.tolist(), plain.sifted_bob.tolist(), 3, rng
+        )
+        got = batch.transcript(redrawn)
+        assert [
+            (r.subset.tolist(), r.alice_parity, r.bob_parity,
+             r.discarded_position)
+            for r in got.parity_rounds
+        ] == reference[3]
+        assert got.reconciled_key.tolist() == reference[1]
+        assert rngs[redrawn].getstate() == rng.getstate()
 
 
 class TestEveSiftedAccuracy:
