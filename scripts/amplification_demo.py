@@ -12,11 +12,10 @@ compression cannot help once the assumed leak underestimates a total one.
 import argparse
 import random
 
-from bb84sim.adversary import IndirectCopyOracle, InterceptResend
+from bb84sim.adversary import channel_table
 from bb84sim.amplification import PrivacyParams, eve_residual_information
 from bb84sim.harness import derive_seed
 from bb84sim.protocol import SessionConfig, run_session
-from bb84sim.quantum import DEFAULT_ANCILLA_ANGLE, QuantumState, build_reference_list
 
 
 def main() -> None:
@@ -30,10 +29,9 @@ def main() -> None:
     args = parser.parse_args()
     margins = [int(m) for m in args.margins.split(",")]
 
-    table = build_reference_list(QuantumState(DEFAULT_ANCILLA_ANGLE))
     attacks = {
-        "intercept-resend": InterceptResend(),
-        "indirect-oracle": IndirectCopyOracle(reference_list=table),
+        kind: channel_table(kind)
+        for kind in ("intercept-resend", "indirect-oracle")
     }
     config = SessionConfig(n_pulses=args.pulses)
     print(f"{'attack':<20} " + " ".join(f"s={m:<8}" for m in margins))

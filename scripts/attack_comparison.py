@@ -11,7 +11,8 @@ intercept/resend.
 
 import argparse
 
-from bb84sim.harness import EVE_KINDS, ExperimentConfig, run_experiment
+from bb84sim.adversary import EVE_KINDS
+from bb84sim.harness import ExperimentConfig, run_experiment
 
 
 def main() -> None:

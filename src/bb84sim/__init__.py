@@ -1,13 +1,6 @@
 """BB84 key-distribution simulator with pluggable eavesdropper strategies."""
 
-from .adversary import (
-    EveStrategy,
-    IndirectCopyOracle,
-    IndirectCopyPhysical,
-    InterceptResend,
-    NoEve,
-    ResendRule,
-)
+from .adversary import ChannelTable, channel_table
 from .amplification import (
     HashDescriptor,
     PrivacyParams,

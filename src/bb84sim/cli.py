@@ -13,15 +13,14 @@ import os
 import sys
 from pathlib import Path
 
+from .adversary import EVE_KINDS, RESEND_RULES
 from .errors import (
     DegenerateAncillaError,
     InvalidConfigError,
     InvalidParamsError,
 )
 from .harness import (
-    EVE_KINDS,
     OUTPUT_FORMATS,
-    RESEND_RULES,
     ExperimentConfig,
     curve_to_csv,
     curve_to_json,

@@ -47,30 +47,26 @@ no ``getrandbits`` call returns more than ``2 * stream.BLOCK`` outputs.
 """
 
 import json
-import math
 import random
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .adversary import (
-    EveStrategy,
-    IndirectCopyOracle,
-    IndirectCopyPhysical,
-    InterceptResend,
-    NoEve,
-    ResendRule,
+from .adversary import (  # the strategy names stay importable from here
+    EVE_KINDS,
+    RESEND_RULES,
+    ChannelTable,
+    channel_table,
+    check_strategy,
 )
 from .amplification import PrivacyParams, hashed_guess_advantage, sample_hash
 from .errors import InvalidConfigError, KeyTooShortError, SessionError
 from .protocol import SessionBatch, SessionConfig, SessionTranscript, run_batch
-from .quantum import DEFAULT_ANCILLA_ANGLE, QuantumState, build_reference_list
+from .quantum import DEFAULT_ANCILLA_ANGLE
 from .stream import BLOCK
 
 RNG_CONTRACT = "bb84sim-2"
-EVE_KINDS = ("none", "intercept-resend", "indirect-oracle", "indirect-physical")
-RESEND_RULES = tuple(rule.value for rule in ResendRule)
 OUTPUT_FORMATS = ("json", "csv")
 
 _MASK64 = (1 << 64) - 1
@@ -98,7 +94,7 @@ class ExperimentConfig:
     parity_rounds: int = 0
     eve_kind: str = "none"
     ancilla_angle: float = DEFAULT_ANCILLA_ANGLE
-    resend_rule: str = ResendRule.MAX_POSTERIOR.value
+    resend_rule: str = "max-posterior"
     attack_fraction: float = 1.0
     pa_leak_bits: int | None = None  # assumed adversary bits t; None skips PA
     pa_margin_bits: int | None = None  # security margin s
@@ -109,21 +105,10 @@ class ExperimentConfig:
         self.session_config  # validates n_pulses, efficiency, parity_rounds
         if self.n_sessions < 1:
             raise InvalidConfigError("n_sessions must be >= 1")
-        if self.eve_kind not in EVE_KINDS:
-            raise InvalidConfigError(
-                f"eve_kind must be one of {EVE_KINDS}, got {self.eve_kind!r}"
-            )
-        if not math.isfinite(self.ancilla_angle):
-            raise InvalidConfigError(
-                f"ancilla_angle must be finite, got {self.ancilla_angle!r}"
-            )
-        if self.resend_rule not in RESEND_RULES:
-            raise InvalidConfigError(
-                f"resend_rule must be one of {RESEND_RULES}, "
-                f"got {self.resend_rule!r}"
-            )
-        if not 0.0 <= self.attack_fraction <= 1.0:
-            raise InvalidConfigError("attack_fraction must be in [0, 1]")
+        check_strategy(
+            self.eve_kind, self.ancilla_angle, self.resend_rule,
+            self.attack_fraction,
+        )
         if (self.pa_leak_bits is None) != (self.pa_margin_bits is None):
             raise InvalidConfigError(
                 "pa_leak_bits and pa_margin_bits must be given together"
@@ -153,21 +138,11 @@ class ExperimentConfig:
         return self.pa_leak_bits is not None
 
 
-def build_strategy(config: ExperimentConfig) -> EveStrategy:
-    """Instantiate the adversary the config describes."""
-    if config.eve_kind == "none":
-        return NoEve()
-    if config.eve_kind == "intercept-resend":
-        return InterceptResend(attack_fraction=config.attack_fraction)
-    table = build_reference_list(QuantumState(config.ancilla_angle))
-    if config.eve_kind == "indirect-oracle":
-        return IndirectCopyOracle(
-            reference_list=table, attack_fraction=config.attack_fraction
-        )
-    return IndirectCopyPhysical(
-        reference_list=table,
-        resend_rule=ResendRule(config.resend_rule),
-        attack_fraction=config.attack_fraction,
+def build_strategy(config: ExperimentConfig) -> ChannelTable:
+    """The channel table of the adversary the config describes."""
+    return channel_table(
+        config.eve_kind, config.ancilla_angle, config.resend_rule,
+        config.attack_fraction,
     )
 
 
@@ -346,7 +321,7 @@ def _shares(batch: SessionBatch, hits: np.ndarray) -> list[float]:
 
 
 def _experiment_rows(
-    config: ExperimentConfig, strategy: EveStrategy, indices: range
+    config: ExperimentConfig, strategy: ChannelTable, indices: range
 ) -> list[SessionRow]:
     rngs = _session_rngs(config, indices)
     batch = run_batch(config.session_config, strategy, rngs)

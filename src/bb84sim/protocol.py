@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .adversary import EveStrategy
+from .adversary import ChannelTable
 from .errors import InvalidConfigError, KeyTooShortError
 from .quantum import BASIS_ANGLES, measure
 from .stream import Words, random_bits, uniforms
@@ -215,7 +215,7 @@ def prepare_pulses(
 
 def transmit(
     codes: np.ndarray,
-    adversary: EveStrategy,
+    adversary: ChannelTable,
     efficiency: float,
     rng: random.Random | Words,
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
@@ -401,7 +401,7 @@ def parity_verify(
 
 def run_batch(
     config: SessionConfig,
-    adversary: EveStrategy,
+    adversary: ChannelTable,
     rngs: Sequence[random.Random],
     flip: bool = False,
 ) -> SessionBatch:
@@ -469,7 +469,7 @@ def run_batch(
 
 
 def run_session(
-    config: SessionConfig, adversary: EveStrategy, rng: random.Random
+    config: SessionConfig, adversary: ChannelTable, rng: random.Random
 ) -> SessionTranscript:
     """Execute one full session and return its transcript: ``run_batch``
     on a batch of one.

@@ -20,7 +20,7 @@ import time
 import numpy as np
 import pytest
 
-from bb84sim.adversary import IndirectCopyOracle, IndirectCopyPhysical, InterceptResend
+from bb84sim.adversary import channel_table
 from bb84sim.amplification import (
     PrivacyParams,
     compress,
@@ -118,10 +118,9 @@ def test_criterion_3_oracle_attack_transparency():
 def test_criterion_4_single_shot_attack_detectability():
     started = time.perf_counter()
     analytic = enumerate_single_shot_qber(DEFAULT_ANCILLA_ANGLE, "max-posterior")
-    table = build_reference_list(QuantumState(DEFAULT_ANCILLA_ANGLE))
     transcript = run_session(
         SessionConfig(n_pulses=100_000),
-        IndirectCopyPhysical(reference_list=table),
+        channel_table("indirect-physical"),
         random.Random(derive_seed(4, 0)),
     )
     ok = abs(analytic - 0.2835) <= 5e-4 and abs(transcript.qber - analytic) <= 0.01
@@ -281,9 +280,8 @@ def _attack_transcripts(eve, master_seed, count):
 
 def test_criterion_8d_oracle_advantage_saturates():
     started = time.perf_counter()
-    table = build_reference_list(QuantumState(DEFAULT_ANCILLA_ANGLE))
     transcripts = _attack_transcripts(
-        IndirectCopyOracle(reference_list=table), master_seed=84, count=200
+        channel_table("indirect-oracle"), master_seed=84, count=200
     )
     advantages = []
     for margin in (4, 8, 16):
@@ -302,7 +300,7 @@ def test_criterion_8d_oracle_advantage_saturates():
 def test_criterion_8e_intercept_resend_advantage_decreasing():
     started = time.perf_counter()
     transcripts = _attack_transcripts(
-        InterceptResend(), master_seed=85, count=1_000
+        channel_table("intercept-resend"), master_seed=85, count=1_000
     )
     accuracies = [
         np.count_nonzero(t.eve_bits == t.sifted_alice) / len(t.sifted_alice)

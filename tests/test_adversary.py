@@ -6,20 +6,18 @@ measurement outcomes, and the receiver's matched-basis error probability
 for whatever state gets forwarded.
 """
 
+import hashlib
+import json
 import math
 import random
 
 import numpy as np
 import pytest
 
-from bb84sim.adversary import (
-    IndirectCopyOracle,
-    IndirectCopyPhysical,
-    InterceptResend,
-    NoEve,
-    ResendRule,
-)
-from bb84sim.errors import DegenerateAncillaError, NoMatchError
+from bb84sim import cli
+from bb84sim.adversary import RESEND_RULES, channel_table
+from bb84sim.errors import DegenerateAncillaError, InvalidConfigError
+from bb84sim.harness import ExperimentConfig, build_strategy
 from bb84sim.protocol import SessionConfig, run_session, transmit
 from bb84sim.quantum import (
     BQS,
@@ -116,6 +114,13 @@ def enumerate_max_posterior_mapping(ancilla_angle: float):
     return BQS_ANGLES[aligned], BQS_ANGLES[orthogonal]
 
 
+def assert_max_posterior_table(eve, want):
+    """The max-posterior table forwards the guess for each outcome and
+    guesses that state's bit, outcome 0 (the ancilla) first."""
+    assert eve.forwarded_angles.tolist() == list(want)
+    assert eve.guess_bits.tolist() == [BQS_ANGLES.index(a) % 2 for a in want]
+
+
 def sample(eve, codes, seed):
     """Intercept the pulses BQS[codes] with fresh uniforms."""
     codes = np.asarray(codes, dtype=np.uint8)
@@ -143,7 +148,7 @@ def assert_basis_qber(transcript, expected):
 
 class TestNoEve:
     def test_pass_through(self):
-        eve = NoEve()
+        eve = channel_table("none")
         codes = np.arange(4, dtype=np.uint8)
         for u in (0.0, 0.5, 1.0 - 2.0**-53):
             forwarded, guesses = eve.intercept(codes, np.full(4, u))
@@ -152,7 +157,8 @@ class TestNoEve:
 
     def test_zero_qber_in_session(self):
         transcript = run_session(
-            SessionConfig(n_pulses=5_000), NoEve(), random.Random(5)
+            SessionConfig(n_pulses=5_000), channel_table("none"),
+            random.Random(5),
         )
         assert transcript.qber == 0.0
         assert transcript.eve_bits is None
@@ -162,20 +168,23 @@ class TestInterceptResend:
     def test_matching_basis_pulse_forwarded_intact(self):
         # When Eve's basis matches |0>, the collapse is the identity and
         # the guess is right; the orthogonal state is never forwarded.
-        forwarded, guesses = sample(InterceptResend(), np.zeros(200), 1)
+        eve = channel_table("intercept-resend")
+        forwarded, guesses = sample(eve, np.zeros(200), 1)
         intact = forwarded == 0.0
         assert intact.any()
         assert np.all(guesses[intact] == 0)
         assert not np.any(forwarded == math.pi / 2)
 
     def test_forwarded_states_stay_on_alphabet(self):
-        forwarded, _ = sample(InterceptResend(), random_codes(1000, 2), 3)
+        eve = channel_table("intercept-resend")
+        forwarded, _ = sample(eve, random_codes(1000, 2), 3)
         assert set(forwarded.tolist()) <= set(BQS_ANGLES)
 
     def test_wrong_basis_resend_is_a_fair_coin(self):
         # oracle: |0> measured diagonally lands on either diagonal with
         # probability cos^2(pi/4) = 1/2
-        forwarded, guesses = sample(InterceptResend(), np.zeros(100_000), 3)
+        eve = channel_table("intercept-resend")
+        forwarded, guesses = sample(eve, np.zeros(100_000), 3)
         diagonal = (forwarded == math.pi / 4) | (forwarded == 3 * math.pi / 4)
         trials = int(np.count_nonzero(diagonal))
         zeros = int(np.count_nonzero(forwarded == math.pi / 4))
@@ -186,7 +195,8 @@ class TestInterceptResend:
 
     def test_session_qber_near_one_quarter(self):
         transcript = run_session(
-            SessionConfig(n_pulses=100_000), InterceptResend(), random.Random(8)
+            SessionConfig(n_pulses=100_000), channel_table("intercept-resend"),
+            random.Random(8),
         )
         assert transcript.qber == pytest.approx(0.25, abs=0.01)
 
@@ -195,7 +205,8 @@ class TestInterceptResend:
         # basis half the time (coin), so (1 + 1/2) / 2 = 3/4
         expected = (1.0 + 0.5) / 2.0
         transcript = run_session(
-            SessionConfig(n_pulses=100_000), InterceptResend(), random.Random(9)
+            SessionConfig(n_pulses=100_000), channel_table("intercept-resend"),
+            random.Random(9),
         )
         hits = np.count_nonzero(transcript.eve_bits == transcript.sifted_alice)
         assert hits / len(transcript.sifted_alice) == pytest.approx(
@@ -208,7 +219,7 @@ class TestInterceptResend:
         fraction = 0.5
         transcript = run_session(
             SessionConfig(n_pulses=100_000),
-            InterceptResend(attack_fraction=fraction),
+            channel_table("intercept-resend", attack_fraction=fraction),
             random.Random(10),
         )
         assert transcript.qber == pytest.approx(fraction * 0.25, abs=0.01)
@@ -222,18 +233,27 @@ class TestInterceptResend:
         want = enumerate_basis_qber(intercept_resend_channel)
         assert want == pytest.approx((0.25, 0.25), abs=1e-12)
         transcript = run_session(
-            SessionConfig(n_pulses=100_000), InterceptResend(), random.Random(45)
+            SessionConfig(n_pulses=100_000), channel_table("intercept-resend"),
+            random.Random(45),
         )
         assert_basis_qber(transcript, want)
 
     def test_bad_fraction_rejected(self):
         with pytest.raises(ValueError):
-            InterceptResend(attack_fraction=1.5)
+            channel_table("intercept-resend", attack_fraction=1.5)
+
+    @pytest.mark.parametrize("args", [
+        ("beamsplit",), ("indirect-physical", 0.5, "resend-twice"),
+        ("indirect-physical", math.nan), ("none", math.inf),
+    ])
+    def test_bad_builder_arguments_rejected(self, args):
+        with pytest.raises(InvalidConfigError):
+            channel_table(*args)
 
     def test_impossible_outcomes_are_never_drawn(self):
         # the orthogonal partner of the sent state has probability 0, also
         # after rounding in the cumulative table, at both ends of [0, 1)
-        eve = InterceptResend(attack_fraction=0.7)
+        eve = channel_table("intercept-resend", attack_fraction=0.7)
         codes = np.arange(4, dtype=np.uint8)
         orthogonal = [math.pi / 2, 0.0, 3 * math.pi / 4, math.pi / 4]
         for u in (0.0, 1.0 - 2.0**-53):
@@ -243,7 +263,7 @@ class TestInterceptResend:
 
 class TestIndirectCopyOracle:
     def test_transparent_on_every_signal_state(self):
-        eve = IndirectCopyOracle(reference_list=make_table())
+        eve = channel_table("indirect-oracle")
         codes = np.arange(4, dtype=np.uint8)
         for u in (0.0, 0.5, 1.0 - 2.0**-53):
             forwarded, guesses = eve.intercept(codes, np.full(4, u))
@@ -260,23 +280,14 @@ class TestIndirectCopyOracle:
     def test_session_is_error_free_and_fully_leaked(self):
         transcript = run_session(
             SessionConfig(n_pulses=100_000),
-            IndirectCopyOracle(reference_list=make_table()),
+            channel_table("indirect-oracle"),
             random.Random(21),
         )
         assert transcript.qber == 0.0
         assert np.array_equal(transcript.eve_bits, transcript.sifted_alice)
 
-    def test_off_alphabet_pulse_raises(self):
-        # the table is read through ReferenceList.lookup, so a list that
-        # misses a signal state cannot identify that pulse
-        partial = build_reference_list(
-            QuantumState(DEFAULT_ANCILLA_ANGLE), signal_states=BQS[:3]
-        )
-        with pytest.raises(NoMatchError):
-            IndirectCopyOracle(reference_list=partial)
-
     def test_works_for_non_default_ancilla(self):
-        eve = IndirectCopyOracle(reference_list=make_table(0.41))
+        eve = channel_table("indirect-oracle", 0.41)
         forwarded, _ = sample(eve, random_codes(500, 4), 4)
         assert forwarded.tolist() == [
             BQS_ANGLES[code] for code in random_codes(500, 4)
@@ -285,7 +296,7 @@ class TestIndirectCopyOracle:
     def test_partial_fraction_still_forwards_the_sent_state(self):
         # blind passes forward the pulse untouched too, so even at u -> 1
         # every pulse arrives as sent; only the guess becomes a coin
-        eve = IndirectCopyOracle(reference_list=make_table(), attack_fraction=0.3)
+        eve = channel_table("indirect-oracle", attack_fraction=0.3)
         codes = np.arange(4, dtype=np.uint8)
         for u in (0.0, 0.5, 1.0 - 2.0**-53):
             forwarded, guesses = eve.intercept(codes, np.full(4, u))
@@ -297,12 +308,13 @@ class TestIndirectCopyPhysical:
     def test_outcome_frequency_follows_born_rule(self):
         # oracle: |0> projects onto the pi/6 probe with cos^2(pi/6) = 3/4,
         # and max-posterior forwards the guess for that outcome
-        eve = IndirectCopyPhysical(reference_list=make_table())
+        eve = channel_table("indirect-physical")
         trials = 100_000
         p = math.cos(DEFAULT_ANCILLA_ANGLE) ** 2
         sigma = math.sqrt(p * (1 - p) / trials)
         forwarded, _ = sample(eve, np.zeros(trials), 6)
-        aligned = np.count_nonzero(forwarded == eve.posterior_guess(0).angle)
+        guess = enumerate_max_posterior_mapping(DEFAULT_ANCILLA_ANGLE)[0]
+        aligned = np.count_nonzero(forwarded == guess)
         assert abs(aligned / trials - p) < 4 * sigma
 
     def test_max_posterior_mapping_default_ancilla(self):
@@ -310,21 +322,64 @@ class TestIndirectCopyPhysical:
             DEFAULT_ANCILLA_ANGLE
         )
         assert (want_aligned, want_orthogonal) == (math.pi / 4, 3 * math.pi / 4)
-        eve = IndirectCopyPhysical(reference_list=make_table())
-        assert eve.posterior_guess(0) == QuantumState(want_aligned)
-        assert eve.posterior_guess(1) == QuantumState(want_orthogonal)
+        assert_max_posterior_table(
+            channel_table("indirect-physical"), (want_aligned, want_orthogonal)
+        )
 
     def test_max_posterior_mapping_across_ancillas(self):
         for theta in (0.3, 0.41, 1.0, 1.4, 2.2, 2.9):
-            eve = IndirectCopyPhysical(reference_list=make_table(theta))
-            want = enumerate_max_posterior_mapping(theta)
-            assert eve.posterior_guess(0) == QuantumState(want[0])
-            assert eve.posterior_guess(1) == QuantumState(want[1])
+            assert_max_posterior_table(
+                channel_table("indirect-physical", theta),
+                enumerate_max_posterior_mapping(theta),
+            )
+
+    def test_max_posterior_mapping_at_tied_overlaps(self):
+        # at multiples of pi/8 two signal states tie in overlap with the
+        # ancilla (H and D at pi/8), and the oracle's table is refused; the
+        # single-shot argmax still picks one.  Angles in [0, pi) are their
+        # own reduction, so the oracle's cosines round like the table's.
+        assert enumerate_max_posterior_mapping(math.pi / 8) == (
+            0.0, math.pi / 2
+        )
+        for i in range(8):
+            theta = i * math.pi / 8
+            with pytest.raises(DegenerateAncillaError):
+                make_table(theta)
+            for rule in RESEND_RULES:
+                channel_table("indirect-physical", theta, rule)
+            assert_max_posterior_table(
+                channel_table("indirect-physical", theta),
+                enumerate_max_posterior_mapping(theta),
+            )
+
+    @pytest.mark.parametrize("rule", RESEND_RULES)
+    def test_breidbart_angle_runs_from_the_command_line(
+        self, rule, tmp_path
+    ):
+        # pi/8 ties two overlaps, which only the oracle's one-to-one table
+        # refuses; the sifted QBER lies within 6 sigma of the enumeration
+        out = tmp_path / "report.json"
+        code = cli.main([
+            "run", "--eve", "indirect-physical", "--resend-rule", rule,
+            "--ancilla-angle", "0.39269908169872414", "--pulses", "40000",
+            "--sessions", "1", "--seed", "3", "--out", str(out),
+        ])
+        assert code == 0
+        row = json.loads(out.read_text())["sessions"][0]
+        want = enumerate_single_shot_qber(math.pi / 8, rule)
+        sigma = math.sqrt(want * (1 - want) / row["sifted_length"])
+        assert abs(row["qber"] - want) <= 6 * sigma, (row["qber"], want)
+
+    def test_breidbart_angle_still_refused_for_the_oracle(self, capsys):
+        assert cli.main([
+            "run", "--eve", "indirect-oracle",
+            "--ancilla-angle", "0.39269908169872414", "--pulses", "10",
+            "--sessions", "1",
+        ]) == 2
+        assert "same value" in capsys.readouterr().err
 
     def test_resend_ancilla_forwards_probe_eigenstates(self):
-        eve = IndirectCopyPhysical(
-            reference_list=make_table(), resend_rule=ResendRule.RESEND_ANCILLA
-        )
+        eve = channel_table("indirect-physical", resend_rule="resend-ancilla")
         probe_states = {
             QuantumState(DEFAULT_ANCILLA_ANGLE),
             QuantumState(DEFAULT_ANCILLA_ANGLE + math.pi / 2),
@@ -337,15 +392,11 @@ class TestIndirectCopyPhysical:
         assert got == pytest.approx(0.2835, abs=5e-4)
 
     def test_monte_carlo_agrees_with_enumeration(self):
-        for rule in ResendRule:
-            expected = enumerate_single_shot_qber(
-                DEFAULT_ANCILLA_ANGLE, rule.value
-            )
+        for rule in RESEND_RULES:
+            expected = enumerate_single_shot_qber(DEFAULT_ANCILLA_ANGLE, rule)
             transcript = run_session(
                 SessionConfig(n_pulses=100_000),
-                IndirectCopyPhysical(
-                    reference_list=make_table(), resend_rule=rule
-                ),
+                channel_table("indirect-physical", resend_rule=rule),
                 random.Random(31),
             )
             assert transcript.qber == pytest.approx(expected, abs=0.01)
@@ -364,7 +415,7 @@ class TestIndirectCopyPhysical:
         )
         transcript = run_session(
             SessionConfig(n_pulses=100_000),
-            IndirectCopyPhysical(reference_list=make_table()),
+            channel_table("indirect-physical"),
             random.Random(44),
         )
         assert_basis_qber(transcript, want)
@@ -384,15 +435,286 @@ class TestIndirectCopyPhysical:
 
 class TestDeterminism:
     def test_intercept_reproducible_from_rng_state(self):
-        table = make_table()
         codes = random_codes(200, 123)
         for eve in (
-            NoEve(),
-            InterceptResend(),
-            IndirectCopyOracle(reference_list=table),
-            IndirectCopyPhysical(reference_list=table),
+            channel_table("none"),
+            channel_table("intercept-resend"),
+            channel_table("indirect-oracle"),
+            channel_table("indirect-physical"),
         ):
             first = transmit(codes, eve, 0.9, random.Random(77))
             second = transmit(codes, eve, 0.9, random.Random(77))
             for a, b in zip(first, second):
                 assert (a is None and b is None) or np.array_equal(a, b)
+
+
+# sha256 of the forwarded angles and guesses ``intercept`` returns for every
+# signal state at ``PIN_UNIFORMS``, keyed (kind, ancilla angle, resend rule,
+# attack fraction).  Pinned before the strategies became plain tables; a
+# moved digest is a changed channel.
+TABLE_DIGESTS = {
+    ("none", "pi/6", "max-posterior", 0.0):
+        "fbe11ce4e513e92cefb235ddd7e4efe39fa578e4237e61422490fbd2fd3bbebc",
+    ("none", "pi/6", "max-posterior", 0.3):
+        "fbe11ce4e513e92cefb235ddd7e4efe39fa578e4237e61422490fbd2fd3bbebc",
+    ("none", "pi/6", "max-posterior", 1.0):
+        "fbe11ce4e513e92cefb235ddd7e4efe39fa578e4237e61422490fbd2fd3bbebc",
+    ("none", "pi/6", "resend-ancilla", 0.0):
+        "fbe11ce4e513e92cefb235ddd7e4efe39fa578e4237e61422490fbd2fd3bbebc",
+    ("none", "pi/6", "resend-ancilla", 0.3):
+        "fbe11ce4e513e92cefb235ddd7e4efe39fa578e4237e61422490fbd2fd3bbebc",
+    ("none", "pi/6", "resend-ancilla", 1.0):
+        "fbe11ce4e513e92cefb235ddd7e4efe39fa578e4237e61422490fbd2fd3bbebc",
+    ("none", "0.41", "max-posterior", 0.0):
+        "fbe11ce4e513e92cefb235ddd7e4efe39fa578e4237e61422490fbd2fd3bbebc",
+    ("none", "0.41", "max-posterior", 0.3):
+        "fbe11ce4e513e92cefb235ddd7e4efe39fa578e4237e61422490fbd2fd3bbebc",
+    ("none", "0.41", "max-posterior", 1.0):
+        "fbe11ce4e513e92cefb235ddd7e4efe39fa578e4237e61422490fbd2fd3bbebc",
+    ("none", "0.41", "resend-ancilla", 0.0):
+        "fbe11ce4e513e92cefb235ddd7e4efe39fa578e4237e61422490fbd2fd3bbebc",
+    ("none", "0.41", "resend-ancilla", 0.3):
+        "fbe11ce4e513e92cefb235ddd7e4efe39fa578e4237e61422490fbd2fd3bbebc",
+    ("none", "0.41", "resend-ancilla", 1.0):
+        "fbe11ce4e513e92cefb235ddd7e4efe39fa578e4237e61422490fbd2fd3bbebc",
+    ("none", "pi/3", "max-posterior", 0.0):
+        "fbe11ce4e513e92cefb235ddd7e4efe39fa578e4237e61422490fbd2fd3bbebc",
+    ("none", "pi/3", "max-posterior", 0.3):
+        "fbe11ce4e513e92cefb235ddd7e4efe39fa578e4237e61422490fbd2fd3bbebc",
+    ("none", "pi/3", "max-posterior", 1.0):
+        "fbe11ce4e513e92cefb235ddd7e4efe39fa578e4237e61422490fbd2fd3bbebc",
+    ("none", "pi/3", "resend-ancilla", 0.0):
+        "fbe11ce4e513e92cefb235ddd7e4efe39fa578e4237e61422490fbd2fd3bbebc",
+    ("none", "pi/3", "resend-ancilla", 0.3):
+        "fbe11ce4e513e92cefb235ddd7e4efe39fa578e4237e61422490fbd2fd3bbebc",
+    ("none", "pi/3", "resend-ancilla", 1.0):
+        "fbe11ce4e513e92cefb235ddd7e4efe39fa578e4237e61422490fbd2fd3bbebc",
+    ("none", "2.5", "max-posterior", 0.0):
+        "fbe11ce4e513e92cefb235ddd7e4efe39fa578e4237e61422490fbd2fd3bbebc",
+    ("none", "2.5", "max-posterior", 0.3):
+        "fbe11ce4e513e92cefb235ddd7e4efe39fa578e4237e61422490fbd2fd3bbebc",
+    ("none", "2.5", "max-posterior", 1.0):
+        "fbe11ce4e513e92cefb235ddd7e4efe39fa578e4237e61422490fbd2fd3bbebc",
+    ("none", "2.5", "resend-ancilla", 0.0):
+        "fbe11ce4e513e92cefb235ddd7e4efe39fa578e4237e61422490fbd2fd3bbebc",
+    ("none", "2.5", "resend-ancilla", 0.3):
+        "fbe11ce4e513e92cefb235ddd7e4efe39fa578e4237e61422490fbd2fd3bbebc",
+    ("none", "2.5", "resend-ancilla", 1.0):
+        "fbe11ce4e513e92cefb235ddd7e4efe39fa578e4237e61422490fbd2fd3bbebc",
+    ("none", "-0.7", "max-posterior", 0.0):
+        "fbe11ce4e513e92cefb235ddd7e4efe39fa578e4237e61422490fbd2fd3bbebc",
+    ("none", "-0.7", "max-posterior", 0.3):
+        "fbe11ce4e513e92cefb235ddd7e4efe39fa578e4237e61422490fbd2fd3bbebc",
+    ("none", "-0.7", "max-posterior", 1.0):
+        "fbe11ce4e513e92cefb235ddd7e4efe39fa578e4237e61422490fbd2fd3bbebc",
+    ("none", "-0.7", "resend-ancilla", 0.0):
+        "fbe11ce4e513e92cefb235ddd7e4efe39fa578e4237e61422490fbd2fd3bbebc",
+    ("none", "-0.7", "resend-ancilla", 0.3):
+        "fbe11ce4e513e92cefb235ddd7e4efe39fa578e4237e61422490fbd2fd3bbebc",
+    ("none", "-0.7", "resend-ancilla", 1.0):
+        "fbe11ce4e513e92cefb235ddd7e4efe39fa578e4237e61422490fbd2fd3bbebc",
+    ("intercept-resend", "pi/6", "max-posterior", 0.0):
+        "df72fe6ba1b0fea77e4be33785e7b987963463f8f3ec32ce3f28c38cf2abd4ed",
+    ("intercept-resend", "pi/6", "max-posterior", 0.3):
+        "f590527c645159fdfbdc45fbe3247ac129deae9a62ef3efef9a2353c06107270",
+    ("intercept-resend", "pi/6", "max-posterior", 1.0):
+        "1d579ca71006ebc8e3f4ddb8d43745a61bdc15696bf5a3d15cb5d6b45b448303",
+    ("intercept-resend", "pi/6", "resend-ancilla", 0.0):
+        "df72fe6ba1b0fea77e4be33785e7b987963463f8f3ec32ce3f28c38cf2abd4ed",
+    ("intercept-resend", "pi/6", "resend-ancilla", 0.3):
+        "f590527c645159fdfbdc45fbe3247ac129deae9a62ef3efef9a2353c06107270",
+    ("intercept-resend", "pi/6", "resend-ancilla", 1.0):
+        "1d579ca71006ebc8e3f4ddb8d43745a61bdc15696bf5a3d15cb5d6b45b448303",
+    ("intercept-resend", "0.41", "max-posterior", 0.0):
+        "df72fe6ba1b0fea77e4be33785e7b987963463f8f3ec32ce3f28c38cf2abd4ed",
+    ("intercept-resend", "0.41", "max-posterior", 0.3):
+        "f590527c645159fdfbdc45fbe3247ac129deae9a62ef3efef9a2353c06107270",
+    ("intercept-resend", "0.41", "max-posterior", 1.0):
+        "1d579ca71006ebc8e3f4ddb8d43745a61bdc15696bf5a3d15cb5d6b45b448303",
+    ("intercept-resend", "0.41", "resend-ancilla", 0.0):
+        "df72fe6ba1b0fea77e4be33785e7b987963463f8f3ec32ce3f28c38cf2abd4ed",
+    ("intercept-resend", "0.41", "resend-ancilla", 0.3):
+        "f590527c645159fdfbdc45fbe3247ac129deae9a62ef3efef9a2353c06107270",
+    ("intercept-resend", "0.41", "resend-ancilla", 1.0):
+        "1d579ca71006ebc8e3f4ddb8d43745a61bdc15696bf5a3d15cb5d6b45b448303",
+    ("intercept-resend", "pi/3", "max-posterior", 0.0):
+        "df72fe6ba1b0fea77e4be33785e7b987963463f8f3ec32ce3f28c38cf2abd4ed",
+    ("intercept-resend", "pi/3", "max-posterior", 0.3):
+        "f590527c645159fdfbdc45fbe3247ac129deae9a62ef3efef9a2353c06107270",
+    ("intercept-resend", "pi/3", "max-posterior", 1.0):
+        "1d579ca71006ebc8e3f4ddb8d43745a61bdc15696bf5a3d15cb5d6b45b448303",
+    ("intercept-resend", "pi/3", "resend-ancilla", 0.0):
+        "df72fe6ba1b0fea77e4be33785e7b987963463f8f3ec32ce3f28c38cf2abd4ed",
+    ("intercept-resend", "pi/3", "resend-ancilla", 0.3):
+        "f590527c645159fdfbdc45fbe3247ac129deae9a62ef3efef9a2353c06107270",
+    ("intercept-resend", "pi/3", "resend-ancilla", 1.0):
+        "1d579ca71006ebc8e3f4ddb8d43745a61bdc15696bf5a3d15cb5d6b45b448303",
+    ("intercept-resend", "2.5", "max-posterior", 0.0):
+        "df72fe6ba1b0fea77e4be33785e7b987963463f8f3ec32ce3f28c38cf2abd4ed",
+    ("intercept-resend", "2.5", "max-posterior", 0.3):
+        "f590527c645159fdfbdc45fbe3247ac129deae9a62ef3efef9a2353c06107270",
+    ("intercept-resend", "2.5", "max-posterior", 1.0):
+        "1d579ca71006ebc8e3f4ddb8d43745a61bdc15696bf5a3d15cb5d6b45b448303",
+    ("intercept-resend", "2.5", "resend-ancilla", 0.0):
+        "df72fe6ba1b0fea77e4be33785e7b987963463f8f3ec32ce3f28c38cf2abd4ed",
+    ("intercept-resend", "2.5", "resend-ancilla", 0.3):
+        "f590527c645159fdfbdc45fbe3247ac129deae9a62ef3efef9a2353c06107270",
+    ("intercept-resend", "2.5", "resend-ancilla", 1.0):
+        "1d579ca71006ebc8e3f4ddb8d43745a61bdc15696bf5a3d15cb5d6b45b448303",
+    ("intercept-resend", "-0.7", "max-posterior", 0.0):
+        "df72fe6ba1b0fea77e4be33785e7b987963463f8f3ec32ce3f28c38cf2abd4ed",
+    ("intercept-resend", "-0.7", "max-posterior", 0.3):
+        "f590527c645159fdfbdc45fbe3247ac129deae9a62ef3efef9a2353c06107270",
+    ("intercept-resend", "-0.7", "max-posterior", 1.0):
+        "1d579ca71006ebc8e3f4ddb8d43745a61bdc15696bf5a3d15cb5d6b45b448303",
+    ("intercept-resend", "-0.7", "resend-ancilla", 0.0):
+        "df72fe6ba1b0fea77e4be33785e7b987963463f8f3ec32ce3f28c38cf2abd4ed",
+    ("intercept-resend", "-0.7", "resend-ancilla", 0.3):
+        "f590527c645159fdfbdc45fbe3247ac129deae9a62ef3efef9a2353c06107270",
+    ("intercept-resend", "-0.7", "resend-ancilla", 1.0):
+        "1d579ca71006ebc8e3f4ddb8d43745a61bdc15696bf5a3d15cb5d6b45b448303",
+    ("indirect-oracle", "pi/6", "max-posterior", 0.0):
+        "df72fe6ba1b0fea77e4be33785e7b987963463f8f3ec32ce3f28c38cf2abd4ed",
+    ("indirect-oracle", "pi/6", "max-posterior", 0.3):
+        "8bd0690b69c8ade28c04cebd86f8f877850f0365ba9fafc229b9b5c9940cf024",
+    ("indirect-oracle", "pi/6", "max-posterior", 1.0):
+        "03ce60935968247364fe04d6ed7d2be3501203004c41749b9550f1ec91592011",
+    ("indirect-oracle", "pi/6", "resend-ancilla", 0.0):
+        "df72fe6ba1b0fea77e4be33785e7b987963463f8f3ec32ce3f28c38cf2abd4ed",
+    ("indirect-oracle", "pi/6", "resend-ancilla", 0.3):
+        "8bd0690b69c8ade28c04cebd86f8f877850f0365ba9fafc229b9b5c9940cf024",
+    ("indirect-oracle", "pi/6", "resend-ancilla", 1.0):
+        "03ce60935968247364fe04d6ed7d2be3501203004c41749b9550f1ec91592011",
+    ("indirect-oracle", "0.41", "max-posterior", 0.0):
+        "df72fe6ba1b0fea77e4be33785e7b987963463f8f3ec32ce3f28c38cf2abd4ed",
+    ("indirect-oracle", "0.41", "max-posterior", 0.3):
+        "8bd0690b69c8ade28c04cebd86f8f877850f0365ba9fafc229b9b5c9940cf024",
+    ("indirect-oracle", "0.41", "max-posterior", 1.0):
+        "03ce60935968247364fe04d6ed7d2be3501203004c41749b9550f1ec91592011",
+    ("indirect-oracle", "0.41", "resend-ancilla", 0.0):
+        "df72fe6ba1b0fea77e4be33785e7b987963463f8f3ec32ce3f28c38cf2abd4ed",
+    ("indirect-oracle", "0.41", "resend-ancilla", 0.3):
+        "8bd0690b69c8ade28c04cebd86f8f877850f0365ba9fafc229b9b5c9940cf024",
+    ("indirect-oracle", "0.41", "resend-ancilla", 1.0):
+        "03ce60935968247364fe04d6ed7d2be3501203004c41749b9550f1ec91592011",
+    ("indirect-oracle", "pi/3", "max-posterior", 0.0):
+        "df72fe6ba1b0fea77e4be33785e7b987963463f8f3ec32ce3f28c38cf2abd4ed",
+    ("indirect-oracle", "pi/3", "max-posterior", 0.3):
+        "8bd0690b69c8ade28c04cebd86f8f877850f0365ba9fafc229b9b5c9940cf024",
+    ("indirect-oracle", "pi/3", "max-posterior", 1.0):
+        "03ce60935968247364fe04d6ed7d2be3501203004c41749b9550f1ec91592011",
+    ("indirect-oracle", "pi/3", "resend-ancilla", 0.0):
+        "df72fe6ba1b0fea77e4be33785e7b987963463f8f3ec32ce3f28c38cf2abd4ed",
+    ("indirect-oracle", "pi/3", "resend-ancilla", 0.3):
+        "8bd0690b69c8ade28c04cebd86f8f877850f0365ba9fafc229b9b5c9940cf024",
+    ("indirect-oracle", "pi/3", "resend-ancilla", 1.0):
+        "03ce60935968247364fe04d6ed7d2be3501203004c41749b9550f1ec91592011",
+    ("indirect-oracle", "2.5", "max-posterior", 0.0):
+        "df72fe6ba1b0fea77e4be33785e7b987963463f8f3ec32ce3f28c38cf2abd4ed",
+    ("indirect-oracle", "2.5", "max-posterior", 0.3):
+        "8bd0690b69c8ade28c04cebd86f8f877850f0365ba9fafc229b9b5c9940cf024",
+    ("indirect-oracle", "2.5", "max-posterior", 1.0):
+        "03ce60935968247364fe04d6ed7d2be3501203004c41749b9550f1ec91592011",
+    ("indirect-oracle", "2.5", "resend-ancilla", 0.0):
+        "df72fe6ba1b0fea77e4be33785e7b987963463f8f3ec32ce3f28c38cf2abd4ed",
+    ("indirect-oracle", "2.5", "resend-ancilla", 0.3):
+        "8bd0690b69c8ade28c04cebd86f8f877850f0365ba9fafc229b9b5c9940cf024",
+    ("indirect-oracle", "2.5", "resend-ancilla", 1.0):
+        "03ce60935968247364fe04d6ed7d2be3501203004c41749b9550f1ec91592011",
+    ("indirect-oracle", "-0.7", "max-posterior", 0.0):
+        "df72fe6ba1b0fea77e4be33785e7b987963463f8f3ec32ce3f28c38cf2abd4ed",
+    ("indirect-oracle", "-0.7", "max-posterior", 0.3):
+        "8bd0690b69c8ade28c04cebd86f8f877850f0365ba9fafc229b9b5c9940cf024",
+    ("indirect-oracle", "-0.7", "max-posterior", 1.0):
+        "03ce60935968247364fe04d6ed7d2be3501203004c41749b9550f1ec91592011",
+    ("indirect-oracle", "-0.7", "resend-ancilla", 0.0):
+        "df72fe6ba1b0fea77e4be33785e7b987963463f8f3ec32ce3f28c38cf2abd4ed",
+    ("indirect-oracle", "-0.7", "resend-ancilla", 0.3):
+        "8bd0690b69c8ade28c04cebd86f8f877850f0365ba9fafc229b9b5c9940cf024",
+    ("indirect-oracle", "-0.7", "resend-ancilla", 1.0):
+        "03ce60935968247364fe04d6ed7d2be3501203004c41749b9550f1ec91592011",
+    ("indirect-physical", "pi/6", "max-posterior", 0.0):
+        "df72fe6ba1b0fea77e4be33785e7b987963463f8f3ec32ce3f28c38cf2abd4ed",
+    ("indirect-physical", "pi/6", "max-posterior", 0.3):
+        "b16541023da9fc5ec302d1f82daef02b42c15071aaf38a5ef8a7436cf0243646",
+    ("indirect-physical", "pi/6", "max-posterior", 1.0):
+        "f42166ef01509dc186a2877c7180fd6353616ba724138ec72d56c3ddf06a5da0",
+    ("indirect-physical", "pi/6", "resend-ancilla", 0.0):
+        "df72fe6ba1b0fea77e4be33785e7b987963463f8f3ec32ce3f28c38cf2abd4ed",
+    ("indirect-physical", "pi/6", "resend-ancilla", 0.3):
+        "a98333a01e3fd6a9295e74024c4c2302ba8ea19095d4ff44ea46eaf9cc404053",
+    ("indirect-physical", "pi/6", "resend-ancilla", 1.0):
+        "4dc579f76a5352b99c71f8416bcc86b4de9e2be0705059bf057aceeedd3b680b",
+    ("indirect-physical", "0.41", "max-posterior", 0.0):
+        "df72fe6ba1b0fea77e4be33785e7b987963463f8f3ec32ce3f28c38cf2abd4ed",
+    ("indirect-physical", "0.41", "max-posterior", 0.3):
+        "1ce0259931fedf7cbb9cd8125d20f16238320d147429ebbdea4e458c3b657a38",
+    ("indirect-physical", "0.41", "max-posterior", 1.0):
+        "6095b1d55c8a922263901fe6486745e704aba133463abccd6fdc4ecb8f1952a3",
+    ("indirect-physical", "0.41", "resend-ancilla", 0.0):
+        "df72fe6ba1b0fea77e4be33785e7b987963463f8f3ec32ce3f28c38cf2abd4ed",
+    ("indirect-physical", "0.41", "resend-ancilla", 0.3):
+        "8934ee409fc4c324e0cca0079193f1e33bcb3c8cd8efa9e64ce0d4a60413e297",
+    ("indirect-physical", "0.41", "resend-ancilla", 1.0):
+        "3399dd2559f59d23281eb654dda170c2e5fd469d79da34826a80368264cc7cc8",
+    ("indirect-physical", "pi/3", "max-posterior", 0.0):
+        "df72fe6ba1b0fea77e4be33785e7b987963463f8f3ec32ce3f28c38cf2abd4ed",
+    ("indirect-physical", "pi/3", "max-posterior", 0.3):
+        "7b64443962821e6f3c0e8119b28a0d4e7ee9e3a9af8fa305cf6878a7591d516e",
+    ("indirect-physical", "pi/3", "max-posterior", 1.0):
+        "ffa7af7a34662558b17639b654d4b2e604933ca9cd62ab07498d173cccde8561",
+    ("indirect-physical", "pi/3", "resend-ancilla", 0.0):
+        "df72fe6ba1b0fea77e4be33785e7b987963463f8f3ec32ce3f28c38cf2abd4ed",
+    ("indirect-physical", "pi/3", "resend-ancilla", 0.3):
+        "cf952d005c731510e14953bb6fa41f7fe80eaf6bd05f472f8dd3fb668fafd277",
+    ("indirect-physical", "pi/3", "resend-ancilla", 1.0):
+        "1cf8677cc9a1179181c457276cdb934cef14bd5e5a17ff924bb382070a72021b",
+    ("indirect-physical", "2.5", "max-posterior", 0.0):
+        "df72fe6ba1b0fea77e4be33785e7b987963463f8f3ec32ce3f28c38cf2abd4ed",
+    ("indirect-physical", "2.5", "max-posterior", 0.3):
+        "62cefaebd74d966620bc4795a522739656a262c602c8bb4871f5b5470ee62246",
+    ("indirect-physical", "2.5", "max-posterior", 1.0):
+        "b9f879f7131b7a1b24c48badd2cafd0a3ab5065b3d3e913fb463ecd08fe77498",
+    ("indirect-physical", "2.5", "resend-ancilla", 0.0):
+        "df72fe6ba1b0fea77e4be33785e7b987963463f8f3ec32ce3f28c38cf2abd4ed",
+    ("indirect-physical", "2.5", "resend-ancilla", 0.3):
+        "e7f0bec0f5b4260bd5ca61d8b1cc5f10016da5c677dfcb2447e6ec14ab351051",
+    ("indirect-physical", "2.5", "resend-ancilla", 1.0):
+        "1f19b5d9896498241284a99e82bbcaa0dc3b35e4cbc579c712856b3cebe5ce35",
+    ("indirect-physical", "-0.7", "max-posterior", 0.0):
+        "df72fe6ba1b0fea77e4be33785e7b987963463f8f3ec32ce3f28c38cf2abd4ed",
+    ("indirect-physical", "-0.7", "max-posterior", 0.3):
+        "005d4a9dbfe5cf945c4dca2030a07f02ab2fb0440f5cdd952a14d2ac02534989",
+    ("indirect-physical", "-0.7", "max-posterior", 1.0):
+        "e1ea43edbd16a7b193eeb386d5c704d1a85bcaf8ca050856cba011eea72cb6dd",
+    ("indirect-physical", "-0.7", "resend-ancilla", 0.0):
+        "df72fe6ba1b0fea77e4be33785e7b987963463f8f3ec32ce3f28c38cf2abd4ed",
+    ("indirect-physical", "-0.7", "resend-ancilla", 0.3):
+        "d5f7d16b3a347225ca554201cd17e7c9d441c949bddb6ce9a7706272e8594e23",
+    ("indirect-physical", "-0.7", "resend-ancilla", 1.0):
+        "6d1ca76ba8e26347cd733a37cc58fbad8c4546d073e95fd1bcc4fe578a61c4ea",
+}
+PIN_THETAS = {
+    "pi/6": math.pi / 6, "0.41": 0.41, "pi/3": math.pi / 3, "2.5": 2.5,
+    "-0.7": -0.7,
+}
+PIN_UNIFORMS = np.concatenate(
+    ([0.0, 1.0 - 2.0**-53], uniforms(random.Random(2718), 510))
+)
+
+
+@pytest.mark.parametrize("kind, theta, rule, fraction", list(TABLE_DIGESTS))
+def test_table_digest_unchanged(kind, theta, rule, fraction):
+    eve = build_strategy(ExperimentConfig(
+        n_pulses=1, n_sessions=1, eve_kind=kind,
+        ancilla_angle=PIN_THETAS[theta], resend_rule=rule,
+        attack_fraction=fraction,
+    ))
+    codes = np.repeat(np.arange(4, dtype=np.uint8), len(PIN_UNIFORMS))
+    forwarded, guesses = eve.intercept(codes, np.tile(PIN_UNIFORMS, 4))
+    data = forwarded.tobytes()
+    if guesses is not None:
+        data += guesses.tobytes()
+    assert hashlib.sha256(data).hexdigest() == TABLE_DIGESTS[
+        (kind, theta, rule, fraction)
+    ]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bb84sim.adversary import IndirectCopyOracle, InterceptResend, NoEve
+from bb84sim.adversary import channel_table
 from bb84sim.amplification import (
     HashDescriptor,
     PrivacyParams,
@@ -23,11 +23,6 @@ from bb84sim.errors import (
 )
 from bb84sim.harness import derive_seed
 from bb84sim.protocol import SessionConfig, run_session
-from bb84sim.quantum import (
-    DEFAULT_ANCILLA_ANGLE,
-    QuantumState,
-    build_reference_list,
-)
 
 
 def random_bits(n, rng):
@@ -296,7 +291,7 @@ class TestHashedGuessAdvantage:
 
 class TestEveResidualInformation:
     def test_passive_channel_has_zero_information(self):
-        transcripts = transcripts_for(NoEve(), 5, seed=1)
+        transcripts = transcripts_for(channel_table("none"), 5, seed=1)
         params = PrivacyParams(input_bits=64, leak_bits=16, margin_bits=8)
         assert (
             eve_residual_information(transcripts, params, random.Random(0))
@@ -306,9 +301,8 @@ class TestEveResidualInformation:
     def test_oracle_attack_defeats_amplification(self):
         # the adversary's reconciled guess equals the key, so the hashed
         # guess equals the final key for every margin
-        table = build_reference_list(QuantumState(DEFAULT_ANCILLA_ANGLE))
         transcripts = transcripts_for(
-            IndirectCopyOracle(reference_list=table), 10, seed=2
+            channel_table("indirect-oracle"), 10, seed=2
         )
         for margin in (4, 8, 16):
             params = PrivacyParams(
@@ -320,15 +314,17 @@ class TestEveResidualInformation:
             )
 
     def test_mixed_transcripts_rejected(self):
-        mixed = transcripts_for(NoEve(), 2, seed=3) + transcripts_for(
-            InterceptResend(), 2, seed=4
-        )
+        mixed = transcripts_for(
+            channel_table("none"), 2, seed=3
+        ) + transcripts_for(channel_table("intercept-resend"), 2, seed=4)
         params = PrivacyParams(input_bits=64, leak_bits=16, margin_bits=8)
         with pytest.raises(MissingEveBitsError):
             eve_residual_information(mixed, params, random.Random(2))
 
     def test_short_reconciled_key_rejected(self):
-        transcripts = transcripts_for(InterceptResend(), 2, seed=5, n_pulses=40)
+        transcripts = transcripts_for(
+            channel_table("intercept-resend"), 2, seed=5, n_pulses=40
+        )
         params = PrivacyParams(input_bits=64, leak_bits=16, margin_bits=8)
         with pytest.raises(LengthMismatchError):
             eve_residual_information(transcripts, params, random.Random(3))
@@ -344,7 +340,9 @@ class TestEveResidualInformation:
         # output bits in expectation, so these values are sampling residue
         # at the 1/sqrt(sessions * r) scale, not recoverable information;
         # they pin the computation exactly.
-        transcripts = transcripts_for(InterceptResend(), 50, seed=7)
+        transcripts = transcripts_for(
+            channel_table("intercept-resend"), 50, seed=7
+        )
         observed = []
         for margin in (4, 8, 16):
             params = PrivacyParams(

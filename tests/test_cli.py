@@ -7,7 +7,7 @@ import re
 import pytest
 
 from bb84sim import cli
-from bb84sim.adversary import NoEve
+from bb84sim.adversary import channel_table
 from bb84sim.cli import build_parser, main
 from bb84sim.errors import KeyTooShortError
 from bb84sim.harness import ExperimentReport, derive_seed
@@ -179,7 +179,7 @@ class TestRunCommand:
         with pytest.raises(KeyTooShortError):
             run_session(
                 SessionConfig(n_pulses=20, efficiency=0.3, parity_rounds=8),
-                NoEve(),
+                channel_table("none"),
                 random.Random(seed),
             )
 

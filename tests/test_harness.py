@@ -32,12 +32,7 @@ from bb84sim.harness import (
     eve_sifted_accuracy,
     run_experiment,
 )
-from bb84sim.adversary import (
-    IndirectCopyOracle,
-    IndirectCopyPhysical,
-    InterceptResend,
-    NoEve,
-)
+from bb84sim.adversary import ChannelTable, channel_table
 from bb84sim.protocol import SessionConfig, run_batch, run_session
 from test_protocol import columns, reference_parity_verify
 
@@ -108,27 +103,21 @@ class TestConfigValidation:
         assert config.session_config == SessionConfig(5, 0.5, 2)
 
     def test_build_strategy_covers_all_kinds(self):
-        base = dict(n_pulses=10, n_sessions=1)
-        assert isinstance(
-            build_strategy(ExperimentConfig(**base, eve_kind="none")), NoEve
-        )
-        assert isinstance(
-            build_strategy(
-                ExperimentConfig(**base, eve_kind="intercept-resend",
-                                 attack_fraction=0.5)
-            ),
-            InterceptResend,
-        )
-        assert isinstance(
-            build_strategy(ExperimentConfig(**base, eve_kind="indirect-oracle")),
-            IndirectCopyOracle,
-        )
-        assert isinstance(
-            build_strategy(
-                ExperimentConfig(**base, eve_kind="indirect-physical")
-            ),
-            IndirectCopyPhysical,
-        )
+        # the config's fields reach the builder in its argument order
+        for kind in EVE_KINDS:
+            strategy = build_strategy(ExperimentConfig(
+                n_pulses=10, n_sessions=1, eve_kind=kind, ancilla_angle=0.41,
+                resend_rule="resend-ancilla", attack_fraction=0.5,
+            ))
+            want = channel_table(kind, 0.41, "resend-ancilla", 0.5)
+            assert isinstance(strategy, ChannelTable)
+            assert np.array_equal(
+                strategy.forwarded_angles, want.forwarded_angles
+            )
+            if kind == "none":
+                assert strategy.guess_bits is None
+            else:
+                assert np.array_equal(strategy.guess_bits, want.guess_bits)
 
 
 class TestRunExperiment:
@@ -267,7 +256,7 @@ class TestRunExperiment:
         sweep = [k for k in k_values for _ in range(n_sessions)]
         for index, k in enumerate(sweep):
             transcript = run_session(
-                SessionConfig(n_pulses=2), NoEve(),
+                SessionConfig(n_pulses=2), channel_table("none"),
                 random.Random(derive_seed(master_seed, index)),
             )
             if len(transcript.sifted_alice) <= k:
@@ -307,7 +296,7 @@ class TestRunExperiment:
         )
         lengths = [
             len(run_session(
-                SessionConfig(n_pulses=24), NoEve(),
+                SessionConfig(n_pulses=24), channel_table("none"),
                 random.Random(derive_seed(42, index)),
             ).sifted_alice)
             for index in range(6)
@@ -634,7 +623,7 @@ class TestBatchEngine:
         config = ExperimentConfig(
             n_pulses=8, n_sessions=8, parity_rounds=3, master_seed=1
         )
-        strategy = NoEve()
+        strategy = channel_table("none")
         for master_seed in range(1, 500):
             seeds = [derive_seed(master_seed, i) for i in range(8)]
             redraws = [draws_a_redraw(config, strategy, s) for s in seeds]

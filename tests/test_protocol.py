@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bb84sim.adversary import IndirectCopyOracle, InterceptResend, NoEve
+from bb84sim.adversary import channel_table
 from bb84sim.errors import InvalidConfigError, KeyTooShortError
 from bb84sim.protocol import (
     Pulses,
@@ -21,19 +21,11 @@ from bb84sim.protocol import (
     sift,
     transmit,
 )
-from bb84sim.quantum import (
-    BASES,
-    BQS,
-    DEFAULT_ANCILLA_ANGLE,
-    QuantumState,
-    build_reference_list,
-)
+from bb84sim.quantum import BASES, BQS
 
 
 def oracle_eve():
-    return IndirectCopyOracle(
-        reference_list=build_reference_list(QuantumState(DEFAULT_ANCILLA_ANGLE))
-    )
+    return channel_table("indirect-oracle")
 
 
 class TestSessionConfig:
@@ -118,7 +110,8 @@ class TestPreparePulses:
 class TestTransmit:
     def test_identity_channel(self):
         forwarded, guesses, lost = transmit(
-            np.zeros(1, dtype=np.uint8), NoEve(), 1.0, random.Random(0)
+            np.zeros(1, dtype=np.uint8), channel_table("none"), 1.0,
+            random.Random(0),
         )
         assert forwarded.tolist() == [BQS[0].angle]
         assert guesses is None
@@ -128,7 +121,8 @@ class TestTransmit:
         # oracle: losses are Binomial(n, 1 - efficiency)
         n = 100_000
         _, _, lost = transmit(
-            np.zeros(n, dtype=np.uint8), NoEve(), 0.5, random.Random(23)
+            np.zeros(n, dtype=np.uint8), channel_table("none"), 0.5,
+            random.Random(23),
         )
         sigma = math.sqrt(0.25 / n)
         assert abs(np.count_nonzero(lost) / n - 0.5) < 4 * sigma
@@ -143,7 +137,8 @@ class TestTransmit:
 class TestSift:
     def test_matched_bases_without_noise_agree_exactly(self):
         transcript = run_session(
-            SessionConfig(n_pulses=50_000), NoEve(), random.Random(3)
+            SessionConfig(n_pulses=50_000), channel_table("none"),
+            random.Random(3),
         )
         assert np.array_equal(transcript.sifted_alice, transcript.sifted_bob)
         alice, bob, indices = sift(transcript.pulses)
@@ -154,7 +149,7 @@ class TestSift:
     def test_sifted_fraction_near_half(self):
         n = 100_000
         transcript = run_session(
-            SessionConfig(n_pulses=n), NoEve(), random.Random(4)
+            SessionConfig(n_pulses=n), channel_table("none"), random.Random(4)
         )
         sigma = math.sqrt(0.25 / n)
         assert abs(len(transcript.sifted_alice) / n - 0.5) < 4 * sigma
@@ -162,7 +157,7 @@ class TestSift:
     def test_sources_are_matched_unlost_pulses(self):
         transcript = run_session(
             SessionConfig(n_pulses=2_000, efficiency=0.7),
-            NoEve(),
+            channel_table("none"),
             random.Random(5),
         )
         pulses = transcript.pulses
@@ -308,7 +303,7 @@ class TestRunSession:
     def test_clean_channel_produces_clean_transcript(self):
         transcript = run_session(
             SessionConfig(n_pulses=10_000, parity_rounds=16),
-            NoEve(),
+            channel_table("none"),
             random.Random(6),
         )
         assert transcript.detected is False
@@ -320,7 +315,8 @@ class TestRunSession:
 
     def test_intercept_resend_reaches_quarter_qber(self):
         transcript = run_session(
-            SessionConfig(n_pulses=100_000), InterceptResend(), random.Random(7)
+            SessionConfig(n_pulses=100_000), channel_table("intercept-resend"),
+            random.Random(7),
         )
         assert transcript.qber == pytest.approx(0.25, abs=0.01)
 
@@ -335,7 +331,7 @@ class TestRunSession:
         # intercept/resend with verification on: mismatches are near-certain
         transcript = run_session(
             SessionConfig(n_pulses=2_000, parity_rounds=16),
-            InterceptResend(),
+            channel_table("intercept-resend"),
             random.Random(9),
         )
         assert transcript.detected == any(
@@ -347,7 +343,7 @@ class TestRunSession:
     def test_discarded_positions_left_out_of_reconciled_key(self):
         transcript = run_session(
             SessionConfig(n_pulses=3_000, parity_rounds=12),
-            NoEve(),
+            channel_table("none"),
             random.Random(10),
         )
         dropped = {r.discarded_position for r in transcript.parity_rounds}
@@ -372,7 +368,7 @@ class TestRunSession:
     def test_lost_pulses_have_no_measurement(self):
         transcript = run_session(
             SessionConfig(n_pulses=5_000, efficiency=0.4),
-            NoEve(),
+            channel_table("none"),
             random.Random(12),
         )
         pulses = transcript.pulses
@@ -382,7 +378,7 @@ class TestRunSession:
 
     def test_identical_seeds_give_identical_transcripts(self):
         config = SessionConfig(n_pulses=4_000, efficiency=0.9, parity_rounds=8)
-        eve = InterceptResend()
+        eve = channel_table("intercept-resend")
         first = run_session(config, eve, random.Random(1234))
         second = run_session(config, eve, random.Random(1234))
         assert columns(first) == columns(second)
@@ -393,7 +389,7 @@ class TestRunSession:
         n, efficiency, rounds = 3_000, 0.9, 4
         transcript = run_session(
             SessionConfig(n_pulses=n, efficiency=efficiency, parity_rounds=rounds),
-            InterceptResend(),
+            channel_table("intercept-resend"),
             random.Random(99),
         )
         rng = random.Random(99)
@@ -427,7 +423,7 @@ class TestRunSession:
         rng_after = random.Random(99)
         run_session(
             SessionConfig(n_pulses=n, efficiency=efficiency, parity_rounds=rounds),
-            InterceptResend(),
+            channel_table("intercept-resend"),
             rng_after,
         )
         assert rng_after.getstate() == rng.getstate()
@@ -436,7 +432,7 @@ class TestRunSession:
         with pytest.raises(KeyTooShortError):
             run_session(
                 SessionConfig(n_pulses=4, parity_rounds=10),
-                NoEve(),
+                channel_table("none"),
                 random.Random(13),
             )
 
