@@ -23,7 +23,7 @@ from .errors import (
     MissingEveBitsError,
 )
 from .protocol import SessionTranscript
-from .stream import random_bits
+from .stream import Words, random_bits
 
 TOEPLITZ_BINARY = "toeplitz-binary"
 
@@ -80,11 +80,12 @@ def sample_hash(params: PrivacyParams, rng: random.Random) -> HashDescriptor:
     """Draw a uniformly random descriptor; safe to publish."""
     if params.output_bits < 1:
         raise InvalidParamsError("output length must be >= 1")
+    seed_length = params.input_bits + params.output_bits - 1
     return HashDescriptor(
         family=TOEPLITZ_BINARY,
         input_bits=params.input_bits,
         output_bits=params.output_bits,
-        seed_bits=random_bits(rng, params.input_bits + params.output_bits - 1),
+        seed_bits=random_bits(Words([rng]), seed_length)[0],
     )
 
 

@@ -110,29 +110,44 @@ def _to_stdout(out: str | None) -> bool:
     return out is None or out == "-"
 
 
+def _in_place(out: str) -> bool:
+    """Whether ``out`` names, once links are followed, something that exists
+    but is not a regular file: a FIFO or a device, which is opened and
+    written because it cannot be renamed over."""
+    path = Path(out)
+    return path.exists() and not path.is_file()
+
+
 def _check_out(out: str | None) -> None:
     """Reject an output path that cannot be written, before any work."""
     if _to_stdout(out):
         return
-    target = Path(out)
-    directory = target.parent
+    if Path(out).is_dir():
+        raise InvalidConfigError(f"--out {out!r} is a directory")
+    if _in_place(out):
+        return
+    directory = Path(os.path.realpath(out)).parent
     if not directory.is_dir():
         raise InvalidConfigError(f"--out directory {directory} does not exist")
     if not os.access(directory, os.W_OK | os.X_OK):
         raise InvalidConfigError(
             f"--out directory {directory} is not writable"
         )
-    if target.is_dir():
-        raise InvalidConfigError(f"--out {out!r} is a directory")
 
 
 def _emit(text: str, out: str | None) -> None:
-    """Write the report; a file target is written to a temporary sibling and
-    renamed over the target, so a failed write leaves no partial report."""
+    """Write the report.  A FIFO or a device is opened and written.  Any
+    other target is found by following symbolic links, written to a
+    temporary sibling and renamed over, so a link survives and a failed
+    write leaves no partial report."""
     if _to_stdout(out):
         sys.stdout.write(text)
         return
-    target = Path(out)
+    if _in_place(out):
+        with open(out, "w") as handle:
+            handle.write(text)
+        return
+    target = Path(os.path.realpath(out))
     temp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
     try:
         with open(temp, "w") as handle:

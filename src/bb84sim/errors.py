@@ -32,8 +32,17 @@ class InvalidConfigError(ValueError):
 
 class SessionError(RuntimeError):
     """A session inside an experiment failed.  Carries the session index and
-    the seed of its generator: ``run_session`` with
-    ``random.Random(seed)`` and the same configuration fails again."""
+    the seed of its generator.  ``run_session`` with ``random.Random(seed)``
+    and the session's configuration replays the failure, by its kind:
+
+    * too few sifted bits for the parity rounds: ``run_session`` raises the
+      same ``KeyTooShortError`` (a curve session at k = 0 returns a
+      transcript with an empty sifted key instead);
+    * too few bits for privacy amplification: the transcript is undetected,
+      and ``PrivacyParams(len(reconciled_key), t, s)`` raises the same
+      ``InvalidParamsError``;
+    * no sifted bit for a forced flip: the transcript's sifted key is empty.
+    """
 
     def __init__(self, session_index: int, seed: int, message: str):
         super().__init__(f"session {session_index} (seed {seed}): {message}")

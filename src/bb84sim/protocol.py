@@ -9,13 +9,12 @@ channel; only its outcome is modeled.
 
 Sessions run in batches.  ``run_batch`` holds a batch of sessions as numpy
 columns with one row per session, pulse i of session s being entry [s, i],
-and every stage handles the whole batch at once, drawing its randomness in
-bulk from each session's own generator through ``stream.Words`` (see
-``harness`` for the order of the draws).  ``run_session`` is a batch of
-one.  Each stage also takes a single generator and one session's 1-D
-arrays.  A basis is stored as its index into ``BASES`` (0 rectilinear,
-1 diagonal), and a signal state as its index into ``BQS``,
-``2 * basis + bit``.
+and every stage handles the whole batch at once.  Every stage takes its
+randomness as a ``stream.Words`` batch, drawing in bulk from each
+session's own generator (see ``harness`` for the order of the draws), and
+returns one row per session; ``run_session`` is a batch of one.  A basis
+is stored as its index into ``BASES`` (0 rectilinear, 1 diagonal), and a
+signal state as its index into ``BQS``, ``2 * basis + bit``.
 """
 
 import random
@@ -202,38 +201,34 @@ def bit_error_rate(a: Sequence[int], b: Sequence[int]) -> float:
     return int(np.count_nonzero(np.not_equal(a, b))) / len(a)
 
 
-def prepare_pulses(
-    n: int, rng: random.Random | Words
-) -> tuple[np.ndarray, np.ndarray]:
-    """Draw ``n`` independent uniform bits, then ``n`` uniform bases;
-    pulse i encodes bit i in basis i.  One row per session for a
-    ``stream.Words`` batch."""
+def prepare_pulses(n: int, words: Words) -> tuple[np.ndarray, np.ndarray]:
+    """Draw ``n`` independent uniform bits, then ``n`` uniform bases, one
+    row per session; pulse i encodes bit i in basis i."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return random_bits(rng, n), random_bits(rng, n)
+    return random_bits(words, n), random_bits(words, n)
 
 
 def transmit(
     codes: np.ndarray,
     adversary: ChannelTable,
     efficiency: float,
-    rng: random.Random | Words,
+    words: Words,
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
     """Pass the pulses ``BQS[codes]`` through the adversary, then through
     detector loss.
 
-    ``codes`` is one session's pulses with a single generator, or one row
-    per session with a ``stream.Words`` batch.  The adversary draws one
+    ``codes`` holds one row of pulses per session.  The adversary draws one
     uniform per pulse; loss draws one per pulse when ``efficiency < 1``,
     and a pulse is lost when its uniform is at least ``efficiency``.
     Returns the forwarded ray angles, the adversary's guesses (``None``
     for a passive channel) and the loss mask.  The adversary acts before
     loss, so her guess exists even for lost pulses.
     """
-    n = codes.shape[-1]
-    forwarded, guesses = adversary.intercept(codes, uniforms(rng, n))
+    n = codes.shape[1]
+    forwarded, guesses = adversary.intercept(codes, uniforms(words, n))
     if efficiency < 1.0:
-        lost = uniforms(rng, n) >= efficiency
+        lost = uniforms(words, n) >= efficiency
     else:
         lost = np.zeros(codes.shape, dtype=bool)
     return forwarded, guesses, lost
@@ -308,12 +303,15 @@ def parity_verify(
     alice_bits: Sequence[int],
     bob_bits: Sequence[int],
     rounds: int,
-    rng: random.Random | Words,
-    lengths: np.ndarray | None = None,
-):
-    """Run ``rounds`` public random-subset parity comparisons.
+    words: Words,
+    lengths: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[ParityRound]]:
+    """Run ``rounds`` public random-subset parity comparisons on the keys
+    of a batch of sessions.
 
-    Each round samples a uniform nonempty subset of the still-live
+    The keys lay the sessions' keys end to end, session s owning
+    ``lengths[s]`` bits and drawing from row s of ``words``.  Each round
+    of a session samples a uniform nonempty subset of the still-live
     positions (one fair coin per live position, in ascending order, all
     drawn again if none comes up 1), compares the two parities, and
     discards the lowest-indexed subset member from both keys.  A differing
@@ -321,27 +319,18 @@ def parity_verify(
     rounds certify agreement except with probability ~2**-rounds, at the
     cost of ``rounds`` bits.
 
-    Returns (detected, reconciled_alice, reconciled_bob, round records).
-    All rounds run even after a detection; the detected flag is the OR of
-    the per-round mismatches.
-
-    For a batch, ``rng`` is a ``stream.Words`` with one generator per
-    session, the keys lay the sessions' keys end to end, and ``lengths``
-    gives each key's length.  The rounds of all sessions run together:
-    round j takes each session's coins, and only a session whose subset
-    came up empty draws again.  The results then hold a flag per session,
-    the reconciled keys laid end to end, and records whose fields hold one
-    entry per session.
+    The rounds of all sessions run together: round j takes each session's
+    coins, and only a session whose subset came up empty draws again.
+    Returns (detected, reconciled_alice, reconciled_bob, round records):
+    a flag per session, the reconciled keys laid end to end, and one
+    record per round whose fields hold one entry per session
+    (``ParityRound.of`` picks one out).  All rounds run even after a
+    detection; a session's flag is the OR of its per-round mismatches.
     """
     alice = np.asarray(alice_bits, dtype=np.uint8)
     bob = np.asarray(bob_bits, dtype=np.uint8)
     if len(alice) != len(bob):
         raise ValueError("keys must have equal length")
-    single = lengths is None
-    if single:
-        words, lengths = Words([rng]), np.array([len(alice)])
-    else:
-        words = rng
     short = lengths <= rounds
     if short.any():
         raise KeyTooShortError(
@@ -391,12 +380,7 @@ def parity_verify(
         detected |= alice_parity != bob_parity
         cells[row_starts + first] = False
         records.append(ParityRound(packed, alice_parity, bob_parity, first))
-    alice, bob = alice_keys[alive], bob_keys[alive]
-    if single:
-        length = int(lengths[0])
-        return (bool(detected[0]), alice, bob,
-                [r.of(0, length) for r in records])
-    return detected, alice, bob, records
+    return detected, alice_keys[alive], bob_keys[alive], records
 
 
 def run_batch(

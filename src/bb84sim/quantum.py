@@ -4,12 +4,11 @@ A state is identified by its angle against the horizontal axis in the real
 plane spanned by the horizontal and vertical rays.  Angles are reduced
 modulo pi because a polarization state and its negation describe the same
 ray.  Every overlap and outcome probability is then a cosine of an angle
-difference.  ``measure`` works on a whole batch of states at once, given
-as an array of ray angles.
+difference.  ``measure`` works on a whole batch of sessions at once, given
+as an array of ray angles with one row per session.
 """
 
 import math
-import random
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -145,37 +144,34 @@ def born_probability(state: QuantumState, outcome_angle: float) -> float:
 
 
 def measure(
-    angles: np.ndarray,
-    basis_angles: np.ndarray | float,
-    rng: random.Random | Words,
+    angles: np.ndarray, basis_angles: np.ndarray | float, words: Words
 ) -> np.ndarray:
-    """Projective measurement of a batch of states.
+    """Projective measurement of a batch of states, one row per session.
 
-    ``angles[..., i]`` is the ray angle of state i, measured in the basis
-    whose bit-0 eigenstate lies at ``basis_angles[..., i]`` (a scalar serves
-    every state).  One uniform u is drawn per state, and the outcome is bit
-    0 when u falls below the Born probability of bit 0.  Probabilities
-    within ``_EIGEN_SNAP`` of 0 or 1 count as exact, so eigenstates of the
-    basis measure deterministically.  ``rng`` is one generator for a 1-D
-    ``angles``, or a ``stream.Words`` batch with one row of ``angles`` per
-    generator.  Returns the outcome bits as uint8; state i collapses onto
-    the eigenstate at ``basis_angles[..., i] + bits[..., i] * pi/2``.  The
-    states are taken ``BLOCK`` at a time along the last axis, which bounds
-    the temporaries without changing the draws.
+    ``angles[s, i]`` is the ray angle of state i of session s, measured in
+    the basis whose bit-0 eigenstate lies at ``basis_angles[s, i]`` (a
+    scalar serves every state).  Row s draws one uniform u per state from
+    row s of ``words``, and the outcome is bit 0 when u falls below the
+    Born probability of bit 0.  Probabilities within ``_EIGEN_SNAP`` of 0
+    or 1 count as exact, so eigenstates of the basis measure
+    deterministically.  Returns the outcome bits as uint8; state [s, i]
+    collapses onto the eigenstate at ``basis_angles[s, i] + bits[s, i] *
+    pi/2``.  The states are taken ``BLOCK`` at a time along each row,
+    which bounds the temporaries without changing the draws.
     """
     angles = np.asarray(angles, dtype=float)
     basis_angles = np.broadcast_to(basis_angles, angles.shape)
     bits = np.empty(angles.shape, dtype=np.uint8)
-    n = angles.shape[-1]
+    n = angles.shape[1]
     for start in range(0, n, BLOCK):
-        block = np.s_[..., start : start + BLOCK]
+        block = np.s_[:, start : start + BLOCK]
         p0 = np.subtract(angles[block], basis_angles[block])
         np.cos(p0, out=p0)
         p0 *= p0
         p0[p0 >= 1.0 - _EIGEN_SNAP] = 1.0
         p0[p0 <= _EIGEN_SNAP] = 0.0
         np.greater_equal(
-            uniforms(rng, p0.shape[-1]), p0, out=bits[block],
+            uniforms(words, p0.shape[1]), p0, out=bits[block],
             casting="unsafe",
         )
     return bits

@@ -1,11 +1,12 @@
 """Bulk draws from the ``random.Random`` generators of a batch of sessions.
 
-Every stage of a session takes its randomness through ``random_bits`` and
-``uniforms``.  Both read the 32-bit Mersenne Twister outputs of each
-session's generator in order, through ``Words``, and decode them with
-numpy, so the outputs a stage consumes depend only on how many values it
-asks for.  A k-bit draw consumes ceil(k / 32) outputs, as
-``rng.getrandbits(k)`` does: bit i of the draw is bit i of the
+Every stage of a session takes its randomness as a ``Words`` batch, with
+one row per session (a lone session is a batch of one), and draws through
+``random_bits`` and ``uniforms``, which return one row per session.  Both
+read the 32-bit Mersenne Twister outputs of each session's generator in
+order and decode them with numpy, so the outputs a stage consumes depend
+only on how many values it asks for.  A k-bit draw consumes ceil(k / 32)
+outputs, as ``rng.getrandbits(k)`` does: bit i of the draw is bit i of the
 concatenated outputs, least significant first, except that a draw with
 k mod 32 = m > 0 takes the *high* m bits of its last output.  A uniform
 consumes two outputs, built as ``random.Random.random`` builds one.
@@ -99,39 +100,25 @@ class Words:
         return words
 
 
-def _rows(rng: random.Random | Words) -> tuple[Words, bool]:
-    """``rng`` as a batch, and whether it was a single generator."""
-    if isinstance(rng, Words):
-        return rng, False
-    return Words([rng]), True
-
-
-def random_bits(rng: random.Random | Words, k: int) -> np.ndarray:
-    """``k`` fair bits as uint8: bit i of ``rng.getrandbits(k)``.
-
-    ``rng`` is one generator, giving a 1-D array, or a ``Words`` batch,
-    giving one row per generator.
-    """
-    words, single = _rows(rng)
+def random_bits(words: Words, k: int) -> np.ndarray:
+    """``k`` fair bits as uint8 per generator: row s holds bit i of
+    ``words.rngs[s].getrandbits(k)`` in column i."""
     block = np.array(words.take((k + 31) // 32))
     if k % 32:
         # A partial last output gives its high bits.
         block[:, -1] >>= 32 - k % 32
-    bits = np.unpackbits(block.view(np.uint8), axis=1, count=k,
+    return np.unpackbits(block.view(np.uint8), axis=1, count=k,
                          bitorder="little")
-    return bits[0] if single else bits
 
 
-def uniforms(rng: random.Random | Words, n: int) -> np.ndarray:
+def uniforms(words: Words, n: int) -> np.ndarray:
     """``n`` floats in [0, 1) with 53 random bits each, per generator.
 
     Value i is built from 32-bit outputs 2i and 2i + 1 exactly as
-    ``random.Random.random`` builds one, so a generator's values equal
-    ``n`` successive ``rng.random()`` calls.  ``rng`` is one generator,
-    giving a 1-D array, or a ``Words`` batch, giving one row per
-    generator.  The outputs are taken ``BLOCK`` values at a time.
+    ``random.Random.random`` builds one, so row s equals ``n`` successive
+    ``words.rngs[s].random()`` calls.  The outputs are taken ``BLOCK``
+    values at a time.
     """
-    words, single = _rows(rng)
     out = np.empty((len(words), n))
     for start in range(0, n, BLOCK):
         count = min(BLOCK, n - start)
@@ -141,4 +128,4 @@ def uniforms(rng: random.Random | Words, n: int) -> np.ndarray:
         chunk *= _TWO_POW_26
         chunk += block[:, 1::2] >> 6
         chunk *= _TWO_POW_MINUS_53
-    return out[0] if single else out
+    return out

@@ -43,6 +43,7 @@ from bb84sim.quantum import (
     build_reference_list,
     measure,
 )
+from bb84sim.stream import Words
 from test_adversary import enumerate_single_shot_qber
 
 
@@ -180,14 +181,16 @@ def test_criterion_6_sifting_fraction():
 def test_criterion_7_born_rule_frequencies():
     started = time.perf_counter()
     trials = 100_000
-    rng = random.Random(7)
+    words = Words([random.Random(7)])
     diagonal_state = QuantumState(math.pi / 4)
     outcomes = measure(
-        np.full(trials, diagonal_state.angle), RECTILINEAR.angle(0), rng
+        np.full((1, trials), diagonal_state.angle), RECTILINEAR.angle(0), words
     )
     freq_half = np.count_nonzero(outcomes == 0) / trials
     probe = ancilla_basis(DEFAULT_ANCILLA_ANGLE)
-    outcomes = measure(np.full(trials, BQS[0].angle), probe.angle(0), rng)
+    outcomes = measure(
+        np.full((1, trials), BQS[0].angle), probe.angle(0), words
+    )
     freq_tilted = np.count_nonzero(outcomes == 0) / trials
     bound_half = 4 * math.sqrt(0.5 * 0.5 / trials)
     bound_tilted = 4 * math.sqrt(0.75 * 0.25 / trials)

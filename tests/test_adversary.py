@@ -27,7 +27,7 @@ from bb84sim.quantum import (
     decode,
     squared_overlap,
 )
-from bb84sim.stream import uniforms
+from bb84sim.stream import Words, uniforms
 
 BQS_ANGLES = (0.0, math.pi / 2, math.pi / 4, 3 * math.pi / 4)
 
@@ -124,7 +124,8 @@ def assert_max_posterior_table(eve, want):
 def sample(eve, codes, seed):
     """Intercept the pulses BQS[codes] with fresh uniforms."""
     codes = np.asarray(codes, dtype=np.uint8)
-    return eve.intercept(codes, uniforms(random.Random(seed), len(codes)))
+    u = uniforms(Words([random.Random(seed)]), len(codes))[0]
+    return eve.intercept(codes, u)
 
 
 def random_codes(n, seed):
@@ -442,8 +443,10 @@ class TestDeterminism:
             channel_table("indirect-oracle"),
             channel_table("indirect-physical"),
         ):
-            first = transmit(codes, eve, 0.9, random.Random(77))
-            second = transmit(codes, eve, 0.9, random.Random(77))
+            first, second = (
+                transmit(codes[None], eve, 0.9, Words([random.Random(77)]))
+                for _ in range(2)
+            )
             for a, b in zip(first, second):
                 assert (a is None and b is None) or np.array_equal(a, b)
 
@@ -699,7 +702,7 @@ PIN_THETAS = {
     "-0.7": -0.7,
 }
 PIN_UNIFORMS = np.concatenate(
-    ([0.0, 1.0 - 2.0**-53], uniforms(random.Random(2718), 510))
+    ([0.0, 1.0 - 2.0**-53], uniforms(Words([random.Random(2718)]), 510)[0])
 )
 
 

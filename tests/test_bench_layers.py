@@ -1,0 +1,30 @@
+"""Every name the benchmark traces exists in the package.
+
+``bench/layers.py`` wraps the package's functions by name and skips, as
+``trace.absent``, a name the package no longer has, so a renamed stage
+would drop out of the per-layer metrics without failing anything.  The
+module is loaded read-only here: ``layers.install`` is never called, since
+it would wrap the package's functions for the rest of the session.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+BENCH = str(Path(__file__).resolve().parents[1] / "bench")
+sys.path.insert(0, BENCH)
+try:
+    import layers
+finally:
+    sys.path.remove(BENCH)
+
+TRACED = sorted(set(layers.FINE + layers.MEMORY))
+
+
+@pytest.mark.parametrize(
+    "module, attr", [(module, attr) for _, module, attr in TRACED],
+    ids=[f"{module}.{attr}" for _, module, attr in TRACED],
+)
+def test_traced_name_exists(module, attr):
+    assert layers._originals(module, attr), f"bb84sim.{module}.{attr}"

@@ -1,16 +1,20 @@
 """Command-line interface tests (in-process, no subprocess needed)."""
 
 import json
+import os
 import random
 import re
+import stat
+import threading
 
 import pytest
 
 from bb84sim import cli
 from bb84sim.adversary import channel_table
+from bb84sim.amplification import PrivacyParams
 from bb84sim.cli import build_parser, main
-from bb84sim.errors import KeyTooShortError
-from bb84sim.harness import ExperimentReport, derive_seed
+from bb84sim.errors import InvalidParamsError, KeyTooShortError
+from bb84sim.harness import ExperimentReport, build_strategy, derive_seed
 from bb84sim.protocol import SessionConfig, run_session
 
 
@@ -156,6 +160,39 @@ class TestRunCommand:
         ExperimentReport.from_json(out.read_text())
         assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
+    def test_report_through_a_symlink_reaches_its_target(self, tmp_path):
+        real_dir = tmp_path / "real"
+        real_dir.mkdir()
+        real = real_dir / "report.json"
+        real.write_text("previous report\n")
+        link = tmp_path / "link"
+        link.symlink_to(real)
+        argv = ["run", "--pulses", "10", "--sessions", "1", "--out", str(link)]
+        assert main(argv) == 0
+        assert link.is_symlink() and link.resolve() == real
+        ExperimentReport.from_json(real.read_text())
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link", "real"]
+        assert [p.name for p in real_dir.iterdir()] == ["report.json"]
+
+    def test_report_to_a_fifo_reaches_its_reader(self, tmp_path):
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        received = []
+
+        def read():
+            with open(fifo) as handle:
+                received.append(handle.read())
+
+        reader = threading.Thread(target=read, daemon=True)
+        reader.start()
+        argv = ["run", "--pulses", "10", "--sessions", "1", "--out", str(fifo)]
+        assert main(argv) == 0
+        # a report renamed over the FIFO would leave its reader waiting
+        reader.join(timeout=10)
+        assert not reader.is_alive(), "the FIFO's reader got no report"
+        assert stat.S_ISFIFO(fifo.lstat().st_mode)
+        ExperimentReport.from_json(received[0])
+
     def test_runtime_failure_exits_3(self, capsys):
         # parity verification cannot run on a key shorter than its rounds
         code = main(
@@ -182,6 +219,37 @@ class TestRunCommand:
                 channel_table("none"),
                 random.Random(seed),
             )
+
+    @pytest.mark.parametrize("argv, index", [
+        (["run", "--pulses", "600", "--sessions", "5", "--pa-t", "280",
+          "--pa-s", "8"], 3),
+        (["detect-curve", "--pulses", "1", "--sessions", "3",
+          "--force-differ", "--k-values", "0"], 0),
+    ], ids=["amplification", "forced-flip"])
+    def test_failed_session_replays_as_documented(self, capsys, argv, index):
+        # oracle: the replay each failure kind has in the SessionError
+        # docstring; neither raises from run_session itself
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        match = re.fullmatch(r"error: session (\d+) \(seed (\d+)\): (.*)\n",
+                             err)
+        assert match, err
+        assert int(match.group(1)) == index
+        seed, message = int(match.group(2)), match.group(3)
+        config = cli._config_from_args(build_parser().parse_args(argv))
+        transcript = run_session(
+            config.session_config, build_strategy(config),
+            random.Random(seed),
+        )
+        if config.privacy_enabled:
+            assert not transcript.detected
+            with pytest.raises(InvalidParamsError) as excinfo:
+                PrivacyParams(len(transcript.reconciled_key),
+                              config.pa_leak_bits, config.pa_margin_bits)
+            assert str(excinfo.value) == message
+        else:
+            assert len(transcript.sifted_alice) == 0
+            assert message == "no sifted bits to flip"
 
     def test_reruns_byte_identical(self, capsys):
         argv = ["run", "--pulses", "300", "--sessions", "4",

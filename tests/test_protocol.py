@@ -22,6 +22,7 @@ from bb84sim.protocol import (
     transmit,
 )
 from bb84sim.quantum import BASES, BQS
+from bb84sim.stream import Words
 
 
 def oracle_eve():
@@ -83,10 +84,22 @@ def reference_parity_verify(alice_bits, bob_bits, rounds, rng):
     )
 
 
+def verify_one(alice_bits, bob_bits, rounds, rng):
+    """``parity_verify`` on a batch of one session drawing from ``rng``:
+    its flag, its reconciled keys and its round records."""
+    length = len(alice_bits)
+    detected, alice, bob, records = parity_verify(
+        alice_bits, bob_bits, rounds, Words([rng]), np.array([length])
+    )
+    return (bool(detected[0]), alice, bob,
+            [r.of(0, length) for r in records])
+
+
 class TestPreparePulses:
     def test_small_batch_stays_on_alphabet(self):
-        bits, bases = prepare_pulses(4, random.Random(0))
-        assert len(bits) == len(bases) == 4
+        bits, bases = prepare_pulses(4, Words([random.Random(0)]))
+        assert bits.shape == bases.shape == (1, 4)
+        bits, bases = bits[0], bases[0]
         assert set(bits.tolist()) <= {0, 1}
         assert set(bases.tolist()) <= {0, 1}
         for bit, basis in zip(bits, bases):
@@ -95,8 +108,8 @@ class TestPreparePulses:
     def test_states_are_uniform(self):
         # oracle: each of the four states is a Binomial(n, 1/4) count
         n = 100_000
-        bits, bases = prepare_pulses(n, random.Random(17))
-        states = [BASES[b].state(x) for x, b in zip(bits, bases)]
+        bits, bases = prepare_pulses(n, Words([random.Random(17)]))
+        states = [BASES[b].state(x) for x, b in zip(bits[0], bases[0])]
         sigma = math.sqrt(0.25 * 0.75 / n)
         for target in BQS:
             frequency = sum(state == target for state in states) / n
@@ -104,34 +117,35 @@ class TestPreparePulses:
 
     def test_zero_pulses_rejected(self):
         with pytest.raises(ValueError):
-            prepare_pulses(0, random.Random(0))
+            prepare_pulses(0, Words([random.Random(0)]))
 
 
 class TestTransmit:
     def test_identity_channel(self):
         forwarded, guesses, lost = transmit(
-            np.zeros(1, dtype=np.uint8), channel_table("none"), 1.0,
-            random.Random(0),
+            np.zeros((1, 1), dtype=np.uint8), channel_table("none"), 1.0,
+            Words([random.Random(0)]),
         )
-        assert forwarded.tolist() == [BQS[0].angle]
+        assert forwarded.tolist() == [[BQS[0].angle]]
         assert guesses is None
-        assert lost.tolist() == [False]
+        assert lost.tolist() == [[False]]
 
     def test_loss_fraction_matches_efficiency(self):
         # oracle: losses are Binomial(n, 1 - efficiency)
         n = 100_000
         _, _, lost = transmit(
-            np.zeros(n, dtype=np.uint8), channel_table("none"), 0.5,
-            random.Random(23),
+            np.zeros((1, n), dtype=np.uint8), channel_table("none"), 0.5,
+            Words([random.Random(23)]),
         )
         sigma = math.sqrt(0.25 / n)
         assert abs(np.count_nonzero(lost) / n - 0.5) < 4 * sigma
 
     def test_oracle_adversary_is_invisible(self):
         forwarded, _, _ = transmit(
-            np.arange(4, dtype=np.uint8), oracle_eve(), 1.0, random.Random(0)
+            np.arange(4, dtype=np.uint8)[None], oracle_eve(), 1.0,
+            Words([random.Random(0)]),
         )
-        assert forwarded.tolist() == [state.angle for state in BQS]
+        assert forwarded.tolist() == [[state.angle for state in BQS]]
 
 
 class TestSift:
@@ -185,7 +199,7 @@ class TestParityVerify:
     def test_identical_keys_pass_and_shrink(self):
         rng = random.Random(0)
         bits = [rng.getrandbits(1) for _ in range(200)]
-        detected, alice, bob, rounds = parity_verify(bits, list(bits), 20, rng)
+        detected, alice, bob, rounds = verify_one(bits, list(bits), 20, rng)
         assert detected is False
         assert len(alice) == len(bits) - 20
         assert np.array_equal(alice, bob)
@@ -201,7 +215,7 @@ class TestParityVerify:
             bits = [rng.getrandbits(1) for _ in range(32)]
             other = list(bits)
             other[rng.randrange(32)] ^= 1
-            detected, _, _, _ = parity_verify(bits, other, 1, rng)
+            detected, _, _, _ = verify_one(bits, other, 1, rng)
             detected_count += detected
         assert abs(detected_count / trials - 0.5) < 0.02
 
@@ -213,20 +227,20 @@ class TestParityVerify:
             bits = [rng.getrandbits(1) for _ in range(64)]
             other = list(bits)
             other[rng.randrange(64)] ^= 1
-            detected, _, _, _ = parity_verify(bits, other, 10, rng)
+            detected, _, _, _ = verify_one(bits, other, 10, rng)
             detected_count += detected
         assert abs(detected_count / trials - (1 - 2**-10)) < 0.01
 
     def test_short_key_rejected(self):
         rng = random.Random(0)
         with pytest.raises(KeyTooShortError):
-            parity_verify([0, 1, 0], [0, 1, 0], 3, rng)
+            verify_one([0, 1, 0], [0, 1, 0], 3, rng)
         with pytest.raises(KeyTooShortError):
-            parity_verify([], [], 0, rng)
+            verify_one([], [], 0, rng)
 
     def test_unequal_lengths_rejected(self):
         with pytest.raises(ValueError):
-            parity_verify([0, 1], [0], 1, random.Random(0))
+            verify_one([0, 1], [0], 1, random.Random(0))
 
     @given(
         bits=st.lists(st.integers(0, 1), min_size=6, max_size=40),
@@ -237,7 +251,7 @@ class TestParityVerify:
     @settings(max_examples=150)
     def test_round_records_are_consistent(self, bits, flips, rounds, seed):
         other = [b ^ 1 if i in flips else b for i, b in enumerate(bits)]
-        detected, alice, bob, records = parity_verify(
+        detected, alice, bob, records = verify_one(
             bits, other, rounds, random.Random(seed)
         )
         assert len(records) == rounds
@@ -275,7 +289,7 @@ class TestParityVerify:
         if len(bits) <= rounds:
             return
         got_rng, want_rng = random.Random(seed), random.Random(seed)
-        detected, alice, bob, records = parity_verify(
+        detected, alice, bob, records = verify_one(
             bits, other, rounds, got_rng
         )
         want = reference_parity_verify(bits, other, rounds, want_rng)
@@ -293,7 +307,7 @@ class TestParityVerify:
         # oracle: the reference loop, which redraws the same way
         for seed in range(20):
             got_rng, want_rng = random.Random(seed), random.Random(seed)
-            _, _, _, records = parity_verify([1, 0], [1, 1], 1, got_rng)
+            _, _, _, records = verify_one([1, 0], [1, 1], 1, got_rng)
             want = reference_parity_verify([1, 0], [1, 1], 1, want_rng)
             assert records[0].subset.tolist() == want[3][0][0]
             assert got_rng.getstate() == want_rng.getstate()

@@ -28,6 +28,7 @@ from bb84sim.quantum import (
     reduce_angle,
     squared_overlap,
 )
+from bb84sim.stream import Words
 
 ANCILLA = QuantumState(DEFAULT_ANCILLA_ANGLE)
 
@@ -167,27 +168,32 @@ class TestMeasure:
         rng = random.Random(0)
         for basis in BASES:
             for bit in (0, 1):
-                bits = measure(np.full(100, basis.angle(bit)), basis.angle(0), rng)
-                assert bits.tolist() == [bit] * 100
+                bits = measure(
+                    np.full((1, 100), basis.angle(bit)), basis.angle(0),
+                    Words([rng]),
+                )
+                assert bits.tolist() == [[bit] * 100]
                 collapsed = QuantumState(basis.angle(0) + bit * math.pi / 2)
                 assert collapsed == basis.state(bit)
 
     def test_identical_seeds_reproduce_outcomes(self):
-        angles = np.full(1000, math.pi / 4)
-        out_a = measure(angles, RECTILINEAR.angle(0), random.Random(7))
-        out_b = measure(angles, RECTILINEAR.angle(0), random.Random(7))
+        angles = np.full((1, 1000), math.pi / 4)
+        basis = RECTILINEAR.angle(0)
+        out_a = measure(angles, basis, Words([random.Random(7)]))
+        out_b = measure(angles, basis, Words([random.Random(7)]))
         assert np.array_equal(out_a, out_b)
 
     def test_collapse_returns_basis_eigenstate(self):
         # the collapsed state is an eigenstate of the basis, so measuring
         # it again in that basis repeats the outcome
-        rng = random.Random(3)
-        bits = measure(np.full(200, 1.1), DIAGONAL.angle(0), rng)
-        for bit in bits:
+        words = Words([random.Random(3)])
+        bits = measure(np.full((1, 200), 1.1), DIAGONAL.angle(0), words)
+        for bit in bits[0]:
             post = QuantumState(DIAGONAL.angle(0) + bit * math.pi / 2)
             assert post in DIAGONAL.states
         collapsed = DIAGONAL.angle(0) + bits * (math.pi / 2)
-        assert np.array_equal(measure(collapsed, DIAGONAL.angle(0), rng), bits)
+        again = measure(collapsed, DIAGONAL.angle(0), words)
+        assert np.array_equal(again, bits)
 
     def test_matches_scalar_reference_draw_for_draw(self):
         # oracle: the per-state loop above, fed the same generator state;
@@ -198,9 +204,11 @@ class TestMeasure:
             for _ in range(20_000)
         ]
         for basis_angle in (0.0, math.pi / 4, DEFAULT_ANCILLA_ANGLE):
-            got = measure(np.array(angles), basis_angle, random.Random(6))
+            got = measure(
+                np.array([angles]), basis_angle, Words([random.Random(6)])
+            )
             want = reference_measure(angles, basis_angle, random.Random(6))
-            assert got.tolist() == want
+            assert got.tolist() == [want]
 
     def test_per_state_bases(self):
         # oracle: each state measured in its own basis equals measuring the
@@ -208,14 +216,16 @@ class TestMeasure:
         picker = random.Random(8)
         angles = [picker.random() * math.pi for _ in range(500)]
         bases = [picker.getrandbits(1) for _ in range(500)]
-        basis_angles = np.array([BASES[b].angle(0) for b in bases])
-        got = measure(np.array(angles), basis_angles, random.Random(9))
+        basis_angles = np.array([[BASES[b].angle(0) for b in bases]])
+        got = measure(
+            np.array([angles]), basis_angles, Words([random.Random(9)])
+        )
         rng = random.Random(9)
         want = [
             reference_measure([a], BASES[b].angle(0), rng)[0]
             for a, b in zip(angles, bases)
         ]
-        assert got.tolist() == want
+        assert got.tolist() == [want]
 
     def test_superposition_frequency_matches_born_rule(self):
         # oracle: cos(pi/4)**2 = 1/2, binomial 3 sigma over 1e5 draws
@@ -223,7 +233,10 @@ class TestMeasure:
         p = math.cos(math.pi / 4) ** 2
         sigma = math.sqrt(p * (1 - p) / trials)
         rng = random.Random(2024)
-        bits = measure(np.full(trials, math.pi / 4), RECTILINEAR.angle(0), rng)
+        bits = measure(
+            np.full((1, trials), math.pi / 4), RECTILINEAR.angle(0),
+            Words([rng]),
+        )
         zeros = int(np.count_nonzero(bits == 0))
         assert abs(zeros / trials - p) < 3 * sigma
 
@@ -233,7 +246,10 @@ class TestMeasure:
         p = math.cos(math.pi / 6) ** 2
         sigma = math.sqrt(p * (1 - p) / trials)
         rng = random.Random(11)
-        bits = measure(np.full(trials, ANCILLA.angle), RECTILINEAR.angle(0), rng)
+        bits = measure(
+            np.full((1, trials), ANCILLA.angle), RECTILINEAR.angle(0),
+            Words([rng]),
+        )
         zeros = int(np.count_nonzero(bits == 0))
         assert abs(zeros / trials - p) < 4 * sigma
 
