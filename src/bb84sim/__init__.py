@@ -35,21 +35,11 @@ from .protocol import (
     transmit,
 )
 from .quantum import (
-    BASES,
     BQS,
     DEFAULT_ANCILLA_ANGLE,
-    DIAGONAL,
-    RECTILINEAR,
-    Basis,
-    QuantumState,
     ReferenceList,
-    ancilla_basis,
-    born_probability,
     build_reference_list,
-    decode,
-    encode,
     measure,
-    overlap,
     reduce_angle,
     squared_overlap,
 )

@@ -39,14 +39,11 @@ import numpy as np
 from .errors import InvalidConfigError
 from .quantum import (
     _EIGEN_SNAP,
-    BASES,
     BQS,
     DEFAULT_ANCILLA_ANGLE,
-    QuantumState,
-    ancilla_basis,
-    born_probability,
+    PI,
     build_reference_list,
-    decode,
+    reduce_angle,
     squared_overlap,
 )
 from .stream import BLOCK
@@ -172,49 +169,54 @@ def channel_table(
     """
     check_strategy(kind, ancilla_angle, resend_rule, attack_fraction)
     if kind == "none":
-        return ChannelTable([{(state.angle, None): 1.0} for state in BQS])
+        return ChannelTable([{(state, None): 1.0} for state in BQS])
 
+    # ``attack(code)`` lists (outcome, probability) pairs for the signal
+    # state ``BQS[code]``; the bit a code encodes is ``code & 1``.
     if kind == "intercept-resend":
-        def attack(state: QuantumState) -> list[tuple[Outcome, float]]:
+        def attack(sent: int) -> list[tuple[Outcome, float]]:
             return [
-                ((angle, bit), born_probability(state, angle) / len(BASES))
-                for basis in BASES
-                for bit, angle in enumerate(basis.angles)
+                ((state, code & 1), squared_overlap(BQS[sent], state) / 2)
+                for code, state in enumerate(BQS)
             ]
     elif kind == "indirect-oracle":
-        table = build_reference_list(QuantumState(ancilla_angle))
+        table = build_reference_list(ancilla_angle)
 
-        def attack(state: QuantumState) -> list[tuple[Outcome, float]]:
-            matched = table.lookup(squared_overlap(table.ancilla, state))
-            return [((matched.angle, decode(matched)[0]), 1.0)]
+        def attack(sent: int) -> list[tuple[Outcome, float]]:
+            matched = table.lookup(squared_overlap(table.ancilla, BQS[sent]))
+            return [((BQS[matched], matched & 1), 1.0)]
     else:
-        ancilla = QuantumState(ancilla_angle)
+        ancilla = reduce_angle(ancilla_angle)
+        weight = [squared_overlap(ancilla, state) for state in BQS]
         guesses = (
-            max(BQS, key=lambda s: squared_overlap(ancilla, s)),
-            max(BQS, key=lambda s: 1.0 - squared_overlap(ancilla, s)),
+            max(range(4), key=lambda code: weight[code]),
+            max(range(4), key=lambda code: 1.0 - weight[code]),
         )
-        probe = ancilla_basis(ancilla.angle)
-        resent = guesses if resend_rule == "max-posterior" else probe.states
+        probe = (ancilla, reduce_angle(ancilla + PI / 2))
+        if resend_rule == "max-posterior":
+            resent = (BQS[guesses[0]], BQS[guesses[1]])
+        else:
+            resent = probe
 
-        def attack(state: QuantumState) -> list[tuple[Outcome, float]]:
+        def attack(sent: int) -> list[tuple[Outcome, float]]:
             return [
                 (
-                    (resent[outcome].angle, decode(guesses[outcome])[0]),
-                    born_probability(state, angle),
+                    (resent[outcome], guesses[outcome] & 1),
+                    squared_overlap(BQS[sent], angle),
                 )
-                for outcome, angle in enumerate(probe.angles)
+                for outcome, angle in enumerate(probe)
             ]
 
-    # ``attack(state)`` lists (outcome, probability) pairs, and an outcome
-    # may recur in it or equal a blind pass; equal outcomes add up.
+    # An outcome may recur in ``attack(code)`` or equal a blind pass; equal
+    # outcomes add up.
     rows = []
-    for state in BQS:
+    for code, state in enumerate(BQS):
         row: Row = defaultdict(float)
         if attack_fraction > 0.0:
-            for outcome, p in attack(state):
+            for outcome, p in attack(code):
                 row[outcome] += attack_fraction * p
         if attack_fraction < 1.0:
             for guess in (0, 1):
-                row[(state.angle, guess)] += (1.0 - attack_fraction) / 2.0
+                row[(state, guess)] += (1.0 - attack_fraction) / 2.0
         rows.append(row)
     return ChannelTable(rows)

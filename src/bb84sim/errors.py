@@ -3,11 +3,11 @@
 
 class DegenerateAncillaError(ValueError):
     """Two signal states map to the same ancilla-overlap value, so the
-    overlap table is not one-to-one and cannot identify states."""
+    overlap table is not one-to-one and cannot identify them."""
 
 
 class NoMatchError(LookupError):
-    """A queried value or state does not belong to the agreed signal set."""
+    """A queried value matches no entry of the ancilla-overlap table."""
 
 
 class KeyTooShortError(ValueError):
@@ -36,12 +36,12 @@ class SessionError(RuntimeError):
     and the session's configuration replays the failure, by its kind:
 
     * too few sifted bits for the parity rounds: ``run_session`` raises the
-      same ``KeyTooShortError`` (a curve session at k = 0 returns a
-      transcript with an empty sifted key instead);
+      same ``KeyTooShortError``;
     * too few bits for privacy amplification: the transcript is undetected,
       and ``PrivacyParams(len(reconciled_key), t, s)`` raises the same
       ``InvalidParamsError``;
-    * no sifted bit for a forced flip: the transcript's sifted key is empty.
+    * no sifted bit for a forced flip, or in a curve session (which needs
+      a nonempty key even at k = 0): the transcript's sifted key is empty.
     """
 
     def __init__(self, session_index: int, seed: int, message: str):

@@ -53,13 +53,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .adversary import (  # the strategy names stay importable from here
-    EVE_KINDS,
-    RESEND_RULES,
-    ChannelTable,
-    channel_table,
-    check_strategy,
-)
+from .adversary import ChannelTable, channel_table, check_strategy
 from .amplification import PrivacyParams, hashed_guess_advantage, sample_hash
 from .errors import InvalidConfigError, KeyTooShortError, SessionError
 from .protocol import SessionBatch, SessionConfig, SessionTranscript, run_batch
@@ -416,7 +410,7 @@ def detection_rate_curve(
         )
         if k == 0 and not batch.lengths.all():
             raise KeyTooShortError(
-                f"key of length 0 cannot support {k} parity rounds"
+                "no sifted bits: a curve session needs a nonempty sifted key"
             )
         return int(np.count_nonzero(batch.detected))
 

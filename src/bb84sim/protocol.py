@@ -13,8 +13,8 @@ and every stage handles the whole batch at once.  Every stage takes its
 randomness as a ``stream.Words`` batch, drawing in bulk from each
 session's own generator (see ``harness`` for the order of the draws), and
 returns one row per session; ``run_session`` is a batch of one.  A basis
-is stored as its index into ``BASES`` (0 rectilinear, 1 diagonal), and a
-signal state as its index into ``BQS``, ``2 * basis + bit``.
+is stored as its index into ``BASIS_ANGLES`` (0 rectilinear, 1 diagonal),
+and a signal state as its code, an index into ``BQS``, ``2 * basis + bit``.
 """
 
 import random
@@ -53,11 +53,11 @@ class Pulses:
     in a batch entry [s, i] describes pulse i of session s."""
 
     alice_bits: np.ndarray  # uint8
-    alice_bases: np.ndarray  # uint8 index into BASES
+    alice_bases: np.ndarray  # uint8 index into BASIS_ANGLES
     forwarded: np.ndarray  # float64 ray angle the adversary sent on
     eve_guesses: np.ndarray | None  # uint8; None on a passive channel
     lost: np.ndarray  # bool, the pulse never reached the detector
-    bob_bases: np.ndarray  # uint8 index into BASES
+    bob_bases: np.ndarray  # uint8 index into BASIS_ANGLES
     bob_bits: np.ndarray  # int8 measured bit, -1 where lost
 
     def __len__(self) -> int:

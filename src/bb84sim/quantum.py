@@ -3,21 +3,22 @@
 A state is identified by its angle against the horizontal axis in the real
 plane spanned by the horizontal and vertical rays.  Angles are reduced
 modulo pi because a polarization state and its negation describe the same
-ray.  Every overlap and outcome probability is then a cosine of an angle
-difference.  ``measure`` works on a whole batch of sessions at once, given
-as an array of ray angles with one row per session.
+ray.  Every outcome probability is then a squared cosine of an angle
+difference.  The four signal states are the ray angles ``BQS``, and a
+signal state is named by its code, an index into ``BQS``.  ``measure``
+works on a whole batch of sessions at once, given as an array of ray
+angles with one row per session.
 """
 
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateAncillaError, NoMatchError
 from .stream import BLOCK, Words, uniforms
 
-# Tolerance for identifying states/overlap values: far below the smallest
+# Tolerance for matching squared-overlap values: far below the smallest
 # gap between table entries (~0.18 for the default ancilla), far above
 # double-precision noise.
 MATCH_TOL = 1e-9
@@ -40,107 +41,21 @@ def reduce_angle(theta: float) -> float:
     return theta
 
 
-def ray_distance(a: float, b: float) -> float:
-    """Angular distance between two rays (symmetric, in [0, pi/2])."""
-    d = abs(reduce_angle(a) - reduce_angle(b))
-    return min(d, PI - d)
+# The agreed signal alphabet as ray angles, in the conventional table
+# order: horizontal, vertical, then the two diagonals.  A signal state is
+# its code, an index into ``BQS``: ``2 * basis + bit``.
+BQS = (0.0, PI / 2, PI / 4, 3 * PI / 4)
 
-
-@dataclass(frozen=True, slots=True)
-class QuantumState:
-    """A pure polarization state, parameterized by its ray angle.
-
-    The implicit amplitudes against the horizontal/vertical pair are
-    (cos(angle), sin(angle)), so unit norm always holds.
-    """
-
-    angle: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "angle", reduce_angle(self.angle))
-
-
-@dataclass(frozen=True)
-class Basis:
-    """An orthogonal pair of states; the index into ``angles`` is the bit
-    value the state encodes."""
-
-    label: str
-    angles: tuple[float, float]
-    states: tuple[QuantumState, QuantumState] = field(
-        init=False, repr=False, compare=False
-    )
-
-    def __post_init__(self):
-        reduced = (reduce_angle(self.angles[0]), reduce_angle(self.angles[1]))
-        if abs(abs(reduced[0] - reduced[1]) - PI / 2) > MATCH_TOL:
-            raise ValueError(
-                f"basis states must be orthogonal, got angles {reduced}"
-            )
-        object.__setattr__(self, "angles", reduced)
-        object.__setattr__(
-            self, "states", (QuantumState(reduced[0]), QuantumState(reduced[1]))
-        )
-
-    def angle(self, bit: int) -> float:
-        return self.angles[bit]
-
-    def state(self, bit: int) -> QuantumState:
-        return self.states[bit]
-
-
-RECTILINEAR = Basis("rectilinear", (0.0, PI / 2))
-DIAGONAL = Basis("diagonal", (PI / 4, 3 * PI / 4))
-BASES = (RECTILINEAR, DIAGONAL)
-
-# The agreed signal alphabet, in the conventional table order:
-# horizontal, vertical, then the two diagonals.
-BQS = (
-    RECTILINEAR.state(0),
-    RECTILINEAR.state(1),
-    DIAGONAL.state(0),
-    DIAGONAL.state(1),
-)
-
-# Bit-0 eigenstate angle of each basis, indexed like ``BASES``.
-BASIS_ANGLES = np.array([basis.angles[0] for basis in BASES])
+# Bit-0 eigenstate angle of each basis: index 0 rectilinear, 1 diagonal.
+BASIS_ANGLES = np.array(BQS[::2])
 
 DEFAULT_ANCILLA_ANGLE = PI / 6
 
 
-def ancilla_basis(theta: float) -> Basis:
-    """Orthogonal measurement pair aligned with an ancilla at ``theta``."""
-    return Basis("ancilla", (theta, theta + PI / 2))
-
-
-def encode(bit: int, basis: Basis) -> QuantumState:
-    """Signal state for a bit under the fixed coding scheme (bit 0 maps to
-    the first basis angle, bit 1 to the second)."""
-    return basis.states[bit]
-
-
-def decode(state: QuantumState) -> tuple[int, Basis]:
-    """Invert :func:`encode`; raises ``NoMatchError`` off the alphabet."""
-    for basis in BASES:
-        for bit in (0, 1):
-            if ray_distance(state.angle, basis.angles[bit]) <= MATCH_TOL:
-                return bit, basis
-    raise NoMatchError(f"state at angle {state.angle!r} is not a signal state")
-
-
-def overlap(a: QuantumState, b: QuantumState) -> float:
-    """Inner product of two states, cos of their angle difference."""
-    return math.cos(a.angle - b.angle)
-
-
-def squared_overlap(a: QuantumState, b: QuantumState) -> float:
-    return math.cos(a.angle - b.angle) ** 2
-
-
-def born_probability(state: QuantumState, outcome_angle: float) -> float:
-    """Probability that a projective measurement projects ``state`` onto
-    the eigenstate at ``outcome_angle``."""
-    return math.cos(state.angle - outcome_angle) ** 2
+def squared_overlap(a: float, b: float) -> float:
+    """Squared inner product of the states at ray angles ``a`` and ``b``:
+    the probability that measuring one projects it onto the other."""
+    return math.cos(a - b) ** 2
 
 
 def measure(
@@ -178,59 +93,43 @@ def measure(
 
 
 @dataclass(frozen=True, slots=True)
-class ReferenceEntry:
-    state: QuantumState
-    match_value: float  # squared overlap with the ancilla
-
-
-@dataclass(frozen=True, slots=True)
 class ReferenceList:
-    """One-to-one table from squared ancilla overlaps to signal states.
+    """One-to-one table from squared ancilla overlaps to signal codes.
 
-    Valid tables have pairwise-distinct match values, enforced at
-    construction, so an exact-match lookup identifies the state.
+    ``match_values[code]`` is the squared overlap of ``BQS[code]`` with the
+    ancilla at ray angle ``ancilla``.  Valid tables have pairwise-distinct
+    match values, enforced at construction, so an exact-match lookup
+    identifies the code.
     """
 
-    ancilla: QuantumState
-    entries: tuple[ReferenceEntry, ...]
+    ancilla: float
+    match_values: tuple[float, ...]
 
-    def match_values(self) -> tuple[float, ...]:
-        return tuple(entry.match_value for entry in self.entries)
-
-    def states(self) -> tuple[QuantumState, ...]:
-        return tuple(entry.state for entry in self.entries)
-
-    def lookup(self, match_value: float) -> QuantumState:
-        """State whose match value agrees within ``MATCH_TOL``."""
-        for entry in self.entries:
-            if abs(entry.match_value - match_value) <= MATCH_TOL:
-                return entry.state
+    def lookup(self, match_value: float) -> int:
+        """Code whose match value agrees within ``MATCH_TOL``."""
+        for code, value in enumerate(self.match_values):
+            if abs(value - match_value) <= MATCH_TOL:
+                return code
         raise NoMatchError(
             f"value {match_value!r} does not match any table entry"
         )
 
 
-def build_reference_list(
-    ancilla: QuantumState, signal_states: Sequence[QuantumState] = BQS
-) -> ReferenceList:
-    """Tabulate squared overlaps of ``signal_states`` against ``ancilla``.
+def build_reference_list(ancilla_angle: float) -> ReferenceList:
+    """Tabulate the squared overlaps of the signal states against the
+    ancilla at ``ancilla_angle``.
 
-    Raises ``DegenerateAncillaError`` when two entries coincide within
+    Raises ``DegenerateAncillaError`` when two values coincide within
     ``MATCH_TOL``: such an ancilla cannot distinguish the signal set (for
     example a horizontal ancilla sees both diagonal states at value 1/2).
     """
-    if not signal_states:
-        raise ValueError("signal_states must be non-empty")
-    entries = tuple(
-        ReferenceEntry(state, squared_overlap(ancilla, state))
-        for state in signal_states
-    )
-    for i, first in enumerate(entries):
-        for second in entries[i + 1 :]:
-            if abs(first.match_value - second.match_value) <= MATCH_TOL:
+    ancilla = reduce_angle(ancilla_angle)
+    values = tuple(squared_overlap(ancilla, state) for state in BQS)
+    for i, first in enumerate(values):
+        for j in range(i + 1, len(values)):
+            if abs(first - values[j]) <= MATCH_TOL:
                 raise DegenerateAncillaError(
-                    f"ancilla at angle {ancilla.angle!r} maps states at "
-                    f"{first.state.angle!r} and {second.state.angle!r} to the "
-                    f"same value {first.match_value!r}"
+                    f"ancilla at angle {ancilla!r} maps states at "
+                    f"{BQS[i]!r} and {BQS[j]!r} to the same value {first!r}"
                 )
-    return ReferenceList(ancilla=ancilla, entries=entries)
+    return ReferenceList(ancilla=ancilla, match_values=values)

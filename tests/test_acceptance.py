@@ -35,13 +35,12 @@ from bb84sim.harness import (
 )
 from bb84sim.protocol import SessionConfig, run_session
 from bb84sim.quantum import (
+    BASIS_ANGLES,
     BQS,
     DEFAULT_ANCILLA_ANGLE,
-    RECTILINEAR,
-    QuantumState,
-    ancilla_basis,
     build_reference_list,
     measure,
+    reduce_angle,
 )
 from bb84sim.stream import Words
 from test_adversary import enumerate_single_shot_qber
@@ -54,7 +53,7 @@ def report(name: str, ok: bool, detail: str, started: float) -> None:
 
 def test_criterion_1_reference_list_exactness():
     started = time.perf_counter()
-    table = build_reference_list(QuantumState(DEFAULT_ANCILLA_ANGLE))
+    table = build_reference_list(DEFAULT_ANCILLA_ANGLE)
     exact = (
         3 / 4,
         1 / 4,
@@ -62,7 +61,7 @@ def test_criterion_1_reference_list_exactness():
         (math.sqrt(3) - 1) ** 2 / 8,
     )
     printed = (0.75, 0.25, 0.933, 0.067)
-    values = table.match_values()
+    values = table.match_values
     ok = all(abs(v - e) <= 1e-12 for v, e in zip(values, exact)) and all(
         abs(v - p) <= 5e-4 for v, p in zip(values, printed)
     )
@@ -182,15 +181,13 @@ def test_criterion_7_born_rule_frequencies():
     started = time.perf_counter()
     trials = 100_000
     words = Words([random.Random(7)])
-    diagonal_state = QuantumState(math.pi / 4)
+    diagonal_state = BQS[2]
     outcomes = measure(
-        np.full((1, trials), diagonal_state.angle), RECTILINEAR.angle(0), words
+        np.full((1, trials), diagonal_state), BASIS_ANGLES[0], words
     )
     freq_half = np.count_nonzero(outcomes == 0) / trials
-    probe = ancilla_basis(DEFAULT_ANCILLA_ANGLE)
-    outcomes = measure(
-        np.full((1, trials), BQS[0].angle), probe.angle(0), words
-    )
+    probe = reduce_angle(DEFAULT_ANCILLA_ANGLE)
+    outcomes = measure(np.full((1, trials), BQS[0]), probe, words)
     freq_tilted = np.count_nonzero(outcomes == 0) / trials
     bound_half = 4 * math.sqrt(0.5 * 0.5 / trials)
     bound_tilted = 4 * math.sqrt(0.75 * 0.25 / trials)

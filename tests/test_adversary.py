@@ -20,11 +20,9 @@ from bb84sim.errors import DegenerateAncillaError, InvalidConfigError
 from bb84sim.harness import ExperimentConfig, build_strategy
 from bb84sim.protocol import SessionConfig, run_session, transmit
 from bb84sim.quantum import (
-    BQS,
     DEFAULT_ANCILLA_ANGLE,
-    QuantumState,
     build_reference_list,
-    decode,
+    reduce_angle,
     squared_overlap,
 )
 from bb84sim.stream import Words, uniforms
@@ -33,7 +31,7 @@ BQS_ANGLES = (0.0, math.pi / 2, math.pi / 4, 3 * math.pi / 4)
 
 
 def make_table(theta=DEFAULT_ANCILLA_ANGLE):
-    return build_reference_list(QuantumState(theta))
+    return build_reference_list(theta)
 
 
 def enumerate_single_shot_qber(ancilla_angle: float, rule: str) -> float:
@@ -269,14 +267,14 @@ class TestIndirectCopyOracle:
         for u in (0.0, 0.5, 1.0 - 2.0**-53):
             forwarded, guesses = eve.intercept(codes, np.full(4, u))
             assert forwarded.tolist() == list(BQS_ANGLES)
-            assert guesses.tolist() == [decode(state)[0] for state in BQS]
+            assert guesses.tolist() == [0, 1, 0, 1]
 
     def test_second_diagonal_match_value(self):
         # the smallest table entry identifies the second diagonal state
         table = make_table()
-        value = squared_overlap(table.ancilla, QuantumState(3 * math.pi / 4))
+        value = squared_overlap(table.ancilla, 3 * math.pi / 4)
         assert value == pytest.approx((math.sqrt(3) - 1) ** 2 / 8, abs=1e-12)
-        assert table.lookup(value) == QuantumState(3 * math.pi / 4)
+        assert BQS_ANGLES[table.lookup(value)] == 3 * math.pi / 4
 
     def test_session_is_error_free_and_fully_leaked(self):
         transcript = run_session(
@@ -382,11 +380,11 @@ class TestIndirectCopyPhysical:
     def test_resend_ancilla_forwards_probe_eigenstates(self):
         eve = channel_table("indirect-physical", resend_rule="resend-ancilla")
         probe_states = {
-            QuantumState(DEFAULT_ANCILLA_ANGLE),
-            QuantumState(DEFAULT_ANCILLA_ANGLE + math.pi / 2),
+            reduce_angle(DEFAULT_ANCILLA_ANGLE),
+            reduce_angle(DEFAULT_ANCILLA_ANGLE + math.pi / 2),
         }
         forwarded, _ = sample(eve, random_codes(500, 12), 12)
-        assert {QuantumState(angle) for angle in forwarded} <= probe_states
+        assert {reduce_angle(angle) for angle in forwarded} <= probe_states
 
     def test_enumerated_qber_default_ancilla(self):
         got = enumerate_single_shot_qber(DEFAULT_ANCILLA_ANGLE, "max-posterior")

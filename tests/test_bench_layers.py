@@ -1,10 +1,12 @@
-"""Every name the benchmark traces exists in the package.
+"""Every name the benchmark traces or calls exists in the package.
 
 ``bench/layers.py`` wraps the package's functions by name and skips, as
 ``trace.absent``, a name the package no longer has, so a renamed stage
 would drop out of the per-layer metrics without failing anything.  The
 module is loaded read-only here: ``layers.install`` is never called, since
 it would wrap the package's functions for the rest of the session.
+``bench/sample.py`` and ``bench/workloads.py`` call the names in ``CALLED``
+directly, so a prune of one of those would break the benchmark itself.
 """
 
 import sys
@@ -20,11 +22,16 @@ finally:
     sys.path.remove(BENCH)
 
 TRACED = sorted(set(layers.FINE + layers.MEMORY))
+CALLED = [
+    ("harness", "build_strategy"),
+    ("harness", "ExperimentConfig"),
+    ("harness", "ExperimentReport"),
+]
+NAMES = [(module, attr) for _, module, attr in TRACED] + CALLED
 
 
 @pytest.mark.parametrize(
-    "module, attr", [(module, attr) for _, module, attr in TRACED],
-    ids=[f"{module}.{attr}" for _, module, attr in TRACED],
+    "module, attr", NAMES, ids=[f"{module}.{attr}" for module, attr in NAMES],
 )
 def test_traced_name_exists(module, attr):
     assert layers._originals(module, attr), f"bb84sim.{module}.{attr}"

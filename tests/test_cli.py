@@ -225,10 +225,12 @@ class TestRunCommand:
           "--pa-s", "8"], 3),
         (["detect-curve", "--pulses", "1", "--sessions", "3",
           "--force-differ", "--k-values", "0"], 0),
-    ], ids=["amplification", "forced-flip"])
+        (["detect-curve", "--pulses", "1", "--sessions", "3",
+          "--k-values", "0"], 0),
+    ], ids=["amplification", "forced-flip", "empty-curve-key"])
     def test_failed_session_replays_as_documented(self, capsys, argv, index):
         # oracle: the replay each failure kind has in the SessionError
-        # docstring; neither raises from run_session itself
+        # docstring; none raises from run_session itself
         assert main(argv) == 3
         err = capsys.readouterr().err
         match = re.fullmatch(r"error: session (\d+) \(seed (\d+)\): (.*)\n",
@@ -249,7 +251,13 @@ class TestRunCommand:
             assert str(excinfo.value) == message
         else:
             assert len(transcript.sifted_alice) == 0
-            assert message == "no sifted bits to flip"
+            if "--force-differ" in argv:
+                assert message == "no sifted bits to flip"
+            else:
+                assert message == (
+                    "no sifted bits: a curve session needs a nonempty "
+                    "sifted key"
+                )
 
     def test_reruns_byte_identical(self, capsys):
         argv = ["run", "--pulses", "300", "--sessions", "4",

@@ -17,7 +17,6 @@ from bb84sim.errors import (
     SessionError,
 )
 from bb84sim.harness import (
-    EVE_KINDS,
     RNG_CONTRACT,
     AggregateStats,
     ExperimentConfig,
@@ -32,7 +31,7 @@ from bb84sim.harness import (
     eve_sifted_accuracy,
     run_experiment,
 )
-from bb84sim.adversary import ChannelTable, channel_table
+from bb84sim.adversary import EVE_KINDS, ChannelTable, channel_table
 from bb84sim.protocol import SessionConfig, run_batch, run_session
 from test_protocol import columns, reference_parity_verify
 

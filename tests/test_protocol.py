@@ -21,7 +21,7 @@ from bb84sim.protocol import (
     sift,
     transmit,
 )
-from bb84sim.quantum import BASES, BQS
+from bb84sim.quantum import BQS
 from bb84sim.stream import Words
 
 
@@ -103,16 +103,16 @@ class TestPreparePulses:
         assert set(bits.tolist()) <= {0, 1}
         assert set(bases.tolist()) <= {0, 1}
         for bit, basis in zip(bits, bases):
-            assert BASES[basis].state(bit) in BQS
+            assert 0 <= 2 * basis + bit < len(BQS)
 
     def test_states_are_uniform(self):
         # oracle: each of the four states is a Binomial(n, 1/4) count
         n = 100_000
         bits, bases = prepare_pulses(n, Words([random.Random(17)]))
-        states = [BASES[b].state(x) for x, b in zip(bits[0], bases[0])]
+        codes = [2 * b + x for x, b in zip(bits[0], bases[0])]
         sigma = math.sqrt(0.25 * 0.75 / n)
-        for target in BQS:
-            frequency = sum(state == target for state in states) / n
+        for target in range(4):
+            frequency = codes.count(target) / n
             assert abs(frequency - 0.25) < 4 * sigma
 
     def test_zero_pulses_rejected(self):
@@ -126,7 +126,7 @@ class TestTransmit:
             np.zeros((1, 1), dtype=np.uint8), channel_table("none"), 1.0,
             Words([random.Random(0)]),
         )
-        assert forwarded.tolist() == [[BQS[0].angle]]
+        assert forwarded.tolist() == [[BQS[0]]]
         assert guesses is None
         assert lost.tolist() == [[False]]
 
@@ -145,7 +145,7 @@ class TestTransmit:
             np.arange(4, dtype=np.uint8)[None], oracle_eve(), 1.0,
             Words([random.Random(0)]),
         )
-        assert forwarded.tolist() == [[state.angle for state in BQS]]
+        assert forwarded.tolist() == [list(BQS)]
 
 
 class TestSift:
@@ -424,7 +424,8 @@ class TestRunSession:
         for i, u in enumerate(floats()):
             if pulses.lost[i]:
                 continue
-            p0 = math.cos(pulses.forwarded[i] - BASES[pulses.bob_bases[i]].angle(0)) ** 2
+            bit0 = (0.0, math.pi / 4)[pulses.bob_bases[i]]
+            p0 = math.cos(pulses.forwarded[i] - bit0) ** 2
             p0 = 1.0 if p0 >= 1 - 1e-12 else 0.0 if p0 <= 1e-12 else p0
             assert pulses.bob_bits[i] == (0 if u < p0 else 1)
         want = reference_parity_verify(

@@ -8,29 +8,21 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bb84sim.errors import DegenerateAncillaError, NoMatchError
+from bb84sim.adversary import channel_table
 from bb84sim.quantum import (
-    BASES,
+    BASIS_ANGLES,
     BQS,
     DEFAULT_ANCILLA_ANGLE,
-    DIAGONAL,
     MATCH_TOL,
-    RECTILINEAR,
-    Basis,
-    QuantumState,
-    ancilla_basis,
-    born_probability,
     build_reference_list,
-    decode,
-    encode,
     measure,
-    overlap,
-    ray_distance,
     reduce_angle,
     squared_overlap,
 )
 from bb84sim.stream import Words
 
-ANCILLA = QuantumState(DEFAULT_ANCILLA_ANGLE)
+ANCILLA = DEFAULT_ANCILLA_ANGLE
+H, V, D, A = BQS  # horizontal, vertical, the two diagonals
 
 angles = st.floats(
     min_value=-50.0, max_value=50.0, allow_nan=False, allow_infinity=False
@@ -49,103 +41,88 @@ class TestAngles:
         assert reduce_angle(reduced) == reduced
 
     def test_state_and_its_negation_are_the_same_ray(self):
-        assert QuantumState(-math.pi / 4) == QuantumState(3 * math.pi / 4)
-        assert QuantumState(math.pi) == QuantumState(0.0)
-
-    @given(angles, angles)
-    def test_ray_distance_symmetric_and_bounded(self, a, b):
-        assert ray_distance(a, b) == pytest.approx(ray_distance(b, a), abs=1e-12)
-        assert 0.0 <= ray_distance(a, b) <= math.pi / 2 + 1e-12
+        assert reduce_angle(-math.pi / 4) == reduce_angle(3 * math.pi / 4)
+        assert reduce_angle(math.pi) == reduce_angle(0.0)
 
 
 class TestOverlap:
     def test_ancilla_with_horizontal_state(self):
-        # sqrt(3)/2, the aligned-component amplitude of a pi/6 state
-        assert overlap(ANCILLA, BQS[0]) == pytest.approx(
-            math.sqrt(3) / 2, abs=1e-12
-        )
+        # (sqrt(3)/2)**2, the aligned-component amplitude of a pi/6 state
+        assert squared_overlap(ANCILLA, H) == pytest.approx(0.75, abs=1e-12)
 
     def test_ancilla_with_first_diagonal(self):
-        assert overlap(ANCILLA, QuantumState(math.pi / 4)) == pytest.approx(
-            (math.sqrt(6) + math.sqrt(2)) / 4, abs=1e-12
+        assert squared_overlap(ANCILLA, D) == pytest.approx(
+            ((math.sqrt(6) + math.sqrt(2)) / 4) ** 2, abs=1e-12
         )
 
     def test_ancilla_with_second_diagonal_ray_sign(self):
-        # The canonical ray representative flips the smaller component, so
-        # the signed overlap is negative; its square is what the table uses.
-        assert overlap(ANCILLA, QuantumState(3 * math.pi / 4)) == pytest.approx(
-            -(math.sqrt(6) - math.sqrt(2)) / 4, abs=1e-12
+        # The ray at 3pi/4 and its negation at -pi/4 have amplitudes of
+        # opposite sign against the ancilla; the square the table uses is
+        # the same for both.
+        want = ((math.sqrt(6) - math.sqrt(2)) / 4) ** 2
+        assert squared_overlap(ANCILLA, A) == pytest.approx(want, abs=1e-12)
+        assert squared_overlap(ANCILLA, -math.pi / 4) == pytest.approx(
+            want, abs=1e-12
         )
 
     def test_identical_states(self):
-        assert overlap(BQS[0], BQS[0]) == 1.0
+        assert squared_overlap(H, H) == 1.0
 
     def test_same_basis_states_are_orthogonal(self):
-        for basis in BASES:
-            assert overlap(basis.state(0), basis.state(1)) == pytest.approx(
-                0.0, abs=1e-12
-            )
+        for bit0, bit1 in ((H, V), (D, A)):
+            assert squared_overlap(bit0, bit1) == pytest.approx(0.0, abs=1e-12)
 
     def test_cross_basis_squared_overlap_is_half(self):
-        for a in (RECTILINEAR.state(0), RECTILINEAR.state(1)):
-            for b in (DIAGONAL.state(0), DIAGONAL.state(1)):
+        for a in (H, V):
+            for b in (D, A):
                 assert squared_overlap(a, b) == pytest.approx(0.5, abs=1e-12)
 
     @given(angles, angles)
     def test_overlap_within_unit_interval(self, a, b):
-        assert -1.0 <= overlap(QuantumState(a), QuantumState(b)) <= 1.0
+        assert 0.0 <= squared_overlap(a, b) <= 1.0
 
 
 class TestBornProbability:
     def test_equal_superposition(self):
-        assert born_probability(QuantumState(math.pi / 4), 0.0) == pytest.approx(
+        assert squared_overlap(math.pi / 4, 0.0) == pytest.approx(
             0.5, abs=1e-12
         )
 
     def test_horizontal_against_ancilla_angle(self):
-        assert born_probability(BQS[0], DEFAULT_ANCILLA_ANGLE) == pytest.approx(
+        assert squared_overlap(H, DEFAULT_ANCILLA_ANGLE) == pytest.approx(
             0.75, abs=1e-12
         )
 
     def test_eigenstate(self):
-        assert born_probability(QuantumState(math.pi / 2), math.pi / 2) == 1.0
+        assert squared_overlap(math.pi / 2, math.pi / 2) == 1.0
 
     @given(angles)
     def test_outcomes_sum_to_one_in_any_basis(self, theta):
-        state = QuantumState(theta)
-        for basis in BASES + (ancilla_basis(1.234),):
-            total = born_probability(state, basis.angle(0)) + born_probability(
-                state, basis.angle(1)
+        for bit0 in (*BASIS_ANGLES, 1.234):
+            total = squared_overlap(theta, bit0) + squared_overlap(
+                theta, bit0 + math.pi / 2
             )
             assert total == pytest.approx(1.0, abs=1e-12)
 
 
 class TestBasis:
     def test_member_angles_differ_by_quarter_turn(self):
-        for basis in BASES:
-            assert ray_distance(basis.angle(0), basis.angle(1)) == pytest.approx(
+        # code 2 * basis + bit; bit 0 of each basis sits at BASIS_ANGLES
+        for basis, bit0 in enumerate(BASIS_ANGLES):
+            assert BQS[2 * basis] == bit0
+            assert BQS[2 * basis + 1] - bit0 == pytest.approx(
                 math.pi / 2, abs=1e-9
             )
 
-    def test_non_orthogonal_pair_rejected(self):
-        with pytest.raises(ValueError):
-            Basis("bad", (0.0, math.pi / 3))
-
     @given(angles)
     def test_ancilla_basis_is_orthogonal(self, theta):
-        basis = ancilla_basis(theta)
-        assert ray_distance(basis.angle(0), basis.angle(1)) == pytest.approx(
-            math.pi / 2, abs=1e-9
-        )
-
-    def test_encode_decode_roundtrip(self):
-        for basis in BASES:
-            for bit in (0, 1):
-                assert decode(encode(bit, basis)) == (bit, basis)
-
-    def test_decode_rejects_off_alphabet_state(self):
-        with pytest.raises(NoMatchError):
-            decode(QuantumState(math.pi / 8))
+        # the single-shot probe pair, as the resend-ancilla table forwards
+        # it: the reduced ancilla and its orthogonal partner
+        eve = channel_table("indirect-physical", theta, "resend-ancilla")
+        first, second = eve.forwarded_angles
+        assert first == reduce_angle(theta)
+        assert 0.0 <= second < math.pi
+        assert squared_overlap(first, second) == pytest.approx(0.0, abs=1e-12)
 
 
 def reference_measure(angles, basis_angle, rng):
@@ -166,19 +143,18 @@ def reference_measure(angles, basis_angle, rng):
 class TestMeasure:
     def test_eigenstates_measure_deterministically(self):
         rng = random.Random(0)
-        for basis in BASES:
+        for basis, bit0 in enumerate(BASIS_ANGLES):
             for bit in (0, 1):
+                state = BQS[2 * basis + bit]
                 bits = measure(
-                    np.full((1, 100), basis.angle(bit)), basis.angle(0),
-                    Words([rng]),
+                    np.full((1, 100), state), bit0, Words([rng]),
                 )
                 assert bits.tolist() == [[bit] * 100]
-                collapsed = QuantumState(basis.angle(0) + bit * math.pi / 2)
-                assert collapsed == basis.state(bit)
+                assert reduce_angle(bit0 + bit * math.pi / 2) == state
 
     def test_identical_seeds_reproduce_outcomes(self):
         angles = np.full((1, 1000), math.pi / 4)
-        basis = RECTILINEAR.angle(0)
+        basis = BASIS_ANGLES[0]
         out_a = measure(angles, basis, Words([random.Random(7)]))
         out_b = measure(angles, basis, Words([random.Random(7)]))
         assert np.array_equal(out_a, out_b)
@@ -187,12 +163,11 @@ class TestMeasure:
         # the collapsed state is an eigenstate of the basis, so measuring
         # it again in that basis repeats the outcome
         words = Words([random.Random(3)])
-        bits = measure(np.full((1, 200), 1.1), DIAGONAL.angle(0), words)
+        bits = measure(np.full((1, 200), 1.1), D, words)
         for bit in bits[0]:
-            post = QuantumState(DIAGONAL.angle(0) + bit * math.pi / 2)
-            assert post in DIAGONAL.states
-        collapsed = DIAGONAL.angle(0) + bits * (math.pi / 2)
-        again = measure(collapsed, DIAGONAL.angle(0), words)
+            assert reduce_angle(D + bit * math.pi / 2) in (D, A)
+        collapsed = D + bits * (math.pi / 2)
+        again = measure(collapsed, D, words)
         assert np.array_equal(again, bits)
 
     def test_matches_scalar_reference_draw_for_draw(self):
@@ -216,13 +191,13 @@ class TestMeasure:
         picker = random.Random(8)
         angles = [picker.random() * math.pi for _ in range(500)]
         bases = [picker.getrandbits(1) for _ in range(500)]
-        basis_angles = np.array([[BASES[b].angle(0) for b in bases]])
+        basis_angles = np.array([[BASIS_ANGLES[b] for b in bases]])
         got = measure(
             np.array([angles]), basis_angles, Words([random.Random(9)])
         )
         rng = random.Random(9)
         want = [
-            reference_measure([a], BASES[b].angle(0), rng)[0]
+            reference_measure([a], BASIS_ANGLES[b], rng)[0]
             for a, b in zip(angles, bases)
         ]
         assert got.tolist() == [want]
@@ -234,8 +209,7 @@ class TestMeasure:
         sigma = math.sqrt(p * (1 - p) / trials)
         rng = random.Random(2024)
         bits = measure(
-            np.full((1, trials), math.pi / 4), RECTILINEAR.angle(0),
-            Words([rng]),
+            np.full((1, trials), math.pi / 4), H, Words([rng]),
         )
         zeros = int(np.count_nonzero(bits == 0))
         assert abs(zeros / trials - p) < 3 * sigma
@@ -247,8 +221,7 @@ class TestMeasure:
         sigma = math.sqrt(p * (1 - p) / trials)
         rng = random.Random(11)
         bits = measure(
-            np.full((1, trials), ANCILLA.angle), RECTILINEAR.angle(0),
-            Words([rng]),
+            np.full((1, trials), ANCILLA), H, Words([rng]),
         )
         zeros = int(np.count_nonzero(bits == 0))
         assert abs(zeros / trials - p) < 4 * sigma
@@ -263,13 +236,13 @@ class TestReferenceList:
             (math.sqrt(3) + 1) ** 2 / 8,
             (math.sqrt(3) - 1) ** 2 / 8,
         )
-        for value, want in zip(table.match_values(), expected):
+        for value, want in zip(table.match_values, expected):
             assert value == pytest.approx(want, abs=1e-12)
 
     def test_horizontal_ancilla_is_degenerate(self):
         # both diagonal states sit at squared overlap 1/2
         with pytest.raises(DegenerateAncillaError):
-            build_reference_list(QuantumState(0.0))
+            build_reference_list(0.0)
 
     def test_pi_over_8_ancilla_is_degenerate(self):
         # oracle: direct evaluation shows cos(pi/8)^2 == cos(pi/8 - pi/4)^2
@@ -277,7 +250,7 @@ class TestReferenceList:
         direct = [math.cos(a - t) ** 2 for t in (0.0, math.pi / 4)]
         assert abs(direct[0] - direct[1]) < 1e-12
         with pytest.raises(DegenerateAncillaError):
-            build_reference_list(QuantumState(a))
+            build_reference_list(a)
 
     def test_generic_ancilla_gives_four_distinct_values(self):
         # oracle: evaluate the four squared cosines directly and check
@@ -289,13 +262,13 @@ class TestReferenceList:
         )
         gaps = [y - x for x, y in zip(direct, direct[1:])]
         assert min(gaps) > 1e-3
-        table = build_reference_list(QuantumState(a))
-        assert sorted(table.match_values()) == pytest.approx(direct, abs=1e-12)
+        table = build_reference_list(a)
+        assert sorted(table.match_values) == pytest.approx(direct, abs=1e-12)
 
     def test_lookup_known_values(self):
         table = build_reference_list(ANCILLA)
-        assert table.lookup(0.25) == QuantumState(math.pi / 2)
-        assert table.lookup(0.75) == QuantumState(0.0)
+        assert BQS[table.lookup(0.25)] == math.pi / 2
+        assert BQS[table.lookup(0.75)] == 0.0
 
     def test_lookup_rejects_foreign_value(self):
         table = build_reference_list(ANCILLA)
@@ -304,24 +277,19 @@ class TestReferenceList:
 
     def test_lookup_build_identity_on_alphabet(self):
         table = build_reference_list(ANCILLA)
-        for state in BQS:
-            assert table.lookup(squared_overlap(ANCILLA, state)) == state
+        for code, state in enumerate(BQS):
+            assert table.lookup(squared_overlap(ANCILLA, state)) == code
 
     @given(st.floats(min_value=0.0, max_value=math.pi, exclude_max=True))
     def test_lookup_build_identity_for_any_valid_ancilla(self, theta):
-        ancilla = QuantumState(theta)
         try:
-            table = build_reference_list(ancilla)
+            table = build_reference_list(theta)
         except DegenerateAncillaError:
             return
-        for state in BQS:
-            assert table.lookup(squared_overlap(ancilla, state)) == state
-
-    def test_empty_signal_set_rejected(self):
-        with pytest.raises(ValueError):
-            build_reference_list(ANCILLA, signal_states=())
+        for code, state in enumerate(BQS):
+            assert table.lookup(squared_overlap(theta, state)) == code
 
     def test_tolerance_far_below_table_gaps(self):
-        values = sorted(build_reference_list(ANCILLA).match_values())
+        values = sorted(build_reference_list(ANCILLA).match_values)
         smallest_gap = min(b - a for a, b in zip(values, values[1:]))
         assert smallest_gap > 1e5 * MATCH_TOL
