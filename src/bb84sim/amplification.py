@@ -78,8 +78,6 @@ class HashDescriptor:
 
 def sample_hash(params: PrivacyParams, rng: random.Random) -> HashDescriptor:
     """Draw a uniformly random descriptor; safe to publish."""
-    if params.output_bits < 1:
-        raise InvalidParamsError("output length must be >= 1")
     seed_length = params.input_bits + params.output_bits - 1
     return HashDescriptor(
         family=TOEPLITZ_BINARY,

@@ -14,11 +14,7 @@ import sys
 from pathlib import Path
 
 from .adversary import EVE_KINDS, RESEND_RULES
-from .errors import (
-    DegenerateAncillaError,
-    InvalidConfigError,
-    InvalidParamsError,
-)
+from .errors import InvalidConfigError
 from .harness import (
     OUTPUT_FORMATS,
     ExperimentConfig,
@@ -181,8 +177,7 @@ def main(argv: list[str] | None = None) -> int:
                 if config.output_format == "json"
                 else curve_to_csv(curve)
             )
-    except (InvalidConfigError, InvalidParamsError, DegenerateAncillaError,
-            ValueError) as exc:
+    except ValueError as exc:  # every configuration error is a ValueError
         print(f"error: invalid configuration: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # runtime failure inside the simulation

@@ -32,8 +32,9 @@ class InvalidConfigError(ValueError):
 
 class SessionError(RuntimeError):
     """A session inside an experiment failed.  Carries the session index and
-    the seed of its generator.  ``run_session`` with ``random.Random(seed)``
-    and the session's configuration replays the failure, by its kind:
+    the seed of its generator.  ``run_session(config, build_strategy(config),
+    Random(seed))`` replays the failure, where a curve session's config is
+    ``replace(config, parity_rounds=k)`` for the k of its sweep.  By kind:
 
     * too few sifted bits for the parity rounds: ``run_session`` raises the
       same ``KeyTooShortError``;

@@ -48,7 +48,7 @@ no ``getrandbits`` call returns more than ``2 * stream.BLOCK`` outputs.
 
 import json
 import random
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -78,14 +78,12 @@ def derive_seed(master_seed: int, index: int) -> int:
     return x
 
 
-@dataclass(frozen=True, slots=True)
-class ExperimentConfig:
-    """Everything needed to reproduce an experiment."""
+@dataclass(frozen=True, slots=True, kw_only=True)
+class ExperimentConfig(SessionConfig):
+    """Everything needed to reproduce an experiment: the knobs of each
+    session, from ``SessionConfig``, and those of the experiment."""
 
-    n_pulses: int
     n_sessions: int
-    efficiency: float = 1.0
-    parity_rounds: int = 0
     eve_kind: str = "none"
     ancilla_angle: float = DEFAULT_ANCILLA_ANGLE
     resend_rule: str = "max-posterior"
@@ -96,7 +94,8 @@ class ExperimentConfig:
     output_format: str = "json"
 
     def __post_init__(self):
-        self.session_config  # validates n_pulses, efficiency, parity_rounds
+        # Zero-argument super() fails in a slotted dataclass.
+        SessionConfig.__post_init__(self)
         if self.n_sessions < 1:
             raise InvalidConfigError("n_sessions must be >= 1")
         check_strategy(
@@ -118,14 +117,6 @@ class ExperimentConfig:
             raise InvalidConfigError(
                 f"output_format must be one of {OUTPUT_FORMATS}"
             )
-
-    @property
-    def session_config(self) -> SessionConfig:
-        return SessionConfig(
-            n_pulses=self.n_pulses,
-            efficiency=self.efficiency,
-            parity_rounds=self.parity_rounds,
-        )
 
     @property
     def privacy_enabled(self) -> bool:
@@ -318,14 +309,15 @@ def _experiment_rows(
     config: ExperimentConfig, strategy: ChannelTable, indices: range
 ) -> list[SessionRow]:
     rngs = _session_rngs(config, indices)
-    batch = run_batch(config.session_config, strategy, rngs)
+    batch = run_batch(config, strategy, rngs)
     lengths = batch.lengths
     qbers = _shares(batch, batch.sifted_alice != batch.sifted_bob)
     accuracies = [None] * len(batch)
     guesses = batch.pulses.eve_guesses
     if guesses is not None:
-        hits = np.take(guesses, batch.sifted) == batch.sifted_alice
-        shares = _shares(batch, hits)
+        shares = _shares(
+            batch, np.take(guesses, batch.sifted) == batch.sifted_alice
+        )
         accuracies = [
             share if length else None
             for share, length in zip(shares, lengths.tolist())
@@ -344,11 +336,12 @@ def _experiment_rows(
                 )
                 descriptor = sample_hash(params, rngs[s])
                 final_length = descriptor.output_bits
-                transcript = batch.transcript(s)
-                guess = transcript.eve_reconciled_guess
-                if guess is not None:
+                if guesses is not None:
+                    part = slice(batch.starts[s], batch.starts[s] + lengths[s])
+                    kept = batch.kept[part]
                     advantage = hashed_guess_advantage(
-                        transcript.reconciled_key, guess, descriptor
+                        batch.sifted_alice[part][kept],
+                        np.take(guesses, batch.sifted[part][kept]), descriptor,
                     )
         rows.append(SessionRow(
             index=index,
@@ -400,13 +393,9 @@ def detection_rate_curve(
     strategy = build_strategy(config)
 
     def detections(k: int, indices: range) -> int:
-        session_config = SessionConfig(
-            n_pulses=config.n_pulses, efficiency=config.efficiency,
-            parity_rounds=k,
-        )
         batch = run_batch(
-            session_config, strategy, _session_rngs(config, indices),
-            flip=force_differ,
+            replace(config, parity_rounds=k), strategy,
+            _session_rngs(config, indices), flip=force_differ,
         )
         if k == 0 and not batch.lengths.all():
             raise KeyTooShortError(

@@ -111,9 +111,8 @@ class SessionTranscript:
     """Complete record of one session.
 
     ``sifted`` holds the pulse indices that survived sifting, and
-    ``sifted_alice``/``sifted_bob`` the two keys read at them.
-    ``reconciled_key`` holds the sender's post-parity key and is present
-    only when no round detected a mismatch.
+    ``sifted_alice``/``sifted_bob`` the two keys read at them.  ``kept``
+    marks the sifted positions that no parity round discarded.
     """
 
     pulses: Pulses
@@ -122,12 +121,18 @@ class SessionTranscript:
     sifted_bob: np.ndarray
     parity_rounds: list[ParityRound]
     detected: bool
-    reconciled_key: np.ndarray | None
+    kept: np.ndarray
 
     @property
     def qber(self) -> float:
         """Mismatch fraction of the sifted keys (0.0 when nothing sifted)."""
         return bit_error_rate(self.sifted_alice, self.sifted_bob)
+
+    @property
+    def reconciled_key(self) -> np.ndarray | None:
+        """The sender's post-parity key, or ``None`` when a round detected
+        a mismatch."""
+        return None if self.detected else self.sifted_alice[self.kept]
 
     @property
     def eve_bits(self) -> np.ndarray | None:
@@ -141,10 +146,7 @@ class SessionTranscript:
         """Adversary guesses restricted to the positions that survived the
         parity rounds, aligned with ``reconciled_key``."""
         guess = self.eve_bits
-        if guess is None:
-            return None
-        dropped = [r.discarded_position for r in self.parity_rounds]
-        return np.delete(guess, dropped)
+        return None if guess is None else guess[self.kept]
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,9 +156,8 @@ class SessionBatch:
     ``pulses`` holds one row per session.  The sifted arrays lay the
     sessions' sifted keys end to end: session s owns the ``lengths[s]``
     entries from ``starts[s]`` on, and ``sifted`` indexes the flattened
-    pulse columns.  ``reconciled`` lays out the sender's post-parity keys
-    the same way, each ``len(parity_rounds)`` bits shorter than its sifted
-    key, and ``detected`` holds one flag per session.
+    pulse columns.  ``kept`` marks, in the same layout, the positions no
+    parity round discarded, and ``detected`` holds one flag per session.
     """
 
     pulses: Pulses
@@ -167,7 +168,7 @@ class SessionBatch:
     sifted_bob: np.ndarray
     parity_rounds: list[ParityRound]
     detected: np.ndarray
-    reconciled: np.ndarray
+    kept: np.ndarray
 
     def __len__(self) -> int:
         return len(self.lengths)
@@ -176,9 +177,6 @@ class SessionBatch:
         """The transcript of session s."""
         start, length = int(self.starts[s]), int(self.lengths[s])
         part = slice(start, start + length)
-        rounds = len(self.parity_rounds)
-        detected = bool(self.detected[s])
-        kept = slice(start - s * rounds, start - s * rounds + length - rounds)
         sifted = self.sifted[part]
         if s:
             sifted = sifted - s * self.pulses.alice_bits.shape[-1]
@@ -188,8 +186,8 @@ class SessionBatch:
             sifted_alice=self.sifted_alice[part],
             sifted_bob=self.sifted_bob[part],
             parity_rounds=[r.of(s, length) for r in self.parity_rounds],
-            detected=detected,
-            reconciled_key=None if detected else self.reconciled[kept],
+            detected=bool(self.detected[s]),
+            kept=self.kept[part],
         )
 
 
@@ -305,7 +303,7 @@ def parity_verify(
     rounds: int,
     words: Words,
     lengths: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[ParityRound]]:
+) -> tuple[np.ndarray, np.ndarray, list[ParityRound]]:
     """Run ``rounds`` public random-subset parity comparisons on the keys
     of a batch of sessions.
 
@@ -321,10 +319,10 @@ def parity_verify(
 
     The rounds of all sessions run together: round j takes each session's
     coins, and only a session whose subset came up empty draws again.
-    Returns (detected, reconciled_alice, reconciled_bob, round records):
-    a flag per session, the reconciled keys laid end to end, and one
-    record per round whose fields hold one entry per session
-    (``ParityRound.of`` picks one out).  All rounds run even after a
+    Returns (detected, kept, round records): a flag per session, a mask
+    over the keys laid end to end that marks the positions no round
+    discarded, and one record per round whose fields hold one entry per
+    session (``ParityRound.of`` picks one out).  All rounds run even after a
     detection; a session's flag is the OR of its per-round mismatches.
     """
     alice = np.asarray(alice_bits, dtype=np.uint8)
@@ -339,9 +337,8 @@ def parity_verify(
         )
     sessions = np.arange(len(lengths))
     alive = np.arange(lengths.max()) < lengths[:, None]
-    alice_keys, bob_keys = _rows_of(alice, alive), _rows_of(bob, alive)
-    alice_packed = np.packbits(alice_keys != 0, axis=1)
-    bob_packed = np.packbits(bob_keys != 0, axis=1)
+    alice_packed = np.packbits(_rows_of(alice, alive) != 0, axis=1)
+    bob_packed = np.packbits(_rows_of(bob, alive) != 0, axis=1)
     # Round j draws one coin per live position, L - j of them, in
     # ceil((L - j) / 32) outputs.  All rounds' outputs are taken at once.
     live = lengths[:, None] - np.arange(rounds)
@@ -380,7 +377,11 @@ def parity_verify(
         detected |= alice_parity != bob_parity
         cells[row_starts + first] = False
         records.append(ParityRound(packed, alice_parity, bob_parity, first))
-    return detected, alice_keys[alive], bob_keys[alive], records
+    kept = np.ones(len(alice), dtype=bool)
+    key_starts = np.cumsum(lengths) - lengths
+    for record in records:
+        kept[key_starts + record.discarded_position] = False
+    return detected, kept, records
 
 
 def run_batch(
@@ -433,12 +434,12 @@ def run_batch(
         sifted_bob[starts + flipped] ^= 1
 
     if config.parity_rounds > 0:
-        detected, reconciled, _, rounds = parity_verify(
+        detected, kept, rounds = parity_verify(
             sifted_alice, sifted_bob, config.parity_rounds, words, lengths
         )
     else:
         detected = np.zeros(len(words), dtype=bool)
-        reconciled, rounds = sifted_alice, []
+        kept, rounds = np.ones(len(sifted), dtype=bool), []
     return SessionBatch(
         pulses=pulses,
         sifted=sifted,
@@ -448,7 +449,7 @@ def run_batch(
         sifted_bob=sifted_bob,
         parity_rounds=rounds,
         detected=detected,
-        reconciled=reconciled,
+        kept=kept,
     )
 
 

@@ -33,7 +33,7 @@ PI = math.pi
 
 def reduce_angle(theta: float) -> float:
     """Map an angle to its canonical ray representative in [0, pi)."""
-    theta = math.fmod(theta, PI)
+    theta = math.fmod(theta, PI) + 0.0  # + 0.0 turns -0.0 into 0.0
     if theta < 0.0:
         theta += PI
     if theta >= PI:  # guards the rounding case fmod(-tiny) + pi == pi

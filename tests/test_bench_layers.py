@@ -6,7 +6,10 @@ would drop out of the per-layer metrics without failing anything.  The
 module is loaded read-only here: ``layers.install`` is never called, since
 it would wrap the package's functions for the rest of the session.
 ``bench/sample.py`` and ``bench/workloads.py`` call the names in ``CALLED``
-directly, so a prune of one of those would break the benchmark itself.
+directly, so a prune of one of those would break the benchmark itself, and
+``bench/sample.py`` builds each workload's config and strategy before it
+runs the workload, so a config change that refuses its keywords would too.
+``bench/workloads.py`` is loaded read-only as well.
 """
 
 import sys
@@ -14,10 +17,13 @@ from pathlib import Path
 
 import pytest
 
+from bb84sim import harness
+
 BENCH = str(Path(__file__).resolve().parents[1] / "bench")
 sys.path.insert(0, BENCH)
 try:
     import layers
+    import workloads
 finally:
     sys.path.remove(BENCH)
 
@@ -35,3 +41,16 @@ NAMES = [(module, attr) for _, module, attr in TRACED] + CALLED
 )
 def test_traced_name_exists(module, attr):
     assert layers._originals(module, attr), f"bb84sim.{module}.{attr}"
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_workload_set_up_builds(name):
+    # the keywords ``bench/sample.py`` passes, for every workload
+    workload = workloads.WORKLOADS[name]
+    config = harness.ExperimentConfig(
+        n_pulses=workload.pulses,
+        n_sessions=workload.sessions,
+        efficiency=workload.efficiency,
+        eve_kind=workload.eve,
+    )
+    harness.build_strategy(config)

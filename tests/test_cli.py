@@ -98,6 +98,12 @@ class TestRunCommand:
             ["run", "--eve", "indirect-oracle", "--ancilla-angle", "0"]
         )
         assert code == 2
+        at_zero = capsys.readouterr().err
+        # -pi is the same ray as 0, so it fails with the same message
+        code = main(["run", "--eve", "indirect-oracle",
+                     "--ancilla-angle=-3.141592653589793"])
+        assert code == 2
+        assert capsys.readouterr().err == at_zero
 
     @pytest.mark.parametrize("angle", ["nan", "inf", "-inf"])
     def test_non_finite_ancilla_angle_exits_2(self, capsys, angle):
@@ -240,8 +246,7 @@ class TestRunCommand:
         seed, message = int(match.group(2)), match.group(3)
         config = cli._config_from_args(build_parser().parse_args(argv))
         transcript = run_session(
-            config.session_config, build_strategy(config),
-            random.Random(seed),
+            config, build_strategy(config), random.Random(seed)
         )
         if config.privacy_enabled:
             assert not transcript.detected

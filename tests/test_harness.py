@@ -99,7 +99,10 @@ class TestConfigValidation:
         config = ExperimentConfig(
             n_pulses=5, n_sessions=1, efficiency=0.5, parity_rounds=2
         )
-        assert config.session_config == SessionConfig(5, 0.5, 2)
+        assert isinstance(config, SessionConfig)
+        assert (config.n_pulses, config.efficiency, config.parity_rounds) == (
+            5, 0.5, 2
+        )
 
     def test_build_strategy_covers_all_kinds(self):
         # the config's fields reach the builder in its argument order
@@ -243,7 +246,7 @@ class TestRunExperiment:
         assert isinstance(error.__cause__, KeyTooShortError)
         with pytest.raises(KeyTooShortError, match=str(error.__cause__)):
             run_session(
-                config.session_config,
+                config,
                 build_strategy(config),
                 random.Random(error.seed),
             )
@@ -583,7 +586,7 @@ class TestBatchEngine:
         rows = run_experiment(config).sessions
         for index, row in enumerate(rows):
             rng = random.Random(derive_seed(config.master_seed, index))
-            transcript = run_session(config.session_config, strategy, rng)
+            transcript = run_session(config, strategy, rng)
             assert row == session_row(config, index, transcript, rng)
 
     @pytest.mark.parametrize("eve", ["intercept-resend", "indirect-oracle"])
@@ -596,7 +599,7 @@ class TestBatchEngine:
         rows = run_experiment(config).sessions
         for index, row in enumerate(rows):
             rng = random.Random(derive_seed(config.master_seed, index))
-            transcript = run_session(config.session_config, strategy, rng)
+            transcript = run_session(config, strategy, rng)
             assert row == session_row(config, index, transcript, rng)
 
     @pytest.mark.parametrize("n", [1, 33, 96, 8193])
@@ -636,10 +639,10 @@ class TestBatchEngine:
         else:
             pytest.fail("no batch with a redraw found")
         rngs = [random.Random(s) for s in seeds]
-        batch = run_batch(config.session_config, strategy, rngs)
+        batch = run_batch(config, strategy, rngs)
         for s, seed in enumerate(seeds):
             rng = random.Random(seed)
-            want = run_session(config.session_config, strategy, rng)
+            want = run_session(config, strategy, rng)
             assert columns(batch.transcript(s)) == columns(want)
             assert rngs[s].getstate() == rng.getstate()
         redrawn = redraws.index(True, 1)

@@ -51,7 +51,7 @@ def columns(transcript):
     arrays = (
         p.alice_bits, p.alice_bases, p.forwarded, p.eve_guesses, p.lost,
         p.bob_bases, p.bob_bits, transcript.sifted, transcript.sifted_alice,
-        transcript.sifted_bob, transcript.reconciled_key,
+        transcript.sifted_bob, transcript.kept, transcript.reconciled_key,
     )
     return (
         [None if a is None else (a.dtype.str, a.tobytes()) for a in arrays],
@@ -86,13 +86,16 @@ def reference_parity_verify(alice_bits, bob_bits, rounds, rng):
 
 def verify_one(alice_bits, bob_bits, rounds, rng):
     """``parity_verify`` on a batch of one session drawing from ``rng``:
-    its flag, its reconciled keys and its round records."""
+    its flag, its reconciled keys (the positions ``kept`` marks), its round
+    records and ``kept``."""
     length = len(alice_bits)
-    detected, alice, bob, records = parity_verify(
+    detected, kept, records = parity_verify(
         alice_bits, bob_bits, rounds, Words([rng]), np.array([length])
     )
+    alice = np.asarray(alice_bits, dtype=np.uint8)[kept]
+    bob = np.asarray(bob_bits, dtype=np.uint8)[kept]
     return (bool(detected[0]), alice, bob,
-            [r.of(0, length) for r in records])
+            [r.of(0, length) for r in records], kept)
 
 
 class TestPreparePulses:
@@ -199,7 +202,9 @@ class TestParityVerify:
     def test_identical_keys_pass_and_shrink(self):
         rng = random.Random(0)
         bits = [rng.getrandbits(1) for _ in range(200)]
-        detected, alice, bob, rounds = verify_one(bits, list(bits), 20, rng)
+        detected, alice, bob, rounds, _ = verify_one(
+            bits, list(bits), 20, rng
+        )
         assert detected is False
         assert len(alice) == len(bits) - 20
         assert np.array_equal(alice, bob)
@@ -215,7 +220,7 @@ class TestParityVerify:
             bits = [rng.getrandbits(1) for _ in range(32)]
             other = list(bits)
             other[rng.randrange(32)] ^= 1
-            detected, _, _, _ = verify_one(bits, other, 1, rng)
+            detected = verify_one(bits, other, 1, rng)[0]
             detected_count += detected
         assert abs(detected_count / trials - 0.5) < 0.02
 
@@ -227,7 +232,7 @@ class TestParityVerify:
             bits = [rng.getrandbits(1) for _ in range(64)]
             other = list(bits)
             other[rng.randrange(64)] ^= 1
-            detected, _, _, _ = verify_one(bits, other, 10, rng)
+            detected = verify_one(bits, other, 10, rng)[0]
             detected_count += detected
         assert abs(detected_count / trials - (1 - 2**-10)) < 0.01
 
@@ -251,7 +256,7 @@ class TestParityVerify:
     @settings(max_examples=150)
     def test_round_records_are_consistent(self, bits, flips, rounds, seed):
         other = [b ^ 1 if i in flips else b for i, b in enumerate(bits)]
-        detected, alice, bob, records = verify_one(
+        detected, alice, bob, records, kept = verify_one(
             bits, other, rounds, random.Random(seed)
         )
         assert len(records) == rounds
@@ -270,6 +275,7 @@ class TestParityVerify:
         assert detected == any(
             r.alice_parity != r.bob_parity for r in records
         )
+        assert set(np.flatnonzero(~kept).tolist()) == discarded
         survivors = [i for i in range(len(bits)) if i not in discarded]
         assert alice.tolist() == [bits[i] for i in survivors]
         assert bob.tolist() == [other[i] for i in survivors]
@@ -289,7 +295,7 @@ class TestParityVerify:
         if len(bits) <= rounds:
             return
         got_rng, want_rng = random.Random(seed), random.Random(seed)
-        detected, alice, bob, records = verify_one(
+        detected, alice, bob, records, _ = verify_one(
             bits, other, rounds, got_rng
         )
         want = reference_parity_verify(bits, other, rounds, want_rng)
@@ -307,7 +313,7 @@ class TestParityVerify:
         # oracle: the reference loop, which redraws the same way
         for seed in range(20):
             got_rng, want_rng = random.Random(seed), random.Random(seed)
-            _, _, _, records = verify_one([1, 0], [1, 1], 1, got_rng)
+            records = verify_one([1, 0], [1, 1], 1, got_rng)[3]
             want = reference_parity_verify([1, 0], [1, 1], 1, want_rng)
             assert records[0].subset.tolist() == want[3][0][0]
             assert got_rng.getstate() == want_rng.getstate()
@@ -378,6 +384,22 @@ class TestRunSession:
         assert np.array_equal(
             transcript.eve_reconciled_guess, transcript.reconciled_key
         )
+        # intercept/resend guesses differ from the key at about a quarter
+        # of the positions, so a misaligned mask shows; oracle: the guesses
+        # with the records' discarded positions removed
+        transcript = run_session(
+            SessionConfig(n_pulses=3_000, parity_rounds=8),
+            channel_table("intercept-resend"),
+            random.Random(11),
+        )
+        dropped = {r.discarded_position for r in transcript.parity_rounds}
+        assert len(dropped) == 8
+        want = [
+            guess
+            for i, guess in enumerate(transcript.eve_bits.tolist())
+            if i not in dropped
+        ]
+        assert transcript.eve_reconciled_guess.tolist() == want
 
     def test_lost_pulses_have_no_measurement(self):
         transcript = run_session(

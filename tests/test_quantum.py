@@ -5,7 +5,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from bb84sim.errors import DegenerateAncillaError, NoMatchError
 from bb84sim.adversary import channel_table
@@ -31,9 +31,12 @@ angles = st.floats(
 
 class TestAngles:
     @given(angles)
+    @example(-math.pi)
+    @example(-2 * math.pi)
     def test_reduce_lands_in_half_open_interval(self, theta):
         reduced = reduce_angle(theta)
         assert 0.0 <= reduced < math.pi
+        assert math.copysign(1.0, reduced) == 1.0  # never -0.0
 
     @given(angles)
     def test_reduce_is_idempotent(self, theta):
