@@ -15,7 +15,7 @@ import random
 from bb84sim.adversary import channel_table
 from bb84sim.amplification import PrivacyParams, eve_residual_information
 from bb84sim.harness import derive_seed
-from bb84sim.protocol import SessionConfig, run_session
+from bb84sim.protocol import SessionConfig, run_batch
 
 
 def main() -> None:
@@ -36,10 +36,10 @@ def main() -> None:
     config = SessionConfig(n_pulses=args.pulses)
     print(f"{'attack':<20} " + " ".join(f"s={m:<8}" for m in margins))
     for name, eve in attacks.items():
-        transcripts = [
-            run_session(config, eve, random.Random(derive_seed(args.seed, i)))
+        batch = run_batch(config, eve, [
+            random.Random(derive_seed(args.seed, i))
             for i in range(args.sessions)
-        ]
+        ])
         row = []
         for margin in margins:
             params = PrivacyParams(
@@ -48,7 +48,7 @@ def main() -> None:
                 margin_bits=margin,
             )
             advantage = eve_residual_information(
-                transcripts, params, random.Random(args.seed)
+                batch, params, random.Random(args.seed)
             )
             row.append(f"{advantage:<10.5f}")
         print(f"{name:<20} " + " ".join(row))

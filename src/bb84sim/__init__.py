@@ -17,7 +17,6 @@ from .harness import (
     build_strategy,
     derive_seed,
     detection_rate_curve,
-    eve_sifted_accuracy,
     run_experiment,
 )
 from .protocol import (
@@ -25,8 +24,6 @@ from .protocol import (
     Pulses,
     SessionBatch,
     SessionConfig,
-    SessionTranscript,
-    bit_error_rate,
     parity_verify,
     prepare_pulses,
     run_batch,

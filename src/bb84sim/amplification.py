@@ -17,12 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    InvalidParamsError,
-    LengthMismatchError,
-    MissingEveBitsError,
-)
-from .protocol import SessionTranscript
+from .errors import InvalidParamsError, LengthMismatchError
+from .protocol import SessionBatch
 from .stream import Words, random_bits
 
 TOEPLITZ_BINARY = "toeplitz-binary"
@@ -128,40 +124,30 @@ def hashed_guess_advantage(
 
 
 def eve_residual_information(
-    transcripts: Sequence[SessionTranscript],
-    params: PrivacyParams,
-    rng: random.Random,
+    batch: SessionBatch, params: PrivacyParams, rng: random.Random
 ) -> float:
     """Empirical per-bit advantage of the adversary's guess of the final key.
 
-    For each transcript the first ``params.input_bits`` bits of the
-    reconciled key are compressed with a freshly drawn public hash, the
-    adversary's aligned guesses are compressed with the same hash, and the
-    per-bit agreement of the two outputs is averaged.  Returned is the mean
-    agreement advantage over one half, clamped to [0, 0.5].
-
-    Transcripts without adversary guesses (passive channel) carry no
-    information, so an all-passive batch returns 0.0; a mixed batch raises
-    ``MissingEveBitsError``.
+    For each session of the batch, in order, the first ``params.input_bits``
+    bits of the reconciled key are compressed with a freshly drawn public
+    hash, the adversary's aligned guesses are compressed with the same
+    hash, and the per-bit agreement of the two outputs is averaged.
+    Returned is the mean agreement advantage over one half, clamped to
+    [0, 0.5].  A passive channel leaves no guesses, and its batch returns
+    0.0.
     """
-    if not transcripts:
-        raise ValueError("transcripts must be non-empty")
-    have_guesses = [t.eve_bits is not None for t in transcripts]
-    if not any(have_guesses):
+    if not len(batch):
+        raise ValueError("batch must hold at least one session")
+    if batch.pulses.eve_guesses is None:
         return 0.0
-    if not all(have_guesses):
-        raise MissingEveBitsError(
-            "cannot mix transcripts with and without adversary guesses"
-        )
     n = params.input_bits
     advantages = []
-    for transcript in transcripts:
-        key = transcript.reconciled_key
-        if key is None:
+    for s in range(len(batch)):
+        if batch.detected[s]:
             raise ValueError(
-                "transcript has no reconciled key (session was detected)"
+                f"session {s} has no reconciled key (it was detected)"
             )
-        guess = transcript.eve_reconciled_guess
+        key, guess = batch.reconciled(s)
         if len(key) < n:
             raise LengthMismatchError(
                 f"reconciled key has {len(key)} bits, need {n}"

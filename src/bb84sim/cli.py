@@ -185,8 +185,9 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     try:
         _emit(text, args.out)
-    except OSError as exc:
-        print(f"error: cannot write report: {exc}", file=sys.stderr)
+    except OSError as exc:  # name the user's path, not the temporary file
+        print(f"error: cannot write report to {args.out}: "
+              f"{exc.strerror or exc}", file=sys.stderr)
         return 3
     return 0
 

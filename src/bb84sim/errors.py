@@ -22,27 +22,26 @@ class LengthMismatchError(ValueError):
     """A bit string does not have the length the operation requires."""
 
 
-class MissingEveBitsError(ValueError):
-    """A transcript lacks the eavesdropper guesses the estimator needs."""
-
-
 class InvalidConfigError(ValueError):
     """A session or experiment configuration violates its constraints."""
 
 
 class SessionError(RuntimeError):
     """A session inside an experiment failed.  Carries the session index and
-    the seed of its generator.  ``run_session(config, build_strategy(config),
-    Random(seed))`` replays the failure, where a curve session's config is
-    ``replace(config, parity_rounds=k)`` for the k of its sweep.  By kind:
+    the seed of its generator.  ``batch = run_session(config,
+    build_strategy(config), Random(seed))`` replays the failure as a batch
+    of one, where a curve session's config is ``replace(config,
+    parity_rounds=k)`` for the k of its sweep.  By kind:
 
     * too few sifted bits for the parity rounds: ``run_session`` raises the
       same ``KeyTooShortError``;
-    * too few bits for privacy amplification: the transcript is undetected,
-      and ``PrivacyParams(len(reconciled_key), t, s)`` raises the same
+    * too few bits for privacy amplification: the session is undetected
+      (``not batch.detected[0]``), and
+      ``PrivacyParams(len(batch.reconciled(0)[0]), t, s)`` raises the same
       ``InvalidParamsError``;
     * no sifted bit for a forced flip, or in a curve session (which needs
-      a nonempty key even at k = 0): the transcript's sifted key is empty.
+      a nonempty key even at k = 0): the sifted key is empty
+      (``batch.lengths[0] == 0``).
     """
 
     def __init__(self, session_index: int, seed: int, message: str):

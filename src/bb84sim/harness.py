@@ -56,7 +56,7 @@ import numpy as np
 from .adversary import ChannelTable, channel_table, check_strategy
 from .amplification import PrivacyParams, hashed_guess_advantage, sample_hash
 from .errors import InvalidConfigError, KeyTooShortError, SessionError
-from .protocol import SessionBatch, SessionConfig, SessionTranscript, run_batch
+from .protocol import SessionBatch, SessionConfig, run_batch
 from .quantum import DEFAULT_ANCILLA_ANGLE
 from .stream import BLOCK
 
@@ -250,16 +250,6 @@ def compute_aggregates(
     )
 
 
-def eve_sifted_accuracy(transcript: SessionTranscript) -> float | None:
-    """Fraction of sifted positions where the adversary guessed the
-    sender's bit; ``None`` without guesses or without sifted bits."""
-    guesses = transcript.eve_bits
-    if guesses is None or len(guesses) == 0:
-        return None
-    hits = int(np.count_nonzero(guesses == transcript.sifted_alice))
-    return hits / len(guesses)
-
-
 def _session_rngs(
     config: ExperimentConfig, indices: range
 ) -> list[random.Random]:
@@ -336,13 +326,9 @@ def _experiment_rows(
                 )
                 descriptor = sample_hash(params, rngs[s])
                 final_length = descriptor.output_bits
-                if guesses is not None:
-                    part = slice(batch.starts[s], batch.starts[s] + lengths[s])
-                    kept = batch.kept[part]
-                    advantage = hashed_guess_advantage(
-                        batch.sifted_alice[part][kept],
-                        np.take(guesses, batch.sifted[part][kept]), descriptor,
-                    )
+                key, guess = batch.reconciled(s)
+                if guess is not None:
+                    advantage = hashed_guess_advantage(key, guess, descriptor)
         rows.append(SessionRow(
             index=index,
             qber=qbers[s],

@@ -49,8 +49,7 @@ class SessionConfig:
 @dataclass(frozen=True, eq=False)
 class Pulses:
     """Everything that happened to the transmitted quantum bits, as
-    columns: entry i of each array describes pulse i of one session, and
-    in a batch entry [s, i] describes pulse i of session s."""
+    columns: entry [s, i] of each array describes pulse i of session s."""
 
     alice_bits: np.ndarray  # uint8
     alice_bases: np.ndarray  # uint8 index into BASIS_ANGLES
@@ -64,94 +63,32 @@ class Pulses:
         """The number of pulses, over every session of a batch."""
         return self.alice_bits.size
 
-    def row(self, s: int) -> "Pulses":
-        """Session s of a batch."""
-        guesses = self.eve_guesses
-        return Pulses(
-            self.alice_bits[s], self.alice_bases[s], self.forwarded[s],
-            None if guesses is None else guesses[s], self.lost[s],
-            self.bob_bases[s], self.bob_bits[s],
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class ParityRound:
-    """One public parity comparison over a subset of sifted positions.
+    """One public parity comparison per session of a batch, each over a
+    subset of its sifted positions.
 
-    Positions index into the sifted key.  The discarded position is the
-    lowest-indexed member of the subset, removed from both keys to pay for
-    the publicly revealed parity bit.  The subset is kept as a bitmask over
-    the key, packed eight positions to a byte.  In the records of a batch
-    each field holds one entry per session, and ``of`` picks one out.
+    Positions index into a session's sifted key.  The discarded position
+    is the lowest-indexed member of the subset, removed from both keys to
+    pay for the publicly revealed parity bit.  Row s of ``members`` is
+    session s's subset as a bitmask over its key, packed eight positions
+    to a byte; the other fields hold one entry per session.
     """
 
     members: np.ndarray
-    alice_parity: int
-    bob_parity: int
-    discarded_position: int
+    alice_parity: np.ndarray
+    bob_parity: np.ndarray
+    discarded_position: np.ndarray
 
-    @property
-    def subset(self) -> np.ndarray:
-        """The compared positions, ascending."""
-        return np.flatnonzero(np.unpackbits(self.members))
-
-    def of(self, session: int, length: int) -> "ParityRound":
-        """The round of one session of a batch, whose key has ``length``
-        bits."""
-        return ParityRound(
-            self.members[session, : (length + 7) // 8],
-            int(self.alice_parity[session]),
-            int(self.bob_parity[session]),
-            int(self.discarded_position[session]),
-        )
-
-
-@dataclass(frozen=True, eq=False)
-class SessionTranscript:
-    """Complete record of one session.
-
-    ``sifted`` holds the pulse indices that survived sifting, and
-    ``sifted_alice``/``sifted_bob`` the two keys read at them.  ``kept``
-    marks the sifted positions that no parity round discarded.
-    """
-
-    pulses: Pulses
-    sifted: np.ndarray
-    sifted_alice: np.ndarray
-    sifted_bob: np.ndarray
-    parity_rounds: list[ParityRound]
-    detected: bool
-    kept: np.ndarray
-
-    @property
-    def qber(self) -> float:
-        """Mismatch fraction of the sifted keys (0.0 when nothing sifted)."""
-        return bit_error_rate(self.sifted_alice, self.sifted_bob)
-
-    @property
-    def reconciled_key(self) -> np.ndarray | None:
-        """The sender's post-parity key, or ``None`` when a round detected
-        a mismatch."""
-        return None if self.detected else self.sifted_alice[self.kept]
-
-    @property
-    def eve_bits(self) -> np.ndarray | None:
-        """Adversary guesses aligned to the sifted positions, or ``None``
-        for a passive channel."""
-        guesses = self.pulses.eve_guesses
-        return None if guesses is None else guesses[self.sifted]
-
-    @property
-    def eve_reconciled_guess(self) -> np.ndarray | None:
-        """Adversary guesses restricted to the positions that survived the
-        parity rounds, aligned with ``reconciled_key``."""
-        guess = self.eve_bits
-        return None if guess is None else guess[self.kept]
+    def subset(self, s: int) -> np.ndarray:
+        """The positions session s compared, ascending."""
+        return np.flatnonzero(np.unpackbits(self.members[s]))
 
 
 @dataclass(frozen=True, eq=False)
 class SessionBatch:
-    """The transcripts of a batch of sessions, as columns.
+    """A batch of sessions, as columns.
 
     ``pulses`` holds one row per session.  The sifted arrays lay the
     sessions' sifted keys end to end: session s owns the ``lengths[s]``
@@ -173,30 +110,18 @@ class SessionBatch:
     def __len__(self) -> int:
         return len(self.lengths)
 
-    def transcript(self, s: int) -> SessionTranscript:
-        """The transcript of session s."""
-        start, length = int(self.starts[s]), int(self.lengths[s])
-        part = slice(start, start + length)
-        sifted = self.sifted[part]
-        if s:
-            sifted = sifted - s * self.pulses.alice_bits.shape[-1]
-        return SessionTranscript(
-            pulses=self.pulses.row(s),
-            sifted=sifted,
-            sifted_alice=self.sifted_alice[part],
-            sifted_bob=self.sifted_bob[part],
-            parity_rounds=[r.of(s, length) for r in self.parity_rounds],
-            detected=bool(self.detected[s]),
-            kept=self.kept[part],
-        )
-
-
-def bit_error_rate(a: Sequence[int], b: Sequence[int]) -> float:
-    if len(a) != len(b):
-        raise ValueError("bit strings must have equal length")
-    if len(a) == 0:
-        return 0.0
-    return int(np.count_nonzero(np.not_equal(a, b))) / len(a)
+    def reconciled(self, s: int) -> tuple[np.ndarray, np.ndarray | None]:
+        """Session s's post-parity key, the sender's sifted bits at the
+        positions ``kept`` marks, and the adversary's guesses at the same
+        positions (``None`` on a passive channel)."""
+        start = self.starts[s]
+        part = slice(start, start + self.lengths[s])
+        kept = self.kept[part]
+        key = self.sifted_alice[part][kept]
+        guesses = self.pulses.eve_guesses
+        if guesses is None:
+            return key, None
+        return key, np.take(guesses, self.sifted[part][kept])
 
 
 def prepare_pulses(n: int, words: Words) -> tuple[np.ndarray, np.ndarray]:
@@ -322,8 +247,8 @@ def parity_verify(
     Returns (detected, kept, round records): a flag per session, a mask
     over the keys laid end to end that marks the positions no round
     discarded, and one record per round whose fields hold one entry per
-    session (``ParityRound.of`` picks one out).  All rounds run even after a
-    detection; a session's flag is the OR of its per-round mismatches.
+    session.  All rounds run even after a detection; a session's flag is
+    the OR of its per-round mismatches.
     """
     alice = np.asarray(alice_bits, dtype=np.uint8)
     bob = np.asarray(bob_bits, dtype=np.uint8)
@@ -393,10 +318,9 @@ def run_batch(
     """Execute one full session per generator in ``rngs``, as one batch.
 
     Session s draws from ``rngs[s]``, stage by stage in the order
-    documented in ``harness``, exactly what ``run_session`` draws, so
-    ``batch.transcript(s)`` is the transcript ``run_session`` returns for
-    that generator, and each generator ends where ``run_session`` leaves
-    it.  The outputs of the stages up to verification are drawn ahead, one
+    documented in ``harness``, whatever else the batch holds, so its
+    columns and its generator's end state are those of a batch of one.
+    The outputs of the stages up to verification are drawn ahead, one
     ``getrandbits`` call per session when they fit ``stream.Words``'s
     budget.  With ``parity_rounds == 0`` verification is skipped and the
     sifted key is taken as reconciled.  With ``flip``, one uniform u per
@@ -455,13 +379,7 @@ def run_batch(
 
 def run_session(
     config: SessionConfig, adversary: ChannelTable, rng: random.Random
-) -> SessionTranscript:
-    """Execute one full session and return its transcript: ``run_batch``
-    on a batch of one.
-
-    Randomness is consumed stage by stage, in the order documented in
-    ``harness``, so identical seeds yield identical transcripts.  With
-    ``parity_rounds == 0`` verification is skipped and the sifted key is
-    taken as reconciled.
-    """
-    return run_batch(config, adversary, [rng]).transcript(0)
+) -> SessionBatch:
+    """Execute one full session drawing from ``rng``: ``run_batch`` on a
+    batch of one."""
+    return run_batch(config, adversary, [rng])

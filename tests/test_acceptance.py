@@ -33,7 +33,7 @@ from bb84sim.harness import (
     detection_rate_curve,
     run_experiment,
 )
-from bb84sim.protocol import SessionConfig, run_session
+from bb84sim.protocol import SessionConfig, run_batch, run_session
 from bb84sim.quantum import (
     BASIS_ANGLES,
     BQS,
@@ -44,6 +44,7 @@ from bb84sim.quantum import (
 )
 from bb84sim.stream import Words
 from test_adversary import enumerate_single_shot_qber
+from test_protocol import eve_bits, qber
 
 
 def report(name: str, ok: bool, detail: str, started: float) -> None:
@@ -118,20 +119,20 @@ def test_criterion_3_oracle_attack_transparency():
 def test_criterion_4_single_shot_attack_detectability():
     started = time.perf_counter()
     analytic = enumerate_single_shot_qber(DEFAULT_ANCILLA_ANGLE, "max-posterior")
-    transcript = run_session(
+    measured = qber(run_session(
         SessionConfig(n_pulses=100_000),
         channel_table("indirect-physical"),
         random.Random(derive_seed(4, 0)),
-    )
-    ok = abs(analytic - 0.2835) <= 5e-4 and abs(transcript.qber - analytic) <= 0.01
+    ))
+    ok = abs(analytic - 0.2835) <= 5e-4 and abs(measured - analytic) <= 0.01
     report(
         "criterion 4 single-shot detectability",
         ok,
-        f"analytic={analytic:.6f} monte-carlo={transcript.qber:.5f}",
+        f"analytic={analytic:.6f} monte-carlo={measured:.5f}",
         started,
     )
     assert abs(analytic - 0.2835) <= 5e-4
-    assert abs(transcript.qber - analytic) <= 0.01
+    assert abs(measured - analytic) <= 0.01
 
 
 def test_criterion_5_parity_certification():
@@ -270,24 +271,22 @@ def test_criterion_8c_output_length():
     assert ok
 
 
-def _attack_transcripts(eve, master_seed, count):
-    config = SessionConfig(n_pulses=700)
-    return [
-        run_session(config, eve, random.Random(derive_seed(master_seed, i)))
-        for i in range(count)
-    ]
+def _attack_batch(eve, master_seed, count):
+    return run_batch(SessionConfig(n_pulses=700), eve, [
+        random.Random(derive_seed(master_seed, i)) for i in range(count)
+    ])
 
 
 def test_criterion_8d_oracle_advantage_saturates():
     started = time.perf_counter()
-    transcripts = _attack_transcripts(
+    batch = _attack_batch(
         channel_table("indirect-oracle"), master_seed=84, count=200
     )
     advantages = []
     for margin in (4, 8, 16):
         params = PrivacyParams(input_bits=256, leak_bits=200, margin_bits=margin)
         advantages.append(
-            eve_residual_information(transcripts, params, random.Random(13))
+            eve_residual_information(batch, params, random.Random(13))
         )
     ok = all(adv == 0.5 for adv in advantages)
     report(
@@ -299,12 +298,13 @@ def test_criterion_8d_oracle_advantage_saturates():
 
 def test_criterion_8e_intercept_resend_advantage_decreasing():
     started = time.perf_counter()
-    transcripts = _attack_transcripts(
+    batch = _attack_batch(
         channel_table("intercept-resend"), master_seed=85, count=1_000
     )
+    hits = eve_bits(batch) == batch.sifted_alice
     accuracies = [
-        np.count_nonzero(t.eve_bits == t.sifted_alice) / len(t.sifted_alice)
-        for t in transcripts
+        np.count_nonzero(hits[start : start + length]) / length
+        for start, length in zip(batch.starts.tolist(), batch.lengths.tolist())
     ]
     measured_bits = math.ceil(256 * (sum(accuracies) / len(accuracies)))
     leak = measured_bits + 8  # measured adversary bits plus a margin
@@ -312,7 +312,7 @@ def test_criterion_8e_intercept_resend_advantage_decreasing():
     for margin in (4, 8, 16):
         params = PrivacyParams(input_bits=256, leak_bits=leak, margin_bits=margin)
         advantages.append(
-            eve_residual_information(transcripts, params, random.Random(88))
+            eve_residual_information(batch, params, random.Random(88))
         )
     ok = advantages[0] > advantages[1] > advantages[2]
     report(

@@ -26,6 +26,7 @@ from bb84sim.quantum import (
     squared_overlap,
 )
 from bb84sim.stream import Words, uniforms
+from test_protocol import eve_bits, qber
 
 BQS_ANGLES = (0.0, math.pi / 2, math.pi / 4, 3 * math.pi / 4)
 
@@ -131,11 +132,11 @@ def random_codes(n, seed):
     return np.array([rng.getrandbits(2) for _ in range(n)], dtype=np.uint8)
 
 
-def assert_basis_qber(transcript, expected):
+def assert_basis_qber(batch, expected):
     """Sifted errors among pulses sent in each basis lie within 6 sigma of
     Binomial(count, expected rate)."""
-    bases = transcript.pulses.alice_bases[transcript.sifted]
-    errors = transcript.sifted_alice != transcript.sifted_bob
+    bases = np.take(batch.pulses.alice_bases, batch.sifted)
+    errors = batch.sifted_alice != batch.sifted_bob
     for basis, rate in enumerate(expected):
         in_basis = bases == basis
         count = int(np.count_nonzero(in_basis))
@@ -155,12 +156,12 @@ class TestNoEve:
             assert guesses is None
 
     def test_zero_qber_in_session(self):
-        transcript = run_session(
+        batch = run_session(
             SessionConfig(n_pulses=5_000), channel_table("none"),
             random.Random(5),
         )
-        assert transcript.qber == 0.0
-        assert transcript.eve_bits is None
+        assert qber(batch) == 0.0
+        assert batch.pulses.eve_guesses is None
 
 
 class TestInterceptResend:
@@ -193,22 +194,22 @@ class TestInterceptResend:
         assert np.array_equal(guesses[diagonal], antidiagonal)
 
     def test_session_qber_near_one_quarter(self):
-        transcript = run_session(
+        batch = run_session(
             SessionConfig(n_pulses=100_000), channel_table("intercept-resend"),
             random.Random(8),
         )
-        assert transcript.qber == pytest.approx(0.25, abs=0.01)
+        assert qber(batch) == pytest.approx(0.25, abs=0.01)
 
     def test_sifted_guess_accuracy(self):
         # oracle: same basis half the time (guess surely right), different
         # basis half the time (coin), so (1 + 1/2) / 2 = 3/4
         expected = (1.0 + 0.5) / 2.0
-        transcript = run_session(
+        batch = run_session(
             SessionConfig(n_pulses=100_000), channel_table("intercept-resend"),
             random.Random(9),
         )
-        hits = np.count_nonzero(transcript.eve_bits == transcript.sifted_alice)
-        assert hits / len(transcript.sifted_alice) == pytest.approx(
+        hits = np.count_nonzero(eve_bits(batch) == batch.sifted_alice)
+        assert hits / len(batch.sifted_alice) == pytest.approx(
             expected, abs=0.01
         )
 
@@ -216,14 +217,14 @@ class TestInterceptResend:
         # oracle: only attacked pulses err, so qber = fraction * 1/4 and
         # guess accuracy = fraction * 3/4 + (1 - fraction) * 1/2
         fraction = 0.5
-        transcript = run_session(
+        batch = run_session(
             SessionConfig(n_pulses=100_000),
             channel_table("intercept-resend", attack_fraction=fraction),
             random.Random(10),
         )
-        assert transcript.qber == pytest.approx(fraction * 0.25, abs=0.01)
-        hits = np.count_nonzero(transcript.eve_bits == transcript.sifted_alice)
-        assert hits / len(transcript.sifted_alice) == pytest.approx(
+        assert qber(batch) == pytest.approx(fraction * 0.25, abs=0.01)
+        hits = np.count_nonzero(eve_bits(batch) == batch.sifted_alice)
+        assert hits / len(batch.sifted_alice) == pytest.approx(
             fraction * 0.75 + (1 - fraction) * 0.5, abs=0.01
         )
 
@@ -231,11 +232,11 @@ class TestInterceptResend:
         # oracle: a quarter of the sifted bits err in each basis
         want = enumerate_basis_qber(intercept_resend_channel)
         assert want == pytest.approx((0.25, 0.25), abs=1e-12)
-        transcript = run_session(
+        batch = run_session(
             SessionConfig(n_pulses=100_000), channel_table("intercept-resend"),
             random.Random(45),
         )
-        assert_basis_qber(transcript, want)
+        assert_basis_qber(batch, want)
 
     def test_bad_fraction_rejected(self):
         with pytest.raises(ValueError):
@@ -277,13 +278,13 @@ class TestIndirectCopyOracle:
         assert BQS_ANGLES[table.lookup(value)] == 3 * math.pi / 4
 
     def test_session_is_error_free_and_fully_leaked(self):
-        transcript = run_session(
+        batch = run_session(
             SessionConfig(n_pulses=100_000),
             channel_table("indirect-oracle"),
             random.Random(21),
         )
-        assert transcript.qber == 0.0
-        assert np.array_equal(transcript.eve_bits, transcript.sifted_alice)
+        assert qber(batch) == 0.0
+        assert np.array_equal(eve_bits(batch), batch.sifted_alice)
 
     def test_works_for_non_default_ancilla(self):
         eve = channel_table("indirect-oracle", 0.41)
@@ -393,12 +394,12 @@ class TestIndirectCopyPhysical:
     def test_monte_carlo_agrees_with_enumeration(self):
         for rule in RESEND_RULES:
             expected = enumerate_single_shot_qber(DEFAULT_ANCILLA_ANGLE, rule)
-            transcript = run_session(
+            batch = run_session(
                 SessionConfig(n_pulses=100_000),
                 channel_table("indirect-physical", resend_rule=rule),
                 random.Random(31),
             )
-            assert transcript.qber == pytest.approx(expected, abs=0.01)
+            assert qber(batch) == pytest.approx(expected, abs=0.01)
 
     def test_basis_resolved_qber_matches_enumeration(self):
         # oracle: exact per-basis rates, 1/2 rectilinear and (2 - sqrt 3)/4
@@ -412,12 +413,12 @@ class TestIndirectCopyPhysical:
             enumerate_single_shot_qber(DEFAULT_ANCILLA_ANGLE, "max-posterior"),
             abs=1e-12,
         )
-        transcript = run_session(
+        batch = run_session(
             SessionConfig(n_pulses=100_000),
             channel_table("indirect-physical"),
             random.Random(44),
         )
-        assert_basis_qber(transcript, want)
+        assert_basis_qber(batch, want)
 
     def test_never_transparent_for_any_valid_ancilla(self):
         # exact enumeration over an ancilla grid that avoids the degenerate

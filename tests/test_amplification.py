@@ -16,13 +16,9 @@ from bb84sim.amplification import (
     hashed_guess_advantage,
     sample_hash,
 )
-from bb84sim.errors import (
-    InvalidParamsError,
-    LengthMismatchError,
-    MissingEveBitsError,
-)
+from bb84sim.errors import InvalidParamsError, LengthMismatchError
 from bb84sim.harness import derive_seed
-from bb84sim.protocol import SessionConfig, run_session
+from bb84sim.protocol import SessionConfig, run_batch
 
 
 def random_bits(n, rng):
@@ -49,12 +45,10 @@ def direct_compress(key, descriptor):
     return (full[n - 1 : n - 1 + r] % 2).astype(np.uint8)
 
 
-def transcripts_for(eve, count, seed, n_pulses=200):
-    config = SessionConfig(n_pulses=n_pulses)
-    return [
-        run_session(config, eve, random.Random(derive_seed(seed, i)))
-        for i in range(count)
-    ]
+def batch_for(eve, count, seed, n_pulses=200):
+    return run_batch(SessionConfig(n_pulses=n_pulses), eve, [
+        random.Random(derive_seed(seed, i)) for i in range(count)
+    ])
 
 
 class TestPrivacyParams:
@@ -291,48 +285,50 @@ class TestHashedGuessAdvantage:
 
 class TestEveResidualInformation:
     def test_passive_channel_has_zero_information(self):
-        transcripts = transcripts_for(channel_table("none"), 5, seed=1)
+        batch = batch_for(channel_table("none"), 5, seed=1)
         params = PrivacyParams(input_bits=64, leak_bits=16, margin_bits=8)
-        assert (
-            eve_residual_information(transcripts, params, random.Random(0))
-            == 0.0
-        )
+        assert eve_residual_information(batch, params, random.Random(0)) == 0.0
 
     def test_oracle_attack_defeats_amplification(self):
         # the adversary's reconciled guess equals the key, so the hashed
         # guess equals the final key for every margin
-        transcripts = transcripts_for(
-            channel_table("indirect-oracle"), 10, seed=2
-        )
+        batch = batch_for(channel_table("indirect-oracle"), 10, seed=2)
         for margin in (4, 8, 16):
             params = PrivacyParams(
                 input_bits=64, leak_bits=16, margin_bits=margin
             )
             assert (
-                eve_residual_information(transcripts, params, random.Random(1))
+                eve_residual_information(batch, params, random.Random(1))
                 == 0.5
             )
 
-    def test_mixed_transcripts_rejected(self):
-        mixed = transcripts_for(
-            channel_table("none"), 2, seed=3
-        ) + transcripts_for(channel_table("intercept-resend"), 2, seed=4)
-        params = PrivacyParams(input_bits=64, leak_bits=16, margin_bits=8)
-        with pytest.raises(MissingEveBitsError):
-            eve_residual_information(mixed, params, random.Random(2))
-
     def test_short_reconciled_key_rejected(self):
-        transcripts = transcripts_for(
+        batch = batch_for(
             channel_table("intercept-resend"), 2, seed=5, n_pulses=40
         )
         params = PrivacyParams(input_bits=64, leak_bits=16, margin_bits=8)
         with pytest.raises(LengthMismatchError):
-            eve_residual_information(transcripts, params, random.Random(3))
+            eve_residual_information(batch, params, random.Random(3))
+
+    def test_detected_session_rejected(self):
+        # intercept/resend at 16 parity rounds: a round trips on session 0
+        # with probability 1 - 2**-16, and it has no reconciled key
+        batch = run_batch(
+            SessionConfig(n_pulses=200, parity_rounds=16),
+            channel_table("intercept-resend"), [random.Random(7)],
+        )
+        assert batch.detected[0]
+        params = PrivacyParams(input_bits=64, leak_bits=16, margin_bits=8)
+        with pytest.raises(ValueError, match="detected"):
+            eve_residual_information(batch, params, random.Random(5))
 
     def test_empty_batch_rejected(self):
         params = PrivacyParams(input_bits=64, leak_bits=16, margin_bits=8)
-        with pytest.raises(ValueError):
-            eve_residual_information([], params, random.Random(4))
+        with pytest.raises(ValueError, match="at least one session"):
+            eve_residual_information(
+                batch_for(channel_table("intercept-resend"), 0, seed=6),
+                params, random.Random(4),
+            )
 
     def test_intercept_resend_regression_values(self):
         # Frozen from a fixed-seed run under stream contract bb84sim-2.
@@ -340,15 +336,13 @@ class TestEveResidualInformation:
         # output bits in expectation, so these values are sampling residue
         # at the 1/sqrt(sessions * r) scale, not recoverable information;
         # they pin the computation exactly.
-        transcripts = transcripts_for(
-            channel_table("intercept-resend"), 50, seed=7
-        )
+        batch = batch_for(channel_table("intercept-resend"), 50, seed=7)
         observed = []
         for margin in (4, 8, 16):
             params = PrivacyParams(
                 input_bits=64, leak_bits=40, margin_bits=margin
             )
             observed.append(
-                eve_residual_information(transcripts, params, random.Random(99))
+                eve_residual_information(batch, params, random.Random(99))
             )
         assert observed == pytest.approx([0.0, 0.0, 0.0075], abs=1e-15)

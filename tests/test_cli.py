@@ -147,14 +147,17 @@ class TestRunCommand:
         out.write_text("previous report\n")
 
         def failing_replace(src, dst):
-            raise OSError(28, "No space left on device")
+            raise OSError(28, "No space left on device", str(src))
 
         monkeypatch.setattr(cli.os, "replace", failing_replace)
         code = main(
             ["run", "--pulses", "50", "--sessions", "1", "--out", str(out)]
         )
         assert code == 3
-        assert "No space left on device" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: cannot write report to {out}: No space left on device\n"
+        )
         assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
         assert out.read_text() == "previous report\n"
 
@@ -245,17 +248,17 @@ class TestRunCommand:
         assert int(match.group(1)) == index
         seed, message = int(match.group(2)), match.group(3)
         config = cli._config_from_args(build_parser().parse_args(argv))
-        transcript = run_session(
+        batch = run_session(
             config, build_strategy(config), random.Random(seed)
         )
         if config.privacy_enabled:
-            assert not transcript.detected
+            assert not batch.detected[0]
             with pytest.raises(InvalidParamsError) as excinfo:
-                PrivacyParams(len(transcript.reconciled_key),
+                PrivacyParams(len(batch.reconciled(0)[0]),
                               config.pa_leak_bits, config.pa_margin_bits)
             assert str(excinfo.value) == message
         else:
-            assert len(transcript.sifted_alice) == 0
+            assert batch.lengths[0] == 0
             if "--force-differ" in argv:
                 assert message == "no sifted bits to flip"
             else:

@@ -28,7 +28,6 @@ from bb84sim.harness import (
     curve_to_json,
     derive_seed,
     detection_rate_curve,
-    eve_sifted_accuracy,
     run_experiment,
 )
 from bb84sim.adversary import EVE_KINDS, ChannelTable, channel_table
@@ -193,18 +192,17 @@ class TestRunExperiment:
         report = run_experiment(config)
         for index, row in enumerate(report.sessions):
             rng = random.Random(derive_seed(config.master_seed, index))
-            transcript = run_session(
+            batch = run_session(
                 SessionConfig(n_pulses=config.n_pulses),
                 build_strategy(config),
                 rng,
             )
-            key = transcript.reconciled_key
+            key, guess = batch.reconciled(0)
             params = PrivacyParams(len(key), 100, 8)
             descriptor = sample_hash(params, rng)
             agreement = float(
                 np.mean(
-                    compress(key, descriptor)
-                    == compress(transcript.eve_reconciled_guess, descriptor)
+                    compress(key, descriptor) == compress(guess, descriptor)
                 )
             )
             assert row.final_key_length == params.output_bits
@@ -257,11 +255,11 @@ class TestRunExperiment:
         key cannot support its round count"""
         sweep = [k for k in k_values for _ in range(n_sessions)]
         for index, k in enumerate(sweep):
-            transcript = run_session(
+            batch = run_session(
                 SessionConfig(n_pulses=2), channel_table("none"),
                 random.Random(derive_seed(master_seed, index)),
             )
-            if len(transcript.sifted_alice) <= k:
+            if len(batch.sifted_alice) <= k:
                 return index
 
     def test_curve_session_error_names_its_seed(self):
@@ -493,30 +491,39 @@ class TestGoldenReports:
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
-def session_row(config, index, transcript, rng):
-    """The report row of one session replayed on its own generator."""
+def session_row(config, index, batch, rng):
+    """The report row of the one session of ``batch``, replayed on its own
+    generator."""
+    alice, bob = batch.sifted_alice.tolist(), batch.sifted_bob.tolist()
+    length = len(alice)
+    errors = sum(a != b for a, b in zip(alice, bob))
+    guesses = batch.pulses.eve_guesses
+    accuracy = None
+    if guesses is not None and length:
+        sifted_guesses = np.take(guesses, batch.sifted).tolist()
+        accuracy = sum(g == a for g, a in zip(sifted_guesses, alice)) / length
     final_length, advantage = 0, None
-    if not transcript.detected:
-        final_length = len(transcript.reconciled_key)
+    if not batch.detected[0]:
+        key = batch.sifted_alice[batch.kept]
+        final_length = len(key)
         if config.privacy_enabled:
             params = PrivacyParams(
                 final_length, config.pa_leak_bits, config.pa_margin_bits
             )
             descriptor = sample_hash(params, rng)
             final_length = params.output_bits
-            guess = transcript.eve_reconciled_guess
-            if guess is not None:
+            if guesses is not None:
+                guess = np.take(guesses, batch.sifted[batch.kept])
                 advantage = float(np.mean(
-                    compress(transcript.reconciled_key, descriptor)
-                    == compress(guess, descriptor)
+                    compress(key, descriptor) == compress(guess, descriptor)
                 )) - 0.5
     return SessionRow(
         index=index,
-        qber=transcript.qber,
-        sifted_length=len(transcript.sifted_alice),
-        detected=transcript.detected,
+        qber=errors / length if length else 0.0,
+        sifted_length=length,
+        detected=bool(batch.detected[0]),
         final_key_length=final_length,
-        eve_accuracy=eve_sifted_accuracy(transcript),
+        eve_accuracy=accuracy,
         eve_advantage=advantage,
     )
 
@@ -525,10 +532,10 @@ def draws_a_redraw(config, adversary, seed):
     """Whether parity verification of the session drawn from ``seed`` meets
     an empty subset, by the generator outputs its rounds consume."""
     rng = random.Random(seed)
-    transcript = run_session(
+    batch = run_session(
         SessionConfig(config.n_pulses, config.efficiency), adversary, rng
     )
-    length = len(transcript.sifted_alice)
+    length = len(batch.sifted_alice)
     if length <= config.parity_rounds:
         return False
     plain = random.Random()
@@ -536,7 +543,7 @@ def draws_a_redraw(config, adversary, seed):
     for done in range(config.parity_rounds):
         plain.getrandbits(32 * ((length - done + 31) // 32))
     reference_parity_verify(
-        transcript.sifted_alice.tolist(), transcript.sifted_bob.tolist(),
+        batch.sifted_alice.tolist(), batch.sifted_bob.tolist(),
         config.parity_rounds, rng,
     )
     return rng.getstate() != plain.getstate()
@@ -553,12 +560,12 @@ def replayed_curve(config, k_values, force_differ):
         for _ in range(config.n_sessions):
             rng = random.Random(derive_seed(config.master_seed, index))
             index += 1
-            transcript = run_session(
+            batch = run_session(
                 SessionConfig(config.n_pulses, config.efficiency),
                 strategy, rng,
             )
-            alice = transcript.sifted_alice.tolist()
-            bob = transcript.sifted_bob.tolist()
+            alice = batch.sifted_alice.tolist()
+            bob = batch.sifted_bob.tolist()
             if not alice or len(alice) <= k:
                 return None
             if force_differ:
@@ -586,8 +593,8 @@ class TestBatchEngine:
         rows = run_experiment(config).sessions
         for index, row in enumerate(rows):
             rng = random.Random(derive_seed(config.master_seed, index))
-            transcript = run_session(config, strategy, rng)
-            assert row == session_row(config, index, transcript, rng)
+            batch = run_session(config, strategy, rng)
+            assert row == session_row(config, index, batch, rng)
 
     @pytest.mark.parametrize("eve", ["intercept-resend", "indirect-oracle"])
     def test_amplified_rows_equal_per_session_replay(self, eve):
@@ -599,8 +606,8 @@ class TestBatchEngine:
         rows = run_experiment(config).sessions
         for index, row in enumerate(rows):
             rng = random.Random(derive_seed(config.master_seed, index))
-            transcript = run_session(config, strategy, rng)
-            assert row == session_row(config, index, transcript, rng)
+            batch = run_session(config, strategy, rng)
+            assert row == session_row(config, index, batch, rng)
 
     @pytest.mark.parametrize("n", [1, 33, 96, 8193])
     @pytest.mark.parametrize("eve", ["none", "intercept-resend"])
@@ -643,7 +650,7 @@ class TestBatchEngine:
         for s, seed in enumerate(seeds):
             rng = random.Random(seed)
             want = run_session(config, strategy, rng)
-            assert columns(batch.transcript(s)) == columns(want)
+            assert columns(batch, s) == columns(want)
             assert rngs[s].getstate() == rng.getstate()
         redrawn = redraws.index(True, 1)
         rng = random.Random(seeds[redrawn])
@@ -651,13 +658,12 @@ class TestBatchEngine:
         reference = reference_parity_verify(
             plain.sifted_alice.tolist(), plain.sifted_bob.tolist(), 3, rng
         )
-        got = batch.transcript(redrawn)
         assert [
-            (r.subset.tolist(), r.alice_parity, r.bob_parity,
-             r.discarded_position)
-            for r in got.parity_rounds
+            (r.subset(redrawn).tolist(), int(r.alice_parity[redrawn]),
+             int(r.bob_parity[redrawn]), int(r.discarded_position[redrawn]))
+            for r in batch.parity_rounds
         ] == reference[3]
-        assert got.reconciled_key.tolist() == reference[1]
+        assert batch.reconciled(redrawn)[0].tolist() == reference[1]
         assert rngs[redrawn].getstate() == rng.getstate()
 
 

@@ -1,5 +1,5 @@
 """Tests for the session engine: preparation, channel, sifting, parity
-verification, and whole-session transcripts."""
+verification, and whole sessions read as the columns of a batch."""
 
 import math
 import random
@@ -14,7 +14,6 @@ from bb84sim.errors import InvalidConfigError, KeyTooShortError
 from bb84sim.protocol import (
     Pulses,
     SessionConfig,
-    bit_error_rate,
     parity_verify,
     prepare_pulses,
     run_session,
@@ -41,22 +40,39 @@ class TestSessionConfig:
             SessionConfig(n_pulses=10, parity_rounds=-1)
 
 
-def columns(transcript):
-    """Every array and scalar a transcript holds, for equality checks."""
-    p = transcript.pulses
+def qber(batch):
+    """Mismatch fraction of a batch's sifted keys."""
+    return float(np.mean(batch.sifted_alice != batch.sifted_bob))
+
+
+def eve_bits(batch):
+    """The adversary's guesses at a batch's sifted positions."""
+    return np.take(batch.pulses.eve_guesses, batch.sifted)
+
+
+def columns(batch, s=0):
+    """Every column of session s of a batch, with its sifted indices
+    counted from its own first pulse, its round records and its flag, for
+    equality checks."""
+    p = batch.pulses
+    start, length = int(batch.starts[s]), int(batch.lengths[s])
+    part = slice(start, start + length)
     rounds = [
-        (r.members.tobytes(), r.alice_parity, r.bob_parity, r.discarded_position)
-        for r in transcript.parity_rounds
+        (r.members[s, : (length + 7) // 8].tobytes(), int(r.alice_parity[s]),
+         int(r.bob_parity[s]), int(r.discarded_position[s]))
+        for r in batch.parity_rounds
     ]
+    guesses = None if p.eve_guesses is None else p.eve_guesses[s]
     arrays = (
-        p.alice_bits, p.alice_bases, p.forwarded, p.eve_guesses, p.lost,
-        p.bob_bases, p.bob_bits, transcript.sifted, transcript.sifted_alice,
-        transcript.sifted_bob, transcript.kept, transcript.reconciled_key,
+        p.alice_bits[s], p.alice_bases[s], p.forwarded[s], guesses, p.lost[s],
+        p.bob_bases[s], p.bob_bits[s], batch.sifted[part] - s * p.lost.shape[1],
+        batch.sifted_alice[part], batch.sifted_bob[part], batch.kept[part],
+        *batch.reconciled(s),
     )
     return (
         [None if a is None else (a.dtype.str, a.tobytes()) for a in arrays],
         rounds,
-        transcript.detected,
+        bool(batch.detected[s]),
     )
 
 
@@ -86,16 +102,21 @@ def reference_parity_verify(alice_bits, bob_bits, rounds, rng):
 
 def verify_one(alice_bits, bob_bits, rounds, rng):
     """``parity_verify`` on a batch of one session drawing from ``rng``:
-    its flag, its reconciled keys (the positions ``kept`` marks), its round
-    records and ``kept``."""
-    length = len(alice_bits)
+    its flag, its reconciled keys (the positions ``kept`` marks), its
+    rounds as (subset, alice parity, bob parity, discarded position), the
+    layout ``reference_parity_verify`` returns, and ``kept``."""
     detected, kept, records = parity_verify(
-        alice_bits, bob_bits, rounds, Words([rng]), np.array([length])
+        alice_bits, bob_bits, rounds, Words([rng]),
+        np.array([len(alice_bits)]),
     )
     alice = np.asarray(alice_bits, dtype=np.uint8)[kept]
     bob = np.asarray(bob_bits, dtype=np.uint8)[kept]
-    return (bool(detected[0]), alice, bob,
-            [r.of(0, length) for r in records], kept)
+    rounds = [
+        (r.subset(0).tolist(), int(r.alice_parity[0]), int(r.bob_parity[0]),
+         int(r.discarded_position[0]))
+        for r in records
+    ]
+    return bool(detected[0]), alice, bob, rounds, kept
 
 
 class TestPreparePulses:
@@ -153,40 +174,41 @@ class TestTransmit:
 
 class TestSift:
     def test_matched_bases_without_noise_agree_exactly(self):
-        transcript = run_session(
+        batch = run_session(
             SessionConfig(n_pulses=50_000), channel_table("none"),
             random.Random(3),
         )
-        assert np.array_equal(transcript.sifted_alice, transcript.sifted_bob)
-        alice, bob, indices = sift(transcript.pulses)
-        assert np.array_equal(indices, transcript.sifted)
-        assert np.array_equal(alice, transcript.sifted_alice)
-        assert np.array_equal(bob, transcript.sifted_bob)
+        assert np.array_equal(batch.sifted_alice, batch.sifted_bob)
+        alice, bob, indices = sift(batch.pulses)
+        assert np.array_equal(indices, batch.sifted)
+        assert np.array_equal(alice, batch.sifted_alice)
+        assert np.array_equal(bob, batch.sifted_bob)
 
     def test_sifted_fraction_near_half(self):
         n = 100_000
-        transcript = run_session(
+        batch = run_session(
             SessionConfig(n_pulses=n), channel_table("none"), random.Random(4)
         )
         sigma = math.sqrt(0.25 / n)
-        assert abs(len(transcript.sifted_alice) / n - 0.5) < 4 * sigma
+        assert abs(len(batch.sifted_alice) / n - 0.5) < 4 * sigma
 
     def test_sources_are_matched_unlost_pulses(self):
-        transcript = run_session(
+        batch = run_session(
             SessionConfig(n_pulses=2_000, efficiency=0.7),
             channel_table("none"),
             random.Random(5),
         )
-        pulses = transcript.pulses
+        pulses = batch.pulses
+        lost, alice_bases = pulses.lost[0], pulses.alice_bases[0]
         want = [
             i for i in range(len(pulses))
-            if not pulses.lost[i] and pulses.alice_bases[i] == pulses.bob_bases[i]
+            if not lost[i] and alice_bases[i] == pulses.bob_bases[0, i]
         ]
-        assert transcript.sifted.tolist() == want
-        assert transcript.sifted_alice.tolist() == [
-            pulses.alice_bits[i] for i in want
+        assert batch.sifted.tolist() == want
+        assert batch.sifted_alice.tolist() == [
+            pulses.alice_bits[0, i] for i in want
         ]
-        assert transcript.sifted_bob.tolist() == [pulses.bob_bits[i] for i in want]
+        assert batch.sifted_bob.tolist() == [pulses.bob_bits[0, i] for i in want]
 
     def test_empty_input_gives_empty_keys(self):
         empty = np.zeros(0, dtype=np.uint8)
@@ -262,19 +284,16 @@ class TestParityVerify:
         assert len(records) == rounds
         assert len(alice) == len(bits) - rounds
         discarded = set()
-        for record in records:
-            subset = record.subset.tolist()
-            assert record.discarded_position in subset
-            assert record.discarded_position == min(subset)
+        for subset, alice_parity, bob_parity, position in records:
+            assert position in subset
+            assert position == min(subset)
             assert discarded.isdisjoint(subset)
             want_a = reduce(lambda p, i: p ^ bits[i], subset, 0)
             want_b = reduce(lambda p, i: p ^ other[i], subset, 0)
-            assert record.alice_parity == want_a
-            assert record.bob_parity == want_b
-            discarded.add(record.discarded_position)
-        assert detected == any(
-            r.alice_parity != r.bob_parity for r in records
-        )
+            assert alice_parity == want_a
+            assert bob_parity == want_b
+            discarded.add(position)
+        assert detected == any(a != b for _, a, b, _ in records)
         assert set(np.flatnonzero(~kept).tolist()) == discarded
         survivors = [i for i in range(len(bits)) if i not in discarded]
         assert alice.tolist() == [bits[i] for i in survivors]
@@ -301,11 +320,7 @@ class TestParityVerify:
         want = reference_parity_verify(bits, other, rounds, want_rng)
         assert detected == want[0]
         assert alice.tolist() == want[1] and bob.tolist() == want[2]
-        assert [
-            (r.subset.tolist(), r.alice_parity, r.bob_parity,
-             r.discarded_position)
-            for r in records
-        ] == want[3]
+        assert records == want[3]
         assert got_rng.getstate() == want_rng.getstate()
 
     def test_empty_subset_is_drawn_again(self):
@@ -315,99 +330,94 @@ class TestParityVerify:
             got_rng, want_rng = random.Random(seed), random.Random(seed)
             records = verify_one([1, 0], [1, 1], 1, got_rng)[3]
             want = reference_parity_verify([1, 0], [1, 1], 1, want_rng)
-            assert records[0].subset.tolist() == want[3][0][0]
+            assert records[0][0] == want[3][0][0]
             assert got_rng.getstate() == want_rng.getstate()
 
 
 class TestRunSession:
     def test_clean_channel_produces_clean_transcript(self):
-        transcript = run_session(
+        batch = run_session(
             SessionConfig(n_pulses=10_000, parity_rounds=16),
             channel_table("none"),
             random.Random(6),
         )
-        assert transcript.detected is False
-        assert transcript.qber == 0.0
-        assert transcript.reconciled_key is not None
-        assert (
-            len(transcript.reconciled_key) == len(transcript.sifted_alice) - 16
-        )
+        assert not batch.detected[0]
+        assert qber(batch) == 0.0
+        key, _ = batch.reconciled(0)
+        assert len(key) == len(batch.sifted_alice) - 16
 
     def test_intercept_resend_reaches_quarter_qber(self):
-        transcript = run_session(
+        batch = run_session(
             SessionConfig(n_pulses=100_000), channel_table("intercept-resend"),
             random.Random(7),
         )
-        assert transcript.qber == pytest.approx(0.25, abs=0.01)
+        assert qber(batch) == pytest.approx(0.25, abs=0.01)
 
     def test_oracle_attack_session_example(self):
-        transcript = run_session(
+        batch = run_session(
             SessionConfig(n_pulses=100_000), oracle_eve(), random.Random(8)
         )
-        assert transcript.qber == 0.0
-        assert np.array_equal(transcript.eve_bits, transcript.sifted_alice)
+        assert qber(batch) == 0.0
+        assert np.array_equal(eve_bits(batch), batch.sifted_alice)
 
     def test_detected_flag_matches_round_records(self):
         # intercept/resend with verification on: mismatches are near-certain
-        transcript = run_session(
+        batch = run_session(
             SessionConfig(n_pulses=2_000, parity_rounds=16),
             channel_table("intercept-resend"),
             random.Random(9),
         )
-        assert transcript.detected == any(
-            r.alice_parity != r.bob_parity for r in transcript.parity_rounds
+        assert batch.detected[0] == any(
+            r.alice_parity[0] != r.bob_parity[0] for r in batch.parity_rounds
         )
-        if transcript.detected:
-            assert transcript.reconciled_key is None
 
     def test_discarded_positions_left_out_of_reconciled_key(self):
-        transcript = run_session(
+        batch = run_session(
             SessionConfig(n_pulses=3_000, parity_rounds=12),
             channel_table("none"),
             random.Random(10),
         )
-        dropped = {r.discarded_position for r in transcript.parity_rounds}
+        dropped = {int(r.discarded_position[0]) for r in batch.parity_rounds}
         survivors = [
             bit
-            for i, bit in enumerate(transcript.sifted_alice.tolist())
+            for i, bit in enumerate(batch.sifted_alice.tolist())
             if i not in dropped
         ]
-        assert transcript.reconciled_key.tolist() == survivors
+        assert batch.reconciled(0)[0].tolist() == survivors
 
     def test_eve_reconciled_guess_alignment(self):
-        transcript = run_session(
+        batch = run_session(
             SessionConfig(n_pulses=3_000, parity_rounds=8),
             oracle_eve(),
             random.Random(11),
         )
-        assert transcript.detected is False
-        assert np.array_equal(
-            transcript.eve_reconciled_guess, transcript.reconciled_key
-        )
+        assert not batch.detected[0]
+        key, guess = batch.reconciled(0)
+        assert np.array_equal(guess, key)
         # intercept/resend guesses differ from the key at about a quarter
         # of the positions, so a misaligned mask shows; oracle: the guesses
         # with the records' discarded positions removed
-        transcript = run_session(
+        batch = run_session(
             SessionConfig(n_pulses=3_000, parity_rounds=8),
             channel_table("intercept-resend"),
             random.Random(11),
         )
-        dropped = {r.discarded_position for r in transcript.parity_rounds}
+        dropped = {int(r.discarded_position[0]) for r in batch.parity_rounds}
         assert len(dropped) == 8
         want = [
             guess
-            for i, guess in enumerate(transcript.eve_bits.tolist())
+            for i, guess in enumerate(eve_bits(batch).tolist())
             if i not in dropped
         ]
-        assert transcript.eve_reconciled_guess.tolist() == want
+        assert batch.reconciled(0)[1].tolist() == want
 
     def test_lost_pulses_have_no_measurement(self):
-        transcript = run_session(
+        batch = run_session(
             SessionConfig(n_pulses=5_000, efficiency=0.4),
             channel_table("none"),
             random.Random(12),
         )
-        pulses = transcript.pulses
+        pulses = batch.pulses
         assert np.all(pulses.bob_bits[pulses.lost] == -1)
         assert set(pulses.bob_bits[~pulses.lost].tolist()) <= {0, 1}
         assert pulses.lost.any() and not pulses.lost.all()
@@ -423,7 +433,7 @@ class TestRunSession:
         # oracle: the order of the stream contract, replayed with plain
         # getrandbits and random() calls on a second generator
         n, efficiency, rounds = 3_000, 0.9, 4
-        transcript = run_session(
+        batch = run_session(
             SessionConfig(n_pulses=n, efficiency=efficiency, parity_rounds=rounds),
             channel_table("intercept-resend"),
             random.Random(99),
@@ -437,24 +447,25 @@ class TestRunSession:
         def floats():
             return [rng.random() for _ in range(n)]
 
-        pulses = transcript.pulses
-        assert pulses.alice_bits.tolist() == bits()
-        assert pulses.alice_bases.tolist() == bits()
-        assert pulses.bob_bases.tolist() == bits()
+        pulses = batch.pulses
+        lost, bob_bases = pulses.lost[0], pulses.bob_bases[0]
+        assert pulses.alice_bits[0].tolist() == bits()
+        assert pulses.alice_bases[0].tolist() == bits()
+        assert bob_bases.tolist() == bits()
         floats()  # the adversary's uniforms
-        assert pulses.lost.tolist() == [u >= efficiency for u in floats()]
+        assert lost.tolist() == [u >= efficiency for u in floats()]
         for i, u in enumerate(floats()):
-            if pulses.lost[i]:
+            if lost[i]:
                 continue
-            bit0 = (0.0, math.pi / 4)[pulses.bob_bases[i]]
-            p0 = math.cos(pulses.forwarded[i] - bit0) ** 2
+            bit0 = (0.0, math.pi / 4)[bob_bases[i]]
+            p0 = math.cos(pulses.forwarded[0, i] - bit0) ** 2
             p0 = 1.0 if p0 >= 1 - 1e-12 else 0.0 if p0 <= 1e-12 else p0
-            assert pulses.bob_bits[i] == (0 if u < p0 else 1)
+            assert pulses.bob_bits[0, i] == (0 if u < p0 else 1)
         want = reference_parity_verify(
-            transcript.sifted_alice.tolist(), transcript.sifted_bob.tolist(),
+            batch.sifted_alice.tolist(), batch.sifted_bob.tolist(),
             rounds, rng,
         )
-        assert [r.discarded_position for r in transcript.parity_rounds] == [
+        assert [int(r.discarded_position[0]) for r in batch.parity_rounds] == [
             record[3] for record in want[3]
         ]
         rng_after = random.Random(99)
@@ -472,15 +483,3 @@ class TestRunSession:
                 channel_table("none"),
                 random.Random(13),
             )
-
-
-class TestBitErrorRate:
-    def test_empty_is_zero(self):
-        assert bit_error_rate([], []) == 0.0
-
-    def test_counts_mismatches(self):
-        assert bit_error_rate([0, 1, 1, 0], [0, 0, 1, 1]) == 0.5
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            bit_error_rate([0], [0, 1])
