@@ -7,8 +7,10 @@ her guess of the sender's bit.  The entries follow from the Born rule.
 With ``attack_fraction`` f < 1 each row mixes the attack with weight f and
 a blind pass with weight 1 - f: the pulse goes on untouched and the
 recorded guess is a fair coin, so guess strings stay complete.  One
-sampler, ``ChannelTable.intercept``, draws from any table, and one
-builder, ``channel_table``, makes the table of each kind in ``EVE_KINDS``:
+sampler, ``ChannelTable.intercept``, draws from any table, each pulse's
+outcome a 53-bit key against ceil(p * 2**53) for the table's cumulative
+probabilities p, and one builder, ``channel_table``, makes the table of
+each kind in ``EVE_KINDS``:
 
 * ``none``              passive channel, nothing recorded.
 * ``intercept-resend``  measure in a random basis, forward the collapsed
@@ -42,11 +44,12 @@ from .quantum import (
     BQS,
     DEFAULT_ANCILLA_ANGLE,
     PI,
+    bit0_thresholds,
     build_reference_list,
     reduce_angle,
     squared_overlap,
 )
-from .stream import BLOCK
+from .stream import BLOCK, threshold
 
 EVE_KINDS = ("none", "intercept-resend", "indirect-oracle", "indirect-physical")
 RESEND_RULES = ("max-posterior", "resend-ancilla")
@@ -55,8 +58,6 @@ RESEND_RULES = ("max-posterior", "resend-ancilla")
 # each outcome to its probability.
 Outcome = tuple[float, int | None]
 Row = dict[Outcome, float]
-
-_TWO_POW_53 = 9007199254740992.0
 
 
 class ChannelTable:
@@ -67,7 +68,9 @@ class ChannelTable:
 
     * ``forwarded_angles[k]``: ray angle of the state outcome k forwards;
     * ``guess_bits[k]``: the bit outcome k guesses, or ``None`` throughout
-      for a passive channel.
+      for a passive channel;
+    * ``bit0_thresholds[k, b]``: the receiver's bit-0 threshold for the
+      state outcome k forwards, measured in basis b (``bit0_thresholds``).
 
     Table entries within ``_EIGEN_SNAP`` of 0 are set to 0, so an outcome
     the Born rule rules out is never drawn.
@@ -84,50 +87,55 @@ class ChannelTable:
         self.guess_bits = (
             None if guesses[0] is None else np.array(guesses, dtype=np.uint8)
         )
+        self.bit0_thresholds = bit0_thresholds(self.forwarded_angles)
         # Outcome k is drawn when edges[k - 1] <= u < edges[k].  Edges with
-        # no probability left above them are set to 1, which no uniform
-        # reaches, so rounding in the cumulative sum can never select an
-        # impossible outcome.
+        # no probability left above them are set to 1, whose threshold 2**53
+        # no key reaches, so rounding in the cumulative sum can never select
+        # an impossible outcome.
         edges = np.cumsum(probabilities, axis=1)[:, :-1]
         remaining = np.cumsum(probabilities[:, ::-1], axis=1)[:, ::-1]
         edges[remaining[:, 1:] == 0.0] = 1.0
-        # Sampling compares the 53-bit integer u * 2**53 with the edges
-        # scaled and rounded up, which decides edge <= u exactly.  Row s is
-        # shifted by s * 2**53, so one sorted array holds every row and one
-        # searchsorted call serves a whole session.
-        row = np.arange(len(rows), dtype=np.int64)
-        keys = np.ceil(np.minimum(edges, 1.0) * _TWO_POW_53).astype(np.int64)
-        keys += row[:, None] << 53
-        self._edge_keys = keys.ravel()
-        self._row_keys = row << 53
-        self._row_starts = (row * edges.shape[1]).astype(np.uint8)
+        # Sampling counts the edges whose threshold a pulse's 53-bit key
+        # reaches, which decides edge <= u exactly.  An edge column whose
+        # thresholds are all 0 or 2**53 is reached by every key or by none,
+        # whatever the key, so it is counted once per sent state, in
+        # ``_base``, and only the other columns are compared per pulse.
+        edges = threshold(np.minimum(edges, 1.0))
+        fixed = ((edges == 0) | (edges == 1 << 53)).all(axis=0)
+        self._base = np.count_nonzero(edges[:, fixed] == 0, axis=1).astype(
+            np.uint8)
+        self._edge_columns = [np.ascontiguousarray(column)
+                              for column in edges[:, ~fixed].T]
 
     def intercept(
-        self, codes: np.ndarray, u: np.ndarray
+        self, codes: np.ndarray, keys: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray | None]:
         """Sample one outcome per pulse by inverse CDF over its table row.
 
         ``codes`` indexes ``BQS``: the state sent as each pulse, in an array
-        of any shape, one row per session in a batch.  ``u`` holds each
-        pulse's uniform, a multiple of 2**-53 in [0, 1) as
-        ``stream.uniforms`` draws it, and the outcome drawn is the first
-        whose cumulative probability exceeds it; a row with a single
-        possible outcome returns it for every u.  Returns the forwarded ray
-        angles and the guessed bits (``None`` for a passive channel), shaped
-        like ``codes``.
+        of any shape, one row per session in a batch.  ``keys`` holds each
+        pulse's 53-bit key as uint64, as ``stream.keys`` draws it, and the
+        outcome drawn is the first whose cumulative probability p exceeds
+        k * 2**-53: the number of edges p with k >= ceil(p * 2**53), a
+        53-bit key against each threshold.  A row with a single possible
+        outcome returns it for every key.  Returns the outcomes as uint8
+        indices into ``forwarded_angles`` and ``bit0_thresholds``, and the
+        guessed bits (``None`` for a passive channel), shaped like
+        ``codes``.
         """
-        flat_codes, flat_u = codes.ravel(), u.ravel()
-        outcome = np.empty(flat_codes.shape, np.uint8)
+        flat_codes, flat_keys = codes.ravel(), keys.ravel()
+        outcome = np.take(self._base, flat_codes)
         for start in range(0, len(flat_codes), BLOCK):
             part = slice(start, start + BLOCK)
-            sent = flat_codes[part]
-            key = (flat_u[part] * _TWO_POW_53).astype(np.int64)
-            key += self._row_keys[sent]
-            found = np.searchsorted(self._edge_keys, key, side="right")
-            outcome[part] = found - self._row_starts[sent]
+            sent, key, found = flat_codes[part], flat_keys[part], outcome[part]
+            for column in self._edge_columns:
+                found += key >= np.take(column, sent)
         outcome = outcome.reshape(codes.shape)
-        guesses = None if self.guess_bits is None else self.guess_bits[outcome]
-        return self.forwarded_angles[outcome], guesses
+        guesses = (
+            None if self.guess_bits is None
+            else np.take(self.guess_bits, outcome)
+        )
+        return outcome, guesses
 
 
 def check_strategy(

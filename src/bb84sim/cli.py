@@ -3,8 +3,8 @@
 Two subcommands: ``run`` executes an experiment and writes its report,
 ``detect-curve`` sweeps the parity-verification round count and reports
 detection rates.  Exit codes: 0 success, 2 invalid configuration
-(including an ``--out`` whose directory is missing or not writable),
-3 runtime failure (including a failed report write).
+(including an ``--out`` in which no file can be created, checked before
+any session runs), 3 runtime failure (including a failed report write).
 """
 
 import argparse
@@ -114,21 +114,34 @@ def _in_place(out: str) -> bool:
     return path.exists() and not path.is_file()
 
 
+def _temp_sibling(target: Path) -> Path:
+    """The temporary file ``_emit`` writes before renaming it over
+    ``target``."""
+    return target.with_name(f".{target.name}.{os.getpid()}.tmp")
+
+
 def _check_out(out: str | None) -> None:
-    """Reject an output path that cannot be written, before any work."""
+    """Reject an output path that cannot be written, before any work, by
+    creating and removing the temporary file ``_emit`` will write."""
     if _to_stdout(out):
         return
     if Path(out).is_dir():
         raise InvalidConfigError(f"--out {out!r} is a directory")
     if _in_place(out):
         return
-    directory = Path(os.path.realpath(out)).parent
+    temp = _temp_sibling(Path(os.path.realpath(out)))
+    directory = temp.parent
     if not directory.is_dir():
         raise InvalidConfigError(f"--out directory {directory} does not exist")
-    if not os.access(directory, os.W_OK | os.X_OK):
+    try:
+        with open(temp, "w"):
+            pass
+    except OSError as exc:
         raise InvalidConfigError(
-            f"--out directory {directory} is not writable"
-        )
+            f"cannot create a file in --out directory {directory}: "
+            f"{exc.strerror or exc}"
+        ) from exc
+    temp.unlink(missing_ok=True)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -144,7 +157,7 @@ def _emit(text: str, out: str | None) -> None:
             handle.write(text)
         return
     target = Path(os.path.realpath(out))
-    temp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    temp = _temp_sibling(target)
     try:
         with open(temp, "w") as handle:
             handle.write(text)

@@ -5,36 +5,41 @@ Random-stream contract ``bb84sim-2`` (``RNG_CONTRACT``): session i of an
 experiment draws everything from one ``random.Random`` (Mersenne Twister)
 seeded with ``derive_seed(master_seed, i)``, a SplitMix64 mix of the
 master seed and the session index.  Bits come from one ``getrandbits(k)``
-call per batch, item j being bit j of the word; uniforms carry 53 bits
-each and equal successive ``random()`` calls (see ``stream``).  A session
-of n pulses draws, in this order:
+call per batch, item j being bit j of the word.  Keys carry 53 bits each:
+key k stands for the uniform u = k * 2**-53, and successive keys are the
+values of successive ``random()`` calls (see ``stream``).  Each decision
+that a uniform would make as u >= p is a 53-bit key against
+ceil(p * 2**53), which decides it exactly.  A session of n pulses draws,
+in this order:
 
 1. n bits, the sender's bits;
 2. n bits, the sender's bases;
 3. n bits, the receiver's bases;
-4. n uniforms for the adversary's channel table, whatever the strategy;
-5. n uniforms for detector loss, only when the efficiency is below 1;
-6. n uniforms for the receiver's measurements, lost pulses included;
+4. n keys for the adversary's channel table, whatever the strategy;
+5. n keys for detector loss, only when the efficiency is below 1;
+6. n keys for the receiver's measurements, lost pulses included;
 7. per parity round, one bit per live sifted position, all drawn again
    while none of them is 1;
 8. with privacy amplification on an undetected session, the n + r - 1
    bits of the Toeplitz seed.
 
 ``detection_rate_curve`` runs steps 1-6, then, with ``force_differ``, one
-uniform u that flips receiver bit floor(u * L) of the L-bit sifted key,
-then step 7.  Draw counts depend only on the configuration and on the
+key whose uniform u flips receiver bit floor(u * L) of the L-bit sifted
+key, then step 7.  Draw counts depend only on the configuration and on the
 sizes of the live sets, never on drawn values, except for the redraw of an
 empty parity subset.  Identical configurations therefore produce
 byte-identical reports.  Every report names its contract, and
 ``ExperimentReport.from_json`` refuses a report written under another.
 
 Sessions run in batches of consecutive indices, about ``stream.BLOCK``
-pulses at a time, and a batch reads this order unchanged.  Every draw
-consumes whole 32-bit outputs of its session's generator: a k-bit draw
-takes ceil(k / 32) of them, the high k mod 32 bits of the last when k is
-not a multiple of 32, and a uniform takes two.  So each session's outputs
-are a plain sequence that can be drawn in pieces of any size.  A batch
-draws the outputs of steps 1-6 (and the forced-difference uniform) with
+pulses at a time, and a batch reads this order unchanged.  The batches
+reseed one pool of generators rather than build new ones; a reseeded
+generator is in the state a new one with the same seed starts in.  Every
+draw consumes whole 32-bit outputs of its session's generator: a k-bit
+draw takes ceil(k / 32) of them, the high k mod 32 bits of the last when
+k is not a multiple of 32, and a key takes two.  So each session's
+outputs are a plain sequence that can be drawn in pieces of any size.  A
+batch draws the outputs of steps 1-6 (and the forced-difference key) with
 one ``getrandbits`` call per session, and those of all parity rounds with
 one more once the sifted lengths are known, then decodes every stage for
 the whole batch with numpy.  A session whose parity subset comes up empty
@@ -250,30 +255,32 @@ def compute_aggregates(
     )
 
 
-def _session_rngs(
-    config: ExperimentConfig, indices: range
-) -> list[random.Random]:
-    return [random.Random(derive_seed(config.master_seed, i)) for i in indices]
-
-
 def _sweep(config: ExperimentConfig, first: int, count: int, work) -> list:
-    """``work(indices)`` over sessions ``first`` to ``first + count - 1``,
-    in batches of about ``stream.BLOCK`` pulses; returns the results in
-    order.  When a batch fails, its sessions run again one at a time, from
-    fresh generators, so the ``SessionError`` names the lowest failing
-    index, the one a sweep of single sessions would have stopped at."""
+    """``work(indices, rngs)`` over sessions ``first`` to
+    ``first + count - 1``, in batches of about ``stream.BLOCK`` pulses;
+    returns the results in order.  ``rngs[j]`` is the generator of session
+    ``indices[j]``, in the state ``random.Random(derive_seed(master_seed,
+    indices[j]))`` starts in: the batches reseed one pool of generators,
+    which is cheaper than building new ones.  When a batch fails, its
+    sessions run again one at a time, from fresh generators, so the
+    ``SessionError`` names the lowest failing index, the one a sweep of
+    single sessions would have stopped at."""
     size = max(1, BLOCK // config.n_pulses)
+    pool = [random.Random(0) for _ in range(min(size, count))]
     results = []
     for start in range(first, first + count, size):
         batch = range(start, min(start + size, first + count))
+        rngs = pool[: len(batch)]
+        for rng, index in zip(rngs, batch):
+            rng.seed(derive_seed(config.master_seed, index))
         try:
-            results.append(work(batch))
+            results.append(work(batch, rngs))
         except Exception:
             for index in batch:
+                seed = derive_seed(config.master_seed, index)
                 try:
-                    work(range(index, index + 1))
+                    work(range(index, index + 1), [random.Random(seed)])
                 except Exception as exc:
-                    seed = derive_seed(config.master_seed, index)
                     raise SessionError(index, seed, str(exc)) from exc
             raise
     return results
@@ -296,9 +303,9 @@ def _shares(batch: SessionBatch, hits: np.ndarray) -> list[float]:
 
 
 def _experiment_rows(
-    config: ExperimentConfig, strategy: ChannelTable, indices: range
+    config: ExperimentConfig, strategy: ChannelTable, indices: range,
+    rngs: list[random.Random],
 ) -> list[SessionRow]:
-    rngs = _session_rngs(config, indices)
     batch = run_batch(config, strategy, rngs)
     lengths = batch.lengths
     qbers = _shares(batch, batch.sifted_alice != batch.sifted_bob)
@@ -348,7 +355,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         row
         for batch in _sweep(
             config, 0, config.n_sessions,
-            lambda indices: _experiment_rows(config, strategy, indices),
+            lambda indices, rngs: _experiment_rows(
+                config, strategy, indices, rngs),
         )
         for row in batch
     ]
@@ -378,10 +386,10 @@ def detection_rate_curve(
         raise InvalidConfigError("parity round counts must be >= 0")
     strategy = build_strategy(config)
 
-    def detections(k: int, indices: range) -> int:
+    def detections(k: int, rngs: list[random.Random]) -> int:
         batch = run_batch(
-            replace(config, parity_rounds=k), strategy,
-            _session_rngs(config, indices), flip=force_differ,
+            replace(config, parity_rounds=k), strategy, rngs,
+            flip=force_differ,
         )
         if k == 0 and not batch.lengths.all():
             raise KeyTooShortError(
@@ -393,7 +401,7 @@ def detection_rate_curve(
     for sweep, k in enumerate(k_values):
         counts = _sweep(
             config, sweep * config.n_sessions, config.n_sessions,
-            lambda indices: detections(k, indices),
+            lambda indices, rngs: detections(k, rngs),
         )
         curve.append((k, sum(counts) / config.n_sessions))
     return curve

@@ -15,6 +15,11 @@ session's own generator (see ``harness`` for the order of the draws), and
 returns one row per session; ``run_session`` is a batch of one.  A basis
 is stored as its index into ``BASIS_ANGLES`` (0 rectilinear, 1 diagonal),
 and a signal state as its code, an index into ``BQS``, ``2 * basis + bit``.
+
+Each random decision of a pulse, the adversary's outcome, loss and the
+receiver's bit, is a 53-bit key against ceil(p * 2**53) for its
+probability p.  The channel table computes the receiver's thresholds once,
+for every state it forwards, so no pulse computes a probability.
 """
 
 import random
@@ -25,8 +30,8 @@ import numpy as np
 
 from .adversary import ChannelTable
 from .errors import InvalidConfigError, KeyTooShortError
-from .quantum import BASIS_ANGLES, measure
-from .stream import Words, random_bits, uniforms
+from .quantum import measure
+from .stream import Words, keys, random_bits, threshold
 
 
 @dataclass(frozen=True, slots=True)
@@ -142,19 +147,21 @@ def transmit(
     detector loss.
 
     ``codes`` holds one row of pulses per session.  The adversary draws one
-    uniform per pulse; loss draws one per pulse when ``efficiency < 1``,
-    and a pulse is lost when its uniform is at least ``efficiency``.
-    Returns the forwarded ray angles, the adversary's guesses (``None``
-    for a passive channel) and the loss mask.  The adversary acts before
-    loss, so her guess exists even for lost pulses.
+    53-bit key per pulse; loss draws one per pulse when ``efficiency < 1``,
+    and a pulse is lost when its key k has k * 2**-53 >= ``efficiency``,
+    a 53-bit key against ceil(efficiency * 2**53).  Returns the
+    adversary's outcomes (indices into its ``forwarded_angles`` and
+    ``bit0_thresholds``), her guesses (``None`` for a passive channel) and
+    the loss mask.  The adversary acts before loss, so her guess exists
+    even for lost pulses.
     """
     n = codes.shape[1]
-    forwarded, guesses = adversary.intercept(codes, uniforms(words, n))
+    outcomes, guesses = adversary.intercept(codes, keys(words, n))
     if efficiency < 1.0:
-        lost = uniforms(words, n) >= efficiency
+        lost = keys(words, n) >= threshold(efficiency)
     else:
         lost = np.zeros(codes.shape, dtype=bool)
-    return forwarded, guesses, lost
+    return outcomes, guesses, lost
 
 
 def sift(pulses: Pulses) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -323,28 +330,32 @@ def run_batch(
     The outputs of the stages up to verification are drawn ahead, one
     ``getrandbits`` call per session when they fit ``stream.Words``'s
     budget.  With ``parity_rounds == 0`` verification is skipped and the
-    sifted key is taken as reconciled.  With ``flip``, one uniform u per
+    sifted key is taken as reconciled.  With ``flip``, one key k per
     session, drawn after the measurements, flips receiver sifted bit
-    floor(u * L) of the L-bit key before verification; a session without
+    floor(u * L) of the L-bit key before verification, for the uniform
+    u = k * 2**-53; a session without
     sifted bits then raises ``ValueError``.  An error of any session
     raises.
     """
     n = config.n_pulses
     words = Words(rngs)
-    # Steps 1-6 of the draw order: three n-bit draws, then n uniforms for
-    # the adversary, for loss below full efficiency and for measurement,
-    # and with ``flip`` one more uniform.
-    uniform_stages = 3 if config.efficiency < 1.0 else 2
-    words.prefetch(3 * ((n + 31) // 32) + 2 * n * uniform_stages + 2 * flip)
+    # Steps 1-6 of the draw order: three n-bit draws, then n keys for the
+    # adversary, for loss below full efficiency and for measurement, and
+    # with ``flip`` one more key.
+    key_stages = 3 if config.efficiency < 1.0 else 2
+    words.prefetch(3 * ((n + 31) // 32) + 2 * n * key_stages + 2 * flip)
     alice_bits, alice_bases = prepare_pulses(n, words)
     bob_bases = random_bits(words, n)
-    forwarded, guesses, lost = transmit(
+    outcomes, guesses, lost = transmit(
         2 * alice_bases + alice_bits, adversary, config.efficiency, words
     )
-    bob_bits = measure(forwarded, BASIS_ANGLES[bob_bases], words).view(np.int8)
+    bob_bits = measure(
+        adversary.bit0_thresholds, outcomes, bob_bases, words
+    ).view(np.int8)
     bob_bits[lost] = -1
     pulses = Pulses(
-        alice_bits, alice_bases, forwarded, guesses, lost, bob_bases, bob_bits
+        alice_bits, alice_bases, adversary.forwarded_angles[outcomes],
+        guesses, lost, bob_bases, bob_bits,
     )
     sifted_alice, sifted_bob, sifted = sift(pulses)
     # Session s owns the sifted indices in [s * n, (s + 1) * n).
@@ -353,7 +364,7 @@ def run_batch(
     if flip:
         if not lengths.all():
             raise ValueError("no sifted bits to flip")
-        u = uniforms(words, 1)[:, 0]
+        u = keys(words, 1)[:, 0] * 2.0**-53
         flipped = np.minimum((u * lengths).astype(np.int64), lengths - 1)
         sifted_bob[starts + flipped] ^= 1
 

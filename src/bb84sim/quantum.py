@@ -6,8 +6,10 @@ modulo pi because a polarization state and its negation describe the same
 ray.  Every outcome probability is then a squared cosine of an angle
 difference.  The four signal states are the ray angles ``BQS``, and a
 signal state is named by its code, an index into ``BQS``.  ``measure``
-works on a whole batch of sessions at once, given as an array of ray
-angles with one row per session.
+works on a whole batch of sessions at once, one row per session: each
+state is an index into a table of thresholds that ``bit0_thresholds``
+computes once, and each outcome is a 53-bit key against ceil(p0 * 2**53)
+for the state's Born probability p0 of bit 0, with no cosine per pulse.
 """
 
 import math
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateAncillaError, NoMatchError
-from .stream import BLOCK, Words, uniforms
+from .stream import BLOCK, Words, keys, threshold
 
 # Tolerance for matching squared-overlap values: far below the smallest
 # gap between table entries (~0.18 for the default ancilla), far above
@@ -58,36 +60,48 @@ def squared_overlap(a: float, b: float) -> float:
     return math.cos(a - b) ** 2
 
 
+def bit0_thresholds(
+    angles: np.ndarray, basis_angles: np.ndarray = BASIS_ANGLES
+) -> np.ndarray:
+    """The receiver's bit-0 thresholds, as uint64: entry [k, b] is
+    ceil(p0 * 2**53) for the Born probability p0 that the state at ray
+    angle ``angles[k]`` measures bit 0 in the basis whose bit-0 eigenstate
+    lies at ``basis_angles[b]``, cos^2 of their difference.  Probabilities
+    within ``_EIGEN_SNAP`` of 0 or 1 count as exact, so eigenstates of the
+    basis measure deterministically."""
+    p0 = np.subtract.outer(np.asarray(angles, dtype=float), basis_angles)
+    np.cos(p0, out=p0)
+    p0 *= p0
+    p0[p0 >= 1.0 - _EIGEN_SNAP] = 1.0
+    p0[p0 <= _EIGEN_SNAP] = 0.0
+    return threshold(p0)
+
+
 def measure(
-    angles: np.ndarray, basis_angles: np.ndarray | float, words: Words
+    thresholds: np.ndarray, states: np.ndarray, bases: np.ndarray,
+    words: Words,
 ) -> np.ndarray:
     """Projective measurement of a batch of states, one row per session.
 
-    ``angles[s, i]`` is the ray angle of state i of session s, measured in
-    the basis whose bit-0 eigenstate lies at ``basis_angles[s, i]`` (a
-    scalar serves every state).  Row s draws one uniform u per state from
-    row s of ``words``, and the outcome is bit 0 when u falls below the
-    Born probability of bit 0.  Probabilities within ``_EIGEN_SNAP`` of 0
-    or 1 count as exact, so eigenstates of the basis measure
-    deterministically.  Returns the outcome bits as uint8; state [s, i]
-    collapses onto the eigenstate at ``basis_angles[s, i] + bits[s, i] *
-    pi/2``.  The states are taken ``BLOCK`` at a time along each row,
-    which bounds the temporaries without changing the draws.
+    State [s, i] is state ``states[s, i]`` of ``thresholds``, a table from
+    ``bit0_thresholds``, measured in its basis ``bases[s, i]``.  Row s
+    draws one 53-bit key per state from row s of ``words``, and the
+    outcome is bit 0 when the key falls below the state's threshold
+    ``thresholds[states[s, i], bases[s, i]]``: a 53-bit key against
+    ceil(p0 * 2**53), the decision ``random() >= p0`` makes for bit 1.
+    Returns the outcome bits as uint8; the state collapses onto the
+    eigenstate of its bit.  The states are taken ``BLOCK`` at a time along
+    each row, which bounds the temporaries without changing the draws.
     """
-    angles = np.asarray(angles, dtype=float)
-    basis_angles = np.broadcast_to(basis_angles, angles.shape)
-    bits = np.empty(angles.shape, dtype=np.uint8)
-    n = angles.shape[1]
-    for start in range(0, n, BLOCK):
+    flat, width = thresholds.ravel(), thresholds.shape[1]
+    bits = np.empty(states.shape, dtype=np.uint8)
+    for start in range(0, states.shape[1], BLOCK):
         block = np.s_[:, start : start + BLOCK]
-        p0 = np.subtract(angles[block], basis_angles[block])
-        np.cos(p0, out=p0)
-        p0 *= p0
-        p0[p0 >= 1.0 - _EIGEN_SNAP] = 1.0
-        p0[p0 <= _EIGEN_SNAP] = 0.0
+        index = np.multiply(states[block], width, dtype=np.intp)
+        index += bases[block]
         np.greater_equal(
-            uniforms(words, p0.shape[1]), p0, out=bits[block],
-            casting="unsafe",
+            keys(words, index.shape[1]), np.take(flat, index),
+            out=bits[block], casting="unsafe",
         )
     return bits
 

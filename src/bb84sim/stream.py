@@ -2,14 +2,21 @@
 
 Every stage of a session takes its randomness as a ``Words`` batch, with
 one row per session (a lone session is a batch of one), and draws through
-``random_bits`` and ``uniforms``, which return one row per session.  Both
-read the 32-bit Mersenne Twister outputs of each session's generator in
-order and decode them with numpy, so the outputs a stage consumes depend
-only on how many values it asks for.  A k-bit draw consumes ceil(k / 32)
-outputs, as ``rng.getrandbits(k)`` does: bit i of the draw is bit i of the
+``random_bits`` and ``keys``, which return one row per session.  Both read
+the 32-bit Mersenne Twister outputs of each session's generator in order
+and decode them with numpy, so the outputs a stage consumes depend only on
+how many values it asks for.  A k-bit draw consumes ceil(k / 32) outputs,
+as ``rng.getrandbits(k)`` does: bit i of the draw is bit i of the
 concatenated outputs, least significant first, except that a draw with
-k mod 32 = m > 0 takes the *high* m bits of its last output.  A uniform
-consumes two outputs, built as ``random.Random.random`` builds one.
+k mod 32 = m > 0 takes the *high* m bits of its last output.  A key
+consumes two outputs: it is the 53-bit integer k for which
+``random.Random.random`` would return k * 2**-53.
+
+Every random decision is a 53-bit key against ceil(p * 2**53), the
+``threshold`` of its probability p: for u = k * 2**-53 and any float p in
+[0, 1], u >= p exactly when k >= ceil(p * 2**53), since p * 2**53 is
+exact.  So a decision made on keys is the one ``random() >= p`` makes,
+with no float in between.
 
 Because every draw consumes whole outputs, a session's outputs can be
 drawn in pieces of any size without changing any value: one
@@ -20,8 +27,7 @@ import random
 
 import numpy as np
 
-_TWO_POW_26 = 67108864.0
-_TWO_POW_MINUS_53 = 1.0 / 9007199254740992.0
+_TWO_POW_53 = 9007199254740992.0
 # Items a batched stage handles at a time, which bounds its temporaries.
 BLOCK = 1 << 13
 # Largest single ``getrandbits`` call, in 32-bit outputs, so no generator
@@ -111,21 +117,29 @@ def random_bits(words: Words, k: int) -> np.ndarray:
                          bitorder="little")
 
 
-def uniforms(words: Words, n: int) -> np.ndarray:
-    """``n`` floats in [0, 1) with 53 random bits each, per generator.
+def threshold(p) -> np.ndarray:
+    """ceil(p * 2**53) as uint64, for a probability or an array of them in
+    [0, 1]: the least key k with k * 2**-53 >= p."""
+    return np.ceil(np.multiply(p, _TWO_POW_53)).astype(np.uint64)
 
-    Value i is built from 32-bit outputs 2i and 2i + 1 exactly as
-    ``random.Random.random`` builds one, so row s equals ``n`` successive
+
+def keys(words: Words, n: int) -> np.ndarray:
+    """``n`` 53-bit keys as uint64 per generator.
+
+    Key i is k = ((a >> 5) << 26) | (b >> 6) for 32-bit outputs a = 2i and
+    b = 2i + 1, the k for which ``random.Random.random`` returns
+    k * 2**-53, so row s times 2**-53 equals ``n`` successive
     ``words.rngs[s].random()`` calls.  The outputs are taken ``BLOCK``
-    values at a time.
+    keys at a time.
     """
-    out = np.empty((len(words), n))
+    out = np.empty((len(words), n), np.uint64)
     for start in range(0, n, BLOCK):
         count = min(BLOCK, n - start)
-        block = words.take(2 * count)
+        # Each little-endian pair of outputs read as one a | b << 32.
+        pairs = words.take(2 * count).view("<u8")
         chunk = out[:, start : start + count]
-        np.right_shift(block[:, 0::2], 5, out=chunk, casting="unsafe")
-        chunk *= _TWO_POW_26
-        chunk += block[:, 1::2] >> 6
-        chunk *= _TWO_POW_MINUS_53
+        np.bitwise_and(pairs, 0xFFFFFFFF, out=chunk)
+        chunk >>= 5
+        chunk <<= 26
+        chunk |= pairs >> 38
     return out

@@ -38,6 +38,7 @@ from bb84sim.quantum import (
     BASIS_ANGLES,
     BQS,
     DEFAULT_ANCILLA_ANGLE,
+    bit0_thresholds,
     build_reference_list,
     measure,
     reduce_angle,
@@ -183,12 +184,16 @@ def test_criterion_7_born_rule_frequencies():
     trials = 100_000
     words = Words([random.Random(7)])
     diagonal_state = BQS[2]
+    first = np.zeros((1, trials), dtype=np.uint8)  # state 0 in basis 0
     outcomes = measure(
-        np.full((1, trials), diagonal_state), BASIS_ANGLES[0], words
+        bit0_thresholds([diagonal_state], BASIS_ANGLES[:1]), first, first,
+        words,
     )
     freq_half = np.count_nonzero(outcomes == 0) / trials
     probe = reduce_angle(DEFAULT_ANCILLA_ANGLE)
-    outcomes = measure(np.full((1, trials), BQS[0]), probe, words)
+    outcomes = measure(
+        bit0_thresholds([BQS[0]], [probe]), first, first, words
+    )
     freq_tilted = np.count_nonzero(outcomes == 0) / trials
     bound_half = 4 * math.sqrt(0.5 * 0.5 / trials)
     bound_tilted = 4 * math.sqrt(0.75 * 0.25 / trials)

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from bb84sim import cli
-from bb84sim.adversary import RESEND_RULES, channel_table
+from bb84sim.adversary import EVE_KINDS, RESEND_RULES, channel_table
 from bb84sim.errors import DegenerateAncillaError, InvalidConfigError
 from bb84sim.harness import ExperimentConfig, build_strategy
 from bb84sim.protocol import SessionConfig, run_session, transmit
@@ -25,7 +25,7 @@ from bb84sim.quantum import (
     reduce_angle,
     squared_overlap,
 )
-from bb84sim.stream import Words, uniforms
+from bb84sim.stream import Words, keys
 from test_protocol import eve_bits, qber
 
 BQS_ANGLES = (0.0, math.pi / 2, math.pi / 4, 3 * math.pi / 4)
@@ -120,11 +120,25 @@ def assert_max_posterior_table(eve, want):
     assert eve.guess_bits.tolist() == [BQS_ANGLES.index(a) % 2 for a in want]
 
 
+def forwarded_and_guesses(eve, codes, drawn):
+    """Intercept the pulses BQS[codes] with the 53-bit keys ``drawn``;
+    returns the forwarded ray angles and the guesses."""
+    outcome, guesses = eve.intercept(codes, drawn)
+    return eve.forwarded_angles[outcome], guesses
+
+
 def sample(eve, codes, seed):
-    """Intercept the pulses BQS[codes] with fresh uniforms."""
+    """Intercept the pulses BQS[codes] with fresh keys."""
     codes = np.asarray(codes, dtype=np.uint8)
-    u = uniforms(Words([random.Random(seed)]), len(codes))[0]
-    return eve.intercept(codes, u)
+    drawn = keys(Words([random.Random(seed)]), len(codes))[0]
+    return forwarded_and_guesses(eve, codes, drawn)
+
+
+def at_uniform(eve, codes, u):
+    """Intercept the pulses BQS[codes], each with the key of the uniform
+    ``u``, a multiple of 2**-53."""
+    drawn = np.full(codes.shape, int(u * 2**53), dtype=np.uint64)
+    return forwarded_and_guesses(eve, codes, drawn)
 
 
 def random_codes(n, seed):
@@ -151,7 +165,7 @@ class TestNoEve:
         eve = channel_table("none")
         codes = np.arange(4, dtype=np.uint8)
         for u in (0.0, 0.5, 1.0 - 2.0**-53):
-            forwarded, guesses = eve.intercept(codes, np.full(4, u))
+            forwarded, guesses = at_uniform(eve, codes, u)
             assert forwarded.tolist() == list(BQS_ANGLES)
             assert guesses is None
 
@@ -250,6 +264,19 @@ class TestInterceptResend:
         with pytest.raises(InvalidConfigError):
             channel_table(*args)
 
+    def test_outcome_moves_on_exactly_at_a_cumulative_edge(self):
+        # oracle: |0> gives (H, 0) with 1/2 and (D, 0), (A, 1) with 1/4
+        # each, so u in [1/2, 3/4) draws D and u >= 3/4 draws A
+        eve = channel_table("intercept-resend")
+        half, three_quarters = 2**52, 3 * 2**51  # u = 1/2 and u = 3/4
+        chosen = np.array([half - 1, half, three_quarters - 1,
+                           three_quarters], dtype=np.uint64)
+        forwarded, guesses = forwarded_and_guesses(
+            eve, np.zeros(4, dtype=np.uint8), chosen)
+        assert forwarded.tolist() == [0.0, math.pi / 4, math.pi / 4,
+                                      3 * math.pi / 4]
+        assert guesses.tolist() == [0, 0, 0, 1]
+
     def test_impossible_outcomes_are_never_drawn(self):
         # the orthogonal partner of the sent state has probability 0, also
         # after rounding in the cumulative table, at both ends of [0, 1)
@@ -257,7 +284,7 @@ class TestInterceptResend:
         codes = np.arange(4, dtype=np.uint8)
         orthogonal = [math.pi / 2, 0.0, 3 * math.pi / 4, math.pi / 4]
         for u in (0.0, 1.0 - 2.0**-53):
-            forwarded, _ = eve.intercept(codes, np.full(4, u))
+            forwarded, _ = at_uniform(eve, codes, u)
             assert all(f != o for f, o in zip(forwarded, orthogonal))
 
 
@@ -266,7 +293,7 @@ class TestIndirectCopyOracle:
         eve = channel_table("indirect-oracle")
         codes = np.arange(4, dtype=np.uint8)
         for u in (0.0, 0.5, 1.0 - 2.0**-53):
-            forwarded, guesses = eve.intercept(codes, np.full(4, u))
+            forwarded, guesses = at_uniform(eve, codes, u)
             assert forwarded.tolist() == list(BQS_ANGLES)
             assert guesses.tolist() == [0, 1, 0, 1]
 
@@ -299,7 +326,7 @@ class TestIndirectCopyOracle:
         eve = channel_table("indirect-oracle", attack_fraction=0.3)
         codes = np.arange(4, dtype=np.uint8)
         for u in (0.0, 0.5, 1.0 - 2.0**-53):
-            forwarded, guesses = eve.intercept(codes, np.full(4, u))
+            forwarded, guesses = at_uniform(eve, codes, u)
             assert forwarded.tolist() == list(BQS_ANGLES)
             assert set(guesses.tolist()) <= {0, 1}
 
@@ -450,8 +477,8 @@ class TestDeterminism:
                 assert (a is None and b is None) or np.array_equal(a, b)
 
 
-# sha256 of the forwarded angles and guesses ``intercept`` returns for every
-# signal state at ``PIN_UNIFORMS``, keyed (kind, ancilla angle, resend rule,
+# sha256 of the forwarded angles and guesses ``intercept`` draws for every
+# signal state at ``PIN_KEYS``, keyed (kind, ancilla angle, resend rule,
 # attack fraction).  Pinned before the strategies became plain tables; a
 # moved digest is a changed channel.
 TABLE_DIGESTS = {
@@ -700,9 +727,10 @@ PIN_THETAS = {
     "pi/6": math.pi / 6, "0.41": 0.41, "pi/3": math.pi / 3, "2.5": 2.5,
     "-0.7": -0.7,
 }
-PIN_UNIFORMS = np.concatenate(
-    ([0.0, 1.0 - 2.0**-53], uniforms(Words([random.Random(2718)]), 510)[0])
-)
+PIN_KEYS = np.concatenate((
+    np.array([0, 2**53 - 1], dtype=np.uint64),
+    keys(Words([random.Random(2718)]), 510)[0],
+))
 
 
 @pytest.mark.parametrize("kind, theta, rule, fraction", list(TABLE_DIGESTS))
@@ -712,11 +740,55 @@ def test_table_digest_unchanged(kind, theta, rule, fraction):
         ancilla_angle=PIN_THETAS[theta], resend_rule=rule,
         attack_fraction=fraction,
     ))
-    codes = np.repeat(np.arange(4, dtype=np.uint8), len(PIN_UNIFORMS))
-    forwarded, guesses = eve.intercept(codes, np.tile(PIN_UNIFORMS, 4))
+    codes = np.repeat(np.arange(4, dtype=np.uint8), len(PIN_KEYS))
+    forwarded, guesses = forwarded_and_guesses(
+        eve, codes, np.tile(PIN_KEYS, 4))
     data = forwarded.tobytes()
     if guesses is not None:
         data += guesses.tobytes()
     assert hashlib.sha256(data).hexdigest() == TABLE_DIGESTS[
         (kind, theta, rule, fraction)
     ]
+
+
+# The receiver's bit-0 eigenstates, rectilinear then diagonal, and ancilla
+# angles across two half turns: multiples of pi/24, which include the
+# degenerate multiples of pi/8, and a few generic angles.
+RECEIVER_BIT0_ANGLES = (0.0, math.pi / 4)
+THRESHOLD_THETAS = [i * math.pi / 24 for i in range(-24, 25)] + [
+    0.41, 1.1, 2.5, -0.7,
+]
+
+
+@pytest.mark.parametrize("kind", EVE_KINDS)
+@pytest.mark.parametrize("rule", RESEND_RULES)
+@pytest.mark.parametrize("fraction", [0.0, 0.3, 1.0])
+def test_receiver_thresholds_follow_the_born_rule(kind, rule, fraction):
+    """Each outcome's bit-0 threshold in each basis is ceil(p0 * 2**53),
+    for p0 = cos^2(forwarded angle - basis angle) computed here with
+    ``math.cos`` and values within 1e-12 of 0 or 1 made exact.
+
+    Tolerance: 4 units of the 53-bit key, 4 * 2**-53 in p0.  The table's
+    cosine is numpy's, which may differ from ``math.cos`` by an ULP, and
+    squaring at most doubles a relative error; an ULP of any p0 below 1 is
+    at most 2**-53, so such a difference moves the threshold by a unit or
+    two.  Snapped values, thresholds 0 and 2**53, must match exactly.
+    """
+    for theta in THRESHOLD_THETAS:
+        try:
+            eve = channel_table(kind, theta, rule, fraction)
+        except DegenerateAncillaError:
+            assert kind == "indirect-oracle"
+            continue
+        angles = eve.forwarded_angles.tolist()
+        assert eve.bit0_thresholds.shape == (len(angles), 2)
+        for k, angle in enumerate(angles):
+            for b, basis in enumerate(RECEIVER_BIT0_ANGLES):
+                p0 = math.cos(angle - basis) ** 2
+                p0 = 1.0 if p0 >= 1 - 1e-12 else 0.0 if p0 <= 1e-12 else p0
+                want = math.ceil(p0 * 2**53)
+                got = int(eve.bit0_thresholds[k, b])
+                if want in (0, 2**53):
+                    assert got == want, (theta, k, b)
+                else:
+                    assert abs(got - want) <= 4, (theta, k, b, got, want)

@@ -10,6 +10,10 @@ directly, so a prune of one of those would break the benchmark itself, and
 ``bench/sample.py`` builds each workload's config and strategy before it
 runs the workload, so a config change that refuses its keywords would too.
 ``bench/workloads.py`` is loaded read-only as well.
+
+A name that exists can still fall out of use, and its trace then reads 0
+calls without failing anything, so the per-pulse names of the fine pass
+are also counted through one small run.
 """
 
 import sys
@@ -54,3 +58,33 @@ def test_workload_set_up_builds(name):
         eve_kind=workload.eve,
     )
     harness.build_strategy(config)
+
+
+PER_PULSE = [entry for entry in layers.FINE if entry not in layers.COARSE]
+
+
+def test_per_pulse_traced_names_are_called(monkeypatch):
+    # wrapped with the fine pass's own timer, at every reference the
+    # package holds, as ``layers.install`` does, but undone afterwards
+    tracer = layers.Tracer()
+    for name, module, attr in PER_PULSE:
+        for original in layers._originals(module, attr):
+            wrapper = tracer.timed(name, original)
+            modules = [mod for modname, mod in sys.modules.items()
+                       if modname.startswith("bb84sim.")]
+            for mod in modules:
+                holders = [mod, *(v for v in vars(mod).values()
+                                  if isinstance(v, type))]
+                for holder in holders:
+                    for key, value in list(vars(holder).items()):
+                        if value is original:
+                            monkeypatch.setattr(holder, key, wrapper)
+    harness.run_experiment(harness.ExperimentConfig(
+        n_pulses=64, n_sessions=3, efficiency=0.9, parity_rounds=2,
+        eve_kind="intercept-resend",
+    ))
+    calls = {name: tracer.stats[name]["calls"] for name, _, _ in PER_PULSE}
+    assert sorted(calls) == [
+        "adversary.intercept", "protocol.transmit", "quantum.measure",
+    ]
+    assert all(count >= 1 for count in calls.values()), calls

@@ -130,6 +130,27 @@ class TestRunCommand:
         assert "does not exist" in err
         assert "Traceback" not in err
 
+    @pytest.mark.skipif(not os.path.isfile("/proc/version"),
+                        reason="needs a procfs mounted at /proc")
+    def test_out_on_a_pseudo_filesystem_exits_2_before_the_run(
+        self, capsys, monkeypatch
+    ):
+        # /proc passes a permission check for root, but no file can be
+        # created in it, so the report's temporary file is probed up front
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(cli, "run_experiment", must_not_run)
+        argv = ["run", "--sessions", "3", "--pulses", "50",
+                "--out", "/proc/version"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "error: invalid configuration: cannot create a file in "
+            "--out directory /proc: "
+        )
+        assert "Traceback" not in err
+
     def test_out_under_a_file_exits_2(self, capsys, tmp_path):
         blocker = tmp_path / "file"
         blocker.write_text("")

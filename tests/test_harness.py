@@ -51,6 +51,24 @@ class TestSeedDerivation:
         for i in range(100):
             assert 0 <= derive_seed(2**64 - 1, i) < 2**64
 
+    def test_reseeded_generators_start_as_new_ones(self):
+        # 4096-pulse sessions run two to a batch, so five sessions take
+        # three batches from one pool of two generators, each drawn from
+        # before the next batch reseeds it
+        config = ExperimentConfig(n_pulses=4096, n_sessions=1, master_seed=11)
+
+        def work(indices, rngs):
+            states = [rng.getstate() for rng in rngs]
+            for rng in rngs:
+                rng.getrandbits(100)
+            return list(zip(indices, states))
+
+        got = [pair for batch in harness._sweep(config, 3, 5, work)
+               for pair in batch]
+        assert [index for index, _ in got] == [3, 4, 5, 6, 7]
+        for index, state in got:
+            assert state == random.Random(derive_seed(11, index)).getstate()
+
 
 class TestConfigValidation:
     def test_defaults_are_valid(self):

@@ -22,6 +22,7 @@ from bb84sim.protocol import (
 )
 from bb84sim.quantum import BQS
 from bb84sim.stream import Words
+from test_stream import KeyedGenerator
 
 
 def oracle_eve():
@@ -146,11 +147,12 @@ class TestPreparePulses:
 
 class TestTransmit:
     def test_identity_channel(self):
-        forwarded, guesses, lost = transmit(
-            np.zeros((1, 1), dtype=np.uint8), channel_table("none"), 1.0,
+        eve = channel_table("none")
+        outcomes, guesses, lost = transmit(
+            np.zeros((1, 1), dtype=np.uint8), eve, 1.0,
             Words([random.Random(0)]),
         )
-        assert forwarded.tolist() == [[BQS[0]]]
+        assert eve.forwarded_angles[outcomes].tolist() == [[BQS[0]]]
         assert guesses is None
         assert lost.tolist() == [[False]]
 
@@ -164,12 +166,24 @@ class TestTransmit:
         sigma = math.sqrt(0.25 / n)
         assert abs(np.count_nonzero(lost) / n - 0.5) < 4 * sigma
 
+    def test_pulse_is_lost_from_the_efficiency_key_on(self):
+        # oracle: lost when u >= efficiency, so the key
+        # ceil(efficiency * 2**53) is the first lost one
+        edge = math.ceil(0.8 * 2**53)
+        chosen = [0, 0, 0, edge - 1, edge, 2**53 - 1]  # adversary, then loss
+        _, _, lost = transmit(
+            np.zeros((1, 3), dtype=np.uint8), channel_table("none"), 0.8,
+            Words([KeyedGenerator(chosen)]),
+        )
+        assert lost.tolist() == [[False, True, True]]
+
     def test_oracle_adversary_is_invisible(self):
-        forwarded, _, _ = transmit(
-            np.arange(4, dtype=np.uint8)[None], oracle_eve(), 1.0,
+        eve = oracle_eve()
+        outcomes, _, _ = transmit(
+            np.arange(4, dtype=np.uint8)[None], eve, 1.0,
             Words([random.Random(0)]),
         )
-        assert forwarded.tolist() == [list(BQS)]
+        assert eve.forwarded_angles[outcomes].tolist() == [list(BQS)]
 
 
 class TestSift:
@@ -452,7 +466,7 @@ class TestRunSession:
         assert pulses.alice_bits[0].tolist() == bits()
         assert pulses.alice_bases[0].tolist() == bits()
         assert bob_bases.tolist() == bits()
-        floats()  # the adversary's uniforms
+        floats()  # the adversary's keys, as uniforms
         assert lost.tolist() == [u >= efficiency for u in floats()]
         for i, u in enumerate(floats()):
             if lost[i]:

@@ -14,12 +14,14 @@ from bb84sim.quantum import (
     BQS,
     DEFAULT_ANCILLA_ANGLE,
     MATCH_TOL,
+    bit0_thresholds,
     build_reference_list,
     measure,
     reduce_angle,
     squared_overlap,
 )
 from bb84sim.stream import Words
+from test_stream import KeyedGenerator
 
 ANCILLA = DEFAULT_ANCILLA_ANGLE
 H, V, D, A = BQS  # horizontal, vertical, the two diagonals
@@ -143,13 +145,28 @@ def reference_measure(angles, basis_angle, rng):
     return bits
 
 
+def measure_angles(angles, basis_angles, words):
+    """``measure`` on states given as ray angles, each measured in the
+    basis whose bit-0 eigenstate lies at its entry of ``basis_angles`` (a
+    scalar serves every state): each distinct angle and basis angle is a
+    row and a column of the threshold table."""
+    angles = np.asarray(angles, dtype=float)
+    basis_angles = np.broadcast_to(basis_angles, angles.shape)
+    states, state_index = np.unique(angles, return_inverse=True)
+    bases, basis_index = np.unique(basis_angles, return_inverse=True)
+    return measure(
+        bit0_thresholds(states, bases), state_index.reshape(angles.shape),
+        basis_index.reshape(angles.shape), words,
+    )
+
+
 class TestMeasure:
     def test_eigenstates_measure_deterministically(self):
         rng = random.Random(0)
         for basis, bit0 in enumerate(BASIS_ANGLES):
             for bit in (0, 1):
                 state = BQS[2 * basis + bit]
-                bits = measure(
+                bits = measure_angles(
                     np.full((1, 100), state), bit0, Words([rng]),
                 )
                 assert bits.tolist() == [[bit] * 100]
@@ -158,19 +175,19 @@ class TestMeasure:
     def test_identical_seeds_reproduce_outcomes(self):
         angles = np.full((1, 1000), math.pi / 4)
         basis = BASIS_ANGLES[0]
-        out_a = measure(angles, basis, Words([random.Random(7)]))
-        out_b = measure(angles, basis, Words([random.Random(7)]))
+        out_a = measure_angles(angles, basis, Words([random.Random(7)]))
+        out_b = measure_angles(angles, basis, Words([random.Random(7)]))
         assert np.array_equal(out_a, out_b)
 
     def test_collapse_returns_basis_eigenstate(self):
         # the collapsed state is an eigenstate of the basis, so measuring
         # it again in that basis repeats the outcome
         words = Words([random.Random(3)])
-        bits = measure(np.full((1, 200), 1.1), D, words)
+        bits = measure_angles(np.full((1, 200), 1.1), D, words)
         for bit in bits[0]:
             assert reduce_angle(D + bit * math.pi / 2) in (D, A)
         collapsed = D + bits * (math.pi / 2)
-        again = measure(collapsed, D, words)
+        again = measure_angles(collapsed, D, words)
         assert np.array_equal(again, bits)
 
     def test_matches_scalar_reference_draw_for_draw(self):
@@ -182,7 +199,7 @@ class TestMeasure:
             for _ in range(20_000)
         ]
         for basis_angle in (0.0, math.pi / 4, DEFAULT_ANCILLA_ANGLE):
-            got = measure(
+            got = measure_angles(
                 np.array([angles]), basis_angle, Words([random.Random(6)])
             )
             want = reference_measure(angles, basis_angle, random.Random(6))
@@ -195,7 +212,7 @@ class TestMeasure:
         angles = [picker.random() * math.pi for _ in range(500)]
         bases = [picker.getrandbits(1) for _ in range(500)]
         basis_angles = np.array([[BASIS_ANGLES[b] for b in bases]])
-        got = measure(
+        got = measure_angles(
             np.array([angles]), basis_angles, Words([random.Random(9)])
         )
         rng = random.Random(9)
@@ -205,13 +222,25 @@ class TestMeasure:
         ]
         assert got.tolist() == [want]
 
+    def test_key_at_the_threshold_measures_bit_1(self):
+        # oracle: bit 1 when u >= p0, so the key ceil(p0 * 2**53) is the
+        # first to give it; the tilted state's p0 = cos^2(pi/6) ~ 3/4
+        p0 = math.cos(ANCILLA) ** 2
+        edge = math.ceil(p0 * 2**53)
+        chosen = [edge - 1, edge, edge + 1, 0, 2**53 - 1]
+        bits = measure_angles(
+            np.full((1, len(chosen)), ANCILLA), H,
+            Words([KeyedGenerator(chosen)]),
+        )
+        assert bits.tolist() == [[0, 1, 1, 0, 1]]
+
     def test_superposition_frequency_matches_born_rule(self):
         # oracle: cos(pi/4)**2 = 1/2, binomial 3 sigma over 1e5 draws
         trials = 100_000
         p = math.cos(math.pi / 4) ** 2
         sigma = math.sqrt(p * (1 - p) / trials)
         rng = random.Random(2024)
-        bits = measure(
+        bits = measure_angles(
             np.full((1, trials), math.pi / 4), H, Words([rng]),
         )
         zeros = int(np.count_nonzero(bits == 0))
@@ -223,7 +252,7 @@ class TestMeasure:
         p = math.cos(math.pi / 6) ** 2
         sigma = math.sqrt(p * (1 - p) / trials)
         rng = random.Random(11)
-        bits = measure(
+        bits = measure_angles(
             np.full((1, trials), ANCILLA), H, Words([rng]),
         )
         zeros = int(np.count_nonzero(bits == 0))
