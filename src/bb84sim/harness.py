@@ -49,12 +49,23 @@ generator as before, which stands where a lone session would leave it.
 A long session is a batch of one; when its outputs for steps 1-6 exceed
 ``stream.Words``'s budget, each stage draws its own as it needs them, and
 no ``getrandbits`` call returns more than ``2 * stream.BLOCK`` outputs.
+
+The batches of one command, all k-values of a curve together, may run in
+forked worker processes, one per CPU the process may use and at most one
+per batch.  A sweep stays in one process without ``os.fork``, while a
+second thread runs, or when it is small.  A batch's result depends only on
+its sessions' seeds, and the results are joined in batch order, so report
+bytes depend on neither the CPU count nor the thread state.
 """
 
 import json
+import os
+import pickle
 import random
+import threading
 from dataclasses import asdict, dataclass, replace
-from typing import Sequence
+from functools import partial
+from typing import NoReturn, Sequence
 
 import numpy as np
 
@@ -70,6 +81,11 @@ OUTPUT_FORMATS = ("json", "csv")
 
 _MASK64 = (1 << 64) - 1
 _CI_Z = 1.96  # normal-approximation z for a 95% binomial interval
+# A sweep of fewer pulses runs in one process.  On a 2-vCPU VM a fork and
+# the join of its results took about 3 ms, and a sweep of this size about
+# 17 ms in one process, so a smaller sweep gains little or loses.
+_FORK_MIN_PULSES = 8 * BLOCK
+_SIGKILL = 9  # POSIX's number; the signal module is not loaded otherwise
 
 
 def derive_seed(master_seed: int, index: int) -> int:
@@ -255,34 +271,157 @@ def compute_aggregates(
     )
 
 
-def _sweep(config: ExperimentConfig, first: int, count: int, work) -> list:
-    """``work(indices, rngs)`` over sessions ``first`` to
-    ``first + count - 1``, in batches of about ``stream.BLOCK`` pulses;
-    returns the results in order.  ``rngs[j]`` is the generator of session
-    ``indices[j]``, in the state ``random.Random(derive_seed(master_seed,
-    indices[j]))`` starts in: the batches reseed one pool of generators,
-    which is cheaper than building new ones.  When a batch fails, its
-    sessions run again one at a time, from fresh generators, so the
-    ``SessionError`` names the lowest failing index, the one a sweep of
-    single sessions would have stopped at."""
+def _batches(config: ExperimentConfig, first: int, count: int) -> list[range]:
+    """Sessions ``first`` to ``first + count - 1`` in batches of consecutive
+    indices, about ``stream.BLOCK`` pulses each."""
     size = max(1, BLOCK // config.n_pulses)
-    pool = [random.Random(0) for _ in range(min(size, count))]
+    stop = first + count
+    return [
+        range(start, min(start + size, stop))
+        for start in range(first, stop, size)
+    ]
+
+
+def _workers(pulses: int, batches: int) -> int:
+    """How many processes run a sweep of ``batches`` batches holding
+    ``pulses`` pulses: one per CPU this process may use, at most one per
+    batch.  One alone without ``os.fork``, while a second thread runs (a
+    forked child would inherit the locks it holds), or below
+    ``_FORK_MIN_PULSES``."""
+    if (
+        not hasattr(os, "fork")
+        or threading.active_count() != 1
+        or pulses < _FORK_MIN_PULSES
+    ):
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask, as on macOS
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, batches))
+
+
+def _share(config: ExperimentConfig, pool: list[random.Random], jobs: list,
+           worker: int, workers: int):
+    """Run jobs ``worker``, ``worker + workers``, ... in order, each from
+    the pool's generators reseeded for its sessions.  Returns the results
+    and, if a job raised, its position and exception; the jobs after it do
+    not run."""
     results = []
-    for start in range(first, first + count, size):
-        batch = range(start, min(start + size, first + count))
-        rngs = pool[: len(batch)]
-        for rng, index in zip(rngs, batch):
+    for position in range(worker, len(jobs), workers):
+        indices, work = jobs[position]
+        rngs = pool[: len(indices)]
+        for rng, index in zip(rngs, indices):
             rng.seed(derive_seed(config.master_seed, index))
         try:
-            results.append(work(batch, rngs))
-        except Exception:
-            for index in batch:
-                seed = derive_seed(config.master_seed, index)
-                try:
-                    work(range(index, index + 1), [random.Random(seed)])
-                except Exception as exc:
-                    raise SessionError(index, seed, str(exc)) from exc
-            raise
+            results.append(work(indices, rngs))
+        except Exception as exc:
+            return results, (position, exc)
+    return results, None
+
+
+def _child(config: ExperimentConfig, pool: list[random.Random], jobs: list,
+           worker: int, workers: int, pipe: int) -> NoReturn:
+    """A forked worker: run its share and send the results, with the
+    position of a failing job but not its exception, down ``pipe``.  It
+    leaves through ``os._exit`` whatever happens, so none of the parent's
+    clean-up runs twice."""
+    status = 1
+    try:
+        results, failure = _share(config, pool, jobs, worker, workers)
+        position = None if failure is None else failure[0]
+        with os.fdopen(pipe, "wb") as out:
+            pickle.dump((results, position), out, pickle.HIGHEST_PROTOCOL)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _receive(pid: int, status: int, data: bytes):
+    """A child's share as ``_share`` returns it, with no exception beside a
+    failing job's position.  A child exits 0 only once it has written all
+    of its results."""
+    code = os.waitstatus_to_exitcode(status)
+    if code != 0:
+        raise RuntimeError(
+            f"worker process {pid} exited with status {code} without "
+            "sending its results"
+        )
+    results, position = pickle.loads(data)
+    return results, None if position is None else (position, None)
+
+
+def _replay(config: ExperimentConfig, job) -> None:
+    """Run a failed batch's sessions one at a time, from new generators;
+    the first that fails raises a ``SessionError`` naming it."""
+    indices, work = job
+    for index in indices:
+        seed = derive_seed(config.master_seed, index)
+        try:
+            work(range(index, index + 1), [random.Random(seed)])
+        except Exception as exc:
+            raise SessionError(index, seed, str(exc)) from exc
+
+
+def _sweep(config: ExperimentConfig, jobs: list) -> list:
+    """Run every job ``(indices, work)`` as ``work(indices, rngs)`` and
+    return the results in job order.  ``rngs[j]`` is the generator of
+    session ``indices[j]``, in the state ``random.Random(derive_seed(
+    master_seed, indices[j]))`` starts in: the jobs reseed one pool of
+    generators, which is cheaper than building new ones.
+
+    The jobs are dealt round-robin to ``_workers`` processes, this one and
+    children forked from it, which take the pool as it stands; each child
+    pickles its results back through a pipe.  Each job's result depends
+    only on its sessions, so the results are those of one process.  Each
+    process stops at its first failing job.  The lowest failing job of all
+    runs again here one session at a time, so the ``SessionError`` names
+    the index a sweep of single sessions would have stopped at.  A child
+    that dies without sending its results raises ``RuntimeError``.  On any
+    exception, ``KeyboardInterrupt`` included, every child is killed and
+    reaped."""
+    workers = _workers(
+        config.n_pulses * sum(len(indices) for indices, _ in jobs), len(jobs)
+    )
+    pool = [
+        random.Random(0)
+        for _ in range(max((len(indices) for indices, _ in jobs), default=0))
+    ]
+    children = []  # (pid, read end of its pipe) of each child not reaped
+    try:
+        for worker in range(1, workers):
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _child(config, pool, jobs, worker, workers, write)
+            children.append((pid, read))
+            os.close(write)
+        shares = [_share(config, pool, jobs, 0, workers)]
+        while children:
+            pid, read = children[0]
+            with open(read, "rb", closefd=False) as pipe:
+                data = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            del children[0]
+            os.close(read)
+            shares.append(_receive(pid, status, data))
+    finally:
+        for pid, read in children:
+            os.kill(pid, _SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(read)
+    failures = [failure for _, failure in shares if failure is not None]
+    if failures:
+        position, exc = min(failures, key=lambda failure: failure[0])
+        _replay(config, jobs[position])
+        indices = jobs[position][0]
+        raise exc or RuntimeError(
+            f"sessions {indices[0]} to {indices[-1]} failed in a worker "
+            "process but not when run again one at a time"
+        )
+    results = [None] * len(jobs)
+    for worker, (share, _) in enumerate(shares):
+        results[worker::workers] = share
     return results
 
 
@@ -350,16 +489,11 @@ def _experiment_rows(
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run ``n_sessions`` independent sessions and aggregate them."""
-    strategy = build_strategy(config)
-    rows = [
-        row
-        for batch in _sweep(
-            config, 0, config.n_sessions,
-            lambda indices, rngs: _experiment_rows(
-                config, strategy, indices, rngs),
-        )
-        for row in batch
-    ]
+    work = partial(_experiment_rows, config, build_strategy(config))
+    batches = _sweep(config, [
+        (indices, work) for indices in _batches(config, 0, config.n_sessions)
+    ])
+    rows = [row for batch in batches for row in batch]
     return ExperimentReport(
         config=config,
         sessions=rows,
@@ -386,7 +520,9 @@ def detection_rate_curve(
         raise InvalidConfigError("parity round counts must be >= 0")
     strategy = build_strategy(config)
 
-    def detections(k: int, rngs: list[random.Random]) -> int:
+    def detections(
+        k: int, indices: range, rngs: list[random.Random]
+    ) -> int:
         batch = run_batch(
             replace(config, parity_rounds=k), strategy, rngs,
             flip=force_differ,
@@ -397,14 +533,18 @@ def detection_rate_curve(
             )
         return int(np.count_nonzero(batch.detected))
 
-    curve: list[tuple[int, float]] = []
-    for sweep, k in enumerate(k_values):
-        counts = _sweep(
-            config, sweep * config.n_sessions, config.n_sessions,
-            lambda indices, rngs: detections(k, rngs),
-        )
-        curve.append((k, sum(counts) / config.n_sessions))
-    return curve
+    # One sweep for all k, so that it forks once.
+    n = config.n_sessions
+    counts = _sweep(config, [
+        (indices, partial(detections, k))
+        for sweep, k in enumerate(k_values)
+        for indices in _batches(config, sweep * n, n)
+    ])
+    per_k = len(_batches(config, 0, n))
+    return [
+        (k, sum(counts[sweep * per_k:(sweep + 1) * per_k]) / n)
+        for sweep, k in enumerate(k_values)
+    ]
 
 
 def curve_to_json(

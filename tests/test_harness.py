@@ -63,7 +63,8 @@ class TestSeedDerivation:
                 rng.getrandbits(100)
             return list(zip(indices, states))
 
-        got = [pair for batch in harness._sweep(config, 3, 5, work)
+        jobs = [(indices, work) for indices in harness._batches(config, 3, 5)]
+        got = [pair for batch in harness._sweep(config, jobs)
                for pair in batch]
         assert [index for index, _ in got] == [3, 4, 5, 6, 7]
         for index, state in got:
