@@ -20,7 +20,6 @@ from .harness import (
     run_experiment,
 )
 from .protocol import (
-    ParityRound,
     Pulses,
     SessionBatch,
     SessionConfig,

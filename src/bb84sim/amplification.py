@@ -21,9 +21,6 @@ from .errors import InvalidParamsError, LengthMismatchError
 from .protocol import SessionBatch
 from .stream import Words, random_bits
 
-TOEPLITZ_BINARY = "toeplitz-binary"
-
-
 @dataclass(frozen=True, slots=True)
 class PrivacyParams:
     """Compression parameters: n input bits, t assumed leaked bits, and a
@@ -52,13 +49,12 @@ class PrivacyParams:
 
 @dataclass(frozen=True)
 class HashDescriptor:
-    """A fully specified linear map from n-bit to r-bit strings.
+    """A binary Toeplitz map from n-bit to r-bit strings.
 
     ``seed_bits`` (length n + r - 1) fills the Toeplitz diagonals: row i of
     the matrix is ``seed_bits[i : i + n]`` reversed.
     """
 
-    family: str
     input_bits: int
     output_bits: int
     seed_bits: np.ndarray
@@ -76,7 +72,6 @@ def sample_hash(params: PrivacyParams, rng: random.Random) -> HashDescriptor:
     """Draw a uniformly random descriptor; safe to publish."""
     seed_length = params.input_bits + params.output_bits - 1
     return HashDescriptor(
-        family=TOEPLITZ_BINARY,
         input_bits=params.input_bits,
         output_bits=params.output_bits,
         seed_bits=random_bits(Words([rng]), seed_length)[0],

@@ -63,7 +63,7 @@ import os
 import pickle
 import random
 import threading
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from functools import partial
 from typing import NoReturn, Sequence
 
@@ -193,15 +193,7 @@ class ExperimentReport:
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
     def to_csv(self) -> str:
-        columns = (
-            "index",
-            "qber",
-            "sifted_length",
-            "detected",
-            "final_key_length",
-            "eve_accuracy",
-            "eve_advantage",
-        )
+        columns = [field.name for field in fields(SessionRow)]
         lines = [",".join(columns)]
         for row in self.sessions:
             values = asdict(row)
@@ -213,8 +205,9 @@ class ExperimentReport:
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentReport":
-        """Parse a report and verify its contract, and its aggregates
-        against its rows."""
+        """Parse a report and verify its contract, that its rows are
+        sessions 0 to n_sessions - 1 in order, and its aggregates against
+        its rows."""
         payload = json.loads(text)
         contract = payload.get("rng_contract")
         if contract != RNG_CONTRACT:
@@ -224,6 +217,11 @@ class ExperimentReport:
             )
         config = ExperimentConfig(**payload["config"])
         rows = [SessionRow(**row) for row in payload["sessions"]]
+        if [row.index for row in rows] != list(range(config.n_sessions)):
+            raise ValueError(
+                f"report rows must be sessions 0 to {config.n_sessions - 1} "
+                f"in order"
+            )
         aggregates = AggregateStats(**payload["aggregates"])
         recomputed = compute_aggregates(rows, config)
         for name, stored in asdict(aggregates).items():

@@ -16,6 +16,12 @@ returns one row per session; ``run_session`` is a batch of one.  A basis
 is stored as its index into ``BASIS_ANGLES`` (0 rectilinear, 1 diagonal),
 and a signal state as its code, an index into ``BQS``, ``2 * basis + bit``.
 
+A batch stores each fact once.  Every pulse column takes one byte per
+pulse: the adversary's outcome is kept as its index, the state she
+forwarded being ``forwarded_angles[outcome]`` of her table, and a lost
+pulse is the receiver's bit -1.  Parity verification leaves one flag per
+session and the mask of surviving key positions, not per-round records.
+
 Each random decision of a pulse, the adversary's outcome, loss and the
 receiver's bit, is a 53-bit key against ceil(p * 2**53) for its
 probability p.  The channel table computes the receiver's thresholds once,
@@ -54,15 +60,15 @@ class SessionConfig:
 @dataclass(frozen=True, eq=False)
 class Pulses:
     """Everything that happened to the transmitted quantum bits, as
-    columns: entry [s, i] of each array describes pulse i of session s."""
+    columns of one byte per pulse: entry [s, i] of each array describes
+    pulse i of session s."""
 
     alice_bits: np.ndarray  # uint8
     alice_bases: np.ndarray  # uint8 index into BASIS_ANGLES
-    forwarded: np.ndarray  # float64 ray angle the adversary sent on
+    outcomes: np.ndarray  # uint8 index into the adversary's forwarded_angles
     eve_guesses: np.ndarray | None  # uint8; None on a passive channel
-    lost: np.ndarray  # bool, the pulse never reached the detector
     bob_bases: np.ndarray  # uint8 index into BASIS_ANGLES
-    bob_bits: np.ndarray  # int8 measured bit, -1 where lost
+    bob_bits: np.ndarray  # int8 measured bit, -1 where the pulse was lost
 
     def __len__(self) -> int:
         """The number of pulses, over every session of a batch."""
@@ -70,30 +76,8 @@ class Pulses:
 
 
 @dataclass(frozen=True, eq=False)
-class ParityRound:
-    """One public parity comparison per session of a batch, each over a
-    subset of its sifted positions.
-
-    Positions index into a session's sifted key.  The discarded position
-    is the lowest-indexed member of the subset, removed from both keys to
-    pay for the publicly revealed parity bit.  Row s of ``members`` is
-    session s's subset as a bitmask over its key, packed eight positions
-    to a byte; the other fields hold one entry per session.
-    """
-
-    members: np.ndarray
-    alice_parity: np.ndarray
-    bob_parity: np.ndarray
-    discarded_position: np.ndarray
-
-    def subset(self, s: int) -> np.ndarray:
-        """The positions session s compared, ascending."""
-        return np.flatnonzero(np.unpackbits(self.members[s]))
-
-
-@dataclass(frozen=True, eq=False)
 class SessionBatch:
-    """A batch of sessions, as columns.
+    """A batch of sessions, as columns, each fact stored once.
 
     ``pulses`` holds one row per session.  The sifted arrays lay the
     sessions' sifted keys end to end: session s owns the ``lengths[s]``
@@ -108,7 +92,6 @@ class SessionBatch:
     starts: np.ndarray
     sifted_alice: np.ndarray
     sifted_bob: np.ndarray
-    parity_rounds: list[ParityRound]
     detected: np.ndarray
     kept: np.ndarray
 
@@ -165,7 +148,8 @@ def transmit(
 
 
 def sift(pulses: Pulses) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Keep positions where the pulse arrived and the bases matched.
+    """Keep positions where the pulse arrived (``bob_bits`` is not -1)
+    and the bases matched.
 
     Returns the sender's sifted key, the receiver's, and the pulse indices
     they came from.  For a batch the indices run over the flattened
@@ -173,7 +157,7 @@ def sift(pulses: Pulses) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     the same order.
     """
     matched = pulses.alice_bases == pulses.bob_bases
-    kept = np.flatnonzero(matched & ~pulses.lost)
+    kept = np.flatnonzero(matched & (pulses.bob_bits >= 0))
     return (
         np.take(pulses.alice_bits, kept),
         np.take(pulses.bob_bits, kept).view(np.uint8),
@@ -235,7 +219,7 @@ def parity_verify(
     rounds: int,
     words: Words,
     lengths: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, list[ParityRound]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Run ``rounds`` public random-subset parity comparisons on the keys
     of a batch of sessions.
 
@@ -251,11 +235,9 @@ def parity_verify(
 
     The rounds of all sessions run together: round j takes each session's
     coins, and only a session whose subset came up empty draws again.
-    Returns (detected, kept, round records): a flag per session, a mask
-    over the keys laid end to end that marks the positions no round
-    discarded, and one record per round whose fields hold one entry per
-    session.  All rounds run even after a detection; a session's flag is
-    the OR of its per-round mismatches.
+    Returns (detected, kept): a flag per session, the OR of its per-round
+    mismatches, and a mask over the keys laid end to end that marks the
+    positions no round discarded.  All rounds run even after a detection.
     """
     alice = np.asarray(alice_bits, dtype=np.uint8)
     bob = np.asarray(bob_bits, dtype=np.uint8)
@@ -268,9 +250,11 @@ def parity_verify(
             f"{rounds} parity rounds"
         )
     sessions = np.arange(len(lengths))
-    alive = np.arange(lengths.max()) < lengths[:, None]
-    alice_packed = np.packbits(_rows_of(alice, alive) != 0, axis=1)
-    bob_packed = np.packbits(_rows_of(bob, alive) != 0, axis=1)
+    owned = np.arange(lengths.max()) < lengths[:, None]
+    alive = owned.copy()
+    # A subset's two parities differ exactly when it holds an odd number
+    # of the positions where the keys differ.
+    differ = np.packbits(_rows_of(alice != bob, owned), axis=1)
     # Round j draws one coin per live position, L - j of them, in
     # ceil((L - j) / 32) outputs.  All rounds' outputs are taken at once.
     live = lengths[:, None] - np.arange(rounds)
@@ -283,7 +267,6 @@ def parity_verify(
     uneven = (live < live.max(axis=0)).any(axis=0).tolist()
     cells, row_starts = alive.reshape(-1), sessions * alive.shape[1]
     detected = np.zeros(len(lengths), dtype=bool)
-    records: list[ParityRound] = []
     for j in range(rounds):
         while True:
             coins = np.unpackbits(layout[:, j].view(np.uint8), axis=1,
@@ -303,17 +286,9 @@ def parity_verify(
             outputs = _append(outputs, filled, words.take(extra), extra)
             filled += extra
             layout = _by_round(outputs, offsets, live)
-        packed = np.packbits(members, axis=1)
-        alice_parity = _parity(packed & alice_packed)
-        bob_parity = _parity(packed & bob_packed)
-        detected |= alice_parity != bob_parity
+        detected |= _parity(np.packbits(members, axis=1) & differ) != 0
         cells[row_starts + first] = False
-        records.append(ParityRound(packed, alice_parity, bob_parity, first))
-    kept = np.ones(len(alice), dtype=bool)
-    key_starts = np.cumsum(lengths) - lengths
-    for record in records:
-        kept[key_starts + record.discarded_position] = False
-    return detected, kept, records
+    return detected, alive[owned]
 
 
 def run_batch(
@@ -335,7 +310,8 @@ def run_batch(
     floor(u * L) of the L-bit key before verification, for the uniform
     u = k * 2**-53; a session without
     sifted bits then raises ``ValueError``.  An error of any session
-    raises.
+    raises.  Returns the batch's pulse columns, sifted keys, survivor mask
+    ``kept`` and detection flags as a ``SessionBatch``.
     """
     n = config.n_pulses
     words = Words(rngs)
@@ -354,8 +330,7 @@ def run_batch(
     ).view(np.int8)
     bob_bits[lost] = -1
     pulses = Pulses(
-        alice_bits, alice_bases, adversary.forwarded_angles[outcomes],
-        guesses, lost, bob_bases, bob_bits,
+        alice_bits, alice_bases, outcomes, guesses, bob_bases, bob_bits
     )
     sifted_alice, sifted_bob, sifted = sift(pulses)
     # Session s owns the sifted indices in [s * n, (s + 1) * n).
@@ -369,12 +344,12 @@ def run_batch(
         sifted_bob[starts + flipped] ^= 1
 
     if config.parity_rounds > 0:
-        detected, kept, rounds = parity_verify(
+        detected, kept = parity_verify(
             sifted_alice, sifted_bob, config.parity_rounds, words, lengths
         )
     else:
         detected = np.zeros(len(words), dtype=bool)
-        kept, rounds = np.ones(len(sifted), dtype=bool), []
+        kept = np.ones(len(sifted), dtype=bool)
     return SessionBatch(
         pulses=pulses,
         sifted=sifted,
@@ -382,7 +357,6 @@ def run_batch(
         starts=starts,
         sifted_alice=sifted_alice,
         sifted_bob=sifted_bob,
-        parity_rounds=rounds,
         detected=detected,
         kept=kept,
     )

@@ -118,7 +118,6 @@ class TestSampleHash:
     def test_wrong_seed_length_rejected(self):
         with pytest.raises(InvalidParamsError):
             HashDescriptor(
-                family="toeplitz-binary",
                 input_bits=8,
                 output_bits=4,
                 seed_bits=np.zeros(5, dtype=np.uint8),
@@ -192,7 +191,7 @@ class TestCompress:
             np.array(random_bits(n, rng), dtype=np.uint8) for _ in range(3)
         ]
         for seed, key in zip(seeds, keys):
-            descriptor = HashDescriptor("toeplitz-binary", n, r, seed)
+            descriptor = HashDescriptor(n, r, seed)
             assert np.array_equal(
                 compress(key, descriptor), explicit_toeplitz(seed, key, n, r)
             )
@@ -204,8 +203,7 @@ class TestCompress:
         key = np.array(random_bits(40_000, rng), dtype=np.uint8)
         for descriptor in (
             sample_hash(params, rng),
-            HashDescriptor("toeplitz-binary", 40_000, 20_000,
-                           np.ones(59_999, dtype=np.uint8)),
+            HashDescriptor(40_000, 20_000, np.ones(59_999, dtype=np.uint8)),
         ):
             assert np.array_equal(
                 compress(key, descriptor), direct_compress(key, descriptor)

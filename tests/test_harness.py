@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import random
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -32,7 +33,11 @@ from bb84sim.harness import (
 )
 from bb84sim.adversary import EVE_KINDS, ChannelTable, channel_table
 from bb84sim.protocol import SessionConfig, run_batch, run_session
-from test_protocol import columns, reference_parity_verify
+from test_protocol import (
+    columns,
+    reference_parity_verify,
+    reference_session,
+)
 
 
 class TestSeedDerivation:
@@ -388,6 +393,31 @@ class TestReportSerialization:
         with pytest.raises(ValueError):
             ExperimentReport.from_json(json.dumps(payload))
 
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            lambda rows: [],
+            lambda rows: rows[:1],
+            lambda rows: [{**row, "index": 7} for row in rows],
+        ],
+        ids=["no-rows", "one-row", "repeated-index"],
+    )
+    def test_rows_not_matching_the_config_are_caught_on_load(self, rows):
+        # the aggregates are recomputed to match the tampered rows, so only
+        # the row indices can give the tampering away
+        config = ExperimentConfig(
+            n_pulses=400, n_sessions=3, eve_kind="intercept-resend",
+            master_seed=13,
+        )
+        payload = json.loads(run_experiment(config).to_json())
+        payload["sessions"] = rows(payload["sessions"])
+        if payload["sessions"]:
+            payload["aggregates"] = asdict(compute_aggregates(
+                [SessionRow(**row) for row in payload["sessions"]], config
+            ))
+        with pytest.raises(ValueError, match="rows must be sessions 0 to 2"):
+            ExperimentReport.from_json(json.dumps(payload))
+
     def test_csv_and_json_carry_identical_numbers(self):
         report = self.make_report()
         payload = json.loads(report.to_json())
@@ -672,16 +702,10 @@ class TestBatchEngine:
             assert columns(batch, s) == columns(want)
             assert rngs[s].getstate() == rng.getstate()
         redrawn = redraws.index(True, 1)
-        rng = random.Random(seeds[redrawn])
-        plain = run_session(SessionConfig(8), strategy, rng)
-        reference = reference_parity_verify(
-            plain.sifted_alice.tolist(), plain.sifted_bob.tolist(), 3, rng
-        )
-        assert [
-            (r.subset(redrawn).tolist(), int(r.alice_parity[redrawn]),
-             int(r.bob_parity[redrawn]), int(r.discarded_position[redrawn]))
-            for r in batch.parity_rounds
-        ] == reference[3]
+        reference, rng = reference_session(config, strategy, seeds[redrawn])
+        _, discarded, detected = columns(batch, redrawn)
+        assert detected == reference[0]
+        assert discarded == sorted(record[3] for record in reference[3])
         assert batch.reconciled(redrawn)[0].tolist() == reference[1]
         assert rngs[redrawn].getstate() == rng.getstate()
 

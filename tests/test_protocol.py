@@ -3,6 +3,7 @@ verification, and whole sessions read as the columns of a batch."""
 
 import math
 import random
+from dataclasses import fields
 from functools import reduce
 
 import numpy as np
@@ -16,6 +17,7 @@ from bb84sim.protocol import (
     SessionConfig,
     parity_verify,
     prepare_pulses,
+    run_batch,
     run_session,
     sift,
     transmit,
@@ -53,26 +55,22 @@ def eve_bits(batch):
 
 def columns(batch, s=0):
     """Every column of session s of a batch, with its sifted indices
-    counted from its own first pulse, its round records and its flag, for
-    equality checks."""
+    counted from its own first pulse, the key positions parity
+    verification discarded and its flag, for equality checks."""
     p = batch.pulses
     start, length = int(batch.starts[s]), int(batch.lengths[s])
     part = slice(start, start + length)
-    rounds = [
-        (r.members[s, : (length + 7) // 8].tobytes(), int(r.alice_parity[s]),
-         int(r.bob_parity[s]), int(r.discarded_position[s]))
-        for r in batch.parity_rounds
-    ]
     guesses = None if p.eve_guesses is None else p.eve_guesses[s]
     arrays = (
-        p.alice_bits[s], p.alice_bases[s], p.forwarded[s], guesses, p.lost[s],
-        p.bob_bases[s], p.bob_bits[s], batch.sifted[part] - s * p.lost.shape[1],
+        p.alice_bits[s], p.alice_bases[s], p.outcomes[s], guesses,
+        p.bob_bases[s], p.bob_bits[s],
+        batch.sifted[part] - s * p.bob_bits.shape[1],
         batch.sifted_alice[part], batch.sifted_bob[part], batch.kept[part],
         *batch.reconciled(s),
     )
     return (
         [None if a is None else (a.dtype.str, a.tobytes()) for a in arrays],
-        rounds,
+        np.flatnonzero(~batch.kept[part]).tolist(),
         bool(batch.detected[s]),
     )
 
@@ -101,23 +99,45 @@ def reference_parity_verify(alice_bits, bob_bits, rounds, rng):
     )
 
 
+def reference_verify(alice_bits, bob_bits, rounds, rng):
+    """``reference_parity_verify`` in the layout of ``verify_one``: its
+    flag, its reconciled keys and the positions it discarded, ascending."""
+    detected, alice, bob, records = reference_parity_verify(
+        alice_bits, bob_bits, rounds, rng
+    )
+    return detected, alice, bob, sorted(record[3] for record in records)
+
+
 def verify_one(alice_bits, bob_bits, rounds, rng):
     """``parity_verify`` on a batch of one session drawing from ``rng``:
-    its flag, its reconciled keys (the positions ``kept`` marks), its
-    rounds as (subset, alice parity, bob parity, discarded position), the
-    layout ``reference_parity_verify`` returns, and ``kept``."""
-    detected, kept, records = parity_verify(
+    its flag, its reconciled keys (the positions ``kept`` marks) and the
+    positions it discarded, ascending, as lists."""
+    detected, kept = parity_verify(
         alice_bits, bob_bits, rounds, Words([rng]),
         np.array([len(alice_bits)]),
     )
     alice = np.asarray(alice_bits, dtype=np.uint8)[kept]
     bob = np.asarray(bob_bits, dtype=np.uint8)[kept]
-    rounds = [
-        (r.subset(0).tolist(), int(r.alice_parity[0]), int(r.bob_parity[0]),
-         int(r.discarded_position[0]))
-        for r in records
-    ]
-    return bool(detected[0]), alice, bob, rounds, kept
+    return (
+        bool(detected[0]), alice.tolist(), bob.tolist(),
+        np.flatnonzero(~kept).tolist(),
+    )
+
+
+def reference_session(config, adversary, seed):
+    """oracle: session ``seed`` run without verification, then verified by
+    the per-position reference loop from the generator state it left, the
+    documented draw order; returns the reference's flag, keys and records,
+    and the generator."""
+    rng = random.Random(seed)
+    plain = run_session(
+        SessionConfig(config.n_pulses, config.efficiency), adversary, rng
+    )
+    want = reference_parity_verify(
+        plain.sifted_alice.tolist(), plain.sifted_bob.tolist(),
+        config.parity_rounds, rng,
+    )
+    return want, rng
 
 
 class TestPreparePulses:
@@ -213,10 +233,10 @@ class TestSift:
             random.Random(5),
         )
         pulses = batch.pulses
-        lost, alice_bases = pulses.lost[0], pulses.alice_bases[0]
+        bob_bits, alice_bases = pulses.bob_bits[0], pulses.alice_bases[0]
         want = [
             i for i in range(len(pulses))
-            if not lost[i] and alice_bases[i] == pulses.bob_bases[0, i]
+            if bob_bits[i] != -1 and alice_bases[i] == pulses.bob_bases[0, i]
         ]
         assert batch.sifted.tolist() == want
         assert batch.sifted_alice.tolist() == [
@@ -226,10 +246,7 @@ class TestSift:
 
     def test_empty_input_gives_empty_keys(self):
         empty = np.zeros(0, dtype=np.uint8)
-        pulses = Pulses(
-            empty, empty, np.zeros(0), None, np.zeros(0, dtype=bool), empty,
-            empty.view(np.int8),
-        )
+        pulses = Pulses(empty, empty, empty, None, empty, empty.view(np.int8))
         alice, bob, indices = sift(pulses)
         assert len(alice) == len(bob) == len(indices) == 0
 
@@ -238,13 +255,13 @@ class TestParityVerify:
     def test_identical_keys_pass_and_shrink(self):
         rng = random.Random(0)
         bits = [rng.getrandbits(1) for _ in range(200)]
-        detected, alice, bob, rounds, _ = verify_one(
+        detected, alice, bob, discarded = verify_one(
             bits, list(bits), 20, rng
         )
         assert detected is False
         assert len(alice) == len(bits) - 20
-        assert np.array_equal(alice, bob)
-        assert len(rounds) == 20
+        assert alice == bob
+        assert len(discarded) == 20
 
     def test_single_difference_detected_half_the_time(self):
         # a single differing bit lands in a uniform nonempty subset with
@@ -284,36 +301,6 @@ class TestParityVerify:
             verify_one([0, 1], [0], 1, random.Random(0))
 
     @given(
-        bits=st.lists(st.integers(0, 1), min_size=6, max_size=40),
-        flips=st.sets(st.integers(0, 39)),
-        rounds=st.integers(0, 5),
-        seed=st.integers(0, 2**32),
-    )
-    @settings(max_examples=150)
-    def test_round_records_are_consistent(self, bits, flips, rounds, seed):
-        other = [b ^ 1 if i in flips else b for i, b in enumerate(bits)]
-        detected, alice, bob, records, kept = verify_one(
-            bits, other, rounds, random.Random(seed)
-        )
-        assert len(records) == rounds
-        assert len(alice) == len(bits) - rounds
-        discarded = set()
-        for subset, alice_parity, bob_parity, position in records:
-            assert position in subset
-            assert position == min(subset)
-            assert discarded.isdisjoint(subset)
-            want_a = reduce(lambda p, i: p ^ bits[i], subset, 0)
-            want_b = reduce(lambda p, i: p ^ other[i], subset, 0)
-            assert alice_parity == want_a
-            assert bob_parity == want_b
-            discarded.add(position)
-        assert detected == any(a != b for _, a, b, _ in records)
-        assert set(np.flatnonzero(~kept).tolist()) == discarded
-        survivors = [i for i in range(len(bits)) if i not in discarded]
-        assert alice.tolist() == [bits[i] for i in survivors]
-        assert bob.tolist() == [other[i] for i in survivors]
-
-    @given(
         bits=st.lists(st.integers(0, 1), min_size=1, max_size=300),
         flips=st.sets(st.integers(0, 299)),
         rounds=st.integers(0, 12),
@@ -323,29 +310,30 @@ class TestParityVerify:
     def test_matches_reference_loop_draw_for_draw(
         self, bits, flips, rounds, seed
     ):
-        # oracle: the per-position loop above, fed the same generator state
+        # oracle: the per-position loop above, fed the same generator state;
+        # every flip lands in the key, so differing keys are common
+        flips = {i % len(bits) for i in flips}
         other = [b ^ 1 if i in flips else b for i, b in enumerate(bits)]
         if len(bits) <= rounds:
             return
         got_rng, want_rng = random.Random(seed), random.Random(seed)
-        detected, alice, bob, records, _ = verify_one(
-            bits, other, rounds, got_rng
-        )
-        want = reference_parity_verify(bits, other, rounds, want_rng)
-        assert detected == want[0]
-        assert alice.tolist() == want[1] and bob.tolist() == want[2]
-        assert records == want[3]
+        got = verify_one(bits, other, rounds, got_rng)
+        assert got == reference_verify(bits, other, rounds, want_rng)
         assert got_rng.getstate() == want_rng.getstate()
 
     def test_empty_subset_is_drawn_again(self):
-        # a one-position key comes up empty with probability 1/2 per draw;
+        # a two-position key comes up empty with probability 1/4 per draw;
         # oracle: the reference loop, which redraws the same way
+        redraws = 0
         for seed in range(20):
             got_rng, want_rng = random.Random(seed), random.Random(seed)
-            records = verify_one([1, 0], [1, 1], 1, got_rng)[3]
-            want = reference_parity_verify([1, 0], [1, 1], 1, want_rng)
-            assert records[0][0] == want[3][0][0]
+            got = verify_one([1, 0], [1, 1], 1, got_rng)
+            assert got == reference_verify([1, 0], [1, 1], 1, want_rng)
             assert got_rng.getstate() == want_rng.getstate()
+            once = random.Random(seed)
+            once.getrandbits(32)
+            redraws += got_rng.getstate() != once.getstate()
+        assert redraws > 0
 
 
 class TestRunSession:
@@ -374,24 +362,12 @@ class TestRunSession:
         assert qber(batch) == 0.0
         assert np.array_equal(eve_bits(batch), batch.sifted_alice)
 
-    def test_detected_flag_matches_round_records(self):
-        # intercept/resend with verification on: mismatches are near-certain
-        batch = run_session(
-            SessionConfig(n_pulses=2_000, parity_rounds=16),
-            channel_table("intercept-resend"),
-            random.Random(9),
-        )
-        assert batch.detected[0] == any(
-            r.alice_parity[0] != r.bob_parity[0] for r in batch.parity_rounds
-        )
-
     def test_discarded_positions_left_out_of_reconciled_key(self):
-        batch = run_session(
-            SessionConfig(n_pulses=3_000, parity_rounds=12),
-            channel_table("none"),
-            random.Random(10),
-        )
-        dropped = {int(r.discarded_position[0]) for r in batch.parity_rounds}
+        config = SessionConfig(n_pulses=3_000, parity_rounds=12)
+        batch = run_session(config, channel_table("none"), random.Random(10))
+        want, _ = reference_session(config, channel_table("none"), 10)
+        dropped = {record[3] for record in want[3]}
+        assert len(dropped) == 12
         survivors = [
             bit
             for i, bit in enumerate(batch.sifted_alice.tolist())
@@ -400,23 +376,18 @@ class TestRunSession:
         assert batch.reconciled(0)[0].tolist() == survivors
 
     def test_eve_reconciled_guess_alignment(self):
-        batch = run_session(
-            SessionConfig(n_pulses=3_000, parity_rounds=8),
-            oracle_eve(),
-            random.Random(11),
-        )
+        config = SessionConfig(n_pulses=3_000, parity_rounds=8)
+        batch = run_session(config, oracle_eve(), random.Random(11))
         assert not batch.detected[0]
         key, guess = batch.reconciled(0)
         assert np.array_equal(guess, key)
         # intercept/resend guesses differ from the key at about a quarter
         # of the positions, so a misaligned mask shows; oracle: the guesses
-        # with the records' discarded positions removed
-        batch = run_session(
-            SessionConfig(n_pulses=3_000, parity_rounds=8),
-            channel_table("intercept-resend"),
-            random.Random(11),
-        )
-        dropped = {int(r.discarded_position[0]) for r in batch.parity_rounds}
+        # with the reference loop's discarded positions removed
+        eve = channel_table("intercept-resend")
+        batch = run_session(config, eve, random.Random(11))
+        want, _ = reference_session(config, eve, 11)
+        dropped = {record[3] for record in want[3]}
         assert len(dropped) == 8
         want = [
             guess
@@ -426,15 +397,24 @@ class TestRunSession:
         assert batch.reconciled(0)[1].tolist() == want
 
     def test_lost_pulses_have_no_measurement(self):
+        # oracle: the loss keys replayed in the documented draw order, three
+        # n-bit draws and the adversary's n keys before them
+        n, efficiency = 5_000, 0.4
         batch = run_session(
-            SessionConfig(n_pulses=5_000, efficiency=0.4),
+            SessionConfig(n_pulses=n, efficiency=efficiency),
             channel_table("none"),
             random.Random(12),
         )
-        pulses = batch.pulses
-        assert np.all(pulses.bob_bits[pulses.lost] == -1)
-        assert set(pulses.bob_bits[~pulses.lost].tolist()) <= {0, 1}
-        assert pulses.lost.any() and not pulses.lost.all()
+        rng = random.Random(12)
+        for _ in range(3):
+            rng.getrandbits(n)
+        for _ in range(n):
+            rng.random()
+        lost = np.array([rng.random() >= efficiency for _ in range(n)])
+        bob_bits = batch.pulses.bob_bits[0]
+        assert np.array_equal(bob_bits == -1, lost)
+        assert set(bob_bits[~lost].tolist()) <= {0, 1}
+        assert lost.any() and not lost.all()
 
     def test_identical_seeds_give_identical_transcripts(self):
         config = SessionConfig(n_pulses=4_000, efficiency=0.9, parity_rounds=8)
@@ -462,26 +442,30 @@ class TestRunSession:
             return [rng.random() for _ in range(n)]
 
         pulses = batch.pulses
-        lost, bob_bases = pulses.lost[0], pulses.bob_bases[0]
+        bob_bases = pulses.bob_bases[0]
         assert pulses.alice_bits[0].tolist() == bits()
         assert pulses.alice_bases[0].tolist() == bits()
         assert bob_bases.tolist() == bits()
         floats()  # the adversary's keys, as uniforms
-        assert lost.tolist() == [u >= efficiency for u in floats()]
+        lost = [u >= efficiency for u in floats()]
+        assert (pulses.bob_bits[0] == -1).tolist() == lost
+        angles = channel_table("intercept-resend").forwarded_angles
         for i, u in enumerate(floats()):
             if lost[i]:
                 continue
             bit0 = (0.0, math.pi / 4)[bob_bases[i]]
-            p0 = math.cos(pulses.forwarded[0, i] - bit0) ** 2
+            p0 = math.cos(angles[pulses.outcomes[0, i]] - bit0) ** 2
             p0 = 1.0 if p0 >= 1 - 1e-12 else 0.0 if p0 <= 1e-12 else p0
             assert pulses.bob_bits[0, i] == (0 if u < p0 else 1)
         want = reference_parity_verify(
             batch.sifted_alice.tolist(), batch.sifted_bob.tolist(),
             rounds, rng,
         )
-        assert [int(r.discarded_position[0]) for r in batch.parity_rounds] == [
+        assert bool(batch.detected[0]) == want[0]
+        assert np.flatnonzero(~batch.kept).tolist() == sorted(
             record[3] for record in want[3]
-        ]
+        )
+        assert batch.reconciled(0)[0].tolist() == want[1]
         rng_after = random.Random(99)
         run_session(
             SessionConfig(n_pulses=n, efficiency=efficiency, parity_rounds=rounds),
@@ -497,3 +481,14 @@ class TestRunSession:
                 channel_table("none"),
                 random.Random(13),
             )
+
+    def test_pulse_columns_take_one_byte_per_pulse(self):
+        batch = run_batch(
+            SessionConfig(n_pulses=500, efficiency=0.8, parity_rounds=4),
+            channel_table("intercept-resend"),
+            [random.Random(14), random.Random(15)],
+        )
+        for field in fields(batch.pulses):
+            column = getattr(batch.pulses, field.name)
+            assert column.shape == (2, 500), field.name
+            assert column.itemsize == 1, field.name
