@@ -9,8 +9,9 @@ a blind pass with weight 1 - f: the pulse goes on untouched and the
 recorded guess is a fair coin, so guess strings stay complete.  One
 sampler, ``ChannelTable.intercept``, draws from any table, each pulse's
 outcome a 53-bit key against ceil(p * 2**53) for the table's cumulative
-probabilities p, and one builder, ``channel_table``, makes the table of
-each kind in ``EVE_KINDS``:
+probabilities p.  An outcome is all that is kept of an interception: the
+state forwarded and the guess are lookups in the table.  One builder,
+``channel_table``, makes the table of each kind in ``EVE_KINDS``:
 
 * ``none``              passive channel, nothing recorded.
 * ``intercept-resend``  measure in a random basis, forward the collapsed
@@ -49,7 +50,7 @@ from .quantum import (
     reduce_angle,
     squared_overlap,
 )
-from .stream import BLOCK, threshold
+from .stream import threshold
 
 EVE_KINDS = ("none", "intercept-resend", "indirect-oracle", "indirect-physical")
 RESEND_RULES = ("max-posterior", "resend-ancilla")
@@ -107,9 +108,7 @@ class ChannelTable:
         self._edge_columns = [np.ascontiguousarray(column)
                               for column in edges[:, ~fixed].T]
 
-    def intercept(
-        self, codes: np.ndarray, keys: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray | None]:
+    def intercept(self, codes: np.ndarray, keys: np.ndarray) -> np.ndarray:
         """Sample one outcome per pulse by inverse CDF over its table row.
 
         ``codes`` indexes ``BQS``: the state sent as each pulse, in an array
@@ -118,24 +117,13 @@ class ChannelTable:
         outcome drawn is the first whose cumulative probability p exceeds
         k * 2**-53: the number of edges p with k >= ceil(p * 2**53), a
         53-bit key against each threshold.  A row with a single possible
-        outcome returns it for every key.  Returns the outcomes as uint8
-        indices into ``forwarded_angles`` and ``bit0_thresholds``, and the
-        guessed bits (``None`` for a passive channel), shaped like
-        ``codes``.
+        outcome returns it for every key.  Returns the outcomes, shaped like
+        ``codes``, as uint8 indices into every per-outcome array above.
         """
-        flat_codes, flat_keys = codes.ravel(), keys.ravel()
-        outcome = np.take(self._base, flat_codes)
-        for start in range(0, len(flat_codes), BLOCK):
-            part = slice(start, start + BLOCK)
-            sent, key, found = flat_codes[part], flat_keys[part], outcome[part]
-            for column in self._edge_columns:
-                found += key >= np.take(column, sent)
-        outcome = outcome.reshape(codes.shape)
-        guesses = (
-            None if self.guess_bits is None
-            else np.take(self.guess_bits, outcome)
-        )
-        return outcome, guesses
+        outcome = np.take(self._base, codes)
+        for column in self._edge_columns:
+            outcome += keys >= np.take(column, codes)
+        return outcome
 
 
 def check_strategy(

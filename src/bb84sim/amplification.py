@@ -133,16 +133,16 @@ def eve_residual_information(
     """
     if not len(batch):
         raise ValueError("batch must hold at least one session")
-    if batch.pulses.eve_guesses is None:
-        return 0.0
     n = params.input_bits
     advantages = []
     for s in range(len(batch)):
+        key, guess = batch.reconciled(s)
+        if guess is None:
+            return 0.0
         if batch.detected[s]:
             raise ValueError(
                 f"session {s} has no reconciled key (it was detected)"
             )
-        key, guess = batch.reconciled(s)
         if len(key) < n:
             raise LengthMismatchError(
                 f"reconciled key has {len(key)} bits, need {n}"

@@ -72,7 +72,7 @@ import numpy as np
 from .adversary import ChannelTable, channel_table, check_strategy
 from .amplification import PrivacyParams, hashed_guess_advantage, sample_hash
 from .errors import InvalidConfigError, KeyTooShortError, SessionError
-from .protocol import SessionBatch, SessionConfig, run_batch
+from .protocol import SessionBatch, SessionConfig, check_types, run_batch
 from .quantum import DEFAULT_ANCILLA_ANGLE
 from .stream import BLOCK
 
@@ -205,24 +205,34 @@ class ExperimentReport:
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentReport":
-        """Parse a report and verify its contract, that its rows are
-        sessions 0 to n_sessions - 1 in order, and its aggregates against
-        its rows."""
+        """Parse a report and verify its contract, the fields and types of
+        its config, rows and aggregates, that its rows are sessions 0 to
+        n_sessions - 1 in order, and its aggregates against its rows.  A
+        report that fails any check raises ``ValueError``."""
         payload = json.loads(text)
+        if not isinstance(payload, dict):
+            raise ValueError("report must be a JSON object")
         contract = payload.get("rng_contract")
         if contract != RNG_CONTRACT:
             raise ValueError(
                 f"report has random-stream contract {contract!r}, "
                 f"expected {RNG_CONTRACT!r}"
             )
-        config = ExperimentConfig(**payload["config"])
-        rows = [SessionRow(**row) for row in payload["sessions"]]
+        if not isinstance(payload.get("sessions"), list):
+            raise ValueError("report sessions must be a JSON list")
+        config = _load(ExperimentConfig, payload.get("config"), "config")
+        rows = [
+            _load(SessionRow, row, f"session row {position}")
+            for position, row in enumerate(payload["sessions"])
+        ]
         if [row.index for row in rows] != list(range(config.n_sessions)):
             raise ValueError(
                 f"report rows must be sessions 0 to {config.n_sessions - 1} "
                 f"in order"
             )
-        aggregates = AggregateStats(**payload["aggregates"])
+        aggregates = _load(
+            AggregateStats, payload.get("aggregates"), "aggregates"
+        )
         recomputed = compute_aggregates(rows, config)
         for name, stored in asdict(aggregates).items():
             fresh = getattr(recomputed, name)
@@ -232,6 +242,18 @@ class ExperimentReport:
             elif abs(stored - fresh) > 1e-12:
                 raise ValueError(f"aggregate {name} inconsistent with rows")
         return cls(config=config, sessions=rows, aggregates=aggregates)
+
+
+def _load(cls, values, what: str):
+    """``cls(**values)`` for a JSON object of exactly the fields of the
+    dataclass ``cls``, each of its annotated type (``check_types``);
+    ``ValueError`` naming ``what`` otherwise."""
+    try:
+        record = cls(**values)  # TypeError: no mapping, or not its fields
+        check_types(record)
+    except (TypeError, InvalidConfigError) as exc:
+        raise ValueError(f"{what}: {exc}") from None
+    return record
 
 
 def _csv_cell(value) -> str:
@@ -447,11 +469,9 @@ def _experiment_rows(
     lengths = batch.lengths
     qbers = _shares(batch, batch.sifted_alice != batch.sifted_bob)
     accuracies = [None] * len(batch)
-    guesses = batch.pulses.eve_guesses
+    guesses = batch.guesses(batch.sifted)
     if guesses is not None:
-        shares = _shares(
-            batch, np.take(guesses, batch.sifted) == batch.sifted_alice
-        )
+        shares = _shares(batch, guesses == batch.sifted_alice)
         accuracies = [
             share if length else None
             for share, length in zip(shares, lengths.tolist())
@@ -516,16 +536,14 @@ def detection_rate_curve(
     """
     if any(k < 0 for k in k_values):
         raise InvalidConfigError("parity round counts must be >= 0")
+    configs = [replace(config, parity_rounds=k) for k in k_values]
     strategy = build_strategy(config)
 
     def detections(
-        k: int, indices: range, rngs: list[random.Random]
+        curve: ExperimentConfig, indices: range, rngs: list[random.Random]
     ) -> int:
-        batch = run_batch(
-            replace(config, parity_rounds=k), strategy, rngs,
-            flip=force_differ,
-        )
-        if k == 0 and not batch.lengths.all():
+        batch = run_batch(curve, strategy, rngs, flip=force_differ)
+        if curve.parity_rounds == 0 and not batch.lengths.all():
             raise KeyTooShortError(
                 "no sifted bits: a curve session needs a nonempty sifted key"
             )
@@ -534,8 +552,8 @@ def detection_rate_curve(
     # One sweep for all k, so that it forks once.
     n = config.n_sessions
     counts = _sweep(config, [
-        (indices, partial(detections, k))
-        for sweep, k in enumerate(k_values)
+        (indices, partial(detections, curve))
+        for sweep, curve in enumerate(configs)
         for indices in _batches(config, sweep * n, n)
     ])
     per_k = len(_batches(config, 0, n))

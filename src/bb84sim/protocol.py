@@ -17,27 +17,45 @@ is stored as its index into ``BASIS_ANGLES`` (0 rectilinear, 1 diagonal),
 and a signal state as its code, an index into ``BQS``, ``2 * basis + bit``.
 
 A batch stores each fact once.  Every pulse column takes one byte per
-pulse: the adversary's outcome is kept as its index, the state she
-forwarded being ``forwarded_angles[outcome]`` of her table, and a lost
-pulse is the receiver's bit -1.  Parity verification leaves one flag per
-session and the mask of surviving key positions, not per-round records.
+pulse: the adversary's outcome is kept as its index into her table, which
+the batch holds, and a lost pulse is the receiver's bit -1.  Parity
+verification leaves one flag per session and the mask of surviving key
+positions, not per-round records.
 
 Each random decision of a pulse, the adversary's outcome, loss and the
 receiver's bit, is a 53-bit key against ceil(p * 2**53) for its
 probability p.  The channel table computes the receiver's thresholds once,
-for every state it forwards, so no pulse computes a probability.
+for every state it forwards, so no pulse computes a probability.  Each
+such stage walks the pulses ``stream.BLOCK`` at a time along each row.
 """
 
 import random
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, fields
+from typing import Sequence, get_args
 
 import numpy as np
 
 from .adversary import ChannelTable
 from .errors import InvalidConfigError, KeyTooShortError
 from .quantum import measure
-from .stream import Words, keys, random_bits, threshold
+from .stream import BLOCK, Words, keys, random_bits, threshold
+
+
+def check_types(record) -> None:
+    """Raise ``InvalidConfigError`` unless every field of the dataclass
+    ``record`` holds a value of a type its annotation names.  An int may
+    stand for a float, and a bool for nothing but a bool."""
+    for field in fields(record):
+        value = getattr(record, field.name)
+        kinds = get_args(field.type) or (field.type,)
+        allowed = kinds + ((int,) if float in kinds else ())
+        if not isinstance(value, allowed) or (
+            type(value) is bool and bool not in kinds
+        ):
+            name = getattr(field.type, "__name__", field.type)
+            raise InvalidConfigError(
+                f"{field.name} must be {name}, got {value!r}"
+            )
 
 
 @dataclass(frozen=True, slots=True)
@@ -49,6 +67,7 @@ class SessionConfig:
     parity_rounds: int = 0
 
     def __post_init__(self):
+        check_types(self)  # the fields of a subclass too
         if self.n_pulses < 1:
             raise InvalidConfigError("n_pulses must be >= 1")
         if not 0.0 < self.efficiency <= 1.0:
@@ -65,8 +84,7 @@ class Pulses:
 
     alice_bits: np.ndarray  # uint8
     alice_bases: np.ndarray  # uint8 index into BASIS_ANGLES
-    outcomes: np.ndarray  # uint8 index into the adversary's forwarded_angles
-    eve_guesses: np.ndarray | None  # uint8; None on a passive channel
+    outcomes: np.ndarray  # uint8 index into the adversary's table
     bob_bases: np.ndarray  # uint8 index into BASIS_ANGLES
     bob_bits: np.ndarray  # int8 measured bit, -1 where the pulse was lost
 
@@ -79,14 +97,16 @@ class Pulses:
 class SessionBatch:
     """A batch of sessions, as columns, each fact stored once.
 
-    ``pulses`` holds one row per session.  The sifted arrays lay the
-    sessions' sifted keys end to end: session s owns the ``lengths[s]``
-    entries from ``starts[s]`` on, and ``sifted`` indexes the flattened
-    pulse columns.  ``kept`` marks, in the same layout, the positions no
-    parity round discarded, and ``detected`` holds one flag per session.
+    ``pulses`` holds one row per session, and ``adversary`` the table its
+    outcomes index.  The sifted arrays lay the sessions' sifted keys end to
+    end: session s owns the ``lengths[s]`` entries from ``starts[s]`` on,
+    and ``sifted`` indexes the flattened pulse columns.  ``kept`` marks, in
+    the same layout, the positions no parity round discarded, and
+    ``detected`` holds one flag per session.
     """
 
     pulses: Pulses
+    adversary: ChannelTable
     sifted: np.ndarray
     lengths: np.ndarray
     starts: np.ndarray
@@ -106,10 +126,15 @@ class SessionBatch:
         part = slice(start, start + self.lengths[s])
         kept = self.kept[part]
         key = self.sifted_alice[part][kept]
-        guesses = self.pulses.eve_guesses
-        if guesses is None:
-            return key, None
-        return key, np.take(guesses, self.sifted[part][kept])
+        return key, self.guesses(self.sifted[part][kept])
+
+    def guesses(self, pulses: np.ndarray) -> np.ndarray | None:
+        """The adversary's guesses ``guess_bits[outcome]`` at the flattened
+        pulse indices ``pulses``; ``None`` on a passive channel."""
+        if self.adversary.guess_bits is None:
+            return None
+        return np.take(self.adversary.guess_bits,
+                       np.take(self.pulses.outcomes, pulses))
 
 
 def prepare_pulses(n: int, words: Words) -> tuple[np.ndarray, np.ndarray]:
@@ -125,26 +150,31 @@ def transmit(
     adversary: ChannelTable,
     efficiency: float,
     words: Words,
-) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Pass the pulses ``BQS[codes]`` through the adversary, then through
     detector loss.
 
     ``codes`` holds one row of pulses per session.  The adversary draws one
-    53-bit key per pulse; loss draws one per pulse when ``efficiency < 1``,
-    and a pulse is lost when its key k has k * 2**-53 >= ``efficiency``,
-    a 53-bit key against ceil(efficiency * 2**53).  Returns the
-    adversary's outcomes (indices into its ``forwarded_angles`` and
-    ``bit0_thresholds``), her guesses (``None`` for a passive channel) and
-    the loss mask.  The adversary acts before loss, so her guess exists
-    even for lost pulses.
+    53-bit key per pulse; then, when ``efficiency < 1``, loss draws one per
+    pulse, and a pulse is lost when its key k has k * 2**-53 >=
+    ``efficiency``, a 53-bit key against ceil(efficiency * 2**53).  Returns
+    the adversary's outcomes (indices into her table) and the loss mask.
+    The adversary acts before loss, so her outcome exists even for lost
+    pulses.
     """
-    n = codes.shape[1]
-    outcomes, guesses = adversary.intercept(codes, keys(words, n))
+    blocks = [np.s_[:, start : start + BLOCK]
+              for start in range(0, codes.shape[1], BLOCK)]
+    outcomes = np.empty(codes.shape, dtype=np.uint8)
+    for block in blocks:
+        sent = codes[block]
+        outcomes[block] = adversary.intercept(sent, keys(words, sent.shape[1]))
+    lost = np.zeros(codes.shape, dtype=bool)
     if efficiency < 1.0:
-        lost = keys(words, n) >= threshold(efficiency)
-    else:
-        lost = np.zeros(codes.shape, dtype=bool)
-    return outcomes, guesses, lost
+        edge = threshold(efficiency)
+        for block in blocks:
+            np.greater_equal(keys(words, lost[block].shape[1]), edge,
+                             out=lost[block])
+    return outcomes, lost
 
 
 def sift(pulses: Pulses) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -308,9 +338,9 @@ def run_batch(
     sifted key is taken as reconciled.  With ``flip``, one key k per
     session, drawn after the measurements, flips receiver sifted bit
     floor(u * L) of the L-bit key before verification, for the uniform
-    u = k * 2**-53; a session without
-    sifted bits then raises ``ValueError``.  An error of any session
-    raises.  Returns the batch's pulse columns, sifted keys, survivor mask
+    u = k * 2**-53; a session without sifted bits then raises
+    ``ValueError``.  An error of any session raises.  Returns the batch's
+    pulse columns, the adversary's table, sifted keys, survivor mask
     ``kept`` and detection flags as a ``SessionBatch``.
     """
     n = config.n_pulses
@@ -322,16 +352,14 @@ def run_batch(
     words.prefetch(3 * ((n + 31) // 32) + 2 * n * key_stages + 2 * flip)
     alice_bits, alice_bases = prepare_pulses(n, words)
     bob_bases = random_bits(words, n)
-    outcomes, guesses, lost = transmit(
+    outcomes, lost = transmit(
         2 * alice_bases + alice_bits, adversary, config.efficiency, words
     )
     bob_bits = measure(
         adversary.bit0_thresholds, outcomes, bob_bases, words
     ).view(np.int8)
     bob_bits[lost] = -1
-    pulses = Pulses(
-        alice_bits, alice_bases, outcomes, guesses, bob_bases, bob_bits
-    )
+    pulses = Pulses(alice_bits, alice_bases, outcomes, bob_bases, bob_bits)
     sifted_alice, sifted_bob, sifted = sift(pulses)
     # Session s owns the sifted indices in [s * n, (s + 1) * n).
     bounds = np.searchsorted(sifted, np.arange(len(words) + 1) * n)
@@ -352,6 +380,7 @@ def run_batch(
         kept = np.ones(len(sifted), dtype=bool)
     return SessionBatch(
         pulses=pulses,
+        adversary=adversary,
         sifted=sifted,
         lengths=lengths,
         starts=starts,

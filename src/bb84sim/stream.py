@@ -83,14 +83,11 @@ class Words:
         ahead = self._ahead
         if ahead is None:
             return self._draw(counts)
-        if np.ndim(counts):
-            raise ValueError("prefetched outputs must be taken evenly")
-        words, rest = ahead[:, :counts], ahead[:, counts:]
-        self._ahead = rest if rest.shape[1] else None
-        if counts > ahead.shape[1]:
-            words = np.concatenate(
-                [words, self._draw(counts - ahead.shape[1])], 1)
-        return words
+        if np.ndim(counts) or counts > ahead.shape[1]:
+            raise ValueError("prefetched outputs must be taken evenly, "
+                             "no more than are held")
+        self._ahead = ahead[:, counts:] if counts < ahead.shape[1] else None
+        return ahead[:, :counts]
 
     def _draw(self, counts) -> np.ndarray:
         if np.ndim(counts) == 0:
@@ -129,17 +126,13 @@ def keys(words: Words, n: int) -> np.ndarray:
     Key i is k = ((a >> 5) << 26) | (b >> 6) for 32-bit outputs a = 2i and
     b = 2i + 1, the k for which ``random.Random.random`` returns
     k * 2**-53, so row s times 2**-53 equals ``n`` successive
-    ``words.rngs[s].random()`` calls.  The outputs are taken ``BLOCK``
-    keys at a time.
+    ``words.rngs[s].random()`` calls.  A caller bounds the temporaries by
+    asking for ``BLOCK`` keys at a time.
     """
-    out = np.empty((len(words), n), np.uint64)
-    for start in range(0, n, BLOCK):
-        count = min(BLOCK, n - start)
-        # Each little-endian pair of outputs read as one a | b << 32.
-        pairs = words.take(2 * count).view("<u8")
-        chunk = out[:, start : start + count]
-        np.bitwise_and(pairs, 0xFFFFFFFF, out=chunk)
-        chunk >>= 5
-        chunk <<= 26
-        chunk |= pairs >> 38
+    # Each little-endian pair of outputs read as one a | b << 32.
+    pairs = words.take(2 * n).view("<u8")
+    out = pairs & 0xFFFFFFFF
+    out >>= 5
+    out <<= 26
+    out |= pairs >> 38
     return out

@@ -122,8 +122,10 @@ def assert_max_posterior_table(eve, want):
 
 def forwarded_and_guesses(eve, codes, drawn):
     """Intercept the pulses BQS[codes] with the 53-bit keys ``drawn``;
-    returns the forwarded ray angles and the guesses."""
-    outcome, guesses = eve.intercept(codes, drawn)
+    returns the forwarded ray angles and the guesses (``None`` for a
+    passive channel), each read off the table at the outcomes drawn."""
+    outcome = eve.intercept(codes, drawn)
+    guesses = None if eve.guess_bits is None else eve.guess_bits[outcome]
     return eve.forwarded_angles[outcome], guesses
 
 
@@ -175,7 +177,7 @@ class TestNoEve:
             random.Random(5),
         )
         assert qber(batch) == 0.0
-        assert batch.pulses.eve_guesses is None
+        assert batch.guesses(batch.sifted) is None
 
 
 class TestInterceptResend:

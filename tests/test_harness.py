@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from bb84sim.amplification import PrivacyParams, compress, sample_hash
-from bb84sim import cli, harness
+from bb84sim import cli, harness, protocol, quantum, stream
 from bb84sim.errors import (
     InvalidConfigError,
     InvalidParamsError,
@@ -33,6 +33,7 @@ from bb84sim.harness import (
 )
 from bb84sim.adversary import EVE_KINDS, ChannelTable, channel_table
 from bb84sim.protocol import SessionConfig, run_batch, run_session
+from bb84sim.stream import BLOCK
 from test_protocol import (
     columns,
     reference_parity_verify,
@@ -100,6 +101,20 @@ class TestConfigValidation:
             {"n_pulses": 1, "n_sessions": 1, "output_format": "xml"},
             {"n_pulses": 1, "n_sessions": 1, "ancilla_angle": math.nan},
             {"n_pulses": 1, "n_sessions": 1, "ancilla_angle": math.inf},
+            # counts and the seed are Python ints, bool excluded
+            {"n_pulses": 64.5, "n_sessions": 1},
+            {"n_pulses": True, "n_sessions": 1},
+            {"n_pulses": 1, "n_sessions": 2.0},
+            {"n_pulses": 1, "n_sessions": np.int64(2)},
+            {"n_pulses": 1, "n_sessions": 1, "parity_rounds": 1.5},
+            {"n_pulses": 1, "n_sessions": 1, "master_seed": 1.5},
+            {"n_pulses": 1, "n_sessions": 1, "master_seed": True},
+            {"n_pulses": 1, "n_sessions": 1, "pa_leak_bits": 10.5,
+             "pa_margin_bits": 4},
+            {"n_pulses": 1, "n_sessions": 1, "pa_leak_bits": 10,
+             "pa_margin_bits": 4.0},
+            {"n_pulses": 1, "n_sessions": 1, "pa_leak_bits": 10,
+             "pa_margin_bits": True},
         ],
     )
     def test_rejects_invalid(self, kwargs):
@@ -333,13 +348,16 @@ class TestRunExperiment:
         assert isinstance(excinfo.value.__cause__, InvalidParamsError)
 
     def test_negative_k_rejected_before_any_session(self, monkeypatch):
+        # so is a k that is not a Python int: each fails before the
+        # sessions of the k-values before it run
         entered = []
         monkeypatch.setattr(
             harness, "run_batch", lambda *args, **kwargs: entered.append(1)
         )
         config = ExperimentConfig(n_pulses=96, n_sessions=5)
-        with pytest.raises(InvalidConfigError):
-            detection_rate_curve(config, [1, -1])
+        for k_values in ([1, -1], [1, 2.5], [1, np.int64(2)]):
+            with pytest.raises(InvalidConfigError):
+                detection_rate_curve(config, k_values)
         assert entered == []
 
     def test_reruns_are_identical(self):
@@ -417,6 +435,53 @@ class TestReportSerialization:
             ))
         with pytest.raises(ValueError, match="rows must be sessions 0 to 2"):
             ExperimentReport.from_json(json.dumps(payload))
+
+    @pytest.mark.parametrize(
+        "tamper, message",
+        [
+            (lambda p: {**p, "config": {**p["config"], "seed": 1}},
+             "config: .*unexpected keyword argument 'seed'"),
+            (lambda p: {k: v for k, v in p.items() if k != "sessions"},
+             "sessions must be a JSON list"),
+            (lambda p: {k: v for k, v in p.items() if k != "aggregates"},
+             "aggregates: .*must be a mapping"),
+            (lambda p: {**p, "sessions": [
+                {k: v for k, v in row.items() if k != "qber"}
+                for row in p["sessions"]]},
+             "session row 0: .*missing .*'qber'"),
+            (lambda p: {**p, "sessions": [
+                {**row, "note": ""} for row in p["sessions"]]},
+             "session row 0: .*unexpected keyword argument 'note'"),
+            (lambda p: {**p, "config": {**p["config"], "n_pulses": "400"}},
+             "config: n_pulses must be int, got '400'"),
+            (lambda p: {**p, "config": {**p["config"], "n_pulses": 400.0}},
+             "config: n_pulses must be int, got 400.0"),
+            (lambda p: {**p, "config": {**p["config"], "efficiency": "1"}},
+             "config: efficiency must be float"),
+            (lambda p: {**p, "sessions": [
+                {**row, "detected": 0} for row in p["sessions"]]},
+             "session row 0: detected must be bool"),
+            (lambda p: {**p, "aggregates": {
+                **p["aggregates"], "mean_qber": None}},
+             "aggregates: mean_qber must be float"),
+            (lambda p: {**p, "sessions": {}}, "sessions must be a JSON list"),
+            (lambda p: {**p, "aggregates": []},
+             "aggregates: .*must be a mapping"),
+            (lambda p: [p], "report must be a JSON object"),
+        ],
+        ids=["unknown-config-key", "no-sessions", "no-aggregates",
+             "row-missing-field", "row-extra-field", "string-count",
+             "float-count", "string-float", "int-flag", "null-aggregate",
+             "sessions-object", "aggregates-list", "top-level-list"],
+    )
+    def test_mistyped_reports_are_refused_on_load(self, tamper, message):
+        config = ExperimentConfig(
+            n_pulses=400, n_sessions=3, eve_kind="intercept-resend",
+            master_seed=13,
+        )
+        payload = json.loads(run_experiment(config).to_json())
+        with pytest.raises(ValueError, match=message):
+            ExperimentReport.from_json(json.dumps(tamper(payload)))
 
     def test_csv_and_json_carry_identical_numbers(self):
         report = self.make_report()
@@ -546,7 +611,8 @@ def session_row(config, index, batch, rng):
     alice, bob = batch.sifted_alice.tolist(), batch.sifted_bob.tolist()
     length = len(alice)
     errors = sum(a != b for a, b in zip(alice, bob))
-    guesses = batch.pulses.eve_guesses
+    guess_bits = batch.adversary.guess_bits
+    guesses = None if guess_bits is None else guess_bits[batch.pulses.outcomes]
     accuracy = None
     if guesses is not None and length:
         sifted_guesses = np.take(guesses, batch.sifted).tolist()
@@ -708,6 +774,39 @@ class TestBatchEngine:
         assert discarded == sorted(record[3] for record in reference[3])
         assert batch.reconciled(redrawn)[0].tolist() == reference[1]
         assert rngs[redrawn].getstate() == rng.getstate()
+
+    @pytest.mark.parametrize("n_pulses, n_sessions", [(20_000, 1), (96, 85)])
+    def test_per_pulse_draws_hold_at_most_one_block(
+        self, monkeypatch, n_pulses, n_sessions
+    ):
+        # a 20k-pulse session is a batch of one, and 85 sessions of 96
+        # pulses make one batch of 8160: no call of the adversary's sampler
+        # or of the key draw may see more than BLOCK pulses, yet together
+        # they see every pulse, once for the adversary and three times for
+        # the keys (adversary, loss, measurement)
+        sizes = {"intercept": [], "keys": []}
+        intercept, keys = ChannelTable.intercept, stream.keys
+
+        def spy_intercept(table, codes, drawn):
+            sizes["intercept"].append(codes.size)
+            return intercept(table, codes, drawn)
+
+        def spy_keys(words, n):
+            sizes["keys"].append(len(words) * n)
+            return keys(words, n)
+
+        monkeypatch.setattr(ChannelTable, "intercept", spy_intercept)
+        for module in (stream, protocol, quantum):
+            monkeypatch.setattr(module, "keys", spy_keys)
+        run_experiment(ExperimentConfig(
+            n_pulses=n_pulses, n_sessions=n_sessions, efficiency=0.8,
+            parity_rounds=4, eve_kind="intercept-resend",
+        ))
+        pulses = n_pulses * n_sessions
+        assert max(sizes["intercept"]) <= BLOCK
+        assert max(sizes["keys"]) <= BLOCK
+        assert sum(sizes["intercept"]) == pulses
+        assert sum(sizes["keys"]) == 3 * pulses
 
 
 class TestEveSiftedAccuracy:

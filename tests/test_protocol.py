@@ -5,6 +5,7 @@ import math
 import random
 from dataclasses import fields
 from functools import reduce
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from bb84sim.protocol import (
     transmit,
 )
 from bb84sim.quantum import BQS
-from bb84sim.stream import Words
+from bb84sim.stream import BLOCK, Words
 from test_stream import KeyedGenerator
 
 
@@ -41,6 +42,18 @@ class TestSessionConfig:
             SessionConfig(n_pulses=10, efficiency=1.2)
         with pytest.raises(InvalidConfigError):
             SessionConfig(n_pulses=10, parity_rounds=-1)
+        # counts are Python ints: no float, bool, string or numpy integer
+        for kwargs in (
+            {"n_pulses": 64.5}, {"n_pulses": 64.0}, {"n_pulses": True},
+            {"n_pulses": "64"}, {"n_pulses": None},
+            {"n_pulses": np.int64(64)},
+            {"n_pulses": 10, "parity_rounds": 1.5},
+            {"n_pulses": 10, "parity_rounds": False},
+        ):
+            with pytest.raises(InvalidConfigError, match="must be int, got"):
+                SessionConfig(**kwargs)
+        with pytest.raises(InvalidConfigError, match="must be float, got"):
+            SessionConfig(n_pulses=10, efficiency="0.5")
 
 
 def qber(batch):
@@ -49,8 +62,10 @@ def qber(batch):
 
 
 def eve_bits(batch):
-    """The adversary's guesses at a batch's sifted positions."""
-    return np.take(batch.pulses.eve_guesses, batch.sifted)
+    """The adversary's guesses at a batch's sifted positions, read off her
+    table at the outcomes there."""
+    outcomes = np.take(batch.pulses.outcomes, batch.sifted)
+    return batch.adversary.guess_bits[outcomes]
 
 
 def columns(batch, s=0):
@@ -60,7 +75,8 @@ def columns(batch, s=0):
     p = batch.pulses
     start, length = int(batch.starts[s]), int(batch.lengths[s])
     part = slice(start, start + length)
-    guesses = None if p.eve_guesses is None else p.eve_guesses[s]
+    guess_bits = batch.adversary.guess_bits
+    guesses = None if guess_bits is None else guess_bits[p.outcomes[s]]
     arrays = (
         p.alice_bits[s], p.alice_bases[s], p.outcomes[s], guesses,
         p.bob_bases[s], p.bob_bits[s],
@@ -168,18 +184,18 @@ class TestPreparePulses:
 class TestTransmit:
     def test_identity_channel(self):
         eve = channel_table("none")
-        outcomes, guesses, lost = transmit(
+        outcomes, lost = transmit(
             np.zeros((1, 1), dtype=np.uint8), eve, 1.0,
             Words([random.Random(0)]),
         )
         assert eve.forwarded_angles[outcomes].tolist() == [[BQS[0]]]
-        assert guesses is None
+        assert eve.guess_bits is None
         assert lost.tolist() == [[False]]
 
     def test_loss_fraction_matches_efficiency(self):
         # oracle: losses are Binomial(n, 1 - efficiency)
         n = 100_000
-        _, _, lost = transmit(
+        _, lost = transmit(
             np.zeros((1, n), dtype=np.uint8), channel_table("none"), 0.5,
             Words([random.Random(23)]),
         )
@@ -191,7 +207,7 @@ class TestTransmit:
         # ceil(efficiency * 2**53) is the first lost one
         edge = math.ceil(0.8 * 2**53)
         chosen = [0, 0, 0, edge - 1, edge, 2**53 - 1]  # adversary, then loss
-        _, _, lost = transmit(
+        _, lost = transmit(
             np.zeros((1, 3), dtype=np.uint8), channel_table("none"), 0.8,
             Words([KeyedGenerator(chosen)]),
         )
@@ -199,7 +215,7 @@ class TestTransmit:
 
     def test_oracle_adversary_is_invisible(self):
         eve = oracle_eve()
-        outcomes, _, _ = transmit(
+        outcomes, _ = transmit(
             np.arange(4, dtype=np.uint8)[None], eve, 1.0,
             Words([random.Random(0)]),
         )
@@ -246,7 +262,7 @@ class TestSift:
 
     def test_empty_input_gives_empty_keys(self):
         empty = np.zeros(0, dtype=np.uint8)
-        pulses = Pulses(empty, empty, empty, None, empty, empty.view(np.int8))
+        pulses = Pulses(empty, empty, empty, empty, empty.view(np.int8))
         alice, bob, indices = sift(pulses)
         assert len(alice) == len(bob) == len(indices) == 0
 
@@ -423,10 +439,12 @@ class TestRunSession:
         second = run_session(config, eve, random.Random(1234))
         assert columns(first) == columns(second)
 
-    def test_draws_follow_the_documented_order(self):
+    @pytest.mark.parametrize("n", [3_000, BLOCK + 5])
+    def test_draws_follow_the_documented_order(self, n):
         # oracle: the order of the stream contract, replayed with plain
-        # getrandbits and random() calls on a second generator
-        n, efficiency, rounds = 3_000, 0.9, 4
+        # getrandbits and random() calls on a second generator; past one
+        # BLOCK, every adversary key still comes before any loss key
+        efficiency, rounds = 0.9, 4
         batch = run_session(
             SessionConfig(n_pulses=n, efficiency=efficiency, parity_rounds=rounds),
             channel_table("intercept-resend"),
@@ -446,7 +464,22 @@ class TestRunSession:
         assert pulses.alice_bits[0].tolist() == bits()
         assert pulses.alice_bases[0].tolist() == bits()
         assert bob_bases.tolist() == bits()
-        floats()  # the adversary's keys, as uniforms
+        # the intercept/resend table: from sent state s, outcome k forwards
+        # BQS[k] with probability cos^2(BQS[s] - BQS[k]) / 2 (the orthogonal
+        # state's ~1e-33 made 0), and uniform u draws the first outcome
+        # whose cumulative probability exceeds u
+        cumulative = [
+            list(accumulate(
+                p if p > 1e-12 else 0.0
+                for p in (math.cos(sent - state) ** 2 / 2 for state in BQS)
+            ))
+            for sent in BQS
+        ]
+        codes = 2 * pulses.alice_bases[0] + pulses.alice_bits[0]
+        for i, u in enumerate(floats()):
+            row = cumulative[codes[i]]
+            want = next(k for k, edge in enumerate(row) if u < edge)
+            assert pulses.outcomes[0, i] == want, i
         lost = [u >= efficiency for u in floats()]
         assert (pulses.bob_bits[0] == -1).tolist() == lost
         angles = channel_table("intercept-resend").forwarded_angles
@@ -481,6 +514,26 @@ class TestRunSession:
                 channel_table("none"),
                 random.Random(13),
             )
+
+    def test_guesses_are_read_at_flattened_pulse_indices(self):
+        # oracle: session by session, the table's guess at the outcome of
+        # each sifted pulse of that session's own row
+        eve = channel_table("intercept-resend")
+        batch = run_batch(
+            SessionConfig(n_pulses=300, efficiency=0.8), eve,
+            [random.Random(seed) for seed in (21, 22, 23)],
+        )
+        n = batch.pulses.outcomes.shape[1]
+        want = [
+            eve.guess_bits[batch.pulses.outcomes[index // n, index % n]]
+            for index in batch.sifted.tolist()
+        ]
+        assert batch.guesses(batch.sifted).tolist() == want
+        passive = run_batch(
+            SessionConfig(n_pulses=300), channel_table("none"),
+            [random.Random(21), random.Random(22)],
+        )
+        assert passive.guesses(passive.sifted) is None
 
     def test_pulse_columns_take_one_byte_per_pulse(self):
         batch = run_batch(

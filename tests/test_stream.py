@@ -82,11 +82,24 @@ def test_prefetched_outputs_are_taken_in_order():
     words = Words(got)
     words.prefetch(10)
     words.prefetch(3)
-    # 13 prefetched, then 7 past them, drawn as they are taken
-    for count in (4, 0, 6, 10):
+    # the 13 prefetched outputs, then 7 past them, drawn as they are taken
+    for count in (4, 0, 9, 7):
         taken = words.take(count)
         assert taken.tolist() == [plain_words(rng, count) for rng in want]
     assert [r.getstate() for r in got] == [r.getstate() for r in want]
+
+
+@pytest.mark.parametrize("counts", [np.array([1, 2, 3]), 6])
+def test_a_take_from_prefetched_outputs_is_even_and_held(counts):
+    # uneven, or past the 5 held: neither is served, and nothing is drawn
+    got, want = generators(2)
+    words = Words(got)
+    words.prefetch(5)
+    states = [r.getstate() for r in got]
+    with pytest.raises(ValueError, match="prefetched"):
+        words.take(counts)
+    assert [r.getstate() for r in got] == states
+    assert words.take(5).tolist() == [plain_words(rng, 5) for rng in want]
 
 
 def snapped_born(p0):
