@@ -199,7 +199,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _emit(text, args.out)
     except OSError as exc:  # name the user's path, not the temporary file
-        print(f"error: cannot write report to {args.out}: "
+        target = "standard output" if _to_stdout(args.out) else args.out
+        print(f"error: cannot write report to {target}: "
               f"{exc.strerror or exc}", file=sys.stderr)
         return 3
     return 0

@@ -55,7 +55,10 @@ forked worker processes, one per CPU the process may use and at most one
 per batch.  A sweep stays in one process without ``os.fork``, while a
 second thread runs, or when it is small.  A batch's result depends only on
 its sessions' seeds, and the results are joined in batch order, so report
-bytes depend on neither the CPU count nor the thread state.
+bytes depend on neither the CPU count nor the thread state.  One runner,
+``_share``, runs every process's share and the replay of a failing batch;
+a share stops at its first failing batch, which its length names, so a
+failure reads the same at every worker count.
 """
 
 import json
@@ -205,11 +208,12 @@ class ExperimentReport:
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentReport":
-        """Parse a report and verify its contract, the fields and types of
-        its config, rows and aggregates, that its rows are sessions 0 to
-        n_sessions - 1 in order, and its aggregates against its rows.  A
-        report that fails any check raises ``ValueError``."""
-        payload = json.loads(text)
+        """Parse a report, which may hold no NaN or infinity, and verify
+        its contract, the fields and types of its config, rows and
+        aggregates, that its rows are sessions 0 to n_sessions - 1 in
+        order, and its aggregates against its rows.  A report that fails
+        any check raises ``ValueError``."""
+        payload = json.loads(text, parse_constant=_non_finite)
         if not isinstance(payload, dict):
             raise ValueError("report must be a JSON object")
         contract = payload.get("rng_contract")
@@ -242,6 +246,10 @@ class ExperimentReport:
             elif abs(stored - fresh) > 1e-12:
                 raise ValueError(f"aggregate {name} inconsistent with rows")
         return cls(config=config, sessions=rows, aggregates=aggregates)
+
+
+def _non_finite(name: str) -> NoReturn:
+    raise ValueError(f"report holds the non-finite number {name}")
 
 
 def _load(cls, values, what: str):
@@ -321,66 +329,37 @@ def _workers(pulses: int, batches: int) -> int:
     return max(1, min(cpus, batches))
 
 
-def _share(config: ExperimentConfig, pool: list[random.Random], jobs: list,
-           worker: int, workers: int):
-    """Run jobs ``worker``, ``worker + workers``, ... in order, each from
-    the pool's generators reseeded for its sessions.  Returns the results
-    and, if a job raised, its position and exception; the jobs after it do
-    not run."""
+def _share(config: ExperimentConfig, pool: list[random.Random], jobs: list):
+    """Run ``jobs`` in order, each from the pool's generators reseeded for
+    its sessions.  Returns the results and the exception of the first job
+    that raised, or ``None``; the jobs after it do not run, so that job is
+    ``jobs[len(results)]``."""
     results = []
-    for position in range(worker, len(jobs), workers):
-        indices, work = jobs[position]
+    for indices, work in jobs:
         rngs = pool[: len(indices)]
         for rng, index in zip(rngs, indices):
             rng.seed(derive_seed(config.master_seed, index))
         try:
             results.append(work(indices, rngs))
         except Exception as exc:
-            return results, (position, exc)
+            return results, exc
     return results, None
 
 
 def _child(config: ExperimentConfig, pool: list[random.Random], jobs: list,
-           worker: int, workers: int, pipe: int) -> NoReturn:
-    """A forked worker: run its share and send the results, with the
-    position of a failing job but not its exception, down ``pipe``.  It
-    leaves through ``os._exit`` whatever happens, so none of the parent's
-    clean-up runs twice."""
+           pipe: int) -> NoReturn:
+    """A forked worker: run its share of the jobs and send the results,
+    which end at a failing job, down ``pipe``.  It leaves through
+    ``os._exit`` whatever happens, so none of the parent's clean-up runs
+    twice."""
     status = 1
     try:
-        results, failure = _share(config, pool, jobs, worker, workers)
-        position = None if failure is None else failure[0]
+        results, _ = _share(config, pool, jobs)
         with os.fdopen(pipe, "wb") as out:
-            pickle.dump((results, position), out, pickle.HIGHEST_PROTOCOL)
+            pickle.dump(results, out, pickle.HIGHEST_PROTOCOL)
         status = 0
     finally:
         os._exit(status)
-
-
-def _receive(pid: int, status: int, data: bytes):
-    """A child's share as ``_share`` returns it, with no exception beside a
-    failing job's position.  A child exits 0 only once it has written all
-    of its results."""
-    code = os.waitstatus_to_exitcode(status)
-    if code != 0:
-        raise RuntimeError(
-            f"worker process {pid} exited with status {code} without "
-            "sending its results"
-        )
-    results, position = pickle.loads(data)
-    return results, None if position is None else (position, None)
-
-
-def _replay(config: ExperimentConfig, job) -> None:
-    """Run a failed batch's sessions one at a time, from new generators;
-    the first that fails raises a ``SessionError`` naming it."""
-    indices, work = job
-    for index in indices:
-        seed = derive_seed(config.master_seed, index)
-        try:
-            work(range(index, index + 1), [random.Random(seed)])
-        except Exception as exc:
-            raise SessionError(index, seed, str(exc)) from exc
 
 
 def _sweep(config: ExperimentConfig, jobs: list) -> list:
@@ -390,16 +369,17 @@ def _sweep(config: ExperimentConfig, jobs: list) -> list:
     master_seed, indices[j]))`` starts in: the jobs reseed one pool of
     generators, which is cheaper than building new ones.
 
-    The jobs are dealt round-robin to ``_workers`` processes, this one and
-    children forked from it, which take the pool as it stands; each child
-    pickles its results back through a pipe.  Each job's result depends
-    only on its sessions, so the results are those of one process.  Each
-    process stops at its first failing job.  The lowest failing job of all
-    runs again here one session at a time, so the ``SessionError`` names
-    the index a sweep of single sessions would have stopped at.  A child
-    that dies without sending its results raises ``RuntimeError``.  On any
-    exception, ``KeyboardInterrupt`` included, every child is killed and
-    reaped."""
+    Worker w of ``_workers`` processes, this one (w = 0) and children
+    forked from it, runs ``jobs[w::workers]`` through ``_share``; a child
+    pickles its results back through a pipe.  A job's result depends only
+    on its sessions, so the results are those of one process.  A share
+    stops at its first failing job, job ``w + len(results) * workers``.
+    The lowest of these runs again here through ``_share``, one session
+    per job, so the ``SessionError`` names the session a sweep of single
+    sessions would have stopped at.  A batch whose sessions all pass alone
+    raises ``RuntimeError``, as does a child that dies without sending its
+    results.  On any exception, ``KeyboardInterrupt`` included, every
+    child is killed and reaped."""
     workers = _workers(
         config.n_pulses * sum(len(indices) for indices, _ in jobs), len(jobs)
     )
@@ -411,36 +391,51 @@ def _sweep(config: ExperimentConfig, jobs: list) -> list:
     try:
         for worker in range(1, workers):
             read, write = os.pipe()
-            pid = os.fork()
+            try:
+                pid = os.fork()
+            except OSError:  # as EAGAIN at a process limit
+                os.close(read)
+                os.close(write)
+                raise
             if pid == 0:
-                _child(config, pool, jobs, worker, workers, write)
+                _child(config, pool, jobs[worker::workers], write)
             children.append((pid, read))
             os.close(write)
-        shares = [_share(config, pool, jobs, 0, workers)]
+        shares = [_share(config, pool, jobs[::workers])[0]]
         while children:
             pid, read = children[0]
             with open(read, "rb", closefd=False) as pipe:
                 data = pipe.read()
-            status = os.waitpid(pid, 0)[1]
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             del children[0]
             os.close(read)
-            shares.append(_receive(pid, status, data))
+            if code != 0:  # a child exits 0 once it has sent all its results
+                raise RuntimeError(
+                    f"worker process {pid} exited with status {code} "
+                    "without sending its results"
+                )
+            shares.append(pickle.loads(data))
     finally:
         for pid, read in children:
             os.kill(pid, _SIGKILL)
             os.waitpid(pid, 0)
             os.close(read)
-    failures = [failure for _, failure in shares if failure is not None]
-    if failures:
-        position, exc = min(failures, key=lambda failure: failure[0])
-        _replay(config, jobs[position])
-        indices = jobs[position][0]
-        raise exc or RuntimeError(
-            f"sessions {indices[0]} to {indices[-1]} failed in a worker "
-            "process but not when run again one at a time"
+    failed = min(w + len(share) * workers for w, share in enumerate(shares))
+    if failed < len(jobs):
+        indices, work = jobs[failed]
+        passed, exc = _share(
+            config, pool, [(range(i, i + 1), work) for i in indices]
         )
+        if exc is None:
+            raise RuntimeError(
+                f"sessions {indices[0]} to {indices[-1]} failed as one "
+                "batch but not when run again one at a time"
+            )
+        index = indices[len(passed)]
+        seed = derive_seed(config.master_seed, index)
+        raise SessionError(index, seed, str(exc)) from exc
     results = [None] * len(jobs)
-    for worker, (share, _) in enumerate(shares):
+    for worker, share in enumerate(shares):
         results[worker::workers] = share
     return results
 

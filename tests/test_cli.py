@@ -1,10 +1,12 @@
 """Command-line interface tests (in-process, no subprocess needed)."""
 
+import errno
 import json
 import os
 import random
 import re
 import stat
+import sys
 import threading
 
 import pytest
@@ -181,6 +183,23 @@ class TestRunCommand:
         )
         assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
         assert out.read_text() == "previous report\n"
+
+    @pytest.mark.parametrize("out", [[], ["--out", "-"]],
+                             ids=["no-out", "dash"])
+    def test_failed_write_to_stdout_names_it(self, capsys, monkeypatch, out):
+        class Full:  # standard output on a full device
+            def write(self, text):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(sys, "stdout", Full())
+        code = main(["run", "--pulses", "50", "--sessions", "1", *out])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: cannot write report to standard output: "
+            f"{os.strerror(errno.ENOSPC)}\n"
+        )
+        assert captured.out == ""
 
     def test_report_replaces_existing_file(self, tmp_path):
         out = tmp_path / "report.json"

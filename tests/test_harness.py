@@ -468,11 +468,25 @@ class TestReportSerialization:
             (lambda p: {**p, "aggregates": []},
              "aggregates: .*must be a mapping"),
             (lambda p: [p], "report must be a JSON object"),
+            # json.dumps writes a NaN as the bare constant NaN
+            (lambda p: {**p, "aggregates": {
+                **p["aggregates"], "mean_qber": math.nan}},
+             "non-finite number NaN"),
+            # the aggregates compute_aggregates gives for these rows
+            (lambda p: {**p, "sessions": [
+                {**row, "qber": math.nan} for row in p["sessions"]],
+                "aggregates": {**p["aggregates"], "mean_qber": math.nan,
+                               "qber_ci_low": 0.0, "qber_ci_high": 1.0}},
+             "non-finite number NaN"),
+            (lambda p: {**p, "sessions": [
+                {**row, "eve_advantage": math.nan} for row in p["sessions"]]},
+             "non-finite number NaN"),
         ],
         ids=["unknown-config-key", "no-sessions", "no-aggregates",
              "row-missing-field", "row-extra-field", "string-count",
              "float-count", "string-float", "int-flag", "null-aggregate",
-             "sessions-object", "aggregates-list", "top-level-list"],
+             "sessions-object", "aggregates-list", "top-level-list",
+             "nan-aggregate", "nan-row", "nan-advantage"],
     )
     def test_mistyped_reports_are_refused_on_load(self, tamper, message):
         config = ExperimentConfig(

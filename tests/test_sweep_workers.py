@@ -1,6 +1,7 @@
 """A sweep's batches run in forked worker processes: the report bytes, the
 failures and the process table must be those of a run in one process."""
 
+import errno
 import os
 import threading
 import time
@@ -114,9 +115,12 @@ class TestFailures:
     @pytest.mark.parametrize("bad, index", [
         ({3, 4}, 3),  # the child's share fails first
         ({2, 5}, 2),  # this process's share fails first
+        ({1}, 1),  # a child's first job fails
+        ({5}, 5),  # a share's last job fails
     ])
     def test_lowest_failing_session_wins(self, monkeypatch, bad, index):
-        # jobs 0, 2, 4 run here and 1, 3, 5 in the child
+        # at W = 2 jobs 0, 2, 4 run here and 1, 3, 5 in the child; at W = 3
+        # jobs 0, 3 run here, 1, 4 in one child and 2, 5 in the other
         config = ExperimentConfig(n_pulses=10, n_sessions=6, master_seed=9)
 
         def work(indices, rngs):
@@ -127,7 +131,7 @@ class TestFailures:
 
         jobs = [(range(i, i + 1), work) for i in range(6)]
         errors = []
-        for workers in (1, 2):
+        for workers in (1, 2, 3):
             force_workers(monkeypatch, workers)
             with pytest.raises(SessionError) as excinfo:
                 harness._sweep(config, jobs)
@@ -136,7 +140,28 @@ class TestFailures:
         for error in errors:
             assert error.session_index == index
             assert error.seed == derive_seed(9, index)
-        assert str(errors[1]) == str(errors[0])
+            assert str(error) == str(errors[0])
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_batch_that_fails_only_as_a_batch(self, monkeypatch, workers):
+        # six batches of two sessions; batch 1 (sessions 2 and 3) fails as
+        # a batch, and each of its sessions passes alone
+        config = ExperimentConfig(n_pulses=10, n_sessions=12, master_seed=9)
+
+        def work(indices, rngs):
+            if len(indices) > 1 and indices[0] == 2:
+                raise ValueError("batch-only failure")
+            return list(indices)
+
+        jobs = [(range(i, i + 2), work) for i in range(0, 12, 2)]
+        force_workers(monkeypatch, workers)
+        with pytest.raises(RuntimeError) as excinfo:
+            harness._sweep(config, jobs)
+        assert str(excinfo.value) == (
+            "sessions 2 to 3 failed as one batch but not when run again one "
+            "at a time"
+        )
+        assert_no_children()
 
 
 class TestChildren:
@@ -188,6 +213,30 @@ class TestChildren:
         assert "exited with status 1 without sending its results" in err
         assert "Traceback" not in err
         assert not out.exists()
+        assert_no_children()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="no /proc/self/fd on this platform")
+    def test_failed_fork_leaves_no_child_and_no_pipe(self, monkeypatch,
+                                                     capsys):
+        # the second fork fails as at a process limit
+        forks = count_forks(monkeypatch)
+        counted_fork = os.fork
+
+        def fork():
+            if forks:
+                raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            return counted_fork()
+
+        monkeypatch.setattr(os, "fork", fork)
+        force_workers(monkeypatch, 3)
+        before = sorted(os.listdir("/proc/self/fd"))
+        assert cli.main(CURVE) == 3
+        assert sorted(os.listdir("/proc/self/fd")) == before
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert os.strerror(errno.EAGAIN) in captured.err
+        assert len(forks) == 1
         assert_no_children()
 
 
