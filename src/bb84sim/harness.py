@@ -47,8 +47,10 @@ draws that round's outputs again, after the ones already drawn, and its
 later rounds move along its sequence.  Step 8 draws from each session's
 generator as before, which stands where a lone session would leave it.
 A long session is a batch of one; when its outputs for steps 1-6 exceed
-``stream.Words``'s budget, each stage draws its own as it needs them, and
-no ``getrandbits`` call returns more than ``2 * stream.BLOCK`` outputs.
+``stream.Words``'s budget, each stage draws its own as it needs them, keys
+``stream.BLOCK`` at a time.  Every draw is one ``getrandbits`` call per
+session whatever its size: the parity rounds of a 100k-pulse session take
+about 50k outputs in one call.
 
 The batches of one command, all k-values of a curve together, may run in
 forked worker processes, one per CPU the process may use and at most one
@@ -170,7 +172,14 @@ class SessionRow:
 
 @dataclass(frozen=True, slots=True)
 class AggregateStats:
-    """Summary statistics; always recomputable from the rows."""
+    """Summary statistics; always recomputable from the rows.
+
+    ``mean_qber`` is the unweighted mean of the per-session QBERs, a
+    session without sifted bits counting as 0.  Its 95% interval
+    (``qber_ci_low``, ``qber_ci_high``) takes the binomial variance of
+    that mean over all sifted bits pooled, so the two agree only when the
+    sessions have similar sifted lengths; without sifted bits it is
+    [mean, mean]."""
 
     mean_qber: float
     qber_ci_low: float
@@ -211,8 +220,8 @@ class ExperimentReport:
         """Parse a report, which may hold no NaN or infinity, and verify
         its contract, the fields and types of its config, rows and
         aggregates, that its rows are sessions 0 to n_sessions - 1 in
-        order, and its aggregates against its rows.  A report that fails
-        any check raises ``ValueError``."""
+        order, the range of each row's values, and its aggregates against
+        its rows.  A report that fails any check raises ``ValueError``."""
         payload = json.loads(text, parse_constant=_non_finite)
         if not isinstance(payload, dict):
             raise ValueError("report must be a JSON object")
@@ -229,6 +238,8 @@ class ExperimentReport:
             _load(SessionRow, row, f"session row {position}")
             for position, row in enumerate(payload["sessions"])
         ]
+        for position, row in enumerate(rows):
+            _check_range(row, config.n_pulses, f"session row {position}")
         if [row.index for row in rows] != list(range(config.n_sessions)):
             raise ValueError(
                 f"report rows must be sessions 0 to {config.n_sessions - 1} "
@@ -262,6 +273,24 @@ def _load(cls, values, what: str):
     except (TypeError, InvalidConfigError) as exc:
         raise ValueError(f"{what}: {exc}") from None
     return record
+
+
+def _check_range(row: SessionRow, n_pulses: int, what: str) -> None:
+    """``ValueError`` naming ``what`` and the field when a value of ``row``
+    lies outside what a session of ``n_pulses`` pulses can report."""
+    bounds = {
+        "qber": (0, 1),
+        "sifted_length": (0, n_pulses),
+        "final_key_length": (0, row.sifted_length),
+        "eve_accuracy": (0, 1),
+        "eve_advantage": (-0.5, 0.5),
+    }
+    for name, (low, high) in bounds.items():
+        value = getattr(row, name)
+        if value is not None and not low <= value <= high:
+            raise ValueError(
+                f"{what}: {name} must be in [{low}, {high}], got {value!r}"
+            )
 
 
 def _csv_cell(value) -> str:

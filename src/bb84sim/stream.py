@@ -20,31 +20,17 @@ with no float in between.
 
 Because every draw consumes whole outputs, a session's outputs can be
 drawn in pieces of any size without changing any value: one
-``getrandbits(32 * w)`` call yields the next w outputs.
+``getrandbits(32 * w)`` call yields the next w outputs.  ``Words._draw``
+is the one place that draws from a generator.
 """
-
-import random
 
 import numpy as np
 
 _TWO_POW_53 = 9007199254740992.0
 # Items a batched stage handles at a time, which bounds its temporaries.
 BLOCK = 1 << 13
-# Largest single ``getrandbits`` call, in 32-bit outputs, so no generator
-# hands over more than this as one Python int.
-_PIECE = 2 * BLOCK
 # Most outputs ``Words.prefetch`` draws ahead for a whole batch.
 _PREFETCH = 8 * BLOCK
-
-
-def _outputs(rng: random.Random, count: int) -> bytes:
-    """The next ``count`` 32-bit outputs of ``rng``, little-endian."""
-    if count <= _PIECE:
-        return rng.getrandbits(32 * count).to_bytes(4 * count, "little")
-    return b"".join(
-        _outputs(rng, min(_PIECE, count - start))
-        for start in range(0, count, _PIECE)
-    )
 
 
 class Words:
@@ -52,7 +38,8 @@ class Words:
     ``rngs[s]``, in order.
 
     Outputs are drawn when ``take`` asks for them, or ahead of time by
-    ``prefetch``, one ``getrandbits`` call per generator.  Nothing is drawn
+    ``prefetch``, one ``getrandbits`` call per row and draw, however many
+    outputs it holds: no draw is split into pieces.  Nothing is drawn
     beyond what is asked for, so once every prefetched output has been
     taken each generator stands where the same draws made on it one by one
     would leave it.
@@ -90,16 +77,16 @@ class Words:
         return ahead[:, :counts]
 
     def _draw(self, counts) -> np.ndarray:
-        if np.ndim(counts) == 0:
-            data = b"".join([_outputs(rng, counts) for rng in self.rngs])
-            return np.frombuffer(data, "<u4").reshape(len(self), counts)
-        if counts.min() == counts.max():
-            return self._draw(int(counts[0]))
-        data = b"".join([_outputs(rng, count) for rng, count
-                         in zip(self.rngs, counts.tolist()) if count])
-        words = np.zeros((len(self), counts.max()), "<u4")
-        words[np.arange(words.shape[1]) < counts[:, None]] = np.frombuffer(
-            data, "<u4")
+        rows = counts.tolist() if np.ndim(counts) else [counts] * len(self)
+        width = max(rows, default=counts)
+        data = np.frombuffer(b"".join([
+            rng.getrandbits(32 * count).to_bytes(4 * count, "little")
+            for rng, count in zip(self.rngs, rows)
+        ]), "<u4")
+        if min(rows, default=width) == width:
+            return data.reshape(len(self), width)
+        words = np.zeros((len(self), width), "<u4")
+        words[np.arange(width) < counts[:, None]] = data
         return words
 
 

@@ -97,6 +97,8 @@ class TestConfigValidation:
             {"n_pulses": 1, "n_sessions": 1, "pa_margin_bits": 4},
             {"n_pulses": 1, "n_sessions": 1, "pa_leak_bits": -1,
              "pa_margin_bits": 4},
+            {"n_pulses": 1, "n_sessions": 1, "pa_leak_bits": 10,
+             "pa_margin_bits": 0},
             {"n_pulses": 1, "n_sessions": 1, "master_seed": -1},
             {"n_pulses": 1, "n_sessions": 1, "output_format": "xml"},
             {"n_pulses": 1, "n_sessions": 1, "ancilla_angle": math.nan},
@@ -481,12 +483,20 @@ class TestReportSerialization:
             (lambda p: {**p, "sessions": [
                 {**row, "eve_advantage": math.nan} for row in p["sessions"]]},
              "non-finite number NaN"),
+            (lambda p: {**p, "aggregates": {
+                **p["aggregates"], "mean_eve_accuracy": None}},
+             "aggregate mean_eve_accuracy inconsistent with rows"),
+            # the rows a passive channel gives, under an intercept/resend mean
+            (lambda p: {**p, "sessions": [
+                {**row, "eve_accuracy": None} for row in p["sessions"]]},
+             "aggregate mean_eve_accuracy inconsistent with rows"),
         ],
         ids=["unknown-config-key", "no-sessions", "no-aggregates",
              "row-missing-field", "row-extra-field", "string-count",
              "float-count", "string-float", "int-flag", "null-aggregate",
              "sessions-object", "aggregates-list", "top-level-list",
-             "nan-aggregate", "nan-row", "nan-advantage"],
+             "nan-aggregate", "nan-row", "nan-advantage",
+             "null-eve-accuracy-mean", "eve-accuracy-mean-without-guesses"],
     )
     def test_mistyped_reports_are_refused_on_load(self, tamper, message):
         config = ExperimentConfig(
@@ -496,6 +506,50 @@ class TestReportSerialization:
         payload = json.loads(run_experiment(config).to_json())
         with pytest.raises(ValueError, match=message):
             ExperimentReport.from_json(json.dumps(tamper(payload)))
+
+    @pytest.mark.parametrize(
+        "eve, field, value",
+        [
+            ("intercept-resend", "qber", -5.0),
+            ("intercept-resend", "qber", 1.5),
+            ("intercept-resend", "sifted_length", -3),
+            ("intercept-resend", "sifted_length", 10**6),
+            ("intercept-resend", "final_key_length", -1),
+            ("intercept-resend", "final_key_length",
+             lambda row: row["sifted_length"] + 1),
+            ("intercept-resend", "eve_accuracy", 1.5),
+            ("indirect-oracle", "eve_advantage", 3.0),
+        ],
+        ids=["negative-qber", "qber-above-1", "negative-sifted",
+             "sifted-above-pulses", "negative-final", "final-above-sifted",
+             "accuracy-above-1", "advantage-above-half"],
+    )
+    def test_rows_out_of_range_are_refused_on_load(self, eve, field, value):
+        # the aggregates are recomputed to match the edited row, so only
+        # the range of the row's own values can give the edit away
+        config = ExperimentConfig(
+            n_pulses=400, n_sessions=3, eve_kind=eve, parity_rounds=8,
+            pa_leak_bits=32, pa_margin_bits=8, master_seed=13,
+        )
+        payload = json.loads(run_experiment(config).to_json())
+        row = payload["sessions"][1]
+        assert row[field] is not None
+        row[field] = value(row) if callable(value) else value
+        payload["aggregates"] = asdict(compute_aggregates(
+            [SessionRow(**row) for row in payload["sessions"]], config
+        ))
+        with pytest.raises(ValueError, match=f"session row 1: {field} must"):
+            ExperimentReport.from_json(json.dumps(payload))
+
+    def test_interval_without_sifted_bits_is_the_mean(self):
+        config = ExperimentConfig(n_pulses=1, n_sessions=2)
+        rows = [SessionRow(index=i, qber=0.0, sifted_length=0, detected=False,
+                           final_key_length=0, eve_accuracy=None,
+                           eve_advantage=None) for i in range(2)]
+        aggregates = compute_aggregates(rows, config)
+        assert (aggregates.mean_qber, aggregates.qber_ci_low,
+                aggregates.qber_ci_high) == (0.0, 0.0, 0.0)
+        assert aggregates.mean_sifted_fraction == 0.0
 
     def test_csv_and_json_carry_identical_numbers(self):
         report = self.make_report()
@@ -616,6 +670,38 @@ class TestGoldenReports:
     def test_curve_digest(self, capsys, argv, digest):
         assert cli.main(["detect-curve", *argv]) == 0
         text = capsys.readouterr().out
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    # sessions longer than BLOCK, batches of one whose parity rounds draw
+    # tens of thousands of outputs in one call, beside a curve of many
+    # short sessions and a 10k-pulse session whose prefetch holds about
+    # 61k outputs
+    @pytest.mark.parametrize(
+        "kwargs, k_values, digest",
+        [
+            ({"n_pulses": 100_000, "n_sessions": 2, "parity_rounds": 32,
+              "eve_kind": "intercept-resend"}, None,
+             "cb1c49687a4e4a6922ecbe84d78543a7ff0d25ed124e0d5e45763c74cbb184d3"),
+            ({"n_pulses": 100_000, "n_sessions": 1, "efficiency": 0.8,
+              "parity_rounds": 32, "eve_kind": "indirect-oracle",
+              "pa_leak_bits": 20_000, "pa_margin_bits": 16}, None,
+             "f68b0ac3d7f1fe2fe5a1d5e9562799091495437a5d31e700ab02cac210d46b97"),
+            ({"n_pulses": 96, "n_sessions": 1000}, [1, 2, 3, 4, 5, 6, 7, 8],
+             "a888445fc98394b13772f69fed7cc8f8d4d95ffa63de8e83e1e4d2d29836b833"),
+            ({"n_pulses": 10_000, "n_sessions": 1, "efficiency": 0.9,
+              "parity_rounds": 32, "eve_kind": "intercept-resend"}, None,
+             "ff9ab8e391306047b4be8f109acd194e259b1a7077e82a36c86966cd95c425a0"),
+        ],
+        ids=["intercept-resend-100k", "indirect-oracle-pa-100k",
+             "forced-difference-curve", "intercept-resend-10k-lossy"],
+    )
+    def test_long_session_digest(self, kwargs, k_values, digest):
+        config = ExperimentConfig(master_seed=1, **kwargs)
+        if k_values is None:
+            text = run_experiment(config).to_json()
+        else:
+            curve = detection_rate_curve(config, k_values, force_differ=True)
+            text = curve_to_json(config, curve)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
