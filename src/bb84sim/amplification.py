@@ -7,8 +7,9 @@ and s the security margin.  G is drawn publicly at random from the
 seed bits; evaluation is a mod-2 convolution.
 
 The module also provides an empirical check of what the adversary still
-knows after compression: apply the same public G to her guessed key and
-measure the per-bit agreement of the result with the true final key.
+knows after compression: the per-bit agreement of G applied to her guessed
+key with the true final key.  G is linear over XOR, so the two agree exactly
+where G(key XOR guess) is 0, and one hash of the difference measures it.
 """
 
 import random
@@ -100,22 +101,35 @@ def compress(key: Sequence[int], descriptor: HashDescriptor) -> np.ndarray:
     seed = descriptor.seed_bits
     r = descriptor.output_bits
     size = 1 << (len(seed) - 1).bit_length()
-    spectrum = np.fft.rfft(seed, size) * np.fft.rfft(bits, size)
+    spectrum = np.fft.rfft(seed.astype(np.float64), size)
+    spectrum *= np.fft.rfft(bits.astype(np.float64), size)
     window = np.fft.irfft(spectrum, size)[n - 1 : n - 1 + r]
     counts = np.rint(window)
-    if np.max(np.abs(window - counts)) >= 0.25:
+    window -= counts
+    if np.abs(window).max() >= 0.25:
         full = np.convolve(seed.astype(np.int64), bits.astype(np.int64))
         return (full[n - 1 : n - 1 + r] % 2).astype(np.uint8)
-    return (counts % 2).astype(np.uint8)
+    return (counts.astype(np.int64) & 1).astype(np.uint8)
 
 
 def hashed_guess_advantage(
     key: Sequence[int], guess: Sequence[int], descriptor: HashDescriptor
 ) -> float:
-    """Per-bit agreement of the hashed guess with the hashed key, minus 1/2."""
-    final_key = compress(key, descriptor)
-    eve_key = compress(guess, descriptor)
-    return float(np.mean(final_key == eve_key)) - 0.5
+    """Per-bit agreement of the hashed guess with the hashed key, minus 1/2.
+
+    The map is linear over XOR, so the two hashes agree exactly where the
+    hash of ``key ^ guess`` is 0: one ``compress`` call on the difference
+    gives the same agreement as hashing both and comparing them.
+    """
+    key_bits = np.asarray(key, dtype=np.uint8)
+    guess_bits = np.asarray(guess, dtype=np.uint8)
+    if key_bits.shape != guess_bits.shape:
+        raise LengthMismatchError(
+            f"guess must have as many bits as the key ({len(key_bits)}), "
+            f"got {len(guess_bits)}"
+        )
+    agree = compress(key_bits ^ guess_bits, descriptor) == 0
+    return float(np.mean(agree)) - 0.5
 
 
 def eve_residual_information(
@@ -124,9 +138,10 @@ def eve_residual_information(
     """Empirical per-bit advantage of the adversary's guess of the final key.
 
     For each session of the batch, in order, the first ``params.input_bits``
-    bits of the reconciled key are compressed with a freshly drawn public
-    hash, the adversary's aligned guesses are compressed with the same
-    hash, and the per-bit agreement of the two outputs is averaged.
+    bits of the reconciled key and the adversary's aligned guesses are
+    compared under a freshly drawn public hash, by one hash of their
+    difference (``hashed_guess_advantage``), and the per-bit agreement of
+    the hashed guess with the hashed key is averaged.
     Returned is the mean agreement advantage over one half, clamped to
     [0, 0.5].  A passive channel leaves no guesses, and its batch returns
     0.0.

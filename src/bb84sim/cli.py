@@ -102,6 +102,20 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     )
 
 
+def _k_values(text: str) -> list[int]:
+    k_values = []
+    for entry in filter(str.strip, text.split(",")):
+        try:
+            k_values.append(int(entry))
+        except ValueError:
+            raise InvalidConfigError(
+                f"--k-values entry {entry.strip()!r} is not an integer"
+            ) from None
+    if not k_values:
+        raise InvalidConfigError("--k-values must name at least one k")
+    return k_values
+
+
 def _to_stdout(out: str | None) -> bool:
     return out is None or out == "-"
 
@@ -179,11 +193,9 @@ def main(argv: list[str] | None = None) -> int:
                 else report.to_csv()
             )
         else:
-            k_values = [int(k) for k in args.k_values.split(",") if k.strip()]
-            if not k_values:
-                raise InvalidConfigError("--k-values must name at least one k")
             curve = detection_rate_curve(
-                config, k_values, force_differ=args.force_differ
+                config, _k_values(args.k_values),
+                force_differ=args.force_differ
             )
             text = (
                 curve_to_json(config, curve)

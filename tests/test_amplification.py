@@ -45,6 +45,38 @@ def direct_compress(key, descriptor):
     return (full[n - 1 : n - 1 + r] % 2).astype(np.uint8)
 
 
+def count_convolve(monkeypatch):
+    """Record each ``np.convolve`` call, the fallback's direct convolution."""
+    calls = []
+    real_convolve = np.convolve
+
+    def counting_convolve(*args, **kwargs):
+        calls.append(1)
+        return real_convolve(*args, **kwargs)
+
+    monkeypatch.setattr(np, "convolve", counting_convolve)
+    return calls
+
+
+def perturb_irfft(monkeypatch):
+    """Push one coefficient 0.3 off its integer, past the exactness guard."""
+    real_irfft = np.fft.irfft
+
+    def perturbed_irfft(*args, **kwargs):
+        out = real_irfft(*args, **kwargs)
+        out[len(out) // 3] += 0.3
+        return out
+
+    monkeypatch.setattr(np.fft, "irfft", perturbed_irfft)
+
+
+def two_hash_agreement(key, guess, descriptor):
+    """Hash key and guess separately and compare them bit by bit."""
+    return float(
+        np.mean(compress(key, descriptor) == compress(guess, descriptor))
+    )
+
+
 def batch_for(eve, count, seed, n_pulses=200):
     return run_batch(SessionConfig(n_pulses=n_pulses), eve, [
         random.Random(derive_seed(seed, i)) for i in range(count)
@@ -214,26 +246,12 @@ class TestCompress:
         rng = random.Random(12)
         descriptor = sample_hash(params, rng)
         key = np.array(random_bits(300, rng), dtype=np.uint8)
-        convolve_calls = []
-        real_convolve = np.convolve
-
-        def counting_convolve(*args, **kwargs):
-            convolve_calls.append(1)
-            return real_convolve(*args, **kwargs)
-
-        monkeypatch.setattr(np, "convolve", counting_convolve)
+        convolve_calls = count_convolve(monkeypatch)
         expected = explicit_toeplitz(descriptor.seed_bits, key, 300, 252)
         assert np.array_equal(compress(key, descriptor), expected)
         assert convolve_calls == []
 
-        real_irfft = np.fft.irfft
-
-        def perturbed_irfft(*args, **kwargs):
-            out = real_irfft(*args, **kwargs)
-            out[len(out) // 3] += 0.3
-            return out
-
-        monkeypatch.setattr(np.fft, "irfft", perturbed_irfft)
+        perturb_irfft(monkeypatch)
         assert np.array_equal(compress(key, descriptor), expected)
         assert convolve_calls == [1]
 
@@ -267,18 +285,52 @@ class TestHashedGuessAdvantage:
             guess = list(key)
             for i in rng.sample(range(n), flips):
                 guess[i] ^= 1
-            agreement = float(
-                np.mean(compress(key, descriptor) == compress(guess, descriptor))
-            )
+            agreement = two_hash_agreement(key, guess, descriptor)
             advantage = hashed_guess_advantage(key, guess, descriptor)
             assert type(advantage) is float
             assert advantage == agreement - 0.5
 
+    @pytest.mark.parametrize("flips", [0, 300, 40_000])
+    def test_matches_two_hash_agreement_at_bench_size(self, flips):
+        # n + r - 1 = 59,983 coefficients: the FFT runs at 65,536 points;
+        # 40,000 flips make the guess the key's complement
+        params = PrivacyParams(input_bits=40_000, leak_bits=20_000,
+                               margin_bits=16)
+        rng = random.Random(17)
+        descriptor = sample_hash(params, rng)
+        key = np.array(random_bits(40_000, rng), dtype=np.uint8)
+        guess = key.copy()
+        guess[rng.sample(range(40_000), flips)] ^= 1
+        assert hashed_guess_advantage(key, guess, descriptor) == (
+            two_hash_agreement(key, guess, descriptor) - 0.5
+        )
+
+    def test_matches_two_hash_agreement_through_the_fallback(
+        self, monkeypatch
+    ):
+        params = PrivacyParams(input_bits=300, leak_bits=40, margin_bits=8)
+        rng = random.Random(18)
+        descriptor = sample_hash(params, rng)
+        key = np.array(random_bits(300, rng), dtype=np.uint8)
+        guess = key.copy()
+        guess[rng.sample(range(300), 70)] ^= 1
+        convolve_calls = count_convolve(monkeypatch)
+        perturb_irfft(monkeypatch)
+        advantage = hashed_guess_advantage(key, guess, descriptor)
+        assert convolve_calls == [1]
+        assert advantage == two_hash_agreement(key, guess, descriptor) - 0.5
+        assert convolve_calls == [1, 1, 1]
+
     def test_length_mismatch_rejected(self):
         params = PrivacyParams(input_bits=16, leak_bits=4, margin_bits=2)
         descriptor = sample_hash(params, random.Random(15))
-        with pytest.raises(LengthMismatchError):
-            hashed_guess_advantage([0] * 16, [0] * 15, descriptor)
+        # a one-bit guess must not broadcast against the key
+        for as_bits in (list, np.array):
+            for key, guess in (([0] * 16, [0] * 15), ([0] * 15, [0] * 16),
+                               ([0] * 16, [0]), ([0] * 15, [0] * 15)):
+                with pytest.raises(LengthMismatchError):
+                    hashed_guess_advantage(as_bits(key), as_bits(guess),
+                                           descriptor)
 
 
 class TestEveResidualInformation:

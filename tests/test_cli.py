@@ -1,4 +1,4 @@
-"""Command-line interface tests (in-process, no subprocess needed)."""
+"""Command-line interface tests, in-process except the import-cost guard."""
 
 import errno
 import json
@@ -6,8 +6,10 @@ import os
 import random
 import re
 import stat
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -336,8 +338,33 @@ class TestDetectCurveCommand:
 
     def test_bad_k_values_exit_2(self, capsys):
         assert main(["detect-curve", "--k-values", "a,b"]) == 2
+        assert "--k-values entry 'a' is not an integer" in (
+            capsys.readouterr().err
+        )
+        assert main(["detect-curve", "--k-values", "1,x"]) == 2
+        assert "--k-values entry 'x' is not an integer" in (
+            capsys.readouterr().err
+        )
         assert main(["detect-curve", "--k-values", ""]) == 2
+        assert "--k-values must name at least one k" in capsys.readouterr().err
 
     def test_negative_k_value_exits_2(self, capsys):
         assert main(["detect-curve", "--k-values", "1,-1"]) == 2
         assert "parity round counts must be >= 0" in capsys.readouterr().err
+
+
+def test_importing_the_cli_loads_neither_numpy_random_nor_fft():
+    # every command pays its import: on a 2-vCPU VM (numpy 2.4.6)
+    # numpy.random alone adds 11-18 ms and 5.6 MB of peak resident memory,
+    # and numpy.fft about 2 ms, so both stay out until a command needs them
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, bb84sim.cli; "
+         "print(sorted(m for m in ('numpy.random', 'numpy.fft') "
+         "if m in sys.modules))"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

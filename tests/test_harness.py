@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from bb84sim.amplification import PrivacyParams, compress, sample_hash
-from bb84sim import cli, harness, protocol, quantum, stream
+from bb84sim import amplification, cli, harness, protocol, quantum, stream
 from bb84sim.errors import (
     InvalidConfigError,
     InvalidParamsError,
@@ -249,6 +249,38 @@ class TestRunExperiment:
             assert row.final_key_length == params.output_bits
             assert type(row.eve_advantage) is float
             assert row.eve_advantage == agreement - 0.5
+
+    @pytest.mark.parametrize("eve_kind, parity_rounds, calls", [
+        ("indirect-oracle", 8, 3),
+        ("none", 8, 0),
+        ("intercept-resend", 32, 0),
+    ])
+    def test_compress_runs_once_per_undetected_session_with_a_guess(
+        self, monkeypatch, eve_kind, parity_rounds, calls
+    ):
+        # the oracle's guess equals the key, so its difference is all
+        # zeros, and it is hashed all the same; a passive channel has no
+        # guess, and a detected session no key
+        counted = []
+        real_compress = amplification.compress
+
+        def counting_compress(key, descriptor):
+            counted.append(len(key))
+            return real_compress(key, descriptor)
+
+        monkeypatch.setattr(amplification, "compress", counting_compress)
+        report = run_experiment(ExperimentConfig(
+            n_pulses=600, n_sessions=3, eve_kind=eve_kind,
+            parity_rounds=parity_rounds, pa_leak_bits=16, pa_margin_bits=8,
+            master_seed=4,
+        ))
+        assert len(counted) == calls
+        detected = [row.detected for row in report.sessions]
+        assert detected == [eve_kind == "intercept-resend"] * 3
+        if calls:
+            assert counted == [row.sifted_length - parity_rounds
+                               for row in report.sessions]
+            assert [row.eve_advantage for row in report.sessions] == [0.5] * 3
 
     def test_privacy_with_passive_channel_has_no_advantage_column(self):
         config = ExperimentConfig(
