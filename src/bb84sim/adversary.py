@@ -108,7 +108,16 @@ class ChannelTable:
         self._edge_columns = [np.ascontiguousarray(column)
                               for column in edges[:, ~fixed].T]
 
-    def intercept(self, codes: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    @property
+    def reads_keys(self) -> bool:
+        """Whether ``intercept`` compares keys at all: False when every row
+        has a single possible outcome, as for ``none`` and
+        ``indirect-oracle``, whose outcomes ``_base`` alone gives."""
+        return bool(self._edge_columns)
+
+    def intercept(
+        self, codes: np.ndarray, keys: np.ndarray | None
+    ) -> np.ndarray:
         """Sample one outcome per pulse by inverse CDF over its table row.
 
         ``codes`` indexes ``BQS``: the state sent as each pulse, in an array
@@ -117,8 +126,10 @@ class ChannelTable:
         outcome drawn is the first whose cumulative probability p exceeds
         k * 2**-53: the number of edges p with k >= ceil(p * 2**53), a
         53-bit key against each threshold.  A row with a single possible
-        outcome returns it for every key.  Returns the outcomes, shaped like
-        ``codes``, as uint8 indices into every per-outcome array above.
+        outcome returns it for every key; a table without ``reads_keys``
+        reads only ``_base`` and takes ``None`` for ``keys``.  Returns the
+        outcomes, shaped like ``codes``, as uint8 indices into every
+        per-outcome array above.
         """
         outcome = np.take(self._base, codes)
         for column in self._edge_columns:

@@ -42,7 +42,9 @@ outputs are a plain sequence that can be drawn in pieces of any size.  A
 batch draws the outputs of steps 1-6 (and the forced-difference key) with
 one ``getrandbits`` call per session, and those of all parity rounds with
 one more once the sifted lengths are known, then decodes every stage for
-the whole batch with numpy.  A session whose parity subset comes up empty
+the whole batch with numpy; the adversary's keys are consumed undecoded
+when her table has a single outcome per sent state (``none``,
+``indirect-oracle``).  A session whose parity subset comes up empty
 draws that round's outputs again, after the ones already drawn, and its
 later rounds move along its sequence.  Step 8 draws from each session's
 generator as before, which stands where a lone session would leave it.

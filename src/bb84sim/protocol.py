@@ -157,17 +157,24 @@ def transmit(
     ``codes`` holds one row of pulses per session.  The adversary draws one
     53-bit key per pulse; then, when ``efficiency < 1``, loss draws one per
     pulse, and a pulse is lost when its key k has k * 2**-53 >=
-    ``efficiency``, a 53-bit key against ceil(efficiency * 2**53).  Returns
-    the adversary's outcomes (indices into her table) and the loss mask.
-    The adversary acts before loss, so her outcome exists even for lost
-    pulses.
+    ``efficiency``, a 53-bit key against ceil(efficiency * 2**53).  A table
+    without ``reads_keys`` (``none``, ``indirect-oracle``) still consumes
+    its keys' outputs, through ``Words.skip``, but nothing decodes them.
+    Returns the adversary's outcomes (indices into her table) and the loss
+    mask.  The adversary acts before loss, so her outcome exists even for
+    lost pulses.
     """
     blocks = [np.s_[:, start : start + BLOCK]
               for start in range(0, codes.shape[1], BLOCK)]
     outcomes = np.empty(codes.shape, dtype=np.uint8)
     for block in blocks:
         sent = codes[block]
-        outcomes[block] = adversary.intercept(sent, keys(words, sent.shape[1]))
+        drawn = None
+        if adversary.reads_keys:
+            drawn = keys(words, sent.shape[1])
+        else:
+            words.skip(2 * sent.shape[1])  # two outputs per key
+        outcomes[block] = adversary.intercept(sent, drawn)
     lost = np.zeros(codes.shape, dtype=bool)
     if efficiency < 1.0:
         edge = threshold(efficiency)
@@ -198,35 +205,72 @@ def sift(pulses: Pulses) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 _ODD = np.array([bin(byte).count("1") & 1 for byte in range(256)], np.uint8)
 
 
-def _parity(packed: np.ndarray) -> np.ndarray:
-    """Parity of each row of a packed bit array."""
-    return _ODD[np.bitwise_xor.reduce(packed, axis=1)]
+def _row_parity(words: np.ndarray) -> np.ndarray:
+    """Parity of the set bits of each row of uint32 words: the XOR of the
+    row folded to one byte, read off ``_ODD``."""
+    folded = np.bitwise_xor.reduce(words, axis=1)
+    folded ^= folded >> 16
+    folded ^= folded >> 8
+    return _ODD[folded & 0xFF]
 
 
-def _rows_of(keys: np.ndarray, cells: np.ndarray) -> np.ndarray:
-    """Keys laid end to end, one row each, placed on the True cells of
-    ``cells``, zero elsewhere."""
-    if cells.all():
-        return keys.reshape(cells.shape)
-    rows = np.zeros(cells.shape, dtype=keys.dtype)
-    rows[cells] = keys
-    return rows
+def _low_bit(words: np.ndarray) -> np.ndarray:
+    """Index of the lowest set bit of each nonzero uint32 word: the
+    exponent of that bit alone, which a float holds exactly."""
+    return np.frexp(words & (~words + np.uint32(1)))[1] - 1
 
 
-def _by_round(
+# _BELOW[k] has the k low bits of a word set, for k in [0, 32].
+_BELOW = np.array([(1 << k) - 1 for k in range(33)], np.uint32)
+
+
+def _drop_bit(words: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Each row of uint32 words read as one bit string, bit i in bit
+    i % 32 of word i // 32, with bit ``index[s]`` of row s taken out and
+    the bits above it moved down one place."""
+    shifted = words >> 1
+    shifted[:, :-1] |= words[:, 1:] << 31
+    # Word c keeps its bits below index - 32c from ``words``.
+    reach = index[:, None] - 32 * np.arange(words.shape[1])
+    below = np.take(_BELOW, reach, mode="clip")
+    return shifted ^ ((words ^ shifted) & below)
+
+
+def _aligned(
     outputs: np.ndarray, offsets: np.ndarray, live: np.ndarray
 ) -> np.ndarray:
-    """The outputs of each session's rounds, round j of session s in row
-    [s, j]: ceil(live[s, j] / 32) of them from column ``offsets[s, j]`` of
-    ``outputs``, the last shifted to give its high bits when live[s, j] is
-    not a multiple of 32."""
-    sizes = (live + 31) // 32
-    columns = np.arange(sizes.max(initial=0))
-    starts = offsets + np.arange(len(outputs))[:, None] * outputs.shape[1]
-    layout = np.take(outputs, starts[:, :, None] + columns, mode="clip")
-    last = np.arange(sizes.size) * len(columns) + sizes.ravel() - 1
-    layout.reshape(-1)[last] >>= ((-live) % 32).astype(np.uint32).ravel()
-    return layout
+    """A copy of ``outputs`` in which round j of session s, the
+    ceil(live[j, s] / 32) outputs of row s from column ``offsets[j, s]``,
+    has its last output shifted to give its high bits when live[j, s] is
+    not a multiple of 32, so that coin i of the round is bit i % 32 of its
+    word i // 32."""
+    coins = np.array(outputs)
+    last = offsets + (live + 31) // 32 - 1
+    coins[np.arange(len(coins)), last] >>= ((-live) % 32).astype(np.uint32)
+    return coins
+
+
+def _first_words(
+    coins: np.ndarray, offsets: np.ndarray, live: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """For round j of session s, entry [j, s], the index of the first
+    nonzero word of its coins in ``coins`` (see ``_aligned``) and that
+    word, 0 for a round whose coins all came up 0."""
+    sessions = np.arange(len(coins))
+    lowest = coins[sessions, offsets]
+    first = np.zeros(live.shape, dtype=np.int64)
+    # A round's first word is zero only when all its coins there are.
+    rare = np.flatnonzero(lowest == 0)
+    if len(rare):
+        sizes = (live.ravel()[rare] + 31) // 32
+        columns = np.arange(sizes.max())
+        starts = offsets.ravel()[rare] + rare % len(sessions) * coins.shape[1]
+        words = np.take(coins, starts[:, None] + columns, mode="clip")
+        words *= columns < sizes[:, None]
+        found = (words != 0).argmax(axis=1)
+        first.reshape(-1)[rare] = found
+        lowest.reshape(-1)[rare] = words[np.arange(len(rare)), found]
+    return first, lowest
 
 
 def _append(
@@ -248,77 +292,112 @@ def parity_verify(
     bob_bits: Sequence[int],
     rounds: int,
     words: Words,
-    lengths: np.ndarray,
+    lengths: Sequence[int],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Run ``rounds`` public random-subset parity comparisons on the keys
     of a batch of sessions.
 
     The keys lay the sessions' keys end to end, session s owning
-    ``lengths[s]`` bits and drawing from row s of ``words``.  Each round
-    of a session samples a uniform nonempty subset of the still-live
-    positions (one fair coin per live position, in ascending order, all
-    drawn again if none comes up 1), compares the two parities, and
-    discards the lowest-indexed subset member from both keys.  A differing
-    key pair trips a round with probability 1/2, so ``rounds`` independent
-    rounds certify agreement except with probability ~2**-rounds, at the
-    cost of ``rounds`` bits.
+    ``lengths[s]`` bits and drawing from row s of ``words``; ``lengths``
+    must hold one entry per row and sum to the key length, or
+    ``ValueError`` is raised.  Each round of a session samples a uniform
+    nonempty subset of the still-live positions (one fair coin per live
+    position, in ascending order, all drawn again if none comes up 1),
+    compares the two parities, and discards the lowest-indexed subset
+    member from both keys.  A differing key pair trips a round with
+    probability 1/2, so ``rounds`` independent rounds certify agreement
+    except with probability ~2**-rounds, at the cost of ``rounds`` bits.
 
-    The rounds of all sessions run together: round j takes each session's
-    coins, and only a session whose subset came up empty draws again.
-    Returns (detected, kept): a flag per session, the OR of its per-round
-    mismatches, and a mask over the keys laid end to end that marks the
-    positions no round discarded.  All rounds run even after a detection.
+    Every round of every session is drawn and discards its member, whatever
+    the keys: all rounds' coins are taken at once, as packed 32-bit words,
+    a session whose subset came up empty draws that round again, and the
+    discarded positions follow from the lowest set bits.  A parity is
+    computed only where it can change a flag, for a session whose keys
+    differ, up to its first mismatch.  Returns (detected, kept): a flag per
+    session, the OR of its per-round mismatches, and a mask over the keys
+    laid end to end that marks the positions no round discarded.
     """
     alice = np.asarray(alice_bits, dtype=np.uint8)
     bob = np.asarray(bob_bits, dtype=np.uint8)
+    lengths = np.asarray(lengths)
     if len(alice) != len(bob):
         raise ValueError("keys must have equal length")
+    if len(lengths) != len(words):
+        raise ValueError(
+            f"{len(lengths)} key lengths for {len(words)} sessions"
+        )
+    if lengths.sum() != len(alice):
+        raise ValueError(
+            f"key lengths sum to {lengths.sum()}, but the keys hold "
+            f"{len(alice)} bits"
+        )
     short = lengths <= rounds
     if short.any():
         raise KeyTooShortError(
             f"key of length {lengths[short.argmax()]} cannot support "
             f"{rounds} parity rounds"
         )
-    sessions = np.arange(len(lengths))
-    owned = np.arange(lengths.max()) < lengths[:, None]
-    alive = owned.copy()
-    # A subset's two parities differ exactly when it holds an odd number
-    # of the positions where the keys differ.
-    differ = np.packbits(_rows_of(alice != bob, owned), axis=1)
-    # Round j draws one coin per live position, L - j of them, in
-    # ceil((L - j) / 32) outputs.  All rounds' outputs are taken at once.
-    live = lengths[:, None] - np.arange(rounds)
-    sizes = (live + 31) // 32
-    offsets = np.cumsum(sizes, axis=1) - sizes
-    filled = sizes.sum(axis=1)
-    outputs = words.take(filled)
-    layout = _by_round(outputs, offsets, live)
-    widths = live.max(axis=0).tolist()
-    uneven = (live < live.max(axis=0)).any(axis=0).tolist()
-    cells, row_starts = alive.reshape(-1), sessions * alive.shape[1]
     detected = np.zeros(len(lengths), dtype=bool)
+    kept = np.ones(len(alice), dtype=bool)
+    if rounds == 0:
+        return detected, kept
+    # Round j draws one coin per live position, L - j of them, in
+    # ceil((L - j) / 32) outputs.  All rounds' outputs are taken at once;
+    # round j of session s is entry [j, s] below.
+    live = lengths - np.arange(rounds)[:, None]
+    sizes = (live + 31) // 32
+    offsets = np.cumsum(sizes, axis=0) - sizes
+    filled = sizes.sum(axis=0)
+    outputs = words.take(filled)
+    while True:
+        coins = _aligned(outputs, offsets, live)
+        first, lowest = _first_words(coins, offsets, live)
+        drew = lowest != 0
+        if drew.all():
+            break
+        # A session's first empty round draws again from its next outputs,
+        # which moves its later rounds on.
+        redo = drew.argmin(axis=0)
+        extra = np.where(drew.all(axis=0), 0,
+                         sizes[redo, np.arange(len(lengths))])
+        offsets += np.where(np.arange(rounds)[:, None] >= redo, extra, 0)
+        outputs = _append(outputs, filled, words.take(extra), extra)
+        filled += extra
+    # Round j discards its lowest member, a live index, which becomes a key
+    # position once the earlier discards are undone, latest first.
+    discarded = 32 * first + _low_bit(lowest)
+    positions = discarded.copy()
+    for j in range(rounds - 2, -1, -1):
+        later = positions[j + 1 :]
+        later += later >= positions[j]
+    starts = np.cumsum(lengths) - lengths
+    kept[(positions + starts).ravel()] = False
+
+    # A subset's two parities differ exactly when it holds an odd number
+    # of the positions where the keys differ.  Sessions with equal keys
+    # never trip, and the others stop at their first mismatch.
+    spots = np.flatnonzero(alice != bob)
+    if not len(spots):
+        return detected, kept
+    owner = np.searchsorted(starts + lengths, spots, side="right")
+    active = np.flatnonzero(np.bincount(owner, minlength=len(lengths)))
+    columns = np.arange(sizes[0].max())
+    rows = np.zeros((len(lengths), 32 * len(columns)), np.uint8)
+    rows[owner, spots - starts[owner]] = 1
+    # Bit i of a row marks live index i of the round at hand, so the words
+    # read past a round's own, which belong to later rounds, meet zeros.
+    differ = np.packbits(rows[active], axis=1, bitorder="little")
+    differ = differ.view(coins.dtype)
+    at = offsets + np.arange(len(lengths)) * coins.shape[1]
     for j in range(rounds):
-        while True:
-            coins = np.unpackbits(layout[:, j].view(np.uint8), axis=1,
-                                  count=widths[j], bitorder="little")
-            if uneven[j]:
-                coins = coins[np.arange(widths[j]) < live[:, j, None]]
-            members = np.zeros(alive.shape, dtype=bool)
-            members[alive] = coins.view(bool).ravel()
-            first = members.argmax(axis=1)
-            drew = members.reshape(-1)[row_starts + first]
-            if drew.all():
-                break
-            # A session whose subset came up empty draws the round again
-            # from its next outputs, which moves its later rounds on.
-            extra = np.where(drew, 0, sizes[:, j])
-            offsets[:, j:] += extra[:, None]
-            outputs = _append(outputs, filled, words.take(extra), extra)
-            filled += extra
-            layout = _by_round(outputs, offsets, live)
-        detected |= _parity(np.packbits(members, axis=1) & differ) != 0
-        cells[row_starts + first] = False
-    return detected, alive[owned]
+        drawn = np.take(coins, at[j, active, None] + columns, mode="clip")
+        trip = _row_parity(drawn & differ) != 0
+        detected[active[trip]] = True
+        active, differ = active[~trip], differ[~trip]
+        if not len(active) or j + 1 == rounds:
+            break
+        differ = _drop_bit(differ, discarded[j, active])
+    return detected, kept
 
 
 def run_batch(

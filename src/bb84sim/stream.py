@@ -5,7 +5,8 @@ one row per session (a lone session is a batch of one), and draws through
 ``random_bits`` and ``keys``, which return one row per session.  Both read
 the 32-bit Mersenne Twister outputs of each session's generator in order
 and decode them with numpy, so the outputs a stage consumes depend only on
-how many values it asks for.  A k-bit draw consumes ceil(k / 32) outputs,
+how many values it asks for; values nothing reads are consumed through
+``Words.skip`` without decoding.  A k-bit draw consumes ceil(k / 32) outputs,
 as ``rng.getrandbits(k)`` does: bit i of the draw is bit i of the
 concatenated outputs, least significant first, except that a draw with
 k mod 32 = m > 0 takes the *high* m bits of its last output.  A key
@@ -20,8 +21,9 @@ with no float in between.
 
 Because every draw consumes whole outputs, a session's outputs can be
 drawn in pieces of any size without changing any value: one
-``getrandbits(32 * w)`` call yields the next w outputs.  ``Words._draw``
-is the one place that draws from a generator.
+``getrandbits(32 * w)`` call yields the next w outputs.  ``Words`` is
+the one class that draws from a generator: ``Words._draw`` for outputs a
+stage reads, ``Words.skip`` for outputs it only consumes.
 """
 
 import numpy as np
@@ -37,12 +39,12 @@ class Words:
     """The 32-bit outputs of a batch of generators: row s reads those of
     ``rngs[s]``, in order.
 
-    Outputs are drawn when ``take`` asks for them, or ahead of time by
-    ``prefetch``, one ``getrandbits`` call per row and draw, however many
-    outputs it holds: no draw is split into pieces.  Nothing is drawn
+    Outputs are drawn when ``take`` or ``skip`` asks for them, or ahead of
+    time by ``prefetch``, one ``getrandbits`` call per row and draw, however
+    many outputs it holds: no draw is split into pieces.  Nothing is drawn
     beyond what is asked for, so once every prefetched output has been
-    taken each generator stands where the same draws made on it one by one
-    would leave it.
+    taken or skipped each generator stands where the same draws made on it
+    one by one would leave it.
     """
 
     def __init__(self, rngs):
@@ -75,6 +77,20 @@ class Words:
                              "no more than are held")
         self._ahead = ahead[:, counts:] if counts < ahead.shape[1] else None
         return ahead[:, :counts]
+
+    def skip(self, counts) -> None:
+        """Move row s past its next ``counts[s]`` outputs (a scalar serves
+        every row) without reading them, for a stage whose values nothing
+        reads.  Each generator ends where ``take`` would leave it: held
+        outputs are dropped under the rules ``take`` enforces, and outputs
+        not held are drawn by one ``getrandbits`` call per row whose int is
+        discarded unconverted."""
+        if self._ahead is not None:
+            self.take(counts)
+            return
+        rows = counts.tolist() if np.ndim(counts) else [counts] * len(self)
+        for rng, count in zip(self.rngs, rows):
+            rng.getrandbits(32 * count)
 
     def _draw(self, counts) -> np.ndarray:
         rows = counts.tolist() if np.ndim(counts) else [counts] * len(self)

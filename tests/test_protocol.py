@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bb84sim import protocol
 from bb84sim.adversary import channel_table
 from bb84sim.errors import InvalidConfigError, KeyTooShortError
 from bb84sim.protocol import (
@@ -24,7 +25,7 @@ from bb84sim.protocol import (
     transmit,
 )
 from bb84sim.quantum import BQS
-from bb84sim.stream import BLOCK, Words
+from bb84sim.stream import BLOCK, Words, keys
 from test_stream import KeyedGenerator
 
 
@@ -89,6 +90,22 @@ def columns(batch, s=0):
         np.flatnonzero(~batch.kept[part]).tolist(),
         bool(batch.detected[s]),
     )
+
+
+class ChosenOutputs:
+    """A stand-in for ``random.Random`` whose 32-bit outputs are the given
+    ones, in order: ``getrandbits(k)`` takes ceil(k / 32) of them, the high
+    k mod 32 bits of the last when k is not a multiple of 32."""
+
+    def __init__(self, outputs):
+        self.outputs = list(outputs)
+
+    def getrandbits(self, k):
+        value = 0
+        for i in range((k + 31) // 32):
+            bits = min(32, k - 32 * i)
+            value |= (self.outputs.pop(0) >> (32 - bits)) << (32 * i)
+        return value
 
 
 def reference_parity_verify(alice_bits, bob_bits, rounds, rng):
@@ -222,6 +239,59 @@ class TestTransmit:
         assert eve.forwarded_angles[outcomes].tolist() == [list(BQS)]
 
 
+def counting_keys(monkeypatch):
+    """Count the keys ``protocol`` decodes, by wrapping its ``keys``: the
+    returned list gains the number of each call."""
+    counted = []
+
+    def counting(words, n):
+        counted.append(n)
+        return keys(words, n)
+
+    monkeypatch.setattr(protocol, "keys", counting)
+    return counted
+
+
+# A batch of 96-pulse sessions, whose draws up to verification are
+# prefetched, and one 100k-pulse session, whose are not.
+SHAPES = [(96, range(30, 50)), (100_000, range(30, 31))]
+
+
+class TestTransmitKeys:
+    @pytest.mark.parametrize("kind, reads", [
+        ("none", False), ("indirect-oracle", False),
+        ("intercept-resend", True), ("indirect-physical", True),
+    ])
+    @pytest.mark.parametrize("n, seeds", SHAPES)
+    def test_only_a_table_that_compares_keys_decodes_them(
+        self, monkeypatch, kind, reads, n, seeds
+    ):
+        # at full efficiency ``transmit`` is the one caller of
+        # ``protocol.keys``: n keys a session, or none
+        counted = counting_keys(monkeypatch)
+        table = channel_table(kind)
+        assert table.reads_keys is reads
+        run_batch(SessionConfig(n_pulses=n), table,
+                  [random.Random(seed) for seed in seeds])
+        assert sum(counted) == (n if reads else 0)
+
+    @pytest.mark.parametrize("kind", ["none", "indirect-oracle"])
+    @pytest.mark.parametrize("n, seeds", SHAPES)
+    def test_skipped_keys_leave_the_generators_where_taken_ones_do(
+        self, monkeypatch, kind, n, seeds
+    ):
+        # oracle: the same batch with every skip made a plain take
+        config = SessionConfig(n_pulses=n, efficiency=0.8, parity_rounds=4)
+        got = [random.Random(seed) for seed in seeds]
+        batch = run_batch(config, channel_table(kind), got)
+        monkeypatch.setattr(Words, "skip", Words.take)
+        want = [random.Random(seed) for seed in seeds]
+        plain = run_batch(config, channel_table(kind), want)
+        assert [r.getstate() for r in got] == [r.getstate() for r in want]
+        for s in range(len(seeds)):
+            assert columns(batch, s) == columns(plain, s)
+
+
 class TestSift:
     def test_matched_bases_without_noise_agree_exactly(self):
         batch = run_session(
@@ -315,6 +385,84 @@ class TestParityVerify:
     def test_unequal_lengths_rejected(self):
         with pytest.raises(ValueError):
             verify_one([0, 1], [0], 1, random.Random(0))
+
+    def test_lengths_must_fit_the_keys_and_the_rows(self):
+        with pytest.raises(ValueError, match="sum to 2.* 3 bits"):
+            parity_verify([0, 1, 1], [0, 1, 1], 1,
+                          Words([random.Random(0)]), [2])
+        with pytest.raises(ValueError, match="2 key lengths for 1 sessions"):
+            parity_verify([0, 1, 1], [0, 1, 1], 1,
+                          Words([random.Random(0)]), [1, 2])
+        # a list serves as well as an array
+        rng, want_rng = random.Random(0), random.Random(0)
+        detected, kept = parity_verify(
+            [0, 1, 1], [0, 1, 0], 1, Words([rng]), [3]
+        )
+        want = reference_verify([0, 1, 1], [0, 1, 0], 1, want_rng)
+        assert bool(detected[0]) == want[0]
+        assert np.flatnonzero(~kept).tolist() == want[3]
+        assert rng.getstate() == want_rng.getstate()
+
+    @pytest.mark.parametrize("rounds", [1, 3])
+    def test_a_mixed_batch_matches_the_reference_session_by_session(
+        self, rounds
+    ):
+        # oracle: the per-position loop, run on each session alone; the
+        # batch mixes equal keys, differing keys and keys one bit longer
+        # than the rounds, whose last round comes up empty a quarter of
+        # the time
+        rng = random.Random(rounds)
+        pairs = []
+        for length, flips in [(200, 0), (33, 3), (64, 0), (150, 40),
+                              (40, 1), *[(rounds + 1, 1)] * 8,
+                              *[(rounds + 1, 0)] * 8, (97, 0)]:
+            bits = [rng.getrandbits(1) for _ in range(length)]
+            other = list(bits)
+            for i in rng.sample(range(length), flips):
+                other[i] ^= 1
+            pairs.append((bits, other))
+        got = [random.Random(seed) for seed in range(len(pairs))]
+        detected, kept = parity_verify(
+            [b for bits, _ in pairs for b in bits],
+            [b for _, other in pairs for b in other],
+            rounds, Words(got), [len(bits) for bits, _ in pairs],
+        )
+        start, redraws = 0, 0
+        for s, (bits, other) in enumerate(pairs):
+            want_rng = random.Random(s)
+            want = reference_verify(bits, other, rounds, want_rng)
+            part = kept[start : start + len(bits)]
+            assert bool(detected[s]) == want[0], s
+            assert np.flatnonzero(~part).tolist() == want[3], s
+            assert got[s].getstate() == want_rng.getstate(), s
+            once = random.Random(s)
+            for done in range(rounds):
+                once.getrandbits(32 * ((len(bits) - done + 31) // 32))
+            redraws += got[s].getstate() != once.getstate()
+            start += len(bits)
+        assert redraws > 0
+        assert 0 < detected.sum() < len(pairs)
+
+    def test_a_zero_first_word_is_searched_within_its_round(self):
+        # session 0's first 40 coins have an all-zero first word, so its
+        # member sits in the second; session 1's first 3 coins come up
+        # empty once, and the output after them, drawn for its second
+        # round, must not count as theirs
+        chosen = [[0, 0x5A000000, 0x4, 0x12345678],
+                  [0, 0xA0000000, 0x40000000]]
+        alice, bob = [[1] * 40, [0, 1, 0]], [[1] * 40, [1, 1, 0]]
+        got = [ChosenOutputs(outputs) for outputs in chosen]
+        detected, kept = parity_verify(
+            alice[0] + alice[1], bob[0] + bob[1], 2, Words(got), [40, 3]
+        )
+        for s, start in enumerate((0, 40)):
+            want_rng = ChosenOutputs(chosen[s])
+            want = reference_verify(alice[s], bob[s], 2, want_rng)
+            part = kept[start : start + len(alice[s])]
+            assert bool(detected[s]) == want[0]
+            assert np.flatnonzero(~part).tolist() == want[3]
+            assert got[s].outputs == want_rng.outputs == []
+        assert np.flatnonzero(~kept).tolist() == [2, 33, 40, 41]
 
     @given(
         bits=st.lists(st.integers(0, 1), min_size=1, max_size=300),

@@ -158,6 +158,33 @@ def test_thresholds_of_an_array_match_each_probability():
     ]
 
 
+def test_skip_leaves_each_generator_where_take_would():
+    # held outputs, the rest of them, then drawn ones, uneven too
+    skipped, taken = generators(3)
+    by_skip, by_take = Words(skipped), Words(taken)
+    by_skip.prefetch(7)
+    by_take.prefetch(7)
+    for counts in (4, 2, 3, np.array([2, 0, 2 * BLOCK + 1]), 0):
+        by_skip.skip(counts)
+        by_take.take(counts)
+        assert by_skip.take(1).tolist() == by_take.take(1).tolist()
+        assert ([r.getstate() for r in skipped]
+                == [r.getstate() for r in taken])
+
+
+@pytest.mark.parametrize("counts", [np.array([1, 2, 3]), 6])
+def test_a_skip_over_prefetched_outputs_is_even_and_held(counts):
+    # refused as ``take`` refuses it, and nothing is drawn or dropped
+    got, want = generators(2)
+    words = Words(got)
+    words.prefetch(5)
+    states = [r.getstate() for r in got]
+    with pytest.raises(ValueError, match="prefetched"):
+        words.skip(counts)
+    assert [r.getstate() for r in got] == states
+    assert words.take(5).tolist() == [plain_words(rng, 5) for rng in want]
+
+
 class KeyedGenerator:
     """A stand-in for ``random.Random`` that yields the given 53-bit keys:
     ``getrandbits`` hands out, in order, the 32-bit output pairs that
