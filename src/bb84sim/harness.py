@@ -38,21 +38,19 @@ generator is in the state a new one with the same seed starts in.  Every
 draw consumes whole 32-bit outputs of its session's generator: a k-bit
 draw takes ceil(k / 32) of them, the high k mod 32 bits of the last when
 k is not a multiple of 32, and a key takes two.  So each session's
-outputs are a plain sequence that can be drawn in pieces of any size.  A
-batch draws the outputs of steps 1-6 (and the forced-difference key) with
-one ``getrandbits`` call per session, and those of all parity rounds with
-one more once the sifted lengths are known, then decodes every stage for
-the whole batch with numpy; the adversary's keys are consumed undecoded
-when her table has a single outcome per sent state (``none``,
-``indirect-oracle``).  A session whose parity subset comes up empty
-draws that round's outputs again, after the ones already drawn, and its
-later rounds move along its sequence.  Step 8 draws from each session's
-generator as before, which stands where a lone session would leave it.
-A long session is a batch of one; when its outputs for steps 1-6 exceed
-``stream.Words``'s budget, each stage draws its own as it needs them, keys
-``stream.BLOCK`` at a time.  Every draw is one ``getrandbits`` call per
-session whatever its size: the parity rounds of a 100k-pulse session take
-about 50k outputs in one call.
+outputs are a plain sequence that can be drawn in pieces of any size.
+Each stage draws its outputs when it runs, with one ``getrandbits`` call
+per session, and decodes them for the whole batch with numpy; the
+per-pulse stages (steps 4-6) draw ``stream.BLOCK`` keys at a time, and
+the adversary's keys are consumed undecoded when her table has a single
+outcome per sent state (``none``, ``indirect-oracle``).  All parity
+rounds are drawn in one call once the sifted lengths are known; a
+session whose parity subset comes up empty draws that round's outputs
+again, after the ones already drawn, and its later rounds move along its
+sequence.  Step 8 draws from each session's generator as before, which
+stands where a lone session would leave it.  A long session is a batch
+of one: the parity rounds of a 100k-pulse session take about 50k outputs
+in one call.
 
 The batches of one command, all k-values of a curve together, may run in
 forked worker processes, one per CPU the process may use and at most one

@@ -411,24 +411,19 @@ def run_batch(
     Session s draws from ``rngs[s]``, stage by stage in the order
     documented in ``harness``, whatever else the batch holds, so its
     columns and its generator's end state are those of a batch of one.
-    The outputs of the stages up to verification are drawn ahead, one
-    ``getrandbits`` call per session when they fit ``stream.Words``'s
-    budget.  With ``parity_rounds == 0`` verification is skipped and the
-    sifted key is taken as reconciled.  With ``flip``, one key k per
-    session, drawn after the measurements, flips receiver sifted bit
-    floor(u * L) of the L-bit key before verification, for the uniform
-    u = k * 2**-53; a session without sifted bits then raises
-    ``ValueError``.  An error of any session raises.  Returns the batch's
-    pulse columns, the adversary's table, sifted keys, survivor mask
-    ``kept`` and detection flags as a ``SessionBatch``.
+    Each stage draws its outputs when it runs, one ``getrandbits`` call
+    per session (per ``stream.BLOCK`` keys in a per-pulse stage).  With
+    ``parity_rounds == 0`` verification is skipped and the sifted key is
+    taken as reconciled.  With ``flip``, one key k per session, drawn
+    after the measurements, flips receiver sifted bit floor(u * L) of the
+    L-bit key before verification, for the uniform u = k * 2**-53; a
+    session without sifted bits then raises ``ValueError``.  An error of
+    any session raises.  Returns the batch's pulse columns, the
+    adversary's table, sifted keys, survivor mask ``kept`` and detection
+    flags as a ``SessionBatch``.
     """
     n = config.n_pulses
     words = Words(rngs)
-    # Steps 1-6 of the draw order: three n-bit draws, then n keys for the
-    # adversary, for loss below full efficiency and for measurement, and
-    # with ``flip`` one more key.
-    key_stages = 3 if config.efficiency < 1.0 else 2
-    words.prefetch(3 * ((n + 31) // 32) + 2 * n * key_stages + 2 * flip)
     alice_bits, alice_bases = prepare_pulses(n, words)
     bob_bases = random_bits(words, n)
     outcomes, lost = transmit(

@@ -21,9 +21,10 @@ with no float in between.
 
 Because every draw consumes whole outputs, a session's outputs can be
 drawn in pieces of any size without changing any value: one
-``getrandbits(32 * w)`` call yields the next w outputs.  ``Words`` is
-the one class that draws from a generator: ``Words._draw`` for outputs a
-stage reads, ``Words.skip`` for outputs it only consumes.
+``getrandbits(32 * w)`` call yields the next w outputs.  Each stage draws
+its own outputs when it runs, one call per session, and ``Words`` is the
+one class that draws from a generator: ``Words.take`` for outputs a stage
+reads, ``Words.skip`` for outputs it only consumes.
 """
 
 import numpy as np
@@ -31,70 +32,34 @@ import numpy as np
 _TWO_POW_53 = 9007199254740992.0
 # Items a batched stage handles at a time, which bounds its temporaries.
 BLOCK = 1 << 13
-# Most outputs ``Words.prefetch`` draws ahead for a whole batch.
-_PREFETCH = 8 * BLOCK
 
 
 class Words:
     """The 32-bit outputs of a batch of generators: row s reads those of
     ``rngs[s]``, in order.
 
-    Outputs are drawn when ``take`` or ``skip`` asks for them, or ahead of
-    time by ``prefetch``, one ``getrandbits`` call per row and draw, however
-    many outputs it holds: no draw is split into pieces.  Nothing is drawn
-    beyond what is asked for, so once every prefetched output has been
-    taken or skipped each generator stands where the same draws made on it
-    one by one would leave it.
+    Outputs are drawn when ``take`` or ``skip`` asks for them, one
+    ``getrandbits`` call per row, and nothing beyond them, so each
+    generator stands where the same draws made on it one by one would
+    leave it.
     """
 
     def __init__(self, rngs):
         self.rngs = list(rngs)
-        self._ahead = None  # outputs drawn ahead, one row per generator
 
     def __len__(self) -> int:
         return len(self.rngs)
-
-    def prefetch(self, count: int) -> None:
-        """Draw the next ``count`` outputs of every row now, when the
-        batch's total stays within a fixed budget; past it, ``take`` draws
-        them as they are needed.  The caller must go on to take them all,
-        the same number from every row."""
-        if count * len(self) <= _PREFETCH:
-            drawn = self._draw(count)
-            self._ahead = (drawn if self._ahead is None
-                           else np.concatenate([self._ahead, drawn], 1))
 
     def take(self, counts) -> np.ndarray:
         """The next ``counts[s]`` outputs of row s (a scalar serves every
         row), as a uint32 array of shape (rows, max count) that must not be
         written to; row s holds its outputs in its first ``counts[s]``
         columns and zeros after them."""
-        ahead = self._ahead
-        if ahead is None:
-            return self._draw(counts)
-        if np.ndim(counts) or counts > ahead.shape[1]:
-            raise ValueError("prefetched outputs must be taken evenly, "
-                             "no more than are held")
-        self._ahead = ahead[:, counts:] if counts < ahead.shape[1] else None
-        return ahead[:, :counts]
-
-    def skip(self, counts) -> None:
-        """Move row s past its next ``counts[s]`` outputs (a scalar serves
-        every row) without reading them, for a stage whose values nothing
-        reads.  Each generator ends where ``take`` would leave it: held
-        outputs are dropped under the rules ``take`` enforces, and outputs
-        not held are drawn by one ``getrandbits`` call per row whose int is
-        discarded unconverted."""
-        if self._ahead is not None:
-            self.take(counts)
-            return
-        rows = counts.tolist() if np.ndim(counts) else [counts] * len(self)
-        for rng, count in zip(self.rngs, rows):
-            rng.getrandbits(32 * count)
-
-    def _draw(self, counts) -> np.ndarray:
-        rows = counts.tolist() if np.ndim(counts) else [counts] * len(self)
-        width = max(rows, default=counts)
+        if np.ndim(counts):
+            rows = counts.tolist()
+            width = max(rows, default=0)
+        else:
+            rows, width = [counts] * len(self), counts
         data = np.frombuffer(b"".join([
             rng.getrandbits(32 * count).to_bytes(4 * count, "little")
             for rng, count in zip(self.rngs, rows)
@@ -104,6 +69,16 @@ class Words:
         words = np.zeros((len(self), width), "<u4")
         words[np.arange(width) < counts[:, None]] = data
         return words
+
+    def skip(self, counts) -> None:
+        """Move row s past its next ``counts[s]`` outputs (a scalar serves
+        every row) without reading them, for a stage whose values nothing
+        reads: one ``getrandbits`` call per row whose int is discarded
+        unconverted, so each generator ends where ``take`` would leave
+        it."""
+        rows = counts.tolist() if np.ndim(counts) else [counts] * len(self)
+        for rng, count in zip(self.rngs, rows):
+            rng.getrandbits(32 * count)
 
 
 def random_bits(words: Words, k: int) -> np.ndarray:

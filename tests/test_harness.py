@@ -706,8 +706,8 @@ class TestGoldenReports:
 
     # sessions longer than BLOCK, batches of one whose parity rounds draw
     # tens of thousands of outputs in one call, beside a curve of many
-    # short sessions and a 10k-pulse session whose prefetch holds about
-    # 61k outputs
+    # short sessions and a lossy 10k-pulse session whose per-pulse stages
+    # draw two blocks each
     @pytest.mark.parametrize(
         "kwargs, k_values, digest",
         [

@@ -252,8 +252,8 @@ def counting_keys(monkeypatch):
     return counted
 
 
-# A batch of 96-pulse sessions, whose draws up to verification are
-# prefetched, and one 100k-pulse session, whose are not.
+# A batch of 96-pulse sessions, whose per-pulse stages draw one block each,
+# and one 100k-pulse session, whose per-pulse stages draw 13 each.
 SHAPES = [(96, range(30, 50)), (100_000, range(30, 31))]
 
 
@@ -662,6 +662,14 @@ class TestRunSession:
                 channel_table("none"),
                 random.Random(13),
             )
+
+    @pytest.mark.parametrize("rounds", [0, 2])
+    @pytest.mark.parametrize("efficiency", [1.0, 0.5])
+    def test_a_batch_without_sessions_is_empty(self, rounds, efficiency):
+        config = SessionConfig(
+            n_pulses=10, efficiency=efficiency, parity_rounds=rounds
+        )
+        assert len(run_batch(config, channel_table("none"), [])) == 0
 
     def test_guesses_are_read_at_flattened_pulse_indices(self):
         # oracle: session by session, the table's guess at the outcome of

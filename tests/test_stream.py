@@ -80,26 +80,11 @@ def test_take_with_uneven_counts_reads_each_row_in_order():
 def test_prefetched_outputs_are_taken_in_order():
     got, want = generators(1)
     words = Words(got)
-    words.prefetch(10)
-    words.prefetch(3)
-    # the 13 prefetched outputs, then 7 past them, drawn as they are taken
+    # each take draws its outputs from every row when it is asked
     for count in (4, 0, 9, 7):
         taken = words.take(count)
         assert taken.tolist() == [plain_words(rng, count) for rng in want]
     assert [r.getstate() for r in got] == [r.getstate() for r in want]
-
-
-@pytest.mark.parametrize("counts", [np.array([1, 2, 3]), 6])
-def test_a_take_from_prefetched_outputs_is_even_and_held(counts):
-    # uneven, or past the 5 held: neither is served, and nothing is drawn
-    got, want = generators(2)
-    words = Words(got)
-    words.prefetch(5)
-    states = [r.getstate() for r in got]
-    with pytest.raises(ValueError, match="prefetched"):
-        words.take(counts)
-    assert [r.getstate() for r in got] == states
-    assert words.take(5).tolist() == [plain_words(rng, 5) for rng in want]
 
 
 def snapped_born(p0):
@@ -159,30 +144,15 @@ def test_thresholds_of_an_array_match_each_probability():
 
 
 def test_skip_leaves_each_generator_where_take_would():
-    # held outputs, the rest of them, then drawn ones, uneven too
+    # even counts, uneven ones, and a row longer than two blocks
     skipped, taken = generators(3)
     by_skip, by_take = Words(skipped), Words(taken)
-    by_skip.prefetch(7)
-    by_take.prefetch(7)
     for counts in (4, 2, 3, np.array([2, 0, 2 * BLOCK + 1]), 0):
         by_skip.skip(counts)
         by_take.take(counts)
         assert by_skip.take(1).tolist() == by_take.take(1).tolist()
         assert ([r.getstate() for r in skipped]
                 == [r.getstate() for r in taken])
-
-
-@pytest.mark.parametrize("counts", [np.array([1, 2, 3]), 6])
-def test_a_skip_over_prefetched_outputs_is_even_and_held(counts):
-    # refused as ``take`` refuses it, and nothing is drawn or dropped
-    got, want = generators(2)
-    words = Words(got)
-    words.prefetch(5)
-    states = [r.getstate() for r in got]
-    with pytest.raises(ValueError, match="prefetched"):
-        words.skip(counts)
-    assert [r.getstate() for r in got] == states
-    assert words.take(5).tolist() == [plain_words(rng, 5) for rng in want]
 
 
 class KeyedGenerator:
