@@ -10,7 +10,6 @@ compression cannot help once the assumed leak underestimates a total one.
 """
 
 import argparse
-import random
 
 from bb84sim.adversary import channel_table
 from bb84sim.amplification import PrivacyParams, eve_residual_information
@@ -37,8 +36,7 @@ def main() -> None:
     print(f"{'attack':<20} " + " ".join(f"s={m:<8}" for m in margins))
     for name, eve in attacks.items():
         batch = run_batch(config, eve, [
-            random.Random(derive_seed(args.seed, i))
-            for i in range(args.sessions)
+            derive_seed(args.seed, i) for i in range(args.sessions)
         ])
         row = []
         for margin in margins:
@@ -47,9 +45,7 @@ def main() -> None:
                 leak_bits=args.leak_bits,
                 margin_bits=margin,
             )
-            advantage = eve_residual_information(
-                batch, params, random.Random(args.seed)
-            )
+            advantage = eve_residual_information(batch, params, args.seed)
             row.append(f"{advantage:<10.5f}")
         print(f"{name:<20} " + " ".join(row))
 

@@ -12,7 +12,6 @@ key with the true final key.  G is linear over XOR, so the two agree exactly
 where G(key XOR guess) is 0, and one hash of the difference measures it.
 """
 
-import random
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -20,7 +19,8 @@ import numpy as np
 
 from .errors import InvalidParamsError, LengthMismatchError
 from .protocol import SessionBatch
-from .stream import Words, random_bits
+from .stream import TOEPLITZ, derive_seed, random_bits
+
 
 @dataclass(frozen=True, slots=True)
 class PrivacyParams:
@@ -69,13 +69,14 @@ class HashDescriptor:
             )
 
 
-def sample_hash(params: PrivacyParams, rng: random.Random) -> HashDescriptor:
-    """Draw a uniformly random descriptor; safe to publish."""
+def sample_hash(params: PrivacyParams, seed: int) -> HashDescriptor:
+    """Draw a uniformly random descriptor, its n + r - 1 seed bits from the
+    Toeplitz stage of the session seed ``seed``; safe to publish."""
     seed_length = params.input_bits + params.output_bits - 1
     return HashDescriptor(
         input_bits=params.input_bits,
         output_bits=params.output_bits,
-        seed_bits=random_bits(Words([rng]), seed_length)[0],
+        seed_bits=random_bits([seed], TOEPLITZ, seed_length)[0],
     )
 
 
@@ -133,18 +134,19 @@ def hashed_guess_advantage(
 
 
 def eve_residual_information(
-    batch: SessionBatch, params: PrivacyParams, rng: random.Random
+    batch: SessionBatch, params: PrivacyParams, seed: int
 ) -> float:
     """Empirical per-bit advantage of the adversary's guess of the final key.
 
-    For each session of the batch, in order, the first ``params.input_bits``
-    bits of the reconciled key and the adversary's aligned guesses are
-    compared under a freshly drawn public hash, by one hash of their
-    difference (``hashed_guess_advantage``), and the per-bit agreement of
-    the hashed guess with the hashed key is averaged.
-    Returned is the mean agreement advantage over one half, clamped to
-    [0, 0.5].  A passive channel leaves no guesses, and its batch returns
-    0.0.
+    For each session s of the batch, the first ``params.input_bits`` bits
+    of the reconciled key and the adversary's aligned guesses are compared
+    under the public hash ``sample_hash(params, derive_seed(seed, s))``,
+    which is session s's own when the batch ran sessions 0 to len - 1 of
+    master seed ``seed``, by one hash of their difference
+    (``hashed_guess_advantage``), and the per-bit agreement of the hashed
+    guess with the hashed key is averaged.  Returned is the mean agreement
+    advantage over one half, clamped to [0, 0.5].  A passive channel leaves
+    no guesses, and its batch returns 0.0.
     """
     if not len(batch):
         raise ValueError("batch must hold at least one session")
@@ -162,7 +164,7 @@ def eve_residual_information(
             raise LengthMismatchError(
                 f"reconciled key has {len(key)} bits, need {n}"
             )
-        descriptor = sample_hash(params, rng)
+        descriptor = sample_hash(params, derive_seed(seed, s))
         advantages.append(
             hashed_guess_advantage(key[:n], guess[:n], descriptor)
         )

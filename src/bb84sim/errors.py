@@ -28,10 +28,10 @@ class InvalidConfigError(ValueError):
 
 class SessionError(RuntimeError):
     """A session inside an experiment failed.  Carries the session index and
-    the seed of its generator.  ``batch = run_session(config,
-    build_strategy(config), Random(seed))`` replays the failure as a batch
-    of one, where a curve session's config is ``replace(config,
-    parity_rounds=k)`` for the k of its sweep.  By kind:
+    its seed.  ``batch = run_session(config, build_strategy(config),
+    seed)`` replays the failure as a batch of one, where a curve session's
+    config is ``replace(config, parity_rounds=k)`` for the k of its sweep.
+    By kind:
 
     * too few sifted bits for the parity rounds: ``run_session`` raises the
       same ``KeyTooShortError``;

@@ -1,72 +1,69 @@
 """Experiment runner: many independent sessions, aggregated statistics,
 deterministic seeding, and machine-readable reports.
 
-Random-stream contract ``bb84sim-2`` (``RNG_CONTRACT``): session i of an
-experiment draws everything from one ``random.Random`` (Mersenne Twister)
-seeded with ``derive_seed(master_seed, i)``, a SplitMix64 mix of the
-master seed and the session index.  Bits come from one ``getrandbits(k)``
-call per batch, item j being bit j of the word.  Keys carry 53 bits each:
-key k stands for the uniform u = k * 2**-53, and successive keys are the
-values of successive ``random()`` calls (see ``stream``).  Each decision
-that a uniform would make as u >= p is a 53-bit key against
-ceil(p * 2**53), which decides it exactly.  A session of n pulses draws,
-in this order:
+Random-stream contract ``bb84sim-3`` (``RNG_CONTRACT``).  Every random
+value is a pure function of three numbers, computed with the SplitMix64
+finaliser (see ``stream``):
 
-1. n bits, the sender's bits;
-2. n bits, the sender's bases;
-3. n bits, the receiver's bases;
-4. n keys for the adversary's channel table, whatever the strategy;
-5. n keys for detector loss, only when the efficiency is below 1;
-6. n keys for the receiver's measurements, lost pulses included;
-7. per parity round, one bit per live sifted position, all drawn again
-   while none of them is 1;
-8. with privacy amplification on an undetected session, the n + r - 1
-   bits of the Toeplitz seed.
+    mix(x) = x ^= x >> 30; x *= 0xBF58476D1CE4E5B9; x ^= x >> 27;
+             x *= 0x94D049BB133111EB; x ^= x >> 31  (all mod 2**64)
+    derive_seed(a, b) = mix(a + (b + 1) * 0x9E3779B97F4A7C15 mod 2**64)
 
-``detection_rate_curve`` runs steps 1-6, then, with ``force_differ``, one
-key whose uniform u flips receiver bit floor(u * L) of the L-bit sifted
-key, then step 7.  Draw counts depend only on the configuration and on the
-sizes of the live sets, never on drawn values, except for the redraw of an
-empty parity subset.  Identical configurations therefore produce
-byte-identical reports.  Every report names its contract, and
-``ExperimentReport.from_json`` refuses a report written under another.
+Session i of an experiment has the seed σ = derive_seed(master_seed, i),
+and value j of its stage g is derive_seed(σ, g * 2**40 + j), for
+j < 2**40 and g < 2**24 (so parity_rounds stays below 2**24 - 2**16).  A
+k-bit draw of a stage takes its values 0 to ceil(k / 64) - 1, bit i of
+the draw being bit i mod 64 of value i // 64 (least significant first);
+a key is a value's top 53 bits, value >> 11, and stands for the uniform
+u = k * 2**-53.  Each decision that a uniform would make as u >= p is a
+53-bit key against ceil(p * 2**53), which decides it exactly.  A
+session of n pulses reads these stages:
+
+0. n bits, the sender's bits;
+1. n bits, the sender's bases;
+2. n bits, the receiver's bases;
+3. key i for pulse i of the adversary's channel table, only when the
+   table has more than one outcome for some sent state (not for ``none``
+   or ``indirect-oracle``);
+4. key i for the loss of pulse i, only when the efficiency is below 1;
+5. key i for the receiver's measurement of pulse i, lost pulses included;
+6. with ``force_differ``, in ``detection_rate_curve``, key 0, whose
+   uniform u flips receiver bit floor(u * L) of the L-bit sifted key;
+7. with privacy amplification on an undetected session, the n + r - 1
+   bits of the Toeplitz seed;
+
+and 2**16 + r for parity round r (r = 0, 1, ...): the round's coins are
+one bit per live sifted position, L - r of them, in W = ceil((L - r) / 64)
+values, and attempt a at them reads the values a * W to a * W + W - 1.  An
+attempt whose coins are all 0 is followed by the next.  The forced flip
+comes before the parity rounds, which see the flipped key.
+
+No stage reads another's values, so a stage nobody reads moves nothing,
+and no draw depends on a drawn value except the redraw of an empty parity
+subset, which reads only its own round's stage.  Identical configurations
+therefore produce byte-identical reports.  Every report names its
+contract, and ``ExperimentReport.from_json`` refuses a report written
+under another.
 
 Sessions run in batches of consecutive indices, about ``stream.BLOCK``
-pulses at a time, and a batch reads this order unchanged.  The batches
-reseed one pool of generators rather than build new ones; a reseeded
-generator is in the state a new one with the same seed starts in.  Every
-draw consumes whole 32-bit outputs of its session's generator: a k-bit
-draw takes ceil(k / 32) of them, the high k mod 32 bits of the last when
-k is not a multiple of 32, and a key takes two.  So each session's
-outputs are a plain sequence that can be drawn in pieces of any size.
-Each stage draws its outputs when it runs, with one ``getrandbits`` call
-per session, and decodes them for the whole batch with numpy; the
-per-pulse stages (steps 4-6) draw ``stream.BLOCK`` keys at a time, and
-the adversary's keys are consumed undecoded when her table has a single
-outcome per sent state (``none``, ``indirect-oracle``).  All parity
-rounds are drawn in one call once the sifted lengths are known; a
-session whose parity subset comes up empty draws that round's outputs
-again, after the ones already drawn, and its later rounds move along its
-sequence.  Step 8 draws from each session's generator as before, which
-stands where a lone session would leave it.  A long session is a batch
-of one: the parity rounds of a 100k-pulse session take about 50k outputs
-in one call.
+pulses at a time.  A batch's seeds come from one ``derive_seed`` call
+over its indices, and each stage computes its values for the whole batch
+at once with numpy, the per-pulse stages (3-5) ``stream.BLOCK`` keys at a
+time.  A batch's result depends only on its sessions' seeds.
 
 The batches of one command, all k-values of a curve together, may run in
 forked worker processes, one per CPU the process may use and at most one
 per batch.  A sweep stays in one process without ``os.fork``, while a
-second thread runs, or when it is small.  A batch's result depends only on
-its sessions' seeds, and the results are joined in batch order, so report
-bytes depend on neither the CPU count nor the thread state.  One runner,
-``_share``, runs every process's share and the replay of a failing batch;
-a share stops at its first failing batch, which its length names, so a
-failure reads the same at every worker count.
+second thread runs, or when it is small.  The results are joined in batch
+order, so report bytes depend on neither the CPU count nor the thread
+state.  One runner, ``_share``, runs every process's share and the replay
+of a failing batch; a share stops at its first failing batch, which its
+length names, so a failure reads the same at every worker count.
 """
 
 import json
 import os
 import pickle
-import random
 import threading
 from dataclasses import asdict, dataclass, fields, replace
 from functools import partial
@@ -79,29 +76,22 @@ from .amplification import PrivacyParams, hashed_guess_advantage, sample_hash
 from .errors import InvalidConfigError, KeyTooShortError, SessionError
 from .protocol import SessionBatch, SessionConfig, check_types, run_batch
 from .quantum import DEFAULT_ANCILLA_ANGLE
-from .stream import BLOCK
+from .stream import BLOCK, derive_seed
 
-RNG_CONTRACT = "bb84sim-2"
+RNG_CONTRACT = "bb84sim-3"
 OUTPUT_FORMATS = ("json", "csv")
 
 _MASK64 = (1 << 64) - 1
 _CI_Z = 1.96  # normal-approximation z for a 95% binomial interval
-# A sweep of fewer pulses runs in one process.  On a 2-vCPU VM a fork and
-# the join of its results took about 3 ms, and a sweep of this size about
-# 17 ms in one process, so a smaller sweep gains little or loses.
-_FORK_MIN_PULSES = 8 * BLOCK
+# A sweep of fewer pulses runs in one process.  On a 2-vCPU VM (medians of
+# ten alternated pairs, fresh interpreters) a fork, exit and wait took
+# 2.5 ms, and a second process ran numpy work only about 1.4 times as fast
+# as one.  Two 100k-pulse intercept/resend sessions (200k pulses) took
+# 18.2 ms in one process and 26.2 ms in two, 400 x 8 curve sessions of 96
+# pulses (307k) 48.9 and 46.4 ms, and 1000 x 8 of them (768k) 101 and
+# 87 ms: a sweep below about 2**18 pulses gains nothing from a fork.
+_FORK_MIN_PULSES = 32 * BLOCK
 _SIGKILL = 9  # POSIX's number; the signal module is not loaded otherwise
-
-
-def derive_seed(master_seed: int, index: int) -> int:
-    """SplitMix64 mix of (master_seed, index); distinct per index."""
-    x = (master_seed + (index + 1) * 0x9E3779B97F4A7C15) & _MASK64
-    x ^= x >> 30
-    x = (x * 0xBF58476D1CE4E5B9) & _MASK64
-    x ^= x >> 27
-    x = (x * 0x94D049BB133111EB) & _MASK64
-    x ^= x >> 31
-    return x
 
 
 @dataclass(frozen=True, slots=True, kw_only=True)
@@ -358,32 +348,29 @@ def _workers(pulses: int, batches: int) -> int:
     return max(1, min(cpus, batches))
 
 
-def _share(config: ExperimentConfig, pool: list[random.Random], jobs: list):
-    """Run ``jobs`` in order, each from the pool's generators reseeded for
-    its sessions.  Returns the results and the exception of the first job
-    that raised, or ``None``; the jobs after it do not run, so that job is
-    ``jobs[len(results)]``."""
+def _share(config: ExperimentConfig, jobs: list):
+    """Run ``jobs`` in order, each on its sessions' seeds.  Returns the
+    results and the exception of the first job that raised, or ``None``;
+    the jobs after it do not run, so that job is ``jobs[len(results)]``."""
     results = []
     for indices, work in jobs:
-        rngs = pool[: len(indices)]
-        for rng, index in zip(rngs, indices):
-            rng.seed(derive_seed(config.master_seed, index))
+        seeds = derive_seed(config.master_seed, np.arange(
+            indices.start, indices.stop, indices.step, dtype=np.uint64))
         try:
-            results.append(work(indices, rngs))
+            results.append(work(indices, seeds))
         except Exception as exc:
             return results, exc
     return results, None
 
 
-def _child(config: ExperimentConfig, pool: list[random.Random], jobs: list,
-           pipe: int) -> NoReturn:
+def _child(config: ExperimentConfig, jobs: list, pipe: int) -> NoReturn:
     """A forked worker: run its share of the jobs and send the results,
     which end at a failing job, down ``pipe``.  It leaves through
     ``os._exit`` whatever happens, so none of the parent's clean-up runs
     twice."""
     status = 1
     try:
-        results, _ = _share(config, pool, jobs)
+        results, _ = _share(config, jobs)
         with os.fdopen(pipe, "wb") as out:
             pickle.dump(results, out, pickle.HIGHEST_PROTOCOL)
         status = 0
@@ -392,11 +379,10 @@ def _child(config: ExperimentConfig, pool: list[random.Random], jobs: list,
 
 
 def _sweep(config: ExperimentConfig, jobs: list) -> list:
-    """Run every job ``(indices, work)`` as ``work(indices, rngs)`` and
-    return the results in job order.  ``rngs[j]`` is the generator of
-    session ``indices[j]``, in the state ``random.Random(derive_seed(
-    master_seed, indices[j]))`` starts in: the jobs reseed one pool of
-    generators, which is cheaper than building new ones.
+    """Run every job ``(indices, work)`` as ``work(indices, seeds)`` and
+    return the results in job order.  ``indices`` is a range of session
+    indices and ``seeds[j]`` the uint64 seed ``derive_seed(master_seed,
+    indices[j])`` of session ``indices[j]``.
 
     Worker w of ``_workers`` processes, this one (w = 0) and children
     forked from it, runs ``jobs[w::workers]`` through ``_share``; a child
@@ -412,10 +398,6 @@ def _sweep(config: ExperimentConfig, jobs: list) -> list:
     workers = _workers(
         config.n_pulses * sum(len(indices) for indices, _ in jobs), len(jobs)
     )
-    pool = [
-        random.Random(0)
-        for _ in range(max((len(indices) for indices, _ in jobs), default=0))
-    ]
     children = []  # (pid, read end of its pipe) of each child not reaped
     try:
         for worker in range(1, workers):
@@ -427,10 +409,10 @@ def _sweep(config: ExperimentConfig, jobs: list) -> list:
                 os.close(write)
                 raise
             if pid == 0:
-                _child(config, pool, jobs[worker::workers], write)
+                _child(config, jobs[worker::workers], write)
             children.append((pid, read))
             os.close(write)
-        shares = [_share(config, pool, jobs[::workers])[0]]
+        shares = [_share(config, jobs[::workers])[0]]
         while children:
             pid, read = children[0]
             with open(read, "rb", closefd=False) as pipe:
@@ -453,7 +435,7 @@ def _sweep(config: ExperimentConfig, jobs: list) -> list:
     if failed < len(jobs):
         indices, work = jobs[failed]
         passed, exc = _share(
-            config, pool, [(range(i, i + 1), work) for i in indices]
+            config, [(range(i, i + 1), work) for i in indices]
         )
         if exc is None:
             raise RuntimeError(
@@ -487,9 +469,9 @@ def _shares(batch: SessionBatch, hits: np.ndarray) -> list[float]:
 
 def _experiment_rows(
     config: ExperimentConfig, strategy: ChannelTable, indices: range,
-    rngs: list[random.Random],
+    seeds: np.ndarray,
 ) -> list[SessionRow]:
-    batch = run_batch(config, strategy, rngs)
+    batch = run_batch(config, strategy, seeds)
     lengths = batch.lengths
     qbers = _shares(batch, batch.sifted_alice != batch.sifted_bob)
     accuracies = [None] * len(batch)
@@ -512,7 +494,7 @@ def _experiment_rows(
                     leak_bits=config.pa_leak_bits,
                     margin_bits=config.pa_margin_bits,
                 )
-                descriptor = sample_hash(params, rngs[s])
+                descriptor = sample_hash(params, seeds[s])
                 final_length = descriptor.output_bits
                 key, guess = batch.reconciled(s)
                 if guess is not None:
@@ -555,8 +537,8 @@ def detection_rate_curve(
     k = 0 needs a nonempty sifted key.  With ``force_differ`` one
     uniformly random sifted bit of the receiver is flipped first,
     isolating the parity math from attack stochasticity.  Session j of the
-    sweep (k-major) uses the generator of session index j.  Every k is
-    checked before any session runs.
+    sweep (k-major) uses the seed of session index j.  Every k is checked
+    before any session runs.
     """
     if any(k < 0 for k in k_values):
         raise InvalidConfigError("parity round counts must be >= 0")
@@ -564,9 +546,9 @@ def detection_rate_curve(
     strategy = build_strategy(config)
 
     def detections(
-        curve: ExperimentConfig, indices: range, rngs: list[random.Random]
+        curve: ExperimentConfig, indices: range, seeds: np.ndarray
     ) -> int:
-        batch = run_batch(curve, strategy, rngs, flip=force_differ)
+        batch = run_batch(curve, strategy, seeds, flip=force_differ)
         if curve.parity_rounds == 0 and not batch.lengths.all():
             raise KeyTooShortError(
                 "no sifted bits: a curve session needs a nonempty sifted key"

@@ -9,10 +9,11 @@ channel; only its outcome is modeled.
 
 Sessions run in batches.  ``run_batch`` holds a batch of sessions as numpy
 columns with one row per session, pulse i of session s being entry [s, i],
-and every stage handles the whole batch at once.  Every stage takes its
-randomness as a ``stream.Words`` batch, drawing in bulk from each
-session's own generator (see ``harness`` for the order of the draws), and
-returns one row per session; ``run_session`` is a batch of one.  A basis
+and every stage handles the whole batch at once.  Every stage takes the
+sessions' seeds, one uint64 per session, and computes the values of its
+own stage of the counter-based stream (see ``stream``, and ``harness``
+for the stages), returning one row per session; ``run_session`` is a
+batch of one.  A basis
 is stored as its index into ``BASIS_ANGLES`` (0 rectilinear, 1 diagonal),
 and a signal state as its code, an index into ``BQS``, ``2 * basis + bit``.
 
@@ -29,7 +30,6 @@ for every state it forwards, so no pulse computes a probability.  Each
 such stage walks the pulses ``stream.BLOCK`` at a time along each row.
 """
 
-import random
 from dataclasses import dataclass, fields
 from typing import Sequence, get_args
 
@@ -38,7 +38,10 @@ import numpy as np
 from .adversary import ChannelTable
 from .errors import InvalidConfigError, KeyTooShortError
 from .quantum import measure
-from .stream import BLOCK, Words, keys, random_bits, threshold
+from .stream import (
+    ADVERSARY, ALICE_BASES, ALICE_BITS, BLOCK, BOB_BASES, FLIP, LOSS, PARITY,
+    STAGES, keys, random_bits, threshold, values,
+)
 
 
 def check_types(record) -> None:
@@ -72,8 +75,10 @@ class SessionConfig:
             raise InvalidConfigError("n_pulses must be >= 1")
         if not 0.0 < self.efficiency <= 1.0:
             raise InvalidConfigError("efficiency must be in (0, 1]")
-        if self.parity_rounds < 0:
-            raise InvalidConfigError("parity_rounds must be >= 0")
+        if not 0 <= self.parity_rounds < STAGES - PARITY:
+            raise InvalidConfigError(
+                f"parity_rounds must be >= 0 and below {STAGES - PARITY}"
+            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,50 +142,51 @@ class SessionBatch:
                        np.take(self.pulses.outcomes, pulses))
 
 
-def prepare_pulses(n: int, words: Words) -> tuple[np.ndarray, np.ndarray]:
+def prepare_pulses(
+    n: int, seeds: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Draw ``n`` independent uniform bits, then ``n`` uniform bases, one
-    row per session; pulse i encodes bit i in basis i."""
+    row per seed; pulse i encodes bit i in basis i."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return random_bits(words, n), random_bits(words, n)
+    return (random_bits(seeds, ALICE_BITS, n),
+            random_bits(seeds, ALICE_BASES, n))
 
 
 def transmit(
     codes: np.ndarray,
     adversary: ChannelTable,
     efficiency: float,
-    words: Words,
+    seeds: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Pass the pulses ``BQS[codes]`` through the adversary, then through
     detector loss.
 
-    ``codes`` holds one row of pulses per session.  The adversary draws one
-    53-bit key per pulse; then, when ``efficiency < 1``, loss draws one per
-    pulse, and a pulse is lost when its key k has k * 2**-53 >=
-    ``efficiency``, a 53-bit key against ceil(efficiency * 2**53).  A table
-    without ``reads_keys`` (``none``, ``indirect-oracle``) still consumes
-    its keys' outputs, through ``Words.skip``, but nothing decodes them.
-    Returns the adversary's outcomes (indices into her table) and the loss
-    mask.  The adversary acts before loss, so her outcome exists even for
-    lost pulses.
+    ``codes`` holds one row of pulses per seed.  The adversary reads one
+    53-bit key per pulse from her stage, when her table has ``reads_keys``;
+    a table with a single outcome per sent state (``none``,
+    ``indirect-oracle``) computes none.  When ``efficiency < 1``, loss reads
+    one key per pulse from its own stage, and a pulse is lost when its key
+    k has k * 2**-53 >= ``efficiency``, a 53-bit key against
+    ceil(efficiency * 2**53).  Returns the adversary's outcomes (indices
+    into her table) and the loss mask.  The adversary acts before loss, so
+    her outcome exists even for lost pulses.
     """
-    blocks = [np.s_[:, start : start + BLOCK]
-              for start in range(0, codes.shape[1], BLOCK)]
+    starts = range(0, codes.shape[1], BLOCK)
     outcomes = np.empty(codes.shape, dtype=np.uint8)
-    for block in blocks:
-        sent = codes[block]
+    for start in starts:
+        sent = codes[:, start : start + BLOCK]
         drawn = None
         if adversary.reads_keys:
-            drawn = keys(words, sent.shape[1])
-        else:
-            words.skip(2 * sent.shape[1])  # two outputs per key
-        outcomes[block] = adversary.intercept(sent, drawn)
+            drawn = keys(seeds, ADVERSARY, sent.shape[1], start)
+        outcomes[:, start : start + BLOCK] = adversary.intercept(sent, drawn)
     lost = np.zeros(codes.shape, dtype=bool)
     if efficiency < 1.0:
         edge = threshold(efficiency)
-        for block in blocks:
-            np.greater_equal(keys(words, lost[block].shape[1]), edge,
-                             out=lost[block])
+        for start in starts:
+            block = lost[:, start : start + BLOCK]
+            np.greater_equal(keys(seeds, LOSS, block.shape[1], start), edge,
+                             out=block)
     return outcomes, lost
 
 
@@ -203,114 +209,92 @@ def sift(pulses: Pulses) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 _ODD = np.array([bin(byte).count("1") & 1 for byte in range(256)], np.uint8)
+# _BELOW[k] has the k low bits of a value set, for k in [0, 64].
+_BELOW = np.array([(1 << k) - 1 for k in range(65)], np.uint64)
+_ONE, _TOP, _BYTE = np.uint64(1), np.uint64(63), np.uint64(0xFF)
+_FOLDS = (np.uint64(32), np.uint64(16), np.uint64(8))
 
 
 def _row_parity(words: np.ndarray) -> np.ndarray:
-    """Parity of the set bits of each row of uint32 words: the XOR of the
+    """Parity of the set bits of each row of uint64 values: the XOR of the
     row folded to one byte, read off ``_ODD``."""
     folded = np.bitwise_xor.reduce(words, axis=1)
-    folded ^= folded >> 16
-    folded ^= folded >> 8
-    return _ODD[folded & 0xFF]
+    for shift in _FOLDS:
+        folded ^= folded >> shift
+    return _ODD[folded & _BYTE]
 
 
 def _low_bit(words: np.ndarray) -> np.ndarray:
-    """Index of the lowest set bit of each nonzero uint32 word: the
+    """Index of the lowest set bit of each nonzero uint64 value: the
     exponent of that bit alone, which a float holds exactly."""
-    return np.frexp(words & (~words + np.uint32(1)))[1] - 1
-
-
-# _BELOW[k] has the k low bits of a word set, for k in [0, 32].
-_BELOW = np.array([(1 << k) - 1 for k in range(33)], np.uint32)
+    return np.frexp(words & (~words + _ONE))[1] - 1
 
 
 def _drop_bit(words: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """Each row of uint32 words read as one bit string, bit i in bit
-    i % 32 of word i // 32, with bit ``index[s]`` of row s taken out and
+    """Each row of uint64 values read as one bit string, bit i in bit
+    i % 64 of value i // 64, with bit ``index[s]`` of row s taken out and
     the bits above it moved down one place."""
-    shifted = words >> 1
-    shifted[:, :-1] |= words[:, 1:] << 31
-    # Word c keeps its bits below index - 32c from ``words``.
-    reach = index[:, None] - 32 * np.arange(words.shape[1])
+    shifted = words >> _ONE
+    shifted[:, :-1] |= words[:, 1:] << _TOP
+    # Value c keeps its bits below index - 64c from ``words``.
+    reach = index[:, None] - 64 * np.arange(words.shape[1])
     below = np.take(_BELOW, reach, mode="clip")
     return shifted ^ ((words ^ shifted) & below)
 
 
-def _aligned(
-    outputs: np.ndarray, offsets: np.ndarray, live: np.ndarray
-) -> np.ndarray:
-    """A copy of ``outputs`` in which round j of session s, the
-    ceil(live[j, s] / 32) outputs of row s from column ``offsets[j, s]``,
-    has its last output shifted to give its high bits when live[j, s] is
-    not a multiple of 32, so that coin i of the round is bit i % 32 of its
-    word i // 32."""
-    coins = np.array(outputs)
-    last = offsets + (live + 31) // 32 - 1
-    coins[np.arange(len(coins)), last] >>= ((-live) % 32).astype(np.uint32)
+def _coins(seeds, stages, live, attempt) -> np.ndarray:
+    """Attempt ``attempt`` at the coins of the parity rounds whose seeds,
+    stages and live counts the arrays give, one row each: the
+    W = ceil(live / 64) values of the round's stage from ``attempt * W``
+    on, coin i being bit i of the row, and the bits past ``live`` cleared.
+    """
+    sizes = (live + 63) // 64
+    coins = values(seeds, stages, sizes, attempt * sizes)
+    cut = np.flatnonzero(live % 64)
+    coins[cut, sizes[cut] - 1] &= np.take(_BELOW, live[cut] % 64)
     return coins
 
 
-def _first_words(
-    coins: np.ndarray, offsets: np.ndarray, live: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """For round j of session s, entry [j, s], the index of the first
-    nonzero word of its coins in ``coins`` (see ``_aligned``) and that
-    word, 0 for a round whose coins all came up 0."""
-    sessions = np.arange(len(coins))
-    lowest = coins[sessions, offsets]
-    first = np.zeros(live.shape, dtype=np.int64)
-    # A round's first word is zero only when all its coins there are.
+def _first_words(coins: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each row of ``coins``, the index of its first nonzero value and
+    that value, 0 for a row whose coins all came up 0."""
+    lowest = coins[:, 0].copy()
+    first = np.zeros(len(coins), dtype=np.int64)
+    # A row's first value is zero only when all its coins there are.
     rare = np.flatnonzero(lowest == 0)
     if len(rare):
-        sizes = (live.ravel()[rare] + 31) // 32
-        columns = np.arange(sizes.max())
-        starts = offsets.ravel()[rare] + rare % len(sessions) * coins.shape[1]
-        words = np.take(coins, starts[:, None] + columns, mode="clip")
-        words *= columns < sizes[:, None]
-        found = (words != 0).argmax(axis=1)
-        first.reshape(-1)[rare] = found
-        lowest.reshape(-1)[rare] = words[np.arange(len(rare)), found]
+        found = (coins[rare] != 0).argmax(axis=1)
+        first[rare] = found
+        lowest[rare] = coins[rare, found]
     return first, lowest
-
-
-def _append(
-    outputs: np.ndarray, filled: np.ndarray, fresh: np.ndarray,
-    counts: np.ndarray,
-) -> np.ndarray:
-    """``outputs`` with the first ``counts[s]`` columns of ``fresh[s]``
-    placed after the ``filled[s]`` columns of row s."""
-    width = max(outputs.shape[1], int((filled + counts).max()))
-    grown = np.zeros((len(outputs), width), outputs.dtype)
-    grown[:, : outputs.shape[1]] = outputs
-    for s in np.flatnonzero(counts):
-        grown[s, filled[s] : filled[s] + counts[s]] = fresh[s, : counts[s]]
-    return grown
 
 
 def parity_verify(
     alice_bits: Sequence[int],
     bob_bits: Sequence[int],
     rounds: int,
-    words: Words,
+    seeds: np.ndarray,
     lengths: Sequence[int],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Run ``rounds`` public random-subset parity comparisons on the keys
     of a batch of sessions.
 
     The keys lay the sessions' keys end to end, session s owning
-    ``lengths[s]`` bits and drawing from row s of ``words``; ``lengths``
-    must hold one entry per row and sum to the key length, or
-    ``ValueError`` is raised.  Each round of a session samples a uniform
-    nonempty subset of the still-live positions (one fair coin per live
-    position, in ascending order, all drawn again if none comes up 1),
-    compares the two parities, and discards the lowest-indexed subset
-    member from both keys.  A differing key pair trips a round with
-    probability 1/2, so ``rounds`` independent rounds certify agreement
-    except with probability ~2**-rounds, at the cost of ``rounds`` bits.
+    ``lengths[s]`` bits and drawing with ``seeds[s]``; ``lengths`` must
+    hold one entry per seed and sum to the key length, or ``ValueError``
+    is raised.  Each round of a session samples a uniform nonempty subset
+    of the still-live positions (one fair coin per live position, in
+    ascending order, all drawn again if none comes up 1), compares the two
+    parities, and discards the lowest-indexed subset member from both
+    keys.  A differing key pair trips a round with probability 1/2, so
+    ``rounds`` independent rounds certify agreement except with
+    probability ~2**-rounds, at the cost of ``rounds`` bits.
 
-    Every round of every session is drawn and discards its member, whatever
-    the keys: all rounds' coins are taken at once, as packed 32-bit words,
-    a session whose subset came up empty draws that round again, and the
+    Round j draws its L - j coins from stage ``stream.PARITY + j``, in
+    W = ceil((L - j) / 64) values, and attempt a at them takes the W
+    values from a * W on.  Every round of every session is drawn and
+    discards its member, whatever the keys: all rounds' first attempts are
+    taken at once, only a round that came up empty is drawn again, and the
     discarded positions follow from the lowest set bits.  A parity is
     computed only where it can change a flag, for a session whose keys
     differ, up to its first mismatch.  Returns (detected, kept): a flag per
@@ -319,12 +303,13 @@ def parity_verify(
     """
     alice = np.asarray(alice_bits, dtype=np.uint8)
     bob = np.asarray(bob_bits, dtype=np.uint8)
-    lengths = np.asarray(lengths)
+    lengths = np.asarray(lengths, dtype=np.int64)
+    seeds = np.asarray(seeds, dtype=np.uint64)
     if len(alice) != len(bob):
         raise ValueError("keys must have equal length")
-    if len(lengths) != len(words):
+    if len(lengths) != len(seeds):
         raise ValueError(
-            f"{len(lengths)} key lengths for {len(words)} sessions"
+            f"{len(lengths)} key lengths for {len(seeds)} sessions"
         )
     if lengths.sum() != len(alice):
         raise ValueError(
@@ -339,33 +324,26 @@ def parity_verify(
         )
     detected = np.zeros(len(lengths), dtype=bool)
     kept = np.ones(len(alice), dtype=bool)
-    if rounds == 0:
+    if rounds == 0 or not len(lengths):
         return detected, kept
-    # Round j draws one coin per live position, L - j of them, in
-    # ceil((L - j) / 32) outputs.  All rounds' outputs are taken at once;
-    # round j of session s is entry [j, s] below.
-    live = lengths - np.arange(rounds)[:, None]
-    sizes = (live + 31) // 32
-    offsets = np.cumsum(sizes, axis=0) - sizes
-    filled = sizes.sum(axis=0)
-    outputs = words.take(filled)
-    while True:
-        coins = _aligned(outputs, offsets, live)
-        first, lowest = _first_words(coins, offsets, live)
-        drew = lowest != 0
-        if drew.all():
-            break
-        # A session's first empty round draws again from its next outputs,
-        # which moves its later rounds on.
-        redo = drew.argmin(axis=0)
-        extra = np.where(drew.all(axis=0), 0,
-                         sizes[redo, np.arange(len(lengths))])
-        offsets += np.where(np.arange(rounds)[:, None] >= redo, extra, 0)
-        outputs = _append(outputs, filled, words.take(extra), extra)
-        filled += extra
+    # Round j of session s is row j * sessions + s of ``coins``.
+    sessions = len(lengths)
+    live = (lengths - np.arange(rounds)[:, None]).ravel()
+    row_seeds = np.tile(seeds, rounds)
+    stages = PARITY + np.arange(rounds).repeat(sessions)
+    coins = _coins(row_seeds, stages, live, 0)
+    first, lowest = _first_words(coins)
+    empty = np.flatnonzero(lowest == 0)
+    attempt = 0
+    while len(empty):
+        attempt += 1
+        fresh = _coins(row_seeds[empty], stages[empty], live[empty], attempt)
+        coins[empty, : fresh.shape[1]] = fresh
+        first[empty], lowest[empty] = _first_words(fresh)
+        empty = empty[lowest[empty] == 0]
     # Round j discards its lowest member, a live index, which becomes a key
     # position once the earlier discards are undone, latest first.
-    discarded = 32 * first + _low_bit(lowest)
+    discarded = (64 * first + _low_bit(lowest)).reshape(rounds, sessions)
     positions = discarded.copy()
     for j in range(rounds - 2, -1, -1):
         later = positions[j + 1 :]
@@ -380,18 +358,15 @@ def parity_verify(
     if not len(spots):
         return detected, kept
     owner = np.searchsorted(starts + lengths, spots, side="right")
-    active = np.flatnonzero(np.bincount(owner, minlength=len(lengths)))
-    columns = np.arange(sizes[0].max())
-    rows = np.zeros((len(lengths), 32 * len(columns)), np.uint8)
+    active = np.flatnonzero(np.bincount(owner, minlength=sessions))
+    rows = np.zeros((sessions, 64 * coins.shape[1]), np.uint8)
     rows[owner, spots - starts[owner]] = 1
-    # Bit i of a row marks live index i of the round at hand, so the words
-    # read past a round's own, which belong to later rounds, meet zeros.
+    # Bit i of a row marks live index i of the round at hand; the bits past
+    # a round's live count meet cleared coins.
     differ = np.packbits(rows[active], axis=1, bitorder="little")
-    differ = differ.view(coins.dtype)
-    at = offsets + np.arange(len(lengths)) * coins.shape[1]
+    differ = differ.view("<u8").astype(np.uint64, copy=False)
     for j in range(rounds):
-        drawn = np.take(coins, at[j, active, None] + columns, mode="clip")
-        trip = _row_parity(drawn & differ) != 0
+        trip = _row_parity(coins[j * sessions + active] & differ) != 0
         detected[active[trip]] = True
         active, differ = active[~trip], differ[~trip]
         if not len(active) or j + 1 == rounds:
@@ -403,54 +378,52 @@ def parity_verify(
 def run_batch(
     config: SessionConfig,
     adversary: ChannelTable,
-    rngs: Sequence[random.Random],
+    seeds: Sequence[int],
     flip: bool = False,
 ) -> SessionBatch:
-    """Execute one full session per generator in ``rngs``, as one batch.
+    """Execute one full session per seed in ``seeds``, as one batch.
 
-    Session s draws from ``rngs[s]``, stage by stage in the order
-    documented in ``harness``, whatever else the batch holds, so its
-    columns and its generator's end state are those of a batch of one.
-    Each stage draws its outputs when it runs, one ``getrandbits`` call
-    per session (per ``stream.BLOCK`` keys in a per-pulse stage).  With
+    Session s draws with ``seeds[s]``, each stage from its own range of
+    the stream as documented in ``harness``, whatever else the batch
+    holds, so its columns are those of a batch of one.  With
     ``parity_rounds == 0`` verification is skipped and the sifted key is
-    taken as reconciled.  With ``flip``, one key k per session, drawn
-    after the measurements, flips receiver sifted bit floor(u * L) of the
-    L-bit key before verification, for the uniform u = k * 2**-53; a
-    session without sifted bits then raises ``ValueError``.  An error of
-    any session raises.  Returns the batch's pulse columns, the
-    adversary's table, sifted keys, survivor mask ``kept`` and detection
-    flags as a ``SessionBatch``.
+    taken as reconciled.  With ``flip``, one key k per session, from its
+    flip stage, flips receiver sifted bit floor(u * L) of the L-bit key
+    before verification, for the uniform u = k * 2**-53; a session without
+    sifted bits then raises ``ValueError``.  An error of any session
+    raises.  Returns the batch's pulse columns, the adversary's table,
+    sifted keys, survivor mask ``kept`` and detection flags as a
+    ``SessionBatch``.
     """
     n = config.n_pulses
-    words = Words(rngs)
-    alice_bits, alice_bases = prepare_pulses(n, words)
-    bob_bases = random_bits(words, n)
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    alice_bits, alice_bases = prepare_pulses(n, seeds)
+    bob_bases = random_bits(seeds, BOB_BASES, n)
     outcomes, lost = transmit(
-        2 * alice_bases + alice_bits, adversary, config.efficiency, words
+        2 * alice_bases + alice_bits, adversary, config.efficiency, seeds
     )
     bob_bits = measure(
-        adversary.bit0_thresholds, outcomes, bob_bases, words
+        adversary.bit0_thresholds, outcomes, bob_bases, seeds
     ).view(np.int8)
     bob_bits[lost] = -1
     pulses = Pulses(alice_bits, alice_bases, outcomes, bob_bases, bob_bits)
     sifted_alice, sifted_bob, sifted = sift(pulses)
     # Session s owns the sifted indices in [s * n, (s + 1) * n).
-    bounds = np.searchsorted(sifted, np.arange(len(words) + 1) * n)
+    bounds = np.searchsorted(sifted, np.arange(len(seeds) + 1) * n)
     starts, lengths = bounds[:-1], np.diff(bounds)
     if flip:
         if not lengths.all():
             raise ValueError("no sifted bits to flip")
-        u = keys(words, 1)[:, 0] * 2.0**-53
+        u = keys(seeds, FLIP, 1)[:, 0] * 2.0**-53
         flipped = np.minimum((u * lengths).astype(np.int64), lengths - 1)
         sifted_bob[starts + flipped] ^= 1
 
     if config.parity_rounds > 0:
         detected, kept = parity_verify(
-            sifted_alice, sifted_bob, config.parity_rounds, words, lengths
+            sifted_alice, sifted_bob, config.parity_rounds, seeds, lengths
         )
     else:
-        detected = np.zeros(len(words), dtype=bool)
+        detected = np.zeros(len(seeds), dtype=bool)
         kept = np.ones(len(sifted), dtype=bool)
     return SessionBatch(
         pulses=pulses,
@@ -466,8 +439,8 @@ def run_batch(
 
 
 def run_session(
-    config: SessionConfig, adversary: ChannelTable, rng: random.Random
+    config: SessionConfig, adversary: ChannelTable, seed: int
 ) -> SessionBatch:
-    """Execute one full session drawing from ``rng``: ``run_batch`` on a
-    batch of one."""
-    return run_batch(config, adversary, [rng])
+    """Execute the one session of seed ``seed``: ``run_batch`` on a batch
+    of one."""
+    return run_batch(config, adversary, [seed])

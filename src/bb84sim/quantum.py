@@ -8,8 +8,9 @@ difference.  The four signal states are the ray angles ``BQS``, and a
 signal state is named by its code, an index into ``BQS``.  ``measure``
 works on a whole batch of sessions at once, one row per session: each
 state is an index into a table of thresholds that ``bit0_thresholds``
-computes once, and each outcome is a 53-bit key against ceil(p0 * 2**53)
-for the state's Born probability p0 of bit 0, with no cosine per pulse.
+computes once, and each outcome is a 53-bit key of the measurement stage
+against ceil(p0 * 2**53) for the state's Born probability p0 of bit 0,
+with no cosine per pulse.
 """
 
 import math
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateAncillaError, NoMatchError
-from .stream import BLOCK, Words, keys, threshold
+from .stream import BLOCK, MEASURE, keys, threshold
 
 # Tolerance for matching squared-overlap values: far below the smallest
 # gap between table entries (~0.18 for the default ancilla), far above
@@ -79,19 +80,20 @@ def bit0_thresholds(
 
 def measure(
     thresholds: np.ndarray, states: np.ndarray, bases: np.ndarray,
-    words: Words,
+    seeds: np.ndarray,
 ) -> np.ndarray:
     """Projective measurement of a batch of states, one row per session.
 
     State [s, i] is state ``states[s, i]`` of ``thresholds``, a table from
     ``bit0_thresholds``, measured in its basis ``bases[s, i]``.  Row s
-    draws one 53-bit key per state from row s of ``words``, and the
-    outcome is bit 0 when the key falls below the state's threshold
+    reads key i of the measurement stage of ``seeds[s]`` for state i, and
+    the outcome is bit 0 when the key falls below the state's threshold
     ``thresholds[states[s, i], bases[s, i]]``: a 53-bit key against
-    ceil(p0 * 2**53), the decision ``random() >= p0`` makes for bit 1.
+    ceil(p0 * 2**53), the decision u >= p0 for bit 1 on the key's uniform
+    u = k * 2**-53.
     Returns the outcome bits as uint8; the state collapses onto the
     eigenstate of its bit.  The states are taken ``BLOCK`` at a time along
-    each row, which bounds the temporaries without changing the draws.
+    each row, which bounds the temporaries without changing the keys.
     """
     flat, width = thresholds.ravel(), thresholds.shape[1]
     bits = np.empty(states.shape, dtype=np.uint8)
@@ -100,7 +102,7 @@ def measure(
         index = np.multiply(states[block], width, dtype=np.intp)
         index += bases[block]
         np.greater_equal(
-            keys(words, index.shape[1]), np.take(flat, index),
+            keys(seeds, MEASURE, index.shape[1], start), np.take(flat, index),
             out=bits[block], casting="unsafe",
         )
     return bits

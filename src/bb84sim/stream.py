@@ -1,30 +1,31 @@
-"""Bulk draws from the ``random.Random`` generators of a batch of sessions.
+"""The counter-based random stream every stage draws from.
 
-Every stage of a session takes its randomness as a ``Words`` batch, with
-one row per session (a lone session is a batch of one), and draws through
-``random_bits`` and ``keys``, which return one row per session.  Both read
-the 32-bit Mersenne Twister outputs of each session's generator in order
-and decode them with numpy, so the outputs a stage consumes depend only on
-how many values it asks for; values nothing reads are consumed through
-``Words.skip`` without decoding.  A k-bit draw consumes ceil(k / 32) outputs,
-as ``rng.getrandbits(k)`` does: bit i of the draw is bit i of the
-concatenated outputs, least significant first, except that a draw with
-k mod 32 = m > 0 takes the *high* m bits of its last output.  A key
-consumes two outputs: it is the 53-bit integer k for which
-``random.Random.random`` would return k * 2**-53.
+Value j of stage g in the session with seed σ is a pure function of
+(σ, g, j): ``derive_seed(σ, g * 2**40 + j)``, the SplitMix64 finaliser
+applied to σ + (g * 2**40 + j + 1) * γ mod 2**64 (Steele, Lea and Flood,
+"Fast splittable pseudorandom number generators", OOPSLA 2014; on
+counter-based generators in general, Salmon, Moraes, Dror and Shaw,
+"Parallel random numbers: as easy as 1, 2, 3", SC 2011).  A session's
+seed is ``derive_seed(master_seed, i)`` by the same mix, and the stages
+are the constants below.  No value depends on any other draw, so a stage
+draws exactly the values it reads, in pieces of any size and in any
+order, and a stage nobody reads is never computed and moves nothing.
+
+Each value gives 64 bits.  A k-bit draw takes ceil(k / 64) values, bit i
+of the draw being bit i mod 64 of value i // 64, least significant first;
+the bits past k in the last value are not used.  A key is a value's top
+53 bits, value >> 11.
 
 Every random decision is a 53-bit key against ceil(p * 2**53), the
 ``threshold`` of its probability p: for u = k * 2**-53 and any float p in
 [0, 1], u >= p exactly when k >= ceil(p * 2**53), since p * 2**53 is
-exact.  So a decision made on keys is the one ``random() >= p`` makes,
-with no float in between.
+exact.  So a decision made on keys is the one ``u >= p`` makes, with no
+float in between.
 
-Because every draw consumes whole outputs, a session's outputs can be
-drawn in pieces of any size without changing any value: one
-``getrandbits(32 * w)`` call yields the next w outputs.  Each stage draws
-its own outputs when it runs, one call per session, and ``Words`` is the
-one class that draws from a generator: ``Words.take`` for outputs a stage
-reads, ``Words.skip`` for outputs it only consumes.
+All arithmetic is on uint64 arrays of one dimension or more, which wrap
+modulo 2**64 without a warning, where numpy scalars would warn; nothing
+mixes signed and unsigned integers, so numpy 1.x and 2.x give the same
+values.
 """
 
 import numpy as np
@@ -33,62 +34,76 @@ _TWO_POW_53 = 9007199254740992.0
 # Items a batched stage handles at a time, which bounds its temporaries.
 BLOCK = 1 << 13
 
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MUL1 = np.uint64(0xBF58476D1CE4E5B9)
+_MUL2 = np.uint64(0x94D049BB133111EB)
+_SHIFTS = (np.uint64(30), np.uint64(27), np.uint64(31))
+_KEY_SHIFT = np.uint64(11)
 
-class Words:
-    """The 32-bit outputs of a batch of generators: row s reads those of
-    ``rngs[s]``, in order.
-
-    Outputs are drawn when ``take`` or ``skip`` asks for them, one
-    ``getrandbits`` call per row, and nothing beyond them, so each
-    generator stands where the same draws made on it one by one would
-    leave it.
-    """
-
-    def __init__(self, rngs):
-        self.rngs = list(rngs)
-
-    def __len__(self) -> int:
-        return len(self.rngs)
-
-    def take(self, counts) -> np.ndarray:
-        """The next ``counts[s]`` outputs of row s (a scalar serves every
-        row), as a uint32 array of shape (rows, max count) that must not be
-        written to; row s holds its outputs in its first ``counts[s]``
-        columns and zeros after them."""
-        if np.ndim(counts):
-            rows = counts.tolist()
-            width = max(rows, default=0)
-        else:
-            rows, width = [counts] * len(self), counts
-        data = np.frombuffer(b"".join([
-            rng.getrandbits(32 * count).to_bytes(4 * count, "little")
-            for rng, count in zip(self.rngs, rows)
-        ]), "<u4")
-        if min(rows, default=width) == width:
-            return data.reshape(len(self), width)
-        words = np.zeros((len(self), width), "<u4")
-        words[np.arange(width) < counts[:, None]] = data
-        return words
-
-    def skip(self, counts) -> None:
-        """Move row s past its next ``counts[s]`` outputs (a scalar serves
-        every row) without reading them, for a stage whose values nothing
-        reads: one ``getrandbits`` call per row whose int is discarded
-        unconverted, so each generator ends where ``take`` would leave
-        it."""
-        rows = counts.tolist() if np.ndim(counts) else [counts] * len(self)
-        for rng, count in zip(self.rngs, rows):
-            rng.getrandbits(32 * count)
+# The stages of a session, numbered as the contract in ``harness`` lists
+# them.  Parity round r draws from stage PARITY + r; a stage's values run
+# over j < 2**40, and stages stay below 2**24 so that g * 2**40 + j + 1
+# fits in 64 bits.
+ALICE_BITS, ALICE_BASES, BOB_BASES, ADVERSARY, LOSS, MEASURE, FLIP, \
+    TOEPLITZ = range(8)
+PARITY = 1 << 16
+STAGES = 1 << 24
+_STAGE_SHIFT = np.uint64(40)
 
 
-def random_bits(words: Words, k: int) -> np.ndarray:
-    """``k`` fair bits as uint8 per generator: row s holds bit i of
-    ``words.rngs[s].getrandbits(k)`` in column i."""
-    block = np.array(words.take((k + 31) // 32))
-    if k % 32:
-        # A partial last output gives its high bits.
-        block[:, -1] >>= 32 - k % 32
-    return np.unpackbits(block.view(np.uint8), axis=1, count=k,
+def _mix(x: np.ndarray) -> np.ndarray:
+    """The SplitMix64 finaliser, in place on a uint64 array."""
+    x ^= x >> _SHIFTS[0]
+    x *= _MUL1
+    x ^= x >> _SHIFTS[1]
+    x *= _MUL2
+    x ^= x >> _SHIFTS[2]
+    return x
+
+
+def _row(x) -> np.ndarray:
+    """``x`` as a one-dimensional uint64 array: numpy scalars would warn
+    as they wrap."""
+    return np.asarray(x, np.uint64).reshape(-1)
+
+
+def derive_seed(seed, index):
+    """SplitMix64 mix of (seed, index), the finaliser of seed + (index + 1)
+    * γ mod 2**64; distinct per index.  Two Python ints give a Python int;
+    uint64 arrays, broadcast against each other, give a uint64 array."""
+    if isinstance(seed, int) and isinstance(index, int):
+        return int(derive_seed(_row(seed), _row(index))[0])
+    counts = np.asarray(index, np.uint64) + np.uint64(1)
+    return _mix(np.asarray(seed, np.uint64) + counts * _GAMMA)
+
+
+# j * γ for the first BLOCK counters j, shared by every draw that fits.
+_STEPS = np.arange(BLOCK, dtype=np.uint64) * _GAMMA
+
+
+def values(seeds, stage, count, start=0) -> np.ndarray:
+    """Values ``start`` to ``start + count - 1`` of ``stage`` for each seed
+    of the uint64 array ``seeds``, as a uint64 array of shape (rows, max
+    count).  ``stage``, ``count`` and ``start`` may each be a scalar or an
+    array with one entry per row; row s holds its ``count[s]`` values in
+    its first columns and zeros after them."""
+    uneven = np.ndim(count) > 0
+    width = int(np.max(count, initial=0)) if uneven else count
+    first = (_row(stage) << _STAGE_SHIFT) + _row(start) + np.uint64(1)
+    rows = np.asarray(seeds, np.uint64) + first * _GAMMA
+    steps = (_STEPS[:width] if width <= BLOCK
+             else np.arange(width, dtype=np.uint64) * _GAMMA)
+    out = _mix(rows[:, None] + steps)
+    if uneven:
+        out *= np.arange(width) < np.asarray(count)[:, None]
+    return out
+
+
+def random_bits(seeds, stage, k: int) -> np.ndarray:
+    """``k`` fair bits of ``stage`` per seed, as uint8: row s holds bit i
+    of the stage's values in column i."""
+    data = values(seeds, stage, (k + 63) // 64).astype("<u8", copy=False)
+    return np.unpackbits(data.view(np.uint8), axis=1, count=k,
                          bitorder="little")
 
 
@@ -98,19 +113,10 @@ def threshold(p) -> np.ndarray:
     return np.ceil(np.multiply(p, _TWO_POW_53)).astype(np.uint64)
 
 
-def keys(words: Words, n: int) -> np.ndarray:
-    """``n`` 53-bit keys as uint64 per generator.
-
-    Key i is k = ((a >> 5) << 26) | (b >> 6) for 32-bit outputs a = 2i and
-    b = 2i + 1, the k for which ``random.Random.random`` returns
-    k * 2**-53, so row s times 2**-53 equals ``n`` successive
-    ``words.rngs[s].random()`` calls.  A caller bounds the temporaries by
-    asking for ``BLOCK`` keys at a time.
-    """
-    # Each little-endian pair of outputs read as one a | b << 32.
-    pairs = words.take(2 * n).view("<u8")
-    out = pairs & 0xFFFFFFFF
-    out >>= 5
-    out <<= 26
-    out |= pairs >> 38
+def keys(seeds, stage, n: int, start: int = 0) -> np.ndarray:
+    """Keys ``start`` to ``start + n - 1`` of ``stage`` per seed, as
+    uint64: each the top 53 bits of its value.  A caller bounds the
+    temporaries by asking for ``BLOCK`` keys at a time."""
+    out = values(seeds, stage, n, start)
+    out >>= _KEY_SHIFT
     return out

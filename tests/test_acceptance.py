@@ -43,7 +43,6 @@ from bb84sim.quantum import (
     measure,
     reduce_angle,
 )
-from bb84sim.stream import Words
 from test_adversary import enumerate_single_shot_qber
 from test_protocol import eve_bits, qber
 
@@ -123,7 +122,7 @@ def test_criterion_4_single_shot_attack_detectability():
     measured = qber(run_session(
         SessionConfig(n_pulses=100_000),
         channel_table("indirect-physical"),
-        random.Random(derive_seed(4, 0)),
+        derive_seed(4, 0),
     ))
     ok = abs(analytic - 0.2835) <= 5e-4 and abs(measured - analytic) <= 0.01
     report(
@@ -182,17 +181,16 @@ def test_criterion_6_sifting_fraction():
 def test_criterion_7_born_rule_frequencies():
     started = time.perf_counter()
     trials = 100_000
-    words = Words([random.Random(7)])
     diagonal_state = BQS[2]
     first = np.zeros((1, trials), dtype=np.uint8)  # state 0 in basis 0
     outcomes = measure(
         bit0_thresholds([diagonal_state], BASIS_ANGLES[:1]), first, first,
-        words,
+        [derive_seed(7, 0)],
     )
     freq_half = np.count_nonzero(outcomes == 0) / trials
     probe = reduce_angle(DEFAULT_ANCILLA_ANGLE)
     outcomes = measure(
-        bit0_thresholds([BQS[0]], [probe]), first, first, words
+        bit0_thresholds([BQS[0]], [probe]), first, first, [derive_seed(7, 1)]
     )
     freq_tilted = np.count_nonzero(outcomes == 0) / trials
     bound_half = 4 * math.sqrt(0.5 * 0.5 / trials)
@@ -221,7 +219,8 @@ def test_criterion_8a_compress_linearity():
         t = rng.randrange(0, n - 2)
         s = rng.randrange(1, n - t)
         descriptor = sample_hash(
-            PrivacyParams(input_bits=n, leak_bits=t, margin_bits=s), rng
+            PrivacyParams(input_bits=n, leak_bits=t, margin_bits=s),
+            rng.getrandbits(64),
         )
         a = np.array([rng.getrandbits(1) for _ in range(n)], dtype=np.uint8)
         b = np.array([rng.getrandbits(1) for _ in range(n)], dtype=np.uint8)
@@ -245,7 +244,7 @@ def test_criterion_8b_two_universal_collisions():
     trials = 100_000
     collisions = 0
     for _ in range(trials):
-        descriptor = sample_hash(params, rng)
+        descriptor = sample_hash(params, rng.getrandbits(64))
         collisions += np.array_equal(
             compress(a, descriptor), compress(b, descriptor)
         )
@@ -265,7 +264,8 @@ def test_criterion_8c_output_length():
     for n, t, s in ((64, 16, 16), (128, 32, 31), (256, 200, 16), (20, 0, 1)):
         params = PrivacyParams(input_bits=n, leak_bits=t, margin_bits=s)
         key = [rng.getrandbits(1) for _ in range(n)]
-        ok &= len(compress(key, sample_hash(params, rng))) == n - t - s
+        descriptor = sample_hash(params, rng.getrandbits(64))
+        ok &= len(compress(key, descriptor)) == n - t - s
     config = ExperimentConfig(
         n_pulses=600, n_sessions=5, eve_kind="intercept-resend",
         pa_leak_bits=64, pa_margin_bits=8, master_seed=83,
@@ -278,7 +278,7 @@ def test_criterion_8c_output_length():
 
 def _attack_batch(eve, master_seed, count):
     return run_batch(SessionConfig(n_pulses=700), eve, [
-        random.Random(derive_seed(master_seed, i)) for i in range(count)
+        derive_seed(master_seed, i) for i in range(count)
     ])
 
 
@@ -291,7 +291,7 @@ def test_criterion_8d_oracle_advantage_saturates():
     for margin in (4, 8, 16):
         params = PrivacyParams(input_bits=256, leak_bits=200, margin_bits=margin)
         advantages.append(
-            eve_residual_information(batch, params, random.Random(13))
+            eve_residual_information(batch, params, 13)
         )
     ok = all(adv == 0.5 for adv in advantages)
     report(
@@ -317,7 +317,7 @@ def test_criterion_8e_intercept_resend_advantage_decreasing():
     for margin in (4, 8, 16):
         params = PrivacyParams(input_bits=256, leak_bits=leak, margin_bits=margin)
         advantages.append(
-            eve_residual_information(batch, params, random.Random(88))
+            eve_residual_information(batch, params, 88)
         )
     ok = advantages[0] > advantages[1] > advantages[2]
     report(

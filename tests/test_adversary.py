@@ -25,7 +25,7 @@ from bb84sim.quantum import (
     reduce_angle,
     squared_overlap,
 )
-from bb84sim.stream import Words, keys
+from bb84sim.stream import ADVERSARY, keys
 from test_protocol import eve_bits, qber
 
 BQS_ANGLES = (0.0, math.pi / 2, math.pi / 4, 3 * math.pi / 4)
@@ -132,7 +132,7 @@ def forwarded_and_guesses(eve, codes, drawn):
 def sample(eve, codes, seed):
     """Intercept the pulses BQS[codes] with fresh keys."""
     codes = np.asarray(codes, dtype=np.uint8)
-    drawn = keys(Words([random.Random(seed)]), len(codes))[0]
+    drawn = keys([seed], ADVERSARY, len(codes))[0]
     return forwarded_and_guesses(eve, codes, drawn)
 
 
@@ -174,7 +174,7 @@ class TestNoEve:
     def test_zero_qber_in_session(self):
         batch = run_session(
             SessionConfig(n_pulses=5_000), channel_table("none"),
-            random.Random(5),
+            5,
         )
         assert qber(batch) == 0.0
         assert batch.guesses(batch.sifted) is None
@@ -212,7 +212,7 @@ class TestInterceptResend:
     def test_session_qber_near_one_quarter(self):
         batch = run_session(
             SessionConfig(n_pulses=100_000), channel_table("intercept-resend"),
-            random.Random(8),
+            8,
         )
         assert qber(batch) == pytest.approx(0.25, abs=0.01)
 
@@ -222,7 +222,7 @@ class TestInterceptResend:
         expected = (1.0 + 0.5) / 2.0
         batch = run_session(
             SessionConfig(n_pulses=100_000), channel_table("intercept-resend"),
-            random.Random(9),
+            9,
         )
         hits = np.count_nonzero(eve_bits(batch) == batch.sifted_alice)
         assert hits / len(batch.sifted_alice) == pytest.approx(
@@ -236,7 +236,7 @@ class TestInterceptResend:
         batch = run_session(
             SessionConfig(n_pulses=100_000),
             channel_table("intercept-resend", attack_fraction=fraction),
-            random.Random(10),
+            10,
         )
         assert qber(batch) == pytest.approx(fraction * 0.25, abs=0.01)
         hits = np.count_nonzero(eve_bits(batch) == batch.sifted_alice)
@@ -250,7 +250,7 @@ class TestInterceptResend:
         assert want == pytest.approx((0.25, 0.25), abs=1e-12)
         batch = run_session(
             SessionConfig(n_pulses=100_000), channel_table("intercept-resend"),
-            random.Random(45),
+            45,
         )
         assert_basis_qber(batch, want)
 
@@ -310,7 +310,7 @@ class TestIndirectCopyOracle:
         batch = run_session(
             SessionConfig(n_pulses=100_000),
             channel_table("indirect-oracle"),
-            random.Random(21),
+            21,
         )
         assert qber(batch) == 0.0
         assert np.array_equal(eve_bits(batch), batch.sifted_alice)
@@ -426,7 +426,7 @@ class TestIndirectCopyPhysical:
             batch = run_session(
                 SessionConfig(n_pulses=100_000),
                 channel_table("indirect-physical", resend_rule=rule),
-                random.Random(31),
+                31,
             )
             assert qber(batch) == pytest.approx(expected, abs=0.01)
 
@@ -445,7 +445,7 @@ class TestIndirectCopyPhysical:
         batch = run_session(
             SessionConfig(n_pulses=100_000),
             channel_table("indirect-physical"),
-            random.Random(44),
+            44,
         )
         assert_basis_qber(batch, want)
 
@@ -472,7 +472,7 @@ class TestDeterminism:
             channel_table("indirect-physical"),
         ):
             first, second = (
-                transmit(codes[None], eve, 0.9, Words([random.Random(77)]))
+                transmit(codes[None], eve, 0.9, [77])
                 for _ in range(2)
             )
             for a, b in zip(first, second):
@@ -729,10 +729,14 @@ PIN_THETAS = {
     "pi/6": math.pi / 6, "0.41": 0.41, "pi/3": math.pi / 3, "2.5": 2.5,
     "-0.7": -0.7,
 }
-PIN_KEYS = np.concatenate((
-    np.array([0, 2**53 - 1], dtype=np.uint64),
-    keys(Words([random.Random(2718)]), 510)[0],
-))
+# Two extreme keys, then the 53-bit keys k of 510 ``random()`` calls of a
+# Mersenne Twister, k * 2**-53 being the call's value: a fixed sample of
+# keys, independent of the package's stream.
+_PIN_RNG = random.Random(2718)
+PIN_KEYS = np.array(
+    [0, 2**53 - 1] + [int(_PIN_RNG.random() * 2**53) for _ in range(510)],
+    dtype=np.uint64,
+)
 
 
 @pytest.mark.parametrize("kind, theta, rule, fraction", list(TABLE_DIGESTS))

@@ -268,7 +268,7 @@ class TestRunCommand:
             run_session(
                 SessionConfig(n_pulses=20, efficiency=0.3, parity_rounds=8),
                 channel_table("none"),
-                random.Random(seed),
+                seed,
             )
 
     @pytest.mark.parametrize("argv, index", [
@@ -291,7 +291,7 @@ class TestRunCommand:
         seed, message = int(match.group(2)), match.group(3)
         config = cli._config_from_args(build_parser().parse_args(argv))
         batch = run_session(
-            config, build_strategy(config), random.Random(seed)
+            config, build_strategy(config), seed
         )
         if config.privacy_enabled:
             assert not batch.detected[0]

@@ -33,12 +33,14 @@ from bb84sim.harness import (
 )
 from bb84sim.adversary import EVE_KINDS, ChannelTable, channel_table
 from bb84sim.protocol import SessionConfig, run_batch, run_session
-from bb84sim.stream import BLOCK
+from bb84sim.stream import BLOCK, FLIP
 from test_protocol import (
     columns,
+    redrew,
     reference_parity_verify,
     reference_session,
 )
+from test_stream import ReferenceStage
 
 
 class TestSeedDerivation:
@@ -57,24 +59,19 @@ class TestSeedDerivation:
         for i in range(100):
             assert 0 <= derive_seed(2**64 - 1, i) < 2**64
 
-    def test_reseeded_generators_start_as_new_ones(self):
+    def test_a_sweep_hands_each_job_its_sessions_seeds(self):
         # 4096-pulse sessions run two to a batch, so five sessions take
-        # three batches from one pool of two generators, each drawn from
-        # before the next batch reseeds it
+        # three batches, each given the seeds of its own sessions
         config = ExperimentConfig(n_pulses=4096, n_sessions=1, master_seed=11)
 
-        def work(indices, rngs):
-            states = [rng.getstate() for rng in rngs]
-            for rng in rngs:
-                rng.getrandbits(100)
-            return list(zip(indices, states))
+        def work(indices, seeds):
+            assert seeds.dtype == np.uint64
+            return list(zip(indices, seeds.tolist()))
 
         jobs = [(indices, work) for indices in harness._batches(config, 3, 5)]
         got = [pair for batch in harness._sweep(config, jobs)
                for pair in batch]
-        assert [index for index, _ in got] == [3, 4, 5, 6, 7]
-        for index, state in got:
-            assert state == random.Random(derive_seed(11, index)).getstate()
+        assert got == [(index, derive_seed(11, index)) for index in range(3, 8)]
 
 
 class TestConfigValidation:
@@ -232,15 +229,15 @@ class TestRunExperiment:
         )
         report = run_experiment(config)
         for index, row in enumerate(report.sessions):
-            rng = random.Random(derive_seed(config.master_seed, index))
+            seed = derive_seed(config.master_seed, index)
             batch = run_session(
                 SessionConfig(n_pulses=config.n_pulses),
                 build_strategy(config),
-                rng,
+                seed,
             )
             key, guess = batch.reconciled(0)
             params = PrivacyParams(len(key), 100, 8)
-            descriptor = sample_hash(params, rng)
+            descriptor = sample_hash(params, seed)
             agreement = float(
                 np.mean(
                     compress(key, descriptor) == compress(guess, descriptor)
@@ -316,11 +313,7 @@ class TestRunExperiment:
         assert f"seed {error.seed}" in str(error)
         assert isinstance(error.__cause__, KeyTooShortError)
         with pytest.raises(KeyTooShortError, match=str(error.__cause__)):
-            run_session(
-                config,
-                build_strategy(config),
-                random.Random(error.seed),
-            )
+            run_session(config, build_strategy(config), error.seed)
 
     @staticmethod
     def first_failing_curve_session(master_seed, k_values, n_sessions):
@@ -330,7 +323,7 @@ class TestRunExperiment:
         for index, k in enumerate(sweep):
             batch = run_session(
                 SessionConfig(n_pulses=2), channel_table("none"),
-                random.Random(derive_seed(master_seed, index)),
+                derive_seed(master_seed, index),
             )
             if len(batch.sifted_alice) <= k:
                 return index
@@ -347,35 +340,35 @@ class TestRunExperiment:
         )
 
     def test_curve_error_names_the_lowest_failing_session(self):
-        # at master seed 4, sessions 1 and 3 of the first batch fail and
+        # at master seed 2, sessions 1 and 3 of the first batch fail and
         # session 0 does not
-        config = ExperimentConfig(n_pulses=2, n_sessions=4, master_seed=4)
+        config = ExperimentConfig(n_pulses=2, n_sessions=4, master_seed=2)
         with pytest.raises(SessionError) as excinfo:
             detection_rate_curve(config, [1, 5])
         error = excinfo.value
         assert error.session_index == 1
         assert error.session_index == self.first_failing_curve_session(
-            4, [1, 5], 4
+            2, [1, 5], 4
         )
-        assert error.seed == derive_seed(4, 1)
+        assert error.seed == derive_seed(2, 1)
 
     def test_batch_error_names_the_lowest_failing_session(self):
         # in one batch, session 2 leaves too few bits for amplification and
         # session 3 too few for the parity rounds; a one-at-a-time sweep
         # stops at session 2
         config = ExperimentConfig(
-            n_pulses=24, n_sessions=6, parity_rounds=4, pa_leak_bits=3,
-            pa_margin_bits=2, master_seed=42,
+            n_pulses=24, n_sessions=6, parity_rounds=5, pa_leak_bits=3,
+            pa_margin_bits=2, master_seed=369,
         )
         lengths = [
             len(run_session(
                 SessionConfig(n_pulses=24), channel_table("none"),
-                random.Random(derive_seed(42, index)),
+                derive_seed(369, index),
             ).sifted_alice)
             for index in range(6)
         ]
-        assert [n <= 4 for n in lengths].index(True) == 3
-        assert [n - 4 <= 3 + 2 for n in lengths].index(True) == 2
+        assert [n <= 5 for n in lengths].index(True) == 3
+        assert [n - 5 <= 3 + 2 for n in lengths].index(True) == 2
         with pytest.raises(SessionError) as excinfo:
             run_experiment(config)
         assert excinfo.value.session_index == 2
@@ -424,9 +417,19 @@ class TestReportSerialization:
 
     def test_reports_name_the_stream_contract(self):
         report = self.make_report()
-        assert json.loads(report.to_json())["rng_contract"] == "bb84sim-2"
+        assert RNG_CONTRACT == "bb84sim-3"
+        assert json.loads(report.to_json())["rng_contract"] == "bb84sim-3"
         assert "rng_contract" not in json.loads(report.to_json())["config"]
-        assert report.to_csv().splitlines()[-1] == "# rng_contract=bb84sim-2"
+        assert report.to_csv().splitlines()[-1] == "# rng_contract=bb84sim-3"
+
+    def test_a_report_of_the_mersenne_twister_contract_is_refused(self):
+        # a bb84sim-2 report drew from a Mersenne Twister per session; its
+        # numbers are not this stream's, and the refusal names both
+        payload = json.loads(self.make_report().to_json())
+        payload["rng_contract"] = "bb84sim-2"
+        with pytest.raises(ValueError,
+                           match="'bb84sim-2', expected 'bb84sim-3'"):
+            ExperimentReport.from_json(json.dumps(payload))
 
     @pytest.mark.parametrize("contract", [None, "bb84sim-1", 2])
     def test_other_stream_contract_is_refused_on_load(self, contract):
@@ -666,15 +669,15 @@ class TestGoldenReports:
         "extra, digest",
         [
             (["--eve", "none"],
-             "88f2a93b6def5e23498410607d9b0341a31737a0ac8d6467519380959d6cddfe"),
+             "b4f40d30f7990ad243d3053195d1eb39a3e814632abeda2f17df29bbb9855116"),
             (["--eve", "intercept-resend"],
-             "dec5ba5f0394c814b62b61466f97a75013696d748056a84981b2c72342997daf"),
+             "7e4f0eaf6e0a1737178bfe96dcaa3dee84f3b6e453077b304fc06f38b56c9ba5"),
             (["--eve", "indirect-oracle"],
-             "6a61b6b219350ed42707cf2b195d9ce38fa1f80b2d76d69df5e718bd9699f427"),
+             "7a8ea5a2710ab44a8be1dfd423c265c54608200897cd36d7ef5f954ee517a13b"),
             (["--eve", "indirect-physical"],
-             "c3ad39f106e7e05a5cfdd9c70a92b2a38200b97be3c8e57f172e7b3b6120f431"),
+             "5be7c8d3593f0f111931d4ef69e7d8b5da8721f7a98ec4db4d6a7e6350c8f82b"),
             (["--eve", "indirect-oracle", "--pa-t", "200", "--pa-s", "16"],
-             "42367aa378c7bb70d0bf1cccc73ff12140997295742fbc26500c3336ec887f8f"),
+             "abe70935551ccfafaeaede093f16df5fa9c7ae1e2dbfe7cead0f917e50f1404d"),
         ],
         ids=["none", "intercept-resend", "indirect-oracle", "indirect-physical",
              "indirect-oracle-pa"],
@@ -684,18 +687,18 @@ class TestGoldenReports:
         text = capsys.readouterr().out
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
-    # digests of the sequential engine's curves, pinned before the batch
-    # engine replaced it: a moved digest is a defect in the batch engine
+    # digests of curves, pinned under bb84sim-3 once the per-pulse
+    # reference of ``test_contract`` gave the same bytes
     @pytest.mark.parametrize(
         "argv, digest",
         [
             (["--pulses", "96", "--sessions", "200", "--force-differ",
               "--seed", "5"],
-             "4ab02003acd1f2d7b95f3016f2c87d1efcb0166f54ce96fbebd9b4976139626b"),
+             "8671d9edb27b5e7ef30a509ad4e9d6dd363e5193bc0abc50396edffbdd23682b"),
             (["--eve", "intercept-resend", "--pulses", "100", "--sessions",
               "50", "--efficiency", "0.8", "--k-values", "1,3,8", "--seed",
               "2"],
-             "791b72c185896401b14a9d5870626efa0650d79f803e240e53e8960efe5c6db7"),
+             "72ba1f612c6eadc91e4c15ebb78755c191f2bb496cac216f1c8330cec4232ea6"),
         ],
         ids=["forced-difference", "intercept-resend-lossy"],
     )
@@ -705,24 +708,24 @@ class TestGoldenReports:
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     # sessions longer than BLOCK, batches of one whose parity rounds draw
-    # tens of thousands of outputs in one call, beside a curve of many
-    # short sessions and a lossy 10k-pulse session whose per-pulse stages
-    # draw two blocks each
+    # hundreds of values per round, beside a curve of many short sessions
+    # and a lossy 10k-pulse session whose per-pulse stages draw two blocks
+    # each
     @pytest.mark.parametrize(
         "kwargs, k_values, digest",
         [
             ({"n_pulses": 100_000, "n_sessions": 2, "parity_rounds": 32,
               "eve_kind": "intercept-resend"}, None,
-             "cb1c49687a4e4a6922ecbe84d78543a7ff0d25ed124e0d5e45763c74cbb184d3"),
+             "f5af2b62167e00144a2d394772302ea1c341ab4a91bf77817abfc911da2b03db"),
             ({"n_pulses": 100_000, "n_sessions": 1, "efficiency": 0.8,
               "parity_rounds": 32, "eve_kind": "indirect-oracle",
               "pa_leak_bits": 20_000, "pa_margin_bits": 16}, None,
-             "f68b0ac3d7f1fe2fe5a1d5e9562799091495437a5d31e700ab02cac210d46b97"),
+             "18f6b1ae1f518f5cd9f0ff109d65ba3de69ae962be4a9dfff41652f5e52d1df0"),
             ({"n_pulses": 96, "n_sessions": 1000}, [1, 2, 3, 4, 5, 6, 7, 8],
-             "a888445fc98394b13772f69fed7cc8f8d4d95ffa63de8e83e1e4d2d29836b833"),
+             "9689417bc97445420f92608c5d945ecb7bfff7b7ab8e458981e7c3cc2e193238"),
             ({"n_pulses": 10_000, "n_sessions": 1, "efficiency": 0.9,
               "parity_rounds": 32, "eve_kind": "intercept-resend"}, None,
-             "ff9ab8e391306047b4be8f109acd194e259b1a7077e82a36c86966cd95c425a0"),
+             "463ca43caa1e6494144586835ba9f90319dd002002dacad76aded0389cf15d1a"),
         ],
         ids=["intercept-resend-100k", "indirect-oracle-pa-100k",
              "forced-difference-curve", "intercept-resend-10k-lossy"],
@@ -737,9 +740,9 @@ class TestGoldenReports:
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
-def session_row(config, index, batch, rng):
+def session_row(config, index, batch, seed):
     """The report row of the one session of ``batch``, replayed on its own
-    generator."""
+    seed."""
     alice, bob = batch.sifted_alice.tolist(), batch.sifted_bob.tolist()
     length = len(alice)
     errors = sum(a != b for a, b in zip(alice, bob))
@@ -757,7 +760,7 @@ def session_row(config, index, batch, rng):
             params = PrivacyParams(
                 final_length, config.pa_leak_bits, config.pa_margin_bits
             )
-            descriptor = sample_hash(params, rng)
+            descriptor = sample_hash(params, seed)
             final_length = params.output_bits
             if guesses is not None:
                 guess = np.take(guesses, batch.sifted[batch.kept])
@@ -776,56 +779,46 @@ def session_row(config, index, batch, rng):
 
 
 def draws_a_redraw(config, adversary, seed):
-    """Whether parity verification of the session drawn from ``seed`` meets
-    an empty subset, by the generator outputs its rounds consume."""
-    rng = random.Random(seed)
-    batch = run_session(
-        SessionConfig(config.n_pulses, config.efficiency), adversary, rng
-    )
-    length = len(batch.sifted_alice)
+    """Whether parity verification of the session of ``seed`` meets an
+    empty subset, by the reference loop's attempts."""
+    length = len(run_session(
+        SessionConfig(config.n_pulses, config.efficiency), adversary, seed
+    ).sifted_alice)
     if length <= config.parity_rounds:
         return False
-    plain = random.Random()
-    plain.setstate(rng.getstate())
-    for done in range(config.parity_rounds):
-        plain.getrandbits(32 * ((length - done + 31) // 32))
-    reference_parity_verify(
-        batch.sifted_alice.tolist(), batch.sifted_bob.tolist(),
-        config.parity_rounds, rng,
-    )
-    return rng.getstate() != plain.getstate()
+    return redrew(reference_session(config, adversary, seed))
 
 
 def replayed_curve(config, k_values, force_differ):
     """oracle: the sweep as a loop over single sessions, flipping and
-    verifying each sifted key with plain generator calls; ``None`` when a
+    verifying each sifted key with the reference stages; ``None`` when a
     session has too few sifted bits"""
     strategy = build_strategy(config)
     curve, index = [], 0
     for k in k_values:
         detections = 0
         for _ in range(config.n_sessions):
-            rng = random.Random(derive_seed(config.master_seed, index))
+            seed = derive_seed(config.master_seed, index)
             index += 1
             batch = run_session(
                 SessionConfig(config.n_pulses, config.efficiency),
-                strategy, rng,
+                strategy, seed,
             )
             alice = batch.sifted_alice.tolist()
             bob = batch.sifted_bob.tolist()
             if not alice or len(alice) <= k:
                 return None
             if force_differ:
-                flip = min(int(rng.random() * len(bob)), len(bob) - 1)
-                bob[flip] ^= 1
-            detections += reference_parity_verify(alice, bob, k, rng)[0]
+                u = ReferenceStage(seed, FLIP).random()
+                bob[min(int(u * len(bob)), len(bob) - 1)] ^= 1
+            detections += reference_parity_verify(alice, bob, k, seed)[0]
         curve.append((k, detections / config.n_sessions))
     return curve
 
 
 class TestBatchEngine:
     """Batched sessions against the same sessions replayed one at a time,
-    each on its own generator."""
+    each on its own seed."""
 
     @pytest.mark.parametrize("n", [1, 31, 33, 96, 100, 8193])
     @pytest.mark.parametrize("efficiency", [1.0, 0.7])
@@ -839,9 +832,9 @@ class TestBatchEngine:
         strategy = build_strategy(config)
         rows = run_experiment(config).sessions
         for index, row in enumerate(rows):
-            rng = random.Random(derive_seed(config.master_seed, index))
-            batch = run_session(config, strategy, rng)
-            assert row == session_row(config, index, batch, rng)
+            seed = derive_seed(config.master_seed, index)
+            batch = run_session(config, strategy, seed)
+            assert row == session_row(config, index, batch, seed)
 
     @pytest.mark.parametrize("eve", ["intercept-resend", "indirect-oracle"])
     def test_amplified_rows_equal_per_session_replay(self, eve):
@@ -852,9 +845,9 @@ class TestBatchEngine:
         strategy = build_strategy(config)
         rows = run_experiment(config).sessions
         for index, row in enumerate(rows):
-            rng = random.Random(derive_seed(config.master_seed, index))
-            batch = run_session(config, strategy, rng)
-            assert row == session_row(config, index, batch, rng)
+            seed = derive_seed(config.master_seed, index)
+            batch = run_session(config, strategy, seed)
+            assert row == session_row(config, index, batch, seed)
 
     @pytest.mark.parametrize("n", [1, 33, 96, 8193])
     @pytest.mark.parametrize("eve", ["none", "intercept-resend"])
@@ -884,28 +877,23 @@ class TestBatchEngine:
             seeds = [derive_seed(master_seed, i) for i in range(8)]
             redraws = [draws_a_redraw(config, strategy, s) for s in seeds]
             lengths = [
-                len(run_session(SessionConfig(8), strategy,
-                                random.Random(s)).sifted_alice)
+                len(run_session(SessionConfig(8), strategy, s).sifted_alice)
                 for s in seeds
             ]
             if any(redraws[1:]) and min(lengths) > config.parity_rounds:
                 break
         else:
             pytest.fail("no batch with a redraw found")
-        rngs = [random.Random(s) for s in seeds]
-        batch = run_batch(config, strategy, rngs)
+        batch = run_batch(config, strategy, seeds)
         for s, seed in enumerate(seeds):
-            rng = random.Random(seed)
-            want = run_session(config, strategy, rng)
+            want = run_session(config, strategy, seed)
             assert columns(batch, s) == columns(want)
-            assert rngs[s].getstate() == rng.getstate()
         redrawn = redraws.index(True, 1)
-        reference, rng = reference_session(config, strategy, seeds[redrawn])
+        reference = reference_session(config, strategy, seeds[redrawn])
         _, discarded, detected = columns(batch, redrawn)
         assert detected == reference[0]
         assert discarded == sorted(record[3] for record in reference[3])
         assert batch.reconciled(redrawn)[0].tolist() == reference[1]
-        assert rngs[redrawn].getstate() == rng.getstate()
 
     @pytest.mark.parametrize("n_pulses, n_sessions", [(20_000, 1), (96, 85)])
     def test_per_pulse_draws_hold_at_most_one_block(
@@ -923,9 +911,9 @@ class TestBatchEngine:
             sizes["intercept"].append(codes.size)
             return intercept(table, codes, drawn)
 
-        def spy_keys(words, n):
-            sizes["keys"].append(len(words) * n)
-            return keys(words, n)
+        def spy_keys(seeds, stage, n, start=0):
+            sizes["keys"].append(len(seeds) * n)
+            return keys(seeds, stage, n, start)
 
         monkeypatch.setattr(ChannelTable, "intercept", spy_intercept)
         for module in (stream, protocol, quantum):

@@ -24,9 +24,10 @@ from bb84sim.protocol import (
     sift,
     transmit,
 )
+from bb84sim.adversary import ChannelTable
 from bb84sim.quantum import BQS
-from bb84sim.stream import BLOCK, Words, keys
-from test_stream import KeyedGenerator
+from bb84sim.stream import BLOCK, LOSS, PARITY, keys
+from test_stream import ReferenceStage
 
 
 def oracle_eve():
@@ -92,38 +93,46 @@ def columns(batch, s=0):
     )
 
 
-class ChosenOutputs:
-    """A stand-in for ``random.Random`` whose 32-bit outputs are the given
-    ones, in order: ``getrandbits(k)`` takes ceil(k / 32) of them, the high
-    k mod 32 bits of the last when k is not a multiple of 32."""
+def chosen_values(chosen):
+    """A stand-in for ``stream.values`` that reads ``chosen[(seed, stage)]``
+    as the values of that stage of that seed, zeros past its end."""
 
-    def __init__(self, outputs):
-        self.outputs = list(outputs)
+    def values(seeds, stages, counts, starts):
+        rows = np.broadcast_arrays(seeds, stages, counts, starts)
+        width = int(np.max(counts, initial=0))
+        out = np.zeros((len(rows[0]), width), np.uint64)
+        for s, (seed, stage, count, start) in enumerate(zip(*rows)):
+            given = chosen.get((int(seed), int(stage)), [])
+            taken = given[int(start) : int(start) + int(count)]
+            out[s, : len(taken)] = taken
+        return out
 
-    def getrandbits(self, k):
-        value = 0
-        for i in range((k + 31) // 32):
-            bits = min(32, k - 32 * i)
-            value |= (self.outputs.pop(0) >> (32 - bits)) << (32 * i)
-        return value
+    return values
 
 
-def reference_parity_verify(alice_bits, bob_bits, rounds, rng):
-    """Per-position loop over a list of live positions: coin j of a round is
-    bit j of rng.getrandbits(len(live)), redrawn while no coin is 1."""
+def reference_parity_verify(alice_bits, bob_bits, rounds, seed):
+    """Per-position loop over a list of live positions: round r reads stage
+    ``PARITY + r`` of ``seed``, coin j being bit j of ``getrandbits(L)`` of
+    the attempt that starts at value attempt * ceil(L / 64), for the L
+    live positions, and attempts follow while no coin is 1.  Each record
+    is (subset, sender parity, receiver parity, discarded, attempts)."""
     live = list(range(len(alice_bits)))
     detected = False
     records = []
-    for _ in range(rounds):
-        subset = []
+    for r in range(rounds):
+        subset, attempts = [], 0
+        width = (len(live) + 63) // 64
         while not subset:
-            word = rng.getrandbits(len(live))
+            word = ReferenceStage(
+                seed, PARITY + r, attempts * width).getrandbits(len(live))
             subset = [pos for j, pos in enumerate(live) if (word >> j) & 1]
+            attempts += 1
         alice_parity = reduce(lambda p, i: p ^ alice_bits[i], subset, 0)
         bob_parity = reduce(lambda p, i: p ^ bob_bits[i], subset, 0)
         detected |= alice_parity != bob_parity
         live.remove(subset[0])
-        records.append((subset, alice_parity, bob_parity, subset[0]))
+        records.append(
+            (subset, alice_parity, bob_parity, subset[0], attempts))
     return (
         detected,
         [alice_bits[i] for i in live],
@@ -132,22 +141,26 @@ def reference_parity_verify(alice_bits, bob_bits, rounds, rng):
     )
 
 
-def reference_verify(alice_bits, bob_bits, rounds, rng):
+def redrew(reference):
+    """Whether a ``reference_parity_verify`` result drew a round again."""
+    return any(record[4] > 1 for record in reference[3])
+
+
+def reference_verify(alice_bits, bob_bits, rounds, seed):
     """``reference_parity_verify`` in the layout of ``verify_one``: its
     flag, its reconciled keys and the positions it discarded, ascending."""
     detected, alice, bob, records = reference_parity_verify(
-        alice_bits, bob_bits, rounds, rng
+        alice_bits, bob_bits, rounds, seed
     )
     return detected, alice, bob, sorted(record[3] for record in records)
 
 
-def verify_one(alice_bits, bob_bits, rounds, rng):
-    """``parity_verify`` on a batch of one session drawing from ``rng``:
-    its flag, its reconciled keys (the positions ``kept`` marks) and the
+def verify_one(alice_bits, bob_bits, rounds, seed):
+    """``parity_verify`` on a batch of one session of seed ``seed``: its
+    flag, its reconciled keys (the positions ``kept`` marks) and the
     positions it discarded, ascending, as lists."""
     detected, kept = parity_verify(
-        alice_bits, bob_bits, rounds, Words([rng]),
-        np.array([len(alice_bits)]),
+        alice_bits, bob_bits, rounds, [seed], np.array([len(alice_bits)]),
     )
     alice = np.asarray(alice_bits, dtype=np.uint8)[kept]
     bob = np.asarray(bob_bits, dtype=np.uint8)[kept]
@@ -159,23 +172,20 @@ def verify_one(alice_bits, bob_bits, rounds, rng):
 
 def reference_session(config, adversary, seed):
     """oracle: session ``seed`` run without verification, then verified by
-    the per-position reference loop from the generator state it left, the
-    documented draw order; returns the reference's flag, keys and records,
-    and the generator."""
-    rng = random.Random(seed)
+    the per-position reference loop on the same seed; returns the
+    reference's flag, keys and records."""
     plain = run_session(
-        SessionConfig(config.n_pulses, config.efficiency), adversary, rng
+        SessionConfig(config.n_pulses, config.efficiency), adversary, seed
     )
-    want = reference_parity_verify(
+    return reference_parity_verify(
         plain.sifted_alice.tolist(), plain.sifted_bob.tolist(),
-        config.parity_rounds, rng,
+        config.parity_rounds, seed,
     )
-    return want, rng
 
 
 class TestPreparePulses:
     def test_small_batch_stays_on_alphabet(self):
-        bits, bases = prepare_pulses(4, Words([random.Random(0)]))
+        bits, bases = prepare_pulses(4, [0])
         assert bits.shape == bases.shape == (1, 4)
         bits, bases = bits[0], bases[0]
         assert set(bits.tolist()) <= {0, 1}
@@ -186,7 +196,7 @@ class TestPreparePulses:
     def test_states_are_uniform(self):
         # oracle: each of the four states is a Binomial(n, 1/4) count
         n = 100_000
-        bits, bases = prepare_pulses(n, Words([random.Random(17)]))
+        bits, bases = prepare_pulses(n, [17])
         codes = [2 * b + x for x, b in zip(bits[0], bases[0])]
         sigma = math.sqrt(0.25 * 0.75 / n)
         for target in range(4):
@@ -195,15 +205,14 @@ class TestPreparePulses:
 
     def test_zero_pulses_rejected(self):
         with pytest.raises(ValueError):
-            prepare_pulses(0, Words([random.Random(0)]))
+            prepare_pulses(0, [0])
 
 
 class TestTransmit:
     def test_identity_channel(self):
         eve = channel_table("none")
         outcomes, lost = transmit(
-            np.zeros((1, 1), dtype=np.uint8), eve, 1.0,
-            Words([random.Random(0)]),
+            np.zeros((1, 1), dtype=np.uint8), eve, 1.0, [0],
         )
         assert eve.forwarded_angles[outcomes].tolist() == [[BQS[0]]]
         assert eve.guess_bits is None
@@ -214,39 +223,44 @@ class TestTransmit:
         n = 100_000
         _, lost = transmit(
             np.zeros((1, n), dtype=np.uint8), channel_table("none"), 0.5,
-            Words([random.Random(23)]),
+            [23],
         )
         sigma = math.sqrt(0.25 / n)
         assert abs(np.count_nonzero(lost) / n - 0.5) < 4 * sigma
 
-    def test_pulse_is_lost_from_the_efficiency_key_on(self):
+    def test_pulse_is_lost_from_the_efficiency_key_on(self, monkeypatch):
         # oracle: lost when u >= efficiency, so the key
         # ceil(efficiency * 2**53) is the first lost one
         edge = math.ceil(0.8 * 2**53)
-        chosen = [0, 0, 0, edge - 1, edge, 2**53 - 1]  # adversary, then loss
+        chosen = [edge - 1, edge, 2**53 - 1]
+
+        def loss_keys(seeds, stage, n, start=0):
+            assert stage == LOSS
+            return np.array([chosen[start : start + n]], dtype=np.uint64)
+
+        monkeypatch.setattr(protocol, "keys", loss_keys)
         _, lost = transmit(
             np.zeros((1, 3), dtype=np.uint8), channel_table("none"), 0.8,
-            Words([KeyedGenerator(chosen)]),
+            [0],
         )
         assert lost.tolist() == [[False, True, True]]
 
     def test_oracle_adversary_is_invisible(self):
         eve = oracle_eve()
         outcomes, _ = transmit(
-            np.arange(4, dtype=np.uint8)[None], eve, 1.0,
-            Words([random.Random(0)]),
+            np.arange(4, dtype=np.uint8)[None], eve, 1.0, [0],
         )
         assert eve.forwarded_angles[outcomes].tolist() == [list(BQS)]
 
 
 def counting_keys(monkeypatch):
-    """Count the keys ``protocol`` decodes, by wrapping its ``keys``: the
-    returned list gains the number of each call."""
+    """Count the keys ``protocol`` computes, by wrapping its ``keys``: the
+    returned list gains the number of each call, per row."""
     counted = []
 
-    def counting(words, n):
+    def counting(seeds, stage, n, start=0):
         counted.append(n)
-        return keys(words, n)
+        return keys(seeds, stage, n, start)
 
     monkeypatch.setattr(protocol, "keys", counting)
     return counted
@@ -271,8 +285,7 @@ class TestTransmitKeys:
         counted = counting_keys(monkeypatch)
         table = channel_table(kind)
         assert table.reads_keys is reads
-        run_batch(SessionConfig(n_pulses=n), table,
-                  [random.Random(seed) for seed in seeds])
+        run_batch(SessionConfig(n_pulses=n), table, list(seeds))
         assert sum(counted) == (n if reads else 0)
 
     @pytest.mark.parametrize("kind", ["none", "indirect-oracle"])
@@ -280,14 +293,14 @@ class TestTransmitKeys:
     def test_skipped_keys_leave_the_generators_where_taken_ones_do(
         self, monkeypatch, kind, n, seeds
     ):
-        # oracle: the same batch with every skip made a plain take
+        # oracle: the same batch with the adversary's keys computed and
+        # handed to a table that ignores them; no other stage may move
         config = SessionConfig(n_pulses=n, efficiency=0.8, parity_rounds=4)
-        got = [random.Random(seed) for seed in seeds]
-        batch = run_batch(config, channel_table(kind), got)
-        monkeypatch.setattr(Words, "skip", Words.take)
-        want = [random.Random(seed) for seed in seeds]
-        plain = run_batch(config, channel_table(kind), want)
-        assert [r.getstate() for r in got] == [r.getstate() for r in want]
+        batch = run_batch(config, channel_table(kind), list(seeds))
+        counted = counting_keys(monkeypatch)
+        monkeypatch.setattr(ChannelTable, "reads_keys", True)
+        plain = run_batch(config, channel_table(kind), list(seeds))
+        assert sum(counted) == 2 * n  # the adversary's keys and the loss keys
         for s in range(len(seeds)):
             assert columns(batch, s) == columns(plain, s)
 
@@ -295,8 +308,7 @@ class TestTransmitKeys:
 class TestSift:
     def test_matched_bases_without_noise_agree_exactly(self):
         batch = run_session(
-            SessionConfig(n_pulses=50_000), channel_table("none"),
-            random.Random(3),
+            SessionConfig(n_pulses=50_000), channel_table("none"), 3,
         )
         assert np.array_equal(batch.sifted_alice, batch.sifted_bob)
         alice, bob, indices = sift(batch.pulses)
@@ -307,7 +319,7 @@ class TestSift:
     def test_sifted_fraction_near_half(self):
         n = 100_000
         batch = run_session(
-            SessionConfig(n_pulses=n), channel_table("none"), random.Random(4)
+            SessionConfig(n_pulses=n), channel_table("none"), 4
         )
         sigma = math.sqrt(0.25 / n)
         assert abs(len(batch.sifted_alice) / n - 0.5) < 4 * sigma
@@ -316,7 +328,7 @@ class TestSift:
         batch = run_session(
             SessionConfig(n_pulses=2_000, efficiency=0.7),
             channel_table("none"),
-            random.Random(5),
+            5,
         )
         pulses = batch.pulses
         bob_bits, alice_bases = pulses.bob_bits[0], pulses.alice_bases[0]
@@ -342,7 +354,7 @@ class TestParityVerify:
         rng = random.Random(0)
         bits = [rng.getrandbits(1) for _ in range(200)]
         detected, alice, bob, discarded = verify_one(
-            bits, list(bits), 20, rng
+            bits, list(bits), 20, 0
         )
         assert detected is False
         assert len(alice) == len(bits) - 20
@@ -359,7 +371,7 @@ class TestParityVerify:
             bits = [rng.getrandbits(1) for _ in range(32)]
             other = list(bits)
             other[rng.randrange(32)] ^= 1
-            detected = verify_one(bits, other, 1, rng)[0]
+            detected = verify_one(bits, other, 1, rng.getrandbits(64))[0]
             detected_count += detected
         assert abs(detected_count / trials - 0.5) < 0.02
 
@@ -371,37 +383,30 @@ class TestParityVerify:
             bits = [rng.getrandbits(1) for _ in range(64)]
             other = list(bits)
             other[rng.randrange(64)] ^= 1
-            detected = verify_one(bits, other, 10, rng)[0]
+            detected = verify_one(bits, other, 10, rng.getrandbits(64))[0]
             detected_count += detected
         assert abs(detected_count / trials - (1 - 2**-10)) < 0.01
 
     def test_short_key_rejected(self):
-        rng = random.Random(0)
         with pytest.raises(KeyTooShortError):
-            verify_one([0, 1, 0], [0, 1, 0], 3, rng)
+            verify_one([0, 1, 0], [0, 1, 0], 3, 0)
         with pytest.raises(KeyTooShortError):
-            verify_one([], [], 0, rng)
+            verify_one([], [], 0, 0)
 
     def test_unequal_lengths_rejected(self):
         with pytest.raises(ValueError):
-            verify_one([0, 1], [0], 1, random.Random(0))
+            verify_one([0, 1], [0], 1, 0)
 
     def test_lengths_must_fit_the_keys_and_the_rows(self):
         with pytest.raises(ValueError, match="sum to 2.* 3 bits"):
-            parity_verify([0, 1, 1], [0, 1, 1], 1,
-                          Words([random.Random(0)]), [2])
+            parity_verify([0, 1, 1], [0, 1, 1], 1, [0], [2])
         with pytest.raises(ValueError, match="2 key lengths for 1 sessions"):
-            parity_verify([0, 1, 1], [0, 1, 1], 1,
-                          Words([random.Random(0)]), [1, 2])
+            parity_verify([0, 1, 1], [0, 1, 1], 1, [0], [1, 2])
         # a list serves as well as an array
-        rng, want_rng = random.Random(0), random.Random(0)
-        detected, kept = parity_verify(
-            [0, 1, 1], [0, 1, 0], 1, Words([rng]), [3]
-        )
-        want = reference_verify([0, 1, 1], [0, 1, 0], 1, want_rng)
+        detected, kept = parity_verify([0, 1, 1], [0, 1, 0], 1, [0], [3])
+        want = reference_verify([0, 1, 1], [0, 1, 0], 1, 0)
         assert bool(detected[0]) == want[0]
         assert np.flatnonzero(~kept).tolist() == want[3]
-        assert rng.getstate() == want_rng.getstate()
 
     @pytest.mark.parametrize("rounds", [1, 3])
     def test_a_mixed_batch_matches_the_reference_session_by_session(
@@ -421,82 +426,75 @@ class TestParityVerify:
             for i in rng.sample(range(length), flips):
                 other[i] ^= 1
             pairs.append((bits, other))
-        got = [random.Random(seed) for seed in range(len(pairs))]
         detected, kept = parity_verify(
             [b for bits, _ in pairs for b in bits],
             [b for _, other in pairs for b in other],
-            rounds, Words(got), [len(bits) for bits, _ in pairs],
+            rounds, list(range(len(pairs))), [len(bits) for bits, _ in pairs],
         )
         start, redraws = 0, 0
         for s, (bits, other) in enumerate(pairs):
-            want_rng = random.Random(s)
-            want = reference_verify(bits, other, rounds, want_rng)
+            want = reference_parity_verify(bits, other, rounds, s)
             part = kept[start : start + len(bits)]
             assert bool(detected[s]) == want[0], s
-            assert np.flatnonzero(~part).tolist() == want[3], s
-            assert got[s].getstate() == want_rng.getstate(), s
-            once = random.Random(s)
-            for done in range(rounds):
-                once.getrandbits(32 * ((len(bits) - done + 31) // 32))
-            redraws += got[s].getstate() != once.getstate()
+            assert np.flatnonzero(~part).tolist() == sorted(
+                record[3] for record in want[3]), s
+            redraws += redrew(want)
             start += len(bits)
         assert redraws > 0
         assert 0 < detected.sum() < len(pairs)
 
-    def test_a_zero_first_word_is_searched_within_its_round(self):
-        # session 0's first 40 coins have an all-zero first word, so its
+    def test_a_zero_first_word_is_searched_within_its_round(
+        self, monkeypatch
+    ):
+        # each round of session 0 has an all-zero first value, so its
         # member sits in the second; session 1's first 3 coins come up
-        # empty once, and the output after them, drawn for its second
-        # round, must not count as theirs
-        chosen = [[0, 0x5A000000, 0x4, 0x12345678],
-                  [0, 0xA0000000, 0x40000000]]
-        alice, bob = [[1] * 40, [0, 1, 0]], [[1] * 40, [1, 1, 0]]
-        got = [ChosenOutputs(outputs) for outputs in chosen]
+        # empty once, the bit set past them being no coin, and its second
+        # attempt must read the value after them, not one of round 1's
+        chosen = {
+            (0, PARITY): [0, 0x5A],
+            (0, PARITY + 1): [0, 0x4],
+            (1, PARITY): [0b1000, 0b101],
+            (1, PARITY + 1): [0b10],
+        }
+        alice, bob = [[1] * 70, [0, 1, 0]], [[1] * 70, [1, 1, 0]]
+        monkeypatch.setattr(protocol, "values", chosen_values(chosen))
         detected, kept = parity_verify(
-            alice[0] + alice[1], bob[0] + bob[1], 2, Words(got), [40, 3]
+            alice[0] + alice[1], bob[0] + bob[1], 2, [0, 1], [70, 3]
         )
-        for s, start in enumerate((0, 40)):
-            want_rng = ChosenOutputs(chosen[s])
-            want = reference_verify(alice[s], bob[s], 2, want_rng)
-            part = kept[start : start + len(alice[s])]
-            assert bool(detected[s]) == want[0]
-            assert np.flatnonzero(~part).tolist() == want[3]
-            assert got[s].outputs == want_rng.outputs == []
-        assert np.flatnonzero(~kept).tolist() == [2, 33, 40, 41]
+        assert detected.tolist() == [False, True]
+        # session 0: live index 65, then index 66 of the 69 left, key
+        # position 67; session 1: index 0 on its second attempt, then
+        # index 1 of the two left, key position 2
+        assert np.flatnonzero(~kept).tolist() == [65, 67, 70, 72]
 
     @given(
         bits=st.lists(st.integers(0, 1), min_size=1, max_size=300),
         flips=st.sets(st.integers(0, 299)),
         rounds=st.integers(0, 12),
-        seed=st.integers(0, 2**32),
+        seed=st.integers(0, 2**64 - 1),
     )
     @settings(max_examples=150)
     def test_matches_reference_loop_draw_for_draw(
         self, bits, flips, rounds, seed
     ):
-        # oracle: the per-position loop above, fed the same generator state;
-        # every flip lands in the key, so differing keys are common
+        # oracle: the per-position loop above, on the same seed; every flip
+        # lands in the key, so differing keys are common
         flips = {i % len(bits) for i in flips}
         other = [b ^ 1 if i in flips else b for i, b in enumerate(bits)]
         if len(bits) <= rounds:
             return
-        got_rng, want_rng = random.Random(seed), random.Random(seed)
-        got = verify_one(bits, other, rounds, got_rng)
-        assert got == reference_verify(bits, other, rounds, want_rng)
-        assert got_rng.getstate() == want_rng.getstate()
+        got = verify_one(bits, other, rounds, seed)
+        assert got == reference_verify(bits, other, rounds, seed)
 
     def test_empty_subset_is_drawn_again(self):
         # a two-position key comes up empty with probability 1/4 per draw;
         # oracle: the reference loop, which redraws the same way
         redraws = 0
         for seed in range(20):
-            got_rng, want_rng = random.Random(seed), random.Random(seed)
-            got = verify_one([1, 0], [1, 1], 1, got_rng)
-            assert got == reference_verify([1, 0], [1, 1], 1, want_rng)
-            assert got_rng.getstate() == want_rng.getstate()
-            once = random.Random(seed)
-            once.getrandbits(32)
-            redraws += got_rng.getstate() != once.getstate()
+            got = verify_one([1, 0], [1, 1], 1, seed)
+            want = reference_parity_verify([1, 0], [1, 1], 1, seed)
+            assert got == (want[0], want[1], want[2], [want[3][0][3]])
+            redraws += redrew(want)
         assert redraws > 0
 
 
@@ -505,7 +503,7 @@ class TestRunSession:
         batch = run_session(
             SessionConfig(n_pulses=10_000, parity_rounds=16),
             channel_table("none"),
-            random.Random(6),
+            6,
         )
         assert not batch.detected[0]
         assert qber(batch) == 0.0
@@ -515,21 +513,19 @@ class TestRunSession:
     def test_intercept_resend_reaches_quarter_qber(self):
         batch = run_session(
             SessionConfig(n_pulses=100_000), channel_table("intercept-resend"),
-            random.Random(7),
+            7,
         )
         assert qber(batch) == pytest.approx(0.25, abs=0.01)
 
     def test_oracle_attack_session_example(self):
-        batch = run_session(
-            SessionConfig(n_pulses=100_000), oracle_eve(), random.Random(8)
-        )
+        batch = run_session(SessionConfig(n_pulses=100_000), oracle_eve(), 8)
         assert qber(batch) == 0.0
         assert np.array_equal(eve_bits(batch), batch.sifted_alice)
 
     def test_discarded_positions_left_out_of_reconciled_key(self):
         config = SessionConfig(n_pulses=3_000, parity_rounds=12)
-        batch = run_session(config, channel_table("none"), random.Random(10))
-        want, _ = reference_session(config, channel_table("none"), 10)
+        batch = run_session(config, channel_table("none"), 10)
+        want = reference_session(config, channel_table("none"), 10)
         dropped = {record[3] for record in want[3]}
         assert len(dropped) == 12
         survivors = [
@@ -541,7 +537,7 @@ class TestRunSession:
 
     def test_eve_reconciled_guess_alignment(self):
         config = SessionConfig(n_pulses=3_000, parity_rounds=8)
-        batch = run_session(config, oracle_eve(), random.Random(11))
+        batch = run_session(config, oracle_eve(), 11)
         assert not batch.detected[0]
         key, guess = batch.reconciled(0)
         assert np.array_equal(guess, key)
@@ -549,8 +545,8 @@ class TestRunSession:
         # of the positions, so a misaligned mask shows; oracle: the guesses
         # with the reference loop's discarded positions removed
         eve = channel_table("intercept-resend")
-        batch = run_session(config, eve, random.Random(11))
-        want, _ = reference_session(config, eve, 11)
+        batch = run_session(config, eve, 11)
+        want = reference_session(config, eve, 11)
         dropped = {record[3] for record in want[3]}
         assert len(dropped) == 8
         want = [
@@ -561,20 +557,15 @@ class TestRunSession:
         assert batch.reconciled(0)[1].tolist() == want
 
     def test_lost_pulses_have_no_measurement(self):
-        # oracle: the loss keys replayed in the documented draw order, three
-        # n-bit draws and the adversary's n keys before them
+        # oracle: the loss keys of the session's loss stage
         n, efficiency = 5_000, 0.4
         batch = run_session(
             SessionConfig(n_pulses=n, efficiency=efficiency),
             channel_table("none"),
-            random.Random(12),
+            12,
         )
-        rng = random.Random(12)
-        for _ in range(3):
-            rng.getrandbits(n)
-        for _ in range(n):
-            rng.random()
-        lost = np.array([rng.random() >= efficiency for _ in range(n)])
+        stage = ReferenceStage(12, LOSS)
+        lost = np.array([stage.random() >= efficiency for _ in range(n)])
         bob_bits = batch.pulses.bob_bits[0]
         assert np.array_equal(bob_bits == -1, lost)
         assert set(bob_bits[~lost].tolist()) <= {0, 1}
@@ -583,35 +574,35 @@ class TestRunSession:
     def test_identical_seeds_give_identical_transcripts(self):
         config = SessionConfig(n_pulses=4_000, efficiency=0.9, parity_rounds=8)
         eve = channel_table("intercept-resend")
-        first = run_session(config, eve, random.Random(1234))
-        second = run_session(config, eve, random.Random(1234))
+        first = run_session(config, eve, 1234)
+        second = run_session(config, eve, 1234)
         assert columns(first) == columns(second)
 
     @pytest.mark.parametrize("n", [3_000, BLOCK + 5])
     def test_draws_follow_the_documented_order(self, n):
-        # oracle: the order of the stream contract, replayed with plain
-        # getrandbits and random() calls on a second generator; past one
-        # BLOCK, every adversary key still comes before any loss key
-        efficiency, rounds = 0.9, 4
+        # oracle: the stages of the stream contract, each read in order
+        # with plain getrandbits and random() calls of its own reference;
+        # past one BLOCK, a key's stage and index still name it
+        efficiency, rounds, seed = 0.9, 4, 99
         batch = run_session(
             SessionConfig(n_pulses=n, efficiency=efficiency, parity_rounds=rounds),
             channel_table("intercept-resend"),
-            random.Random(99),
+            seed,
         )
-        rng = random.Random(99)
 
-        def bits():
-            word = rng.getrandbits(n)
+        def bits(stage):
+            word = ReferenceStage(seed, stage).getrandbits(n)
             return [(word >> i) & 1 for i in range(n)]
 
-        def floats():
-            return [rng.random() for _ in range(n)]
+        def floats(stage):
+            reference = ReferenceStage(seed, stage)
+            return [reference.random() for _ in range(n)]
 
         pulses = batch.pulses
         bob_bases = pulses.bob_bases[0]
-        assert pulses.alice_bits[0].tolist() == bits()
-        assert pulses.alice_bases[0].tolist() == bits()
-        assert bob_bases.tolist() == bits()
+        assert pulses.alice_bits[0].tolist() == bits(0)
+        assert pulses.alice_bases[0].tolist() == bits(1)
+        assert bob_bases.tolist() == bits(2)
         # the intercept/resend table: from sent state s, outcome k forwards
         # BQS[k] with probability cos^2(BQS[s] - BQS[k]) / 2 (the orthogonal
         # state's ~1e-33 made 0), and uniform u draws the first outcome
@@ -624,14 +615,14 @@ class TestRunSession:
             for sent in BQS
         ]
         codes = 2 * pulses.alice_bases[0] + pulses.alice_bits[0]
-        for i, u in enumerate(floats()):
+        for i, u in enumerate(floats(3)):
             row = cumulative[codes[i]]
             want = next(k for k, edge in enumerate(row) if u < edge)
             assert pulses.outcomes[0, i] == want, i
-        lost = [u >= efficiency for u in floats()]
+        lost = [u >= efficiency for u in floats(4)]
         assert (pulses.bob_bits[0] == -1).tolist() == lost
         angles = channel_table("intercept-resend").forwarded_angles
-        for i, u in enumerate(floats()):
+        for i, u in enumerate(floats(5)):
             if lost[i]:
                 continue
             bit0 = (0.0, math.pi / 4)[bob_bases[i]]
@@ -640,27 +631,20 @@ class TestRunSession:
             assert pulses.bob_bits[0, i] == (0 if u < p0 else 1)
         want = reference_parity_verify(
             batch.sifted_alice.tolist(), batch.sifted_bob.tolist(),
-            rounds, rng,
+            rounds, seed,
         )
         assert bool(batch.detected[0]) == want[0]
         assert np.flatnonzero(~batch.kept).tolist() == sorted(
             record[3] for record in want[3]
         )
         assert batch.reconciled(0)[0].tolist() == want[1]
-        rng_after = random.Random(99)
-        run_session(
-            SessionConfig(n_pulses=n, efficiency=efficiency, parity_rounds=rounds),
-            channel_table("intercept-resend"),
-            rng_after,
-        )
-        assert rng_after.getstate() == rng.getstate()
 
     def test_propagates_key_too_short(self):
         with pytest.raises(KeyTooShortError):
             run_session(
                 SessionConfig(n_pulses=4, parity_rounds=10),
                 channel_table("none"),
-                random.Random(13),
+                13,
             )
 
     @pytest.mark.parametrize("rounds", [0, 2])
@@ -676,8 +660,7 @@ class TestRunSession:
         # each sifted pulse of that session's own row
         eve = channel_table("intercept-resend")
         batch = run_batch(
-            SessionConfig(n_pulses=300, efficiency=0.8), eve,
-            [random.Random(seed) for seed in (21, 22, 23)],
+            SessionConfig(n_pulses=300, efficiency=0.8), eve, [21, 22, 23],
         )
         n = batch.pulses.outcomes.shape[1]
         want = [
@@ -686,8 +669,7 @@ class TestRunSession:
         ]
         assert batch.guesses(batch.sifted).tolist() == want
         passive = run_batch(
-            SessionConfig(n_pulses=300), channel_table("none"),
-            [random.Random(21), random.Random(22)],
+            SessionConfig(n_pulses=300), channel_table("none"), [21, 22],
         )
         assert passive.guesses(passive.sifted) is None
 
@@ -695,9 +677,27 @@ class TestRunSession:
         batch = run_batch(
             SessionConfig(n_pulses=500, efficiency=0.8, parity_rounds=4),
             channel_table("intercept-resend"),
-            [random.Random(14), random.Random(15)],
+            [14, 15],
         )
         for field in fields(batch.pulses):
             column = getattr(batch.pulses, field.name)
             assert column.shape == (2, 500), field.name
             assert column.itemsize == 1, field.name
+
+    def test_a_stage_nobody_reads_moves_nothing(self):
+        # with the same seed, a passive channel, the oracle (whose keys
+        # are never computed) and intercept/resend (whose keys are) draw
+        # the same sender bits and bases, receiver bases and losses
+        config = SessionConfig(n_pulses=5_000, efficiency=0.7)
+        batches = [
+            run_batch(config, channel_table(kind), [31, 32, 2**64 - 1])
+            for kind in ("none", "indirect-oracle", "intercept-resend")
+        ]
+        for batch in batches[1:]:
+            for got, want in zip(
+                (batch.pulses.alice_bits, batch.pulses.alice_bases,
+                 batch.pulses.bob_bases, batch.pulses.bob_bits == -1),
+                (batches[0].pulses.alice_bits, batches[0].pulses.alice_bases,
+                 batches[0].pulses.bob_bases, batches[0].pulses.bob_bits == -1),
+            ):
+                assert np.array_equal(got, want)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from bb84sim import quantum
 from bb84sim.errors import DegenerateAncillaError, NoMatchError
 from bb84sim.adversary import channel_table
 from bb84sim.quantum import (
@@ -20,8 +21,8 @@ from bb84sim.quantum import (
     reduce_angle,
     squared_overlap,
 )
-from bb84sim.stream import Words
-from test_stream import KeyedGenerator
+from bb84sim.stream import MEASURE
+from test_stream import ReferenceStage
 
 ANCILLA = DEFAULT_ANCILLA_ANGLE
 H, V, D, A = BQS  # horizontal, vertical, the two diagonals
@@ -131,9 +132,10 @@ class TestBasis:
 
 
 def reference_measure(angles, basis_angle, rng):
-    """The scalar Born-rule loop: one rng.random() per state, bit 0 when it
-    falls below cos^2 of the angle to the bit-0 eigenstate, and
-    probabilities within 1e-12 of 0 or 1 taken as exact."""
+    """The scalar Born-rule loop: one ``rng.random()`` per state, bit 0
+    when it falls below cos^2 of the angle to the bit-0 eigenstate, and
+    probabilities within 1e-12 of 0 or 1 taken as exact; ``rng`` is a
+    ``ReferenceStage`` of the measurement stage."""
     bits = []
     for angle in angles:
         p0 = math.cos(angle - basis_angle) ** 2
@@ -145,7 +147,7 @@ def reference_measure(angles, basis_angle, rng):
     return bits
 
 
-def measure_angles(angles, basis_angles, words):
+def measure_angles(angles, basis_angles, seeds):
     """``measure`` on states given as ray angles, each measured in the
     basis whose bit-0 eigenstate lies at its entry of ``basis_angles`` (a
     scalar serves every state): each distinct angle and basis angle is a
@@ -156,18 +158,17 @@ def measure_angles(angles, basis_angles, words):
     bases, basis_index = np.unique(basis_angles, return_inverse=True)
     return measure(
         bit0_thresholds(states, bases), state_index.reshape(angles.shape),
-        basis_index.reshape(angles.shape), words,
+        basis_index.reshape(angles.shape), seeds,
     )
 
 
 class TestMeasure:
     def test_eigenstates_measure_deterministically(self):
-        rng = random.Random(0)
         for basis, bit0 in enumerate(BASIS_ANGLES):
             for bit in (0, 1):
                 state = BQS[2 * basis + bit]
                 bits = measure_angles(
-                    np.full((1, 100), state), bit0, Words([rng]),
+                    np.full((1, 100), state), bit0, [2 * basis + bit],
                 )
                 assert bits.tolist() == [[bit] * 100]
                 assert reduce_angle(bit0 + bit * math.pi / 2) == state
@@ -175,34 +176,33 @@ class TestMeasure:
     def test_identical_seeds_reproduce_outcomes(self):
         angles = np.full((1, 1000), math.pi / 4)
         basis = BASIS_ANGLES[0]
-        out_a = measure_angles(angles, basis, Words([random.Random(7)]))
-        out_b = measure_angles(angles, basis, Words([random.Random(7)]))
+        out_a = measure_angles(angles, basis, [7])
+        out_b = measure_angles(angles, basis, [7])
         assert np.array_equal(out_a, out_b)
 
     def test_collapse_returns_basis_eigenstate(self):
         # the collapsed state is an eigenstate of the basis, so measuring
         # it again in that basis repeats the outcome
-        words = Words([random.Random(3)])
-        bits = measure_angles(np.full((1, 200), 1.1), D, words)
+        bits = measure_angles(np.full((1, 200), 1.1), D, [3])
         for bit in bits[0]:
             assert reduce_angle(D + bit * math.pi / 2) in (D, A)
         collapsed = D + bits * (math.pi / 2)
-        again = measure_angles(collapsed, D, words)
+        again = measure_angles(collapsed, D, [4])
         assert np.array_equal(again, bits)
 
     def test_matches_scalar_reference_draw_for_draw(self):
-        # oracle: the per-state loop above, fed the same generator state;
-        # the batch spans several blocks and mixes in basis eigenstates
+        # oracle: the per-state loop above, on the same seed's measurement
+        # stage; the batch spans several blocks and mixes in basis
+        # eigenstates
         picker = random.Random(5)
         angles = [
             picker.choice((0.0, math.pi / 2, math.pi / 4, picker.random() * 3))
             for _ in range(20_000)
         ]
         for basis_angle in (0.0, math.pi / 4, DEFAULT_ANCILLA_ANGLE):
-            got = measure_angles(
-                np.array([angles]), basis_angle, Words([random.Random(6)])
-            )
-            want = reference_measure(angles, basis_angle, random.Random(6))
+            got = measure_angles(np.array([angles]), basis_angle, [6])
+            want = reference_measure(
+                angles, basis_angle, ReferenceStage(6, MEASURE))
             assert got.tolist() == [want]
 
     def test_per_state_bases(self):
@@ -212,26 +212,27 @@ class TestMeasure:
         angles = [picker.random() * math.pi for _ in range(500)]
         bases = [picker.getrandbits(1) for _ in range(500)]
         basis_angles = np.array([[BASIS_ANGLES[b] for b in bases]])
-        got = measure_angles(
-            np.array([angles]), basis_angles, Words([random.Random(9)])
-        )
-        rng = random.Random(9)
+        got = measure_angles(np.array([angles]), basis_angles, [9])
+        rng = ReferenceStage(9, MEASURE)
         want = [
             reference_measure([a], BASIS_ANGLES[b], rng)[0]
             for a, b in zip(angles, bases)
         ]
         assert got.tolist() == [want]
 
-    def test_key_at_the_threshold_measures_bit_1(self):
+    def test_key_at_the_threshold_measures_bit_1(self, monkeypatch):
         # oracle: bit 1 when u >= p0, so the key ceil(p0 * 2**53) is the
         # first to give it; the tilted state's p0 = cos^2(pi/6) ~ 3/4
         p0 = math.cos(ANCILLA) ** 2
         edge = math.ceil(p0 * 2**53)
         chosen = [edge - 1, edge, edge + 1, 0, 2**53 - 1]
-        bits = measure_angles(
-            np.full((1, len(chosen)), ANCILLA), H,
-            Words([KeyedGenerator(chosen)]),
-        )
+
+        def measurement_keys(seeds, stage, n, start=0):
+            assert stage == MEASURE
+            return np.array([chosen[start : start + n]], dtype=np.uint64)
+
+        monkeypatch.setattr(quantum, "keys", measurement_keys)
+        bits = measure_angles(np.full((1, len(chosen)), ANCILLA), H, [0])
         assert bits.tolist() == [[0, 1, 1, 0, 1]]
 
     def test_superposition_frequency_matches_born_rule(self):
@@ -239,10 +240,7 @@ class TestMeasure:
         trials = 100_000
         p = math.cos(math.pi / 4) ** 2
         sigma = math.sqrt(p * (1 - p) / trials)
-        rng = random.Random(2024)
-        bits = measure_angles(
-            np.full((1, trials), math.pi / 4), H, Words([rng]),
-        )
+        bits = measure_angles(np.full((1, trials), math.pi / 4), H, [2024])
         zeros = int(np.count_nonzero(bits == 0))
         assert abs(zeros / trials - p) < 3 * sigma
 
@@ -251,10 +249,7 @@ class TestMeasure:
         trials = 100_000
         p = math.cos(math.pi / 6) ** 2
         sigma = math.sqrt(p * (1 - p) / trials)
-        rng = random.Random(11)
-        bits = measure_angles(
-            np.full((1, trials), ANCILLA), H, Words([rng]),
-        )
+        bits = measure_angles(np.full((1, trials), ANCILLA), H, [11])
         zeros = int(np.count_nonzero(bits == 0))
         assert abs(zeros / trials - p) < 4 * sigma
 

@@ -41,6 +41,6 @@ def test_amplification_demo():
     # each session draws what it would draw alone, so the numbers do not
     # depend on how the demo groups its sessions
     assert [line.split() for line in lines[1:]] == [
-        ["intercept-resend", "0.05682", "0.00000"],
+        ["intercept-resend", "0.01136", "0.00000"],
         ["indirect-oracle", "0.50000", "0.50000"],
     ]

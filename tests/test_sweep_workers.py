@@ -12,14 +12,14 @@ from bb84sim import cli, harness
 from bb84sim.errors import KeyTooShortError, SessionError
 from bb84sim.harness import ExperimentConfig, derive_seed
 
-# Above the fork threshold: 200 sessions x 96 pulses x 8 k-values.
-CURVE = ["detect-curve", "--pulses", "96", "--sessions", "200",
+# Above the fork threshold: 400 sessions x 96 pulses x 8 k-values.
+CURVE = ["detect-curve", "--pulses", "96", "--sessions", "400",
          "--k-values", "1,2,3,4,5,6,7,8", "--force-differ", "--seed", "5"]
-# At seed 1, sessions 690 and 1023 keep 3 sifted bits or fewer, too few for
+# At seed 4, sessions 790 and 910 keep 3 sifted bits or fewer, too few for
 # 3 parity rounds.  Batches of 409 sessions put them in batches 1 and 2:
 # at W = 2 the child's share and this process's share both fail.
 FAILING = ["run", "--pulses", "20", "--parity-rounds", "3",
-           "--sessions", "1227", "--seed", "1"]
+           "--sessions", "1227", "--seed", "4"]
 
 
 def force_workers(monkeypatch, workers):
@@ -86,8 +86,8 @@ class TestFailures:
     def test_child_failure_names_the_serial_session(self, monkeypatch,
                                                     workers):
         serial = self.serial_error(monkeypatch, FAILING)
-        assert serial.session_index == 690
-        assert serial.seed == derive_seed(1, 690)
+        assert serial.session_index == 790
+        assert serial.seed == derive_seed(4, 790)
         config = cli._config_from_args(cli.build_parser().parse_args(FAILING))
         force_workers(monkeypatch, workers)
         with pytest.raises(SessionError) as excinfo:
@@ -108,7 +108,7 @@ class TestFailures:
             captured = capsys.readouterr()
             assert captured.out == ""
             lines.append(captured.err)
-        assert lines[0].startswith("error: session 690 (seed ")
+        assert lines[0].startswith("error: session 790 (seed ")
         assert lines[1] == lines[0]
         assert lines[2] == lines[0]
 
@@ -123,7 +123,7 @@ class TestFailures:
         # jobs 0, 3 run here, 1, 4 in one child and 2, 5 in the other
         config = ExperimentConfig(n_pulses=10, n_sessions=6, master_seed=9)
 
-        def work(indices, rngs):
+        def work(indices, seeds):
             for i in indices:
                 if i in bad:
                     raise KeyTooShortError(f"session {i} is bad")
@@ -148,7 +148,7 @@ class TestFailures:
         # a batch, and each of its sessions passes alone
         config = ExperimentConfig(n_pulses=10, n_sessions=12, master_seed=9)
 
-        def work(indices, rngs):
+        def work(indices, seeds):
             if len(indices) > 1 and indices[0] == 2:
                 raise ValueError("batch-only failure")
             return list(indices)
@@ -180,7 +180,7 @@ class TestChildren:
         parent = os.getpid()
         config = ExperimentConfig(n_pulses=10, n_sessions=2)
 
-        def work(indices, rngs):
+        def work(indices, seeds):
             if os.getpid() == parent:
                 raise KeyboardInterrupt
             time.sleep(60)
@@ -198,10 +198,10 @@ class TestChildren:
         parent = os.getpid()
         rows = harness._experiment_rows
 
-        def dying(config, strategy, indices, rngs):
+        def dying(config, strategy, indices, seeds):
             if os.getpid() != parent:
                 os._exit(1)
-            return rows(config, strategy, indices, rngs)
+            return rows(config, strategy, indices, seeds)
 
         monkeypatch.setattr(harness, "_experiment_rows", dying)
         force_workers(monkeypatch, 2)
@@ -242,7 +242,7 @@ class TestChildren:
 
 class TestWhenToFork:
     def test_curve_forks_once_per_sweep(self, monkeypatch, capsys):
-        # 3 batches per k and 8 k-values: 24 jobs, one fork per extra worker
+        # 5 batches per k and 8 k-values: 40 jobs, one fork per extra worker
         force_workers(monkeypatch, 3)
         forks = count_forks(monkeypatch)
         output(capsys, CURVE)
@@ -256,7 +256,8 @@ class TestWhenToFork:
         cpus = len(os.sched_getaffinity(0))
         forks = count_forks(monkeypatch)
         output(capsys, CURVE)
-        assert len(forks) == min(cpus, 24) - 1
+        assert 96 * 400 * 8 >= harness._FORK_MIN_PULSES
+        assert len(forks) == min(cpus, 40) - 1
 
     def test_small_run_does_not_fork(self, monkeypatch, capsys):
         # 3 sessions of 2000 pulses, below the threshold
