@@ -208,38 +208,14 @@ def sift(pulses: Pulses) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     )
 
 
-_ODD = np.array([bin(byte).count("1") & 1 for byte in range(256)], np.uint8)
 # _BELOW[k] has the k low bits of a value set, for k in [0, 64].
 _BELOW = np.array([(1 << k) - 1 for k in range(65)], np.uint64)
-_ONE, _TOP, _BYTE = np.uint64(1), np.uint64(63), np.uint64(0xFF)
-_FOLDS = (np.uint64(32), np.uint64(16), np.uint64(8))
-
-
-def _row_parity(words: np.ndarray) -> np.ndarray:
-    """Parity of the set bits of each row of uint64 values: the XOR of the
-    row folded to one byte, read off ``_ODD``."""
-    folded = np.bitwise_xor.reduce(words, axis=1)
-    for shift in _FOLDS:
-        folded ^= folded >> shift
-    return _ODD[folded & _BYTE]
 
 
 def _low_bit(words: np.ndarray) -> np.ndarray:
     """Index of the lowest set bit of each nonzero uint64 value: the
     exponent of that bit alone, which a float holds exactly."""
-    return np.frexp(words & (~words + _ONE))[1] - 1
-
-
-def _drop_bit(words: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """Each row of uint64 values read as one bit string, bit i in bit
-    i % 64 of value i // 64, with bit ``index[s]`` of row s taken out and
-    the bits above it moved down one place."""
-    shifted = words >> _ONE
-    shifted[:, :-1] |= words[:, 1:] << _TOP
-    # Value c keeps its bits below index - 64c from ``words``.
-    reach = index[:, None] - 64 * np.arange(words.shape[1])
-    below = np.take(_BELOW, reach, mode="clip")
-    return shifted ^ ((words ^ shifted) & below)
+    return np.frexp(words & (~words + np.uint64(1)))[1] - 1
 
 
 def _coins(seeds, stages, live, attempt) -> np.ndarray:
@@ -258,15 +234,8 @@ def _coins(seeds, stages, live, attempt) -> np.ndarray:
 def _first_words(coins: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """For each row of ``coins``, the index of its first nonzero value and
     that value, 0 for a row whose coins all came up 0."""
-    lowest = coins[:, 0].copy()
-    first = np.zeros(len(coins), dtype=np.int64)
-    # A row's first value is zero only when all its coins there are.
-    rare = np.flatnonzero(lowest == 0)
-    if len(rare):
-        found = (coins[rare] != 0).argmax(axis=1)
-        first[rare] = found
-        lowest[rare] = coins[rare, found]
-    return first, lowest
+    first = (coins != 0).argmax(axis=1)
+    return first, coins[np.arange(len(coins)), first]
 
 
 def parity_verify(
@@ -280,24 +249,24 @@ def parity_verify(
     of a batch of sessions.
 
     The keys lay the sessions' keys end to end, session s owning
-    ``lengths[s]`` bits and drawing with ``seeds[s]``; ``lengths`` must
-    hold one entry per seed and sum to the key length, or ``ValueError``
-    is raised.  Each round of a session samples a uniform nonempty subset
-    of the still-live positions (one fair coin per live position, in
-    ascending order, all drawn again if none comes up 1), compares the two
-    parities, and discards the lowest-indexed subset member from both
-    keys.  A differing key pair trips a round with probability 1/2, so
-    ``rounds`` independent rounds certify agreement except with
-    probability ~2**-rounds, at the cost of ``rounds`` bits.
+    ``lengths[s]`` bits and drawing with ``seeds[s]``; ``rounds`` must be
+    0 or more and ``lengths`` must hold one entry per seed and sum to the
+    key length, or ``ValueError`` is raised.  Each round of a session
+    samples a uniform nonempty subset of the still-live positions (one fair
+    coin per live position, in ascending order, all drawn again if none
+    comes up 1), compares the two parities, and discards the lowest-indexed
+    subset member from both keys.  A differing key pair trips a round with
+    probability 1/2, so ``rounds`` independent rounds certify agreement
+    except with probability ~2**-rounds, at the cost of ``rounds`` bits.
 
     Round j draws its L - j coins from stage ``stream.PARITY + j``, in
     W = ceil((L - j) / 64) values, and attempt a at them takes the W
     values from a * W on.  Every round of every session is drawn and
     discards its member, whatever the keys: all rounds' first attempts are
     taken at once, only a round that came up empty is drawn again, and the
-    discarded positions follow from the lowest set bits.  A parity is
-    computed only where it can change a flag, for a session whose keys
-    differ, up to its first mismatch.  Returns (detected, kept): a flag per
+    discarded positions follow from the lowest set bits.  Only the positions
+    where the keys differ are read, each at its live index, and a session
+    stops at its first mismatch.  Returns (detected, kept): a flag per
     session, the OR of its per-round mismatches, and a mask over the keys
     laid end to end that marks the positions no round discarded.
     """
@@ -305,6 +274,8 @@ def parity_verify(
     bob = np.asarray(bob_bits, dtype=np.uint8)
     lengths = np.asarray(lengths, dtype=np.int64)
     seeds = np.asarray(seeds, dtype=np.uint64)
+    if rounds < 0:
+        raise ValueError(f"rounds must be >= 0, got {rounds}")
     if len(alice) != len(bob):
         raise ValueError("keys must have equal length")
     if len(lengths) != len(seeds):
@@ -352,26 +323,25 @@ def parity_verify(
     kept[(positions + starts).ravel()] = False
 
     # A subset's two parities differ exactly when it holds an odd number
-    # of the positions where the keys differ.  Sessions with equal keys
-    # never trip, and the others stop at their first mismatch.
-    spots = np.flatnonzero(alice != bob)
-    if not len(spots):
-        return detected, kept
-    owner = np.searchsorted(starts + lengths, spots, side="right")
-    active = np.flatnonzero(np.bincount(owner, minlength=sessions))
-    rows = np.zeros((sessions, 64 * coins.shape[1]), np.uint8)
-    rows[owner, spots - starts[owner]] = 1
-    # Bit i of a row marks live index i of the round at hand; the bits past
-    # a round's live count meet cleared coins.
-    differ = np.packbits(rows[active], axis=1, bitorder="little")
-    differ = differ.view("<u8").astype(np.uint64, copy=False)
+    # of the spots where the keys differ.  Spot k is bit at[k] of a round's
+    # coins unpacked one row per session, row owner[k].  A session stops at
+    # its first mismatch; a discarded spot leaves, the ones above move down.
+    at = np.flatnonzero(alice != bob)
+    owner = np.searchsorted(starts + lengths, at, side="right")
+    rows = np.arange(sessions) * (64 * coins.shape[1])
+    at += (rows - starts)[owner]
+    octets = coins.astype("<u8", copy=False).view(np.uint8)
     for j in range(rounds):
-        trip = _row_parity(coins[j * sessions + active] & differ) != 0
-        detected[active[trip]] = True
-        active, differ = active[~trip], differ[~trip]
-        if not len(active) or j + 1 == rounds:
+        if not len(at):
             break
-        differ = _drop_bit(differ, discarded[j, active])
+        bits = np.unpackbits(octets[j * sessions : (j + 1) * sessions],
+                             axis=1, bitorder="little")
+        trip = np.bincount(owner, np.take(bits, at), sessions) % 2 == 1
+        detected |= trip
+        drop = (rows + discarded[j])[owner]
+        stay = ~trip[owner] & (at != drop)
+        at -= at > drop
+        owner, at = owner[stay], at[stay]
     return detected, kept
 
 

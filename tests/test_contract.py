@@ -4,10 +4,11 @@ the reports and curves the engine writes.
 
 The reference reads every value through ``test_stream.ReferenceStage``,
 in Python ints, and walks the pulses, sifted positions and parity rounds
-one at a time.  It borrows from the package only what the contract does
-not define: the channel table (``intercept`` and ``bit0_thresholds``),
-the privacy-amplification bounds of ``PrivacyParams`` and the aggregates
-of the rows.
+one at a time, the rounds through ``test_protocol``'s per-position loop,
+``reference_parity_verify``.  It borrows from the package only what the
+contract does not define: the channel table (``intercept`` and
+``bit0_thresholds``), the privacy-amplification bounds of
+``PrivacyParams`` and the aggregates of the rows.
 """
 
 import math
@@ -33,6 +34,7 @@ from bb84sim.harness import (
     detection_rate_curve,
     run_experiment,
 )
+from test_protocol import reference_parity_verify
 from test_stream import ReferenceStage, reference_split
 
 MASK64 = (1 << 64) - 1
@@ -42,35 +44,15 @@ ALICE_BITS, ALICE_BASES, BOB_BASES, ADVERSARY, LOSS, MEASURE, FLIP, \
 PARITY = 2**16
 
 
-def bits(seed, stage, k, first_value=0):
-    """k bits of a stage from value ``first_value`` on: bit i is bit
-    i mod 64 of value first_value + i // 64."""
-    word = ReferenceStage(seed, stage, first_value).getrandbits(k)
+def bits(seed, stage, k):
+    """The first k bits of a stage: bit i is bit i mod 64 of value
+    i // 64."""
+    word = ReferenceStage(seed, stage).getrandbits(k)
     return [(word >> i) & 1 for i in range(k)]
 
 
 def key(seed, stage, j):
     return ReferenceStage(seed, stage, j).key()
-
-
-def reference_parity(alice, bob, rounds, seed):
-    """Round r: coins for the L - r live positions, attempt a reading the
-    W values from a * W on of stage 2**16 + r until a coin is 1; compare
-    the subset's parities and discard its lowest member."""
-    live = list(range(len(alice)))
-    detected = False
-    for r in range(rounds):
-        width = (len(live) + 63) // 64
-        attempt, subset = 0, []
-        while not subset:
-            coins = bits(seed, PARITY + r, len(live), attempt * width)
-            subset = [pos for pos, coin in zip(live, coins) if coin]
-            attempt += 1
-        alice_parity = sum(alice[i] for i in subset) % 2
-        bob_parity = sum(bob[i] for i in subset) % 2
-        detected |= alice_parity != bob_parity
-        live.remove(subset[0])
-    return detected, live
 
 
 def reference_sifted(config, table, seed):
@@ -129,7 +111,9 @@ def reference_row(config, table, index, seed):
     if rounds:
         if length <= rounds:
             raise KeyTooShortError
-        detected, live = reference_parity(alice, bob, rounds, seed)
+        detected, _, _, records = reference_parity_verify(
+            alice, bob, rounds, seed)
+        live = sorted(set(live) - {record[3] for record in records})
     final_length, advantage = 0, None
     if not detected:
         final_length = length - rounds
@@ -190,7 +174,7 @@ def reference_curve(config, k_values, force_differ):
                 bob[min(int(u * len(bob)), len(bob) - 1)] ^= 1
             if k and len(alice) <= k:
                 return index, KeyTooShortError
-            detections += reference_parity(alice, bob, k, seed)[0]
+            detections += reference_parity_verify(alice, bob, k, seed)[0]
             index += 1
         curve.append((k, detections / config.n_sessions))
     return curve

@@ -392,6 +392,8 @@ class TestParityVerify:
             verify_one([0, 1, 0], [0, 1, 0], 3, 0)
         with pytest.raises(KeyTooShortError):
             verify_one([], [], 0, 0)
+        with pytest.raises(ValueError, match="rounds must be >= 0, got -1"):
+            verify_one([0, 1, 0], [0, 1, 0], -1, 0)
 
     def test_unequal_lengths_rejected(self):
         with pytest.raises(ValueError):
@@ -449,23 +451,31 @@ class TestParityVerify:
         # each round of session 0 has an all-zero first value, so its
         # member sits in the second; session 1's first 3 coins come up
         # empty once, the bit set past them being no coin, and its second
-        # attempt must read the value after them, not one of round 1's
+        # attempt must read the value after them, not one of round 1's.
+        # Session 2's keys differ at positions 1 and 3, both in round 0's
+        # subset, so round 0 passes and discards position 1; round 1's
+        # subset, live indices 0 to 2, holds position 3 at live index 2
+        # and trips
         chosen = {
             (0, PARITY): [0, 0x5A],
             (0, PARITY + 1): [0, 0x4],
             (1, PARITY): [0b1000, 0b101],
             (1, PARITY + 1): [0b10],
+            (2, PARITY): [0b1010],
+            (2, PARITY + 1): [0b111],
         }
-        alice, bob = [[1] * 70, [0, 1, 0]], [[1] * 70, [1, 1, 0]]
+        alice = [[1] * 70, [0, 1, 0], [0, 0, 1, 0, 1]]
+        bob = [[1] * 70, [1, 1, 0], [0, 1, 1, 1, 1]]
         monkeypatch.setattr(protocol, "values", chosen_values(chosen))
         detected, kept = parity_verify(
-            alice[0] + alice[1], bob[0] + bob[1], 2, [0, 1], [70, 3]
+            sum(alice, []), sum(bob, []), 2, [0, 1, 2], [70, 3, 5]
         )
-        assert detected.tolist() == [False, True]
+        assert detected.tolist() == [False, True, True]
         # session 0: live index 65, then index 66 of the 69 left, key
         # position 67; session 1: index 0 on its second attempt, then
-        # index 1 of the two left, key position 2
-        assert np.flatnonzero(~kept).tolist() == [65, 67, 70, 72]
+        # index 1 of the two left, key position 2; session 2: index 1,
+        # then index 0, key positions 74 and 73
+        assert np.flatnonzero(~kept).tolist() == [65, 67, 70, 72, 73, 74]
 
     @given(
         bits=st.lists(st.integers(0, 1), min_size=1, max_size=300),

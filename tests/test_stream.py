@@ -129,7 +129,7 @@ def test_batch_uniform_rows_are_each_generators_random_calls(n):
         assert row == [want.random() for _ in range(n)]
 
 
-def test_take_with_uneven_counts_reads_each_row_in_order():
+def test_values_with_uneven_counts_read_each_row_in_order():
     batch, plain = seeds(0)
     for counts in ([2, 0, 5, 1], [1, 1, 1, 1], [0, 3, 2 * BLOCK + 1, 0],
                    [4, 0, 0, 0]):
@@ -141,7 +141,7 @@ def test_take_with_uneven_counts_reads_each_row_in_order():
                            + [0] * (max(counts) - count))
 
 
-def test_prefetched_outputs_are_taken_in_order():
+def test_values_drawn_in_pieces_follow_one_another():
     # a stage read in pieces, each from where the last ended, reads the
     # values one read in order gives
     batch, plain = seeds(1)
@@ -155,7 +155,7 @@ def test_prefetched_outputs_are_taken_in_order():
         at += count
 
 
-def test_skip_leaves_each_generator_where_take_would():
+def test_values_from_an_offset_are_the_tail_of_values_from_zero():
     # a draw from value j on equals the tail of a draw from value 0, per
     # row, whether every row starts at j or each at its own
     batch, _ = seeds(3)
