@@ -45,11 +45,14 @@ therefore produce byte-identical reports.  Every report names its
 contract, and ``ExperimentReport.from_json`` refuses a report written
 under another.
 
-Sessions run in batches of consecutive indices, about ``stream.BLOCK``
-pulses at a time.  A batch's seeds come from one ``derive_seed`` call
-over its indices, and each stage computes its values for the whole batch
-at once with numpy, the per-pulse stages (3-5) ``stream.BLOCK`` keys at a
-time.  A batch's result depends only on its sessions' seeds.
+Sessions run in batches of consecutive indices, of up to 2**16 pulses or
+one longer session, the batches of a sweep differing in size by at most
+one session.  A batch's seeds come from one ``derive_seed`` call over its
+indices, and each stage computes its values for the whole batch at once
+with numpy, the per-pulse stages (3-5) in tiles of at most
+``stream.BLOCK`` keys: whole sessions when one fits, else a part of one.
+A batch's result depends only on its sessions' seeds, so the cut of a
+sweep into batches moves no report byte.
 
 The batches of one command, all k-values of a curve together, may run in
 forked worker processes, one per CPU the process may use and at most one
@@ -84,13 +87,23 @@ OUTPUT_FORMATS = ("json", "csv")
 _MASK64 = (1 << 64) - 1
 _CI_Z = 1.96  # normal-approximation z for a 95% binomial interval
 # A sweep of fewer pulses runs in one process.  On a 2-vCPU VM (medians of
-# ten alternated pairs, fresh interpreters) a fork, exit and wait took
-# 2.5 ms, and a second process ran numpy work only about 1.4 times as fast
-# as one.  Two 100k-pulse intercept/resend sessions (200k pulses) took
-# 18.2 ms in one process and 26.2 ms in two, 400 x 8 curve sessions of 96
-# pulses (307k) 48.9 and 46.4 ms, and 1000 x 8 of them (768k) 101 and
-# 87 ms: a sweep below about 2**18 pulses gains nothing from a fork.
-_FORK_MIN_PULSES = 32 * BLOCK
+# ten alternated pairs, fresh interpreters, 2**16-pulse batches) a fork,
+# exit and wait took 3.6 ms, and a second process ran numpy work only
+# about 1.4 times as fast as one.  Two 100k-pulse intercept/resend
+# sessions (200k pulses) took 16.0 ms in one process and 16.2 ms in two.
+# Curves of 8 k-values over 96-pulse sessions took 12.6 and 15.0 ms at 400
+# sessions (307k pulses), 15.4 and 17.9 ms at 600 (461k), 19.9 and 20.6 ms
+# at 800 (614k), 25.7 and 25.4 ms at 1000 (768k) and 48.7 and 44.6 ms at
+# 2000 (1.5M): a sweep below about 2**19 pulses gains nothing from a fork.
+_FORK_MIN_PULSES = 64 * BLOCK
+# Pulses a batch holds at most, unless one session is longer.  A batch
+# pays numpy's fixed cost per call once per stage, so short sessions gain
+# from many to a batch.  A stage's temporaries stay within ``stream.BLOCK``
+# items whatever the batch size (``stream.tiles``), but a batch's columns
+# grow with it: at 2**17 pulses the 96-pulse curve of 1000 x 8 sessions
+# ran about 2% faster than at 2**16, and its peak RSS rose 35.3 -> 36.4 MB
+# (three pairs of 15 s benchmark runs, 2-vCPU VM).
+_BATCH_PULSES = 8 * BLOCK
 _SIGKILL = 9  # POSIX's number; the signal module is not loaded otherwise
 
 
@@ -320,12 +333,15 @@ def compute_aggregates(
 
 def _batches(config: ExperimentConfig, first: int, count: int) -> list[range]:
     """Sessions ``first`` to ``first + count - 1`` in batches of consecutive
-    indices, about ``stream.BLOCK`` pulses each."""
-    size = max(1, BLOCK // config.n_pulses)
-    stop = first + count
+    indices: as few as hold at most ``_BATCH_PULSES`` pulses each, or one
+    session where a session is longer, with sizes that differ by at most
+    one, so that no worker's share holds the larger batches alone."""
+    size = max(1, _BATCH_PULSES // config.n_pulses)
+    parts = -(-count // size)
     return [
-        range(start, min(start + size, stop))
-        for start in range(first, stop, size)
+        range(first + count * part // parts,
+              first + count * (part + 1) // parts)
+        for part in range(parts)
     ]
 
 

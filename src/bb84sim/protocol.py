@@ -27,7 +27,8 @@ Each random decision of a pulse, the adversary's outcome, loss and the
 receiver's bit, is a 53-bit key against ceil(p * 2**53) for its
 probability p.  The channel table computes the receiver's thresholds once,
 for every state it forwards, so no pulse computes a probability.  Each
-such stage walks the pulses ``stream.BLOCK`` at a time along each row.
+such stage walks the batch in ``stream.tiles``, at most ``stream.BLOCK``
+pulses at a time: whole rows when a session fits, else part of one row.
 """
 
 from dataclasses import dataclass, fields
@@ -39,8 +40,8 @@ from .adversary import ChannelTable
 from .errors import InvalidConfigError, KeyTooShortError
 from .quantum import measure
 from .stream import (
-    ADVERSARY, ALICE_BASES, ALICE_BITS, BLOCK, BOB_BASES, FLIP, LOSS, PARITY,
-    STAGES, keys, random_bits, threshold, values,
+    ADVERSARY, ALICE_BASES, ALICE_BITS, BOB_BASES, FLIP, LOSS, PARITY,
+    STAGES, keys, random_bits, threshold, tiles, values,
 )
 
 
@@ -172,21 +173,18 @@ def transmit(
     into her table) and the loss mask.  The adversary acts before loss, so
     her outcome exists even for lost pulses.
     """
-    starts = range(0, codes.shape[1], BLOCK)
     outcomes = np.empty(codes.shape, dtype=np.uint8)
-    for start in starts:
-        sent = codes[:, start : start + BLOCK]
+    lost = np.zeros(codes.shape, dtype=bool)
+    edge = threshold(efficiency) if efficiency < 1.0 else None
+    for rows, start, stop in tiles(*codes.shape):
+        tile = np.s_[rows, start:stop]
         drawn = None
         if adversary.reads_keys:
-            drawn = keys(seeds, ADVERSARY, sent.shape[1], start)
-        outcomes[:, start : start + BLOCK] = adversary.intercept(sent, drawn)
-    lost = np.zeros(codes.shape, dtype=bool)
-    if efficiency < 1.0:
-        edge = threshold(efficiency)
-        for start in starts:
-            block = lost[:, start : start + BLOCK]
-            np.greater_equal(keys(seeds, LOSS, block.shape[1], start), edge,
-                             out=block)
+            drawn = keys(seeds[rows], ADVERSARY, stop - start, start)
+        outcomes[tile] = adversary.intercept(codes[tile], drawn)
+        if edge is not None:
+            np.greater_equal(keys(seeds[rows], LOSS, stop - start, start),
+                             edge, out=lost[tile])
     return outcomes, lost
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateAncillaError, NoMatchError
-from .stream import BLOCK, MEASURE, keys, threshold
+from .stream import MEASURE, keys, threshold, tiles
 
 # Tolerance for matching squared-overlap values: far below the smallest
 # gap between table entries (~0.18 for the default ancilla), far above
@@ -92,18 +92,19 @@ def measure(
     ceil(p0 * 2**53), the decision u >= p0 for bit 1 on the key's uniform
     u = k * 2**-53.
     Returns the outcome bits as uint8; the state collapses onto the
-    eigenstate of its bit.  The states are taken ``BLOCK`` at a time along
-    each row, which bounds the temporaries without changing the keys.
+    eigenstate of its bit.  The states are taken a ``stream.tiles`` tile at
+    a time, at most ``stream.BLOCK`` of them, which bounds the temporaries
+    without changing the keys.
     """
     flat, width = thresholds.ravel(), thresholds.shape[1]
     bits = np.empty(states.shape, dtype=np.uint8)
-    for start in range(0, states.shape[1], BLOCK):
-        block = np.s_[:, start : start + BLOCK]
-        index = np.multiply(states[block], width, dtype=np.intp)
-        index += bases[block]
+    for rows, start, stop in tiles(*states.shape):
+        tile = np.s_[rows, start:stop]
+        index = np.multiply(states[tile], width, dtype=np.intp)
+        index += bases[tile]
         np.greater_equal(
-            keys(seeds, MEASURE, index.shape[1], start), np.take(flat, index),
-            out=bits[block], casting="unsafe",
+            keys(seeds[rows], MEASURE, stop - start, start),
+            np.take(flat, index), out=bits[tile], casting="unsafe",
         )
     return bits
 

@@ -31,7 +31,7 @@ values.
 import numpy as np
 
 _TWO_POW_53 = 9007199254740992.0
-# Items a batched stage handles at a time, which bounds its temporaries.
+# Items a per-pulse stage handles at a time, which bounds its temporaries.
 BLOCK = 1 << 13
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
@@ -116,7 +116,24 @@ def threshold(p) -> np.ndarray:
 def keys(seeds, stage, n: int, start: int = 0) -> np.ndarray:
     """Keys ``start`` to ``start + n - 1`` of ``stage`` per seed, as
     uint64: each the top 53 bits of its value.  A caller bounds the
-    temporaries by asking for ``BLOCK`` keys at a time."""
+    temporaries by asking for one ``tiles`` tile of keys at a time."""
     out = values(seeds, stage, n, start)
     out >>= _KEY_SHIFT
     return out
+
+
+def tiles(rows: int, n: int):
+    """Cover a (rows, n) array, one row per session, with tiles of at most
+    ``BLOCK`` items, yielded as (row slice, start, stop): whole rows,
+    ``BLOCK // n`` of them at a time, when a row fits in a tile, and
+    ``BLOCK`` columns of one row at a time otherwise.  A stage that draws
+    ``keys(seeds[rows], stage, stop - start, start)`` for a tile reads
+    each item's key at its own stage and index."""
+    if n <= BLOCK:
+        step = BLOCK // max(n, 1)
+        for first in range(0, rows, step):
+            yield slice(first, first + step), 0, n
+        return
+    for row in range(rows):
+        for start in range(0, n, BLOCK):
+            yield slice(row, row + 1), start, min(start + BLOCK, n)

@@ -59,16 +59,34 @@ class TestSeedDerivation:
         for i in range(100):
             assert 0 <= derive_seed(2**64 - 1, i) < 2**64
 
+    @pytest.mark.parametrize("n_pulses, count, sizes", [
+        (96, 1000, [500, 500]),  # 682 sessions fit in 2**16 pulses
+        (96, 682, [682]),
+        (96, 683, [341, 342]),
+        (20_000, 7, [2, 2, 3]),
+        (100_000, 2, [1, 1]),  # a session longer than a batch runs alone
+    ])
+    def test_batches_are_as_few_as_fit_and_differ_by_at_most_one(
+        self, n_pulses, count, sizes
+    ):
+        config = ExperimentConfig(n_pulses=n_pulses, n_sessions=count)
+        batches = harness._batches(config, 5, count)
+        assert [len(indices) for indices in batches] == sizes
+        assert [i for indices in batches for i in indices] == list(
+            range(5, 5 + count))
+
     def test_a_sweep_hands_each_job_its_sessions_seeds(self):
-        # 4096-pulse sessions run two to a batch, so five sessions take
-        # three batches, each given the seeds of its own sessions
-        config = ExperimentConfig(n_pulses=4096, n_sessions=1, master_seed=11)
+        # 2**15-pulse sessions run at most two to a batch, so five sessions
+        # take three batches, each given the seeds of its own sessions
+        config = ExperimentConfig(n_pulses=1 << 15, n_sessions=1,
+                                  master_seed=11)
 
         def work(indices, seeds):
             assert seeds.dtype == np.uint64
             return list(zip(indices, seeds.tolist()))
 
         jobs = [(indices, work) for indices in harness._batches(config, 3, 5)]
+        assert len(jobs) == 3
         got = [pair for batch in harness._sweep(config, jobs)
                for pair in batch]
         assert got == [(index, derive_seed(11, index)) for index in range(3, 8)]
@@ -895,15 +913,54 @@ class TestBatchEngine:
         assert discarded == sorted(record[3] for record in reference[3])
         assert batch.reconciled(redrawn)[0].tolist() == reference[1]
 
-    @pytest.mark.parametrize("n_pulses, n_sessions", [(20_000, 1), (96, 85)])
+    # bytes of a lossy amplified intercept/resend run and of a curve under
+    # each batch size, the last leaving batches of unequal sizes
+    BATCH_SIZES = (BLOCK, 8 * BLOCK, 5_000)
+
+    def test_batch_size_moves_no_report_byte(self, monkeypatch):
+        config = ExperimentConfig(
+            n_pulses=300, n_sessions=700, efficiency=0.8, parity_rounds=1,
+            eve_kind="intercept-resend", pa_leak_bits=20, pa_margin_bits=8,
+            master_seed=3,
+        )
+        texts, cuts = [], []
+        for size in self.BATCH_SIZES:
+            monkeypatch.setattr(harness, "_BATCH_PULSES", size)
+            cuts.append(harness._batches(config, 0, config.n_sessions))
+            texts.append(run_experiment(config).to_json())
+        assert [len(cut) for cut in cuts] == [26, 4, 44]
+        assert len({len(indices) for indices in cuts[2]}) == 2
+        assert texts[1] == texts[0]
+        assert texts[2] == texts[0]
+        report = json.loads(texts[0])
+        # some sessions pass their parity round and are amplified
+        assert any(row["eve_advantage"] is not None
+                   for row in report["sessions"])
+
+    def test_batch_size_moves_no_curve_byte(self, monkeypatch):
+        config = ExperimentConfig(n_pulses=96, n_sessions=700, master_seed=4)
+        texts = []
+        for size in self.BATCH_SIZES:
+            monkeypatch.setattr(harness, "_BATCH_PULSES", size)
+            curve = detection_rate_curve(config, [1, 2, 5], force_differ=True)
+            texts.append(curve_to_json(config, curve))
+        assert texts[1] == texts[0]
+        assert texts[2] == texts[0]
+
+    @pytest.mark.parametrize("n_pulses, n_sessions", [
+        (20_000, 1), (96, 85), (96, 700), (3_000, 30),
+    ])
     def test_per_pulse_draws_hold_at_most_one_block(
         self, monkeypatch, n_pulses, n_sessions
     ):
-        # a 20k-pulse session is a batch of one, and 85 sessions of 96
-        # pulses make one batch of 8160: no call of the adversary's sampler
-        # or of the key draw may see more than BLOCK pulses, yet together
-        # they see every pulse, once for the adversary and three times for
-        # the keys (adversary, loss, measurement)
+        # a 20k-pulse session is a batch of one, cut along its row; 85
+        # sessions of 96 pulses make one tile of 8160, and 700 of them two
+        # batches of five such tiles of whole rows each; 30 sessions of
+        # 3000 pulses make one batch, in tiles of two rows.  No call of the
+        # adversary's sampler or of the key draw may see more than BLOCK
+        # pulses, yet together they see every pulse, once for the
+        # adversary and three times for the keys (adversary, loss,
+        # measurement)
         sizes = {"intercept": [], "keys": []}
         intercept, keys = ChannelTable.intercept, stream.keys
 

@@ -477,6 +477,43 @@ class TestParityVerify:
         # then index 0, key positions 74 and 73
         assert np.flatnonzero(~kept).tolist() == [65, 67, 70, 72, 73, 74]
 
+    @pytest.mark.parametrize("rounds", [4, 16])
+    def test_a_discarded_differing_position_stops_counting(self, rounds):
+        # oracle: the per-position loop, run on each session alone, over a
+        # batch of 600 short keys that differ at two or three positions;
+        # in some sessions a round passes and discards a differing
+        # position, whose coins no later round may read
+        rng = random.Random(rounds)
+        pairs = []
+        for _ in range(600):
+            length = rng.randint(rounds + 1, rounds + 24)
+            bits = [rng.getrandbits(1) for _ in range(length)]
+            other = list(bits)
+            for i in rng.sample(range(length), rng.randint(2, 3)):
+                other[i] ^= 1
+            pairs.append((bits, other))
+        detected, kept = parity_verify(
+            [b for bits, _ in pairs for b in bits],
+            [b for _, other in pairs for b in other],
+            rounds, list(range(len(pairs))), [len(bits) for bits, _ in pairs],
+        )
+        start, dropped_before_trip = 0, 0
+        for s, (bits, other) in enumerate(pairs):
+            want = reference_parity_verify(bits, other, rounds, s)
+            part = kept[start : start + len(bits)]
+            assert bool(detected[s]) == want[0], s
+            assert np.flatnonzero(~part).tolist() == sorted(
+                record[3] for record in want[3]), s
+            differ = {i for i, (a, b) in enumerate(zip(bits, other)) if a != b}
+            for _, alice_parity, bob_parity, member, _ in want[3]:
+                if alice_parity != bob_parity:
+                    break
+                if member in differ:
+                    dropped_before_trip += 1
+                    break
+            start += len(bits)
+        assert dropped_before_trip > 0
+
     @given(
         bits=st.lists(st.integers(0, 1), min_size=1, max_size=300),
         flips=st.sets(st.integers(0, 299)),

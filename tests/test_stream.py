@@ -13,7 +13,8 @@ from bb84sim.harness import derive_seed
 from bb84sim.protocol import SessionConfig, run_session
 from bb84sim.stream import (
     ADVERSARY, ALICE_BASES, ALICE_BITS, BLOCK, BOB_BASES, FLIP, LOSS,
-    MEASURE, PARITY, STAGES, TOEPLITZ, keys, random_bits, threshold, values,
+    MEASURE, PARITY, STAGES, TOEPLITZ, keys, random_bits, threshold, tiles,
+    values,
 )
 
 MASK64 = (1 << 64) - 1
@@ -167,6 +168,27 @@ def test_values_from_an_offset_are_the_tail_of_values_from_zero():
     taken = values(batch, FLIP, 7, starts)
     for row, start in enumerate(starts.tolist()):
         assert taken[row].tolist() == whole[row, start : start + 7].tolist()
+
+
+@pytest.mark.parametrize("rows, n", [
+    (0, 5), (1, 1), (700, 96), (30, 3_000), (3, BLOCK), (2, BLOCK + 1),
+    (2, 3 * BLOCK + 5),
+])
+def test_tiles_cover_each_key_once_at_its_own_index(rows, n):
+    # tiles of at most BLOCK items, whole rows while a row fits, each
+    # drawn on its own; oracle: the keys of every row drawn at once
+    batch = np.arange(rows, dtype=np.uint64) * np.uint64(GAMMA)
+    whole = keys(batch, LOSS, n)
+    drawn = np.zeros_like(whole)
+    seen = np.zeros(whole.shape, dtype=int)
+    for part, start, stop in tiles(rows, n):
+        assert 0 < seen[part, start:stop].size <= BLOCK
+        if n <= BLOCK:
+            assert (start, stop) == (0, n)
+        seen[part, start:stop] += 1
+        drawn[part, start:stop] = keys(batch[part], LOSS, stop - start, start)
+    assert (seen == 1).all()
+    assert np.array_equal(drawn, whole)
 
 
 def test_keys_decode_the_chosen_outputs():

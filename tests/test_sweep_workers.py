@@ -5,6 +5,7 @@ import errno
 import os
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -12,14 +13,31 @@ from bb84sim import cli, harness
 from bb84sim.errors import KeyTooShortError, SessionError
 from bb84sim.harness import ExperimentConfig, derive_seed
 
-# Above the fork threshold: 400 sessions x 96 pulses x 8 k-values.
-CURVE = ["detect-curve", "--pulses", "96", "--sessions", "400",
+# Above the fork threshold: 700 sessions x 96 pulses x 8 k-values.
+CURVE = ["detect-curve", "--pulses", "96", "--sessions", "700",
          "--k-values", "1,2,3,4,5,6,7,8", "--force-differ", "--seed", "5"]
-# At seed 4, sessions 790 and 910 keep 3 sifted bits or fewer, too few for
-# 3 parity rounds.  Batches of 409 sessions put them in batches 1 and 2:
-# at W = 2 the child's share and this process's share both fail.
+# At seed 301, sessions 2243 and 5224 are the first two that keep 3 sifted
+# bits or fewer, too few for 3 parity rounds, and they lie in batches 1
+# and 2 of three: at W = 2 the child's share and this process's share both
+# fail, and at W = 3 both children's.  ``TestFailures`` checks all this.
 FAILING = ["run", "--pulses", "20", "--parity-rounds", "3",
-           "--sessions", "1227", "--seed", "4"]
+           "--sessions", "6600", "--seed", "301"]
+FAILING_SESSIONS = (2243, 5224)
+
+
+def config_of(argv):
+    return cli._config_from_args(cli.build_parser().parse_args(argv))
+
+
+def jobs(argv):
+    """The jobs of a command's sweep: its batches, for every k-value of a
+    curve."""
+    args = cli.build_parser().parse_args(argv)
+    config = cli._config_from_args(args)
+    batches = len(harness._batches(config, 0, config.n_sessions))
+    if args.command == "detect-curve":
+        return batches * len(cli._k_values(args.k_values))
+    return batches
 
 
 def force_workers(monkeypatch, workers):
@@ -56,13 +74,15 @@ def output(capsys, argv):
 
 @pytest.mark.parametrize("argv", [
     ["run", "--eve", "indirect-oracle", "--pulses", "2000", "--sessions",
-     "20", "--parity-rounds", "8", "--pa-t", "200", "--pa-s", "16",
+     "80", "--parity-rounds", "8", "--pa-t", "200", "--pa-s", "16",
      "--efficiency", "0.9"],
     ["run", "--eve", "intercept-resend", "--pulses", "500", "--sessions",
-     "40", "--parity-rounds", "4", "--format", "csv"],
+     "300", "--parity-rounds", "4", "--format", "csv"],
     CURVE,
 ], ids=["json-amplified", "csv", "forced-difference-curve"])
 def test_worker_count_does_not_change_the_bytes(monkeypatch, capsys, argv):
+    # at least one batch for each of three workers
+    assert jobs(argv) >= 3
     texts = []
     for workers in (1, 2, 3):
         force_workers(monkeypatch, workers)
@@ -77,18 +97,39 @@ def test_worker_count_does_not_change_the_bytes(monkeypatch, capsys, argv):
 class TestFailures:
     def serial_error(self, monkeypatch, argv):
         force_workers(monkeypatch, 1)
-        config = cli._config_from_args(cli.build_parser().parse_args(argv))
         with pytest.raises(SessionError) as excinfo:
-            harness.run_experiment(config)
+            harness.run_experiment(config_of(argv))
         return excinfo.value
+
+    def test_failing_sessions_lie_in_two_workers_batches(self):
+        # oracle: each session's sifted length, from a run without parity
+        # rounds; the first two sessions too short for them lie in batches
+        # 1 and 2, which different workers own at W = 2 and at W = 3, the
+        # first never this process
+        config = config_of(FAILING)
+        lengths = [
+            row.sifted_length for row in harness.run_experiment(
+                replace(config, parity_rounds=0)).sessions
+        ]
+        short = [i for i, n in enumerate(lengths) if n <= 3]
+        assert tuple(short[:2]) == FAILING_SESSIONS
+        batches = harness._batches(config, 0, config.n_sessions)
+        first, second = (
+            next(b for b, indices in enumerate(batches) if i in indices)
+            for i in FAILING_SESSIONS
+        )
+        assert (first, second) == (1, 2)
+        for workers in (2, 3):
+            assert first % workers != second % workers
+            assert first % workers != 0
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_child_failure_names_the_serial_session(self, monkeypatch,
                                                     workers):
         serial = self.serial_error(monkeypatch, FAILING)
-        assert serial.session_index == 790
-        assert serial.seed == derive_seed(4, 790)
-        config = cli._config_from_args(cli.build_parser().parse_args(FAILING))
+        assert serial.session_index == FAILING_SESSIONS[0]
+        assert serial.seed == derive_seed(301, FAILING_SESSIONS[0])
+        config = config_of(FAILING)
         force_workers(monkeypatch, workers)
         with pytest.raises(SessionError) as excinfo:
             harness.run_experiment(config)
@@ -108,7 +149,8 @@ class TestFailures:
             captured = capsys.readouterr()
             assert captured.out == ""
             lines.append(captured.err)
-        assert lines[0].startswith("error: session 790 (seed ")
+        assert lines[0].startswith(
+            f"error: session {FAILING_SESSIONS[0]} (seed ")
         assert lines[1] == lines[0]
         assert lines[2] == lines[0]
 
@@ -206,8 +248,9 @@ class TestChildren:
         monkeypatch.setattr(harness, "_experiment_rows", dying)
         force_workers(monkeypatch, 2)
         out = tmp_path / "report.json"
-        argv = ["run", "--pulses", "500", "--sessions", "40", "--out",
+        argv = ["run", "--pulses", "500", "--sessions", "300", "--out",
                 str(out)]
+        assert jobs(argv) >= 2
         assert cli.main(argv) == 3
         err = capsys.readouterr().err
         assert "exited with status 1 without sending its results" in err
@@ -242,7 +285,8 @@ class TestChildren:
 
 class TestWhenToFork:
     def test_curve_forks_once_per_sweep(self, monkeypatch, capsys):
-        # 5 batches per k and 8 k-values: 40 jobs, one fork per extra worker
+        # one fork per extra worker, however many jobs each runs
+        assert jobs(CURVE) > 3
         force_workers(monkeypatch, 3)
         forks = count_forks(monkeypatch)
         output(capsys, CURVE)
@@ -256,8 +300,8 @@ class TestWhenToFork:
         cpus = len(os.sched_getaffinity(0))
         forks = count_forks(monkeypatch)
         output(capsys, CURVE)
-        assert 96 * 400 * 8 >= harness._FORK_MIN_PULSES
-        assert len(forks) == min(cpus, 40) - 1
+        assert 96 * 700 * 8 >= harness._FORK_MIN_PULSES
+        assert len(forks) == min(cpus, jobs(CURVE)) - 1
 
     def test_small_run_does_not_fork(self, monkeypatch, capsys):
         # 3 sessions of 2000 pulses, below the threshold
