@@ -53,21 +53,9 @@ with numpy, the per-pulse stages (3-5) in tiles of at most
 ``stream.BLOCK`` keys: whole sessions when one fits, else a part of one.
 A batch's result depends only on its sessions' seeds, so the cut of a
 sweep into batches moves no report byte.
-
-The batches of one command, all k-values of a curve together, may run in
-forked worker processes, one per CPU the process may use and at most one
-per batch.  A sweep stays in one process without ``os.fork``, while a
-second thread runs, or when it is small.  The results are joined in batch
-order, so report bytes depend on neither the CPU count nor the thread
-state.  One runner, ``_share``, runs every process's share and the replay
-of a failing batch; a share stops at its first failing batch, which its
-length names, so a failure reads the same at every worker count.
 """
 
 import json
-import os
-import pickle
-import threading
 from dataclasses import asdict, dataclass, fields, replace
 from functools import partial
 from typing import NoReturn, Sequence
@@ -86,16 +74,6 @@ OUTPUT_FORMATS = ("json", "csv")
 
 _MASK64 = (1 << 64) - 1
 _CI_Z = 1.96  # normal-approximation z for a 95% binomial interval
-# A sweep of fewer pulses runs in one process.  On a 2-vCPU VM (medians of
-# ten alternated pairs, fresh interpreters, 2**16-pulse batches) a fork,
-# exit and wait took 3.6 ms, and a second process ran numpy work only
-# about 1.4 times as fast as one.  Two 100k-pulse intercept/resend
-# sessions (200k pulses) took 16.0 ms in one process and 16.2 ms in two.
-# Curves of 8 k-values over 96-pulse sessions took 12.6 and 15.0 ms at 400
-# sessions (307k pulses), 15.4 and 17.9 ms at 600 (461k), 19.9 and 20.6 ms
-# at 800 (614k), 25.7 and 25.4 ms at 1000 (768k) and 48.7 and 44.6 ms at
-# 2000 (1.5M): a sweep below about 2**19 pulses gains nothing from a fork.
-_FORK_MIN_PULSES = 64 * BLOCK
 # Pulses a batch holds at most, unless one session is longer.  A batch
 # pays numpy's fixed cost per call once per stage, so short sessions gain
 # from many to a batch.  A stage's temporaries stay within ``stream.BLOCK``
@@ -104,7 +82,6 @@ _FORK_MIN_PULSES = 64 * BLOCK
 # ran about 2% faster than at 2**16, and its peak RSS rose 35.3 -> 36.4 MB
 # (three pairs of 15 s benchmark runs, 2-vCPU VM).
 _BATCH_PULSES = 8 * BLOCK
-_SIGKILL = 9  # POSIX's number; the signal module is not loaded otherwise
 
 
 @dataclass(frozen=True, slots=True, kw_only=True)
@@ -335,7 +312,8 @@ def _batches(config: ExperimentConfig, first: int, count: int) -> list[range]:
     """Sessions ``first`` to ``first + count - 1`` in batches of consecutive
     indices: as few as hold at most ``_BATCH_PULSES`` pulses each, or one
     session where a session is longer, with sizes that differ by at most
-    one, so that no worker's share holds the larger batches alone."""
+    one, so that the largest batch, whose columns set a sweep's peak
+    memory, is as small as that many batches allow."""
     size = max(1, _BATCH_PULSES // config.n_pulses)
     parts = -(-count // size)
     return [
@@ -345,126 +323,44 @@ def _batches(config: ExperimentConfig, first: int, count: int) -> list[range]:
     ]
 
 
-def _workers(pulses: int, batches: int) -> int:
-    """How many processes run a sweep of ``batches`` batches holding
-    ``pulses`` pulses: one per CPU this process may use, at most one per
-    batch.  One alone without ``os.fork``, while a second thread runs (a
-    forked child would inherit the locks it holds), or below
-    ``_FORK_MIN_PULSES``."""
-    if (
-        not hasattr(os, "fork")
-        or threading.active_count() != 1
-        or pulses < _FORK_MIN_PULSES
-    ):
-        return 1
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity mask, as on macOS
-        cpus = os.cpu_count() or 1
-    return max(1, min(cpus, batches))
+def _sweep(config: ExperimentConfig, jobs: list) -> list:
+    """Run every job ``(indices, work)`` in order as ``work(indices,
+    seeds)`` and return the results in job order.  ``indices`` is a range
+    of session indices and ``seeds[j]`` the uint64 seed
+    ``derive_seed(master_seed, indices[j])`` of session ``indices[j]``.
 
-
-def _share(config: ExperimentConfig, jobs: list):
-    """Run ``jobs`` in order, each on its sessions' seeds.  Returns the
-    results and the exception of the first job that raised, or ``None``;
-    the jobs after it do not run, so that job is ``jobs[len(results)]``."""
+    The first job that raises runs again one session at a time, so the
+    ``SessionError`` names the session, and its seed, that a sweep of
+    single sessions would have stopped at.  A batch whose sessions all pass
+    alone raises ``RuntimeError``."""
     results = []
     for indices, work in jobs:
-        seeds = derive_seed(config.master_seed, np.arange(
-            indices.start, indices.stop, indices.step, dtype=np.uint64))
         try:
-            results.append(work(indices, seeds))
-        except Exception as exc:
-            return results, exc
-    return results, None
-
-
-def _child(config: ExperimentConfig, jobs: list, pipe: int) -> NoReturn:
-    """A forked worker: run its share of the jobs and send the results,
-    which end at a failing job, down ``pipe``.  It leaves through
-    ``os._exit`` whatever happens, so none of the parent's clean-up runs
-    twice."""
-    status = 1
-    try:
-        results, _ = _share(config, jobs)
-        with os.fdopen(pipe, "wb") as out:
-            pickle.dump(results, out, pickle.HIGHEST_PROTOCOL)
-        status = 0
-    finally:
-        os._exit(status)
-
-
-def _sweep(config: ExperimentConfig, jobs: list) -> list:
-    """Run every job ``(indices, work)`` as ``work(indices, seeds)`` and
-    return the results in job order.  ``indices`` is a range of session
-    indices and ``seeds[j]`` the uint64 seed ``derive_seed(master_seed,
-    indices[j])`` of session ``indices[j]``.
-
-    Worker w of ``_workers`` processes, this one (w = 0) and children
-    forked from it, runs ``jobs[w::workers]`` through ``_share``; a child
-    pickles its results back through a pipe.  A job's result depends only
-    on its sessions, so the results are those of one process.  A share
-    stops at its first failing job, job ``w + len(results) * workers``.
-    The lowest of these runs again here through ``_share``, one session
-    per job, so the ``SessionError`` names the session a sweep of single
-    sessions would have stopped at.  A batch whose sessions all pass alone
-    raises ``RuntimeError``, as does a child that dies without sending its
-    results.  On any exception, ``KeyboardInterrupt`` included, every
-    child is killed and reaped."""
-    workers = _workers(
-        config.n_pulses * sum(len(indices) for indices, _ in jobs), len(jobs)
-    )
-    children = []  # (pid, read end of its pipe) of each child not reaped
-    try:
-        for worker in range(1, workers):
-            read, write = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:  # as EAGAIN at a process limit
-                os.close(read)
-                os.close(write)
-                raise
-            if pid == 0:
-                _child(config, jobs[worker::workers], write)
-            children.append((pid, read))
-            os.close(write)
-        shares = [_share(config, jobs[::workers])[0]]
-        while children:
-            pid, read = children[0]
-            with open(read, "rb", closefd=False) as pipe:
-                data = pipe.read()
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            del children[0]
-            os.close(read)
-            if code != 0:  # a child exits 0 once it has sent all its results
-                raise RuntimeError(
-                    f"worker process {pid} exited with status {code} "
-                    "without sending its results"
-                )
-            shares.append(pickle.loads(data))
-    finally:
-        for pid, read in children:
-            os.kill(pid, _SIGKILL)
-            os.waitpid(pid, 0)
-            os.close(read)
-    failed = min(w + len(share) * workers for w, share in enumerate(shares))
-    if failed < len(jobs):
-        indices, work = jobs[failed]
-        passed, exc = _share(
-            config, [(range(i, i + 1), work) for i in indices]
-        )
-        if exc is None:
-            raise RuntimeError(
-                f"sessions {indices[0]} to {indices[-1]} failed as one "
-                "batch but not when run again one at a time"
-            )
-        index = indices[len(passed)]
-        seed = derive_seed(config.master_seed, index)
-        raise SessionError(index, seed, str(exc)) from exc
-    results = [None] * len(jobs)
-    for worker, share in enumerate(shares):
-        results[worker::workers] = share
+            results.append(_run(config, indices, work))
+        except Exception:
+            _replay(config, indices, work)
     return results
+
+
+def _run(config: ExperimentConfig, indices: range, work):
+    """``work(indices, seeds)`` on the seeds of sessions ``indices``."""
+    seeds = derive_seed(config.master_seed, np.arange(
+        indices.start, indices.stop, indices.step, dtype=np.uint64))
+    return work(indices, seeds)
+
+
+def _replay(config: ExperimentConfig, indices: range, work) -> NoReturn:
+    """Run the failed batch ``indices`` again one session at a time."""
+    for index in indices:
+        try:
+            _run(config, range(index, index + 1), work)
+        except Exception as exc:
+            seed = derive_seed(config.master_seed, index)
+            raise SessionError(index, seed, str(exc)) from exc
+    raise RuntimeError(
+        f"sessions {indices[0]} to {indices[-1]} failed as one batch but "
+        "not when run again one at a time"
+    )
 
 
 def _shares(batch: SessionBatch, hits: np.ndarray) -> list[float]:
@@ -571,18 +467,13 @@ def detection_rate_curve(
             )
         return int(np.count_nonzero(batch.detected))
 
-    # One sweep for all k, so that it forks once.
     n = config.n_sessions
-    counts = _sweep(config, [
-        (indices, partial(detections, curve))
-        for sweep, curve in enumerate(configs)
-        for indices in _batches(config, sweep * n, n)
-    ])
-    per_k = len(_batches(config, 0, n))
-    return [
-        (k, sum(counts[sweep * per_k:(sweep + 1) * per_k]) / n)
-        for sweep, k in enumerate(k_values)
-    ]
+    rates = []
+    for sweep, curve in enumerate(configs):
+        jobs = [(indices, partial(detections, curve))
+                for indices in _batches(config, sweep * n, n)]
+        rates.append((curve.parity_rounds, sum(_sweep(config, jobs)) / n))
+    return rates
 
 
 def curve_to_json(

@@ -3,8 +3,9 @@
 import hashlib
 import json
 import math
+import os
 import random
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -411,6 +412,117 @@ class TestRunExperiment:
             parity_rounds=4, master_seed=99,
         )
         assert run_experiment(config).to_json() == run_experiment(config).to_json()
+
+
+# 700 sessions x 96 pulses x 8 k-values: 16 batches.
+CURVE = ["detect-curve", "--pulses", "96", "--sessions", "700",
+         "--k-values", "1,2,3,4,5,6,7,8", "--force-differ", "--seed", "5"]
+# At seed 301, session 2243 is the first that keeps 3 sifted bits or
+# fewer, too few for 3 parity rounds; it lies 43 sessions into the second
+# of three batches of 2200.
+FAILING = ["run", "--pulses", "20", "--parity-rounds", "3",
+           "--sessions", "6600", "--seed", "301"]
+FAILING_SESSION = 2243
+FAILING_LINE = (
+    f"error: session {FAILING_SESSION} "
+    f"(seed {derive_seed(301, FAILING_SESSION)}): "
+    "key of length 3 cannot support 3 parity rounds\n"
+)
+
+
+def config_of(argv):
+    return cli._config_from_args(cli.build_parser().parse_args(argv))
+
+
+class TestSweepFailures:
+    @pytest.mark.parametrize("bad, index", [
+        ({3, 4}, 3),  # two failing sessions in one batch
+        ({2, 5}, 2),  # in two batches
+        ({1}, 1),  # the second session of the first batch
+        ({5}, 5),  # the last session of the last batch
+    ])
+    def test_lowest_failing_session_wins(self, bad, index):
+        # three batches of two sessions; no batch after the failing one runs
+        config = ExperimentConfig(n_pulses=10, n_sessions=6, master_seed=9)
+        ran = []
+
+        def work(indices, seeds):
+            ran.append(indices)
+            for i in indices:
+                if i in bad:
+                    raise KeyTooShortError(f"session {i} is bad")
+            return list(indices)
+
+        jobs = [(range(i, i + 2), work) for i in range(0, 6, 2)]
+        with pytest.raises(SessionError) as excinfo:
+            harness._sweep(config, jobs)
+        error = excinfo.value
+        assert error.session_index == index
+        assert error.seed == derive_seed(9, index)
+        assert str(error) == (
+            f"session {index} (seed {error.seed}): session {index} is bad"
+        )
+        assert isinstance(error.__cause__, KeyTooShortError)
+        assert ran[-1] == range(index, index + 1)
+        # the failing batch ends at index - index % 2 + 2
+        assert max(indices.stop for indices in ran) == index - index % 2 + 2
+
+    def test_batch_that_fails_only_as_a_batch(self):
+        # six batches of two sessions; batch 1 (sessions 2 and 3) fails as
+        # a batch, and each of its sessions passes alone
+        config = ExperimentConfig(n_pulses=10, n_sessions=12, master_seed=9)
+
+        def work(indices, seeds):
+            if len(indices) > 1 and indices[0] == 2:
+                raise ValueError("batch-only failure")
+            return list(indices)
+
+        jobs = [(range(i, i + 2), work) for i in range(0, 12, 2)]
+        with pytest.raises(RuntimeError) as excinfo:
+            harness._sweep(config, jobs)
+        assert str(excinfo.value) == (
+            "sessions 2 to 3 failed as one batch but not when run again one "
+            "at a time"
+        )
+
+    def test_failing_run_names_the_first_session_too_short(self):
+        # oracle: each session's sifted length, from a run without parity
+        # rounds
+        config = config_of(FAILING)
+        lengths = [
+            row.sifted_length for row in run_experiment(
+                replace(config, parity_rounds=0)).sessions
+        ]
+        assert [n <= 3 for n in lengths].index(True) == FAILING_SESSION
+        batches = harness._batches(config, 0, config.n_sessions)
+        assert [len(indices) for indices in batches] == [2200] * 3
+        with pytest.raises(SessionError) as excinfo:
+            run_experiment(config)
+        error = excinfo.value
+        assert error.session_index == FAILING_SESSION
+        assert error.seed == derive_seed(301, FAILING_SESSION)
+        assert isinstance(error.__cause__, KeyTooShortError)
+
+    def test_cli_exits_3_naming_the_failing_session(self, capsys):
+        assert cli.main(FAILING) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == FAILING_LINE
+
+    def test_no_command_forks(self, monkeypatch, capsys):
+        assert cli.main(CURVE) == 0
+        curve = capsys.readouterr().out
+
+        def fork():
+            raise AssertionError("os.fork called")
+
+        monkeypatch.setattr(os, "fork", fork)
+        assert cli.main(CURVE) == 0
+        assert capsys.readouterr().out == curve
+        assert cli.main(FAILING) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == FAILING_LINE
 
 
 class TestReportSerialization:
