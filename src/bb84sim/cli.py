@@ -145,6 +145,8 @@ def _check_out(out: str | None) -> None:
         return
     temp = _temp_sibling(Path(os.path.realpath(out)))
     directory = temp.parent
+    if directory.exists() and not directory.is_dir():
+        raise InvalidConfigError(f"--out parent {directory} is not a directory")
     if not directory.is_dir():
         raise InvalidConfigError(f"--out directory {directory} does not exist")
     try:

@@ -309,11 +309,11 @@ def compute_aggregates(
 
 
 def _batches(config: ExperimentConfig, first: int, count: int) -> list[range]:
-    """Sessions ``first`` to ``first + count - 1`` in batches of consecutive
-    indices: as few as hold at most ``_BATCH_PULSES`` pulses each, or one
-    session where a session is longer, with sizes that differ by at most
-    one, so that the largest batch, whose columns set a sweep's peak
-    memory, is as small as that many batches allow."""
+    """Sessions ``first`` to ``first + count - 1`` in the ranges that
+    ``_run`` takes in turn: as few as hold at most ``_BATCH_PULSES`` pulses
+    each, or one session where a session is longer, with sizes that differ
+    by at most one, so that the largest batch, whose columns set a sweep's
+    peak memory, is as small as that many batches allow."""
     size = max(1, _BATCH_PULSES // config.n_pulses)
     parts = -(-count // size)
     return [
@@ -323,44 +323,29 @@ def _batches(config: ExperimentConfig, first: int, count: int) -> list[range]:
     ]
 
 
-def _sweep(config: ExperimentConfig, jobs: list) -> list:
-    """Run every job ``(indices, work)`` in order as ``work(indices,
-    seeds)`` and return the results in job order.  ``indices`` is a range
-    of session indices and ``seeds[j]`` the uint64 seed
-    ``derive_seed(master_seed, indices[j])`` of session ``indices[j]``.
-
-    The first job that raises runs again one session at a time, so the
-    ``SessionError`` names the session, and its seed, that a sweep of
-    single sessions would have stopped at.  A batch whose sessions all pass
-    alone raises ``RuntimeError``."""
-    results = []
-    for indices, work in jobs:
-        try:
-            results.append(_run(config, indices, work))
-        except Exception:
-            _replay(config, indices, work)
-    return results
-
-
 def _run(config: ExperimentConfig, indices: range, work):
-    """``work(indices, seeds)`` on the seeds of sessions ``indices``."""
+    """``work(indices, seeds)``, ``seeds[j]`` being the uint64 seed
+    ``derive_seed(master_seed, indices[j])``.  If it raises, the lower half
+    of ``indices`` runs again, then the upper, down to one session, which
+    raises ``SessionError`` naming it and its seed: a batch's result
+    depends only on its seeds, so that is the session a sweep of single
+    sessions would stop at.  A range whose halves both pass raises
+    ``RuntimeError`` from its own exception."""
     seeds = derive_seed(config.master_seed, np.arange(
         indices.start, indices.stop, indices.step, dtype=np.uint64))
-    return work(indices, seeds)
-
-
-def _replay(config: ExperimentConfig, indices: range, work) -> NoReturn:
-    """Run the failed batch ``indices`` again one session at a time."""
-    for index in indices:
-        try:
-            _run(config, range(index, index + 1), work)
-        except Exception as exc:
-            seed = derive_seed(config.master_seed, index)
-            raise SessionError(index, seed, str(exc)) from exc
+    try:
+        return work(indices, seeds)
+    except Exception as exc:
+        if len(indices) == 1:
+            raise SessionError(indices[0], int(seeds[0]), str(exc)) from exc
+        failure = exc
+    middle = len(indices) // 2
+    _run(config, indices[:middle], work)
+    _run(config, indices[middle:], work)
     raise RuntimeError(
         f"sessions {indices[0]} to {indices[-1]} failed as one batch but "
-        "not when run again one at a time"
-    )
+        "not when its halves ran again"
+    ) from failure
 
 
 def _shares(batch: SessionBatch, hits: np.ndarray) -> list[float]:
@@ -426,10 +411,10 @@ def _experiment_rows(
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run ``n_sessions`` independent sessions and aggregate them."""
     work = partial(_experiment_rows, config, build_strategy(config))
-    batches = _sweep(config, [
-        (indices, work) for indices in _batches(config, 0, config.n_sessions)
-    ])
-    rows = [row for batch in batches for row in batch]
+    rows = [
+        row for indices in _batches(config, 0, config.n_sessions)
+        for row in _run(config, indices, work)
+    ]
     return ExperimentReport(
         config=config,
         sessions=rows,
@@ -452,7 +437,8 @@ def detection_rate_curve(
     sweep (k-major) uses the seed of session index j.  Every k is checked
     before any session runs.
     """
-    if any(k < 0 for k in k_values):
+    # A k that is not an int is left to replace(), which refuses it.
+    if any(isinstance(k, int) and k < 0 for k in k_values):
         raise InvalidConfigError("parity round counts must be >= 0")
     configs = [replace(config, parity_rounds=k) for k in k_values]
     strategy = build_strategy(config)
@@ -470,9 +456,10 @@ def detection_rate_curve(
     n = config.n_sessions
     rates = []
     for sweep, curve in enumerate(configs):
-        jobs = [(indices, partial(detections, curve))
-                for indices in _batches(config, sweep * n, n)]
-        rates.append((curve.parity_rounds, sum(_sweep(config, jobs)) / n))
+        work = partial(detections, curve)
+        detected = sum(_run(config, indices, work)
+                       for indices in _batches(config, sweep * n, n))
+        rates.append((curve.parity_rounds, detected / n))
     return rates
 
 

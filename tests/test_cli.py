@@ -134,6 +134,22 @@ class TestRunCommand:
         assert "does not exist" in err
         assert "Traceback" not in err
 
+    def test_out_under_a_regular_file_exits_2_before_the_run(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(cli, "run_experiment", must_not_run)
+        parent = tmp_path / "file"
+        parent.write_text("")
+        assert main(["run", "--out", str(parent / "r.json")]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: invalid configuration: --out parent {parent} is not a "
+            "directory\n"
+        )
+
     @pytest.mark.skipif(not os.path.isfile("/proc/version"),
                         reason="needs a procfs mounted at /proc")
     def test_out_on_a_pseudo_filesystem_exits_2_before_the_run(

@@ -86,10 +86,10 @@ class TestSeedDerivation:
             assert seeds.dtype == np.uint64
             return list(zip(indices, seeds.tolist()))
 
-        jobs = [(indices, work) for indices in harness._batches(config, 3, 5)]
-        assert len(jobs) == 3
-        got = [pair for batch in harness._sweep(config, jobs)
-               for pair in batch]
+        batches = harness._batches(config, 3, 5)
+        assert len(batches) == 3
+        got = [pair for indices in batches
+               for pair in harness._run(config, indices, work)]
         assert got == [(index, derive_seed(11, index)) for index in range(3, 8)]
 
 
@@ -401,7 +401,7 @@ class TestRunExperiment:
             harness, "run_batch", lambda *args, **kwargs: entered.append(1)
         )
         config = ExperimentConfig(n_pulses=96, n_sessions=5)
-        for k_values in ([1, -1], [1, 2.5], [1, np.int64(2)]):
+        for k_values in ([1, -1], [1, 2.5], [1, np.int64(2)], [1, "2"]):
             with pytest.raises(InvalidConfigError):
                 detection_rate_curve(config, k_values)
         assert entered == []
@@ -441,21 +441,23 @@ class TestSweepFailures:
         ({1}, 1),  # the second session of the first batch
         ({5}, 5),  # the last session of the last batch
     ])
-    def test_lowest_failing_session_wins(self, bad, index):
-        # three batches of two sessions; no batch after the failing one runs
-        config = ExperimentConfig(n_pulses=10, n_sessions=6, master_seed=9)
+    def test_lowest_failing_session_wins(self, monkeypatch, bad, index):
+        # 2**15-pulse sessions run two to a batch, so six take three
+        # batches; no batch after the failing one runs
+        config = ExperimentConfig(n_pulses=1 << 15, n_sessions=6,
+                                  master_seed=9)
         ran = []
 
-        def work(indices, seeds):
+        def work(config, strategy, indices, seeds):
             ran.append(indices)
             for i in indices:
                 if i in bad:
                     raise KeyTooShortError(f"session {i} is bad")
             return list(indices)
 
-        jobs = [(range(i, i + 2), work) for i in range(0, 6, 2)]
+        monkeypatch.setattr(harness, "_experiment_rows", work)
         with pytest.raises(SessionError) as excinfo:
-            harness._sweep(config, jobs)
+            run_experiment(config)
         error = excinfo.value
         assert error.session_index == index
         assert error.seed == derive_seed(9, index)
@@ -467,23 +469,65 @@ class TestSweepFailures:
         # the failing batch ends at index - index % 2 + 2
         assert max(indices.stop for indices in ran) == index - index % 2 + 2
 
-    def test_batch_that_fails_only_as_a_batch(self):
+    def test_batch_that_fails_only_as_a_batch(self, monkeypatch):
         # six batches of two sessions; batch 1 (sessions 2 and 3) fails as
         # a batch, and each of its sessions passes alone
-        config = ExperimentConfig(n_pulses=10, n_sessions=12, master_seed=9)
+        config = ExperimentConfig(n_pulses=1 << 15, n_sessions=12,
+                                  master_seed=9)
 
-        def work(indices, seeds):
+        def work(config, strategy, indices, seeds):
             if len(indices) > 1 and indices[0] == 2:
                 raise ValueError("batch-only failure")
             return list(indices)
 
-        jobs = [(range(i, i + 2), work) for i in range(0, 12, 2)]
+        monkeypatch.setattr(harness, "_experiment_rows", work)
         with pytest.raises(RuntimeError) as excinfo:
-            harness._sweep(config, jobs)
+            run_experiment(config)
         assert str(excinfo.value) == (
-            "sessions 2 to 3 failed as one batch but not when run again one "
-            "at a time"
+            "sessions 2 to 3 failed as one batch but not when its halves ran "
+            "again"
         )
+
+    def test_batch_only_failure_chains_the_batch_exception(self):
+        # sessions 0 to 3 fail together, while each half of two passes
+        config = ExperimentConfig(n_pulses=10, n_sessions=4)
+        batch_error = ValueError("batch-only failure")
+        ran = []
+
+        def work(indices, seeds):
+            ran.append(indices)
+            if len(indices) == 4:
+                raise batch_error
+            return list(indices)
+
+        with pytest.raises(RuntimeError) as excinfo:
+            harness._run(config, range(4), work)
+        assert str(excinfo.value) == (
+            "sessions 0 to 3 failed as one batch but not when its halves ran "
+            "again"
+        )
+        assert excinfo.value.__cause__ is batch_error
+        assert ran == [range(4), range(2), range(2, 4)]
+
+    def test_failure_is_narrowed_by_halves(self, monkeypatch, capsys):
+        # 9528 20-pulse sessions take three batches of 3176; session 4644,
+        # in the second, keeps too few sifted bits.  Halving finds it in at
+        # most 2 * ceil(log2(3176)) runs after the two whole batches.
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return run_batch(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "run_batch", counted)
+        argv = ["run", "--pulses", "20", "--parity-rounds", "3",
+                "--sessions", "9528", "--seed", "6"]
+        assert cli.main(argv) == 3
+        assert capsys.readouterr().err == (
+            "error: session 4644 (seed 16633819829541064228): "
+            "key of length 3 cannot support 3 parity rounds\n"
+        )
+        assert len(calls) <= 2 * math.ceil(math.log2(3176)) + 2
 
     def test_failing_run_names_the_first_session_too_short(self):
         # oracle: each session's sifted length, from a run without parity
