@@ -10,6 +10,8 @@ The module also provides an empirical check of what the adversary still
 knows after compression: the per-bit agreement of G applied to her guessed
 key with the true final key.  G is linear over XOR, so the two agree exactly
 where G(key XOR guess) is 0, and one hash of the difference measures it.
+Linearity also gives G(0) = 0: a zero key maps to zero with no transform,
+so an exact guess, such as the oracle adversary's, costs no hash.
 """
 
 from dataclasses import dataclass
@@ -91,7 +93,8 @@ def compress(key: Sequence[int], descriptor: HashDescriptor) -> np.ndarray:
     are integer counts, which rounding recovers while the float error stays
     small; should any of them land 0.25 or more from an integer, the map
     falls back to the direct O(n r) ``np.convolve``.  Linear over XOR by
-    construction.
+    construction, so a key with no set bit maps to r zeros, returned with
+    no transform.
     """
     bits = np.asarray(key, dtype=np.uint8)
     n = descriptor.input_bits
@@ -99,8 +102,10 @@ def compress(key: Sequence[int], descriptor: HashDescriptor) -> np.ndarray:
         raise LengthMismatchError(
             f"key must have exactly {n} bits, got {len(bits)}"
         )
-    seed = descriptor.seed_bits
     r = descriptor.output_bits
+    if not bits.any():
+        return np.zeros(r, dtype=np.uint8)
+    seed = descriptor.seed_bits
     size = 1 << (len(seed) - 1).bit_length()
     spectrum = np.fft.rfft(seed.astype(np.float64), size)
     spectrum *= np.fft.rfft(bits.astype(np.float64), size)

@@ -391,11 +391,12 @@ def _experiment_rows(
                     leak_bits=config.pa_leak_bits,
                     margin_bits=config.pa_margin_bits,
                 )
-                descriptor = sample_hash(params, seeds[s])
-                final_length = descriptor.output_bits
+                final_length = params.output_bits
                 key, guess = batch.reconciled(s)
                 if guess is not None:
-                    advantage = hashed_guess_advantage(key, guess, descriptor)
+                    advantage = hashed_guess_advantage(
+                        key, guess, sample_hash(params, seeds[s])
+                    )
         rows.append(SessionRow(
             index=index,
             qber=qbers[s],

@@ -156,10 +156,27 @@ class TestSampleHash:
 
 
 class TestCompress:
-    def test_zero_key_maps_to_zero(self):
-        params = PrivacyParams(input_bits=64, leak_bits=16, margin_bits=16)
-        descriptor = sample_hash(params, 4)
-        assert not compress([0] * 64, descriptor).any()
+    def test_zero_key_maps_to_zero(self, monkeypatch):
+        # G is linear, so G(0) = 0 exactly and no transform is run: at the
+        # bench size (a 40,000-bit sifted key less 32 parity rounds, t =
+        # 20,000, s = 16), a 64-bit key and small sizes from the edge cases
+        def refuse(*args, **kwargs):
+            raise AssertionError("a zero key ran a transform")
+
+        monkeypatch.setattr(np.fft, "rfft", refuse)
+        monkeypatch.setattr(np.fft, "irfft", refuse)
+        monkeypatch.setattr(np, "convolve", refuse)
+        rng = random.Random(4)
+        for n, r in ((40_000 - 32, 40_000 - 32 - 20_000 - 16), (64, 32),
+                     (1, 1), (2, 1), (33, 32), (100, 29), (129, 1)):
+            descriptor = HashDescriptor(
+                n, r, np.array(random_bits(n + r - 1, rng), dtype=np.uint8)
+            )
+            for key in ([0] * n, np.zeros(n, dtype=np.uint8)):
+                out = compress(key, descriptor)
+                assert out.dtype == np.uint8
+                assert out.shape == (r,)
+                assert not out.any()
 
     def test_deterministic(self):
         params = PrivacyParams(input_bits=64, leak_bits=16, margin_bits=16)

@@ -384,3 +384,27 @@ def test_importing_the_cli_loads_neither_numpy_random_nor_fft():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("eve, parity_rounds, loaded", [
+    ("indirect-oracle", "8", False),
+    ("intercept-resend", "0", True),
+])
+def test_only_a_nonzero_difference_loads_numpy_fft(eve, parity_rounds, loaded):
+    # the oracle's guess equals the key, so privacy amplification hashes a
+    # zero difference, which needs no transform; intercept/resend with no
+    # parity round is undetected and hashes a nonzero one through the FFT
+    src = Path(__file__).resolve().parents[1] / "src"
+    argv = ["run", "--eve", eve, "--pulses", "2000", "--sessions", "2",
+            "--parity-rounds", parity_rounds, "--pa-t", "200", "--pa-s", "16"]
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from bb84sim.cli import main; "
+         f"code = main({argv!r}); "
+         "print(code, 'numpy.fft' in sys.modules, file=sys.stderr)"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["sessions"][1]["detected"] is False
+    assert done.stderr.split() == ["0", str(loaded)]

@@ -275,8 +275,8 @@ class TestRunExperiment:
         self, monkeypatch, eve_kind, parity_rounds, calls
     ):
         # the oracle's guess equals the key, so its difference is all
-        # zeros, and it is hashed all the same; a passive channel has no
-        # guess, and a detected session no key
+        # zeros, which compress maps to zeros without a transform; a passive
+        # channel has no guess, and a detected session no key
         counted = []
         real_compress = amplification.compress
 
@@ -311,6 +311,29 @@ class TestRunExperiment:
             assert row.eve_advantage is None
             assert row.eve_accuracy is None
         assert report.aggregates.mean_eve_accuracy is None
+
+    def test_passive_channel_draws_no_toeplitz_seed(self, monkeypatch, capsys):
+        # the final length is n - t - s whatever the seed, and no guess
+        # needs hashing, so no descriptor is drawn
+        argv = ["run", "--eve", "none", "--pulses", "2000", "--sessions", "2",
+                "--pa-t", "200", "--pa-s", "16"]
+        assert cli.main(argv) == 0
+        unwrapped = capsys.readouterr().out
+        calls = []
+        real_sample_hash = harness.sample_hash
+
+        def counting_sample_hash(params, seed):
+            calls.append(seed)
+            return real_sample_hash(params, seed)
+
+        monkeypatch.setattr(harness, "sample_hash", counting_sample_hash)
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == unwrapped
+        assert calls == []
+        rows = json.loads(unwrapped)["sessions"]
+        assert [row["final_key_length"] for row in rows] == [
+            row["sifted_length"] - 200 - 16 for row in rows
+        ]
 
     def test_session_errors_carry_index(self):
         config = ExperimentConfig(
