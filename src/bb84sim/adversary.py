@@ -48,6 +48,7 @@ from .quantum import (
     bit0_thresholds,
     build_reference_list,
     reduce_angle,
+    settled_bits,
     squared_overlap,
 )
 from .stream import threshold
@@ -71,7 +72,9 @@ class ChannelTable:
     * ``guess_bits[k]``: the bit outcome k guesses, or ``None`` throughout
       for a passive channel;
     * ``bit0_thresholds[k, b]``: the receiver's bit-0 threshold for the
-      state outcome k forwards, measured in basis b (``bit0_thresholds``).
+      state outcome k forwards, measured in basis b (``bit0_thresholds``);
+    * ``settled_bits[k, b]``: the bit that measurement always gives, or
+      ``quantum.RANDOM`` where a key decides it (``settled_bits``).
 
     Table entries within ``_EIGEN_SNAP`` of 0 are set to 0, so an outcome
     the Born rule rules out is never drawn.
@@ -89,6 +92,7 @@ class ChannelTable:
             None if guesses[0] is None else np.array(guesses, dtype=np.uint8)
         )
         self.bit0_thresholds = bit0_thresholds(self.forwarded_angles)
+        self.settled_bits = settled_bits(self.bit0_thresholds)
         # Outcome k is drawn when edges[k - 1] <= u < edges[k].  Edges with
         # no probability left above them are set to 1, whose threshold 2**53
         # no key reaches, so rounding in the cumulative sum can never select
@@ -121,15 +125,15 @@ class ChannelTable:
         """Sample one outcome per pulse by inverse CDF over its table row.
 
         ``codes`` indexes ``BQS``: the state sent as each pulse, in an array
-        of any shape, one row per session in a batch.  ``keys`` holds each
-        pulse's 53-bit key as uint64, as ``stream.keys`` draws it, and the
-        outcome drawn is the first whose cumulative probability p exceeds
-        k * 2**-53: the number of edges p with k >= ceil(p * 2**53), a
-        53-bit key against each threshold.  A row with a single possible
-        outcome returns it for every key; a table without ``reads_keys``
-        reads only ``_base`` and takes ``None`` for ``keys``.  Returns the
-        outcomes, shaped like ``codes``, as uint8 indices into every
-        per-outcome array above.
+        of any shape; the engine passes the pulses that reach the sifted
+        key.  ``keys`` holds each pulse's 53-bit key as uint64, as
+        ``stream.key_blocks`` draws it, and the outcome drawn is the first
+        whose cumulative probability p exceeds k * 2**-53: the number of
+        edges p with k >= ceil(p * 2**53), a 53-bit key against each
+        threshold.  A row with a single possible outcome returns it for
+        every key; a table without ``reads_keys`` reads only ``_base`` and
+        takes ``None`` for ``keys``.  Returns the outcomes, shaped like
+        ``codes``, as uint8 indices into every per-outcome array above.
         """
         outcome = np.take(self._base, codes)
         for column in self._edge_columns:

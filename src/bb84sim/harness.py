@@ -22,11 +22,15 @@ session of n pulses reads these stages:
 0. n bits, the sender's bits;
 1. n bits, the sender's bases;
 2. n bits, the receiver's bases;
-3. key i for pulse i of the adversary's channel table, only when the
-   table has more than one outcome for some sent state (not for ``none``
-   or ``indirect-oracle``);
-4. key i for the loss of pulse i, only when the efficiency is below 1;
-5. key i for the receiver's measurement of pulse i, lost pulses included;
+3. key i for the adversary's channel table at pulse i, only for a pulse
+   that reaches the sifted key, and only when the table has more than one
+   outcome for some sent state (not for ``none`` or
+   ``indirect-oracle``);
+4. key i for the loss of pulse i, only for a pulse whose two bases match,
+   and only when the efficiency is below 1;
+5. key i for the receiver's measurement of pulse i, only for a pulse that
+   reaches the sifted key and whose forwarded state is not an eigenstate
+   of its basis (so never under ``none`` or ``indirect-oracle``);
 6. with ``force_differ``, in ``detection_rate_curve``, key 0, whose
    uniform u flips receiver bit floor(u * L) of the L-bit sifted key;
 7. with privacy amplification on an undetected session, the n + r - 1
@@ -49,10 +53,10 @@ Sessions run in batches of consecutive indices, of up to 2**16 pulses or
 one longer session, the batches of a sweep differing in size by at most
 one session.  A batch's seeds come from one ``derive_seed`` call over its
 indices, and each stage computes its values for the whole batch at once
-with numpy, the per-pulse stages (3-5) in tiles of at most
-``stream.BLOCK`` keys: whole sessions when one fits, else a part of one.
-A batch's result depends only on its sessions' seeds, so the cut of a
-sweep into batches moves no report byte.
+with numpy, the per-pulse stages (3-5) at the pulses they decide, at most
+``stream.BLOCK`` keys at a time (``stream.key_blocks``).  A batch's
+result depends only on its sessions' seeds, so the cut of a sweep into
+batches moves no report byte.
 """
 
 import json
@@ -76,8 +80,8 @@ _MASK64 = (1 << 64) - 1
 _CI_Z = 1.96  # normal-approximation z for a 95% binomial interval
 # Pulses a batch holds at most, unless one session is longer.  A batch
 # pays numpy's fixed cost per call once per stage, so short sessions gain
-# from many to a batch.  A stage's temporaries stay within ``stream.BLOCK``
-# items whatever the batch size (``stream.tiles``), but a batch's columns
+# from many to a batch.  A stage's keys stay within ``stream.BLOCK`` items
+# whatever the batch size (``stream.key_blocks``), but a batch's columns
 # grow with it: at 2**17 pulses the 96-pulse curve of 1000 x 8 sessions
 # ran about 2% faster than at 2**16, and its peak RSS rose 35.3 -> 36.4 MB
 # (three pairs of 15 s benchmark runs, 2-vCPU VM).
@@ -372,7 +376,7 @@ def _experiment_rows(
     lengths = batch.lengths
     qbers = _shares(batch, batch.sifted_alice != batch.sifted_bob)
     accuracies = [None] * len(batch)
-    guesses = batch.guesses(batch.sifted)
+    guesses = batch.guesses()
     if guesses is not None:
         shares = _shares(batch, guesses == batch.sifted_alice)
         accuracies = [

@@ -8,27 +8,32 @@ reconciliation happens over an implicit authenticated, error-free public
 channel; only its outcome is modeled.
 
 Sessions run in batches.  ``run_batch`` holds a batch of sessions as numpy
-columns with one row per session, pulse i of session s being entry [s, i],
-and every stage handles the whole batch at once.  Every stage takes the
-sessions' seeds, one uint64 per session, and computes the values of its
-own stage of the counter-based stream (see ``stream``, and ``harness``
-for the stages), returning one row per session; ``run_session`` is a
-batch of one.  A basis
-is stored as its index into ``BASIS_ANGLES`` (0 rectilinear, 1 diagonal),
-and a signal state as its code, an index into ``BQS``, ``2 * basis + bit``.
+columns with one row per session, pulse i of session s being entry [s, i]
+and flat pulse s * n + i, and every stage handles the whole batch at once.
+Every stage takes the sessions' seeds, one uint64 per session, and
+computes the values of its own stage of the counter-based stream (see
+``stream``, and ``harness`` for the stages); ``run_session`` is a batch of
+one.  A basis is stored as its index into ``BASIS_ANGLES`` (0
+rectilinear, 1 diagonal), and a signal state as its code, an index into
+``BQS``, ``2 * basis + bit``.
 
-A batch stores each fact once.  Every pulse column takes one byte per
-pulse: the adversary's outcome is kept as its index into her table, which
-the batch holds, and a lost pulse is the receiver's bit -1.  Parity
-verification leaves one flag per session and the mask of surviving key
-positions, not per-round records.
+A batch stores each fact once, and decides each pulse only as far as the
+sifted key can read it.  The sender's bits and bases and the receiver's
+bases are drawn for every pulse, one byte per pulse each.  Sifting comes
+next: a pulse can reach the key only when the two bases match, and only
+those pulses read a loss key.  The adversary and the receiver then act on
+the sifted pulses alone, so their results are kept in the sifted layout:
+the adversary's outcome as its index into her table, which the batch
+holds, and the receiver's bit.  Parity verification leaves one flag per
+session and the mask of surviving key positions, not per-round records.
 
-Each random decision of a pulse, the adversary's outcome, loss and the
+Each random decision of a pulse, loss, the adversary's outcome and the
 receiver's bit, is a 53-bit key against ceil(p * 2**53) for its
-probability p.  The channel table computes the receiver's thresholds once,
-for every state it forwards, so no pulse computes a probability.  Each
-such stage walks the batch in ``stream.tiles``, at most ``stream.BLOCK``
-pulses at a time: whole rows when a session fits, else part of one row.
+probability p, read at the pulse's own stage and index with
+``stream.key_blocks``, at most ``stream.BLOCK`` keys at a time.  The
+channel table computes the receiver's thresholds once, for every state it
+forwards, and which of them fix the outcome, so no pulse computes a
+probability and a basis eigenstate reads no key.
 """
 
 from dataclasses import dataclass, fields
@@ -41,7 +46,7 @@ from .errors import InvalidConfigError, KeyTooShortError
 from .quantum import measure
 from .stream import (
     ADVERSARY, ALICE_BASES, ALICE_BITS, BOB_BASES, FLIP, LOSS, PARITY,
-    STAGES, keys, random_bits, threshold, tiles, values,
+    STAGES, key_blocks, keys, random_bits, threshold, values,
 )
 
 
@@ -84,15 +89,12 @@ class SessionConfig:
 
 @dataclass(frozen=True, eq=False)
 class Pulses:
-    """Everything that happened to the transmitted quantum bits, as
-    columns of one byte per pulse: entry [s, i] of each array describes
-    pulse i of session s."""
+    """The choices drawn for every pulse, as columns of one byte per
+    pulse: entry [s, i] of each array describes pulse i of session s."""
 
     alice_bits: np.ndarray  # uint8
     alice_bases: np.ndarray  # uint8 index into BASIS_ANGLES
-    outcomes: np.ndarray  # uint8 index into the adversary's table
     bob_bases: np.ndarray  # uint8 index into BASIS_ANGLES
-    bob_bits: np.ndarray  # int8 measured bit, -1 where the pulse was lost
 
     def __len__(self) -> int:
         """The number of pulses, over every session of a batch."""
@@ -103,17 +105,20 @@ class Pulses:
 class SessionBatch:
     """A batch of sessions, as columns, each fact stored once.
 
-    ``pulses`` holds one row per session, and ``adversary`` the table its
-    outcomes index.  The sifted arrays lay the sessions' sifted keys end to
-    end: session s owns the ``lengths[s]`` entries from ``starts[s]`` on,
-    and ``sifted`` indexes the flattened pulse columns.  ``kept`` marks, in
-    the same layout, the positions no parity round discarded, and
-    ``detected`` holds one flag per session.
+    ``pulses`` holds one row per session, and ``adversary`` the table that
+    ``outcomes`` indexes.  The sifted arrays lay the sessions' sifted keys
+    end to end: session s owns the ``lengths[s]`` entries from
+    ``starts[s]`` on, ``sifted`` holds the flattened pulse index of each
+    entry, ``outcomes`` the adversary's outcome there and ``sifted_bob``
+    the receiver's bit.  ``kept`` marks, in the same layout, the positions
+    no parity round discarded, and ``detected`` holds one flag per
+    session.
     """
 
     pulses: Pulses
     adversary: ChannelTable
     sifted: np.ndarray
+    outcomes: np.ndarray
     lengths: np.ndarray
     starts: np.ndarray
     sifted_alice: np.ndarray
@@ -131,16 +136,17 @@ class SessionBatch:
         start = self.starts[s]
         part = slice(start, start + self.lengths[s])
         kept = self.kept[part]
-        key = self.sifted_alice[part][kept]
-        return key, self.guesses(self.sifted[part][kept])
+        guesses = self.guesses(part)
+        return (self.sifted_alice[part][kept],
+                None if guesses is None else guesses[kept])
 
-    def guesses(self, pulses: np.ndarray) -> np.ndarray | None:
-        """The adversary's guesses ``guess_bits[outcome]`` at the flattened
-        pulse indices ``pulses``; ``None`` on a passive channel."""
+    def guesses(self, at=slice(None)) -> np.ndarray | None:
+        """The adversary's guesses ``guess_bits[outcome]`` at the entries
+        ``at`` of the sifted layout, all of them by default; ``None`` on a
+        passive channel."""
         if self.adversary.guess_bits is None:
             return None
-        return np.take(self.adversary.guess_bits,
-                       np.take(self.pulses.outcomes, pulses))
+        return np.take(self.adversary.guess_bits, self.outcomes[at])
 
 
 def prepare_pulses(
@@ -154,56 +160,51 @@ def prepare_pulses(
             random_bits(seeds, ALICE_BASES, n))
 
 
+def sift(
+    pulses: Pulses, efficiency: float, seeds: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Keep the pulses whose bases matched and that arrived.
+
+    ``pulses`` holds one row of n pulses per seed.  Only a pulse whose
+    bases matched reads a loss key, and only when ``efficiency < 1``: key
+    i of the loss stage for pulse i, the pulse being lost when its key k
+    has k * 2**-53 >= ``efficiency``, a 53-bit key against
+    ceil(efficiency * 2**53).  Returns the sender's sifted key and the
+    flat pulse indices it came from, which run over the flattened columns,
+    session after session, the key laid end to end in the same order.
+    """
+    kept = np.flatnonzero(pulses.alice_bases == pulses.bob_bases)
+    if efficiency < 1.0:
+        edge = threshold(efficiency)
+        arrived = np.empty(len(kept), dtype=bool)
+        for part, drawn in key_blocks(seeds, LOSS, pulses.alice_bits.shape[1],
+                                      kept):
+            np.less(drawn, edge, out=arrived[part])
+        kept = kept[arrived]
+    return np.take(pulses.alice_bits, kept), kept
+
+
 def transmit(
     codes: np.ndarray,
     adversary: ChannelTable,
-    efficiency: float,
     seeds: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pass the pulses ``BQS[codes]`` through the adversary, then through
-    detector loss.
+    n: int,
+    sifted: np.ndarray,
+) -> np.ndarray:
+    """Pass the sifted pulses ``BQS[codes]`` through the adversary.
 
-    ``codes`` holds one row of pulses per seed.  The adversary reads one
-    53-bit key per pulse from her stage, when her table has ``reads_keys``;
-    a table with a single outcome per sent state (``none``,
-    ``indirect-oracle``) computes none.  When ``efficiency < 1``, loss reads
-    one key per pulse from its own stage, and a pulse is lost when its key
-    k has k * 2**-53 >= ``efficiency``, a 53-bit key against
-    ceil(efficiency * 2**53).  Returns the adversary's outcomes (indices
-    into her table) and the loss mask.  The adversary acts before loss, so
-    her outcome exists even for lost pulses.
+    Entry j was sent as pulse ``sifted[j]`` = s * n + i of a batch of
+    sessions of ``n`` pulses each.  When her table has ``reads_keys``, the
+    adversary reads key i of her stage of ``seeds[s]`` for it; a table
+    with a single outcome per sent state (``none``, ``indirect-oracle``)
+    reads none.  Returns the adversary's outcomes, indices into her table.
     """
-    outcomes = np.empty(codes.shape, dtype=np.uint8)
-    lost = np.zeros(codes.shape, dtype=bool)
-    edge = threshold(efficiency) if efficiency < 1.0 else None
-    for rows, start, stop in tiles(*codes.shape):
-        tile = np.s_[rows, start:stop]
-        drawn = None
-        if adversary.reads_keys:
-            drawn = keys(seeds[rows], ADVERSARY, stop - start, start)
-        outcomes[tile] = adversary.intercept(codes[tile], drawn)
-        if edge is not None:
-            np.greater_equal(keys(seeds[rows], LOSS, stop - start, start),
-                             edge, out=lost[tile])
-    return outcomes, lost
-
-
-def sift(pulses: Pulses) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Keep positions where the pulse arrived (``bob_bits`` is not -1)
-    and the bases matched.
-
-    Returns the sender's sifted key, the receiver's, and the pulse indices
-    they came from.  For a batch the indices run over the flattened
-    columns, session after session, and the keys are laid end to end in
-    the same order.
-    """
-    matched = pulses.alice_bases == pulses.bob_bases
-    kept = np.flatnonzero(matched & (pulses.bob_bits >= 0))
-    return (
-        np.take(pulses.alice_bits, kept),
-        np.take(pulses.bob_bits, kept).view(np.uint8),
-        kept,
-    )
+    if not adversary.reads_keys:
+        return adversary.intercept(codes, None)
+    outcomes = np.empty(len(codes), dtype=np.uint8)
+    for part, drawn in key_blocks(seeds, ADVERSARY, n, sifted):
+        outcomes[part] = adversary.intercept(codes[part], drawn)
+    return outcomes
 
 
 # _BELOW[k] has the k low bits of a value set, for k in [0, 64].
@@ -360,22 +361,19 @@ def run_batch(
     before verification, for the uniform u = k * 2**-53; a session without
     sifted bits then raises ``ValueError``.  An error of any session
     raises.  Returns the batch's pulse columns, the adversary's table,
-    sifted keys, survivor mask ``kept`` and detection flags as a
-    ``SessionBatch``.
+    sifted keys and outcomes, survivor mask ``kept`` and detection flags
+    as a ``SessionBatch``.
     """
     n = config.n_pulses
     seeds = np.asarray(seeds, dtype=np.uint64)
     alice_bits, alice_bases = prepare_pulses(n, seeds)
-    bob_bases = random_bits(seeds, BOB_BASES, n)
-    outcomes, lost = transmit(
-        2 * alice_bases + alice_bits, adversary, config.efficiency, seeds
-    )
-    bob_bits = measure(
-        adversary.bit0_thresholds, outcomes, bob_bases, seeds
-    ).view(np.int8)
-    bob_bits[lost] = -1
-    pulses = Pulses(alice_bits, alice_bases, outcomes, bob_bases, bob_bits)
-    sifted_alice, sifted_bob, sifted = sift(pulses)
+    pulses = Pulses(alice_bits, alice_bases,
+                    random_bits(seeds, BOB_BASES, n))
+    sifted_alice, sifted = sift(pulses, config.efficiency, seeds)
+    bases = np.take(alice_bases, sifted)
+    outcomes = transmit(2 * bases + sifted_alice, adversary, seeds, n, sifted)
+    sifted_bob = measure(adversary.bit0_thresholds, adversary.settled_bits,
+                         outcomes, bases, seeds, n, sifted)
     # Session s owns the sifted indices in [s * n, (s + 1) * n).
     bounds = np.searchsorted(sifted, np.arange(len(seeds) + 1) * n)
     starts, lengths = bounds[:-1], np.diff(bounds)
@@ -397,6 +395,7 @@ def run_batch(
         pulses=pulses,
         adversary=adversary,
         sifted=sifted,
+        outcomes=outcomes,
         lengths=lengths,
         starts=starts,
         sifted_alice=sifted_alice,

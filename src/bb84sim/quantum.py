@@ -6,11 +6,12 @@ modulo pi because a polarization state and its negation describe the same
 ray.  Every outcome probability is then a squared cosine of an angle
 difference.  The four signal states are the ray angles ``BQS``, and a
 signal state is named by its code, an index into ``BQS``.  ``measure``
-works on a whole batch of sessions at once, one row per session: each
-state is an index into a table of thresholds that ``bit0_thresholds``
-computes once, and each outcome is a 53-bit key of the measurement stage
-against ceil(p0 * 2**53) for the state's Born probability p0 of bit 0,
-with no cosine per pulse.
+works on chosen pulses of a whole batch of sessions at once: each state is
+an index into a table of thresholds that ``bit0_thresholds`` computes
+once, and each outcome is a 53-bit key of the measurement stage against
+ceil(p0 * 2**53) for the state's Born probability p0 of bit 0, with no
+cosine per pulse.  A state whose threshold is 0 or 2**53, an eigenstate of
+its basis, has its outcome fixed by ``settled_bits`` and reads no key.
 """
 
 import math
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateAncillaError, NoMatchError
-from .stream import MEASURE, keys, threshold, tiles
+from .stream import MEASURE, key_blocks, threshold
 
 # Tolerance for matching squared-overlap values: far below the smallest
 # gap between table entries (~0.18 for the default ancilla), far above
@@ -32,6 +33,9 @@ MATCH_TOL = 1e-9
 _EIGEN_SNAP = 1e-12
 
 PI = math.pi
+
+# The ``settled_bits`` entry of a state whose outcome a key decides.
+RANDOM = 2
 
 
 def reduce_angle(theta: float) -> float:
@@ -78,34 +82,49 @@ def bit0_thresholds(
     return threshold(p0)
 
 
-def measure(
-    thresholds: np.ndarray, states: np.ndarray, bases: np.ndarray,
-    seeds: np.ndarray,
-) -> np.ndarray:
-    """Projective measurement of a batch of states, one row per session.
+def settled_bits(thresholds: np.ndarray) -> np.ndarray:
+    """For each entry of a threshold table from ``bit0_thresholds``, the
+    bit its state always measures, as uint8: 0 for the threshold 2**53,
+    which every key falls below, 1 for the threshold 0, which none does,
+    and ``RANDOM`` for a threshold between them, whose outcome a key
+    decides."""
+    settled = np.full(thresholds.shape, RANDOM, dtype=np.uint8)
+    settled[thresholds == threshold(1.0)] = 0
+    settled[thresholds == 0] = 1
+    return settled
 
-    State [s, i] is state ``states[s, i]`` of ``thresholds``, a table from
-    ``bit0_thresholds``, measured in its basis ``bases[s, i]``.  Row s
-    reads key i of the measurement stage of ``seeds[s]`` for state i, and
-    the outcome is bit 0 when the key falls below the state's threshold
-    ``thresholds[states[s, i], bases[s, i]]``: a 53-bit key against
-    ceil(p0 * 2**53), the decision u >= p0 for bit 1 on the key's uniform
-    u = k * 2**-53.
+
+def measure(
+    thresholds: np.ndarray, settled: np.ndarray, states: np.ndarray,
+    bases: np.ndarray, seeds: np.ndarray, n: int, positions: np.ndarray,
+) -> np.ndarray:
+    """Projective measurement of chosen pulses of a batch of sessions of
+    ``n`` pulses each.
+
+    Entry j is state ``states[j]`` of ``thresholds``, a table from
+    ``bit0_thresholds``, measured in its basis ``bases[j]``, and it is
+    pulse ``positions[j]`` = s * n + i of the batch.  Where ``settled``,
+    the table's ``settled_bits``, fixes the outcome, the entry takes that
+    bit and reads no key.  Otherwise it reads key i of the measurement
+    stage of ``seeds[s]``, and the outcome is bit 0 when the key falls
+    below the state's threshold: a 53-bit key against ceil(p0 * 2**53),
+    the decision u >= p0 for bit 1 on the key's uniform u = k * 2**-53.
     Returns the outcome bits as uint8; the state collapses onto the
-    eigenstate of its bit.  The states are taken a ``stream.tiles`` tile at
-    a time, at most ``stream.BLOCK`` of them, which bounds the temporaries
-    without changing the keys.
+    eigenstate of its bit.  Keys are computed at most ``stream.BLOCK`` at
+    a time.
     """
-    flat, width = thresholds.ravel(), thresholds.shape[1]
-    bits = np.empty(states.shape, dtype=np.uint8)
-    for rows, start, stop in tiles(*states.shape):
-        tile = np.s_[rows, start:stop]
-        index = np.multiply(states[tile], width, dtype=np.intp)
-        index += bases[tile]
-        np.greater_equal(
-            keys(seeds[rows], MEASURE, stop - start, start),
-            np.take(flat, index), out=bits[tile], casting="unsafe",
-        )
+    # Entry [k, b] of a table is k * width + b of it flattened, in the
+    # smallest type that holds every entry: one byte for a channel table.
+    kind = np.min_scalar_type(thresholds.size - 1)
+    index = states.astype(kind)
+    index *= kind.type(thresholds.shape[1])
+    index += bases.astype(kind, copy=False)
+    bits = np.take(settled, index)
+    drawn = np.flatnonzero(bits == RANDOM)
+    for part, key in key_blocks(seeds, MEASURE, n,
+                                np.take(positions, drawn)):
+        at = drawn[part]
+        bits[at] = key >= np.take(thresholds, np.take(index, at))
     return bits
 
 

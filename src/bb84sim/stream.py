@@ -115,25 +115,29 @@ def threshold(p) -> np.ndarray:
 
 def keys(seeds, stage, n: int, start: int = 0) -> np.ndarray:
     """Keys ``start`` to ``start + n - 1`` of ``stage`` per seed, as
-    uint64: each the top 53 bits of its value.  A caller bounds the
-    temporaries by asking for one ``tiles`` tile of keys at a time."""
+    uint64: each the top 53 bits of its value."""
     out = values(seeds, stage, n, start)
     out >>= _KEY_SHIFT
     return out
 
 
-def tiles(rows: int, n: int):
-    """Cover a (rows, n) array, one row per session, with tiles of at most
-    ``BLOCK`` items, yielded as (row slice, start, stop): whole rows,
-    ``BLOCK // n`` of them at a time, when a row fits in a tile, and
-    ``BLOCK`` columns of one row at a time otherwise.  A stage that draws
-    ``keys(seeds[rows], stage, stop - start, start)`` for a tile reads
-    each item's key at its own stage and index."""
-    if n <= BLOCK:
-        step = BLOCK // max(n, 1)
-        for first in range(0, rows, step):
-            yield slice(first, first + step), 0, n
-        return
-    for row in range(rows):
-        for start in range(0, n, BLOCK):
-            yield slice(row, row + 1), start, min(start + BLOCK, n)
+def key_blocks(seeds, stage, n: int, positions: np.ndarray):
+    """The keys of ``stage`` at the flat positions ``positions`` of a batch
+    of sessions of ``n`` pulses each: position s * n + i reads key i of
+    ``seeds[s]``.  Yields (part, keys) for consecutive slices ``part`` of
+    ``positions``, each of at most ``BLOCK`` entries, which bounds the
+    temporaries; ``positions`` is a nonnegative int64 array."""
+    seeds = np.asarray(seeds, np.uint64)
+    # Value i of row s is mix(seeds[s] + (stage * 2**40 + i + 1) * γ), and
+    # i = position - s * n, so each row's offset is added to position * γ.
+    first = (_row(stage) << _STAGE_SHIFT) + np.uint64(1)
+    rows = np.arange(len(seeds), dtype=np.uint64) * np.uint64(n)
+    offsets = seeds + (first - rows) * _GAMMA
+    for start in range(0, len(positions), BLOCK):
+        part = slice(start, start + BLOCK)
+        at = positions[part]
+        out = at.astype(np.uint64) * _GAMMA
+        out += np.take(offsets, at // n)
+        _mix(out)
+        out >>= _KEY_SHIFT
+        yield part, out

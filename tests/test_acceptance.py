@@ -42,6 +42,7 @@ from bb84sim.quantum import (
     build_reference_list,
     measure,
     reduce_angle,
+    settled_bits,
 )
 from test_adversary import enumerate_single_shot_qber
 from test_protocol import eve_bits, qber
@@ -182,16 +183,19 @@ def test_criterion_7_born_rule_frequencies():
     started = time.perf_counter()
     trials = 100_000
     diagonal_state = BQS[2]
-    first = np.zeros((1, trials), dtype=np.uint8)  # state 0 in basis 0
-    outcomes = measure(
-        bit0_thresholds([diagonal_state], BASIS_ANGLES[:1]), first, first,
-        [derive_seed(7, 0)],
+    first = np.zeros(trials, dtype=np.uint8)  # state 0 in basis 0
+    pulses = np.arange(trials)  # every pulse of one session
+
+    def measured(thresholds, seed):
+        return measure(thresholds, settled_bits(thresholds), first, first,
+                       [seed], trials, pulses)
+
+    outcomes = measured(
+        bit0_thresholds([diagonal_state], BASIS_ANGLES[:1]), derive_seed(7, 0)
     )
     freq_half = np.count_nonzero(outcomes == 0) / trials
     probe = reduce_angle(DEFAULT_ANCILLA_ANGLE)
-    outcomes = measure(
-        bit0_thresholds([BQS[0]], [probe]), first, first, [derive_seed(7, 1)]
-    )
+    outcomes = measured(bit0_thresholds([BQS[0]], [probe]), derive_seed(7, 1))
     freq_tilted = np.count_nonzero(outcomes == 0) / trials
     bound_half = 4 * math.sqrt(0.5 * 0.5 / trials)
     bound_tilted = 4 * math.sqrt(0.75 * 0.25 / trials)

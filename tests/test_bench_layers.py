@@ -16,12 +16,14 @@ calls without failing anything, so the per-pulse names of the fine pass
 are also counted through one small run.
 """
 
+import math
 import sys
 from pathlib import Path
 
 import pytest
 
-from bb84sim import harness
+from bb84sim import cli, harness
+from bb84sim.adversary import EVE_KINDS
 
 BENCH = str(Path(__file__).resolve().parents[1] / "bench")
 sys.path.insert(0, BENCH)
@@ -61,13 +63,15 @@ def test_workload_set_up_builds(name):
 
 
 PER_PULSE = [entry for entry in layers.FINE if entry not in layers.COARSE]
+SIFT = [entry for entry in layers.COARSE if entry[0] == "protocol.sift"]
 
 
-def test_per_pulse_traced_names_are_called(monkeypatch):
-    # wrapped with the fine pass's own timer, at every reference the
-    # package holds, as ``layers.install`` does, but undone afterwards
+def trace(monkeypatch, entries):
+    """A ``layers.Tracer`` timing ``entries`` with its own wrappers, at
+    every reference the package holds, as ``layers.install`` does, but
+    undone afterwards."""
     tracer = layers.Tracer()
-    for name, module, attr in PER_PULSE:
+    for name, module, attr in entries:
         for original in layers._originals(module, attr):
             wrapper = tracer.timed(name, original)
             modules = [mod for modname, mod in sys.modules.items()
@@ -79,12 +83,38 @@ def test_per_pulse_traced_names_are_called(monkeypatch):
                     for key, value in list(vars(holder).items()):
                         if value is original:
                             monkeypatch.setattr(holder, key, wrapper)
-    harness.run_experiment(harness.ExperimentConfig(
-        n_pulses=64, n_sessions=3, efficiency=0.9, parity_rounds=2,
-        eve_kind="intercept-resend",
-    ))
-    calls = {name: tracer.stats[name]["calls"] for name, _, _ in PER_PULSE}
-    assert sorted(calls) == [
-        "adversary.intercept", "protocol.transmit", "quantum.measure",
-    ]
-    assert all(count >= 1 for count in calls.values()), calls
+    return tracer
+
+
+def test_per_pulse_traced_names_are_called(monkeypatch):
+    # under every strategy, even those whose tables read no key
+    for kind in EVE_KINDS:
+        tracer = trace(monkeypatch, PER_PULSE)
+        harness.run_experiment(harness.ExperimentConfig(
+            n_pulses=64, n_sessions=3, efficiency=0.9, parity_rounds=2,
+            eve_kind=kind,
+        ))
+        calls = {name: tracer.stats[name]["calls"]
+                 for name, _, _ in PER_PULSE}
+        assert sorted(calls) == [
+            "adversary.intercept", "protocol.transmit", "quantum.measure",
+        ]
+        assert all(count >= 1 for count in calls.values()), (kind, calls)
+        monkeypatch.undo()
+
+
+def test_sift_counter_reads_its_arguments(monkeypatch, tmp_path):
+    # ``layers._count_sift`` counts the pulses of its first argument and
+    # the sifted key of its result: a yield of efficiency / 2
+    tracer = trace(monkeypatch, SIFT)
+    assert cli.main([
+        "run", "--eve", "none", "--efficiency", "0.8", "--pulses", "2000",
+        "--sessions", "5", "--out", str(tmp_path / "report.json"),
+    ]) == 0
+    stats = tracer.stats["protocol.sift"]
+    assert "count_failed" not in stats
+    assert stats["calls"] >= 1
+    pulses, sifted = stats["pulses"], stats["sifted"]
+    assert pulses == 2000 * 5
+    sigma = math.sqrt(pulses * 0.4 * 0.6)
+    assert abs(sifted - 0.4 * pulses) <= 6 * sigma

@@ -34,7 +34,11 @@ from bb84sim.harness import (
 )
 from bb84sim.adversary import EVE_KINDS, ChannelTable, channel_table
 from bb84sim.protocol import SessionConfig, run_batch, run_session
-from bb84sim.stream import BLOCK, FLIP
+from bb84sim.stream import (
+    ADVERSARY, ALICE_BASES, ALICE_BITS, BLOCK, BOB_BASES, FLIP, LOSS, MEASURE,
+    threshold,
+)
+from test_contract import bits, key
 from test_protocol import (
     columns,
     redrew,
@@ -944,11 +948,12 @@ def session_row(config, index, batch, seed):
     length = len(alice)
     errors = sum(a != b for a, b in zip(alice, bob))
     guess_bits = batch.adversary.guess_bits
-    guesses = None if guess_bits is None else guess_bits[batch.pulses.outcomes]
+    # the adversary's guesses at the sifted pulses, in the sifted layout
+    guesses = None if guess_bits is None else guess_bits[batch.outcomes]
     accuracy = None
     if guesses is not None and length:
-        sifted_guesses = np.take(guesses, batch.sifted).tolist()
-        accuracy = sum(g == a for g, a in zip(sifted_guesses, alice)) / length
+        hits = sum(g == a for g, a in zip(guesses.tolist(), alice))
+        accuracy = hits / length
     final_length, advantage = 0, None
     if not batch.detected[0]:
         key = batch.sifted_alice[batch.kept]
@@ -960,7 +965,7 @@ def session_row(config, index, batch, seed):
             descriptor = sample_hash(params, seed)
             final_length = params.output_bits
             if guesses is not None:
-                guess = np.take(guesses, batch.sifted[batch.kept])
+                guess = guesses[batch.kept]
                 advantage = float(np.mean(
                     compress(key, descriptor) == compress(guess, descriptor)
                 )) - 0.5
@@ -1132,37 +1137,97 @@ class TestBatchEngine:
     def test_per_pulse_draws_hold_at_most_one_block(
         self, monkeypatch, n_pulses, n_sessions
     ):
-        # a 20k-pulse session is a batch of one, cut along its row; 85
-        # sessions of 96 pulses make one tile of 8160, and 700 of them two
-        # batches of five such tiles of whole rows each; 30 sessions of
-        # 3000 pulses make one batch, in tiles of two rows.  No call of the
-        # adversary's sampler or of the key draw may see more than BLOCK
-        # pulses, yet together they see every pulse, once for the
-        # adversary and three times for the keys (adversary, loss,
-        # measurement)
-        sizes = {"intercept": [], "keys": []}
-        intercept, keys = ChannelTable.intercept, stream.keys
-
-        def spy_intercept(table, codes, drawn):
-            sizes["intercept"].append(codes.size)
-            return intercept(table, codes, drawn)
-
-        def spy_keys(seeds, stage, n, start=0):
-            sizes["keys"].append(len(seeds) * n)
-            return keys(seeds, stage, n, start)
-
-        monkeypatch.setattr(ChannelTable, "intercept", spy_intercept)
-        for module in (stream, protocol, quantum):
-            monkeypatch.setattr(module, "keys", spy_keys)
-        run_experiment(ExperimentConfig(
+        # a 20k-pulse session is a batch of one; 85 or 700 sessions of 96
+        # pulses make one or two batches, and 30 sessions of 3000 pulses
+        # one.  No key block and no call of the adversary's sampler may
+        # see more than BLOCK pulses, and each stage reads exactly the keys
+        # the contract names: loss at the matched pulses, the adversary at
+        # the sifted ones and the receiver at the sifted ones whose
+        # forwarded state is no eigenstate of its basis
+        config = ExperimentConfig(
             n_pulses=n_pulses, n_sessions=n_sessions, efficiency=0.8,
             parity_rounds=4, eve_kind="intercept-resend",
-        ))
-        pulses = n_pulses * n_sessions
-        assert max(sizes["intercept"]) <= BLOCK
-        assert max(sizes["keys"]) <= BLOCK
-        assert sum(sizes["intercept"]) == pulses
-        assert sum(sizes["keys"]) == 3 * pulses
+        )
+        want = {ADVERSARY: 0, LOSS: 0, MEASURE: 0}
+        table = build_strategy(config)
+        for index in range(n_sessions):
+            seed = derive_seed(config.master_seed, index)
+            for stage, count in reference_draws(config, table, seed).items():
+                want[stage] += count
+        drawn, codes = spy_per_pulse_draws(monkeypatch)
+        run_experiment(config)
+        assert max(codes) <= BLOCK
+        assert max(size for _, size in drawn) <= BLOCK
+        got = {stage: sum(size for drawn_stage, size in drawn
+                          if drawn_stage == stage) for stage in want}
+        assert got == want
+        assert sum(codes) == want[ADVERSARY]
+
+    @pytest.mark.parametrize("kind", ["none", "indirect-oracle"])
+    def test_a_table_with_one_outcome_reads_no_adversary_or_measurement_key(
+        self, monkeypatch, kind
+    ):
+        # the sampler sees every sifted pulse once, with no key, and every
+        # forwarded state is an eigenstate of the matched basis
+        config = ExperimentConfig(
+            n_pulses=3_000, n_sessions=30, efficiency=0.8, parity_rounds=4,
+            eve_kind=kind,
+        )
+        drawn, codes = spy_per_pulse_draws(monkeypatch)
+        report = run_experiment(config)
+        assert {stage for stage, _ in drawn} == {LOSS}
+        assert sum(codes) == sum(row.sifted_length for row in report.sessions)
+
+
+def spy_per_pulse_draws(monkeypatch):
+    """Record the per-pulse draws of the engine: (stage, keys) for each key
+    block ``protocol`` and ``quantum`` compute, and the number of codes of
+    each call of the adversary's sampler."""
+    drawn, codes = [], []
+    key_blocks, intercept = stream.key_blocks, ChannelTable.intercept
+
+    def spy_key_blocks(seeds, stage, n, positions):
+        for part, block in key_blocks(seeds, stage, n, positions):
+            drawn.append((stage, len(block)))
+            yield part, block
+
+    def spy_intercept(table, sent, keys):
+        codes.append(sent.size)
+        return intercept(table, sent, keys)
+
+    for module in (protocol, quantum):
+        monkeypatch.setattr(module, "key_blocks", spy_key_blocks)
+    monkeypatch.setattr(ChannelTable, "intercept", spy_intercept)
+    return drawn, codes
+
+
+def reference_draws(config, table, seed):
+    """The keys of stages 3, 4 and 5 that session ``seed`` reads under the
+    contract, counted pulse by pulse from the reference stream: a loss key
+    for each pulse whose bases match, below full efficiency; for each of
+    those that arrives, an adversary key when the table reads keys, and a
+    measurement key when the threshold of its forwarded state in its basis
+    lies strictly between 0 and 2**53."""
+    n = config.n_pulses
+    alice_bits, alice_bases, bob_bases = (
+        bits(seed, stage, n) for stage in (ALICE_BITS, ALICE_BASES, BOB_BASES)
+    )
+    lost = int(threshold(config.efficiency))
+    counts = {ADVERSARY: 0, LOSS: 0, MEASURE: 0}
+    for i in range(n):
+        if alice_bases[i] != bob_bases[i]:
+            continue
+        if config.efficiency < 1:
+            counts[LOSS] += 1
+            if key(seed, LOSS, i) >= lost:
+                continue
+        code = np.array([2 * alice_bases[i] + alice_bits[i]], np.uint8)
+        outcome = table.intercept(
+            code, np.array([key(seed, ADVERSARY, i)], np.uint64))[0]
+        counts[ADVERSARY] += table.reads_keys
+        edge = int(table.bit0_thresholds[outcome, bob_bases[i]])
+        counts[MEASURE] += 0 < edge < 2**53
+    return counts
 
 
 class TestEveSiftedAccuracy:

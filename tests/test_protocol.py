@@ -26,7 +26,7 @@ from bb84sim.protocol import (
 )
 from bb84sim.adversary import ChannelTable
 from bb84sim.quantum import BQS
-from bb84sim.stream import BLOCK, LOSS, PARITY, keys
+from bb84sim.stream import ADVERSARY, BLOCK, LOSS, PARITY, key_blocks, keys
 from test_stream import ReferenceStage
 
 
@@ -66,8 +66,7 @@ def qber(batch):
 def eve_bits(batch):
     """The adversary's guesses at a batch's sifted positions, read off her
     table at the outcomes there."""
-    outcomes = np.take(batch.pulses.outcomes, batch.sifted)
-    return batch.adversary.guess_bits[outcomes]
+    return batch.adversary.guess_bits[batch.outcomes]
 
 
 def columns(batch, s=0):
@@ -77,12 +76,10 @@ def columns(batch, s=0):
     p = batch.pulses
     start, length = int(batch.starts[s]), int(batch.lengths[s])
     part = slice(start, start + length)
-    guess_bits = batch.adversary.guess_bits
-    guesses = None if guess_bits is None else guess_bits[p.outcomes[s]]
     arrays = (
-        p.alice_bits[s], p.alice_bases[s], p.outcomes[s], guesses,
-        p.bob_bases[s], p.bob_bits[s],
-        batch.sifted[part] - s * p.bob_bits.shape[1],
+        p.alice_bits[s], p.alice_bases[s], p.bob_bases[s],
+        batch.sifted[part] - s * p.alice_bits.shape[1],
+        batch.outcomes[part], batch.guesses(part),
         batch.sifted_alice[part], batch.sifted_bob[part], batch.kept[part],
         *batch.reconciled(s),
     )
@@ -208,25 +205,31 @@ class TestPreparePulses:
             prepare_pulses(0, [0])
 
 
+def matched_pulses(n):
+    """The pulse columns of one session of ``n`` pulses whose bases all
+    match: every pulse sends state 0 and is measured in basis 0."""
+    zeros = np.zeros((1, n), dtype=np.uint8)
+    return Pulses(zeros, zeros, zeros)
+
+
 class TestTransmit:
+    # the channel: the adversary, in ``transmit``, and detector loss,
+    # which ``sift`` decides for the pulses whose bases match
+
     def test_identity_channel(self):
         eve = channel_table("none")
-        outcomes, lost = transmit(
-            np.zeros((1, 1), dtype=np.uint8), eve, 1.0, [0],
+        outcomes = transmit(
+            np.zeros(1, dtype=np.uint8), eve, [0], 1, np.arange(1),
         )
-        assert eve.forwarded_angles[outcomes].tolist() == [[BQS[0]]]
+        assert eve.forwarded_angles[outcomes].tolist() == [BQS[0]]
         assert eve.guess_bits is None
-        assert lost.tolist() == [[False]]
 
     def test_loss_fraction_matches_efficiency(self):
         # oracle: losses are Binomial(n, 1 - efficiency)
         n = 100_000
-        _, lost = transmit(
-            np.zeros((1, n), dtype=np.uint8), channel_table("none"), 0.5,
-            [23],
-        )
+        _, kept = sift(matched_pulses(n), 0.5, [23])
         sigma = math.sqrt(0.25 / n)
-        assert abs(np.count_nonzero(lost) / n - 0.5) < 4 * sigma
+        assert abs(len(kept) / n - 0.5) < 4 * sigma
 
     def test_pulse_is_lost_from_the_efficiency_key_on(self, monkeypatch):
         # oracle: lost when u >= efficiency, so the key
@@ -234,40 +237,58 @@ class TestTransmit:
         edge = math.ceil(0.8 * 2**53)
         chosen = [edge - 1, edge, 2**53 - 1]
 
-        def loss_keys(seeds, stage, n, start=0):
+        def loss_keys(seeds, stage, n, positions):
             assert stage == LOSS
-            return np.array([chosen[start : start + n]], dtype=np.uint64)
+            yield slice(0, len(positions)), np.array(
+                [chosen[i] for i in positions], dtype=np.uint64)
 
-        monkeypatch.setattr(protocol, "keys", loss_keys)
-        _, lost = transmit(
-            np.zeros((1, 3), dtype=np.uint8), channel_table("none"), 0.8,
-            [0],
-        )
-        assert lost.tolist() == [[False, True, True]]
+        monkeypatch.setattr(protocol, "key_blocks", loss_keys)
+        _, kept = sift(matched_pulses(3), 0.8, [0])
+        assert kept.tolist() == [0]
 
     def test_oracle_adversary_is_invisible(self):
         eve = oracle_eve()
-        outcomes, _ = transmit(
-            np.arange(4, dtype=np.uint8)[None], eve, 1.0, [0],
+        outcomes = transmit(
+            np.arange(4, dtype=np.uint8), eve, [0], 4, np.arange(4),
         )
-        assert eve.forwarded_angles[outcomes].tolist() == [list(BQS)]
+        assert eve.forwarded_angles[outcomes].tolist() == list(BQS)
+
+    def test_outcomes_read_the_key_of_each_sifted_pulse(self):
+        # oracle: the table sampled with key i of the adversary's stage of
+        # row s for pulse s * n + i, drawn alone
+        eve = channel_table("intercept-resend")
+        n, seeds = 700, [3, 4, 5]
+        sifted = np.array([0, 5, 699, 700, 1_399, 1_400, 2_099])
+        codes = np.arange(len(sifted), dtype=np.uint8) % 4
+        outcomes = transmit(codes, eve, seeds, n, sifted)
+        for j, position in enumerate(sifted.tolist()):
+            s, i = divmod(position, n)
+            drawn = keys([seeds[s]], ADVERSARY, 1, i)[0]
+            assert outcomes[j] == eve.intercept(codes[j : j + 1], drawn)[0]
 
 
 def counting_keys(monkeypatch):
-    """Count the keys ``protocol`` computes, by wrapping its ``keys``: the
-    returned list gains the number of each call, per row."""
+    """Count the keys ``protocol`` computes, by wrapping its
+    ``key_blocks``: the returned list gains the size of each block."""
     counted = []
 
-    def counting(seeds, stage, n, start=0):
-        counted.append(n)
-        return keys(seeds, stage, n, start)
+    def counting(seeds, stage, n, positions):
+        for part, block in key_blocks(seeds, stage, n, positions):
+            counted.append(len(block))
+            yield part, block
 
-    monkeypatch.setattr(protocol, "keys", counting)
+    monkeypatch.setattr(protocol, "key_blocks", counting)
     return counted
 
 
-# A batch of 96-pulse sessions, whose per-pulse stages draw one block each,
-# and one 100k-pulse session, whose per-pulse stages draw 13 each.
+def count_matched(batch):
+    """The number of pulses of a batch whose two bases match."""
+    pulses = batch.pulses
+    return int(np.count_nonzero(pulses.alice_bases == pulses.bob_bases))
+
+
+# A batch of 96-pulse sessions and one 100k-pulse session, whose sifted
+# pulses take several blocks.
 SHAPES = [(96, range(30, 50)), (100_000, range(30, 31))]
 
 
@@ -281,12 +302,13 @@ class TestTransmitKeys:
         self, monkeypatch, kind, reads, n, seeds
     ):
         # at full efficiency ``transmit`` is the one caller of
-        # ``protocol.keys``: n keys a session, or none
+        # ``protocol.key_blocks``: one key per sifted pulse, or none
         counted = counting_keys(monkeypatch)
         table = channel_table(kind)
         assert table.reads_keys is reads
-        run_batch(SessionConfig(n_pulses=n), table, list(seeds))
-        assert sum(counted) == (n if reads else 0)
+        batch = run_batch(SessionConfig(n_pulses=n), table, list(seeds))
+        assert sum(counted) == (len(batch.sifted) if reads else 0)
+        assert max(counted, default=0) <= BLOCK
 
     @pytest.mark.parametrize("kind", ["none", "indirect-oracle"])
     @pytest.mark.parametrize("n, seeds", SHAPES)
@@ -300,7 +322,8 @@ class TestTransmitKeys:
         counted = counting_keys(monkeypatch)
         monkeypatch.setattr(ChannelTable, "reads_keys", True)
         plain = run_batch(config, channel_table(kind), list(seeds))
-        assert sum(counted) == 2 * n  # the adversary's keys and the loss keys
+        # the loss keys of the matched pulses, the adversary's of the sifted
+        assert sum(counted) == count_matched(plain) + len(plain.sifted)
         for s in range(len(seeds)):
             assert columns(batch, s) == columns(plain, s)
 
@@ -311,10 +334,9 @@ class TestSift:
             SessionConfig(n_pulses=50_000), channel_table("none"), 3,
         )
         assert np.array_equal(batch.sifted_alice, batch.sifted_bob)
-        alice, bob, indices = sift(batch.pulses)
+        alice, indices = sift(batch.pulses, 1.0, [3])
         assert np.array_equal(indices, batch.sifted)
         assert np.array_equal(alice, batch.sifted_alice)
-        assert np.array_equal(bob, batch.sifted_bob)
 
     def test_sifted_fraction_near_half(self):
         n = 100_000
@@ -325,28 +347,39 @@ class TestSift:
         assert abs(len(batch.sifted_alice) / n - 0.5) < 4 * sigma
 
     def test_sources_are_matched_unlost_pulses(self):
+        # oracle: the matched pulses whose loss key, read in order from the
+        # session's loss stage, falls below the efficiency
         batch = run_session(
             SessionConfig(n_pulses=2_000, efficiency=0.7),
             channel_table("none"),
             5,
         )
         pulses = batch.pulses
-        bob_bits, alice_bases = pulses.bob_bits[0], pulses.alice_bases[0]
-        want = [
-            i for i in range(len(pulses))
-            if bob_bits[i] != -1 and alice_bases[i] == pulses.bob_bases[0, i]
-        ]
+        stage = ReferenceStage(5, LOSS)
+        arrived = [stage.random() < 0.7 for _ in range(len(pulses))]
+        matched = pulses.alice_bases[0] == pulses.bob_bases[0]
+        want = [i for i in range(len(pulses)) if arrived[i] and matched[i]]
         assert batch.sifted.tolist() == want
         assert batch.sifted_alice.tolist() == [
             pulses.alice_bits[0, i] for i in want
         ]
-        assert batch.sifted_bob.tolist() == [pulses.bob_bits[0, i] for i in want]
+        assert len(batch.sifted_bob) == len(want)
+
+    def test_only_matched_pulses_read_a_loss_key(self, monkeypatch):
+        # and none at full efficiency
+        counted = counting_keys(monkeypatch)
+        batch = run_batch(SessionConfig(n_pulses=3_000, efficiency=0.9),
+                          channel_table("none"), [1, 2])
+        assert sum(counted) == count_matched(batch)
+        counted.clear()
+        run_batch(SessionConfig(n_pulses=3_000), channel_table("none"), [1])
+        assert counted == []
 
     def test_empty_input_gives_empty_keys(self):
-        empty = np.zeros(0, dtype=np.uint8)
-        pulses = Pulses(empty, empty, empty, empty, empty.view(np.int8))
-        alice, bob, indices = sift(pulses)
-        assert len(alice) == len(bob) == len(indices) == 0
+        empty = np.zeros((0, 10), dtype=np.uint8)
+        alice, indices = sift(Pulses(empty, empty, empty), 0.5,
+                              np.zeros(0, np.uint64))
+        assert len(alice) == len(indices) == 0
 
 
 class TestParityVerify:
@@ -604,7 +637,8 @@ class TestRunSession:
         assert batch.reconciled(0)[1].tolist() == want
 
     def test_lost_pulses_have_no_measurement(self):
-        # oracle: the loss keys of the session's loss stage
+        # oracle: the loss keys of the session's loss stage; the receiver
+        # measures each sifted pulse, and no lost one
         n, efficiency = 5_000, 0.4
         batch = run_session(
             SessionConfig(n_pulses=n, efficiency=efficiency),
@@ -613,10 +647,14 @@ class TestRunSession:
         )
         stage = ReferenceStage(12, LOSS)
         lost = np.array([stage.random() >= efficiency for _ in range(n)])
-        bob_bits = batch.pulses.bob_bits[0]
-        assert np.array_equal(bob_bits == -1, lost)
-        assert set(bob_bits[~lost].tolist()) <= {0, 1}
-        assert lost.any() and not lost.all()
+        pulses = batch.pulses
+        matched = pulses.alice_bases[0] == pulses.bob_bases[0]
+        assert not lost[batch.sifted].any()
+        assert batch.sifted.tolist() == np.flatnonzero(
+            matched & ~lost).tolist()
+        assert batch.sifted_bob.shape == batch.sifted.shape
+        assert set(batch.sifted_bob.tolist()) <= {0, 1}
+        assert lost[matched].any() and not lost[matched].all()
 
     def test_identical_seeds_give_identical_transcripts(self):
         config = SessionConfig(n_pulses=4_000, efficiency=0.9, parity_rounds=8)
@@ -661,21 +699,25 @@ class TestRunSession:
             ))
             for sent in BQS
         ]
-        codes = 2 * pulses.alice_bases[0] + pulses.alice_bits[0]
-        for i, u in enumerate(floats(3)):
-            row = cumulative[codes[i]]
-            want = next(k for k, edge in enumerate(row) if u < edge)
-            assert pulses.outcomes[0, i] == want, i
+        # a pulse reaches the key when its bases match and it arrives; the
+        # adversary and the receiver are compared at those pulses, where
+        # the engine decides them
         lost = [u >= efficiency for u in floats(4)]
-        assert (pulses.bob_bits[0] == -1).tolist() == lost
+        alice_bases = pulses.alice_bases[0]
+        sifted = [i for i in range(n)
+                  if alice_bases[i] == bob_bases[i] and not lost[i]]
+        assert batch.sifted.tolist() == sifted
+        codes = 2 * alice_bases + pulses.alice_bits[0]
+        adversary, receiver = floats(3), floats(5)
         angles = channel_table("intercept-resend").forwarded_angles
-        for i, u in enumerate(floats(5)):
-            if lost[i]:
-                continue
+        for j, i in enumerate(sifted):
+            row = cumulative[codes[i]]
+            want = next(k for k, edge in enumerate(row) if adversary[i] < edge)
+            assert batch.outcomes[j] == want, i
             bit0 = (0.0, math.pi / 4)[bob_bases[i]]
-            p0 = math.cos(angles[pulses.outcomes[0, i]] - bit0) ** 2
+            p0 = math.cos(angles[want] - bit0) ** 2
             p0 = 1.0 if p0 >= 1 - 1e-12 else 0.0 if p0 <= 1e-12 else p0
-            assert pulses.bob_bits[0, i] == (0 if u < p0 else 1)
+            assert batch.sifted_bob[j] == (0 if receiver[i] < p0 else 1), i
         want = reference_parity_verify(
             batch.sifted_alice.tolist(), batch.sifted_bob.tolist(),
             rounds, seed,
@@ -703,22 +745,27 @@ class TestRunSession:
         assert len(run_batch(config, channel_table("none"), [])) == 0
 
     def test_guesses_are_read_at_flattened_pulse_indices(self):
-        # oracle: session by session, the table's guess at the outcome of
-        # each sifted pulse of that session's own row
+        # oracle: the table's guess at the outcome its key draws for each
+        # sifted pulse, key i of its session's row for flat index s * n + i
         eve = channel_table("intercept-resend")
+        seeds = [21, 22, 23]
         batch = run_batch(
-            SessionConfig(n_pulses=300, efficiency=0.8), eve, [21, 22, 23],
+            SessionConfig(n_pulses=300, efficiency=0.8), eve, seeds,
         )
-        n = batch.pulses.outcomes.shape[1]
-        want = [
-            eve.guess_bits[batch.pulses.outcomes[index // n, index % n]]
-            for index in batch.sifted.tolist()
-        ]
-        assert batch.guesses(batch.sifted).tolist() == want
+        pulses, want = batch.pulses, []
+        for index in batch.sifted.tolist():
+            s, i = divmod(index, 300)
+            code = 2 * pulses.alice_bases[s, i] + pulses.alice_bits[s, i]
+            drawn = keys([seeds[s]], ADVERSARY, 1, i)[0]
+            outcome = eve.intercept(np.array([code], np.uint8), drawn)[0]
+            want.append(eve.guess_bits[outcome])
+        assert batch.guesses().tolist() == want
+        part = slice(int(batch.starts[1]), int(batch.starts[2]))
+        assert batch.guesses(part).tolist() == want[part]
         passive = run_batch(
             SessionConfig(n_pulses=300), channel_table("none"), [21, 22],
         )
-        assert passive.guesses(passive.sifted) is None
+        assert passive.guesses() is None
 
     def test_pulse_columns_take_one_byte_per_pulse(self):
         batch = run_batch(
@@ -730,6 +777,10 @@ class TestRunSession:
             column = getattr(batch.pulses, field.name)
             assert column.shape == (2, 500), field.name
             assert column.itemsize == 1, field.name
+        # and the adversary's and the receiver's, per sifted pulse
+        for column in (batch.outcomes, batch.sifted_bob):
+            assert column.shape == batch.sifted.shape
+            assert column.itemsize == 1
 
     def test_a_stage_nobody_reads_moves_nothing(self):
         # with the same seed, a passive channel, the oracle (whose keys
@@ -743,8 +794,8 @@ class TestRunSession:
         for batch in batches[1:]:
             for got, want in zip(
                 (batch.pulses.alice_bits, batch.pulses.alice_bases,
-                 batch.pulses.bob_bases, batch.pulses.bob_bits == -1),
+                 batch.pulses.bob_bases, batch.sifted),
                 (batches[0].pulses.alice_bits, batches[0].pulses.alice_bases,
-                 batches[0].pulses.bob_bases, batches[0].pulses.bob_bits == -1),
+                 batches[0].pulses.bob_bases, batches[0].sifted),
             ):
                 assert np.array_equal(got, want)

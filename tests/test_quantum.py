@@ -17,11 +17,13 @@ from bb84sim.quantum import (
     MATCH_TOL,
     bit0_thresholds,
     build_reference_list,
+    RANDOM,
     measure,
     reduce_angle,
+    settled_bits,
     squared_overlap,
 )
-from bb84sim.stream import MEASURE
+from bb84sim.stream import MEASURE, key_blocks
 from test_stream import ReferenceStage
 
 ANCILLA = DEFAULT_ANCILLA_ANGLE
@@ -148,18 +150,34 @@ def reference_measure(angles, basis_angle, rng):
 
 
 def measure_angles(angles, basis_angles, seeds):
-    """``measure`` on states given as ray angles, each measured in the
-    basis whose bit-0 eigenstate lies at its entry of ``basis_angles`` (a
-    scalar serves every state): each distinct angle and basis angle is a
-    row and a column of the threshold table."""
+    """``measure`` on every pulse of a batch of states given as ray angles,
+    one row per seed, each measured in the basis whose bit-0 eigenstate
+    lies at its entry of ``basis_angles`` (a scalar serves every state):
+    each distinct angle and basis angle is a row and a column of the
+    threshold table.  Returns the bits in the shape of ``angles``."""
     angles = np.asarray(angles, dtype=float)
     basis_angles = np.broadcast_to(basis_angles, angles.shape)
     states, state_index = np.unique(angles, return_inverse=True)
     bases, basis_index = np.unique(basis_angles, return_inverse=True)
-    return measure(
-        bit0_thresholds(states, bases), state_index.reshape(angles.shape),
-        basis_index.reshape(angles.shape), seeds,
+    thresholds = bit0_thresholds(states, bases)
+    bits = measure(
+        thresholds, settled_bits(thresholds), state_index.ravel(),
+        basis_index.ravel(), seeds, angles.shape[1], np.arange(angles.size),
     )
+    return bits.reshape(angles.shape)
+
+
+def counting_key_blocks(monkeypatch):
+    """Count the keys ``quantum.measure`` computes: the returned list gains
+    the positions of each call."""
+    asked = []
+
+    def counting(seeds, stage, n, positions):
+        asked.append(positions.tolist())
+        return key_blocks(seeds, stage, n, positions)
+
+    monkeypatch.setattr(quantum, "key_blocks", counting)
+    return asked
 
 
 class TestMeasure:
@@ -172,6 +190,30 @@ class TestMeasure:
                 )
                 assert bits.tolist() == [[bit] * 100]
                 assert reduce_angle(bit0 + bit * math.pi / 2) == state
+
+    def test_settled_states_read_no_key(self, monkeypatch):
+        # an eigenstate of its basis reads no key, a state between them
+        # reads key i at its own position i; oracle: the scalar loop
+        asked = counting_key_blocks(monkeypatch)
+        angles = np.array([[H, D, V, ANCILLA, A, 1.1, H]])
+        got = measure_angles(angles, H, [12])
+        assert asked == [[1, 3, 4, 5]]
+        rng = ReferenceStage(12, MEASURE)
+        want = [reference_measure([angle], H, rng)[0]
+                for angle in angles[0]]
+        assert got.tolist() == [want]
+
+    def test_settled_bits_mark_the_fixed_outcomes(self):
+        # bit 0 where p0 = 1, bit 1 where p0 = 0, RANDOM between
+        thresholds = bit0_thresholds(BQS + (ANCILLA,))
+        assert settled_bits(thresholds).tolist() == [
+            [0, RANDOM], [1, RANDOM], [RANDOM, 0], [RANDOM, 1],
+            [RANDOM, RANDOM],
+        ]
+        for kind in ("none", "indirect-oracle"):
+            table = channel_table(kind)
+            assert table.settled_bits.tolist() == settled_bits(
+                table.bit0_thresholds).tolist()
 
     def test_identical_seeds_reproduce_outcomes(self):
         angles = np.full((1, 1000), math.pi / 4)
@@ -227,11 +269,12 @@ class TestMeasure:
         edge = math.ceil(p0 * 2**53)
         chosen = [edge - 1, edge, edge + 1, 0, 2**53 - 1]
 
-        def measurement_keys(seeds, stage, n, start=0):
+        def measurement_keys(seeds, stage, n, positions):
             assert stage == MEASURE
-            return np.array([chosen[start : start + n]], dtype=np.uint64)
+            yield slice(0, len(positions)), np.array(
+                [chosen[i] for i in positions], dtype=np.uint64)
 
-        monkeypatch.setattr(quantum, "keys", measurement_keys)
+        monkeypatch.setattr(quantum, "key_blocks", measurement_keys)
         bits = measure_angles(np.full((1, len(chosen)), ANCILLA), H, [0])
         assert bits.tolist() == [[0, 1, 1, 0, 1]]
 

@@ -13,8 +13,8 @@ from bb84sim.harness import derive_seed
 from bb84sim.protocol import SessionConfig, run_session
 from bb84sim.stream import (
     ADVERSARY, ALICE_BASES, ALICE_BITS, BLOCK, BOB_BASES, FLIP, LOSS,
-    MEASURE, PARITY, STAGES, TOEPLITZ, keys, random_bits, threshold, tiles,
-    values,
+    MEASURE, PARITY, STAGES, TOEPLITZ, key_blocks, keys, random_bits,
+    threshold, values,
 )
 
 MASK64 = (1 << 64) - 1
@@ -171,24 +171,47 @@ def test_values_from_an_offset_are_the_tail_of_values_from_zero():
 
 
 @pytest.mark.parametrize("rows, n", [
-    (0, 5), (1, 1), (700, 96), (30, 3_000), (3, BLOCK), (2, BLOCK + 1),
-    (2, 3 * BLOCK + 5),
+    (0, 5), (1, 1), (9, 1), (700, 96), (30, 3_000), (3, BLOCK), (2, BLOCK + 1),
+    (3, BLOCK + 5), (1, BLOCK + 5), (2, 3 * BLOCK + 5), (1, 3 * BLOCK + 5),
 ])
-def test_tiles_cover_each_key_once_at_its_own_index(rows, n):
-    # tiles of at most BLOCK items, whole rows while a row fits, each
-    # drawn on its own; oracle: the keys of every row drawn at once
-    batch = np.arange(rows, dtype=np.uint64) * np.uint64(GAMMA)
-    whole = keys(batch, LOSS, n)
-    drawn = np.zeros_like(whole)
-    seen = np.zeros(whole.shape, dtype=int)
-    for part, start, stop in tiles(rows, n):
-        assert 0 < seen[part, start:stop].size <= BLOCK
-        if n <= BLOCK:
-            assert (start, stop) == (0, n)
-        seen[part, start:stop] += 1
-        drawn[part, start:stop] = keys(batch[part], LOSS, stop - start, start)
-    assert (seen == 1).all()
-    assert np.array_equal(drawn, whole)
+def test_key_blocks_read_each_key_at_its_own_flat_position(rows, n):
+    # random flat positions s * n + i over the rows, in order, read in
+    # consecutive blocks of at most BLOCK keys; oracle: key i of row s's
+    # seed drawn alone, for a sample, and every row drawn whole
+    rng = np.random.default_rng(rows * n)
+    batch = derive_seed(5, np.arange(rows, dtype=np.uint64))
+    count = min(rows * n, 3 * BLOCK + 11)
+    positions = np.sort(rng.choice(rows * n, count, replace=False))
+    drawn, covered = [], 0
+    for part, block in key_blocks(batch, MEASURE, n, positions):
+        assert 0 < len(block) <= BLOCK
+        assert part.start == covered
+        assert len(positions[part]) == len(block)
+        covered += len(block)
+        drawn.append(block)
+    assert covered == count
+    drawn = np.concatenate([np.zeros(0, np.uint64), *drawn])
+    whole = keys(batch, MEASURE, n).ravel()
+    assert drawn.tolist() == whole[positions].tolist()
+    for j in rng.choice(count, min(count, 300), replace=False).tolist():
+        s, i = divmod(int(positions[j]), n)
+        assert drawn[j] == keys([batch[s]], MEASURE, 1, i)[0, 0], j
+
+
+def test_key_blocks_of_no_positions_yield_nothing():
+    empty = np.zeros(0, dtype=np.int64)
+    assert list(key_blocks([7, 8], LOSS, 10, empty)) == []
+    assert list(key_blocks(np.zeros(0, np.uint64), LOSS, 10, empty)) == []
+
+
+def test_key_blocks_of_a_one_seed_batch_are_its_keys():
+    # a single row of BLOCK + 5 pulses, every position: two blocks, the
+    # second of five keys
+    n = BLOCK + 5
+    blocks = list(key_blocks([2**64 - 1], ADVERSARY, n, np.arange(n)))
+    assert [len(block) for _, block in blocks] == [BLOCK, 5]
+    got = np.concatenate([block for _, block in blocks])
+    assert got.tolist() == keys([2**64 - 1], ADVERSARY, n)[0].tolist()
 
 
 def test_keys_decode_the_chosen_outputs():
