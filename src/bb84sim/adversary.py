@@ -7,11 +7,12 @@ her guess of the sender's bit.  The entries follow from the Born rule.
 With ``attack_fraction`` f < 1 each row mixes the attack with weight f and
 a blind pass with weight 1 - f: the pulse goes on untouched and the
 recorded guess is a fair coin, so guess strings stay complete.  One
-sampler, ``ChannelTable.intercept``, draws from any table, each pulse's
-outcome a 53-bit key against ceil(p * 2**53) for the table's cumulative
-probabilities p.  An outcome is all that is kept of an interception: the
-state forwarded and the guess are lookups in the table.  One builder,
-``channel_table``, makes the table of each kind in ``EVE_KINDS``:
+sampler, ``ChannelTable.intercept``, draws from any table with
+``stream.decide``, each pulse's outcome a 53-bit key against
+ceil(p * 2**53) for the table's cumulative probabilities p.  An outcome
+is all that is kept of an interception: the state forwarded and the guess
+are lookups in the table.  One builder, ``channel_table``, makes the table
+of each kind in ``EVE_KINDS``:
 
 * ``none``              passive channel, nothing recorded.
 * ``intercept-resend``  measure in a random basis, forward the collapsed
@@ -48,10 +49,9 @@ from .quantum import (
     bit0_thresholds,
     build_reference_list,
     reduce_angle,
-    settled_bits,
     squared_overlap,
 )
-from .stream import threshold
+from .stream import ADVERSARY, decide, threshold
 
 EVE_KINDS = ("none", "intercept-resend", "indirect-oracle", "indirect-physical")
 RESEND_RULES = ("max-posterior", "resend-ancilla")
@@ -73,8 +73,8 @@ class ChannelTable:
       for a passive channel;
     * ``bit0_thresholds[k, b]``: the receiver's bit-0 threshold for the
       state outcome k forwards, measured in basis b (``bit0_thresholds``);
-    * ``settled_bits[k, b]``: the bit that measurement always gives, or
-      ``quantum.RANDOM`` where a key decides it (``settled_bits``).
+    * ``edges[s, k]``: ceil(p * 2**53) for the probability p that sent
+      state s gives an outcome up to k, for every outcome k but the last.
 
     Table entries within ``_EIGEN_SNAP`` of 0 are set to 0, so an outcome
     the Born rule rules out is never drawn.
@@ -92,53 +92,27 @@ class ChannelTable:
             None if guesses[0] is None else np.array(guesses, dtype=np.uint8)
         )
         self.bit0_thresholds = bit0_thresholds(self.forwarded_angles)
-        self.settled_bits = settled_bits(self.bit0_thresholds)
         # Outcome k is drawn when edges[k - 1] <= u < edges[k].  Edges with
         # no probability left above them are set to 1, whose threshold 2**53
         # no key reaches, so rounding in the cumulative sum can never select
-        # an impossible outcome.
+        # an impossible outcome, and a row with one possible outcome has
+        # only the thresholds 0 and 2**53.
         edges = np.cumsum(probabilities, axis=1)[:, :-1]
         remaining = np.cumsum(probabilities[:, ::-1], axis=1)[:, ::-1]
         edges[remaining[:, 1:] == 0.0] = 1.0
-        # Sampling counts the edges whose threshold a pulse's 53-bit key
-        # reaches, which decides edge <= u exactly.  An edge column whose
-        # thresholds are all 0 or 2**53 is reached by every key or by none,
-        # whatever the key, so it is counted once per sent state, in
-        # ``_base``, and only the other columns are compared per pulse.
-        edges = threshold(np.minimum(edges, 1.0))
-        fixed = ((edges == 0) | (edges == 1 << 53)).all(axis=0)
-        self._base = np.count_nonzero(edges[:, fixed] == 0, axis=1).astype(
-            np.uint8)
-        self._edge_columns = [np.ascontiguousarray(column)
-                              for column in edges[:, ~fixed].T]
-
-    @property
-    def reads_keys(self) -> bool:
-        """Whether ``intercept`` compares keys at all: False when every row
-        has a single possible outcome, as for ``none`` and
-        ``indirect-oracle``, whose outcomes ``_base`` alone gives."""
-        return bool(self._edge_columns)
+        self.edges = threshold(np.minimum(edges, 1.0))
 
     def intercept(
-        self, codes: np.ndarray, keys: np.ndarray | None
+        self, codes: np.ndarray, seeds: np.ndarray, n: int,
+        positions: np.ndarray,
     ) -> np.ndarray:
-        """Sample one outcome per pulse by inverse CDF over its table row.
-
-        ``codes`` indexes ``BQS``: the state sent as each pulse, in an array
-        of any shape; the engine passes the pulses that reach the sifted
-        key.  ``keys`` holds each pulse's 53-bit key as uint64, as
-        ``stream.key_blocks`` draws it, and the outcome drawn is the first
-        whose cumulative probability p exceeds k * 2**-53: the number of
-        edges p with k >= ceil(p * 2**53), a 53-bit key against each
-        threshold.  A row with a single possible outcome returns it for
-        every key; a table without ``reads_keys`` reads only ``_base`` and
-        takes ``None`` for ``keys``.  Returns the outcomes, shaped like
-        ``codes``, as uint8 indices into every per-outcome array above.
-        """
-        outcome = np.take(self._base, codes)
-        for column in self._edge_columns:
-            outcome += keys >= np.take(column, codes)
-        return outcome
+        """The outcome of each pulse, by inverse CDF over its table row:
+        ``stream.decide`` on ``edges`` for the pulse ``positions[j]`` =
+        s * n + i that sent ``BQS[codes[j]]``, with key i of the
+        adversary's stage of ``seeds[s]``.  A row with one possible
+        outcome, as every row of ``none`` and ``indirect-oracle``, reads no
+        key.  Returns uint8 indices into every per-outcome array above."""
+        return decide(self.edges, codes, seeds, ADVERSARY, n, positions)
 
 
 def check_strategy(

@@ -23,9 +23,8 @@ session of n pulses reads these stages:
 1. n bits, the sender's bases;
 2. n bits, the receiver's bases;
 3. key i for the adversary's channel table at pulse i, only for a pulse
-   that reaches the sifted key, and only when the table has more than one
-   outcome for some sent state (not for ``none`` or
-   ``indirect-oracle``);
+   that reaches the sifted key and whose sent state's row has more than
+   one possible outcome (so never under ``none`` or ``indirect-oracle``);
 4. key i for the loss of pulse i, only for a pulse whose two bases match,
    and only when the efficiency is below 1;
 5. key i for the receiver's measurement of pulse i, only for a pulse that
@@ -54,7 +53,8 @@ one longer session, the batches of a sweep differing in size by at most
 one session.  A batch's seeds come from one ``derive_seed`` call over its
 indices, and each stage computes its values for the whole batch at once
 with numpy, the per-pulse stages (3-5) at the pulses they decide, at most
-``stream.BLOCK`` keys at a time (``stream.key_blocks``).  A batch's
+``stream.BLOCK`` keys at a time (``stream.key_blocks``); stages 3 and 5
+choose from a table with ``stream.decide``.  A batch's
 result depends only on its sessions' seeds, so the cut of a sweep into
 batches moves no report byte.
 """
@@ -204,8 +204,9 @@ class ExperimentReport:
         """Parse a report, which may hold no NaN or infinity, and verify
         its contract, the fields and types of its config, rows and
         aggregates, that its rows are sessions 0 to n_sessions - 1 in
-        order, the range of each row's values, and its aggregates against
-        its rows.  A report that fails any check raises ``ValueError``."""
+        order, its aggregates against its rows, and each row against what a
+        run of its config reports.  A report that fails any check raises
+        ``ValueError``."""
         payload = json.loads(text, parse_constant=_non_finite)
         if not isinstance(payload, dict):
             raise ValueError("report must be a JSON object")
@@ -222,8 +223,6 @@ class ExperimentReport:
             _load(SessionRow, row, f"session row {position}")
             for position, row in enumerate(payload["sessions"])
         ]
-        for position, row in enumerate(rows):
-            _check_range(row, config.n_pulses, f"session row {position}")
         if [row.index for row in rows] != list(range(config.n_sessions)):
             raise ValueError(
                 f"report rows must be sessions 0 to {config.n_sessions - 1} "
@@ -240,6 +239,8 @@ class ExperimentReport:
                     raise ValueError(f"aggregate {name} inconsistent with rows")
             elif abs(stored - fresh) > 1e-12:
                 raise ValueError(f"aggregate {name} inconsistent with rows")
+        for position, row in enumerate(rows):
+            _check_row(row, config, f"session row {position}")
         return cls(config=config, sessions=rows, aggregates=aggregates)
 
 
@@ -259,13 +260,13 @@ def _load(cls, values, what: str):
     return record
 
 
-def _check_range(row: SessionRow, n_pulses: int, what: str) -> None:
-    """``ValueError`` naming ``what`` and the field when a value of ``row``
-    lies outside what a session of ``n_pulses`` pulses can report."""
+def _check_row(row: SessionRow, config: ExperimentConfig, what: str) -> None:
+    """``ValueError`` naming ``what`` and the field when ``row`` holds a
+    value out of range, or one that no session of ``config`` with its
+    sifted length and detection flag reports."""
     bounds = {
         "qber": (0, 1),
-        "sifted_length": (0, n_pulses),
-        "final_key_length": (0, row.sifted_length),
+        "sifted_length": (0, config.n_pulses),
         "eve_accuracy": (0, 1),
         "eve_advantage": (-0.5, 0.5),
     }
@@ -275,6 +276,25 @@ def _check_range(row: SessionRow, n_pulses: int, what: str) -> None:
             raise ValueError(
                 f"{what}: {name} must be in [{low}, {high}], got {value!r}"
             )
+    final = 0
+    if not row.detected:
+        final = row.sifted_length - config.parity_rounds
+        if config.privacy_enabled:
+            final -= config.pa_leak_bits + config.pa_margin_bits
+    if row.final_key_length != final:
+        raise ValueError(f"{what}: final_key_length must be {final}, got "
+                         f"{row.final_key_length!r}")
+    active = config.eve_kind != "none"
+    for name, present in (
+        ("eve_accuracy", active and row.sifted_length > 0),
+        ("eve_advantage", active and config.privacy_enabled
+         and not row.detected),
+    ):
+        value = getattr(row, name)
+        if (value is not None) != present:
+            raise ValueError(f"{what}: {name} must be "
+                             f"{'a number' if present else 'null'}, got "
+                             f"{value!r}")
 
 
 def _csv_cell(value) -> str:

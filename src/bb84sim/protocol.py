@@ -29,11 +29,11 @@ session and the mask of surviving key positions, not per-round records.
 
 Each random decision of a pulse, loss, the adversary's outcome and the
 receiver's bit, is a 53-bit key against ceil(p * 2**53) for its
-probability p, read at the pulse's own stage and index with
-``stream.key_blocks``, at most ``stream.BLOCK`` keys at a time.  The
-channel table computes the receiver's thresholds once, for every state it
-forwards, and which of them fix the outcome, so no pulse computes a
-probability and a basis eigenstate reads no key.
+probability p, read at the pulse's own stage and index, at most
+``stream.BLOCK`` keys at a time.  ``transmit`` draws the adversary's
+outcome and the receiver's bit by ``stream.decide`` on tables computed
+once, so no pulse computes a probability, and a pulse whose row has one
+possible outcome, such as a basis eigenstate, reads no key.
 """
 
 from dataclasses import dataclass, fields
@@ -45,8 +45,8 @@ from .adversary import ChannelTable
 from .errors import InvalidConfigError, KeyTooShortError
 from .quantum import measure
 from .stream import (
-    ADVERSARY, ALICE_BASES, ALICE_BITS, BOB_BASES, FLIP, LOSS, PARITY,
-    STAGES, key_blocks, keys, random_bits, threshold, values,
+    ALICE_BASES, ALICE_BITS, BOB_BASES, FLIP, LOSS, PARITY, STAGES,
+    key_blocks, keys, random_bits, threshold, values,
 )
 
 
@@ -190,21 +190,15 @@ def transmit(
     seeds: np.ndarray,
     n: int,
     sifted: np.ndarray,
-) -> np.ndarray:
-    """Pass the sifted pulses ``BQS[codes]`` through the adversary.
-
-    Entry j was sent as pulse ``sifted[j]`` = s * n + i of a batch of
-    sessions of ``n`` pulses each.  When her table has ``reads_keys``, the
-    adversary reads key i of her stage of ``seeds[s]`` for it; a table
-    with a single outcome per sent state (``none``, ``indirect-oracle``)
-    reads none.  Returns the adversary's outcomes, indices into her table.
-    """
-    if not adversary.reads_keys:
-        return adversary.intercept(codes, None)
-    outcomes = np.empty(len(codes), dtype=np.uint8)
-    for part, drawn in key_blocks(seeds, ADVERSARY, n, sifted):
-        outcomes[part] = adversary.intercept(codes[part], drawn)
-    return outcomes
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pass the sifted pulses ``BQS[codes]``, pulse ``sifted[j]`` = s * n
+    + i sending entry j, through the adversary to the receiver, who
+    measures in the basis sent.  Returns the adversary's outcomes, indices
+    into her table, and the receiver's bits, each read with key i of its
+    stage of ``seeds[s]`` where its table leaves a choice."""
+    outcomes = adversary.intercept(codes, seeds, n, sifted)
+    return outcomes, measure(adversary.bit0_thresholds, outcomes, codes >> 1,
+                             seeds, n, sifted)
 
 
 # _BELOW[k] has the k low bits of a value set, for k in [0, 64].
@@ -370,10 +364,8 @@ def run_batch(
     pulses = Pulses(alice_bits, alice_bases,
                     random_bits(seeds, BOB_BASES, n))
     sifted_alice, sifted = sift(pulses, config.efficiency, seeds)
-    bases = np.take(alice_bases, sifted)
-    outcomes = transmit(2 * bases + sifted_alice, adversary, seeds, n, sifted)
-    sifted_bob = measure(adversary.bit0_thresholds, adversary.settled_bits,
-                         outcomes, bases, seeds, n, sifted)
+    codes = 2 * np.take(alice_bases, sifted) + sifted_alice
+    outcomes, sifted_bob = transmit(codes, adversary, seeds, n, sifted)
     # Session s owns the sifted indices in [s * n, (s + 1) * n).
     bounds = np.searchsorted(sifted, np.arange(len(seeds) + 1) * n)
     starts, lengths = bounds[:-1], np.diff(bounds)

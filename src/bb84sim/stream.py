@@ -20,7 +20,8 @@ Every random decision is a 53-bit key against ceil(p * 2**53), the
 ``threshold`` of its probability p: for u = k * 2**-53 and any float p in
 [0, 1], u >= p exactly when k >= ceil(p * 2**53), since p * 2**53 is
 exact.  So a decision made on keys is the one ``u >= p`` makes, with no
-float in between.
+float in between.  ``decide`` makes each per-pulse choice from a table,
+the adversary's and the receiver's, by the thresholds a key reaches.
 
 All arithmetic is on uint64 arrays of one dimension or more, which wrap
 modulo 2**64 without a warning, where numpy scalars would warn; nothing
@@ -141,3 +142,39 @@ def key_blocks(seeds, stage, n: int, positions: np.ndarray):
         _mix(out)
         out >>= _KEY_SHIFT
         yield part, out
+
+
+def decide(edges, rows, seeds, stage, n: int, positions) -> np.ndarray:
+    """One outcome per entry from a table of cumulative thresholds.
+
+    Entry j is pulse ``positions[j]`` = s * n + i of a batch of sessions
+    of ``n`` pulses each, and its outcome is the number of thresholds in
+    row ``rows[j]`` of the uint64 table ``edges`` that key i of ``stage``
+    of ``seeds[s]`` reaches: over increasing cumulative probabilities, the
+    first outcome whose probability exceeds the key's uniform.  A row whose
+    thresholds are all 0 or 2**53 gives the same outcome for every key and
+    reads no key.  ``edges`` has at most 254 columns, and ``rows`` and
+    ``positions`` are one-dimensional; returns the outcomes as uint8.
+    """
+    # Each settled row's outcome, else width + 1 (Python: the table is tiny).
+    width = edges.shape[1]
+    fixed = [row.count(0) if set(row) <= {0, 1 << 53} else width + 1
+             for row in edges.tolist()]
+    keyed = fixed.count(width + 1)
+    fixed = np.array(fixed, np.uint8)
+    if not keyed:
+        return np.take(fixed, rows)
+    # Gather the entries that read a key only where some row is settled.
+    out = None
+    if keyed < len(fixed):
+        out = np.take(fixed, rows)
+        drawn = np.flatnonzero(out > width)
+        rows, positions = np.take(rows, drawn), np.take(positions, drawn)
+    decided = np.zeros(len(rows), np.uint8)
+    for part, key in key_blocks(seeds, stage, n, positions):
+        for column in edges.T:
+            decided[part] += key >= np.take(column, rows[part])
+    if out is None:
+        return decided
+    out[drawn] = decided
+    return out

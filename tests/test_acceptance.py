@@ -42,7 +42,6 @@ from bb84sim.quantum import (
     build_reference_list,
     measure,
     reduce_angle,
-    settled_bits,
 )
 from test_adversary import enumerate_single_shot_qber
 from test_protocol import eve_bits, qber
@@ -187,8 +186,7 @@ def test_criterion_7_born_rule_frequencies():
     pulses = np.arange(trials)  # every pulse of one session
 
     def measured(thresholds, seed):
-        return measure(thresholds, settled_bits(thresholds), first, first,
-                       [seed], trials, pulses)
+        return measure(thresholds, first, first, [seed], trials, pulses)
 
     outcomes = measured(
         bit0_thresholds([diagonal_state], BASIS_ANGLES[:1]), derive_seed(7, 0)

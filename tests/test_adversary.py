@@ -14,7 +14,7 @@ import random
 import numpy as np
 import pytest
 
-from bb84sim import cli
+from bb84sim import cli, stream
 from bb84sim.adversary import EVE_KINDS, RESEND_RULES, channel_table
 from bb84sim.errors import DegenerateAncillaError, InvalidConfigError
 from bb84sim.harness import ExperimentConfig, build_strategy
@@ -25,7 +25,7 @@ from bb84sim.quantum import (
     reduce_angle,
     squared_overlap,
 )
-from bb84sim.stream import ADVERSARY, keys
+from bb84sim.stream import ADVERSARY
 from test_protocol import eve_bits, qber
 
 BQS_ANGLES = (0.0, math.pi / 2, math.pi / 4, 3 * math.pi / 4)
@@ -120,20 +120,36 @@ def assert_max_posterior_table(eve, want):
     assert eve.guess_bits.tolist() == [BQS_ANGLES.index(a) % 2 for a in want]
 
 
-def forwarded_and_guesses(eve, codes, drawn):
-    """Intercept the pulses BQS[codes] with the 53-bit keys ``drawn``;
-    returns the forwarded ray angles and the guesses (``None`` for a
-    passive channel), each read off the table at the outcomes drawn."""
-    outcome = eve.intercept(codes, drawn)
+def read_off(eve, outcome):
+    """The forwarded ray angles and the guesses (``None`` for a passive
+    channel) of the table ``eve`` at the outcomes ``outcome``."""
     guesses = None if eve.guess_bits is None else eve.guess_bits[outcome]
     return eve.forwarded_angles[outcome], guesses
 
 
+def forwarded_and_guesses(eve, codes, drawn):
+    """Intercept the pulses BQS[codes] of one session, pulse j with the
+    53-bit key ``drawn[j]`` in place of its adversary key from the stream;
+    returns what the table forwards and guesses at the outcomes drawn."""
+    drawn = np.asarray(drawn, dtype=np.uint64)
+
+    def chosen_keys(seeds, stage, n, positions):
+        assert stage == ADVERSARY
+        yield slice(0, len(positions)), drawn[positions]
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(stream, "key_blocks", chosen_keys)
+        outcome = eve.intercept(np.asarray(codes, dtype=np.uint8), [0],
+                                len(codes), np.arange(len(codes)))
+    return read_off(eve, outcome)
+
+
 def sample(eve, codes, seed):
-    """Intercept the pulses BQS[codes] with fresh keys."""
+    """Intercept the pulses BQS[codes] of the session ``seed``, each with
+    its key from the stream."""
     codes = np.asarray(codes, dtype=np.uint8)
-    drawn = keys([seed], ADVERSARY, len(codes))[0]
-    return forwarded_and_guesses(eve, codes, drawn)
+    outcome = eve.intercept(codes, [seed], len(codes), np.arange(len(codes)))
+    return read_off(eve, outcome)
 
 
 def at_uniform(eve, codes, u):
@@ -449,6 +465,25 @@ class TestIndirectCopyPhysical:
         )
         assert_basis_qber(batch, want)
 
+    def test_max_posterior_qber_has_a_closed_form(self):
+        # Q(theta) = (2 - max(|cos 2 theta|, |sin 2 theta|)) / 4 against the
+        # enumeration, over 157 angles in [0, pi) and the multiples of pi/4;
+        # Q = 1/4 exactly at those multiples and Q > 1/4 everywhere else
+        def closed_form(theta):
+            return (2 - max(abs(math.cos(2 * theta)),
+                            abs(math.sin(2 * theta)))) / 4
+
+        for i in range(157):
+            theta = i * math.pi / 157
+            got = enumerate_single_shot_qber(theta, "max-posterior")
+            assert got == pytest.approx(closed_form(theta), abs=1e-15), theta
+            if i:
+                assert got > 0.25, theta
+        for k in range(4):
+            got = enumerate_single_shot_qber(k * math.pi / 4, "max-posterior")
+            assert got == pytest.approx(0.25, abs=1e-15), k
+            assert closed_form(k * math.pi / 4) == 0.25
+
     def test_never_transparent_for_any_valid_ancilla(self):
         # exact enumeration over an ancilla grid that avoids the degenerate
         # multiples of pi/8; no sampling noise involved
@@ -476,7 +511,8 @@ class TestDeterminism:
                 transmit(codes, eve, [77], len(codes), np.arange(len(codes)))
                 for _ in range(2)
             )
-            assert np.array_equal(first, second)
+            for got, again in zip(first, second):
+                assert np.array_equal(got, again)
 
 
 # sha256 of the forwarded angles and guesses ``intercept`` draws for every

@@ -5,16 +5,18 @@ the reports and curves the engine writes.
 The reference reads every value through ``test_stream.ReferenceStage``,
 in Python ints, and walks the pulses, sifted positions and parity rounds
 one at a time, the rounds through ``test_protocol``'s per-position loop,
-``reference_parity_verify``.  It borrows from the package only what the
-contract does not define: the channel table (``intercept`` and
-``bit0_thresholds``), the privacy-amplification bounds of
-``PrivacyParams`` and the aggregates of the rows.
+``reference_parity_verify``, and each adversary outcome through its
+inverse CDF, ``row_outcome``.  It borrows from the package only what the
+contract does not define: the channel table (its cumulative thresholds
+``edges`` and the receiver's ``bit0_thresholds``), the
+privacy-amplification bounds of ``PrivacyParams`` and the aggregates of
+the rows.
 """
 
+import hashlib
 import math
 from dataclasses import replace
 
-import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from bb84sim.adversary import EVE_KINDS, RESEND_RULES
@@ -34,7 +36,7 @@ from bb84sim.harness import (
     detection_rate_curve,
     run_experiment,
 )
-from test_protocol import reference_parity_verify
+from test_protocol import reference_parity_verify, row_outcome
 from test_stream import ReferenceStage, reference_split
 
 MASK64 = (1 << 64) - 1
@@ -63,26 +65,19 @@ def reference_sifted(config, table, seed):
     alice_bits = bits(seed, ALICE_BITS, n)
     alice_bases = bits(seed, ALICE_BASES, n)
     bob_bases = bits(seed, BOB_BASES, n)
-    codes = [2 * basis + bit for bit, basis in zip(alice_bits, alice_bases)]
-    # A table with one outcome per sent state ignores its keys, so reading
-    # stage 3 for every table gives the outcomes the contract does.
-    adversary_keys = [key(seed, ADVERSARY, i) for i in range(n)]
-    outcomes = table.intercept(
-        np.array(codes, np.uint8), np.array(adversary_keys, np.uint64)
-    ).tolist()
     edge = math.ceil(config.efficiency * 2**53)
     alice, bob, guesses = [], [], []
     for i in range(n):
         lost = config.efficiency < 1 and key(seed, LOSS, i) >= edge
-        measured = int(
-            key(seed, MEASURE, i)
-            >= int(table.bit0_thresholds[outcomes[i], bob_bases[i]])
-        )
-        if not lost and alice_bases[i] == bob_bases[i]:
-            alice.append(alice_bits[i])
-            bob.append(measured)
-            if table.guess_bits is not None:
-                guesses.append(int(table.guess_bits[outcomes[i]]))
+        if lost or alice_bases[i] != bob_bases[i]:
+            continue
+        outcome = row_outcome(table, 2 * alice_bases[i] + alice_bits[i],
+                              key(seed, ADVERSARY, i))
+        alice.append(alice_bits[i])
+        bob.append(int(key(seed, MEASURE, i) >= int(
+            table.bit0_thresholds[outcome, bob_bases[i]])))
+        if table.guess_bits is not None:
+            guesses.append(int(table.guess_bits[outcome]))
     return alice, bob, (None if table.guess_bits is None else guesses)
 
 
@@ -197,7 +192,7 @@ strategies = st.fixed_dictionaries({
     "eve_kind": st.sampled_from(EVE_KINDS),
     "attack_fraction": st.sampled_from([1.0, 0.3, 0.0]),
     "resend_rule": st.sampled_from(RESEND_RULES),
-    "ancilla_angle": st.sampled_from([math.pi / 6, 0.41, 2.5]),
+    "ancilla_angle": st.sampled_from([math.pi / 6, 0.41, 2.5, 0.0]),
 })
 
 
@@ -281,3 +276,27 @@ def test_redraws_and_amplification_are_covered():
     else:
         raise AssertionError("no passing configuration with a redraw")
     assert run_experiment(config).to_json() == want
+
+
+# sha256 of a report under a table that mixes rows with one possible
+# outcome and rows with two: ``indirect-physical`` at ancilla 0, whose H
+# and V rows settle the adversary's outcome and whose D and A rows read a
+# key.  Pinned before the adversary and the receiver shared
+# ``stream.decide``.
+MIXED_TABLE_DIGEST = (
+    "4cc2c9e542f8a741f44155e6cdcdd7d5bf39272eb129494ea2bce01181a93b6a"
+)
+
+
+def test_a_mixed_table_report_equals_the_reference_and_its_pin():
+    config = ExperimentConfig(
+        n_pulses=2000, n_sessions=4, efficiency=0.9, parity_rounds=4,
+        eve_kind="indirect-physical", ancilla_angle=0.0, pa_leak_bits=40,
+        pa_margin_bits=8, master_seed=7,
+    )
+    table = build_strategy(config)
+    assert [all(edge in (0, 2**53) for edge in row)
+            for row in table.edges.tolist()] == [True, True, False, False]
+    text = run_experiment(config).to_json()
+    assert text == reference_report(config)
+    assert hashlib.sha256(text.encode()).hexdigest() == MIXED_TABLE_DIGEST

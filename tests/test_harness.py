@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from bb84sim.amplification import PrivacyParams, compress, sample_hash
-from bb84sim import amplification, cli, harness, protocol, quantum, stream
+from bb84sim import amplification, cli, harness, protocol, stream
 from bb84sim.errors import (
     InvalidConfigError,
     InvalidParamsError,
@@ -44,6 +44,7 @@ from test_protocol import (
     redrew,
     reference_parity_verify,
     reference_session,
+    row_outcome,
 )
 from test_stream import ReferenceStage
 
@@ -777,6 +778,68 @@ class TestReportSerialization:
         with pytest.raises(ValueError, match=f"session row 1: {field} must"):
             ExperimentReport.from_json(json.dumps(payload))
 
+    PA = {"pa_leak_bits": 32, "pa_margin_bits": 8}
+
+    @pytest.mark.parametrize(
+        "kwargs, tamper, message",
+        [
+            # every session of intercept/resend fails its 8 rounds
+            ({"eve_kind": "intercept-resend", "parity_rounds": 8},
+             lambda row: {**row, "final_key_length": 1},
+             "final_key_length must be 0, got 1"),
+            ({"eve_kind": "indirect-oracle", "parity_rounds": 2},
+             lambda row: {**row, "final_key_length": row["sifted_length"]},
+             "final_key_length must be"),
+            ({"eve_kind": "indirect-oracle", "parity_rounds": 2, **PA},
+             lambda row: {**row,
+                          "final_key_length": row["sifted_length"] - 2},
+             "final_key_length must be"),
+            ({"eve_kind": "none"}, lambda row: {**row, "eve_accuracy": 0.5},
+             "eve_accuracy must be null, got 0.5"),
+            ({"eve_kind": "intercept-resend"},
+             lambda row: {**row, "eve_accuracy": None},
+             "eve_accuracy must be a number, got None"),
+            # a session of one pulse without sifted bits
+            ({"eve_kind": "intercept-resend", "n_pulses": 1},
+             lambda row: {**row, "qber": 0.0, "sifted_length": 0,
+                          "final_key_length": 0, "eve_accuracy": 1.0},
+             "eve_accuracy must be null, got 1.0"),
+            ({"eve_kind": "indirect-oracle", "parity_rounds": 2},
+             lambda row: {**row, "eve_advantage": 0.0},
+             "eve_advantage must be null, got 0.0"),
+            ({"eve_kind": "none", **PA},
+             lambda row: {**row, "eve_advantage": 0.0},
+             "eve_advantage must be null, got 0.0"),
+            ({"eve_kind": "intercept-resend", "parity_rounds": 8, **PA},
+             lambda row: {**row, "eve_advantage": 0.0},
+             "eve_advantage must be null, got 0.0"),
+            ({"eve_kind": "indirect-oracle", **PA},
+             lambda row: {**row, "eve_advantage": None},
+             "eve_advantage must be a number, got None"),
+        ],
+        ids=["final-of-detected", "final-without-parity-rounds",
+             "final-without-amplification", "accuracy-when-passive",
+             "no-accuracy-when-active", "accuracy-without-sifted-bits",
+             "advantage-without-amplification", "advantage-when-passive",
+             "advantage-of-detected", "no-advantage-when-amplified"],
+    )
+    def test_rows_no_run_gives_are_refused_on_load(
+        self, kwargs, tamper, message
+    ):
+        # the aggregates are recomputed to match the edited row and every
+        # value stays in range, so only what the config, the length and
+        # the detection flag fix can give the edit away
+        config = ExperimentConfig(**{
+            "n_pulses": 400, "n_sessions": 3, "master_seed": 13, **kwargs,
+        })
+        payload = json.loads(run_experiment(config).to_json())
+        payload["sessions"][1] = tamper(payload["sessions"][1])
+        payload["aggregates"] = asdict(compute_aggregates(
+            [SessionRow(**row) for row in payload["sessions"]], config
+        ))
+        with pytest.raises(ValueError, match=f"session row 1: {message}"):
+            ExperimentReport.from_json(json.dumps(payload))
+
     def test_interval_without_sifted_bits_is_the_mean(self):
         config = ExperimentConfig(n_pulses=1, n_sessions=2)
         rows = [SessionRow(index=i, qber=0.0, sifted_length=0, detected=False,
@@ -1148,20 +1211,23 @@ class TestBatchEngine:
             n_pulses=n_pulses, n_sessions=n_sessions, efficiency=0.8,
             parity_rounds=4, eve_kind="intercept-resend",
         )
-        want = {ADVERSARY: 0, LOSS: 0, MEASURE: 0}
-        table = build_strategy(config)
-        for index in range(n_sessions):
-            seed = derive_seed(config.master_seed, index)
-            for stage, count in reference_draws(config, table, seed).items():
-                want[stage] += count
-        drawn, codes = spy_per_pulse_draws(monkeypatch)
-        run_experiment(config)
-        assert max(codes) <= BLOCK
-        assert max(size for _, size in drawn) <= BLOCK
-        got = {stage: sum(size for drawn_stage, size in drawn
-                          if drawn_stage == stage) for stage in want}
+        got, want, sifted = per_pulse_draws(monkeypatch, config)
         assert got == want
-        assert sum(codes) == want[ADVERSARY]
+        assert want[ADVERSARY] == sifted
+
+    def test_a_mixed_table_reads_a_key_only_for_a_row_with_a_choice(
+        self, monkeypatch
+    ):
+        # indirect-physical at ancilla 0: the H and V rows have one
+        # possible outcome and read no adversary key, D and A have two
+        config = ExperimentConfig(
+            n_pulses=3_000, n_sessions=30, efficiency=0.8, parity_rounds=4,
+            eve_kind="indirect-physical", ancilla_angle=0.0,
+        )
+        got, want, sifted = per_pulse_draws(monkeypatch, config)
+        assert got == want
+        assert want == {ADVERSARY: 17_972, LOSS: 44_851, MEASURE: 17_972}
+        assert 0 < want[ADVERSARY] < sifted
 
     @pytest.mark.parametrize("kind", ["none", "indirect-oracle"])
     def test_a_table_with_one_outcome_reads_no_adversary_or_measurement_key(
@@ -1181,8 +1247,8 @@ class TestBatchEngine:
 
 def spy_per_pulse_draws(monkeypatch):
     """Record the per-pulse draws of the engine: (stage, keys) for each key
-    block ``protocol`` and ``quantum`` compute, and the number of codes of
-    each call of the adversary's sampler."""
+    block ``protocol.sift`` and ``stream.decide`` compute, and the number
+    of codes of each call of the adversary's sampler."""
     drawn, codes = [], []
     key_blocks, intercept = stream.key_blocks, ChannelTable.intercept
 
@@ -1191,23 +1257,46 @@ def spy_per_pulse_draws(monkeypatch):
             drawn.append((stage, len(block)))
             yield part, block
 
-    def spy_intercept(table, sent, keys):
+    def spy_intercept(table, sent, *args):
         codes.append(sent.size)
-        return intercept(table, sent, keys)
+        return intercept(table, sent, *args)
 
-    for module in (protocol, quantum):
+    for module in (protocol, stream):
         monkeypatch.setattr(module, "key_blocks", spy_key_blocks)
     monkeypatch.setattr(ChannelTable, "intercept", spy_intercept)
     return drawn, codes
+
+
+def per_pulse_draws(monkeypatch, config):
+    """Run ``config`` under ``spy_per_pulse_draws``.  Returns the keys
+    drawn per stage, those ``reference_draws`` counts for its sessions, and
+    the sifted pulses of the report, after checking that no key block holds
+    more than BLOCK keys and that the adversary's sampler sees each sifted
+    pulse once."""
+    want = {ADVERSARY: 0, LOSS: 0, MEASURE: 0}
+    table = build_strategy(config)
+    for index in range(config.n_sessions):
+        seed = derive_seed(config.master_seed, index)
+        for stage, count in reference_draws(config, table, seed).items():
+            want[stage] += count
+    drawn, codes = spy_per_pulse_draws(monkeypatch)
+    report = run_experiment(config)
+    assert max((size for _, size in drawn), default=0) <= BLOCK
+    got = {stage: sum(size for drawn_stage, size in drawn
+                      if drawn_stage == stage) for stage in want}
+    sifted = sum(row.sifted_length for row in report.sessions)
+    assert sum(codes) == sifted
+    return got, want, sifted
 
 
 def reference_draws(config, table, seed):
     """The keys of stages 3, 4 and 5 that session ``seed`` reads under the
     contract, counted pulse by pulse from the reference stream: a loss key
     for each pulse whose bases match, below full efficiency; for each of
-    those that arrives, an adversary key when the table reads keys, and a
-    measurement key when the threshold of its forwarded state in its basis
-    lies strictly between 0 and 2**53."""
+    those that arrives, an adversary key when a threshold of its sent
+    state's row of ``table.edges`` lies strictly between 0 and 2**53, and
+    a measurement key when the threshold of its forwarded state in its
+    basis does."""
     n = config.n_pulses
     alice_bits, alice_bases, bob_bases = (
         bits(seed, stage, n) for stage in (ALICE_BITS, ALICE_BASES, BOB_BASES)
@@ -1221,10 +1310,10 @@ def reference_draws(config, table, seed):
             counts[LOSS] += 1
             if key(seed, LOSS, i) >= lost:
                 continue
-        code = np.array([2 * alice_bases[i] + alice_bits[i]], np.uint8)
-        outcome = table.intercept(
-            code, np.array([key(seed, ADVERSARY, i)], np.uint64))[0]
-        counts[ADVERSARY] += table.reads_keys
+        code = 2 * alice_bases[i] + alice_bits[i]
+        counts[ADVERSARY] += any(0 < edge < 2**53
+                                 for edge in table.edges[code].tolist())
+        outcome = row_outcome(table, code, key(seed, ADVERSARY, i))
         edge = int(table.bit0_thresholds[outcome, bob_bases[i]])
         counts[MEASURE] += 0 < edge < 2**53
     return counts

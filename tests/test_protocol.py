@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bb84sim import protocol
+from bb84sim import adversary, protocol, stream
 from bb84sim.adversary import channel_table
 from bb84sim.errors import InvalidConfigError, KeyTooShortError
 from bb84sim.protocol import (
@@ -24,14 +24,24 @@ from bb84sim.protocol import (
     sift,
     transmit,
 )
-from bb84sim.adversary import ChannelTable
 from bb84sim.quantum import BQS
-from bb84sim.stream import ADVERSARY, BLOCK, LOSS, PARITY, key_blocks, keys
+from bb84sim.stream import (
+    ADVERSARY, BLOCK, LOSS, MEASURE, PARITY, key_blocks, keys,
+)
 from test_stream import ReferenceStage
 
 
 def oracle_eve():
     return channel_table("indirect-oracle")
+
+
+def row_outcome(table, code, drawn):
+    """The outcome the row of sent state ``code`` gives the 53-bit key
+    ``drawn``: the first whose cumulative threshold in ``table.edges`` the
+    key falls below, in Python ints."""
+    thresholds = table.edges[code].tolist()
+    return next((k for k, threshold in enumerate(thresholds)
+                 if int(drawn) < threshold), len(thresholds))
 
 
 class TestSessionConfig:
@@ -218,11 +228,12 @@ class TestTransmit:
 
     def test_identity_channel(self):
         eve = channel_table("none")
-        outcomes = transmit(
+        outcomes, bits = transmit(
             np.zeros(1, dtype=np.uint8), eve, [0], 1, np.arange(1),
         )
         assert eve.forwarded_angles[outcomes].tolist() == [BQS[0]]
         assert eve.guess_bits is None
+        assert bits.tolist() == [0]
 
     def test_loss_fraction_matches_efficiency(self):
         # oracle: losses are Binomial(n, 1 - efficiency)
@@ -248,36 +259,43 @@ class TestTransmit:
 
     def test_oracle_adversary_is_invisible(self):
         eve = oracle_eve()
-        outcomes = transmit(
+        outcomes, bits = transmit(
             np.arange(4, dtype=np.uint8), eve, [0], 4, np.arange(4),
         )
         assert eve.forwarded_angles[outcomes].tolist() == list(BQS)
+        assert bits.tolist() == [0, 1, 0, 1]
 
     def test_outcomes_read_the_key_of_each_sifted_pulse(self):
-        # oracle: the table sampled with key i of the adversary's stage of
-        # row s for pulse s * n + i, drawn alone
+        # oracle: the table's row read with key i of the adversary's stage
+        # of row s for pulse s * n + i, drawn alone, and the receiver's bit
+        # with key i of the measurement stage, in the basis it was sent in
         eve = channel_table("intercept-resend")
         n, seeds = 700, [3, 4, 5]
         sifted = np.array([0, 5, 699, 700, 1_399, 1_400, 2_099])
         codes = np.arange(len(sifted), dtype=np.uint8) % 4
-        outcomes = transmit(codes, eve, seeds, n, sifted)
+        outcomes, bits = transmit(codes, eve, seeds, n, sifted)
         for j, position in enumerate(sifted.tolist()):
             s, i = divmod(position, n)
-            drawn = keys([seeds[s]], ADVERSARY, 1, i)[0]
-            assert outcomes[j] == eve.intercept(codes[j : j + 1], drawn)[0]
+            drawn = keys([seeds[s]], ADVERSARY, 1, i)[0, 0]
+            assert outcomes[j] == row_outcome(eve, codes[j], drawn)
+            edge = eve.bit0_thresholds[outcomes[j], codes[j] >> 1]
+            assert bits[j] == (keys([seeds[s]], MEASURE, 1, i)[0, 0] >= edge)
 
 
 def counting_keys(monkeypatch):
-    """Count the keys ``protocol`` computes, by wrapping its
-    ``key_blocks``: the returned list gains the size of each block."""
-    counted = []
+    """Count the keys the engine computes, by wrapping ``key_blocks`` where
+    ``protocol.sift`` and ``stream.decide`` call it: the returned dict
+    gains the size of each block at its stage."""
+    counted = {}
 
     def counting(seeds, stage, n, positions):
         for part, block in key_blocks(seeds, stage, n, positions):
-            counted.append(len(block))
+            assert len(block) <= BLOCK
+            counted[stage] = counted.get(stage, 0) + len(block)
             yield part, block
 
-    monkeypatch.setattr(protocol, "key_blocks", counting)
+    for module in (protocol, stream):
+        monkeypatch.setattr(module, "key_blocks", counting)
     return counted
 
 
@@ -301,29 +319,38 @@ class TestTransmitKeys:
     def test_only_a_table_that_compares_keys_decodes_them(
         self, monkeypatch, kind, reads, n, seeds
     ):
-        # at full efficiency ``transmit`` is the one caller of
-        # ``protocol.key_blocks``: one key per sifted pulse, or none
+        # at full efficiency no loss key is read, and the adversary reads
+        # one key per sifted pulse, or none
         counted = counting_keys(monkeypatch)
-        table = channel_table(kind)
-        assert table.reads_keys is reads
-        batch = run_batch(SessionConfig(n_pulses=n), table, list(seeds))
-        assert sum(counted) == (len(batch.sifted) if reads else 0)
-        assert max(counted, default=0) <= BLOCK
+        batch = run_batch(SessionConfig(n_pulses=n), channel_table(kind),
+                          list(seeds))
+        assert LOSS not in counted
+        assert counted.get(ADVERSARY, 0) == (len(batch.sifted) if reads
+                                             else 0)
 
     @pytest.mark.parametrize("kind", ["none", "indirect-oracle"])
     @pytest.mark.parametrize("n, seeds", SHAPES)
     def test_skipped_keys_leave_the_generators_where_taken_ones_do(
         self, monkeypatch, kind, n, seeds
     ):
-        # oracle: the same batch with the adversary's keys computed and
-        # handed to a table that ignores them; no other stage may move
+        # oracle: the same batch with the adversary's keys computed, for
+        # every sifted pulse, before a table that ignores them decides; no
+        # other stage may move
         config = SessionConfig(n_pulses=n, efficiency=0.8, parity_rounds=4)
         batch = run_batch(config, channel_table(kind), list(seeds))
         counted = counting_keys(monkeypatch)
-        monkeypatch.setattr(ChannelTable, "reads_keys", True)
+        decide = stream.decide
+
+        def computing_every_key(edges, rows, seeds, stage, n, positions):
+            for _ in stream.key_blocks(seeds, stage, n, positions):
+                pass
+            return decide(edges, rows, seeds, stage, n, positions)
+
+        monkeypatch.setattr(adversary, "decide", computing_every_key)
         plain = run_batch(config, channel_table(kind), list(seeds))
         # the loss keys of the matched pulses, the adversary's of the sifted
-        assert sum(counted) == count_matched(plain) + len(plain.sifted)
+        assert counted == {LOSS: count_matched(plain),
+                           ADVERSARY: len(plain.sifted)}
         for s in range(len(seeds)):
             assert columns(batch, s) == columns(plain, s)
 
@@ -370,10 +397,10 @@ class TestSift:
         counted = counting_keys(monkeypatch)
         batch = run_batch(SessionConfig(n_pulses=3_000, efficiency=0.9),
                           channel_table("none"), [1, 2])
-        assert sum(counted) == count_matched(batch)
+        assert counted == {LOSS: count_matched(batch)}
         counted.clear()
         run_batch(SessionConfig(n_pulses=3_000), channel_table("none"), [1])
-        assert counted == []
+        assert counted == {}
 
     def test_empty_input_gives_empty_keys(self):
         empty = np.zeros((0, 10), dtype=np.uint8)
@@ -756,9 +783,8 @@ class TestRunSession:
         for index in batch.sifted.tolist():
             s, i = divmod(index, 300)
             code = 2 * pulses.alice_bases[s, i] + pulses.alice_bits[s, i]
-            drawn = keys([seeds[s]], ADVERSARY, 1, i)[0]
-            outcome = eve.intercept(np.array([code], np.uint8), drawn)[0]
-            want.append(eve.guess_bits[outcome])
+            drawn = keys([seeds[s]], ADVERSARY, 1, i)[0, 0]
+            want.append(eve.guess_bits[row_outcome(eve, code, drawn)])
         assert batch.guesses().tolist() == want
         part = slice(int(batch.starts[1]), int(batch.starts[2]))
         assert batch.guesses(part).tolist() == want[part]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from bb84sim import quantum
+from bb84sim import stream
 from bb84sim.errors import DegenerateAncillaError, NoMatchError
 from bb84sim.adversary import channel_table
 from bb84sim.quantum import (
@@ -17,10 +17,8 @@ from bb84sim.quantum import (
     MATCH_TOL,
     bit0_thresholds,
     build_reference_list,
-    RANDOM,
     measure,
     reduce_angle,
-    settled_bits,
     squared_overlap,
 )
 from bb84sim.stream import MEASURE, key_blocks
@@ -161,22 +159,24 @@ def measure_angles(angles, basis_angles, seeds):
     bases, basis_index = np.unique(basis_angles, return_inverse=True)
     thresholds = bit0_thresholds(states, bases)
     bits = measure(
-        thresholds, settled_bits(thresholds), state_index.ravel(),
-        basis_index.ravel(), seeds, angles.shape[1], np.arange(angles.size),
+        thresholds, state_index.ravel(), basis_index.ravel(), seeds,
+        angles.shape[1], np.arange(angles.size),
     )
     return bits.reshape(angles.shape)
 
 
 def counting_key_blocks(monkeypatch):
-    """Count the keys ``quantum.measure`` computes: the returned list gains
-    the positions of each call."""
+    """Count the keys ``quantum.measure`` computes, through
+    ``stream.decide``: the returned list gains the positions of each
+    call."""
     asked = []
 
     def counting(seeds, stage, n, positions):
+        assert stage == MEASURE
         asked.append(positions.tolist())
         return key_blocks(seeds, stage, n, positions)
 
-    monkeypatch.setattr(quantum, "key_blocks", counting)
+    monkeypatch.setattr(stream, "key_blocks", counting)
     return asked
 
 
@@ -203,17 +203,30 @@ class TestMeasure:
                 for angle in angles[0]]
         assert got.tolist() == [want]
 
-    def test_settled_bits_mark_the_fixed_outcomes(self):
-        # bit 0 where p0 = 1, bit 1 where p0 = 0, RANDOM between
+    def test_settled_bits_mark_the_fixed_outcomes(self, monkeypatch):
+        # bit 0 where p0 = 1 and bit 1 where p0 = 0, for the least key and
+        # the greatest alike; between them the two keys disagree, and only
+        # those states read a key
         thresholds = bit0_thresholds(BQS + (ANCILLA,))
-        assert settled_bits(thresholds).tolist() == [
-            [0, RANDOM], [1, RANDOM], [RANDOM, 0], [RANDOM, 1],
-            [RANDOM, RANDOM],
+        states = np.repeat(np.arange(5, dtype=np.uint8), 2)
+        bases = np.tile(np.arange(2, dtype=np.uint8), 5)
+        measured = []
+        for chosen in (0, 2**53 - 1):
+            asked = []
+
+            def constant_keys(seeds, stage, n, positions):
+                asked.append(positions.tolist())
+                yield slice(0, len(positions)), np.full(
+                    len(positions), chosen, dtype=np.uint64)
+
+            monkeypatch.setattr(stream, "key_blocks", constant_keys)
+            measured.append(measure(thresholds, states, bases, [0], 10,
+                                    np.arange(10)).tolist())
+            assert asked == [[1, 3, 4, 6, 8, 9]]
+        least, greatest = measured
+        assert [a if a == b else "key" for a, b in zip(least, greatest)] == [
+            0, "key", 1, "key", "key", 0, "key", 1, "key", "key",
         ]
-        for kind in ("none", "indirect-oracle"):
-            table = channel_table(kind)
-            assert table.settled_bits.tolist() == settled_bits(
-                table.bit0_thresholds).tolist()
 
     def test_identical_seeds_reproduce_outcomes(self):
         angles = np.full((1, 1000), math.pi / 4)
@@ -274,7 +287,7 @@ class TestMeasure:
             yield slice(0, len(positions)), np.array(
                 [chosen[i] for i in positions], dtype=np.uint64)
 
-        monkeypatch.setattr(quantum, "key_blocks", measurement_keys)
+        monkeypatch.setattr(stream, "key_blocks", measurement_keys)
         bits = measure_angles(np.full((1, len(chosen)), ANCILLA), H, [0])
         assert bits.tolist() == [[0, 1, 1, 0, 1]]
 

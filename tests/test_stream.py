@@ -6,15 +6,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from bb84sim import stream
 from bb84sim.adversary import channel_table
 from bb84sim.harness import derive_seed
 from bb84sim.protocol import SessionConfig, run_session
 from bb84sim.stream import (
     ADVERSARY, ALICE_BASES, ALICE_BITS, BLOCK, BOB_BASES, FLIP, LOSS,
-    MEASURE, PARITY, STAGES, TOEPLITZ, key_blocks, keys, random_bits,
-    threshold, values,
+    MEASURE, PARITY, STAGES, TOEPLITZ, decide, key_blocks, keys,
+    random_bits, threshold, values,
 )
 
 MASK64 = (1 << 64) - 1
@@ -214,6 +215,99 @@ def test_key_blocks_of_a_one_seed_batch_are_its_keys():
     assert got.tolist() == keys([2**64 - 1], ADVERSARY, n)[0].tolist()
 
 
+KEY_RANGE = 2**53  # keys run over [0, 2**53)
+
+
+def spy_key_blocks(monkeypatch):
+    """Record the blocks ``stream.decide`` draws, by wrapping
+    ``stream.key_blocks``: the returned list gains (stage, positions) for
+    each block."""
+    blocks = []
+
+    def spying(seeds, stage, n, positions):
+        for part, block in key_blocks(seeds, stage, n, positions):
+            assert len(block) == len(positions[part])
+            blocks.append((stage, positions[part].tolist()))
+            yield part, block
+
+    monkeypatch.setattr(stream, "key_blocks", spying)
+    return blocks
+
+
+@st.composite
+def decide_cases(draw):
+    """A batch with random positions and rows, and a small threshold table,
+    each row nondecreasing and some of them settled, that is all 0 or
+    2**53, the others holding keys of the batch, their successors and
+    any threshold."""
+    stage = draw(st.sampled_from([ADVERSARY, MEASURE]))
+    sessions = draw(st.integers(1, 3))
+    n = draw(st.sampled_from([1, 7, 300, BLOCK + 9]))
+    seeds = derive_seed(draw(st.integers(0, MASK64)),
+                        np.arange(sessions, dtype=np.uint64))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    count = int(rng.integers(0, sessions * n + 1))
+    positions = rng.choice(sessions * n, count, replace=False)
+    if draw(st.booleans()):
+        positions.sort()
+    whole = keys(seeds, stage, n).ravel()
+    near = [int(k) + d for k in whole[positions[:8]] for d in (0, 1)]
+    width = draw(st.integers(0, 4))
+    table = []
+    for _ in range(draw(st.integers(1, 6))):
+        if draw(st.booleans()):
+            zeros = draw(st.integers(0, width))
+            row = [0] * zeros + [KEY_RANGE] * (width - zeros)
+        else:
+            row = sorted(draw(st.lists(
+                st.one_of(st.sampled_from([0, 1, KEY_RANGE - 1, KEY_RANGE]),
+                          st.sampled_from(near or [0]),
+                          st.integers(0, KEY_RANGE)),
+                min_size=width, max_size=width)))
+        table.append(row)
+    rows = rng.integers(0, len(table), count).astype(np.uint8)
+    return stage, table, rows, seeds, n, positions
+
+
+@given(decide_cases())
+@settings(max_examples=80, deadline=None)
+def test_decide_is_the_inverse_cdf_of_each_entrys_own_key(case):
+    # oracle: per entry, in Python ints, the first threshold of its row
+    # above key i of its session, drawn from ``keys``; an entry of a
+    # settled row reads no key, and no block exceeds BLOCK
+    stage, table, rows, seeds, n, positions = case
+    edges = np.array(table, dtype=np.uint64).reshape(len(table), -1)
+    whole = keys(seeds, stage, n).tolist()
+    settled = [all(edge in (0, KEY_RANGE) for edge in row) for row in table]
+    want, read = [], []
+    for row, position in zip(rows.tolist(), positions.tolist()):
+        s, i = divmod(position, n)
+        drawn, thresholds = whole[s][i], table[row]
+        want.append(next((k for k, edge in enumerate(thresholds)
+                          if drawn < edge), len(thresholds)))
+        if not settled[row]:
+            read.append(position)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        blocks = spy_key_blocks(monkeypatch)
+        got = decide(edges, rows, seeds, stage, n, positions)
+    assert got.dtype == np.uint8
+    assert got.tolist() == want
+    assert [p for _, block in blocks for p in block] == read
+    assert all(0 < len(block) <= BLOCK and drawn_stage == stage
+               for drawn_stage, block in blocks)
+
+
+def test_decide_on_a_settled_table_reads_no_key(monkeypatch):
+    # every row settled: the count of its zero thresholds, with no key
+    blocks = spy_key_blocks(monkeypatch)
+    edges = np.array([[0, 0, KEY_RANGE], [KEY_RANGE] * 3, [0] * 3],
+                     dtype=np.uint64)
+    rows = np.array([0, 1, 2, 2, 0], dtype=np.uint8)
+    got = decide(edges, rows, [5], ADVERSARY, 5, np.arange(5))
+    assert got.tolist() == [2, 0, 3, 3, 2]
+    assert blocks == []
+
+
 def test_keys_decode_the_chosen_outputs():
     # keys at chosen counters, the first and last of a stage's range
     # among them, are the top 53 bits of those values
@@ -239,7 +333,6 @@ DECISION_PROBABILITIES = sorted({
                     math.pi / 6, 2 * math.pi / 3, math.pi / 8, 1.1)
       for basis in (0.0, math.pi / 4)),
 })
-KEY_RANGE = 2**53  # keys run over [0, 2**53)
 
 
 def assert_compare_is_exact(p, k):
