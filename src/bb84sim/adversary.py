@@ -12,7 +12,8 @@ sampler, ``ChannelTable.intercept``, draws from any table with
 ceil(p * 2**53) for the table's cumulative probabilities p.  An outcome
 is all that is kept of an interception: the state forwarded and the guess
 are lookups in the table.  One builder, ``channel_table``, makes the table
-of each kind in ``EVE_KINDS``:
+of each kind in ``EVE_KINDS``.  Every lawful attack is one single-copy
+measurement, a list of weighted rays; the oracle's read is not one:
 
 * ``none``              passive channel, nothing recorded.
 * ``intercept-resend``  measure in a random basis, forward the collapsed
@@ -73,6 +74,7 @@ class ChannelTable:
       for a passive channel;
     * ``bit0_thresholds[k, b]``: the receiver's bit-0 threshold for the
       state outcome k forwards, measured in basis b (``bit0_thresholds``);
+    * ``reached[k, b]``: whether a pulse sent in basis b can give outcome k;
     * ``edges[s, k]``: ceil(p * 2**53) for the probability p that sent
       state s gives an outcome up to k, for every outcome k but the last.
 
@@ -92,6 +94,8 @@ class ChannelTable:
             None if guesses[0] is None else np.array(guesses, dtype=np.uint8)
         )
         self.bit0_thresholds = bit0_thresholds(self.forwarded_angles)
+        # Sent state s = 2 * b + bit, so rows 2b and 2b + 1 send in basis b.
+        self.reached = (probabilities.T > 0.0).reshape(-1, 2, 2).any(axis=2)
         # Outcome k is drawn when edges[k - 1] <= u < edges[k].  Edges with
         # no probability left above them are set to 1, whose threshold 2**53
         # no key reaches, so rounding in the cumulative sum can never select
@@ -145,60 +149,52 @@ def channel_table(
     """The channel table of strategy ``kind`` (one of ``EVE_KINDS``).
 
     ``ancilla_angle`` serves the two indirect-copy kinds and
-    ``resend_rule`` the single-shot one.  The oracle reads its table through
-    ``ReferenceList.lookup``, so an ancilla that maps two signal states to
-    one overlap raises ``DegenerateAncillaError``.  The single-shot kind
-    takes any finite angle: its guess for each outcome is the signal state
-    of largest posterior (uniform prior; of overlaps equal as computed, the
-    lower ``BQS`` index wins).
+    ``resend_rule`` the single-shot one.  A lawful attack is a list of
+    rays (angle, weight, outcome), each seen with probability weight *
+    cos^2(angle - sent angle): the signal rays at weight 1/2, in ``BQS``
+    order, for intercept/resend, and the ancilla pair at weight 1 for the
+    single-shot kind.  The oracle measures nothing: it reads its table
+    through ``ReferenceList.lookup``, so an ancilla that maps two signal
+    states to one overlap raises ``DegenerateAncillaError``.  The
+    single-shot kind takes any finite angle: its guess for each outcome is
+    the signal state of largest posterior (uniform prior; of overlaps
+    equal as computed, the lower ``BQS`` index wins).
     """
     check_strategy(kind, ancilla_angle, resend_rule, attack_fraction)
     if kind == "none":
         return ChannelTable([{(state, None): 1.0} for state in BQS])
 
-    # ``attack(code)`` lists (outcome, probability) pairs for the signal
+    # ``attacks[code]`` lists (outcome, probability) pairs for the signal
     # state ``BQS[code]``; the bit a code encodes is ``code & 1``.
-    if kind == "intercept-resend":
-        def attack(sent: int) -> list[tuple[Outcome, float]]:
-            return [
-                ((state, code & 1), squared_overlap(BQS[sent], state) / 2)
-                for code, state in enumerate(BQS)
-            ]
-    elif kind == "indirect-oracle":
+    if kind == "indirect-oracle":
         table = build_reference_list(ancilla_angle)
-
-        def attack(sent: int) -> list[tuple[Outcome, float]]:
-            matched = table.lookup(squared_overlap(table.ancilla, BQS[sent]))
-            return [((BQS[matched], matched & 1), 1.0)]
+        matched = [table.lookup(squared_overlap(table.ancilla, state))
+                   for state in BQS]
+        attacks = [[((BQS[code], code & 1), 1.0)] for code in matched]
     else:
-        ancilla = reduce_angle(ancilla_angle)
-        weight = [squared_overlap(ancilla, state) for state in BQS]
-        guesses = (
-            max(range(4), key=lambda code: weight[code]),
-            max(range(4), key=lambda code: 1.0 - weight[code]),
-        )
-        probe = (ancilla, reduce_angle(ancilla + PI / 2))
-        if resend_rule == "max-posterior":
-            resent = (BQS[guesses[0]], BQS[guesses[1]])
+        if kind == "intercept-resend":
+            rays = [(state, 0.5, (state, code & 1))
+                    for code, state in enumerate(BQS)]
         else:
-            resent = probe
+            ancilla = reduce_angle(ancilla_angle)
+            overlap = [squared_overlap(ancilla, state) for state in BQS]
+            guesses = (max(range(4), key=lambda code: overlap[code]),
+                       max(range(4), key=lambda code: 1.0 - overlap[code]))
+            probe = (ancilla, reduce_angle(ancilla + PI / 2))
+            resent = (probe if resend_rule == "resend-ancilla"
+                      else [BQS[code] for code in guesses])
+            rays = [(angle, 1.0, (resent[k], guesses[k] & 1))
+                    for k, angle in enumerate(probe)]
+        attacks = [[(outcome, weight * squared_overlap(sent, angle))
+                    for angle, weight, outcome in rays] for sent in BQS]
 
-        def attack(sent: int) -> list[tuple[Outcome, float]]:
-            return [
-                (
-                    (resent[outcome], guesses[outcome] & 1),
-                    squared_overlap(BQS[sent], angle),
-                )
-                for outcome, angle in enumerate(probe)
-            ]
-
-    # An outcome may recur in ``attack(code)`` or equal a blind pass; equal
-    # outcomes add up.
+    # An outcome may recur in ``attacks[code]`` or equal a blind pass;
+    # equal outcomes add up.
     rows = []
     for code, state in enumerate(BQS):
         row: Row = defaultdict(float)
         if attack_fraction > 0.0:
-            for outcome, p in attack(code):
+            for outcome, p in attacks[code]:
                 row[outcome] += attack_fraction * p
         if attack_fraction < 1.0:
             for guess in (0, 1):

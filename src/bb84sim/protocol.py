@@ -195,10 +195,13 @@ def transmit(
     + i sending entry j, through the adversary to the receiver, who
     measures in the basis sent.  Returns the adversary's outcomes, indices
     into her table, and the receiver's bits, each read with key i of its
-    stage of ``seeds[s]`` where its table leaves a choice."""
+    stage of ``seeds[s]`` where its table leaves a choice.  The receiver's
+    rows for the pairs the channel never gives (``ChannelTable.reached``)
+    are settled to threshold 0, so a channel that forwards what it
+    receives decides every bit with no key."""
     outcomes = adversary.intercept(codes, seeds, n, sifted)
-    return outcomes, measure(adversary.bit0_thresholds, outcomes, codes >> 1,
-                             seeds, n, sifted)
+    return outcomes, measure(adversary.bit0_thresholds * adversary.reached,
+                             outcomes, codes >> 1, seeds, n, sifted)
 
 
 # _BELOW[k] has the k low bits of a value set, for k in [0, 64].

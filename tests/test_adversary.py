@@ -18,7 +18,9 @@ from bb84sim import cli, stream
 from bb84sim.adversary import EVE_KINDS, RESEND_RULES, channel_table
 from bb84sim.errors import DegenerateAncillaError, InvalidConfigError
 from bb84sim.harness import ExperimentConfig, build_strategy
-from bb84sim.protocol import SessionConfig, run_session, transmit
+from bb84sim.protocol import (
+    SessionConfig, run_batch, run_session, transmit,
+)
 from bb84sim.quantum import (
     DEFAULT_ANCILLA_ANGLE,
     build_reference_list,
@@ -834,3 +836,31 @@ def test_receiver_thresholds_follow_the_born_rule(kind, rule, fraction):
                     assert got == want, (theta, k, b)
                 else:
                     assert abs(got - want) <= 4, (theta, k, b, got, want)
+
+
+@pytest.mark.parametrize("kind", EVE_KINDS)
+@pytest.mark.parametrize("rule", RESEND_RULES)
+@pytest.mark.parametrize("fraction", [0.0, 0.3, 1.0])
+def test_reached_holds_every_pair_a_batch_draws(kind, rule, fraction):
+    """``transmit`` settles the receiver's rows that ``reached`` leaves
+    out, so a pair drawn outside it would flip bits silently.  Every
+    sifted entry of a small lossy batch must draw a reached (outcome, sent
+    basis) pair; a channel that forwards what it receives reaches only
+    eigenstate rows, thresholds 0 or 2**53; intercept/resend on every
+    pulse reaches every pair."""
+    config = SessionConfig(n_pulses=64, efficiency=0.9)
+    for theta in THRESHOLD_THETAS:
+        try:
+            eve = channel_table(kind, theta, rule, fraction)
+        except DegenerateAncillaError:
+            assert kind == "indirect-oracle"
+            continue
+        batch = run_batch(config, eve, [1, 2, 3, 4])
+        bases = np.take(batch.pulses.alice_bases, batch.sifted)
+        assert eve.reached.shape == eve.bit0_thresholds.shape
+        assert eve.reached[batch.outcomes, bases].all(), theta
+        if kind in ("none", "indirect-oracle"):
+            reached = set(eve.bit0_thresholds[eve.reached].tolist())
+            assert reached <= {0, 2**53}, theta
+        if kind == "intercept-resend" and fraction == 1.0:
+            assert eve.reached.all(), theta

@@ -24,7 +24,7 @@ from bb84sim.protocol import (
     sift,
     transmit,
 )
-from bb84sim.quantum import BQS
+from bb84sim.quantum import BQS, measure
 from bb84sim.stream import (
     ADVERSARY, BLOCK, LOSS, MEASURE, PARITY, key_blocks, keys,
 )
@@ -280,6 +280,48 @@ class TestTransmit:
             assert outcomes[j] == row_outcome(eve, codes[j], drawn)
             edge = eve.bit0_thresholds[outcomes[j], codes[j] >> 1]
             assert bits[j] == (keys([seeds[s]], MEASURE, 1, i)[0, 0] >= edge)
+
+    @pytest.mark.parametrize("kind, theta, rule, fraction", [
+        ("none", math.pi / 6, "max-posterior", 1.0),
+        ("intercept-resend", math.pi / 6, "max-posterior", 1.0),
+        ("intercept-resend", math.pi / 6, "max-posterior", 0.3),
+        ("indirect-oracle", math.pi / 6, "max-posterior", 1.0),
+        ("indirect-oracle", math.pi / 6, "max-posterior", 0.3),
+        ("indirect-physical", math.pi / 6, "max-posterior", 1.0),
+        ("indirect-physical", math.pi / 6, "resend-ancilla", 1.0),
+        ("indirect-physical", math.pi / 6, "resend-ancilla", 0.3),
+        ("indirect-physical", 0.0, "max-posterior", 1.0),
+        ("indirect-physical", 0.0, "resend-ancilla", 1.0),
+    ])
+    def test_settled_receiver_rows_move_no_bit(
+        self, monkeypatch, kind, theta, rule, fraction
+    ):
+        # oracle: the same sifted pulses of a lossy batch with every
+        # (outcome, basis) pair counted as reached, so that no receiver
+        # row is settled for being out of reach
+        eve = channel_table(kind, theta, rule, fraction)
+        n, seeds = 500, [5, 6, 7]
+        batch = run_batch(SessionConfig(n_pulses=n, efficiency=0.8), eve,
+                          seeds)
+        codes = (2 * np.take(batch.pulses.alice_bases, batch.sifted)
+                 + batch.sifted_alice)
+        tables = []
+
+        def measuring(thresholds, *args):
+            tables.append(thresholds)
+            return measure(thresholds, *args)
+
+        monkeypatch.setattr(protocol, "measure", measuring)
+        settled = transmit(codes, eve, seeds, n, batch.sifted)
+        monkeypatch.setattr(eve, "reached", np.ones_like(eve.reached))
+        unsettled = transmit(codes, eve, seeds, n, batch.sifted)
+        for got, want in zip(settled, unsettled):
+            assert np.array_equal(got, want)
+        assert np.array_equal(settled[0], batch.outcomes)
+        assert np.array_equal(settled[1], batch.sifted_bob)
+        # a channel that forwards what it receives leaves every row settled
+        forwards = kind in ("none", "indirect-oracle")
+        assert forwards == (set(tables[0].ravel().tolist()) <= {0, 2**53})
 
 
 def counting_keys(monkeypatch):
