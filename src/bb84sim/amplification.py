@@ -156,12 +156,13 @@ def eve_residual_information(
     if not len(batch):
         raise ValueError("batch must hold at least one session")
     n = params.input_bits
+    detected = batch.detected
     advantages = []
     for s in range(len(batch)):
         key, guess = batch.reconciled(s)
         if guess is None:
             return 0.0
-        if batch.detected[s]:
+        if detected[s]:
             raise ValueError(
                 f"session {s} has no reconciled key (it was detected)"
             )

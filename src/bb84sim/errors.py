@@ -30,7 +30,8 @@ class SessionError(RuntimeError):
     """A session inside an experiment failed.  Carries the session index and
     its seed.  ``batch = run_session(config, build_strategy(config),
     seed)`` replays the failure as a batch of one, where a curve session's
-    config is ``replace(config, parity_rounds=k)`` for the k of its sweep.
+    config is ``replace(config, parity_rounds=max(k_values))``, since a
+    curve runs each session once at its largest k.
     By kind:
 
     * too few sifted bits for the parity rounds: ``run_session`` raises the

@@ -31,7 +31,8 @@ session of n pulses reads these stages:
    reaches the sifted key and whose forwarded state is not an eigenstate
    of its basis (so never under ``none`` or ``indirect-oracle``);
 6. with ``force_differ``, in ``detection_rate_curve``, key 0, whose
-   uniform u flips receiver bit floor(u * L) of the L-bit sifted key;
+   uniform u flips receiver bit floor(u * L) of the L-bit sifted key,
+   once per session whatever the curve's k values;
 7. with privacy amplification on an undetected session, the n + r - 1
    bits of the Toeplitz seed;
 
@@ -39,7 +40,10 @@ and 2**16 + r for parity round r (r = 0, 1, ...): the round's coins are
 one bit per live sifted position, L - r of them, in W = ceil((L - r) / 64)
 values, and attempt a at them reads the values a * W to a * W + W - 1.  An
 attempt whose coins are all 0 is followed by the next.  The forced flip
-comes before the parity rounds, which see the flipped key.
+comes before the parity rounds, which see the flipped key.  No round's
+values depend on the round count, so the first k rounds of a session are
+its k-round run: a curve runs sessions 0 to n - 1 once, at its largest k,
+and reads every k off the round at which each session first tripped.
 
 No stage reads another's values, so a stage nobody reads moves nothing,
 and no draw depends on a drawn value except the redraw of an empty parity
@@ -403,11 +407,12 @@ def _experiment_rows(
             share if length else None
             for share, length in zip(shares, lengths.tolist())
         ]
+    detected = batch.detected.tolist()
     rows = []
     for s, index in enumerate(indices):
         final_length = 0
         advantage = None
-        if not batch.detected[s]:
+        if not detected[s]:
             final_length = int(lengths[s]) - config.parity_rounds
             if config.privacy_enabled:
                 params = PrivacyParams(
@@ -425,7 +430,7 @@ def _experiment_rows(
             index=index,
             qber=qbers[s],
             sifted_length=int(lengths[s]),
-            detected=bool(batch.detected[s]),
+            detected=detected[s],
             final_key_length=final_length,
             eve_accuracy=accuracies[s],
             eve_advantage=advantage,
@@ -454,38 +459,41 @@ def detection_rate_curve(
 ) -> list[tuple[int, float]]:
     """Detection rate of the parity stage as a function of its round count.
 
-    For each k, ``config.n_sessions`` sessions run with parity
-    verification of k rounds in place of ``config.parity_rounds``; even
-    k = 0 needs a nonempty sifted key.  With ``force_differ`` one
-    uniformly random sifted bit of the receiver is flipped first,
-    isolating the parity math from attack stochasticity.  Session j of the
-    sweep (k-major) uses the seed of session index j.  Every k is checked
-    before any session runs.
+    Sessions 0 to ``config.n_sessions`` - 1 run once, with K =
+    max(``k_values``) parity rounds in place of ``config.parity_rounds``,
+    and the rate at k is the share of them that tripped before round k:
+    the detection rate of the same sessions run with k rounds each, since
+    no round's coins depend on the round count.  So every point reads the
+    same sessions, and the curve never falls as k rises.  Each session
+    needs more than K sifted bits, and a nonempty key even when K = 0.
+    With ``force_differ`` one uniformly random sifted bit of the receiver
+    is flipped first, isolating the parity math from attack
+    stochasticity.  Every k is checked before any session runs, and an
+    empty ``k_values`` runs none.
     """
-    # A k that is not an int is left to replace(), which refuses it.
-    if any(isinstance(k, int) and k < 0 for k in k_values):
-        raise InvalidConfigError("parity round counts must be >= 0")
-    configs = [replace(config, parity_rounds=k) for k in k_values]
+    if any(type(k) is not int or k < 0 for k in k_values):
+        raise InvalidConfigError(
+            f"parity round counts must be >= 0 and Python ints, got "
+            f"{list(k_values)}"
+        )
+    if not k_values:
+        return []
+    # The field's own check bounds K, and with it every k.
+    longest = replace(config, parity_rounds=max(k_values))
     strategy = build_strategy(config)
 
-    def detections(
-        curve: ExperimentConfig, indices: range, seeds: np.ndarray
-    ) -> int:
-        batch = run_batch(curve, strategy, seeds, flip=force_differ)
-        if curve.parity_rounds == 0 and not batch.lengths.all():
+    def trips(indices: range, seeds: np.ndarray) -> np.ndarray:
+        batch = run_batch(longest, strategy, seeds, flip=force_differ)
+        if not batch.lengths.all():
             raise KeyTooShortError(
                 "no sifted bits: a curve session needs a nonempty sifted key"
             )
-        return int(np.count_nonzero(batch.detected))
+        return batch.tripped
 
     n = config.n_sessions
-    rates = []
-    for sweep, curve in enumerate(configs):
-        work = partial(detections, curve)
-        detected = sum(_run(config, indices, work)
-                       for indices in _batches(config, sweep * n, n))
-        rates.append((curve.parity_rounds, detected / n))
-    return rates
+    tripped = np.concatenate([_run(config, indices, trips)
+                              for indices in _batches(config, 0, n)])
+    return [(k, int(np.count_nonzero(tripped < k)) / n) for k in k_values]
 
 
 def curve_to_json(

@@ -24,8 +24,9 @@ next: a pulse can reach the key only when the two bases match, and only
 those pulses read a loss key.  The adversary and the receiver then act on
 the sifted pulses alone, so their results are kept in the sifted layout:
 the adversary's outcome as its index into her table, which the batch
-holds, and the receiver's bit.  Parity verification leaves one flag per
-session and the mask of surviving key positions, not per-round records.
+holds, and the receiver's bit.  Parity verification leaves the round at
+which each session first tripped and the mask of surviving key positions,
+not per-round records.
 
 Each random decision of a pulse, loss, the adversary's outcome and the
 receiver's bit, is a 53-bit key against ceil(p * 2**53) for its
@@ -111,8 +112,10 @@ class SessionBatch:
     ``starts[s]`` on, ``sifted`` holds the flattened pulse index of each
     entry, ``outcomes`` the adversary's outcome there and ``sifted_bob``
     the receiver's bit.  ``kept`` marks, in the same layout, the positions
-    no parity round discarded, and ``detected`` holds one flag per
-    session.
+    no parity round discarded.  ``tripped`` holds, per session, the first
+    of its ``rounds`` parity rounds whose parities differ, or ``rounds``
+    when none does (``parity_verify``); ``detected`` derives each
+    session's flag from it.
     """
 
     pulses: Pulses
@@ -123,11 +126,18 @@ class SessionBatch:
     starts: np.ndarray
     sifted_alice: np.ndarray
     sifted_bob: np.ndarray
-    detected: np.ndarray
+    rounds: int
+    tripped: np.ndarray
     kept: np.ndarray
 
     def __len__(self) -> int:
         return len(self.lengths)
+
+    @property
+    def detected(self) -> np.ndarray:
+        """One flag per session: whether any of its parity rounds tripped,
+        computed afresh on each read."""
+        return self.tripped < self.rounds
 
     def reconciled(self, s: int) -> tuple[np.ndarray, np.ndarray | None]:
         """Session s's post-parity key, the sender's sifted bits at the
@@ -204,34 +214,20 @@ def transmit(
                              outcomes, codes >> 1, seeds, n, sifted)
 
 
-# _BELOW[k] has the k low bits of a value set, for k in [0, 64].
-_BELOW = np.array([(1 << k) - 1 for k in range(65)], np.uint64)
-
-
 def _low_bit(words: np.ndarray) -> np.ndarray:
     """Index of the lowest set bit of each nonzero uint64 value: the
     exponent of that bit alone, which a float holds exactly."""
     return np.frexp(words & (~words + np.uint64(1)))[1] - 1
 
 
-def _coins(seeds, stages, live, attempt) -> np.ndarray:
-    """Attempt ``attempt`` at the coins of the parity rounds whose seeds,
-    stages and live counts the arrays give, one row each: the
-    W = ceil(live / 64) values of the round's stage from ``attempt * W``
-    on, coin i being bit i of the row, and the bits past ``live`` cleared.
-    """
-    sizes = (live + 63) // 64
-    coins = values(seeds, stages, sizes, attempt * sizes)
-    cut = np.flatnonzero(live % 64)
-    coins[cut, sizes[cut] - 1] &= np.take(_BELOW, live[cut] % 64)
-    return coins
-
-
-def _first_words(coins: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For each row of ``coins``, the index of its first nonzero value and
-    that value, 0 for a row whose coins all came up 0."""
+def _first_coin(coins: np.ndarray) -> np.ndarray:
+    """For each row of ``coins``, the index of its lowest set bit, bit i
+    of a row being bit i mod 64 of value i // 64; 64 times the row width
+    for a row whose values are all 0."""
     first = (coins != 0).argmax(axis=1)
-    return first, coins[np.arange(len(coins)), first]
+    word = coins[np.arange(len(coins)), first]
+    return np.where(word != 0, 64 * first + _low_bit(word),
+                    64 * coins.shape[1])
 
 
 def parity_verify(
@@ -262,9 +258,12 @@ def parity_verify(
     taken at once, only a round that came up empty is drawn again, and the
     discarded positions follow from the lowest set bits.  Only the positions
     where the keys differ are read, each at its live index, and a session
-    stops at its first mismatch.  Returns (detected, kept): a flag per
-    session, the OR of its per-round mismatches, and a mask over the keys
-    laid end to end that marks the positions no round discarded.
+    stops at its first mismatch.  Returns (tripped, kept): per session,
+    the first round whose two parities differ, or ``rounds`` when none
+    does, and a mask over the keys laid end to end that marks the
+    positions no round discarded.  No round's coins depend on ``rounds``,
+    so the first k rounds detect a session exactly when tripped < k.
+    ``tripped`` is no flag: a session that trips at round 0 holds 0.
     """
     alice = np.asarray(alice_bits, dtype=np.uint8)
     bob = np.asarray(bob_bits, dtype=np.uint8)
@@ -289,28 +288,32 @@ def parity_verify(
             f"key of length {lengths[short.argmax()]} cannot support "
             f"{rounds} parity rounds"
         )
-    detected = np.zeros(len(lengths), dtype=bool)
+    tripped = np.full(len(lengths), rounds, dtype=np.int64)
     kept = np.ones(len(alice), dtype=bool)
     if rounds == 0 or not len(lengths):
-        return detected, kept
+        return tripped, kept
     # Round j of session s is row j * sessions + s of ``coins``.
     sessions = len(lengths)
     live = (lengths - np.arange(rounds)[:, None]).ravel()
     row_seeds = np.tile(seeds, rounds)
     stages = PARITY + np.arange(rounds).repeat(sessions)
-    coins = _coins(row_seeds, stages, live, 0)
-    first, lowest = _first_words(coins)
-    empty = np.flatnonzero(lowest == 0)
+    # A round's first set coin at or past its live count leaves its live
+    # coins all 0: the attempt came up empty and the next is drawn.
+    sizes = (live + 63) // 64
+    coins = values(row_seeds, stages, sizes)
+    discarded = _first_coin(coins)
+    empty = np.flatnonzero(discarded >= live)
     attempt = 0
     while len(empty):
         attempt += 1
-        fresh = _coins(row_seeds[empty], stages[empty], live[empty], attempt)
+        fresh = values(row_seeds[empty], stages[empty], sizes[empty],
+                       attempt * sizes[empty])
         coins[empty, : fresh.shape[1]] = fresh
-        first[empty], lowest[empty] = _first_words(fresh)
-        empty = empty[lowest[empty] == 0]
+        discarded[empty] = _first_coin(fresh)
+        empty = empty[discarded[empty] >= live[empty]]
     # Round j discards its lowest member, a live index, which becomes a key
     # position once the earlier discards are undone, latest first.
-    discarded = (64 * first + _low_bit(lowest)).reshape(rounds, sessions)
+    discarded = discarded.reshape(rounds, sessions)
     positions = discarded.copy()
     for j in range(rounds - 2, -1, -1):
         later = positions[j + 1 :]
@@ -320,8 +323,9 @@ def parity_verify(
 
     # A subset's two parities differ exactly when it holds an odd number
     # of the spots where the keys differ.  Spot k is bit at[k] of a round's
-    # coins unpacked one row per session, row owner[k].  A session stops at
-    # its first mismatch; a discarded spot leaves, the ones above move down.
+    # coins unpacked one row per session, row owner[k], below the round's
+    # live count.  A session stops at its first mismatch, which sets its
+    # tripped round; a discarded spot leaves, the ones above move down.
     at = np.flatnonzero(alice != bob)
     owner = np.searchsorted(starts + lengths, at, side="right")
     rows = np.arange(sessions) * (64 * coins.shape[1])
@@ -333,12 +337,12 @@ def parity_verify(
         bits = np.unpackbits(octets[j * sessions : (j + 1) * sessions],
                              axis=1, bitorder="little")
         trip = np.bincount(owner, np.take(bits, at), sessions) % 2 == 1
-        detected |= trip
+        tripped[trip] = j
         drop = (rows + discarded[j])[owner]
         stay = ~trip[owner] & (at != drop)
         at -= at > drop
         owner, at = owner[stay], at[stay]
-    return detected, kept
+    return tripped, kept
 
 
 def run_batch(
@@ -358,8 +362,8 @@ def run_batch(
     before verification, for the uniform u = k * 2**-53; a session without
     sifted bits then raises ``ValueError``.  An error of any session
     raises.  Returns the batch's pulse columns, the adversary's table,
-    sifted keys and outcomes, survivor mask ``kept`` and detection flags
-    as a ``SessionBatch``.
+    sifted keys and outcomes, survivor mask ``kept`` and the round each
+    session tripped at as a ``SessionBatch``.
     """
     n = config.n_pulses
     seeds = np.asarray(seeds, dtype=np.uint64)
@@ -379,12 +383,13 @@ def run_batch(
         flipped = np.minimum((u * lengths).astype(np.int64), lengths - 1)
         sifted_bob[starts + flipped] ^= 1
 
-    if config.parity_rounds > 0:
-        detected, kept = parity_verify(
-            sifted_alice, sifted_bob, config.parity_rounds, seeds, lengths
+    rounds = config.parity_rounds
+    if rounds > 0:
+        tripped, kept = parity_verify(
+            sifted_alice, sifted_bob, rounds, seeds, lengths
         )
     else:
-        detected = np.zeros(len(seeds), dtype=bool)
+        tripped = np.zeros(len(seeds), dtype=np.int64)
         kept = np.ones(len(sifted), dtype=bool)
     return SessionBatch(
         pulses=pulses,
@@ -395,7 +400,8 @@ def run_batch(
         starts=starts,
         sifted_alice=sifted_alice,
         sifted_bob=sifted_bob,
-        detected=detected,
+        rounds=rounds,
+        tripped=tripped,
         kept=kept,
     )
 

@@ -9,6 +9,7 @@ from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from bb84sim.amplification import PrivacyParams, compress, sample_hash
 from bb84sim import amplification, cli, harness, protocol, stream
@@ -41,6 +42,7 @@ from bb84sim.stream import (
 from test_contract import bits, key
 from test_protocol import (
     columns,
+    first_trip,
     redrew,
     reference_parity_verify,
     reference_session,
@@ -364,15 +366,15 @@ class TestRunExperiment:
 
     @staticmethod
     def first_failing_curve_session(master_seed, k_values, n_sessions):
-        """oracle: the first session of a one-at-a-time sweep whose sifted
-        key cannot support its round count"""
-        sweep = [k for k in k_values for _ in range(n_sessions)]
-        for index, k in enumerate(sweep):
+        """oracle: the first of sessions 0 to ``n_sessions`` - 1, which a
+        curve runs once at its largest k, whose sifted key cannot support
+        some k"""
+        for index in range(n_sessions):
             batch = run_session(
                 SessionConfig(n_pulses=2), channel_table("none"),
                 derive_seed(master_seed, index),
             )
-            if len(batch.sifted_alice) <= k:
+            if any(len(batch.sifted_alice) <= k for k in k_values):
                 return index
 
     def test_curve_session_error_names_its_seed(self):
@@ -387,15 +389,15 @@ class TestRunExperiment:
         )
 
     def test_curve_error_names_the_lowest_failing_session(self):
-        # at master seed 2, sessions 1 and 3 of the first batch fail and
-        # session 0 does not
+        # at master seed 2, sessions 1 and 3 of the batch keep one sifted
+        # bit, too few for the largest k, and session 0 keeps two
         config = ExperimentConfig(n_pulses=2, n_sessions=4, master_seed=2)
         with pytest.raises(SessionError) as excinfo:
-            detection_rate_curve(config, [1, 5])
+            detection_rate_curve(config, [1, 0])
         error = excinfo.value
         assert error.session_index == 1
         assert error.session_index == self.first_failing_curve_session(
-            2, [1, 5], 4
+            2, [1, 0], 4
         )
         assert error.seed == derive_seed(2, 1)
 
@@ -442,7 +444,7 @@ class TestRunExperiment:
         assert run_experiment(config).to_json() == run_experiment(config).to_json()
 
 
-# 700 sessions x 96 pulses x 8 k-values: 16 batches.
+# 700 sessions x 96 pulses, run once at k = 8: 2 batches.
 CURVE = ["detect-curve", "--pulses", "96", "--sessions", "700",
          "--k-values", "1,2,3,4,5,6,7,8", "--force-differ", "--seed", "5"]
 # At seed 301, session 2243 is the first that keeps 3 sifted bits or
@@ -890,6 +892,75 @@ class TestReportSerialization:
 
 
 class TestDetectionRateCurve:
+    @given(
+        eve=st.sampled_from(EVE_KINDS),
+        attack_fraction=st.sampled_from([1.0, 0.1]),
+        efficiency=st.sampled_from([1.0, 0.7]),
+        force_differ=st.booleans(),
+        n_pulses=st.integers(4, 96),
+        n_sessions=st.integers(1, 40),
+        k_values=st.lists(st.integers(0, 6), min_size=1, max_size=6),
+        master_seed=st.integers(0, 2**64 - 1),
+    )
+    @example(eve="indirect-physical", attack_fraction=0.1, efficiency=0.7,
+             force_differ=False, n_pulses=300, n_sessions=100,
+             k_values=[0, 2, 1, 5, 5], master_seed=7)
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_each_rate_is_the_detected_share_of_a_k_round_batch(
+        self, eve, attack_fraction, efficiency, force_differ, n_pulses,
+        n_sessions, k_values, master_seed,
+    ):
+        # oracle: sessions 0 to n - 1 run as one batch per k, with k
+        # rounds; the curve fails when a session keeps too few sifted bits
+        # for its largest k, or none
+        config = ExperimentConfig(
+            n_pulses=n_pulses, n_sessions=n_sessions, efficiency=efficiency,
+            eve_kind=eve, attack_fraction=attack_fraction,
+            master_seed=master_seed,
+        )
+        strategy = build_strategy(config)
+        seeds = derive_seed(master_seed,
+                            np.arange(n_sessions, dtype=np.uint64))
+        lengths = run_batch(config, strategy, seeds).lengths
+        if lengths.min() <= max(k_values):
+            with pytest.raises(SessionError):
+                detection_rate_curve(config, k_values, force_differ)
+            return
+        want = [
+            (k, int(np.count_nonzero(run_batch(
+                replace(config, parity_rounds=k), strategy, seeds,
+                flip=force_differ,
+            ).detected)) / n_sessions)
+            for k in k_values
+        ]
+        assert detection_rate_curve(config, k_values, force_differ) == want
+
+    def test_never_falls_as_k_rises(self):
+        # every k reads the same sessions, and a session that trips within
+        # k rounds trips within more
+        config = ExperimentConfig(n_pulses=96, n_sessions=200, master_seed=5)
+        curve = detection_rate_curve(
+            config, [8, 1, 3, 2, 7, 5, 4, 6, 0], force_differ=True
+        )
+        rates = [rate for _, rate in sorted(curve)]
+        assert rates == sorted(rates)
+        assert rates[0] == 0.0 and rates[-1] > rates[1]
+
+    def test_a_curve_runs_each_session_once(self, monkeypatch, capsys):
+        # the 700 sessions of ``CURVE`` fill two batches, each run once at
+        # the largest of its eight k values
+        calls = []
+        run = harness.run_batch
+
+        def counted(config, strategy, seeds, **kwargs):
+            calls.append((config.parity_rounds, len(seeds)))
+            return run(config, strategy, seeds, **kwargs)
+
+        monkeypatch.setattr(harness, "run_batch", counted)
+        assert cli.main(CURVE) == 0
+        assert calls == [(8, 350), (8, 350)]
+
     def test_clean_channel_never_detects(self):
         config = ExperimentConfig(n_pulses=64, n_sessions=50, master_seed=2)
         curve = detection_rate_curve(config, [1, 2, 3])
@@ -925,7 +996,8 @@ class TestGoldenReports:
     """sha256 of small JSON reports, one per adversary, pinned so that a
     change to the report format, or to the random stream that moves any
     reported number, shows.  A change of the stream contract updates these
-    together with ``RNG_CONTRACT``."""
+    together with ``RNG_CONTRACT``.  The curve digests also pin which
+    sessions a curve reads: sessions 0 to n - 1, at every k."""
 
     ARGV = ["run", "--pulses", "2000", "--sessions", "3", "--parity-rounds", "8"]
 
@@ -958,7 +1030,7 @@ class TestGoldenReports:
         [
             (["--pulses", "96", "--sessions", "200", "--force-differ",
               "--seed", "5"],
-             "8671d9edb27b5e7ef30a509ad4e9d6dd363e5193bc0abc50396edffbdd23682b"),
+             "2fa596a603476a47cb7f2e2c9eb905a95d2d85a18bf59263c672ca211432f0e1"),
             (["--eve", "intercept-resend", "--pulses", "100", "--sessions",
               "50", "--efficiency", "0.8", "--k-values", "1,3,8", "--seed",
               "2"],
@@ -986,7 +1058,7 @@ class TestGoldenReports:
               "pa_leak_bits": 20_000, "pa_margin_bits": 16}, None,
              "18f6b1ae1f518f5cd9f0ff109d65ba3de69ae962be4a9dfff41652f5e52d1df0"),
             ({"n_pulses": 96, "n_sessions": 1000}, [1, 2, 3, 4, 5, 6, 7, 8],
-             "9689417bc97445420f92608c5d945ecb7bfff7b7ab8e458981e7c3cc2e193238"),
+             "cc305a593bb02741757d5a11594b332fef7e85f7c007d086bc34248485534e35"),
             ({"n_pulses": 10_000, "n_sessions": 1, "efficiency": 0.9,
               "parity_rounds": 32, "eve_kind": "intercept-resend"}, None,
              "463ca43caa1e6494144586835ba9f90319dd002002dacad76aded0389cf15d1a"),
@@ -1055,30 +1127,30 @@ def draws_a_redraw(config, adversary, seed):
 
 
 def replayed_curve(config, k_values, force_differ):
-    """oracle: the sweep as a loop over single sessions, flipping and
-    verifying each sifted key with the reference stages; ``None`` when a
-    session has too few sifted bits"""
+    """oracle: the curve as a loop over single sessions 0 to n - 1,
+    flipping each sifted key and verifying it with the reference stages
+    once per k, with k rounds; ``None`` when a session has too few sifted
+    bits for some k"""
     strategy = build_strategy(config)
-    curve, index = [], 0
-    for k in k_values:
-        detections = 0
-        for _ in range(config.n_sessions):
-            seed = derive_seed(config.master_seed, index)
-            index += 1
-            batch = run_session(
-                SessionConfig(config.n_pulses, config.efficiency),
-                strategy, seed,
-            )
-            alice = batch.sifted_alice.tolist()
-            bob = batch.sifted_bob.tolist()
-            if not alice or len(alice) <= k:
-                return None
-            if force_differ:
-                u = ReferenceStage(seed, FLIP).random()
-                bob[min(int(u * len(bob)), len(bob) - 1)] ^= 1
-            detections += reference_parity_verify(alice, bob, k, seed)[0]
-        curve.append((k, detections / config.n_sessions))
-    return curve
+    sessions = []
+    for index in range(config.n_sessions):
+        seed = derive_seed(config.master_seed, index)
+        batch = run_session(
+            SessionConfig(config.n_pulses, config.efficiency), strategy, seed,
+        )
+        alice = batch.sifted_alice.tolist()
+        bob = batch.sifted_bob.tolist()
+        if not alice or any(len(alice) <= k for k in k_values):
+            return None
+        if force_differ:
+            u = ReferenceStage(seed, FLIP).random()
+            bob[min(int(u * len(bob)), len(bob) - 1)] ^= 1
+        sessions.append((alice, bob, seed))
+    return [
+        (k, sum(reference_parity_verify(alice, bob, k, seed)[0]
+                for alice, bob, seed in sessions) / config.n_sessions)
+        for k in k_values
+    ]
 
 
 class TestBatchEngine:
@@ -1157,6 +1229,7 @@ class TestBatchEngine:
         reference = reference_session(config, strategy, seeds[redrawn])
         _, discarded, detected = columns(batch, redrawn)
         assert detected == reference[0]
+        assert batch.tripped[redrawn] == first_trip(reference)
         assert discarded == sorted(record[3] for record in reference[3])
         assert batch.reconciled(redrawn)[0].tolist() == reference[1]
 

@@ -104,7 +104,7 @@ def chosen_values(chosen):
     """A stand-in for ``stream.values`` that reads ``chosen[(seed, stage)]``
     as the values of that stage of that seed, zeros past its end."""
 
-    def values(seeds, stages, counts, starts):
+    def values(seeds, stages, counts, starts=0):
         rows = np.broadcast_arrays(seeds, stages, counts, starts)
         width = int(np.max(counts, initial=0))
         out = np.zeros((len(rows[0]), width), np.uint64)
@@ -153,6 +153,15 @@ def redrew(reference):
     return any(record[4] > 1 for record in reference[3])
 
 
+def first_trip(reference):
+    """The first round at which a ``reference_parity_verify`` result found
+    differing parities, or its round count when none did."""
+    records = reference[3]
+    return next((r for r, (_, alice_parity, bob_parity, _, _)
+                 in enumerate(records) if alice_parity != bob_parity),
+                len(records))
+
+
 def reference_verify(alice_bits, bob_bits, rounds, seed):
     """``reference_parity_verify`` in the layout of ``verify_one``: its
     flag, its reconciled keys and the positions it discarded, ascending."""
@@ -163,16 +172,16 @@ def reference_verify(alice_bits, bob_bits, rounds, seed):
 
 
 def verify_one(alice_bits, bob_bits, rounds, seed):
-    """``parity_verify`` on a batch of one session of seed ``seed``: its
-    flag, its reconciled keys (the positions ``kept`` marks) and the
-    positions it discarded, ascending, as lists."""
-    detected, kept = parity_verify(
+    """``parity_verify`` on a batch of one session of seed ``seed``:
+    whether a round tripped, its reconciled keys (the positions ``kept``
+    marks) and the positions it discarded, ascending, as lists."""
+    tripped, kept = parity_verify(
         alice_bits, bob_bits, rounds, [seed], np.array([len(alice_bits)]),
     )
     alice = np.asarray(alice_bits, dtype=np.uint8)[kept]
     bob = np.asarray(bob_bits, dtype=np.uint8)[kept]
     return (
-        bool(detected[0]), alice.tolist(), bob.tolist(),
+        bool(tripped[0] < rounds), alice.tolist(), bob.tolist(),
         np.flatnonzero(~kept).tolist(),
     )
 
@@ -507,10 +516,10 @@ class TestParityVerify:
         with pytest.raises(ValueError, match="2 key lengths for 1 sessions"):
             parity_verify([0, 1, 1], [0, 1, 1], 1, [0], [1, 2])
         # a list serves as well as an array
-        detected, kept = parity_verify([0, 1, 1], [0, 1, 0], 1, [0], [3])
-        want = reference_verify([0, 1, 1], [0, 1, 0], 1, 0)
-        assert bool(detected[0]) == want[0]
-        assert np.flatnonzero(~kept).tolist() == want[3]
+        tripped, kept = parity_verify([0, 1, 1], [0, 1, 0], 1, [0], [3])
+        want = reference_parity_verify([0, 1, 1], [0, 1, 0], 1, 0)
+        assert tripped.tolist() == [first_trip(want)]
+        assert np.flatnonzero(~kept).tolist() == [want[3][0][3]]
 
     @pytest.mark.parametrize("rounds", [1, 3])
     def test_a_mixed_batch_matches_the_reference_session_by_session(
@@ -530,7 +539,7 @@ class TestParityVerify:
             for i in rng.sample(range(length), flips):
                 other[i] ^= 1
             pairs.append((bits, other))
-        detected, kept = parity_verify(
+        tripped, kept = parity_verify(
             [b for bits, _ in pairs for b in bits],
             [b for _, other in pairs for b in other],
             rounds, list(range(len(pairs))), [len(bits) for bits, _ in pairs],
@@ -539,13 +548,13 @@ class TestParityVerify:
         for s, (bits, other) in enumerate(pairs):
             want = reference_parity_verify(bits, other, rounds, s)
             part = kept[start : start + len(bits)]
-            assert bool(detected[s]) == want[0], s
+            assert tripped[s] == first_trip(want), s
             assert np.flatnonzero(~part).tolist() == sorted(
                 record[3] for record in want[3]), s
             redraws += redrew(want)
             start += len(bits)
         assert redraws > 0
-        assert 0 < detected.sum() < len(pairs)
+        assert 0 < np.count_nonzero(tripped < rounds) < len(pairs)
 
     def test_a_zero_first_word_is_searched_within_its_round(
         self, monkeypatch
@@ -569,10 +578,11 @@ class TestParityVerify:
         alice = [[1] * 70, [0, 1, 0], [0, 0, 1, 0, 1]]
         bob = [[1] * 70, [1, 1, 0], [0, 1, 1, 1, 1]]
         monkeypatch.setattr(protocol, "values", chosen_values(chosen))
-        detected, kept = parity_verify(
+        tripped, kept = parity_verify(
             sum(alice, []), sum(bob, []), 2, [0, 1, 2], [70, 3, 5]
         )
-        assert detected.tolist() == [False, True, True]
+        # session 1's keys differ at position 0, in its first subset
+        assert tripped.tolist() == [2, 0, 1]
         # session 0: live index 65, then index 66 of the 69 left, key
         # position 67; session 1: index 0 on its second attempt, then
         # index 1 of the two left, key position 2; session 2: index 1,
@@ -594,7 +604,7 @@ class TestParityVerify:
             for i in rng.sample(range(length), rng.randint(2, 3)):
                 other[i] ^= 1
             pairs.append((bits, other))
-        detected, kept = parity_verify(
+        tripped, kept = parity_verify(
             [b for bits, _ in pairs for b in bits],
             [b for _, other in pairs for b in other],
             rounds, list(range(len(pairs))), [len(bits) for bits, _ in pairs],
@@ -603,7 +613,7 @@ class TestParityVerify:
         for s, (bits, other) in enumerate(pairs):
             want = reference_parity_verify(bits, other, rounds, s)
             part = kept[start : start + len(bits)]
-            assert bool(detected[s]) == want[0], s
+            assert tripped[s] == first_trip(want), s
             assert np.flatnonzero(~part).tolist() == sorted(
                 record[3] for record in want[3]), s
             differ = {i for i, (a, b) in enumerate(zip(bits, other)) if a != b}
@@ -648,6 +658,20 @@ class TestParityVerify:
 
 
 class TestRunSession:
+    def test_detected_reads_tripped_as_a_round_not_a_flag(self):
+        # a forced flip trips one of 4 rounds with probability 15/16; a
+        # session that trips at round 0 has tripped 0 and is detected,
+        # and with no rounds every session has tripped 0 and none is
+        batch = run_batch(SessionConfig(n_pulses=96, parity_rounds=4),
+                          channel_table("none"), range(1, 41), flip=True)
+        tripped = batch.tripped.tolist()
+        assert {0, 4} <= set(tripped)
+        assert batch.detected.tolist() == [t < 4 for t in tripped]
+        plain = run_batch(SessionConfig(n_pulses=96), channel_table("none"),
+                          range(1, 41), flip=True)
+        assert plain.tripped.tolist() == [0] * 40
+        assert not plain.detected.any()
+
     def test_clean_channel_produces_clean_transcript(self):
         batch = run_session(
             SessionConfig(n_pulses=10_000, parity_rounds=16),
@@ -792,6 +816,7 @@ class TestRunSession:
             rounds, seed,
         )
         assert bool(batch.detected[0]) == want[0]
+        assert batch.tripped.tolist() == [first_trip(want)]
         assert np.flatnonzero(~batch.kept).tolist() == sorted(
             record[3] for record in want[3]
         )
