@@ -10,10 +10,11 @@ recorded guess is a fair coin, so guess strings stay complete.  One
 sampler, ``ChannelTable.intercept``, draws from any table with
 ``stream.decide``, each pulse's outcome a 53-bit key against
 ceil(p * 2**53) for the table's cumulative probabilities p.  An outcome
-is all that is kept of an interception: the state forwarded and the guess
-are lookups in the table.  One builder, ``channel_table``, makes the table
-of each kind in ``EVE_KINDS``.  Every lawful attack is one single-copy
-measurement, a list of weighted rays; the oracle's read is not one:
+is all that is kept of an interception: the state forwarded, the guess
+and the receiver's bit-0 threshold for each sent state are lookups in the
+table.  One builder, ``channel_table``, makes the table of each kind in
+``EVE_KINDS``.  Every lawful attack is one single-copy measurement, a
+list of weighted rays; the oracle's read is not one:
 
 * ``none``              passive channel, nothing recorded.
 * ``intercept-resend``  measure in a random basis, forward the collapsed
@@ -43,14 +44,8 @@ import numpy as np
 
 from .errors import InvalidConfigError
 from .quantum import (
-    _EIGEN_SNAP,
-    BQS,
-    DEFAULT_ANCILLA_ANGLE,
-    PI,
-    bit0_thresholds,
-    build_reference_list,
-    reduce_angle,
-    squared_overlap,
+    _EIGEN_SNAP, BASIS_ANGLES, BQS, DEFAULT_ANCILLA_ANGLE, PI,
+    bit0_thresholds, build_reference_list, reduce_angle, squared_overlap,
 )
 from .stream import ADVERSARY, decide, threshold
 
@@ -72,9 +67,9 @@ class ChannelTable:
     * ``forwarded_angles[k]``: ray angle of the state outcome k forwards;
     * ``guess_bits[k]``: the bit outcome k guesses, or ``None`` throughout
       for a passive channel;
-    * ``bit0_thresholds[k, b]``: the receiver's bit-0 threshold for the
-      state outcome k forwards, measured in basis b (``bit0_thresholds``);
-    * ``reached[k, b]``: whether a pulse sent in basis b can give outcome k;
+    * ``receiver[k, s]``: the receiver's bit-0 threshold for the state
+      outcome k forwards, measured in the basis of the sent state s
+      (``bit0_thresholds``), or 0 where s never gives k;
     * ``edges[s, k]``: ceil(p * 2**53) for the probability p that sent
       state s gives an outcome up to k, for every outcome k but the last.
 
@@ -93,9 +88,9 @@ class ChannelTable:
         self.guess_bits = (
             None if guesses[0] is None else np.array(guesses, dtype=np.uint8)
         )
-        self.bit0_thresholds = bit0_thresholds(self.forwarded_angles)
-        # Sent state s = 2 * b + bit, so rows 2b and 2b + 1 send in basis b.
-        self.reached = (probabilities.T > 0.0).reshape(-1, 2, 2).any(axis=2)
+        # Sent state s = 2 * b + bit is measured in basis b.
+        self.receiver = (probabilities.T > 0.0) * bit0_thresholds(
+            self.forwarded_angles, np.repeat(BASIS_ANGLES, 2))
         # Outcome k is drawn when edges[k - 1] <= u < edges[k].  Edges with
         # no probability left above them are set to 1, whose threshold 2**53
         # no key reaches, so rounding in the cumulative sum can never select

@@ -28,8 +28,9 @@ session of n pulses reads these stages:
 4. key i for the loss of pulse i, only for a pulse whose two bases match,
    and only when the efficiency is below 1;
 5. key i for the receiver's measurement of pulse i, only for a pulse that
-   reaches the sifted key and whose forwarded state is not an eigenstate
-   of its basis (so never under ``none`` or ``indirect-oracle``);
+   reaches the sifted key and whose receiver row is not settled, its
+   forwarded state not being an eigenstate of its basis (so never under
+   ``none`` or ``indirect-oracle``);
 6. with ``force_differ``, in ``detection_rate_curve``, key 0, whose
    uniform u flips receiver bit floor(u * L) of the L-bit sifted key,
    once per session whatever the curve's k values;
@@ -85,10 +86,8 @@ _CI_Z = 1.96  # normal-approximation z for a 95% binomial interval
 # Pulses a batch holds at most, unless one session is longer.  A batch
 # pays numpy's fixed cost per call once per stage, so short sessions gain
 # from many to a batch.  A stage's keys stay within ``stream.BLOCK`` items
-# whatever the batch size (``stream.key_blocks``), but a batch's columns
-# grow with it: at 2**17 pulses the 96-pulse curve of 1000 x 8 sessions
-# ran about 2% faster than at 2**16, and its peak RSS rose 35.3 -> 36.4 MB
-# (three pairs of 15 s benchmark runs, 2-vCPU VM).
+# whatever the batch size (``stream.key_blocks``), but a batch's columns,
+# which set a sweep's peak memory, grow with it.
 _BATCH_PULSES = 8 * BLOCK
 
 

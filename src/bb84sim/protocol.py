@@ -206,12 +206,12 @@ def transmit(
     measures in the basis sent.  Returns the adversary's outcomes, indices
     into her table, and the receiver's bits, each read with key i of its
     stage of ``seeds[s]`` where its table leaves a choice.  The receiver's
-    rows for the pairs the channel never gives (``ChannelTable.reached``)
-    are settled to threshold 0, so a channel that forwards what it
+    bit reads ``ChannelTable.receiver`` at (outcome, sent code), 0 where
+    the channel never gives that pair, so a channel that forwards what it
     receives decides every bit with no key."""
     outcomes = adversary.intercept(codes, seeds, n, sifted)
-    return outcomes, measure(adversary.bit0_thresholds * adversary.reached,
-                             outcomes, codes >> 1, seeds, n, sifted)
+    return outcomes, measure(adversary.receiver, outcomes, codes, seeds, n,
+                             sifted)
 
 
 def _low_bit(words: np.ndarray) -> np.ndarray:

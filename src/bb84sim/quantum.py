@@ -6,12 +6,12 @@ modulo pi because a polarization state and its negation describe the same
 ray.  Every outcome probability is then a squared cosine of an angle
 difference.  The four signal states are the ray angles ``BQS``, and a
 signal state is named by its code, an index into ``BQS``.  ``measure``
-works on chosen pulses of a whole batch of sessions at once: each state is
-an index into a table of thresholds that ``bit0_thresholds`` computes
-once, and each outcome is a 53-bit key of the measurement stage against
-ceil(p0 * 2**53) for the state's Born probability p0 of bit 0, drawn by
-``stream.decide`` with no cosine per pulse.  A state whose threshold is 0
-or 2**53, an eigenstate of its basis, measures its bit with no key.
+works on chosen pulses of a whole batch of sessions at once: each pulse
+reads a row and a column of a table of thresholds computed once
+(``bit0_thresholds``), and each outcome is a 53-bit key of the
+measurement stage against ceil(p0 * 2**53) for the Born probability p0 of
+bit 0, drawn by ``stream.decide`` with no cosine per pulse.  A threshold
+of 0 or 2**53, such as an eigenstate of its basis, decides with no key.
 """
 
 import math
@@ -80,26 +80,26 @@ def bit0_thresholds(
 
 
 def measure(
-    thresholds: np.ndarray, states: np.ndarray, bases: np.ndarray,
+    thresholds: np.ndarray, states: np.ndarray, columns: np.ndarray,
     seeds: np.ndarray, n: int, positions: np.ndarray,
 ) -> np.ndarray:
     """Projective measurement of chosen pulses of a batch of sessions of
     ``n`` pulses each.
 
-    Entry j is state ``states[j]`` of ``thresholds``, a table from
-    ``bit0_thresholds``, measured in its basis ``bases[j]``, and it is
-    pulse ``positions[j]`` = s * n + i of the batch.  Its outcome is bit 1
-    when key i of the measurement stage of ``seeds[s]`` reaches the state's
-    threshold ceil(p0 * 2**53): ``stream.decide`` on a table of one row per
-    (state, basis), so an eigenstate of its basis reads no key.  Returns
+    Entry j, pulse ``positions[j]`` = s * n + i of the batch, reads the
+    bit-0 threshold ceil(p0 * 2**53) at ``[states[j], columns[j]]`` of
+    ``thresholds``, a column being a basis in a ``bit0_thresholds`` table
+    and a sent state in ``ChannelTable.receiver``.  Its outcome is bit 1
+    when key i of the measurement stage of ``seeds[s]`` reaches it, by
+    ``stream.decide``, so a threshold of 0 or 2**53 reads no key.  Returns
     the bits as uint8; the state collapses onto the eigenstate of its bit.
     """
-    # Entry [k, b] of a table is row k * width + b of it flattened, in the
+    # Entry [k, c] of a table is row k * width + c of it flattened, in the
     # smallest type that holds every row: one byte for a channel table.
     kind = np.min_scalar_type(thresholds.size - 1)
     rows = states.astype(kind)
     rows *= kind.type(thresholds.shape[1])
-    rows += bases.astype(kind, copy=False)
+    rows += columns.astype(kind, copy=False)
     return decide(thresholds.reshape(-1, 1), rows, seeds, MEASURE, n,
                   positions)
 

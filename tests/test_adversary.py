@@ -804,20 +804,44 @@ THRESHOLD_THETAS = [i * math.pi / 24 for i in range(-24, 25)] + [
 ]
 
 
+def born_threshold(angle: float, code: int) -> int:
+    """ceil(p0 * 2**53) for p0 = cos^2 of the ray angle ``angle`` against
+    the bit-0 eigenstate of the basis that sends ``BQS[code]``, computed
+    with ``math.cos``, values within 1e-12 of 0 or 1 made exact."""
+    p0 = math.cos(angle - RECEIVER_BIT0_ANGLES[code >> 1]) ** 2
+    p0 = 1.0 if p0 >= 1 - 1e-12 else 0.0 if p0 <= 1e-12 else p0
+    return math.ceil(p0 * 2**53)
+
+
+def assert_born_threshold(got: int, want: int, where) -> None:
+    """Tolerance: 4 units of the 53-bit key, 4 * 2**-53 in p0.  The table's
+    cosine is numpy's, which may differ from ``math.cos`` by an ULP, and
+    squaring at most doubles a relative error; an ULP of any p0 below 1 is
+    at most 2**-53, so such a difference moves the threshold by a unit or
+    two.  Snapped values, thresholds 0 and 2**53, must match exactly."""
+    if want in (0, 2**53):
+        assert got == want, where
+    else:
+        assert abs(got - want) <= 4, (where, got, want)
+
+
+def drawable(eve) -> np.ndarray:
+    """[k, s]: whether the table's own sampler can draw outcome k for sent
+    state s, that is whether row s of ``edges`` leaves k a nonempty range
+    of keys."""
+    full = np.full((4, 1), 2**53, dtype=np.uint64)
+    bounds = np.hstack([np.zeros_like(full), eve.edges, full])
+    return (bounds[:, 1:] > bounds[:, :-1]).T
+
+
 @pytest.mark.parametrize("kind", EVE_KINDS)
 @pytest.mark.parametrize("rule", RESEND_RULES)
 @pytest.mark.parametrize("fraction", [0.0, 0.3, 1.0])
 def test_receiver_thresholds_follow_the_born_rule(kind, rule, fraction):
-    """Each outcome's bit-0 threshold in each basis is ceil(p0 * 2**53),
-    for p0 = cos^2(forwarded angle - basis angle) computed here with
-    ``math.cos`` and values within 1e-12 of 0 or 1 made exact.
-
-    Tolerance: 4 units of the 53-bit key, 4 * 2**-53 in p0.  The table's
-    cosine is numpy's, which may differ from ``math.cos`` by an ULP, and
-    squaring at most doubles a relative error; an ULP of any p0 below 1 is
-    at most 2**-53, so such a difference moves the threshold by a unit or
-    two.  Snapped values, thresholds 0 and 2**53, must match exactly.
-    """
+    """Each outcome's bit-0 threshold at each sent state is ceil(p0 *
+    2**53), for p0 = cos^2(forwarded angle - angle of the sent state's
+    basis) (``born_threshold``), wherever the table's sampler can draw
+    that pair, and 0 or that threshold elsewhere."""
     for theta in THRESHOLD_THETAS:
         try:
             eve = channel_table(kind, theta, rule, fraction)
@@ -825,29 +849,27 @@ def test_receiver_thresholds_follow_the_born_rule(kind, rule, fraction):
             assert kind == "indirect-oracle"
             continue
         angles = eve.forwarded_angles.tolist()
-        assert eve.bit0_thresholds.shape == (len(angles), 2)
+        assert eve.receiver.shape == (len(angles), 4)
+        reached = drawable(eve)
         for k, angle in enumerate(angles):
-            for b, basis in enumerate(RECEIVER_BIT0_ANGLES):
-                p0 = math.cos(angle - basis) ** 2
-                p0 = 1.0 if p0 >= 1 - 1e-12 else 0.0 if p0 <= 1e-12 else p0
-                want = math.ceil(p0 * 2**53)
-                got = int(eve.bit0_thresholds[k, b])
-                if want in (0, 2**53):
-                    assert got == want, (theta, k, b)
-                else:
-                    assert abs(got - want) <= 4, (theta, k, b, got, want)
+            for code in range(4):
+                got = int(eve.receiver[k, code])
+                if reached[k, code] or got:
+                    assert_born_threshold(got, born_threshold(angle, code),
+                                          (theta, k, code))
 
 
 @pytest.mark.parametrize("kind", EVE_KINDS)
 @pytest.mark.parametrize("rule", RESEND_RULES)
 @pytest.mark.parametrize("fraction", [0.0, 0.3, 1.0])
-def test_reached_holds_every_pair_a_batch_draws(kind, rule, fraction):
-    """``transmit`` settles the receiver's rows that ``reached`` leaves
-    out, so a pair drawn outside it would flip bits silently.  Every
-    sifted entry of a small lossy batch must draw a reached (outcome, sent
-    basis) pair; a channel that forwards what it receives reaches only
-    eigenstate rows, thresholds 0 or 2**53; intercept/resend on every
-    pulse reaches every pair."""
+def test_receiver_holds_every_pair_a_batch_draws(kind, rule, fraction):
+    """``receiver`` is 0 at the (outcome, sent state) pairs the channel
+    never gives, so a pair drawn there would flip bits silently.  Every
+    sifted entry of a small lossy batch must draw a pair whose receiver
+    threshold is the Born rule's; a channel that forwards what it receives
+    has only eigenstate thresholds, 0 or 2**53; intercept/resend on every
+    pulse gives every pair but a signal state resent as its orthogonal
+    one."""
     config = SessionConfig(n_pulses=64, efficiency=0.9)
     for theta in THRESHOLD_THETAS:
         try:
@@ -856,11 +878,76 @@ def test_reached_holds_every_pair_a_batch_draws(kind, rule, fraction):
             assert kind == "indirect-oracle"
             continue
         batch = run_batch(config, eve, [1, 2, 3, 4])
-        bases = np.take(batch.pulses.alice_bases, batch.sifted)
-        assert eve.reached.shape == eve.bit0_thresholds.shape
-        assert eve.reached[batch.outcomes, bases].all(), theta
+        codes = (2 * np.take(batch.pulses.alice_bases, batch.sifted)
+                 + batch.sifted_alice)
+        angles = eve.forwarded_angles.tolist()
+        for outcome, code in zip(batch.outcomes.tolist(), codes.tolist()):
+            assert_born_threshold(int(eve.receiver[outcome, code]),
+                                  born_threshold(angles[outcome], code),
+                                  (theta, outcome, code))
         if kind in ("none", "indirect-oracle"):
-            reached = set(eve.bit0_thresholds[eve.reached].tolist())
-            assert reached <= {0, 2**53}, theta
+            assert set(eve.receiver.ravel().tolist()) <= {0, 2**53}, theta
         if kind == "intercept-resend" and fraction == 1.0:
-            assert eve.reached.all(), theta
+            given = [[math.cos(angle - sent) ** 2 > 1e-12
+                      for sent in BQS_ANGLES] for angle in angles]
+            assert drawable(eve).tolist() == given, theta
+
+
+def enumerate_outcomes(kind, theta, rule, fraction, sent):
+    """[(probability, forwarded angle, guess)] for the signal state at ray
+    angle ``sent``, written out here from each strategy's description: the
+    attack with weight ``fraction``, else a blind pass that forwards the
+    pulse and guesses a fair coin.  Entries may repeat an outcome."""
+    if kind == "none":
+        return [(1.0, sent, None)]
+    if kind == "indirect-oracle":
+        attack = [(1.0, sent, BQS_ANGLES.index(sent) % 2)]
+    elif kind == "intercept-resend":
+        # the eigenstates in BQS order, so entry i guesses bit i % 2
+        attack = [(p, eigen, i % 2) for i, (p, eigen)
+                  in enumerate(intercept_resend_channel(sent))]
+    else:
+        # the aligned outcome first, each guessing its max-posterior state
+        guesses = [BQS_ANGLES.index(angle) % 2
+                   for angle in enumerate_max_posterior_mapping(theta)]
+        attack = [(p, angle, guess) for (p, angle), guess in zip(
+            single_shot_channel(theta, rule)(sent), guesses)]
+    blind = [((1.0 - fraction) / 2, sent, guess) for guess in (0, 1)]
+    return [(fraction * p, angle, guess) for p, angle, guess in attack] + blind
+
+
+def same_ray(a: float, b: float) -> bool:
+    gap = math.fmod(a - b, math.pi) % math.pi
+    return min(gap, math.pi - gap) <= 1e-9
+
+
+@pytest.mark.parametrize("kind, theta, rule, fraction", list(TABLE_DIGESTS))
+def test_receiver_is_zero_where_the_sent_state_never_gives_the_outcome(
+    kind, theta, rule, fraction
+):
+    """``receiver[k, s]`` is ``born_threshold`` of ``forwarded_angles[k]``
+    in the basis of s where this file's own enumeration gives P(k | s)
+    above 1e-12, and 0 elsewhere; an outcome is matched by its ray and its
+    guess."""
+    eve = channel_table(kind, PIN_THETAS[theta], rule, fraction)
+    angles = eve.forwarded_angles.tolist()
+    guesses = (None if eve.guess_bits is None
+               else eve.guess_bits.tolist())
+    for code, sent in enumerate(BQS_ANGLES):
+        given = [0.0] * len(angles)
+        for p, angle, guess in enumerate_outcomes(
+            kind, PIN_THETAS[theta], rule, fraction, sent
+        ):
+            matches = [k for k, forwarded in enumerate(angles)
+                       if same_ray(forwarded, angle)
+                       and (guesses is None or guesses[k] == guess)]
+            assert len(matches) == 1 or p <= 1e-12, (code, angle, guess)
+            for k in matches:
+                given[k] += p
+        for k, angle in enumerate(angles):
+            got = int(eve.receiver[k, code])
+            if given[k] > 1e-12:
+                assert_born_threshold(got, born_threshold(angle, code),
+                                      (k, code))
+            else:
+                assert got == 0, (k, code, given[k])

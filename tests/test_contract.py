@@ -8,7 +8,7 @@ one at a time, the rounds through ``test_protocol``'s per-position loop,
 ``reference_parity_verify``, and each adversary outcome through its
 inverse CDF, ``row_outcome``.  It borrows from the package only what the
 contract does not define: the channel table (its cumulative thresholds
-``edges`` and the receiver's ``bit0_thresholds``), the
+``edges`` and the receiver's thresholds ``receiver``), the
 privacy-amplification bounds of ``PrivacyParams`` and the aggregates of
 the rows.
 """
@@ -17,7 +17,9 @@ import hashlib
 import math
 from dataclasses import replace
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import (
+    HealthCheck, example, given, settings, strategies as st,
+)
 
 from bb84sim.adversary import EVE_KINDS, RESEND_RULES
 from bb84sim.amplification import PrivacyParams
@@ -75,7 +77,7 @@ def reference_sifted(config, table, seed):
                               key(seed, ADVERSARY, i))
         alice.append(alice_bits[i])
         bob.append(int(key(seed, MEASURE, i) >= int(
-            table.bit0_thresholds[outcome, bob_bases[i]])))
+            table.receiver[outcome, 2 * alice_bases[i] + alice_bits[i]])))
         if table.guess_bits is not None:
             guesses.append(int(table.guess_bits[outcome]))
     return alice, bob, (None if table.guess_bits is None else guesses)
@@ -223,8 +225,12 @@ def run_configs(draw):
 
 @st.composite
 def curve_configs(draw):
-    return small_config(
-        draw, st.one_of(st.integers(1, 12), st.integers(1, 96)))
+    # n * efficiency / 2, the expected sifted bits of a session, is 12 to
+    # 48, so most curves pass at k <= 4 (a session keeps 4 bits or fewer
+    # with probability at most about 0.8%); ``short_keys`` gives failures
+    config = small_config(draw, st.just(1))
+    least = math.ceil(24 / config.efficiency)
+    return replace(config, n_pulses=draw(st.integers(least, 4 * least)))
 
 
 @given(config=run_configs())
@@ -238,11 +244,23 @@ def test_reports_equal_the_reference_byte_for_byte(config):
     assert got == want
 
 
+def short_keys(master_seed):
+    """Four 6-pulse sessions whose sifted keys hold 4, 5, 0 and 3 bits at
+    master seed 4 and 4, 6, 1 and 3 at 49: at k = [3, 1] session 2 fails,
+    under the forced flip at seed 4 for want of a bit to flip."""
+    return ExperimentConfig(n_pulses=6, n_sessions=4, efficiency=0.8,
+                            eve_kind="intercept-resend",
+                            master_seed=master_seed)
+
+
 @given(config=curve_configs(),
        k_values=st.lists(st.integers(0, 4), min_size=1, max_size=3),
        force_differ=st.booleans())
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
+@example(config=short_keys(4), k_values=[3, 1], force_differ=False)
+@example(config=short_keys(4), k_values=[3, 1], force_differ=True)
+@example(config=short_keys(49), k_values=[3, 1], force_differ=True)
 def test_curves_equal_the_reference(config, k_values, force_differ):
     want = reference_curve(config, k_values, force_differ)
     got = failure(lambda: detection_rate_curve(config, k_values,
@@ -250,6 +268,16 @@ def test_curves_equal_the_reference(config, k_values, force_differ):
     assert got == want
     if not isinstance(want, tuple):
         assert curve_to_json(config, got) == curve_to_json(config, want)
+
+
+def test_short_key_examples_fail_at_session_2():
+    # the failures ``test_curves_equal_the_reference`` must always see
+    for master_seed, force_differ, cause in (
+        (4, False, KeyTooShortError), (4, True, ValueError),
+        (49, True, KeyTooShortError),
+    ):
+        assert reference_curve(short_keys(master_seed), [3, 1],
+                               force_differ) == (2, cause)
 
 
 def test_redraws_and_amplification_are_covered():

@@ -1368,8 +1368,8 @@ def reference_draws(config, table, seed):
     for each pulse whose bases match, below full efficiency; for each of
     those that arrives, an adversary key when a threshold of its sent
     state's row of ``table.edges`` lies strictly between 0 and 2**53, and
-    a measurement key when the threshold of its forwarded state in its
-    basis does."""
+    a measurement key when its threshold in ``table.receiver``, at its
+    outcome and sent state, does."""
     n = config.n_pulses
     alice_bits, alice_bases, bob_bases = (
         bits(seed, stage, n) for stage in (ALICE_BITS, ALICE_BASES, BOB_BASES)
@@ -1387,7 +1387,7 @@ def reference_draws(config, table, seed):
         counts[ADVERSARY] += any(0 < edge < 2**53
                                  for edge in table.edges[code].tolist())
         outcome = row_outcome(table, code, key(seed, ADVERSARY, i))
-        edge = int(table.bit0_thresholds[outcome, bob_bases[i]])
+        edge = int(table.receiver[outcome, code])
         counts[MEASURE] += 0 < edge < 2**53
     return counts
 

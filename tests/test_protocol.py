@@ -24,7 +24,7 @@ from bb84sim.protocol import (
     sift,
     transmit,
 )
-from bb84sim.quantum import BQS, measure
+from bb84sim.quantum import BASIS_ANGLES, BQS, bit0_thresholds, measure
 from bb84sim.stream import (
     ADVERSARY, BLOCK, LOSS, MEASURE, PARITY, key_blocks, keys,
 )
@@ -287,7 +287,7 @@ class TestTransmit:
             s, i = divmod(position, n)
             drawn = keys([seeds[s]], ADVERSARY, 1, i)[0, 0]
             assert outcomes[j] == row_outcome(eve, codes[j], drawn)
-            edge = eve.bit0_thresholds[outcomes[j], codes[j] >> 1]
+            edge = eve.receiver[outcomes[j], codes[j]]
             assert bits[j] == (keys([seeds[s]], MEASURE, 1, i)[0, 0] >= edge)
 
     @pytest.mark.parametrize("kind, theta, rule, fraction", [
@@ -305,9 +305,9 @@ class TestTransmit:
     def test_settled_receiver_rows_move_no_bit(
         self, monkeypatch, kind, theta, rule, fraction
     ):
-        # oracle: the same sifted pulses of a lossy batch with every
-        # (outcome, basis) pair counted as reached, so that no receiver
-        # row is settled for being out of reach
+        # oracle: the same sifted pulses of a lossy batch with the Born
+        # threshold at every (outcome, sent state) pair, so that no
+        # receiver row is settled for being out of reach
         eve = channel_table(kind, theta, rule, fraction)
         n, seeds = 500, [5, 6, 7]
         batch = run_batch(SessionConfig(n_pulses=n, efficiency=0.8), eve,
@@ -322,7 +322,8 @@ class TestTransmit:
 
         monkeypatch.setattr(protocol, "measure", measuring)
         settled = transmit(codes, eve, seeds, n, batch.sifted)
-        monkeypatch.setattr(eve, "reached", np.ones_like(eve.reached))
+        monkeypatch.setattr(eve, "receiver", bit0_thresholds(
+            eve.forwarded_angles, np.repeat(BASIS_ANGLES, 2)))
         unsettled = transmit(codes, eve, seeds, n, batch.sifted)
         for got, want in zip(settled, unsettled):
             assert np.array_equal(got, want)
@@ -404,6 +405,37 @@ class TestTransmitKeys:
                            ADVERSARY: len(plain.sifted)}
         for s in range(len(seeds)):
             assert columns(batch, s) == columns(plain, s)
+
+    def test_measurement_keys_only_where_the_forwarded_ray_is_between(
+        self, monkeypatch
+    ):
+        # indirect-physical at ancilla 0, attacking 30% of pulses: the
+        # attack forwards H or V, the blind pass the sent state, so only a
+        # diagonal pulse the attack measured lies between its basis states.
+        # Oracle: the sifted pulses whose forwarded ray has cos^2 against
+        # the sent basis's bit-0 state strictly between 0 and 1 (1e-12
+        # snap), read off the batch's own outcomes
+        read = []
+
+        def recording(seeds, stage, n, positions):
+            if stage == MEASURE:
+                read.extend(positions.tolist())
+            return key_blocks(seeds, stage, n, positions)
+
+        monkeypatch.setattr(stream, "key_blocks", recording)
+        eve = channel_table("indirect-physical", 0.0, attack_fraction=0.3)
+        batch = run_batch(SessionConfig(n_pulses=500, efficiency=0.8), eve,
+                          [5, 6, 7])
+        bases = np.take(batch.pulses.alice_bases, batch.sifted).tolist()
+        forwarded = eve.forwarded_angles[batch.outcomes].tolist()
+        between = []
+        for position, basis, angle in zip(batch.sifted.tolist(), bases,
+                                          forwarded):
+            p0 = math.cos(angle - (0.0, math.pi / 4)[basis]) ** 2
+            if 1e-12 < p0 < 1 - 1e-12:
+                between.append(position)
+        assert read == between
+        assert 0 < len(between) < len(batch.sifted)
 
 
 class TestSift:
