@@ -14,7 +14,8 @@ is all that is kept of an interception: the state forwarded, the guess
 and the receiver's bit-0 threshold for each sent state are lookups in the
 table.  One builder, ``channel_table``, makes the table of each kind in
 ``EVE_KINDS``.  Every lawful attack is one single-copy measurement, a
-list of weighted rays; the oracle's read is not one:
+list of weighted rays; the oracle's read is not one, and its table is
+fixed:
 
 * ``none``              passive channel, nothing recorded.
 * ``intercept-resend``  measure in a random basis, forward the collapsed
@@ -26,7 +27,11 @@ list of weighted rays; the oracle's read is not one:
                         is a simulator capability switch, not a physical
                         measurement: no single-shot measurement yields that
                         continuous value from one carrier.  With the switch
-                        granted the attack is transparent.
+                        granted the attack is transparent: every state is
+                        forwarded as itself with its bit guessed, at any
+                        ancilla whose four overlaps are distinct
+                        (``build_reference_list``); ``check_strategy``
+                        refuses any other.
 * ``indirect-physical`` the same attack restricted to what one lawful
                         projective measurement (along the ancilla pair) can
                         deliver: a single bit per pulse.  The guess is the
@@ -117,8 +122,9 @@ class ChannelTable:
 def check_strategy(
     kind: str, ancilla_angle: float, resend_rule: str, attack_fraction: float
 ) -> None:
-    """Raise ``InvalidConfigError`` unless ``channel_table`` can build the
-    strategy these arguments describe."""
+    """Raise ``InvalidConfigError``, or ``DegenerateAncillaError`` for an
+    oracle whose ancilla ties two signal states in overlap, unless
+    ``channel_table`` can build the strategy these arguments describe."""
     if kind not in EVE_KINDS:
         raise InvalidConfigError(
             f"eve_kind must be one of {EVE_KINDS}, got {kind!r}"
@@ -127,6 +133,8 @@ def check_strategy(
         raise InvalidConfigError(
             f"ancilla_angle must be finite, got {ancilla_angle!r}"
         )
+    if kind == "indirect-oracle":
+        build_reference_list(ancilla_angle)
     if resend_rule not in RESEND_RULES:
         raise InvalidConfigError(
             f"resend_rule must be one of {RESEND_RULES}, got {resend_rule!r}"
@@ -148,12 +156,13 @@ def channel_table(
     rays (angle, weight, outcome), each seen with probability weight *
     cos^2(angle - sent angle): the signal rays at weight 1/2, in ``BQS``
     order, for intercept/resend, and the ancilla pair at weight 1 for the
-    single-shot kind.  The oracle measures nothing: it reads its table
-    through ``ReferenceList.lookup``, so an ancilla that maps two signal
-    states to one overlap raises ``DegenerateAncillaError``.  The
-    single-shot kind takes any finite angle: its guess for each outcome is
-    the signal state of largest posterior (uniform prior; of overlaps
-    equal as computed, the lower ``BQS`` index wins).
+    single-shot kind.  The oracle measures nothing: it forwards each
+    signal state as itself and guesses its bit, and ``check_strategy``
+    refuses an ancilla that maps two signal states to one overlap
+    (``DegenerateAncillaError``).  The single-shot kind takes any finite
+    angle: its guess for each outcome is the signal state of largest
+    posterior (uniform prior; of overlaps equal as computed, the lower
+    ``BQS`` index wins).
     """
     check_strategy(kind, ancilla_angle, resend_rule, attack_fraction)
     if kind == "none":
@@ -162,10 +171,8 @@ def channel_table(
     # ``attacks[code]`` lists (outcome, probability) pairs for the signal
     # state ``BQS[code]``; the bit a code encodes is ``code & 1``.
     if kind == "indirect-oracle":
-        table = build_reference_list(ancilla_angle)
-        matched = [table.lookup(squared_overlap(table.ancilla, state))
-                   for state in BQS]
-        attacks = [[((BQS[code], code & 1), 1.0)] for code in matched]
+        attacks = [[((state, code & 1), 1.0)]
+                   for code, state in enumerate(BQS)]
     else:
         if kind == "intercept-resend":
             rays = [(state, 0.5, (state, code & 1))

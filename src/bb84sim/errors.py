@@ -6,10 +6,6 @@ class DegenerateAncillaError(ValueError):
     overlap table is not one-to-one and cannot identify them."""
 
 
-class NoMatchError(LookupError):
-    """A queried value matches no entry of the ancilla-overlap table."""
-
-
 class KeyTooShortError(ValueError):
     """The sifted key has too few bits for the requested parity rounds."""
 

@@ -258,7 +258,7 @@ def _load(cls, values, what: str):
     try:
         record = cls(**values)  # TypeError: no mapping, or not its fields
         check_types(record)
-    except (TypeError, InvalidConfigError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"{what}: {exc}") from None
     return record
 

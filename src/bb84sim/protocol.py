@@ -247,9 +247,10 @@ def parity_verify(
     samples a uniform nonempty subset of the still-live positions (one fair
     coin per live position, in ascending order, all drawn again if none
     comes up 1), compares the two parities, and discards the lowest-indexed
-    subset member from both keys.  A differing key pair trips a round with
-    probability 1/2, so ``rounds`` independent rounds certify agreement
-    except with probability ~2**-rounds, at the cost of ``rounds`` bits.
+    subset member from both keys.  On L live positions a differing key pair
+    trips a round with probability 2**(L-1) / (2**L - 1), so ``rounds`` = k
+    rounds over an L-bit key miss a difference with probability exactly
+    (2**(L-k) - 1) / (2**L - 1), about 2**-k, at the cost of k bits.
 
     Round j draws its L - j coins from stage ``stream.PARITY + j``, in
     W = ceil((L - j) / 64) values, and attempt a at them takes the W

@@ -19,12 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateAncillaError, NoMatchError
+from .errors import DegenerateAncillaError
 from .stream import MEASURE, decide, threshold
 
-# Tolerance for matching squared-overlap values: far below the smallest
-# gap between table entries (~0.18 for the default ancilla), far above
-# double-precision noise.
+# Two squared-overlap values closer than this count as one: far below the
+# smallest gap between table entries (~0.18 for the default ancilla), far
+# above double-precision noise.
 MATCH_TOL = 1e-9
 
 # Outcome probabilities within this distance of 0 or 1 are treated as
@@ -106,25 +106,16 @@ def measure(
 
 @dataclass(frozen=True, slots=True)
 class ReferenceList:
-    """One-to-one table from squared ancilla overlaps to signal codes.
+    """The squared overlaps of the signal states with an ancilla.
 
     ``match_values[code]`` is the squared overlap of ``BQS[code]`` with the
-    ancilla at ray angle ``ancilla``.  Valid tables have pairwise-distinct
-    match values, enforced at construction, so an exact-match lookup
-    identifies the code.
+    ancilla at ray angle ``ancilla``.  The values are pairwise distinct,
+    enforced by ``build_reference_list``, so an exact read of a carrier's
+    overlap would identify its signal state: the oracle's premise.
     """
 
     ancilla: float
     match_values: tuple[float, ...]
-
-    def lookup(self, match_value: float) -> int:
-        """Code whose match value agrees within ``MATCH_TOL``."""
-        for code, value in enumerate(self.match_values):
-            if abs(value - match_value) <= MATCH_TOL:
-                return code
-        raise NoMatchError(
-            f"value {match_value!r} does not match any table entry"
-        )
 
 
 def build_reference_list(ancilla_angle: float) -> ReferenceList:

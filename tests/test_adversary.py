@@ -13,9 +13,12 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from bb84sim import cli, stream
-from bb84sim.adversary import EVE_KINDS, RESEND_RULES, channel_table
+from bb84sim.adversary import (
+    EVE_KINDS, RESEND_RULES, channel_table, check_strategy,
+)
 from bb84sim.errors import DegenerateAncillaError, InvalidConfigError
 from bb84sim.harness import ExperimentConfig, build_strategy
 from bb84sim.protocol import (
@@ -318,11 +321,11 @@ class TestIndirectCopyOracle:
             assert guesses.tolist() == [0, 1, 0, 1]
 
     def test_second_diagonal_match_value(self):
-        # the smallest table entry identifies the second diagonal state
+        # the smallest table entry belongs to the second diagonal state
         table = make_table()
         value = squared_overlap(table.ancilla, 3 * math.pi / 4)
         assert value == pytest.approx((math.sqrt(3) - 1) ** 2 / 8, abs=1e-12)
-        assert BQS_ANGLES[table.lookup(value)] == 3 * math.pi / 4
+        assert table.match_values[3] == value == min(table.match_values)
 
     def test_session_is_error_free_and_fully_leaked(self):
         batch = run_session(
@@ -339,6 +342,35 @@ class TestIndirectCopyOracle:
         assert forwarded.tolist() == [
             BQS_ANGLES[code] for code in random_codes(500, 4)
         ]
+
+    @given(st.floats(min_value=0.0, max_value=math.pi, exclude_max=True),
+           st.sampled_from([0.0, 0.3, 1.0]))
+    @example(0.0, 1.0)
+    @example(math.pi / 8, 0.3)
+    @example(math.pi / 4, 0.0)
+    @example(5 * math.pi / 8, 1.0)
+    def test_one_table_at_every_valid_ancilla(self, theta, fraction):
+        # an ancilla with four distinct overlaps identifies every state, so
+        # the oracle's table is the default ancilla's; one that ties two is
+        # refused by the table and by the config alike
+        try:
+            build_reference_list(theta)
+        except DegenerateAncillaError:
+            with pytest.raises(DegenerateAncillaError):
+                channel_table("indirect-oracle", theta,
+                              attack_fraction=fraction)
+            with pytest.raises(DegenerateAncillaError):
+                ExperimentConfig(n_pulses=10, n_sessions=1,
+                                 eve_kind="indirect-oracle",
+                                 ancilla_angle=theta,
+                                 attack_fraction=fraction)
+            return
+        got = channel_table("indirect-oracle", theta,
+                            attack_fraction=fraction)
+        want = channel_table("indirect-oracle", DEFAULT_ANCILLA_ANGLE,
+                             attack_fraction=fraction)
+        for name in ("edges", "receiver", "guess_bits", "forwarded_angles"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
 
     def test_partial_fraction_still_forwards_the_sent_state(self):
         # blind passes forward the pulse untouched too, so even at u -> 1
@@ -418,12 +450,13 @@ class TestIndirectCopyPhysical:
         assert abs(row["qber"] - want) <= 6 * sigma, (row["qber"], want)
 
     def test_breidbart_angle_still_refused_for_the_oracle(self, capsys):
-        assert cli.main([
-            "run", "--eve", "indirect-oracle",
-            "--ancilla-angle", "0.39269908169872414", "--pulses", "10",
-            "--sessions", "1",
-        ]) == 2
-        assert "same value" in capsys.readouterr().err
+        # and so is the horizontal ancilla, which ties the two diagonals
+        for angle in ("0.39269908169872414", "0"):
+            assert cli.main([
+                "run", "--eve", "indirect-oracle", "--ancilla-angle", angle,
+                "--pulses", "10", "--sessions", "1",
+            ]) == 2
+            assert "same value" in capsys.readouterr().err
 
     def test_resend_ancilla_forwards_probe_eigenstates(self):
         eve = channel_table("indirect-physical", resend_rule="resend-ancilla")
@@ -802,6 +835,41 @@ RECEIVER_BIT0_ANGLES = (0.0, math.pi / 4)
 THRESHOLD_THETAS = [i * math.pi / 24 for i in range(-24, 25)] + [
     0.41, 1.1, 2.5, -0.7,
 ]
+
+
+# Ancilla angles at every multiple of pi/8 over two half turns, all
+# degenerate for the oracle, a generic angle, and the non-finite ones.
+STRATEGY_THETAS = [i * math.pi / 8 for i in range(-8, 9)] + [
+    -math.pi, 0.41, math.nan, math.inf, -math.inf,
+]
+
+
+def raised(build, *args):
+    """The type of what ``build(*args)`` raises, or None."""
+    try:
+        build(*args)
+    except Exception as exc:
+        return type(exc)
+    return None
+
+
+@pytest.mark.parametrize("kind", EVE_KINDS)
+@pytest.mark.parametrize("rule", RESEND_RULES)
+@pytest.mark.parametrize("fraction", [0.0, 0.3, 1.0])
+def test_check_strategy_accepts_exactly_what_channel_table_builds(
+    kind, rule, fraction
+):
+    """``check_strategy`` is what ``ExperimentConfig`` calls, so a config
+    it accepts must build: both raise, with the same type, or neither.  A
+    non-finite angle is refused for every kind and a multiple of pi/8 for
+    the oracle alone."""
+    for theta in STRATEGY_THETAS:
+        args = (kind, theta, rule, fraction)
+        want = (InvalidConfigError if not math.isfinite(theta)
+                else DegenerateAncillaError if kind == "indirect-oracle"
+                and theta != 0.41 else None)
+        assert raised(check_strategy, *args) is want, theta
+        assert raised(channel_table, *args) is want, theta
 
 
 def born_threshold(angle: float, code: int) -> int:

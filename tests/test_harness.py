@@ -645,6 +645,21 @@ class TestReportSerialization:
         with pytest.raises(ValueError, match="contract"):
             ExperimentReport.from_json(json.dumps(payload))
 
+    def test_a_report_naming_a_degenerate_oracle_is_refused(self):
+        # a horizontal ancilla ties the two diagonal states in overlap, so
+        # no oracle read identifies them; the config check refuses it like
+        # any other field
+        config = ExperimentConfig(
+            n_pulses=400, n_sessions=2, eve_kind="indirect-oracle",
+            master_seed=13,
+        )
+        payload = json.loads(run_experiment(config).to_json())
+        ExperimentReport.from_json(json.dumps(payload))
+        payload["config"]["ancilla_angle"] = 0.0
+        with pytest.raises(ValueError,
+                           match="^config: ancilla at angle 0.0 maps"):
+            ExperimentReport.from_json(json.dumps(payload))
+
     def test_tampered_aggregate_is_caught_on_load(self):
         report = self.make_report()
         payload = json.loads(report.to_json())

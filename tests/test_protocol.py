@@ -530,6 +530,29 @@ class TestParityVerify:
             detected_count += detected
         assert abs(detected_count / trials - (1 - 2**-10)) < 0.01
 
+    @pytest.mark.parametrize("length, differing, rounds, sessions", [
+        (9, 1, 8, 100_000), (12, 5, 11, 200_000), (10, 10, 9, 100_000),
+    ])
+    def test_undetected_share_follows_the_exact_law(
+        self, length, differing, rounds, sessions
+    ):
+        # k rounds over L live positions miss a nonempty difference with
+        # probability (2^(L-k) - 1) / (2^L - 1), whatever its size: a round
+        # passes for 2^(L-1) - 1 of its 2^L - 1 subsets, a passing round
+        # discards a differing member only if its subset held two, and the
+        # factors telescope.  Near k = L that is far from 2^-k.
+        law = (2 ** (length - rounds) - 1) / (2**length - 1)
+        bound = 5 * math.sqrt(law * (1 - law) / sessions)
+        alice = np.zeros(length * sessions, dtype=np.uint8)
+        bob = alice.copy()
+        for i in random.Random(length).sample(range(length), differing):
+            bob[i::length] = 1
+        tripped, _ = parity_verify(alice, bob, rounds, np.arange(sessions),
+                                   np.full(sessions, length))
+        missed = np.count_nonzero(tripped == rounds) / sessions
+        assert abs(missed - law) < bound, (missed, law)
+        assert abs(2.0**-rounds - law) > bound
+
     def test_short_key_rejected(self):
         with pytest.raises(KeyTooShortError):
             verify_one([0, 1, 0], [0, 1, 0], 3, 0)

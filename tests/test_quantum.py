@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from bb84sim import stream
-from bb84sim.errors import DegenerateAncillaError, NoMatchError
+from bb84sim.errors import DegenerateAncillaError
 from bb84sim.adversary import channel_table
 from bb84sim.quantum import (
     BASIS_ANGLES,
@@ -347,30 +347,6 @@ class TestReferenceList:
         assert min(gaps) > 1e-3
         table = build_reference_list(a)
         assert sorted(table.match_values) == pytest.approx(direct, abs=1e-12)
-
-    def test_lookup_known_values(self):
-        table = build_reference_list(ANCILLA)
-        assert BQS[table.lookup(0.25)] == math.pi / 2
-        assert BQS[table.lookup(0.75)] == 0.0
-
-    def test_lookup_rejects_foreign_value(self):
-        table = build_reference_list(ANCILLA)
-        with pytest.raises(NoMatchError):
-            table.lookup(0.5)
-
-    def test_lookup_build_identity_on_alphabet(self):
-        table = build_reference_list(ANCILLA)
-        for code, state in enumerate(BQS):
-            assert table.lookup(squared_overlap(ANCILLA, state)) == code
-
-    @given(st.floats(min_value=0.0, max_value=math.pi, exclude_max=True))
-    def test_lookup_build_identity_for_any_valid_ancilla(self, theta):
-        try:
-            table = build_reference_list(theta)
-        except DegenerateAncillaError:
-            return
-        for code, state in enumerate(BQS):
-            assert table.lookup(squared_overlap(theta, state)) == code
 
     def test_tolerance_far_below_table_gaps(self):
         values = sorted(build_reference_list(ANCILLA).match_values)
